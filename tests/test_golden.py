@@ -1,0 +1,70 @@
+"""Byte-for-byte guard on the CLI output.
+
+Each case runs `cli.main` and compares its stdout with a file under
+`tests/golden/`.  The cases reach every series loop, both reductions to
+the fundamental domain and the quadrature, so a refactor of the numeric
+core that changes any printed digit fails here.
+
+To write the files afresh (only when an output is meant to change):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import os
+import sys
+
+import pytest
+
+from etamock.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+CASES = {
+    "catalogue": ["catalogue"],
+    "verify-theta": ["verify", "theta", "--seed", "0"],
+    "verify-vmn": ["verify", "vmn", "--seed", "0"],
+    "verify-mu": ["verify", "mu", "--seed", "0"],
+    "verify-quantum-closure": ["verify", "quantum-closure", "--seed", "0"],
+    "verify-shadow": ["verify", "shadow", "--seed", "0"],
+    "verify-thm11": ["verify", "thm11", "--seed", "0", "--samples", "1"],
+    "verify-corollary": ["verify", "corollary", "--m", "5", "--x", "1/2"],
+    "eval-theta": ["eval", "theta", "--v", "0.1+0.0002i",
+                   "--tau", "0.13+0.001i", "--crosscheck"],
+    "eval-eta": ["eval", "eta", "--tau", "0.01+0.002i", "--crosscheck"],
+    "eval-g": ["eval", "g", "--a", "1/12", "--b", "1/2", "--tau", "0.3+0.01i"],
+    "eval-V": ["eval", "V", "4", "3", "--tau", "0.2+0.9i", "--crosscheck"],
+    "eval-E": ["eval", "E", "4", "--tau", "0.1+0.5i", "--crosscheck"],
+    "eval-Etilde": ["eval", "Etilde", "2", "--z", "0.1-0.3i"],
+    "eval-mu": ["eval", "mu", "--u", "0.3+0.4i", "--v", "0.1+0.2i",
+                "--tau", "0.2+0.9i"],
+    "eval-Fhk": ["eval", "Fhk", "--x", "3/7", "--m", "2"],
+    "qexp-e7": ["qexp", "e7", "--both-routes", "--order", "40"],
+}
+
+
+def run_case(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(list(argv))
+    return out.getvalue()
+
+
+def golden_path(name):
+    return os.path.join(GOLDEN, name + ".json")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    with open(golden_path(name)) as fh:
+        expected = fh.read()
+    assert run_case(CASES[name]) == expected
+
+
+if __name__ == "__main__":
+    os.makedirs(GOLDEN, exist_ok=True)
+    for name in sorted(CASES):
+        with open(golden_path(name), "w") as fh:
+            fh.write(run_case(CASES[name]))
+        print("wrote", golden_path(name), file=sys.stderr)
