@@ -4,16 +4,21 @@ The package is organized around a catalogue of 59 mock theta functions
 built from Appell-Lerch specializations of odd eta-theta functions.  The
 modules are:
 
-    precision  working-precision control for mpmath
+    core       working precision, series summation, the reduction to the
+               fundamental domain, Gauss-Legendre panel quadrature
     qseries    Dedekind eta, exact multipliers, formal q-expansions
     theta      Jacobi theta, eta-theta lists, unary theta g_{a,b}
     mu         Appell-Lerch mu, Mordell integral, completions, shadows
     vmn        the catalogue rows, modular transformation machinery
     quantum    rational-point arithmetic and finite hypergeometric sums
-    eichler    period-integral quadrature and the verification drivers
+    eichler    period integrals and the verification drivers
+    cli        the command line
+
+Each module imports only from those above it in this list.  Importing
+the package leaves mpmath's working precision as the caller set it.
 """
 
-from .precision import DEFAULT_DPS, get_precision, set_precision
+from .core import DEFAULT_DPS, get_precision
 from .qseries import (
     FormalQSeries,
     RootOfUnity,
@@ -73,7 +78,6 @@ from .quantum import (
     HK,
     companion_sum,
     companion_sum_composite,
-    corollary_check,
     group_generators,
     in_quantum_set,
     in_set,
@@ -83,6 +87,7 @@ from .quantum import (
     vmn_at_rational,
 )
 from .eichler import (
+    corollary_check,
     eichler_integral,
     integral_identity_lhs,
     partial_theta_radial,

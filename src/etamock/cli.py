@@ -15,23 +15,20 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .precision import MIN_DPS
-from .qseries import (RootOfUnity, SL2Matrix, e2pi, eta, eta_quotient_qexp,
+from .core import DEFAULT_DPS, MIN_DPS
+from .qseries import (RootOfUnity, e2pi, eta, eta_quotient_qexp,
                       _eta_product_raw, _eta_sum_raw)
 from .theta import (E_from_g, e_from_theta, eta_theta_eval, eta_theta_qexp,
                     g_ab, jacobi_theta, partial_theta,
                     theta_specialization_point)
-from .mu import (MabSpec, g_complement, kang_pair, mordell_h, mu, mu_hat,
-                 xi_shadow)
+from .mu import MabSpec, g_complement, kang_pair, mordell_h, mu, xi_shadow
 from .vmn import (all_rows, catalogue_json, group_sample, normalize_label,
                   verify_thm11, vmn_eval_mu, vmn_eval_series)
 from .quantum import (as_fraction, companion_sum, companion_sum_composite,
-                      corollary_check, group_generators, in_quantum_set,
-                      mobius_rational, quantum_set_label, rational_z_args,
-                      F_hk, vmn_any)
-from .eichler import (radial_proportionality, unary_ray_integral,
-                      verify_table2, verify_thm12_i, verify_thm12_ii,
-                      verify_thm12_iii)
+                      group_generators, in_quantum_set, mobius_rational,
+                      quantum_set_label, rational_z_args, F_hk, vmn_any)
+from .eichler import (corollary_check, unary_ray_integral, verify_table2,
+                      verify_thm12_i, verify_thm12_ii, verify_thm12_iii)
 
 
 class UsageError(Exception):
@@ -68,19 +65,6 @@ def parse_complex(text):
         return mpc(complex(s))
     except ValueError:
         raise UsageError("not a complex number: %r" % text)
-
-
-def parse_point(text):
-    """Rational for the quantum-set line, complex for the upper half plane."""
-    s = text.strip()
-    if "i" in s or "j" in s:
-        return parse_complex(s)
-    if "/" in s:
-        return parse_rational(s)
-    try:
-        return Fraction(s)
-    except ValueError:
-        return parse_complex(s)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +559,7 @@ def cmd_catalogue(args):
 def build_parser():
     def add_global_flags(p, suppress):
         d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-        p.add_argument("--precision", type=int, default=d(16),
+        p.add_argument("--precision", type=int, default=d(DEFAULT_DPS),
                        help="working precision in decimal digits "
                             "(at least %d)" % MIN_DPS)
         p.add_argument("--tol", type=float, default=d(None),

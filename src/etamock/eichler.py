@@ -1,4 +1,4 @@
-"""Period integrals of unary theta combinations against 1/sqrt kernels.
+"""Period integrals and the verification drivers of the catalogue.
 
 The workhorse is ray_integral, which integrates G(z)/sqrt(-i(z+tau))
 along the vertical path from a start point up to i*infinity.  The finite
@@ -6,9 +6,11 @@ part uses Gauss-Legendre panels (t = s^2 near the start to tame the
 kernel, then geometrically growing panels), and the far tail is bounded
 analytically using the exponential decay rate of G.
 
-Verification drivers for the period-integral identities of the main
-catalogue live here too; they are imported lazily where needed to keep
-the module graph acyclic.
+On top of it sit the drivers that check the period-integral identities
+of the catalogue, the I/J decomposition of Table 2, the corollary at
+rationals and the partial-theta radial limits.  This is the top numeric
+layer: it imports from the modules below it, and only the command line
+and the package namespace import it.
 """
 
 import math
@@ -16,79 +18,16 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .precision import series_eps
-
-_gl_cache = {}
-
-
-def gauss_legendre_nodes(n):
-    """Nodes and weights for n-point Gauss-Legendre on [-1, 1]."""
-    key = (n, mp.prec)
-    if key in _gl_cache:
-        return _gl_cache[key]
-    nodes = []
-    tol = mpf(10) ** (-(mp.dps + 4))
-    for k in range(1, n // 2 + 1):
-        x = mpf(math.cos(math.pi * (k - 0.25) / (n + 0.5)))
-        for _ in range(60):
-            p0, p1 = mpf(1), x
-            for j in range(2, n + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = n * (x * p1 - p0) / (x * x - 1)
-            dx = p1 / dp
-            x -= dx
-            if abs(dx) < tol:
-                break
-        w = 2 / ((1 - x * x) * dp * dp)
-        nodes.append((x, w))
-        nodes.append((-x, w))
-    if n % 2:
-        x = mpf(0)
-        p0, p1 = mpf(1), x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = n * (x * p1 - p0) / (x * x - 1)
-        nodes.append((x, 2 / (dp * dp)))
-    _gl_cache[key] = tuple(nodes)
-    return _gl_cache[key]
-
-
-def gl_panel(f, a, b, npts=24):
-    """Gauss-Legendre estimate of int_a^b f."""
-    half = (mpf(b) - a) / 2
-    mid = (mpf(b) + a) / 2
-    total = mpc(0)
-    for x, w in gauss_legendre_nodes(npts):
-        total += w * f(mid + half * x)
-    return half * total
-
-
-def _panels(f, cuts, npts):
-    total = mpc(0)
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        total += gl_panel(f, a, b, npts)
-    return total
-
-
-def _refine(cuts):
-    out = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        out.extend([a, (a + b) / 2])
-    out.append(cuts[-1])
-    return out
-
-
-def adaptive_panels(f, cuts, tol, npts=24, max_rounds=4):
-    """Panel integration with uniform refinement until estimates settle."""
-    cuts = [mpf(c) for c in cuts]
-    best = _panels(f, cuts, npts)
-    for _ in range(max_rounds):
-        cuts = _refine(cuts)
-        nxt = _panels(f, cuts, npts)
-        if abs(nxt - best) < tol:
-            return nxt
-        best = nxt
-    return best
+# the quadrature lives in core; its names stay importable from here too
+from .core import (_gl_cache, adaptive_panels, fraction_mpf,  # noqa: F401
+                   gauss_legendre_nodes)
+from .qseries import e2pi
+from .theta import E_from_g, g_ab, partial_theta, unary_theta_combination
+from .mu import mordell_h
+from .vmn import base_label, normalize_label, vmn_eval_mu
+from .quantum import (ELL, ROOT_A, ROOT_C, SHIFT_B, _M1, _M2, as_fraction,
+                      in_quantum_set, integral_identity_rhs, kappa,
+                      mobius_rational, vmn_any)
 
 
 def ray_integral(G, z0, tau, decay, tol=None):
@@ -134,15 +73,13 @@ def g_decay_rate(a, scale=1):
     frac = af - math.floor(af)
     alpha = min(frac, 1 - frac)
     if alpha == 0:
-        alpha = 1.0  # the n = 0 term vanishes; next exponent is 1/2
+        # the n = 0 term vanishes; next exponent is 1/2
         return scale * 1.0
     return scale * alpha * alpha
 
 
 def unary_ray_integral(spec, z0, tau, scale=1, tol=None):
     """int_{z0}^{i inf} g_{a,b}(scale*z)/sqrt(-i(z+tau)) dz."""
-    from .theta import g_ab
-
     a, b = spec
     decay = g_decay_rate(a, scale)
     return ray_integral(lambda z: g_ab(spec, scale * z), z0, tau, decay, tol=tol)
@@ -152,18 +89,9 @@ def unary_ray_integral(spec, z0, tau, scale=1, tol=None):
 # drivers for the period-integral identities of the catalogue
 
 
-def _mpq(fr):
-    fr = Fraction(fr)
-    return mpf(fr.numerator) / fr.denominator
-
-
 def E_ray_integral(m, z0, x, tol=None):
     """int_{z0}^{i inf} E_m(2u/c_m^2)/sqrt(-i(u+x)) du, one unary component
     at a time so each gets its own decay rate."""
-    from .theta import unary_theta_combination
-    from .quantum import ROOT_C
-    from .vmn import base_label, normalize_label
-
     base = base_label(normalize_label(m))
     c = ROOT_C[base]
     factor = Fraction(2, c * c)
@@ -183,23 +111,15 @@ def integral_identity_lhs(m, x, endpoint=None):
     The default endpoint is 1/2 for the families with ell = 2 and 1 for
     those with ell = 1.
     """
-    from .quantum import ELL, ROOT_C
-    from .vmn import base_label, normalize_label
-
     base = base_label(normalize_label(m))
     if endpoint is None:
         endpoint = Fraction(1, ELL[base])
     key = (base, str(endpoint), str(x), mp.dps)
     if key not in _lhs_cache:
         c = ROOT_C[base]
-        xv = _mpq(x) if isinstance(x, (Fraction, int)) else mpc(x)
-        _lhs_cache[key] = -1j / c * E_ray_integral(base, _mpq(endpoint), xv)
+        xv = fraction_mpf(x) if isinstance(x, (Fraction, int)) else mpc(x)
+        _lhs_cache[key] = -1j / c * E_ray_integral(base, fraction_mpf(endpoint), xv)
     return _lhs_cache[key]
-
-
-def _vmn_value(m, n, x):
-    from .quantum import vmn_any
-    return vmn_any(m, n, x)
 
 
 def _principal_invsqrt(w):
@@ -209,10 +129,6 @@ def _principal_invsqrt(w):
 def verify_thm12_i(m, n, x):
     """Residual of: V(x) + i^ell (2x+1)^(-1/2) V(x/(2x+1)) equals the
     ray integral from 1/2."""
-    from .quantum import ELL, mobius_rational, _M2
-    from .vmn import base_label, normalize_label
-    from .qseries import e2pi
-
     base = base_label(normalize_label(m))
     rational = isinstance(x, (Fraction, int))
     if rational:
@@ -220,13 +136,13 @@ def verify_thm12_i(m, n, x):
         image = mobius_rational(_M2, x)
         if image is None:
             raise ZeroDivisionError("x = -1/2 is excluded")
-        wt = _principal_invsqrt(_mpq(2 * x + 1))
+        wt = _principal_invsqrt(fraction_mpf(2 * x + 1))
     else:
         x = mpc(x)
         image = x / (2 * x + 1)
         wt = _principal_invsqrt(2 * x + 1)
-    lhs = _vmn_value(m, n, x) + e2pi(Fraction(ELL[base], 4)) * wt \
-        * _vmn_value(m, n, image)
+    lhs = vmn_any(m, n, x) + e2pi(Fraction(ELL[base], 4)) * wt \
+        * vmn_any(m, n, image)
     rhs = integral_identity_lhs(base, x, endpoint=Fraction(1, 2))
     return abs(lhs - rhs)
 
@@ -234,10 +150,6 @@ def verify_thm12_i(m, n, x):
 def verify_thm12_ii(m, x):
     """Residual of the first-column variant with x -> x/(x+1) and the ray
     from 1; defined for the even families 2, 4, 6."""
-    from .quantum import mobius_rational, _M1
-    from .vmn import base_label, normalize_label
-    from .qseries import e2pi
-
     base = base_label(normalize_label(m))
     if base not in ("2", "4", "6"):
         raise ValueError("this variant needs an even family, got %r" % (m,))
@@ -247,23 +159,19 @@ def verify_thm12_ii(m, x):
         image = mobius_rational(_M1, x)
         if image is None:
             raise ZeroDivisionError("x = -1 is excluded")
-        wt = _principal_invsqrt(_mpq(x + 1))
+        wt = _principal_invsqrt(fraction_mpf(x + 1))
     else:
         x = mpc(x)
         image = x / (x + 1)
         wt = _principal_invsqrt(x + 1)
-    lhs = _vmn_value(base, 1, x) - e2pi(Fraction(-1, 8)) * wt \
-        * _vmn_value(base, 1, image)
+    lhs = vmn_any(base, 1, x) - e2pi(Fraction(-1, 8)) * wt \
+        * vmn_any(base, 1, image)
     rhs = integral_identity_lhs(base, x, endpoint=Fraction(1))
     return abs(lhs - rhs)
 
 
 def verify_thm12_iii(m, n, x):
     """Residual of V(x) - zeta_a^kappa V(x + kappa b) = 0."""
-    from .quantum import ROOT_A, SHIFT_B, kappa
-    from .vmn import base_label, normalize_label
-    from .qseries import e2pi
-
     base = base_label(normalize_label(m))
     kap = kappa(base, n)
     step = kap * SHIFT_B[base]
@@ -274,22 +182,15 @@ def verify_thm12_iii(m, n, x):
     else:
         x = mpc(x)
         shifted = x + step
-    return abs(_vmn_value(m, n, x) - root * _vmn_value(m, n, shifted))
+    return abs(vmn_any(m, n, x) - root * vmn_any(m, n, shifted))
 
 
 # ---------------------------------------------------------------------------
 # the I/J decomposition of the completed transformation
 
 
-def _h_at(u, tau):
-    from .mu import mordell_h
-    return mordell_h(u, tau)
-
-
 def _g_combo_ray(pairs, z0, tau, tol=None):
     """int of (sum coeff * g_spec(u)) / sqrt(-i(u+tau)) from z0 upward."""
-    from .theta import g_ab
-
     decay = min(g_decay_rate(spec[0]) for _, spec in pairs)
 
     def G(z):
@@ -303,9 +204,6 @@ def table2_terms(m, tau):
 
     Returns dict with closed (Mordell-integral) and quadrature values.
     """
-    from .qseries import e2pi
-    from .vmn import normalize_label, base_label
-
     base = base_label(normalize_label(m))
     tau = mpc(tau)
     q_exp = lambda fr: e2pi(Fraction(*fr) * tau)
@@ -324,11 +222,11 @@ def table2_terms(m, tau):
                   "3": (Fraction(1, 3), Fraction(0)),
                   "5": (Fraction(1, 6), Fraction(0))}[base]
         I_closed = pref * e2pi(1 / (8 * tau)) * sq(-1j * tau2) \
-            * _h_at(tau2 / 2 + _mpq(off), tau2)
+            * mordell_h(tau2 / 2 + fraction_mpf(off), tau2)
         J_closed = (1 / (2j)) * e2pi(texp * tau) \
-            * sq(2 * tau + 1) * _h_at(tau * _mpq(off) - _mpq(half), tau)
+            * sq(2 * tau + 1) * mordell_h(tau * fraction_mpf(off) - fraction_mpf(half), tau)
         ray0 = _g_combo_ray([(mpc(1), g_spec)], mpf(0), tau)
-        rayh = _g_combo_ray([(mpc(1), g_spec)], _mpq(half), tau)
+        rayh = _g_combo_ray([(mpc(1), g_spec)], fraction_mpf(half), tau)
         I_quad = (1j / 2) * sq(2 * tau + 1) * (rayh - ray0) \
             + (1j / 2) * sq(-1j * tau2)
         J_quad = (1j / 2) * sq(2 * tau + 1) * ray0 - (1j / 2) * sq(-1j * tau2)
@@ -337,9 +235,9 @@ def table2_terms(m, tau):
     if base == "2":
         tau1 = -1 / tau - 1
         g_spec = (Fraction(1, 4), half)
-        I_closed = (mpf(1) / 2) * sq(-1j * tau1) * _h_at(_mpq(Fraction(1, 4)), tau1)
+        I_closed = (mpf(1) / 2) * sq(-1j * tau1) * mordell_h(fraction_mpf(Fraction(1, 4)), tau1)
         J_closed = -(e2pi(Fraction(1, 8)) / 2) * q_exp((-1, 32)) \
-            * sq(tau + 1) * _h_at(tau / 4, tau)
+            * sq(tau + 1) * mordell_h(tau / 4, tau)
         ray0 = _g_combo_ray([(mpc(1), g_spec)], mpf(0), tau)
         ray1 = _g_combo_ray([(mpc(1), g_spec)], mpf(1), tau)
         I_quad = (1j / 2) * sq(tau + 1) * (ray1 - ray0)
@@ -349,9 +247,9 @@ def table2_terms(m, tau):
     if base == "6":
         tau1 = -1 / tau - 1
         g_spec = (Fraction(1, 3), half)
-        I_closed = (mpf(1) / 2) * sq(-1j * tau1) * _h_at(_mpq(Fraction(1, 6)), tau1)
+        I_closed = (mpf(1) / 2) * sq(-1j * tau1) * mordell_h(fraction_mpf(Fraction(1, 6)), tau1)
         J_closed = (1 / (2j)) * e2pi(Fraction(-1, 8)) * q_exp((-1, 72)) \
-            * sq(tau + 1) * _h_at(tau / 6, tau)
+            * sq(tau + 1) * mordell_h(tau / 6, tau)
         pref = 1j * e2pi(Fraction(-1, 24)) / 2
         ray0 = _g_combo_ray([(mpc(1), g_spec)], mpf(0), tau)
         ray1 = _g_combo_ray([(mpc(1), g_spec)], mpf(1), tau)
@@ -362,10 +260,10 @@ def table2_terms(m, tau):
     if base == "4":
         tau1 = -1 / tau - 1
         I_closed = (mpf(1) / 2) * sq(-1j * tau1) \
-            * (_h_at(_mpq(Fraction(5, 12)), tau1) + _h_at(_mpq(Fraction(1, 12)), tau1))
+            * (mordell_h(fraction_mpf(Fraction(5, 12)), tau1) + mordell_h(fraction_mpf(Fraction(1, 12)), tau1))
         J_closed = -(e2pi(Fraction(1, 8)) / 2) * sq(tau + 1) \
-            * (q_exp((-25, 288)) * _h_at(5 * tau / 12, tau)
-               + q_exp((-1, 288)) * _h_at(tau / 12, tau))
+            * (q_exp((-25, 288)) * mordell_h(5 * tau / 12, tau)
+               + q_exp((-1, 288)) * mordell_h(tau / 12, tau))
         pairs = [(e2pi(Fraction(-1, 24)), (Fraction(1, 12), half)),
                  (e2pi(Fraction(-5, 24)), (Fraction(5, 12), half))]
         pref = 1j * e2pi(Fraction(1, 8)) / 2
@@ -381,10 +279,6 @@ def table2_terms(m, tau):
 def verify_table2(m, tau):
     """Residuals: closed vs quadrature for I and J, and the completed
     transformation they decompose."""
-    from .quantum import ELL
-    from .vmn import base_label, normalize_label, vmn_eval_mu
-    from .qseries import e2pi
-
     base = base_label(normalize_label(m))
     tau = mpc(tau)
     parts = table2_terms(base, tau)
@@ -407,15 +301,11 @@ def verify_table2(m, tau):
 
 def partial_theta_radial(m, x, ts):
     """Values of the partial theta at -2(x+it)/c_m^2 for each t in ts."""
-    from .theta import partial_theta
-    from .quantum import ROOT_C
-    from .vmn import base_label, normalize_label
-
     base = base_label(normalize_label(m))
     c = ROOT_C[base]
     out = []
     for t in ts:
-        z = -2 * (mpc(_mpq(x), t)) / (c * c)
+        z = -2 * (mpc(fraction_mpf(x), t)) / (c * c)
         out.append(partial_theta(int(base), z))
     return out
 
@@ -426,10 +316,6 @@ def estar_value(m, tau0):
     On that ray -i(u + tau0) is positive real, so the principal square
     root satisfies sqrt(u + tau0) = e(1/8) sqrt(-i(u + tau0)).
     """
-    from .theta import E_from_g
-    from .vmn import base_label, normalize_label
-    from .qseries import e2pi
-
     base = base_label(normalize_label(m))
     tau0 = mpc(tau0)
     z0 = -mp.conj(tau0)
@@ -447,8 +333,6 @@ def radial_proportionality(m, n, x, ts=(0.05, 0.02, 0.01), anchor_ts=None):
     reported at the heights in ts.  The constant is fitted, never
     asserted; the informative content is the decrease of the residuals.
     """
-    from .quantum import vmn_any
-
     t1, t2 = anchor_ts if anchor_ts is not None else ts[-2:]
     a1, a2 = partial_theta_radial(m, x, (t1, t2))
     limit = (t1 * a2 - t2 * a1) / (t1 - t2)
@@ -471,7 +355,25 @@ def eichler_integral(theta, lower, target, tol=None):
     if lower == "-conj":
         z0 = -mp.conj(target)
     else:
-        z0 = mpc(_mpq(lower)) if isinstance(lower, (int, Fraction)) else mpc(lower)
+        z0 = mpc(fraction_mpf(lower)) if isinstance(lower, (int, Fraction)) else mpc(lower)
     if isinstance(theta, tuple):
         return unary_ray_integral(theta, z0, target, tol=tol)
     return E_ray_integral(theta, z0, target, tol=tol)
+
+
+def corollary_check(m, x):
+    """Quadrature and finite-sum sides of the period identity at a rational.
+
+    Returns (lhs, rhs, residual): lhs is the weighted ray integral, rhs
+    the closed q-hypergeometric expression.  The identity holds on the
+    quantum set of the family's first column; elsewhere this raises
+    ValueError.
+    """
+    base = base_label(normalize_label(m))
+    x = as_fraction(x)
+    if not in_quantum_set(base, 1, x):
+        raise ValueError("%s is outside the quantum set of row (%s, 1)"
+                         % (x, base))
+    lhs = integral_identity_lhs(base, x)
+    rhs = integral_identity_rhs(base, x)
+    return lhs, rhs, abs(lhs - rhs)

@@ -6,13 +6,12 @@ completed forms M-hat indexed by rational (a, b), Kang's universal
 mock theta factorization, and a finite-difference shadow operator.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .eichler import adaptive_panels
-from .precision import series_eps
+from .core import adaptive_panels, converging, fraction_mpf, series_eps, sum_outward
 from .qseries import e2pi, eta
 from .theta import g_ab, jacobi_theta
 
@@ -49,25 +48,14 @@ def mu(u, v, tau):
     _check_off_lattice(v, tau, "v")
     q = e2pi(tau)
     eu = e2pi(u)
-    y = tau.imag
     eps = series_eps()
-    center = int(mp.nint(-v.imag / y - 0.5))
-    total = mpc(0)
-    for direction in (0, 1):
-        quiet = 0
-        n = center + direction
-        while abs(n - center) < 10 ** 5 + 2:
-            num = (-1) ** n * e2pi(n * v) * q ** ((n * (n + 1)) // 2)
-            total += num / (1 - eu * q ** n)
-            if abs(num) < eps:
-                quiet += 1
-                if quiet >= 5:
-                    break
-            else:
-                quiet = 0
-            n = n + 1 if direction else n - 1
-        else:
-            raise RuntimeError("mu series failed to converge")
+
+    def pair(n):
+        num = (-1) ** n * e2pi(n * v) * q ** ((n * (n + 1)) // 2)
+        return num / (1 - eu * q ** n), abs(num) < eps
+
+    center = int(mp.nint(-v.imag / tau.imag - 0.5))
+    total = sum_outward(pair, center, 10 ** 5 + 2, "mu series")
     return mp.exp(1j * mp.pi * u) / jacobi_theta(v, tau) * total
 
 
@@ -106,27 +94,17 @@ def R_correction(u, tau):
     a = u.imag / y
     root = mp.sqrt(2 * y)
     eps = series_eps()
-    total = mpc(0)
-    for direction in (0, 1):
-        quiet = 0
-        k = 0
-        while k < 10 ** 5:
-            nu = (k + mpf(0.5)) if direction else -(k + mpf(0.5))
-            sgn = 1 if nu > 0 else -1
-            amp = sgn * mp.erfc(sgn * mp.sqrt(mp.pi) * (nu + a) * root)
-            osc = (-1) ** k if direction else (-1) ** (k + 1)
-            term = amp * osc * mp.exp(-1j * mp.pi * nu * nu * tau - 2j * mp.pi * nu * u)
-            total += term
-            if abs(term) < eps:
-                quiet += 1
-                if quiet >= 5:
-                    break
-            else:
-                quiet = 0
-            k += 1
-        else:
-            raise RuntimeError("R series failed to converge")
-    return total
+
+    def pair(n):
+        nu = n + mpf(0.5)
+        sgn = 1 if nu > 0 else -1
+        amp = sgn * mp.erfc(sgn * mp.sqrt(mp.pi) * (nu + a) * root)
+        osc = -1 if n % 2 else 1
+        term = amp * osc * mp.exp(-1j * mp.pi * nu * nu * tau - 2j * mp.pi * nu * u)
+        return term, abs(term) < eps
+
+    # nu = n + 1/2 runs over -1/2, -3/2, ... and then 1/2, 3/2, ...
+    return sum_outward(pair, -1, 10 ** 5, "R series")
 
 
 def mu_hat(u, v, tau):
@@ -149,12 +127,10 @@ class MabSpec:
 
     def v_at(self, tau):
         p, r = self.vsec
-        return mpc(tau) * p.numerator / p.denominator + mpf(r.numerator) / r.denominator
+        return mpc(tau) * p.numerator / p.denominator + fraction_mpf(r)
 
     def u_at(self, tau):
-        af = mpf(self.a.numerator) / self.a.denominator
-        bf = mpf(self.b.numerator) / self.b.denominator
-        return af * mpc(tau) - bf + self.v_at(tau)
+        return fraction_mpf(self.a) * mpc(tau) - fraction_mpf(self.b) + self.v_at(tau)
 
 
 def _mab_prefactor(spec, tau):
@@ -224,29 +200,24 @@ def g2_universal(z, q):
     pzi = 1 - q / z
     if abs(pz) < 1e-12 or abs(pzi) < 1e-12:
         raise ValueError("z sits on a pole of g_2")
-    qn = mpc(1)  # q^n
-    qtri = mpc(1)  # q^{n(n+1)/2}
-    total = mpc(0)
-    quiet = 0
-    for n in range(10 ** 5):
-        term = neg * qtri / (pz * pzi)
-        total += term
-        if abs(term) < eps:
-            quiet += 1
-            if quiet >= 5:
-                return total
-        else:
-            quiet = 0
-        qn *= q
-        qtri *= qn
-        neg *= 1 + qn
-        f1 = 1 - z * qn
-        f2 = 1 - qn * q / z
-        if abs(f1) < 1e-12 or abs(f2) < 1e-12:
-            raise ValueError("z sits on a pole of g_2")
-        pz *= f1
-        pzi *= f2
-    raise RuntimeError("g_2 series failed to converge")
+
+    def terms(neg, pz, pzi):
+        qn = mpc(1)  # q^n
+        qtri = mpc(1)  # q^{n(n+1)/2}
+        while True:
+            term = neg * qtri / (pz * pzi)
+            yield term, abs(term) < eps
+            qn *= q
+            qtri *= qn
+            neg *= 1 + qn
+            f1 = 1 - z * qn
+            f2 = 1 - qn * q / z
+            if abs(f1) < 1e-12 or abs(f2) < 1e-12:
+                raise ValueError("z sits on a pole of g_2")
+            pz *= f1
+            pzi *= f2
+
+    return sum(converging(terms(neg, pz, pzi), 10 ** 5, "g_2 series"), mpc(0))
 
 
 def kang_pair(alpha, tau):

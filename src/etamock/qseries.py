@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .precision import series_eps
+from .core import converging, reduce_tau, series_eps
 
 
 def e2pi(x):
@@ -79,19 +79,15 @@ def qpoch(a, q, n=None):
     if abs(q) >= 1:
         raise ValueError("infinite q-Pochhammer needs |q| < 1")
     eps = series_eps()
-    prod = mpc(1)
-    aq = mpc(a)
-    quiet = 0
-    for _ in range(10 ** 6):
-        prod *= 1 - aq
-        aq *= q
-        if abs(aq) < eps:
-            quiet += 1
-            if quiet >= 5:
-                return prod
-        else:
-            quiet = 0
-    raise RuntimeError("q-Pochhammer failed to converge")
+
+    def factors():
+        aq = mpc(a)
+        while True:
+            factor = 1 - aq
+            aq *= q
+            yield factor, abs(aq) < eps
+
+    return math.prod(converging(factors(), 10 ** 6, "q-Pochhammer"), start=mpc(1))
 
 
 @dataclass(frozen=True)
@@ -157,11 +153,6 @@ class SL2Matrix:
         return self, 1
 
 
-IDENTITY = SL2Matrix(1, 0, 0, 1)
-T_SHIFT = SL2Matrix(1, 1, 0, 1)
-S_FLIP = SL2Matrix(0, -1, 1, 0)
-
-
 def dedekind_sum(d, c):
     """Exact Dedekind sum s(d, c) for c > 0."""
     if c <= 0:
@@ -200,44 +191,22 @@ def eta_multiplier(gamma):
 
 def _eta_product_raw(tau):
     q = e2pi(tau)
-    eps = series_eps()
-    prod = mpc(1)
-    qn = q
-    quiet = 0
-    for _ in range(10 ** 6):
-        prod *= 1 - qn
-        qn *= q
-        if abs(qn) < eps:
-            quiet += 1
-            if quiet >= 5:
-                break
-        else:
-            quiet = 0
-    else:
-        raise RuntimeError("eta product failed to converge")
-    return e2pi(tau / 24) * prod
+    return e2pi(tau / 24) * qpoch(q, q)
 
 
 def _eta_sum_raw(tau):
     # lacunary form: sum over m >= 1 of (12|m) q^(m^2/24)
     q24 = e2pi(tau / 24)
     eps = series_eps()
-    total = mpc(0)
-    quiet = 0
-    m = 1
-    while m < 10 ** 4:
-        chi = kronecker(12, m)
-        if chi:
-            term = chi * q24 ** (m * m)
-            total += term
-            if abs(term) < eps:
-                quiet += 1
-                if quiet >= 5:
-                    return total
-            else:
-                quiet = 0
-        m += 1
-    raise RuntimeError("eta sum failed to converge")
+
+    def terms():
+        for m in range(1, 10 ** 4):
+            chi = kronecker(12, m)
+            if chi:
+                term = chi * q24 ** (m * m)
+                yield term, abs(term) < eps
+
+    return sum(converging(terms(), 10 ** 4, "eta sum"), mpc(0))
 
 
 def eta(tau):
@@ -249,21 +218,17 @@ def eta(tau):
     tau = mpc(tau)
     if tau.imag <= 0:
         raise ValueError("tau must have positive imaginary part")
-    factor = mpc(1)
-    expo = Fraction(0)  # accumulated 24th-root exponent
-    for _ in range(10 ** 4):
-        n = int(mp.nint(tau.real))
-        if n != 0:
-            tau = tau - n
-            expo += Fraction(n, 24)
-        if abs(tau) >= 1 - mpf(10) ** (-mp.dps):
-            break
+
+    def shift(state, n):
+        factor, expo = state  # expo: accumulated 24th-root exponent
+        return factor, expo + Fraction(n, 24)
+
+    def invert(state, sigma):
         # eta(tau) = eta(-1/sigma) = sqrt(-i sigma) eta(sigma)
-        sigma = -1 / tau
-        factor *= mp.sqrt(-1j * sigma)
-        tau = sigma
-    else:
-        raise RuntimeError("eta reduction failed to terminate")
+        factor, expo = state
+        return factor * mp.sqrt(-1j * sigma), expo
+
+    tau, (factor, expo) = reduce_tau(tau, (mpc(1), Fraction(0)), shift, invert, "eta")
     return e2pi(expo) * factor * _eta_product_raw(tau)
 
 

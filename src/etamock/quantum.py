@@ -10,15 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction as Fr
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpc
 
-from .qseries import RootOfUnity, SL2Matrix, e2pi, qpoch
-from .vmn import base_label, is_admissible, normalize_label, vmn_eval_mu
-
-
-def _mpq(fr):
-    fr = Fr(fr)
-    return mpf(fr.numerator) / fr.denominator
+from .core import fraction_mpf
+from .qseries import RootOfUnity, SL2Matrix, e2pi
+from .vmn import base_label, is_admissible, normalize_label, vmn_eval_mu, vmn_spec
 
 # per-family constants: Moebius flavor, root orders, translation step
 ELL = {"1": 2, "2": 1, "3": 2, "4": 1, "5": 2, "6": 1}
@@ -33,10 +29,6 @@ D_COEF = {"1": 3, "2": 3, "3": 1, "5": 5, "6": 1}
 ARG_B = {"1": Fr(4), "2": Fr(4), "3": Fr(3), "4p": Fr(12),
          "4pp": Fr(12, 5), "5": Fr(6), "6": Fr(3)}
 _ODD_FAMILY = {"1", "3", "5"}
-
-
-def ell_mn(m, n):
-    return ELL[base_label(normalize_label(m))] if n == 1 else 2
 
 
 _KAPPA_SPECIAL = {
@@ -197,7 +189,6 @@ def rational_z_args(m, x):
 
 def rational_prefactor(m, x):
     """i * w * e(x (t + 1/8)) as an exact root of unity."""
-    from .vmn import vmn_spec
     label = normalize_label(m)
     if label == "4":
         raise ValueError("composite label has two prefactors; use 4p, 4pp")
@@ -245,23 +236,6 @@ def vmn_any(m, n, x):
     if x.imag <= 0:
         raise ValueError("points below the real line are not supported")
     return vmn_eval_mu(m, n, x)
-
-
-def f_m_radial(m, x, t):
-    """|f_m| at x + it, the product whose radial vanishing glues the
-    rational values onto the series representation."""
-    label = normalize_label(m)
-    if label == "4":
-        raise ValueError("composite label: use the parts 4p, 4pp")
-    x = as_fraction(x)
-    tau = mpc(mpf(x.numerator) / x.denominator, t)
-    q = e2pi(tau)
-    qh = e2pi(tau / 2)
-    b = ARG_B[label]
-    a2 = mpc(-1) if label in _ODD_FAMILY else mpc(1)
-    num = qpoch(q, q) * qpoch(-qh, qh) ** 2
-    den = qpoch(a2 * e2pi(tau / b), q) * qpoch(e2pi(tau * (b - 1) / b) / a2, q)
-    return abs(num / den)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +320,7 @@ def integral_identity_rhs(m, x):
         t4 = RootOfUnity.from_fraction(Fr(35 * H, 288 * K)).value() \
             * F_hk(y, RootOfUnity.from_fraction(Fr(5 * H, 24 * K)),
                    RootOfUnity.from_fraction(Fr(7 * H, 24 * K)))
-        tail = e2pi(Fr(-1, 8)) / mp.sqrt(mpc(_mpq(x + 1))) * (t3 + t4)
+        tail = e2pi(Fr(-1, 8)) / mp.sqrt(mpc(fraction_mpf(x + 1))) * (t3 + t4)
         return t1 + t2 + tail
     ell = ELL[base]
     a, c, d = ROOT_A[base], ROOT_C[base], D_COEF[base]
@@ -361,7 +335,7 @@ def integral_identity_rhs(m, x):
     term1 = lead1.value() * F_hk(x, *args(h, k))
     lead2 = RootOfUnity.from_fraction(Fr(-5 * ell, 8) + Fr(2 * d * H, a * c * K))
     term2 = lead2.value() * F_hk(Fr(H, K), *args(H, K)) \
-        / mp.sqrt(mpc(_mpq(ell * x + 1)))
+        / mp.sqrt(mpc(fraction_mpf(ell * x + 1)))
     return term1 - term2
 
 
@@ -416,18 +390,3 @@ def in_set(label, x):
 def HK(m_index, x):
     """Image pair (H, K) of h/k under x -> x/(m x + 1) with K = |mh+k|."""
     return hk_image(m_index, x)
-
-
-def corollary_check(m, x):
-    """Quadrature and finite-sum sides of the period identity at a rational.
-
-    Returns (lhs, rhs, residual): lhs is the weighted ray integral, rhs
-    the closed q-hypergeometric expression.
-    """
-    from .eichler import integral_identity_lhs
-
-    base = base_label(normalize_label(m))
-    x = as_fraction(x)
-    lhs = integral_identity_lhs(base, x)
-    rhs = integral_identity_rhs(base, x)
-    return lhs, rhs, abs(lhs - rhs)

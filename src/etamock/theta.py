@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc
 
-from .precision import series_eps
+from .core import converging, fraction_mpf, reduce_tau, series_eps, sum_outward
 from .qseries import (
     FormalQSeries,
     e2pi,
@@ -39,22 +39,18 @@ def jacobi_theta(v, tau, representation="product"):
     q = e2pi(tau)
     zeta = e2pi(v)
     eps = series_eps()
-    prod = mpc(1) - zeta  # n = 1 factor (1 - zeta q^{n-1})
-    qn = q
-    quiet = 0
     big = max(abs(zeta), abs(1 / zeta), mp.one)
-    for _ in range(10 ** 6):
-        prod *= (1 - qn) * (1 - zeta * qn) * (1 - qn / zeta)
-        scale = abs(qn) * big
-        qn *= q
-        if scale < eps:
-            quiet += 1
-            if quiet >= 5:
-                break
-        else:
-            quiet = 0
-    else:
-        raise RuntimeError("theta product failed to converge")
+
+    def factors():
+        qn = q
+        while True:
+            factor = (1 - qn) * (1 - zeta * qn) * (1 - qn / zeta)
+            scale = abs(qn) * big
+            qn *= q
+            yield factor, scale < eps
+
+    # the n = 1 factor (1 - zeta q^{n-1}) leads
+    prod = math.prod(converging(factors(), 10 ** 6, "theta product"), start=mpc(1) - zeta)
     return -1j * e2pi(tau / 8) * mp.exp(-1j * mp.pi * v) * prod
 
 
@@ -62,31 +58,14 @@ def _theta_sum(v, tau):
     # q^{nu^2/2} = q8^{(2n+1)^2} for nu = n + 1/2, with q8 = e(tau/8)
     q8 = e2pi(tau / 8)
     eps = series_eps()
-    y = tau.imag
-    center = int(mp.nint(-v.imag / y - 0.5))
-    total = mpc(0)
-    for direction in (0, 1):
-        quiet = 0
-        n = center + direction
-        while True:
-            nu = n + mp.mpf(0.5)
-            term = e2pi(nu * (v + 0.5)) * q8 ** ((2 * n + 1) ** 2)
-            total += term
-            if abs(term) < eps:
-                quiet += 1
-                if quiet >= 5:
-                    break
-            else:
-                quiet = 0
-            n = n + 1 if direction else n - 1
-            if abs(n - center) > 10 ** 5:
-                raise RuntimeError("theta sum failed to converge")
-    return total
 
+    def pair(n):
+        nu = n + mp.mpf(0.5)
+        term = e2pi(nu * (v + 0.5)) * q8 ** ((2 * n + 1) ** 2)
+        return term, abs(term) < eps
 
-def theta_prime_zero(tau):
-    """d/dv of jacobi_theta at v = 0, via the eta-cube identity."""
-    return -2 * mp.pi * eta(tau) ** 3
+    center = int(mp.nint(-v.imag / tau.imag - 0.5))
+    return sum_outward(pair, center, 10 ** 5 + 1, "theta sum")
 
 
 def jacobi_theta_transform(v, tau, lam, mu, gamma):
@@ -107,29 +86,17 @@ def jacobi_theta_transform(v, tau, lam, mu, gamma):
 
 
 def _g_direct(a, b, tau):
-    af = mp.mpf(a.numerator) / a.denominator if isinstance(a, Fraction) else mp.mpf(a)
-    bf = mp.mpf(b.numerator) / b.denominator if isinstance(b, Fraction) else mp.mpf(b)
+    af = fraction_mpf(a) if isinstance(a, Fraction) else mp.mpf(a)
+    bf = fraction_mpf(b) if isinstance(b, Fraction) else mp.mpf(b)
     y = tau.imag
     eps = series_eps()
-    center = int(mp.nint(-af))
-    total = mpc(0)
-    for direction in (0, 1):
-        quiet = 0
-        n = center + direction
-        while True:
-            na = n + af
-            term = na * e2pi(bf * na) * e2pi(tau * na ** 2 / 2)
-            total += term
-            if abs(term) < eps and abs(na) * mp.exp(-mp.pi * y * na ** 2) < eps:
-                quiet += 1
-                if quiet >= 5:
-                    break
-            else:
-                quiet = 0
-            n = n + 1 if direction else n - 1
-            if abs(n - center) > 10 ** 5:
-                raise RuntimeError("unary theta sum failed to converge")
-    return total
+
+    def pair(n):
+        na = n + af
+        term = na * e2pi(bf * na) * e2pi(tau * na ** 2 / 2)
+        return term, abs(term) < eps and abs(na) * mp.exp(-mp.pi * y * na ** 2) < eps
+
+    return sum_outward(pair, int(mp.nint(-af)), 10 ** 5 + 1, "unary theta sum")
 
 
 def g_ab(spec, tau):
@@ -148,23 +115,19 @@ def g_ab(spec, tau):
     tau = mpc(tau)
     if tau.imag <= 0:
         raise ValueError("tau must have positive imaginary part")
-    factor = mpc(1)
-    for _ in range(10 ** 4):
-        n = int(mp.nint(tau.real))
-        if n != 0:
-            # g_{a,b}(sigma + n) = e^{-pi i n a(a+1)} g_{a, b + n(a+1/2)}(sigma)
-            tau = tau - n
-            factor *= e2pi(Fr(-n) * a * (a + 1) / 2) if exact else e2pi(-n * a * (a + 1) / 2)
-            b = b + n * (a + Fr(1, 2) if exact else a + 0.5)
-        if abs(tau) >= 1 - mp.mpf(10) ** (-mp.dps):
-            break
+
+    def shift(state, n):
+        # g_{a,b}(sigma + n) = e^{-pi i n a(a+1)} g_{a, b + n(a+1/2)}(sigma)
+        factor, a, b = state
+        factor *= e2pi(Fr(-n) * a * (a + 1) / 2) if exact else e2pi(-n * a * (a + 1) / 2)
+        return factor, a, b + n * (a + Fr(1, 2) if exact else a + 0.5)
+
+    def invert(state, t):
         # g_{a,b}(-1/t) = i e^{2 pi i a b} (-i t)^{3/2} g_{b,-a}(t)
-        t = -1 / tau
-        factor *= 1j * e2pi(a * b) * (-1j * t) ** mp.mpf("1.5")
-        a, b = b, -a
-        tau = t
-    else:
-        raise RuntimeError("unary theta reduction failed to terminate")
+        factor, a, b = state
+        return factor * (1j * e2pi(a * b) * (-1j * t) ** mp.mpf("1.5")), b, -a
+
+    tau, (factor, a, b) = reduce_tau(tau, (mpc(1), a, b), shift, invert, "unary theta")
     # normalize a mod 1 (free) and b mod 1 (costs the phase e(a*floor(b)))
     ka = math.floor(a)
     a = a - ka
@@ -248,21 +211,16 @@ def eta_theta_eval(label, tau, representation="eta-quotient"):
     total = mpc(0) if kind == "odd" or domain == "N" else mpc(1)  # n = 0 term
     if kind == "even" and domain == "Z":
         total = mpc(chi(0).numerator) / chi(0).denominator
-    quiet = 0
-    n = 1
-    while n < 10 ** 5:
-        c = chi(n) + (chi(-n) if domain == "Z" else 0)
-        qn = q ** (n * n)
-        if c:
-            total += (mpc(c.numerator) / c.denominator) * (n ** weight) * qn
-        if abs(qn) * max(n, 1) < eps:
-            quiet += 1
-            if quiet >= 5:
-                return total
-        else:
-            quiet = 0
-        n += 1
-    raise RuntimeError("character sum failed to converge")
+
+    def terms():
+        for n in range(1, 10 ** 5):
+            c = chi(n) + (chi(-n) if domain == "Z" else 0)
+            qn = q ** (n * n)
+            term = (mpc(c.numerator) / c.denominator) * (n ** weight) * qn if c else None
+            yield term, abs(qn) * max(n, 1) < eps
+
+    # None stands for a zero coefficient: nothing to add
+    return sum(filter(None, converging(terms(), 10 ** 5, "character sum")), total)
 
 
 def eta_theta_qexp(label, order, representation="eta-quotient"):
@@ -353,19 +311,11 @@ def partial_theta(m, z):
         raise ValueError("partial theta needs Im(z) < 0")
     _, chi = _ODD[m]
     eps = series_eps()
-    total = mpc(0)
-    quiet = 0
-    n = 1
-    while n < 10 ** 5:
-        c = chi(n)
-        w = mp.exp(-2j * mp.pi * z * n * n)
-        if c:
-            total += (mpc(c.numerator) / c.denominator) * w
-        if abs(w) < eps:
-            quiet += 1
-            if quiet >= 5:
-                return total
-        else:
-            quiet = 0
-        n += 1
-    raise RuntimeError("partial theta failed to converge")
+
+    def terms():
+        for n in range(1, 10 ** 5):
+            c = chi(n)
+            w = mp.exp(-2j * mp.pi * z * n * n)
+            yield (mpc(c.numerator) / c.denominator) * w if c else None, abs(w) < eps
+
+    return sum(filter(None, converging(terms(), 10 ** 5, "partial theta")), mpc(0))

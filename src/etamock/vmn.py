@@ -20,9 +20,9 @@ from fractions import Fraction as Fr
 
 from mpmath import mp, mpc, mpf
 
-from .precision import extra_precision, series_eps
+from .core import extra_precision, fraction_mpf, series_eps, sum_outward
 from .qseries import RootOfUnity, SL2Matrix, e2pi, eta, eta_multiplier, qpoch
-from .theta import eta_theta_eval, jacobi_theta
+from .theta import _THETA_ROWS, eta_theta_eval, jacobi_theta
 from .mu import mu, mu_hat
 
 HALF = Fr(1, 2)
@@ -53,17 +53,12 @@ _T = {
     "6": Fr(-1, 72),
 }
 
-# v depends only on the column: tau/2, tau/2 - 1/2, tau/3, ... tau/6 - 1/2
-_V_FORMS = {
-    1: (HALF, Fr(0)),
-    2: (HALF, -HALF),
-    3: (Fr(1, 3), Fr(0)),
-    4: (Fr(1, 3), -HALF),
-    5: (Fr(1, 4), Fr(0)),
-    6: (Fr(1, 4), -HALF),
-    7: (Fr(1, 6), Fr(0)),
-    8: (Fr(1, 6), -HALF),
-}
+# v, the e_n scale and the gaussian center depend only on the column: v is
+# the theta specialization point of e_n (tau/2, tau/2 - 1/2, tau/3, ...,
+# tau/6 - 1/2), and the center is 1/2 plus its tau coefficient
+_V_FORMS = {n: (coef, shift) for n, (coef, shift, _, _, _) in _THETA_ROWS.items()}
+_E_SCALE = {n: scale for n, (_, _, _, _, scale) in _THETA_ROWS.items()}
+_GAUSS_C = {n: HALF + coef for n, (coef, _) in _V_FORMS.items()}
 
 _U_FORMS = {
     "1": {
@@ -133,75 +128,11 @@ _U_FORMS = {
     },
 }
 
-# series data per row: (overall sign, denominator sign, denominator offset d)
-# in  sign * q^pref / e_n(scale*tau) * sum (-1)^j q^{(j+c)^2/2} / (1 +- q^{j+d})
-_SERIES_ROW = {
-    "1": {
-        1: (1, 1, Fr(1, 4)),
-        2: (-1, -1, Fr(1, 4)),
-        3: (1, 1, Fr(1, 12)),
-        4: (-1, -1, Fr(1, 12)),
-        5: (1, 1, Fr(0)),
-        7: (1, 1, Fr(-1, 12)),
-        8: (-1, -1, Fr(-1, 12)),
-    },
-    "2": {
-        1: (-1, -1, Fr(1, 4)),
-        2: (1, 1, Fr(1, 4)),
-        3: (-1, -1, Fr(1, 12)),
-        4: (1, 1, Fr(1, 12)),
-        6: (1, 1, Fr(0)),
-        7: (-1, -1, Fr(-1, 12)),
-        8: (1, 1, Fr(-1, 12)),
-    },
-    "3": {
-        1: (1, 1, Fr(1, 3)),
-        2: (-1, -1, Fr(1, 3)),
-        3: (1, 1, Fr(1, 6)),
-        4: (-1, -1, Fr(1, 6)),
-        5: (1, 1, Fr(1, 12)),
-        6: (-1, -1, Fr(1, 12)),
-        7: (1, 1, Fr(0)),
-    },
-    "4p": {
-        1: (-1, -1, Fr(1, 12)),
-        2: (1, 1, Fr(1, 12)),
-        3: (-1, -1, Fr(-1, 12)),
-        4: (1, 1, Fr(-1, 12)),
-        5: (-1, -1, Fr(-1, 6)),
-        6: (1, 1, Fr(-1, 6)),
-        7: (-1, -1, Fr(-1, 4)),
-        8: (1, 1, Fr(-1, 4)),
-    },
-    "4pp": {
-        1: (-1, -1, Fr(5, 12)),
-        2: (1, 1, Fr(5, 12)),
-        3: (-1, -1, Fr(1, 4)),
-        4: (1, 1, Fr(1, 4)),
-        5: (-1, -1, Fr(1, 6)),
-        6: (1, 1, Fr(1, 6)),
-        7: (-1, -1, Fr(1, 12)),
-        8: (1, 1, Fr(1, 12)),
-    },
-    "5": {
-        1: (1, 1, Fr(1, 6)),
-        2: (-1, -1, Fr(1, 6)),
-        3: (1, 1, Fr(0)),
-        5: (1, 1, Fr(-1, 12)),
-        6: (-1, -1, Fr(-1, 12)),
-        7: (1, 1, Fr(-1, 6)),
-        8: (-1, -1, Fr(-1, 6)),
-    },
-    "6": {
-        1: (-1, -1, Fr(1, 3)),
-        2: (1, 1, Fr(1, 3)),
-        3: (-1, -1, Fr(1, 6)),
-        4: (1, 1, Fr(1, 6)),
-        5: (-1, -1, Fr(1, 12)),
-        6: (1, 1, Fr(1, 12)),
-        8: (1, 1, Fr(0)),
-    },
-}
+# the series of row (label, n) is
+#   sign * q^pref / e_n(scale*tau) * sum (-1)^j q^{(j+c)^2/2} / (1 + sign q^{j+d})
+# with sign = s * (-1)^(n+1) for the family sign s below, and the
+# denominator offset d equal to the tau coefficient of u
+_FAMILY_SIGN = {"1": 1, "3": 1, "5": 1, "2": -1, "4p": -1, "4pp": -1, "6": -1}
 
 _SERIES_PREF = {
     "1": Fr(-9, 32),
@@ -212,12 +143,6 @@ _SERIES_PREF = {
     "5": Fr(-25, 72),
     "6": Fr(-2, 9),
 }
-
-# the e_n scale and gaussian center depend only on the column
-_E_SCALE = {1: HALF, 2: HALF, 3: Fr(1, 72), 4: Fr(1, 72),
-            5: Fr(1, 32), 6: Fr(1, 32), 7: Fr(1, 18), 8: Fr(1, 18)}
-_GAUSS_C = {1: Fr(1), 2: Fr(1), 3: Fr(5, 6), 4: Fr(5, 6),
-            5: Fr(3, 4), 6: Fr(3, 4), 7: Fr(2, 3), 8: Fr(2, 3)}
 
 # transformation group per (base label, column): (N, intersect_with_c_even)
 # meaning {a = d = 1, b = 0 mod N}, optionally intersected with c even
@@ -269,10 +194,6 @@ def is_admissible(m, n):
     return (label, n) not in _INADMISSIBLE
 
 
-def _fmp(fr):
-    return mpf(fr.numerator) / fr.denominator
-
-
 @dataclass(frozen=True)
 class AffineTauForm:
     """Exact point alpha*tau + beta with rational alpha, beta."""
@@ -281,7 +202,7 @@ class AffineTauForm:
     beta: Fr
 
     def at(self, tau):
-        return mpc(tau) * _fmp(self.alpha) + _fmp(self.beta)
+        return mpc(tau) * fraction_mpf(self.alpha) + fraction_mpf(self.beta)
 
     def as_dict(self):
         return {"alpha": {"num": self.alpha.numerator, "den": self.alpha.denominator},
@@ -330,10 +251,11 @@ class VmnSpec:
 
 
 def _series_part(label, n):
-    sign, den_sign, d = _SERIES_ROW[label][n]
+    sign = _FAMILY_SIGN[label] * (-1) ** (n + 1)
     return SeriesPart(sign=sign, e_index=n, e_scale=_E_SCALE[n],
                       q_prefactor=_SERIES_PREF[label], gauss_center=_GAUSS_C[n],
-                      alternating=(n % 2 == 1), den_sign=den_sign, den_offset=d)
+                      alternating=(n % 2 == 1), den_sign=sign,
+                      den_offset=_U_FORMS[label][n][0])
 
 
 def vmn_spec(m, n):
@@ -393,8 +315,13 @@ def _lambert_sum(part, tau):
     eps = series_eps()
     c = part.gauss_center
     d = part.den_offset
+    top = mpf(0)
 
-    def term(j):
+    def pair(n):
+        # j = -n: the sum runs up from j = 0 first, then down from j = -1,
+        # and stops relative to the largest term seen
+        nonlocal top
+        j = -n
         den = 1 + part.den_sign * e2pi((j + d) * tau)
         if abs(den) < mpf(10) ** (-3 * mp.dps):
             raise ZeroDivisionError("Lambert denominator vanished at j=%d" % j)
@@ -402,27 +329,10 @@ def _lambert_sum(part, tau):
                       8 * c.denominator ** 2) * tau) / den
         if part.alternating and j % 2:
             val = -val
-        return val
+        top = max(top, abs(val))
+        return val, abs(val) < eps * (1 + top)
 
-    total = mpc(0)
-    top = mpf(0)
-    for direction, start in ((1, 0), (-1, -1)):
-        quiet = 0
-        j = start
-        while True:
-            val = term(j)
-            total += val
-            top = max(top, abs(val))
-            if abs(val) < eps * (1 + top):
-                quiet += 1
-                if quiet >= 4:
-                    break
-            else:
-                quiet = 0
-            j += direction
-            if abs(j) > 10 ** 5:
-                raise RuntimeError("Lambert series failed to converge")
-    return total
+    return sum_outward(pair, 0, 10 ** 5 + 1, "Lambert series")
 
 
 def vmn_eval_series(m, n, tau):
@@ -431,7 +341,7 @@ def vmn_eval_series(m, n, tau):
     tau = mpc(tau)
     total = mpc(0)
     for part in spec.series:
-        e_val = eta_theta_eval("e%d" % part.e_index, tau * _fmp(part.e_scale))
+        e_val = eta_theta_eval("e%d" % part.e_index, tau * fraction_mpf(part.e_scale))
         pref = part.sign * e2pi(part.q_prefactor * tau) / e_val
         total += pref * _lambert_sum(part, tau)
     return total
@@ -534,15 +444,6 @@ def in_A_group(m, n, gamma):
     return named
 
 
-def shifts_are_integral(m, n, gamma):
-    """The raw lattice condition alone, without the named-group congruences."""
-    try:
-        shift_data(m, n, gamma)
-    except ValueError:
-        return False
-    return True
-
-
 def transformation_root(m, n, gamma):
     """Exact multiplier psi^-3 * (-1)^(k+l+r+s) * epsilon as a root of unity."""
     data = shift_data(m, n, gamma)
@@ -562,27 +463,6 @@ def verify_thm11(m, n, gamma, tau):
         rhs = root.value() * mp.sqrt(gamma.c * tau + gamma.d) * \
             vmn_completed(m, n, tau)
         return abs(lhs - rhs)
-
-
-def phi_factor(m, n, gamma, tau):
-    """Numeric route to the extra multiplier, for cross-checking epsilon.
-
-    Collects the explicit exponential factors produced by transporting the
-    completed mu through gamma; on the named group this equals epsilon.
-    """
-    spec = vmn_spec(m, n)
-    if spec.composite:
-        spec = vmn_spec("4p", n)
-    tau = mpc(tau)
-    data = shift_data(spec.label, n, gamma)
-    t = spec.t
-    cd = gamma.c * tau + gamma.d
-    diff = spec.u.at(tau) - spec.v.at(tau)
-    diff_tilde = (spec.u.at(gamma.act(tau)) - spec.v.at(gamma.act(tau))) * cd
-    delta = data.delta
-    val = e2pi(t * gamma.act(tau)) * e2pi(-gamma.c * diff_tilde ** 2 / (2 * cd))
-    val *= e2pi(Fr(delta * delta, 2) * tau) * e2pi(diff * delta) * e2pi(-t * tau)
-    return val
 
 
 def group_sample(m, n, count=4, include_negative_c=True):

@@ -1,11 +1,15 @@
 """Command line behaviour: formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
+import etamock
 from etamock.cli import main, parse_complex, parse_rational, UsageError
 
 
@@ -145,3 +149,13 @@ def test_main_restores_callers_precision(capsys, argv, code):
 def test_precision_below_floor_is_usage_error(capsys):
     assert main(["--precision", "10", "eval", "eta", "--tau", "1i"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_import_keeps_callers_precision():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(etamock.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "from mpmath import mp; mp.dps = 30; import etamock; print(mp.dps)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "30"

@@ -8,13 +8,13 @@ from mpmath import mp, mpc, mpf
 from etamock.qseries import e2pi
 from etamock.mu import R_correction, mordell_h
 from etamock.theta import partial_theta
-from etamock.eichler import (E_ray_integral, eichler_integral, estar_value,
-                             g_decay_rate, integral_identity_lhs,
+from etamock.eichler import (E_ray_integral, corollary_check, eichler_integral,
+                             estar_value, g_decay_rate, integral_identity_lhs,
                              partial_theta_radial, radial_proportionality,
                              ray_integral, unary_ray_integral, verify_table2,
                              verify_thm12_i, verify_thm12_ii,
                              verify_thm12_iii)
-from etamock.quantum import corollary_check, integral_identity_rhs
+from etamock.quantum import integral_identity_rhs
 
 # working precision of every test here; see conftest.py
 DPS = 16
@@ -153,6 +153,12 @@ def test_quadrature_matches_finite_sum(m, x):
     assert resid < 1e-9
     assert abs(lhs - integral_identity_lhs(m, x)) < 1e-12
     assert abs(rhs - integral_identity_rhs(m, x)) < 1e-12
+
+
+@pytest.mark.parametrize("m, x", [("1", Fraction(2, 5)), ("2", Fraction(2, 3))])
+def test_corollary_outside_quantum_set_is_domain_error(m, x):
+    with pytest.raises(ValueError, match="outside the quantum set"):
+        corollary_check(m, x)
 
 
 def test_partial_theta_radial_heights():

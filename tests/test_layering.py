@@ -1,0 +1,69 @@
+"""The package's modules import one way, from module-level statements only.
+
+Each module may import only from the modules before it in LAYERS, and no
+import sits inside a function, where it would hide a cycle.
+"""
+
+import ast
+import os
+
+import pytest
+
+import etamock
+
+SRC = os.path.dirname(os.path.abspath(etamock.__file__))
+
+# bottom to top; the package namespace re-exports everything below the CLI
+LAYERS = ("core", "qseries", "theta", "mu", "vmn", "quantum", "eichler", "cli",
+          "__init__")
+
+
+def _modules():
+    return sorted(name[:-3] for name in os.listdir(SRC) if name.endswith(".py"))
+
+
+def _tree(module):
+    with open(os.path.join(SRC, module + ".py")) as fh:
+        return ast.parse(fh.read(), filename=module + ".py")
+
+
+def _package_targets(node):
+    """Names of the package modules an import statement reads from."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 0:
+            parts = (node.module or "").split(".")
+            return [parts[1]] if parts[0] == "etamock" and len(parts) > 1 else []
+        if node.module:
+            return [node.module.split(".")[0]]
+        return [alias.name for alias in node.names]
+    return [alias.name.split(".")[1] for alias in node.names
+            if alias.name.startswith("etamock.")]
+
+
+def test_every_module_has_a_layer():
+    assert set(_modules()) == set(LAYERS)
+
+
+@pytest.mark.parametrize("module", _modules())
+def test_no_import_inside_a_function(module):
+    local = [
+        "%s:%d" % (func.name, node.lineno)
+        for func in ast.walk(_tree(module))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not local, "function-local imports in %s: %s" % (module, local)
+
+
+@pytest.mark.parametrize("module", _modules())
+def test_imports_point_down_the_layers(module):
+    rank = LAYERS.index(module)
+    upward = [
+        "%s (line %d)" % (target, node.lineno)
+        for node in ast.walk(_tree(module))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for target in _package_targets(node)
+        if target not in LAYERS[:rank]
+    ]
+    assert not upward, "%s imports from its own layer or above: %s" % (module, upward)
