@@ -340,13 +340,18 @@ def integral_identity_rhs(m, x):
 
 
 def companion_terms(m, x):
-    """Term lists of the two sign-companion finite sums for one family."""
+    """Term lists of the two sign-companion finite sums for one family.
+
+    ValueError outside the quantum set of the family's row (m, 1).
+    """
     base = base_label(normalize_label(m))
     if base == "4":
         raise ValueError("composite family uses companion_sum_composite")
+    x = as_fraction(x)
+    if not in_quantum_set(base, 1, x):
+        raise ValueError("%s is outside the quantum set of row (%s, 1)" % (x, base))
     ell = ELL[base]
     a, c, d = ROOT_A[base], ROOT_C[base], D_COEF[base]
-    x = as_fraction(x)
     h, k = x.numerator, x.denominator
     z1m = RootOfUnity.from_fraction(Fr(1, 2) + Fr(ell - 3, 4) + Fr(h, c * k))
     z2m = RootOfUnity.from_fraction(Fr(1, 2) + Fr(3 - ell, 4) + Fr(d * h, a * k))

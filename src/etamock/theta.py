@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc
 
-from .core import converging, fraction_mpf, reduce_tau, series_eps, sum_outward
+from .core import converging, extra_precision, fraction_mpf, reduce_tau, series_eps, sum_outward
 from .qseries import (
     FormalQSeries,
     e2pi,
@@ -27,8 +27,19 @@ Fr = Fraction
 def jacobi_theta(v, tau, representation="product"):
     """Jacobi theta of characteristic (1/2, 1/2) at (v, tau).
 
-    The triple product is the default evaluator (stabler near the zeros);
-    representation="sum" runs the defining series instead.
+    The default route folds (v, tau) before it multiplies.  When
+    Im tau < sqrt(3)/2, tau goes into the fundamental domain F by the laws
+    theta(v; tau + 1) = e(1/8) theta(v; tau) and theta(v/tau; -1/tau) =
+    -i sqrt(-i tau) e^{pi i v^2/tau} theta(v; tau), with
+    3 + 2*floor(log10(1/Im tau)) guard digits, so the value keeps working
+    precision as Im tau shrinks.  Then v goes into the period cell
+    |Re v| <= 1/2, |Im v| <= Im tau/2 by the elliptic shifts in v
+    (Zwegers, thesis, Prop. 1.3).  The triple product then needs a few
+    factors whatever Im tau was.  For Im tau >= sqrt(3)/2 (all of F) and
+    v in the cell nothing moves, and the value is the bare product.
+
+    representation="sum" runs the defining series with no reduction; it
+    is the independent cross-check of the folded product.
     """
     v = mpc(v)
     tau = mpc(tau)
@@ -36,6 +47,45 @@ def jacobi_theta(v, tau, representation="product"):
         raise ValueError("tau must have positive imaginary part")
     if representation == "sum":
         return _theta_sum(v, tau)
+    if representation != "product":
+        raise ValueError("unknown representation {!r}".format(representation))
+
+    def shift(state, n):
+        # theta(v; sigma + n) = e(n/8) theta(v; sigma)
+        factor, v = state
+        return factor * e2pi(Fr(n, 8)), v
+
+    def invert(state, sigma):
+        # theta(v; -1/sigma) = -i sqrt(-i sigma) e^{pi i v^2 sigma} theta(v sigma; sigma)
+        factor, v = state
+        factor *= -1j * mp.sqrt(-1j * sigma) * mp.exp(1j * mp.pi * v * v * sigma)
+        return factor, v * sigma
+
+    # at Im tau >= sqrt(3)/2, the lowest height in F, the product converges
+    # as fast as anywhere in F.  Below it the fold's exponentials cost about
+    # a digit, and log10(1/Im tau) more near a cusp: hence the guard digits.
+    low = 4 * tau.imag ** 2 < 3
+    factor = mpc(1)
+    with extra_precision(3 + 2 * max(0, int(-mp.log10(tau.imag))) if low else 0):
+        if low:
+            tau, (factor, v) = reduce_tau(tau, (factor, v), shift, invert, "theta")
+        # v = v0 + lam tau + m with v0 in the period cell
+        lam = int(mp.nint(v.imag / tau.imag))
+        m = int(mp.nint((v - lam * tau).real))
+        if lam or m:
+            v = v - lam * tau - m
+            factor *= _elliptic_factor(v, tau, lam, m)
+        value = factor * _theta_product(v, tau)
+    return +value
+
+
+def _elliptic_factor(v, tau, lam, m):
+    """theta(v + lam*tau + m; tau) / theta(v; tau), for integers lam, m."""
+    return (-1) ** (lam + m) * mp.exp(-1j * mp.pi * lam * (lam * tau + 2 * v))
+
+
+def _theta_product(v, tau):
+    # the triple product, unreduced: about 1/Im(tau) factors
     q = e2pi(tau)
     zeta = e2pi(v)
     eps = series_eps()
@@ -77,9 +127,8 @@ def jacobi_theta_transform(v, tau, lam, mu, gamma):
     """
     v = mpc(v)
     tau = mpc(tau)
-    base = jacobi_theta(v, tau)
     w = v + lam * tau + mu
-    pred = (-1) ** (lam + mu) * e2pi(-tau * lam ** 2 / 2) * mp.exp(-2j * mp.pi * lam * v) * base
+    pred = _elliptic_factor(v, tau, lam, mu) * jacobi_theta(v, tau)
     cd = gamma.c * tau + gamma.d
     psi3 = eta_multiplier(gamma).value() ** 3
     return psi3 * mp.sqrt(cd) * mp.exp(1j * mp.pi * gamma.c * w ** 2 / cd) * pred

@@ -8,10 +8,14 @@ core that changes any printed digit fails here.
 To write the files afresh (only when an output is meant to change):
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints every JSON path whose value moves, as old -> new, before it
+writes a file, so a review can see which digits changed.
 """
 
 import contextlib
 import io
+import json
 import os
 import sys
 
@@ -62,9 +66,38 @@ def test_cli_output_matches_golden(name):
     assert run_case(CASES[name]) == expected
 
 
+def changed_paths(old, new, path="$"):
+    """(path, old, new) for every leaf at which two JSON values differ.
+
+    Objects are compared key by key and lists of equal length item by
+    item; anything else that differs is reported whole.
+    """
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in list(old) + [k for k in new if k not in old]:
+            yield from changed_paths(old.get(key), new.get(key), "%s.%s" % (path, key))
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from changed_paths(a, b, "%s[%d]" % (path, i))
+    elif old != new or type(old) is not type(new):
+        yield path, old, new
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
     for name in sorted(CASES):
-        with open(golden_path(name), "w") as fh:
-            fh.write(run_case(CASES[name]))
-        print("wrote", golden_path(name), file=sys.stderr)
+        path = golden_path(name)
+        text = run_case(CASES[name])
+        old = None
+        if os.path.exists(path):
+            with open(path) as fh:
+                old = fh.read()
+        if old == text:
+            print("unchanged", path, file=sys.stderr)
+            continue
+        if old is not None:
+            for where, a, b in changed_paths(json.loads(old), json.loads(text)):
+                print("  %s: %s -> %s" % (where, json.dumps(a), json.dumps(b)),
+                      file=sys.stderr)
+        with open(path, "w") as fh:
+            fh.write(text)
+        print("wrote", path, file=sys.stderr)

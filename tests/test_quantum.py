@@ -6,8 +6,9 @@ import pytest
 from mpmath import mpc
 
 from etamock.qseries import RootOfUnity
-from etamock.quantum import (HK, F_hk, F_hk_terms, as_fraction,
+from etamock.quantum import (ELL, HK, F_hk, F_hk_terms, as_fraction,
                              companion_sum, companion_sum_composite,
+                             companion_terms,
                              group_generators, hk_image, in_quantum_set,
                              in_S, in_S_even, in_S_odd, in_S_prime, in_set,
                              mobius_rational, quantum_set_label,
@@ -161,6 +162,27 @@ def test_companion_sums_cancel_trivial_families(lbl):
         if not in_quantum_set(lbl, 1, x):
             continue
         assert abs(companion_sum(lbl, x)) < 1e-13
+
+
+@pytest.mark.parametrize("lbl, x", [
+    ("1", Fraction(2, 5)), ("2", Fraction(2, 5)), ("3", Fraction(2, 5)),
+    ("5", Fraction(-3, 11)), ("6", Fraction(-3, 11)),
+])
+def test_companion_sum_outside_quantum_set_is_domain_error(lbl, x):
+    assert not in_quantum_set(lbl, 1, x)
+    with pytest.raises(ValueError, match="outside the quantum set"):
+        companion_terms(lbl, x)
+    with pytest.raises(ValueError, match="outside the quantum set"):
+        companion_sum(lbl, x)
+
+
+@pytest.mark.parametrize("lbl", ["1", "2", "3", "5", "6"])
+def test_companion_sum_defined_at_minus_one_over_ell(lbl):
+    # -1/ell_m lies in the quantum set, so the sums are still evaluated there
+    x = Fraction(-1, ELL[lbl])
+    assert in_quantum_set(lbl, 1, x)
+    minus, plus = companion_terms(lbl, x)
+    assert len(minus) == len(plus) > 0
 
 
 def test_composite_four_term_cancellation():

@@ -6,8 +6,8 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from etamock.qseries import SL2Matrix, e2pi, eta
-from etamock.theta import (E_from_g, e_from_theta, eta_theta_eval,
-                           eta_theta_qexp, g_ab, jacobi_theta,
+from etamock.theta import (E_from_g, _theta_product, e_from_theta,
+                           eta_theta_eval, eta_theta_qexp, g_ab, jacobi_theta,
                            jacobi_theta_transform, partial_theta,
                            theta_specialization_point,
                            unary_theta_combination)
@@ -43,6 +43,60 @@ def test_theta_product_equals_sum(tau):
         assert abs(p - s) < 1e-21
 
 
+def test_theta_rejects_unknown_representation():
+    with pytest.raises(ValueError, match="unknown representation"):
+        jacobi_theta(mpc(0.3, 0.1), mpc(0.1, 0.9), representation="prodcut")
+
+
+# near a cusp: Im tau down to 1e-4, Im v a multiple k of Im tau.  Points at
+# Im tau = 1e-4 near the low-denominator rationals -73/10 and 83/2 are left
+# out: there the sum cancels thousands of digits and is no reference.
+FOLD_TAUS = [(0.13, 1e-2), (0.13, 1e-3), (0.13, 1e-4), (-7.3, 1e-2),
+             (-7.3, 1e-3), (41.5, 1e-2), (41.5, 1e-3)]
+
+
+@pytest.mark.parametrize("k", [0.2, -1.7, 3.4])
+@pytest.mark.parametrize("re, im", FOLD_TAUS)
+def test_folded_theta_matches_sum_near_cusp(re, im, k):
+    tau = mpc(mpf(re), mpf(im))
+    v = mpc(mpf("0.31"), k * tau.imag)
+    folded = jacobi_theta(v, tau)
+    with mp.workdps(DPS + 35):
+        ref = jacobi_theta(v, tau, representation="sum")
+    assert abs(folded - ref) < 1e-20 * abs(ref)
+
+
+def test_folded_theta_at_tiny_im_tau():
+    # the bare product would need ~10^6 factors here and hit its cap
+    tau = mpc(mpf("0.13"), mpf("1e-6"))
+    v = mpc(mpf("0.31"), 0.2 * tau.imag)
+    folded = jacobi_theta(v, tau)
+    with mp.workdps(60):
+        ref = jacobi_theta(v, tau, representation="sum")
+    assert abs(folded - ref) < 1e-18 * abs(ref)
+
+
+@pytest.mark.parametrize("im", ["1e-8", "1e-16", "1e-30"])
+def test_folded_theta_keeps_working_precision(im):
+    # no series reaches here; the reference is the fold at 70 more digits
+    tau = mpc(mpf("0.13"), mpf(im))
+    v = mpc(mpf("0.31"), 0.2 * tau.imag)
+    folded = jacobi_theta(v, tau)
+    with mp.workdps(DPS + 70):
+        ref = jacobi_theta(v, tau)
+    assert abs(folded - ref) < 1e-23 * abs(ref)
+
+
+@pytest.mark.parametrize("tau", [mpc(0.1, 1.1), mpc(-0.35, 1.4),
+                                 mpc(0.45, 0.95), mpc(-0.5, 0.9),
+                                 mpc(0.2, 0.9), mpc(3.7, 0.87)])
+def test_folded_theta_is_bare_product_at_height_of_f(tau):
+    # Im tau >= sqrt(3)/2 (the first four in F) and v in the period cell:
+    # the fold moves nothing
+    for v in (mpc(0.3, 0.1), mpc(-0.45, -0.4), mpc(0.05, 0.4 * tau.imag)):
+        assert jacobi_theta(v, tau) == _theta_product(v, tau)
+
+
 def test_theta_derivative_at_zero_is_eta_cubed():
     """Central differences of theta at v=0 against -2 pi eta(tau)^3."""
     tau = mpc(0.12, 1.05)
@@ -62,8 +116,12 @@ def test_theta_transformation_prediction(lam, mu, gamma):
     v = mpc(0.17, 0.28)
     pred = jacobi_theta_transform(v, tau, lam, mu, gamma)
     cd = gamma.c * tau + gamma.d
-    direct = jacobi_theta((v + lam * tau + mu) / cd, gamma.act(tau))
+    w = (v + lam * tau + mu) / cd
+    direct = jacobi_theta(w, gamma.act(tau))
     assert abs(pred - direct) < 1e-20
+    # against the bare product too, so the law is not checked only against
+    # the fold that uses it
+    assert abs(pred - _theta_product(w, gamma.act(tau))) < 1e-20
 
 
 def _g_bruteforce(a, b, tau, cutoff=60):
