@@ -8,6 +8,7 @@ domain error.  JSON output is deterministic for a fixed command line
 import argparse
 import json
 import random
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -46,25 +47,36 @@ def parse_rational(text):
         raise UsageError("not a rational number: %r" % text)
 
 
+_DECIMAL = r"(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+_COMPLEX = re.compile(
+    r"(?P<re>[+-]?{0})(?P<im>[+-]{0}?)[ij]"  # a+bi, a-i
+    r"|(?P<im_only>[+-]?{0}?)[ij]"  # bi, i, -i
+    r"|(?P<re_only>[+-]?{0})".format(_DECIMAL))  # a
+
+
+def _signed_mpf(text):
+    # "", "+" and "-" stand for the unit of an imaginary part: i, +i, -i
+    return mpf(text + "1" if text in ("", "+", "-") else text)
+
+
 def parse_complex(text):
-    """Accept 1.3i, 0.5+2i, i, -i, 1/3 and plain reals."""
+    """Accept 1.3i, 0.5+2i, 1e-3i, i, -i, 1/3 and plain reals.
+
+    Each part is read from its decimal string at the working precision,
+    not through a 53-bit float.
+    """
     s = text.strip().replace(" ", "")
     if "/" in s and "i" not in s and "j" not in s:
         fr = parse_rational(s)
         return mpc(mpf(fr.numerator) / fr.denominator)
-    s = s.replace("i", "j")
-    if s in ("j", "+j"):
-        s = "1j"
-    elif s == "-j":
-        s = "-1j"
-    elif s.endswith("+j"):
-        s = s[:-1] + "1j"
-    elif s.endswith("-j"):
-        s = s[:-1] + "1j"
-    try:
-        return mpc(complex(s))
-    except ValueError:
+    match = _COMPLEX.fullmatch(s)
+    if match is None:
         raise UsageError("not a complex number: %r" % text)
+    if match["re_only"] is not None:
+        return mpc(mpf(match["re_only"]))
+    if match["im_only"] is not None:
+        return mpc(0, _signed_mpf(match["im_only"]))
+    return mpc(mpf(match["re"]), _signed_mpf(match["im"]))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import mp, mpc, mpf
 
 import etamock
 from etamock.cli import main, parse_complex, parse_rational, UsageError
@@ -27,6 +27,25 @@ def test_parse_complex_forms():
     assert abs(parse_complex("1/4") - 0.25) < 1e-15
     with pytest.raises(UsageError):
         parse_complex("spam")
+
+
+def test_parse_complex_keeps_working_precision():
+    # each part is read as a decimal at the working precision: through a
+    # 53-bit float, 0.1 would be off by 5.6e-18 here
+    with mp.workdps(40):
+        z = parse_complex("0.1+0.3i")
+        assert z.real == mpf("0.1") and z.imag == mpf("0.3")
+        assert parse_complex("0.13-0.001i") == mpc(mpf("0.13"), -mpf("0.001"))
+        assert parse_complex("1e-3i") == mpc(0, mpf("1e-3"))
+        assert parse_complex("-2.5") == mpc(mpf("-2.5"))
+        assert parse_complex("i") == mpc(0, 1)
+        assert parse_complex("-i") == mpc(0, -1)
+        assert parse_complex("4-i") == mpc(4, -1)
+        assert parse_complex("1/3") == mpc(mpf(1) / 3)
+    assert parse_complex("0.13+0.001i") == mpc(mpf("0.13"), mpf("0.001"))
+    for text in ("1+", "1+2", "ii", "1e", "1i+2"):
+        with pytest.raises(UsageError):
+            parse_complex(text)
 
 
 def test_parse_rational():
