@@ -69,17 +69,51 @@ def converging(pairs, cap, what):
     raise RuntimeError("%s failed to converge" % what)
 
 
-def sum_outward(pair, center, cap, what):
-    """Sum of the values of pair(n) over all integers n.
+def sum_outward(down, up, cap, what):
+    """Sum of a two-sided series given as two streams of (value, small)
+    pairs: `down` runs from the centre down, `up` from the next index up.
 
-    pair(n) returns (value, small).  The sum runs down from `center`, then
-    up from center + 1; each side stops on its own quiet run, or raises
-    after `cap` terms.
+    The down side is summed first; each side stops on its own quiet run,
+    or raises after `cap` terms.
     """
     total = mpc(0)
-    for side in (count(center, -1), count(center + 1)):
-        total = sum(converging(map(pair, side), cap, what), total)
+    for side in (down, up):
+        total = sum(converging(side, cap, what), total)
     return total
+
+
+def e2pi(x):
+    """exp(2*pi*i*x) for a real/complex number or a Fraction.
+
+    Fractions are reduced mod 1 exactly first, so huge rational phases
+    keep full precision.
+    """
+    if isinstance(x, Fraction):
+        x = x % 1
+        x = mpf(x.numerator) / x.denominator
+    return mp.exp(2j * mp.pi * x)
+
+
+def quadratic_phases(a, b, center):
+    """e(a x^2 + b x), e(t) = exp(2 pi i t), over x in center + Z.
+
+    Returns two generators: one yields x = center, center - 1, ..., the
+    other x = center + 1, center + 2, ...  Each steps by the recurrence
+    w <- w r, r <- r e(2a), where r is the ratio to the next term, so the
+    whole series costs three exponentials and one multiplication pair per
+    term.  a and b may be complex; center may be any real.
+    """
+    w = e2pi(a * center * center + b * center)
+    rho = e2pi(a * (2 * center + 1) + b)  # w(center + 1) / w(center)
+    step = e2pi(2 * a)
+
+    def walk(w, r):
+        while True:
+            yield w
+            w *= r
+            r *= step
+
+    return walk(w, step / rho), walk(w * rho, rho * step)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Appell-Erch mu, its completion, and the surrounding machinery.
+"""Appell-Lerch mu, its completion, and the surrounding machinery.
 
 Covers the two-variable mu kernel, the Mordell integral h, the
 real-analytic correction R, the completed mu-hat, the normalized
@@ -8,10 +8,12 @@ mock theta factorization, and a finite-difference shadow operator.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from mpmath import mp, mpc, mpf
 
-from .core import adaptive_panels, converging, fraction_mpf, series_eps, sum_outward
+from .core import (adaptive_panels, converging, fraction_mpf, quadratic_phases, series_eps,
+                   sum_outward)
 from .qseries import e2pi, eta
 from .theta import g_ab, jacobi_theta
 
@@ -46,16 +48,21 @@ def mu(u, v, tau):
     tau = mpc(tau)
     _check_off_lattice(u, tau, "u")
     _check_off_lattice(v, tau, "v")
-    q = e2pi(tau)
     eu = e2pi(u)
     eps = series_eps()
 
-    def pair(n):
-        num = (-1) ** n * e2pi(n * v) * q ** ((n * (n + 1)) // 2)
-        return num / (1 - eu * q ** n), abs(num) < eps
+    def terms(ns, nums, powers):
+        for n, num, qn in zip(ns, nums, powers):
+            if n % 2:
+                num = -num
+            yield num / (1 - eu * qn), abs(num) < eps
 
+    # numerator (-1)^n e(n v) q^{n(n+1)/2} = (-1)^n e(tau n^2/2 + (tau/2 + v) n)
     center = int(mp.nint(-v.imag / tau.imag - 0.5))
-    total = sum_outward(pair, center, 10 ** 5 + 2, "mu series")
+    nums = quadratic_phases(tau / 2, tau / 2 + v, center)
+    powers = quadratic_phases(0, tau, center)
+    total = sum_outward(terms(count(center, -1), nums[0], powers[0]),
+                        terms(count(center + 1), nums[1], powers[1]), 10 ** 5 + 2, "mu series")
     return mp.exp(1j * mp.pi * u) / jacobi_theta(v, tau) * total
 
 
@@ -95,16 +102,18 @@ def R_correction(u, tau):
     root = mp.sqrt(2 * y)
     eps = series_eps()
 
-    def pair(n):
-        nu = n + mpf(0.5)
-        sgn = 1 if nu > 0 else -1
-        amp = sgn * mp.erfc(sgn * mp.sqrt(mp.pi) * (nu + a) * root)
-        osc = -1 if n % 2 else 1
-        term = amp * osc * mp.exp(-1j * mp.pi * nu * nu * tau - 2j * mp.pi * nu * u)
-        return term, abs(term) < eps
+    def terms(ns, phases):
+        for n, w in zip(ns, phases):
+            nu = n + mpf(0.5)
+            sgn = 1 if nu > 0 else -1
+            amp = sgn * mp.erfc(sgn * mp.sqrt(mp.pi) * (nu + a) * root)
+            term = (-amp if n % 2 else amp) * w
+            yield term, abs(term) < eps
 
-    # nu = n + 1/2 runs over -1/2, -3/2, ... and then 1/2, 3/2, ...
-    return sum_outward(pair, -1, 10 ** 5, "R series")
+    # e^{-pi i nu^2 tau - 2 pi i nu u} = e(-tau nu^2/2 - u nu); nu = n + 1/2
+    # runs over -1/2, -3/2, ... and then 1/2, 3/2, ...
+    down, up = quadratic_phases(-tau / 2, -u, mpf(-0.5))
+    return sum_outward(terms(count(-1, -1), down), terms(count(0), up), 10 ** 5, "R series")
 
 
 def mu_hat(u, v, tau):

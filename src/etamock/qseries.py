@@ -11,21 +11,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpc
 
-from .core import converging, reduce_tau, series_eps
-
-
-def e2pi(x):
-    """exp(2*pi*i*x) for a real/complex number or a Fraction.
-
-    Fractions are reduced mod 1 exactly first, so huge rational phases
-    keep full precision.
-    """
-    if isinstance(x, Fraction):
-        x = x % 1
-        x = mpf(x.numerator) / x.denominator
-    return mp.exp(2j * mp.pi * x)
+from .core import converging, e2pi, quadratic_phases, reduce_tau, series_eps
 
 
 def kronecker(a, n):
@@ -196,14 +184,14 @@ def _eta_product_raw(tau):
 
 def _eta_sum_raw(tau):
     # lacunary form: sum over m >= 1 of (12|m) q^(m^2/24)
-    q24 = e2pi(tau / 24)
     eps = series_eps()
+    _, powers = quadratic_phases(tau / 24, 0, 0)
 
     def terms():
-        for m in range(1, 10 ** 4):
+        for m, qm in zip(range(1, 10 ** 4), powers):
             chi = kronecker(12, m)
             if chi:
-                term = chi * q24 ** (m * m)
+                term = chi * qm
                 yield term, abs(term) < eps
 
     return sum(converging(terms(), 10 ** 4, "eta sum"), mpc(0))

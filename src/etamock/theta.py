@@ -8,10 +8,12 @@ even catalogue members and the odd members as combinations of g_{a,b}.
 
 import math
 from fractions import Fraction
+from itertools import count
 
 from mpmath import mp, mpc
 
-from .core import converging, extra_precision, fraction_mpf, reduce_tau, series_eps, sum_outward
+from .core import (converging, extra_precision, fraction_mpf, quadratic_phases, reduce_tau,
+                   series_eps, sum_outward)
 from .qseries import (
     FormalQSeries,
     e2pi,
@@ -105,17 +107,16 @@ def _theta_product(v, tau):
 
 
 def _theta_sum(v, tau):
-    # q^{nu^2/2} = q8^{(2n+1)^2} for nu = n + 1/2, with q8 = e(tau/8)
-    q8 = e2pi(tau / 8)
+    # e(nu (v + 1/2)) q^{nu^2/2} = e(tau nu^2/2 + (v + 1/2) nu) for nu = n + 1/2
     eps = series_eps()
 
-    def pair(n):
-        nu = n + mp.mpf(0.5)
-        term = e2pi(nu * (v + 0.5)) * q8 ** ((2 * n + 1) ** 2)
-        return term, abs(term) < eps
+    def terms(phases):
+        for term in phases:
+            yield term, abs(term) < eps
 
     center = int(mp.nint(-v.imag / tau.imag - 0.5))
-    return sum_outward(pair, center, 10 ** 5 + 1, "theta sum")
+    down, up = quadratic_phases(tau / 2, v + 0.5, center + mp.mpf(0.5))
+    return sum_outward(terms(down), terms(up), 10 ** 5 + 1, "theta sum")
 
 
 def jacobi_theta_transform(v, tau, lam, mu, gamma):
@@ -137,15 +138,18 @@ def jacobi_theta_transform(v, tau, lam, mu, gamma):
 def _g_direct(a, b, tau):
     af = fraction_mpf(a) if isinstance(a, Fraction) else mp.mpf(a)
     bf = fraction_mpf(b) if isinstance(b, Fraction) else mp.mpf(b)
-    y = tau.imag
     eps = series_eps()
 
-    def pair(n):
-        na = n + af
-        term = na * e2pi(bf * na) * e2pi(tau * na ** 2 / 2)
-        return term, abs(term) < eps and abs(na) * mp.exp(-mp.pi * y * na ** 2) < eps
+    def terms(xs, phases):
+        for x, w in zip(xs, phases):
+            term = x * w
+            yield term, abs(term) < eps
 
-    return sum_outward(pair, int(mp.nint(-af)), 10 ** 5 + 1, "unary theta sum")
+    # x e(b x) q^{x^2/2} = x e(tau x^2/2 + b x) over x in a + Z
+    center = int(mp.nint(-af)) + af
+    down, up = quadratic_phases(tau / 2, bf, center)
+    return sum_outward(terms(count(center, -1), down), terms(count(center + 1), up),
+                       10 ** 5 + 1, "unary theta sum")
 
 
 def g_ab(spec, tau):
@@ -249,7 +253,6 @@ def eta_theta_eval(label, tau, representation="eta-quotient"):
         return out
     if representation != "character-sum":
         raise ValueError("unknown representation {!r}".format(representation))
-    q = e2pi(tau)
     eps = series_eps()
     if kind == "even":
         _, domain, chi = _EVEN[index]
@@ -261,10 +264,11 @@ def eta_theta_eval(label, tau, representation="eta-quotient"):
     if kind == "even" and domain == "Z":
         total = mpc(chi(0).numerator) / chi(0).denominator
 
+    _, squares = quadratic_phases(tau, 0, 0)
+
     def terms():
-        for n in range(1, 10 ** 5):
+        for n, qn in zip(range(1, 10 ** 5), squares):
             c = chi(n) + (chi(-n) if domain == "Z" else 0)
-            qn = q ** (n * n)
             term = (mpc(c.numerator) / c.denominator) * (n ** weight) * qn if c else None
             yield term, abs(qn) * max(n, 1) < eps
 
@@ -360,11 +364,11 @@ def partial_theta(m, z):
         raise ValueError("partial theta needs Im(z) < 0")
     _, chi = _ODD[m]
     eps = series_eps()
+    _, squares = quadratic_phases(-z, 0, 0)
 
     def terms():
-        for n in range(1, 10 ** 5):
+        for n, w in zip(range(1, 10 ** 5), squares):
             c = chi(n)
-            w = mp.exp(-2j * mp.pi * z * n * n)
             yield (mpc(c.numerator) / c.denominator) * w if c else None, abs(w) < eps
 
     return sum(filter(None, converging(terms(), 10 ** 5, "partial theta")), mpc(0))

@@ -17,10 +17,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction as Fr
+from itertools import count
 
 from mpmath import mp, mpc, mpf
 
-from .core import extra_precision, fraction_mpf, series_eps, sum_outward
+from .core import extra_precision, fraction_mpf, quadratic_phases, series_eps, sum_outward
 from .qseries import RootOfUnity, SL2Matrix, e2pi, eta, eta_multiplier, qpoch
 from .theta import _THETA_ROWS, eta_theta_eval, jacobi_theta
 from .mu import mu, mu_hat
@@ -313,26 +314,29 @@ def vmn_completed(m, n, tau):
 
 def _lambert_sum(part, tau):
     eps = series_eps()
-    c = part.gauss_center
-    d = part.den_offset
+    tiny = mpf(10) ** (-3 * mp.dps)
     top = mpf(0)
 
-    def pair(n):
+    def terms(ns, gauss, powers):
         # j = -n: the sum runs up from j = 0 first, then down from j = -1,
         # and stops relative to the largest term seen
         nonlocal top
-        j = -n
-        den = 1 + part.den_sign * e2pi((j + d) * tau)
-        if abs(den) < mpf(10) ** (-3 * mp.dps):
-            raise ZeroDivisionError("Lambert denominator vanished at j=%d" % j)
-        val = e2pi(Fr((2 * j * c.denominator + 2 * c.numerator) ** 2,
-                      8 * c.denominator ** 2) * tau) / den
-        if part.alternating and j % 2:
-            val = -val
-        top = max(top, abs(val))
-        return val, abs(val) < eps * (1 + top)
+        for n, num, qj in zip(ns, gauss, powers):
+            den = 1 + part.den_sign * qj
+            if abs(den) < tiny:
+                raise ZeroDivisionError("Lambert denominator vanished at j=%d" % -n)
+            val = num / den
+            if part.alternating and n % 2:
+                val = -val
+            top = max(top, abs(val))
+            yield val, abs(val) < eps * (1 + top)
 
-    return sum_outward(pair, 0, 10 ** 5 + 1, "Lambert series")
+    # numerator e(tau (j + c)^2/2) = e(tau x^2/2) for x = n - c, and the
+    # q^{j + d} of the denominator is e(-tau x) for x = n - d
+    gauss = quadratic_phases(tau / 2, 0, -fraction_mpf(part.gauss_center))
+    powers = quadratic_phases(0, -tau, -fraction_mpf(part.den_offset))
+    return sum_outward(terms(count(0, -1), gauss[0], powers[0]),
+                       terms(count(1), gauss[1], powers[1]), 10 ** 5 + 1, "Lambert series")
 
 
 def vmn_eval_series(m, n, tau):
