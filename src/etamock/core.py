@@ -10,7 +10,7 @@ way to change it for a while); importing the package leaves it alone.
 import math
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import count, islice
+from itertools import islice
 
 from mpmath import mp, mpc, mpf
 
