@@ -137,7 +137,7 @@ def test_one_step_composition_gives_two_step(m):
     assert abs(whole - first - w * second) < 1e-8
 
 
-@pytest.mark.parametrize("m", ["2", "5"])
+@pytest.mark.parametrize("m", ["1", "2", "3", "4", "5", "6"])
 def test_period_table_closed_forms(m):
     res = verify_table2(m, mpc(0.11, 0.93))
     assert res["I"] < 1e-7
