@@ -75,7 +75,6 @@ from .vmn import (
 )
 from .quantum import (
     F_hk,
-    HK,
     companion_sum,
     companion_sum_composite,
     group_generators,

@@ -8,9 +8,13 @@ analytically using the exponential decay rate of G.
 
 On top of it sit the drivers that check the period-integral identities
 of the catalogue, the I/J decomposition of Table 2, the corollary at
-rationals and the partial-theta radial limits.  This is the top numeric
-layer: it imports from the modules below it, and only the command line
-and the package namespace import it.
+rationals and the partial-theta radial limits.  The Theorem 1.2 checks
+evaluate their finite side with quantum.two_term_law, the same law that
+gives quantum.integral_identity_rhs.  Table 2 is one formula over a
+six-row table of prefactors and Mordell offsets; the ray combinations
+come from the g_{a,b} rows of theta.  This is the top numeric layer: it
+imports from the modules below it, and only the command line and the
+package namespace import it.
 """
 
 import math
@@ -22,12 +26,11 @@ from mpmath import mp, mpc, mpf
 from .core import (_gl_cache, adaptive_panels, fraction_mpf,  # noqa: F401
                    gauss_legendre_nodes)
 from .qseries import e2pi
-from .theta import E_from_g, g_ab, partial_theta, unary_theta_combination
+from .theta import _G_ROWS, E_from_g, g_ab, partial_theta, unary_theta_combination
 from .mu import mordell_h
 from .vmn import base_label, normalize_label, vmn_eval_mu
-from .quantum import (ELL, ROOT_A, ROOT_C, SHIFT_B, _M1, _M2, as_fraction,
-                      in_quantum_set, integral_identity_rhs, kappa,
-                      mobius_rational, vmn_any)
+from .quantum import (ELL, ROOT_A, ROOT_C, SHIFT_B, as_fraction, in_quantum_set,
+                      integral_identity_rhs, kappa, two_term_law, vmn_any)
 
 
 def ray_integral(G, z0, tau, decay, tol=None):
@@ -122,29 +125,12 @@ def integral_identity_lhs(m, x, endpoint=None):
     return _lhs_cache[key]
 
 
-def _principal_invsqrt(w):
-    return 1 / mp.sqrt(mpc(w))
-
-
 def verify_thm12_i(m, n, x):
     """Residual of: V(x) + i^ell (2x+1)^(-1/2) V(x/(2x+1)) equals the
     ray integral from 1/2."""
     base = base_label(normalize_label(m))
-    rational = isinstance(x, (Fraction, int))
-    if rational:
-        x = Fraction(x)
-        image = mobius_rational(_M2, x)
-        if image is None:
-            raise ZeroDivisionError("x = -1/2 is excluded")
-        wt = _principal_invsqrt(fraction_mpf(2 * x + 1))
-    else:
-        x = mpc(x)
-        image = x / (2 * x + 1)
-        wt = _principal_invsqrt(2 * x + 1)
-    lhs = vmn_any(m, n, x) + e2pi(Fraction(ELL[base], 4)) * wt \
-        * vmn_any(m, n, image)
-    rhs = integral_identity_lhs(base, x, endpoint=Fraction(1, 2))
-    return abs(lhs - rhs)
+    lhs = two_term_law(lambda y: vmn_any(m, n, y), x, 2, e2pi(Fraction(ELL[base], 4)))
+    return abs(lhs - integral_identity_lhs(base, x, endpoint=Fraction(1, 2)))
 
 
 def verify_thm12_ii(m, x):
@@ -153,36 +139,17 @@ def verify_thm12_ii(m, x):
     base = base_label(normalize_label(m))
     if base not in ("2", "4", "6"):
         raise ValueError("this variant needs an even family, got %r" % (m,))
-    rational = isinstance(x, (Fraction, int))
-    if rational:
-        x = Fraction(x)
-        image = mobius_rational(_M1, x)
-        if image is None:
-            raise ZeroDivisionError("x = -1 is excluded")
-        wt = _principal_invsqrt(fraction_mpf(x + 1))
-    else:
-        x = mpc(x)
-        image = x / (x + 1)
-        wt = _principal_invsqrt(x + 1)
-    lhs = vmn_any(base, 1, x) - e2pi(Fraction(-1, 8)) * wt \
-        * vmn_any(base, 1, image)
-    rhs = integral_identity_lhs(base, x, endpoint=Fraction(1))
-    return abs(lhs - rhs)
+    lhs = two_term_law(lambda y: vmn_any(base, 1, y), x, 1, -e2pi(Fraction(-1, 8)))
+    return abs(lhs - integral_identity_lhs(base, x, endpoint=Fraction(1)))
 
 
 def verify_thm12_iii(m, n, x):
     """Residual of V(x) - zeta_a^kappa V(x + kappa b) = 0."""
     base = base_label(normalize_label(m))
     kap = kappa(base, n)
-    step = kap * SHIFT_B[base]
     root = e2pi(Fraction(kap, ROOT_A[base]))
-    if isinstance(x, (Fraction, int)):
-        x = Fraction(x)
-        shifted = x + step
-    else:
-        x = mpc(x)
-        shifted = x + step
-    return abs(vmn_any(m, n, x) - root * vmn_any(m, n, shifted))
+    x = Fraction(x) if isinstance(x, (Fraction, int)) else mpc(x)
+    return abs(vmn_any(m, n, x) - root * vmn_any(m, n, x + kap * SHIFT_B[base]))
 
 
 # ---------------------------------------------------------------------------
@@ -199,81 +166,57 @@ def _g_combo_ray(pairs, z0, tau, tol=None):
     return ray_integral(G, z0, tau, decay, tol=tol)
 
 
+# Table 2, one row per family: the phases of the prefactors P_I = e(.)/2
+# and P_J = e(.)/2, and the offsets of the Mordell integrals.  The rest
+# follows from ell = ELL[m] and the g_{a,b} combination of E_m.
+_TABLE2 = {
+    "1": (Fraction(1, 8), Fraction(-1, 4), (Fraction(1, 4),)),
+    "2": (Fraction(0), Fraction(5, 8), (Fraction(1, 4),)),
+    "3": (Fraction(1, 6), Fraction(-1, 4), (Fraction(1, 6),)),
+    "4": (Fraction(0), Fraction(5, 8), (Fraction(5, 12), Fraction(1, 12))),
+    "5": (Fraction(1, 12), Fraction(-1, 4), (Fraction(1, 3),)),
+    "6": (Fraction(0), Fraction(5, 8), (Fraction(1, 6),)),
+}
+
+
+def _mordell_piece(alpha, beta, tau):
+    """e(-alpha^2 tau/2) h(alpha tau - beta; tau)."""
+    return e2pi(-alpha * alpha * tau / 2) * mordell_h(alpha * tau - fraction_mpf(beta), tau)
+
+
 def table2_terms(m, tau):
     """Both printed forms of the I and J pieces for the first column.
 
-    Returns dict with closed (Mordell-integral) and quadrature values.
+    With tau' = -1/tau - ell and a = (ell - 1)/2, the closed forms are
+        I = P_I sqrt(-i tau') sum_off e(-a^2 tau'/2) h(a tau' + off; tau'),
+        J = P_J sqrt(ell tau + 1) sum_off e(-off^2 tau/2) h(off tau - a; tau),
+    and the quadrature forms integrate G = E_m(u/scale)/coeff (the g_{a,b}
+    combination of E_m over its first integer coefficient) from 0 and 1/ell:
+        I = P (ray(1/ell) - ray(0)) + C,  J = P ray(0) - C,
+    with P = (i/2) e((2 - ell)/8) sqrt(ell tau + 1) and
+    C = (i/2) (ell - 1) sqrt(-i tau').
     """
     base = base_label(normalize_label(m))
+    phase_i, phase_j, offsets = _TABLE2[base]
+    ell = ELL[base]
+    a = Fraction(ell - 1, 2)
     tau = mpc(tau)
-    q_exp = lambda fr: e2pi(Fraction(*fr) * tau)
-    half = Fraction(1, 2)
-
-    def sq(w):
-        return mp.sqrt(mpc(w))
-
-    if base in ("1", "3", "5"):
-        tau2 = -1 / tau - 2
-        const = {"1": (-e2pi(Fraction(1, 8)) / 2j, Fraction(1, 4), Fraction(-1, 32)),
-                 "3": (-e2pi(Fraction(1, 6)) / 2j, Fraction(1, 6), Fraction(-1, 72)),
-                 "5": (-e2pi(Fraction(-1, 6)) / 2, Fraction(1, 3), Fraction(-1, 18))}
-        pref, off, texp = const[base]
-        g_spec = {"1": (Fraction(1, 4), Fraction(0)),
-                  "3": (Fraction(1, 3), Fraction(0)),
-                  "5": (Fraction(1, 6), Fraction(0))}[base]
-        I_closed = pref * e2pi(1 / (8 * tau)) * sq(-1j * tau2) \
-            * mordell_h(tau2 / 2 + fraction_mpf(off), tau2)
-        J_closed = (1 / (2j)) * e2pi(texp * tau) \
-            * sq(2 * tau + 1) * mordell_h(tau * fraction_mpf(off) - fraction_mpf(half), tau)
-        ray0 = _g_combo_ray([(mpc(1), g_spec)], mpf(0), tau)
-        rayh = _g_combo_ray([(mpc(1), g_spec)], fraction_mpf(half), tau)
-        I_quad = (1j / 2) * sq(2 * tau + 1) * (rayh - ray0) \
-            + (1j / 2) * sq(-1j * tau2)
-        J_quad = (1j / 2) * sq(2 * tau + 1) * ray0 - (1j / 2) * sq(-1j * tau2)
-        return {"I_closed": I_closed, "I_quad": I_quad,
-                "J_closed": J_closed, "J_quad": J_quad}
-    if base == "2":
-        tau1 = -1 / tau - 1
-        g_spec = (Fraction(1, 4), half)
-        I_closed = (mpf(1) / 2) * sq(-1j * tau1) * mordell_h(fraction_mpf(Fraction(1, 4)), tau1)
-        J_closed = -(e2pi(Fraction(1, 8)) / 2) * q_exp((-1, 32)) \
-            * sq(tau + 1) * mordell_h(tau / 4, tau)
-        ray0 = _g_combo_ray([(mpc(1), g_spec)], mpf(0), tau)
-        ray1 = _g_combo_ray([(mpc(1), g_spec)], mpf(1), tau)
-        I_quad = (1j / 2) * sq(tau + 1) * (ray1 - ray0)
-        J_quad = (1j / 2) * sq(tau + 1) * ray0
-        return {"I_closed": I_closed, "I_quad": I_quad,
-                "J_closed": J_closed, "J_quad": J_quad}
-    if base == "6":
-        tau1 = -1 / tau - 1
-        g_spec = (Fraction(1, 3), half)
-        I_closed = (mpf(1) / 2) * sq(-1j * tau1) * mordell_h(fraction_mpf(Fraction(1, 6)), tau1)
-        J_closed = (1 / (2j)) * e2pi(Fraction(-1, 8)) * q_exp((-1, 72)) \
-            * sq(tau + 1) * mordell_h(tau / 6, tau)
-        pref = 1j * e2pi(Fraction(-1, 24)) / 2
-        ray0 = _g_combo_ray([(mpc(1), g_spec)], mpf(0), tau)
-        ray1 = _g_combo_ray([(mpc(1), g_spec)], mpf(1), tau)
-        I_quad = pref * sq(tau + 1) * (ray1 - ray0)
-        J_quad = pref * sq(tau + 1) * ray0
-        return {"I_closed": I_closed, "I_quad": I_quad,
-                "J_closed": J_closed, "J_quad": J_quad}
-    if base == "4":
-        tau1 = -1 / tau - 1
-        I_closed = (mpf(1) / 2) * sq(-1j * tau1) \
-            * (mordell_h(fraction_mpf(Fraction(5, 12)), tau1) + mordell_h(fraction_mpf(Fraction(1, 12)), tau1))
-        J_closed = -(e2pi(Fraction(1, 8)) / 2) * sq(tau + 1) \
-            * (q_exp((-25, 288)) * mordell_h(5 * tau / 12, tau)
-               + q_exp((-1, 288)) * mordell_h(tau / 12, tau))
-        pairs = [(e2pi(Fraction(-1, 24)), (Fraction(1, 12), half)),
-                 (e2pi(Fraction(-5, 24)), (Fraction(5, 12), half))]
-        pref = 1j * e2pi(Fraction(1, 8)) / 2
-        ray0 = _g_combo_ray(pairs, mpf(0), tau)
-        ray1 = _g_combo_ray(pairs, mpf(1), tau)
-        I_quad = pref * sq(tau + 1) * (ray1 - ray0)
-        J_quad = pref * sq(tau + 1) * ray0
-        return {"I_closed": I_closed, "I_quad": I_quad,
-                "J_closed": J_closed, "J_quad": J_quad}
-    raise ValueError("no I/J data for %r" % (m,))
+    tau1 = -1 / tau - ell
+    root, root1 = mp.sqrt(ell * tau + 1), mp.sqrt(-1j * tau1)
+    rows = _G_ROWS[int(base)]
+    pairs = [(coeff * e2pi(phase) / rows[0][0], spec) for coeff, phase, spec, _ in rows]
+    ray0 = _g_combo_ray(pairs, mpf(0), tau)
+    ray1 = _g_combo_ray(pairs, fraction_mpf(Fraction(1, ell)), tau)
+    pref = 0.5j * e2pi(Fraction(2 - ell, 8)) * root
+    corr = 0.5j * (ell - 1) * root1
+    return {
+        "I_closed": e2pi(phase_i) / 2 * root1
+        * sum(_mordell_piece(a, -off, tau1) for off in offsets),
+        "I_quad": pref * (ray1 - ray0) + corr,
+        "J_closed": e2pi(phase_j) / 2 * root
+        * sum(_mordell_piece(off, a, tau) for off in offsets),
+        "J_quad": pref * ray0 - corr,
+    }
 
 
 def verify_table2(m, tau):

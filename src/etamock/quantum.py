@@ -4,6 +4,13 @@ q-hypergeometric sums at roots of unity, and exact evaluation at rationals.
 Everything here is driven by reduced fractions h/k and exact roots of
 unity; floating point enters only when a finite sum is actually evaluated
 at the working precision.
+
+The arguments z1, z2 of F_hk for each family come from rational_z_args
+alone.  The rest is read off from it: the rational values of the first
+column, the sign-companion sums (F_hk at (z1, z2) and at (-z1, -z2)), and
+the finite side of the period identities, which is the two-term law of
+Theorem 1.2 (two_term_law) applied to the rational values.  The composite
+family 4 is always the sum over its parts 4p and 4pp.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ ELL = {"1": 2, "2": 1, "3": 2, "4": 1, "5": 2, "6": 1}
 ROOT_A = {"1": 8, "2": 8, "3": 3, "4": 24, "5": 12, "6": 3}
 ROOT_C = {"1": 8, "2": 8, "3": 6, "4": 24, "5": 12, "6": 6}
 SHIFT_B = {"1": 4, "2": 4, "3": 6, "4": 12, "5": 6, "6": 6}
-D_COEF = {"1": 3, "2": 3, "3": 1, "5": 5, "6": 1}
 
 # data of the z-arguments in the finite-sum evaluation:
 #   z1 = a e(h / (2 b k)),  z2 = a^-1 e((b-1) h / (2 b k))
@@ -296,92 +302,69 @@ def group_generators(m, n):
 
 
 # ---------------------------------------------------------------------------
-# closed finite-sum side of the period-integral identities
+# the two-term law and the finite sums read off from it
+
+
+def two_term_law(V, x, ell, r):
+    """V(x) + r (ell x + 1)^(-1/2) V(x/(ell x + 1)), principal root.
+
+    x is a rational or a point of the upper half plane.  At x = -1/ell the
+    map sends x to infinity, and this raises ZeroDivisionError.
+    """
+    if isinstance(x, (Fr, int)):
+        x = Fr(x)
+        image = Fr(*hk_image(ell, x))
+        w = fraction_mpf(ell * x + 1)
+    else:
+        x = mpc(x)
+        image = x / (ell * x + 1)
+        w = ell * x + 1
+    return V(x) + r * (1 / mp.sqrt(mpc(w))) * V(image)
 
 
 def integral_identity_rhs(m, x):
     """Finite q-hypergeometric side equal to the weighted period integral
-    -(i/c_m) int E_m(2u/c_m^2)/sqrt(-i(u+x)) du from 1/ell_m to i-infinity."""
+    -(i/c_m) int E_m(2u/c_m^2)/sqrt(-i(u+x)) du from 1/ell_m to i-infinity.
+
+    It is the two-term law of the first column, read at the rational x
+    with r = -1 for ell_m = 2 and r = -e(-1/8) for ell_m = 1.
+    """
     base = base_label(normalize_label(m))
-    x = as_fraction(x)
-    h, k = x.numerator, x.denominator
-    if base == "4":
-        H, K = hk_image(1, x)
-        t1 = RootOfUnity.from_fraction(Fr(1, 2) + Fr(11 * h, 288 * k)).value() \
-            * F_hk(x, RootOfUnity.from_fraction(Fr(h, 24 * k)),
-                   RootOfUnity.from_fraction(Fr(11 * h, 24 * k)))
-        t2 = RootOfUnity.from_fraction(Fr(1, 2) + Fr(35 * h, 288 * k)).value() \
-            * F_hk(x, RootOfUnity.from_fraction(Fr(5 * h, 24 * k)),
-                   RootOfUnity.from_fraction(Fr(7 * h, 24 * k)))
-        y = Fr(H, K)
-        t3 = RootOfUnity.from_fraction(Fr(11 * H, 288 * K)).value() \
-            * F_hk(y, RootOfUnity.from_fraction(Fr(H, 24 * K)),
-                   RootOfUnity.from_fraction(Fr(11 * H, 24 * K)))
-        t4 = RootOfUnity.from_fraction(Fr(35 * H, 288 * K)).value() \
-            * F_hk(y, RootOfUnity.from_fraction(Fr(5 * H, 24 * K)),
-                   RootOfUnity.from_fraction(Fr(7 * H, 24 * K)))
-        tail = e2pi(Fr(-1, 8)) / mp.sqrt(mpc(fraction_mpf(x + 1))) * (t3 + t4)
-        return t1 + t2 + tail
     ell = ELL[base]
-    a, c, d = ROOT_A[base], ROOT_C[base], D_COEF[base]
-    H, K = hk_image(ell, x)
-
-    def args(hh, kk):
-        z1 = RootOfUnity.from_fraction(Fr(1, 2) + Fr(ell - 3, 4) + Fr(hh, c * kk))
-        z2 = RootOfUnity.from_fraction(Fr(1, 2) + Fr(3 - ell, 4) + Fr(d * hh, a * kk))
-        return z1, z2
-
-    lead1 = RootOfUnity.from_fraction(Fr(1 + ell, 4) + Fr(2 * d * h, a * c * k))
-    term1 = lead1.value() * F_hk(x, *args(h, k))
-    lead2 = RootOfUnity.from_fraction(Fr(-5 * ell, 8) + Fr(2 * d * H, a * c * K))
-    term2 = lead2.value() * F_hk(Fr(H, K), *args(H, K)) \
-        / mp.sqrt(mpc(fraction_mpf(ell * x + 1)))
-    return term1 - term2
+    r = -1 if ell == 2 else -e2pi(Fr(-1, 8))
+    return two_term_law(lambda y: vm1_at_rational(base, y), as_fraction(x), ell, r)
 
 
 def companion_terms(m, x):
-    """Term lists of the two sign-companion finite sums for one family.
+    """Term lists of the two sign-companion finite sums for one family:
+    F_hk at the family's arguments (z1, z2) and at (-z1, -z2).  Family 4
+    chains the lists of its parts 4p and 4pp.
 
     ValueError outside the quantum set of the family's row (m, 1).
     """
     base = base_label(normalize_label(m))
-    if base == "4":
-        raise ValueError("composite family uses companion_sum_composite")
     x = as_fraction(x)
     if not in_quantum_set(base, 1, x):
         raise ValueError("%s is outside the quantum set of row (%s, 1)" % (x, base))
-    ell = ELL[base]
-    a, c, d = ROOT_A[base], ROOT_C[base], D_COEF[base]
-    h, k = x.numerator, x.denominator
-    z1m = RootOfUnity.from_fraction(Fr(1, 2) + Fr(ell - 3, 4) + Fr(h, c * k))
-    z2m = RootOfUnity.from_fraction(Fr(1, 2) + Fr(3 - ell, 4) + Fr(d * h, a * k))
-    z1p = RootOfUnity.from_fraction(Fr(ell - 3, 4) + Fr(h, c * k))
-    z2p = RootOfUnity.from_fraction(Fr(3 - ell, 4) + Fr(d * h, a * k))
-    return F_hk_terms(x, z1m, z2m), F_hk_terms(x, z1p, z2p)
+    flip = RootOfUnity.from_fraction(Fr(1, 2))
+    minus, plus = [], []
+    for label in ("4p", "4pp") if base == "4" else (base,):
+        z1, z2 = rational_z_args(label, x)
+        minus += F_hk_terms(x, z1, z2)
+        plus += F_hk_terms(x, z1 * flip, z2 * flip)
+    return minus, plus
 
 
 def companion_sum(m, x):
-    """Two-term combination of sign-companion finite sums; vanishes on the
-    quantum set for the families 1, 2, 5 (and termwise for 3 and 6)."""
+    """Sum of the sign-companion finite sums; vanishes on the quantum set
+    of the family's first column (termwise for the families 3 and 6)."""
     minus, plus = companion_terms(m, x)
     return sum(minus) + sum(plus)
 
 
 def companion_sum_composite(x):
-    """Four-term combination for the composite family; vanishes on its set."""
-    x = as_fraction(x)
-    h, k = x.numerator, x.denominator
-
-    def root(num, den):
-        return RootOfUnity.from_fraction(Fr(num, den))
-
-    total = mpc(0)
-    for flip in (Fr(0), Fr(1, 2)):
-        for e1, e2 in ((Fr(h, 24 * k), Fr(11 * h, 24 * k)),
-                       (Fr(5 * h, 24 * k), Fr(7 * h, 24 * k))):
-            total += F_hk(x, RootOfUnity.from_fraction(e1 + flip),
-                          RootOfUnity.from_fraction(e2 + flip))
-    return total
+    """companion_sum for the composite family 4."""
+    return companion_sum("4", x)
 
 
 def in_set(label, x):
@@ -391,7 +374,3 @@ def in_set(label, x):
                        % (label, sorted(_SET_PREDICATES)))
     return _SET_PREDICATES[label](as_fraction(x))
 
-
-def HK(m_index, x):
-    """Image pair (H, K) of h/k under x -> x/(m x + 1) with K = |mh+k|."""
-    return hk_image(m_index, x)

@@ -14,7 +14,7 @@ from etamock.eichler import (E_ray_integral, corollary_check, eichler_integral,
                              ray_integral, unary_ray_integral, verify_table2,
                              verify_thm12_i, verify_thm12_ii,
                              verify_thm12_iii)
-from etamock.quantum import integral_identity_rhs
+from etamock.quantum import ELL, integral_identity_rhs
 
 # working precision of every test here; see conftest.py
 DPS = 16
@@ -159,6 +159,15 @@ def test_quadrature_matches_finite_sum(m, x):
 def test_corollary_outside_quantum_set_is_domain_error(m, x):
     with pytest.raises(ValueError, match="outside the quantum set"):
         corollary_check(m, x)
+
+
+@pytest.mark.parametrize("m", ["1", "2", "3", "4", "5", "6"])
+def test_minus_one_over_ell_is_excluded(m):
+    # x -> x/(ell x + 1) sends -1/ell to infinity
+    with pytest.raises(ZeroDivisionError):
+        integral_identity_rhs(m, Fraction(-1, ELL[m]))
+    with pytest.raises(ZeroDivisionError):
+        verify_thm12_i(m, 1, Fraction(-1, 2))
 
 
 def test_partial_theta_radial_heights():

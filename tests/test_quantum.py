@@ -3,17 +3,18 @@
 from fractions import Fraction
 
 import pytest
-from mpmath import mpc
+from mpmath import mp, mpc
 
 from etamock.qseries import RootOfUnity
-from etamock.quantum import (ELL, HK, F_hk, F_hk_terms, as_fraction,
+from etamock.quantum import (ELL, F_hk, F_hk_terms, as_fraction,
                              companion_sum, companion_sum_composite,
                              companion_terms,
                              group_generators, hk_image, in_quantum_set,
                              in_S, in_S_even, in_S_odd, in_S_prime, in_set,
                              mobius_rational, quantum_set_label,
                              rational_formula_defined, rational_z_args,
-                             vm1_at_rational, vmn_any, vmn_at_rational)
+                             two_term_law, vm1_at_rational, vmn_any,
+                             vmn_at_rational)
 from etamock.vmn import all_rows
 
 # working precision of every test here; see conftest.py
@@ -61,8 +62,21 @@ def test_every_row_has_a_quantum_set():
     (2, Fraction(-3, 5), (3, 1)),
 ])
 def test_mobius_image_normalization(ell, x, image):
-    assert HK(ell, x) == image
     assert hk_image(ell, x) == image
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 3), mpc(0.2, 0.9)])
+def test_two_term_law_reads_the_image(x):
+    xv = mpc(x.numerator) / x.denominator if isinstance(x, Fraction) else x
+    seen = []
+
+    def V(y):
+        seen.append(y)
+        return mpc(3)
+
+    got = two_term_law(V, x, 2, 1j)
+    assert seen == [x, x / (2 * x + 1)]
+    assert abs(got - (3 + 3j / mp.sqrt(2 * xv + 1))) < 1e-18
 
 
 def test_mobius_rational_action():
@@ -166,7 +180,7 @@ def test_companion_sums_cancel_trivial_families(lbl):
 
 @pytest.mark.parametrize("lbl, x", [
     ("1", Fraction(2, 5)), ("2", Fraction(2, 5)), ("3", Fraction(2, 5)),
-    ("5", Fraction(-3, 11)), ("6", Fraction(-3, 11)),
+    ("5", Fraction(-3, 11)), ("6", Fraction(-3, 11)), ("4", Fraction(2, 5)),
 ])
 def test_companion_sum_outside_quantum_set_is_domain_error(lbl, x):
     assert not in_quantum_set(lbl, 1, x)
@@ -176,7 +190,7 @@ def test_companion_sum_outside_quantum_set_is_domain_error(lbl, x):
         companion_sum(lbl, x)
 
 
-@pytest.mark.parametrize("lbl", ["1", "2", "3", "5", "6"])
+@pytest.mark.parametrize("lbl", ["1", "2", "3", "4", "5", "6"])
 def test_companion_sum_defined_at_minus_one_over_ell(lbl):
     # -1/ell_m lies in the quantum set, so the sums are still evaluated there
     x = Fraction(-1, ELL[lbl])
