@@ -25,9 +25,9 @@ from .theta import (E_from_g, e_from_theta, eta_theta_eval, eta_theta_qexp,
 from .mu import MabSpec, g_complement, kang_pair, mordell_h, mu, xi_shadow
 from .vmn import (all_rows, catalogue_json, group_sample, normalize_label,
                   verify_thm11, vmn_eval_mu, vmn_eval_series)
-from .quantum import (as_fraction, companion_sum, companion_sum_composite,
-                      group_generators, in_quantum_set, mobius_rational,
-                      quantum_set_label, rational_z_args, F_hk, vmn_any)
+from .quantum import (as_fraction, companion_sum, group_generators, in_quantum_set,
+                      mobius_rational, quantum_set_label, rational_z_args, F_hk,
+                      vmn_any)
 from .eichler import (corollary_check, unary_ray_integral, verify_table2,
                       verify_thm12_i, verify_thm12_ii, verify_thm12_iii)
 
@@ -186,6 +186,11 @@ class RunReport:
 # eval command
 
 
+def _tol(tol, default):
+    """The --tol override when given, 0 included; else the check's default."""
+    return default if tol is None else tol
+
+
 def _require(args, names):
     for name in names:
         if getattr(args, name, None) is None:
@@ -203,7 +208,7 @@ def cmd_eval(args):
         if args.crosscheck:
             diff = abs(_eta_product_raw(tau) - _eta_sum_raw(tau))
             report.add_check("eta product route matches pentagonal sum route",
-                             diff, args.tol or 1e-12)
+                             diff, _tol(args.tol, 1e-12))
     elif fn == "theta":
         _require(args, ["v", "tau"])
         v = parse_complex(args.v)
@@ -214,7 +219,7 @@ def cmd_eval(args):
             diff = abs(jacobi_theta(v, tau, representation="sum")
                        - jacobi_theta(v, tau, representation="product"))
             report.add_check("theta series matches triple product",
-                             diff, args.tol or 1e-12)
+                             diff, _tol(args.tol, 1e-12))
     elif fn == "mu":
         _require(args, ["u", "v", "tau"])
         u, v, tau = parse_complex(args.u), parse_complex(args.v), parse_complex(args.tau)
@@ -239,7 +244,7 @@ def cmd_eval(args):
                        - eta_theta_eval("e%d" % n, tau,
                                         representation="character-sum"))
             report.add_check("eta-quotient route matches character sum",
-                             diff, args.tol or 1e-12)
+                             diff, _tol(args.tol, 1e-12))
     elif fn == "E":
         if len(args.indices) != 1:
             raise UsageError("eval E takes one index, 1..6")
@@ -251,7 +256,7 @@ def cmd_eval(args):
         if args.crosscheck:
             diff = abs(eta_theta_eval("E%d" % m, tau) - E_from_g(m, tau))
             report.add_check("eta-quotient route matches unary combination",
-                             diff, args.tol or 1e-12)
+                             diff, _tol(args.tol, 1e-12))
     elif fn == "Etilde":
         if len(args.indices) != 1:
             raise UsageError("eval Etilde takes one index, 1..6")
@@ -277,7 +282,7 @@ def cmd_eval(args):
             diff = abs(vmn_eval_mu(label, n, point)
                        - vmn_eval_series(label, n, point))
             report.add_check("mu representation matches series representation",
-                             diff, args.tol or 1e-11)
+                             diff, _tol(args.tol, 1e-11))
     elif fn == "Fhk":
         _require(args, ["x"])
         x = parse_rational(args.x)
@@ -352,19 +357,19 @@ def _suite_mu(report, rng, samples, tol):
         tau = _sample_tau(rng)
         u, v = _sample_uv(rng, tau)
         report.add_check("mu symmetric in u and v (sample %d)" % i,
-                         abs(mu(u, v, tau) - mu(v, u, tau)), tol or 1e-11)
+                         abs(mu(u, v, tau) - mu(v, u, tau)), _tol(tol, 1e-11))
         report.add_check("mu elliptic shift u+1 (sample %d)" % i,
-                         abs(mu(u + 1, v, tau) + mu(u, v, tau)), tol or 1e-11)
+                         abs(mu(u + 1, v, tau) + mu(u, v, tau)), _tol(tol, 1e-11))
         a = rng.uniform(0.05, 0.45) + 1j * rng.uniform(0.0, 0.2)
         lhs, rhs = kang_pair(a, tau)
         report.add_check("mu factors through g2 at alpha (sample %d)" % i,
-                         abs(lhs - rhs), tol or 1e-9)
+                         abs(lhs - rhs), _tol(tol, 1e-9))
     tau0 = mpc(0, 1)
     quad = unary_ray_integral((Fraction(3, 4), Fraction(3, 4)), mpf(0), tau0)
     closed = -e2pi(Fraction(3, 16)) * e2pi(tau0 * Fraction(-1, 32)) \
         * mordell_h(tau0 / 4 - Fraction(1, 4), tau0)
     report.add_check("ray integral of unary theta matches Mordell integral",
-                     abs(quad - closed), tol or 1e-7)
+                     abs(quad - closed), _tol(tol, 1e-7))
 
 
 def _suite_theta(report, rng, samples, tol):
@@ -376,17 +381,17 @@ def _suite_theta(report, rng, samples, tol):
                                         representation="character-sum"))
             report.add_check(
                 "e_%d eta-quotient equals character sum (sample %d)" % (n, i),
-                diff, tol or 1e-11)
+                diff, _tol(tol, 1e-11))
         for m_idx in (1, 4, 6):
             diff = abs(eta_theta_eval("E%d" % m_idx, tau)
                        - E_from_g(m_idx, tau))
             report.add_check(
                 "E_%d eta-quotient equals unary combination (sample %d)"
-                % (m_idx, i), diff, tol or 1e-11)
+                % (m_idx, i), diff, _tol(tol, 1e-11))
         v, t = theta_specialization_point(3, tau)
         diff = abs(jacobi_theta(v, t) - e_from_theta(3, tau))
         report.add_check("theta at the row 3 specialization point (sample %d)" % i,
-                         diff, tol or 1e-11)
+                         diff, _tol(tol, 1e-11))
 
 
 def _suite_vmn(report, rng, samples, tol):
@@ -398,7 +403,7 @@ def _suite_vmn(report, rng, samples, tol):
                        - vmn_eval_series(label, n, tau))
             report.add_check(
                 "row (%s,%d) mu form equals series form (sample %d)"
-                % (label, n, i), diff, tol or 1e-11)
+                % (label, n, i), diff, _tol(tol, 1e-11))
 
 
 def _suite_thm11(report, rng, samples, tol):
@@ -411,7 +416,7 @@ def _suite_thm11(report, rng, samples, tol):
             report.add_check(
                 "completed row (%s,%d) transforms under (%d,%d;%d,%d)"
                 % (label, n, gamma.a, gamma.b, gamma.c, gamma.d),
-                res, tol or 1e-8)
+                res, _tol(tol, 1e-8))
 
 
 def _suite_thm12(report, rng, samples, tol):
@@ -421,12 +426,12 @@ def _suite_thm12(report, rng, samples, tol):
         x = points[base]
         tau = _sample_tau(rng)
         report.add_check("family %s two-step shift identity at %s" % (base, x),
-                         verify_thm12_iii(base, 1, x), tol or 1e-10)
+                         verify_thm12_iii(base, 1, x), _tol(tol, 1e-10))
         report.add_check("family %s ray identity at tau sample" % base,
-                         verify_thm12_i(base, 1, tau), tol or 1e-6)
+                         verify_thm12_i(base, 1, tau), _tol(tol, 1e-6))
         if base in ("2", "4", "6"):
             report.add_check("family %s one-step ray identity at %s" % (base, x),
-                             verify_thm12_ii(base, x), tol or 1e-6)
+                             verify_thm12_ii(base, x), _tol(tol, 1e-6))
 
 
 def _suite_table2(report, rng, samples, tol):
@@ -434,11 +439,11 @@ def _suite_table2(report, rng, samples, tol):
         tau = _sample_tau(rng)
         res = verify_table2(base, tau)
         report.add_check("I_%s closed form equals quadrature" % base,
-                         res["I"], tol or 1e-7)
+                         res["I"], _tol(tol, 1e-7))
         report.add_check("J_%s closed form equals quadrature" % base,
-                         res["J"], tol or 1e-7)
+                         res["J"], _tol(tol, 1e-7))
         report.add_check("family %s completed transformation" % base,
-                         res["functional_equation"], tol or 1e-7)
+                         res["functional_equation"], _tol(tol, 1e-7))
 
 
 def _suite_corollary(report, rng, samples, tol, m=None, x=None):
@@ -448,14 +453,12 @@ def _suite_corollary(report, rng, samples, tol, m=None, x=None):
     report.outputs["lhs"] = lhs
     report.outputs["rhs"] = rhs
     report.add_check("quadrature matches finite hypergeometric sum",
-                     res, tol or 1e-9)
+                     res, _tol(tol, 1e-9))
     base = normalize_label(m)
-    if base in ("1", "2", "5", "3", "6"):
-        report.add_check("sign-companion sums cancel at %s" % x,
-                         abs(companion_sum(base, x)), tol or 1e-12)
-    if base == "4":
-        report.add_check("four-term companion sums cancel at %s" % x,
-                         abs(companion_sum_composite(x)), tol or 1e-12)
+    if base in ("1", "2", "3", "4", "5", "6"):
+        kind = "four-term companion" if base == "4" else "sign-companion"
+        report.add_check("%s sums cancel at %s" % (kind, x),
+                         abs(companion_sum(base, x)), _tol(tol, 1e-12))
 
 
 def _suite_quantum_closure(report, rng, samples, tol):
@@ -498,7 +501,7 @@ def _suite_shadow(report, rng, samples, tol):
         diff = abs(xi_shadow(MabSpec(a, b), tau)
                    - g_complement((a + half, b + half), tau))
         report.add_check("xi image matches complement theta at (%s,%s)" % (a, b),
-                         diff, tol or 1e-5)
+                         diff, _tol(tol, 1e-5))
 
 
 _SUITES = {

@@ -131,6 +131,18 @@ def test_impossible_tolerance_fails_cleanly(capsys):
     assert doc["passed"] is False
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "eta", "--tau", "0.1+1.1i", "--crosscheck"),
+    ("verify", "theta", "--samples", "1"),
+])
+def test_zero_tolerance_is_an_override(capsys, argv):
+    # --tol 0 asks for exact agreement; it must not fall back to the default
+    code, out = run(capsys, "--tol", "0", *argv)
+    checks = json.loads(out)["checks"]
+    assert checks and all(c["tolerance"] == 0.0 for c in checks)
+    assert code == (0 if all(c["residual"] == 0 for c in checks) else 1)
+
+
 def test_csv_format(capsys):
     code, out = run(capsys, "--format", "csv", "verify", "theta",
                     "--samples", "1")
