@@ -99,6 +99,6 @@ from .eichler import (
     verify_thm12_iii,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]
