@@ -44,6 +44,9 @@ CASES = {
     "eval-mu": ["eval", "mu", "--u", "0.3+0.4i", "--v", "0.1+0.2i",
                 "--tau", "0.2+0.9i"],
     "eval-Fhk": ["eval", "Fhk", "--x", "3/7", "--m", "2"],
+    "eval-Fhk-4pp": ["eval", "Fhk", "--x", "3/7", "--m", "4pp"],
+    "quantum-5-3": ["quantum", "5", "3", "1/3"],
+    "quantum-2-1": ["quantum", "2", "1", "1/3"],
     "qexp-e7": ["qexp", "e7", "--both-routes", "--order", "40"],
 }
 
