@@ -23,8 +23,8 @@ from .theta import (E_from_g, e_from_theta, eta_theta_eval, eta_theta_qexp,
                     g_ab, jacobi_theta, partial_theta,
                     theta_specialization_point)
 from .mu import MabSpec, g_complement, kang_pair, mordell_h, mu, xi_shadow
-from .vmn import (all_rows, catalogue_json, group_sample, normalize_label,
-                  verify_thm11, vmn_eval_mu, vmn_eval_series)
+from .vmn import (ATOMIC_LABELS, all_rows, catalogue_json, group_sample, normalize_label,
+                  verify_thm11, vmn_eval_mu, vmn_eval_series, vmn_spec)
 from .quantum import (as_fraction, companion_sum, group_generators, in_quantum_set,
                       mobius_rational, quantum_set_label, rational_z_args, F_hk,
                       vmn_any)
@@ -491,10 +491,7 @@ def _suite_quantum_closure(report, rng, samples, tol):
 
 
 def _suite_shadow(report, rng, samples, tol):
-    pairs = [(Fraction(-1, 4), Fraction(-1, 2)), (Fraction(-1, 4), Fraction(0)),
-             (Fraction(-1, 6), Fraction(-1, 2)), (Fraction(-5, 12), Fraction(0)),
-             (Fraction(-1, 12), Fraction(0)), (Fraction(-1, 3), Fraction(-1, 2)),
-             (Fraction(-1, 6), Fraction(0))]
+    pairs = [p for label in ATOMIC_LABELS for p in vmn_spec(label, 1).shadow_pairs()]
     tau = mpc(0.12, 0.9)
     half = Fraction(1, 2)
     for a, b in pairs:
@@ -519,6 +516,8 @@ _SUITES = {
 
 def cmd_verify(args):
     report = RunReport("verify %s" % args.suite)
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
     rng = random.Random(args.seed)
     report.inputs.update(seed=args.seed, samples=args.samples)
     suite = _SUITES[args.suite]

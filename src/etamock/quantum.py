@@ -11,46 +11,49 @@ column, the sign-companion sums (F_hk at (z1, z2) and at (-z1, -z2)), and
 the finite side of the period identities, which is the two-term law of
 Theorem 1.2 (two_term_law) applied to the rational values.  The composite
 family 4 is always the sum over its parts 4p and 4pp.
+
+The per-family data come from the catalogue rows of vmn and the g_{a,b}
+rows of theta.  rational_z_args reads the shadow (a, b) of each label.
+The first column's group gives ell and the translation step, and the
+group of column n gives kappa and the generators.  What the paper prints
+and the checks compare against stays typed: the root orders ROOT_A, the
+quantum sets and the sets where the finite sums are defined.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Fr
 
 from mpmath import mp, mpc
 
 from .core import fraction_mpf
 from .qseries import RootOfUnity, SL2Matrix, e2pi
-from .vmn import base_label, is_admissible, normalize_label, vmn_eval_mu, vmn_spec
+from .theta import _G_ROWS
+from .vmn import _SHADOW, base_label, is_admissible, normalize_label, vmn_eval_mu, vmn_spec
 
-# per-family constants: Moebius flavor, root orders, translation step
-ELL = {"1": 2, "2": 1, "3": 2, "4": 1, "5": 2, "6": 1}
+_BASES = ("1", "2", "3", "4", "5", "6")
+
+
+def _step(base, n):
+    """The translation T^step that generates with M1 or M2: lcm(N, 2)."""
+    return math.lcm(vmn_spec(base, n).group_N, 2)
+
+
+# per-family constants.  ROOT_A, the order of the root zeta_a of the shift
+# law, is the paper's; the rest is read off: the Moebius flavor ell is 2 when
+# the first column's group needs c even, the translation step SHIFT_B is that
+# group's lcm(N, 2), and c_m^2 = 2 * scale of E_m's g_{a,b} rows
+ELL = {m: 2 if vmn_spec(m, 1).group_c_even else 1 for m in _BASES}
 ROOT_A = {"1": 8, "2": 8, "3": 3, "4": 24, "5": 12, "6": 3}
-ROOT_C = {"1": 8, "2": 8, "3": 6, "4": 24, "5": 12, "6": 6}
-SHIFT_B = {"1": 4, "2": 4, "3": 6, "4": 12, "5": 6, "6": 6}
-
-# data of the z-arguments in the finite-sum evaluation:
-#   z1 = a e(h / (2 b k)),  z2 = a^-1 e((b-1) h / (2 b k))
-# with a = i for odd families and a = 1 for even ones
-ARG_B = {"1": Fr(4), "2": Fr(4), "3": Fr(3), "4p": Fr(12),
-         "4pp": Fr(12, 5), "5": Fr(6), "6": Fr(3)}
-_ODD_FAMILY = {"1", "3", "5"}
-
-
-_KAPPA_SPECIAL = {
-    "1": {3: 3, 4: 3, 7: 3, 8: 3},
-    "2": {3: 3, 4: 3, 7: 3, 8: 3},
-    "3": {5: 2, 6: 2},
-    "5": {5: 2, 6: 2},
-    "6": {5: 2, 6: 2},
-}
+ROOT_C = {str(m): math.isqrt(2 * rows[0][3]) for m, rows in _G_ROWS.items()}
+SHIFT_B = {m: _step(m, 1) for m in _BASES}
 
 
 def kappa(m, n):
+    """Power of the translation step in the shift law of column n."""
     base = base_label(normalize_label(m))
-    if n == 1 or base == "4":
-        return 1
-    return _KAPPA_SPECIAL.get(base, {}).get(n, 1)
+    return _step(base, n) // SHIFT_B[base]
 
 
 # ---------------------------------------------------------------------------
@@ -144,22 +147,20 @@ def F_hk_terms(x, z1, z2):
     """The k summands (-z;z)_j e(h j(j+1)/(4k)) / ((z1;z)_{j+1} (z2;z)_{j+1})
     with z = e(h/(2k)) for the reduced fraction x = h/k.
 
-    When z1, z2 are RootOfUnity values, every denominator factor is first
-    checked exactly; a vanishing factor raises ZeroDivisionError naming it.
+    z1 and z2 must be RootOfUnity values (TypeError otherwise).  Every
+    denominator factor is first checked exactly; a vanishing factor raises
+    ZeroDivisionError naming it.
     """
     x = as_fraction(x)
     h, k = x.numerator, x.denominator
-    exact = isinstance(z1, RootOfUnity) and isinstance(z2, RootOfUnity)
-    if exact:
-        for name, z in (("z1", z1), ("z2", z2)):
-            for j in range(k):
-                if (z.exponent + Fr(h * j, 2 * k)) % 1 == 0:
-                    raise ZeroDivisionError(
-                        "factor (1 - %s zeta^%d) vanishes for h/k = %s"
-                        % (name, j, x))
-        z1v, z2v = z1.value(), z2.value()
-    else:
-        z1v, z2v = mpc(z1), mpc(z2)
+    for name, z in (("z1", z1), ("z2", z2)):
+        if not isinstance(z, RootOfUnity):
+            raise TypeError("%s must be a RootOfUnity, got %r" % (name, z))
+        for j in range(k):
+            if (z.exponent + Fr(h * j, 2 * k)) % 1 == 0:
+                raise ZeroDivisionError(
+                    "factor (1 - %s zeta^%d) vanishes for h/k = %s" % (name, j, x))
+    z1v, z2v = z1.value(), z2.value()
     zeta = e2pi(Fr(h, 2 * k))
     terms = []
     num_poch = mpc(1)
@@ -185,12 +186,12 @@ def rational_z_args(m, x):
     if label == "4":
         raise ValueError("composite label has two argument pairs; use 4p, 4pp")
     x = as_fraction(x)
-    h, k = x.numerator, x.denominator
-    a_exp = Fr(1, 4) if label in _ODD_FAMILY else Fr(0)
-    b = ARG_B[label]
-    z1 = RootOfUnity.from_fraction(a_exp + Fr(h, 1) / (2 * b * k))
-    z2 = RootOfUnity.from_fraction(-a_exp + (b - 1) * Fr(h, 1) / (2 * b * k))
-    return z1, z2
+    a, b = _SHADOW[label]
+    # z1 = s e(a x/2) and z2 = s^-1 e((1 - a) x/2) for the shadow g_{a,b},
+    # with s = i when b = 0 (families 1, 3, 5) and s = 1 when b = 1/2
+    s = Fr(1, 4) if b == 0 else Fr(0)
+    return (RootOfUnity.from_fraction(s + a * x / 2),
+            RootOfUnity.from_fraction(-s + (1 - a) * x / 2))
 
 
 def rational_prefactor(m, x):
@@ -277,28 +278,13 @@ def _tpow(p):
     return SL2Matrix(1, p, 0, 1)
 
 
-_FIRST_COLUMN_GENS = {
-    "1": (_M2, _tpow(4)), "2": (_M1, _tpow(4)), "3": (_M2, _tpow(6)),
-    "4": (_M1, _tpow(12)), "5": (_M2, _tpow(6)), "6": (_M1, _tpow(6)),
-}
-
-_T4_ROWS = {("1", 2), ("1", 5), ("2", 2), ("2", 6)}
-_T6_ROWS = {("3", 2), ("3", 3), ("3", 4), ("3", 7), ("5", 2), ("5", 3),
-            ("5", 7), ("5", 8), ("6", 2), ("6", 3), ("6", 4), ("6", 8)}
-
-
 def group_generators(m, n):
-    """Generators of the quantum-modularity group of row (m, n)."""
+    """Generators of the quantum-modularity group of row (m, n): M1 for a
+    first column without c even, M2 otherwise, and T^lcm(N, 2)."""
     base = base_label(normalize_label(m))
-    if not is_admissible(base, n):
-        raise ValueError("row (%s, %d) is not admissible" % (base, n))
-    if n == 1:
-        return _FIRST_COLUMN_GENS[base]
-    if (base, n) in _T4_ROWS:
-        return (_M2, _tpow(4))
-    if (base, n) in _T6_ROWS:
-        return (_M2, _tpow(6))
-    return (_M2, _tpow(12))
+    spec = vmn_spec(base, n)
+    first = _M1 if n == 1 and not spec.group_c_even else _M2
+    return first, _tpow(_step(base, n))
 
 
 # ---------------------------------------------------------------------------

@@ -136,8 +136,8 @@ def jacobi_theta_transform(v, tau, lam, mu, gamma):
 
 
 def _g_direct(a, b, tau):
-    af = fraction_mpf(a) if isinstance(a, Fraction) else mp.mpf(a)
-    bf = fraction_mpf(b) if isinstance(b, Fraction) else mp.mpf(b)
+    af = fraction_mpf(a)
+    bf = fraction_mpf(b)
     eps = series_eps()
 
     def terms(xs, phases):
@@ -153,18 +153,13 @@ def _g_direct(a, b, tau):
 
 
 def g_ab(spec, tau):
-    """Unary theta g_{a,b}(tau) for spec = (a, b).
+    """Unary theta g_{a,b}(tau) for spec = (a, b), read as Fractions.
 
     Reduces tau to the fundamental domain with the translation and
     inversion laws first, so the sum converges fast even for Im(tau)
     close to zero (needed by the period integrals).
     """
-    a, b = spec
-    exact = isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))
-    if exact:
-        a, b = Fr(a), Fr(b)
-    else:
-        a, b = mp.mpf(a), mp.mpf(b)
+    a, b = map(Fr, spec)
     tau = mpc(tau)
     if tau.imag <= 0:
         raise ValueError("tau must have positive imaginary part")
@@ -172,8 +167,8 @@ def g_ab(spec, tau):
     def shift(state, n):
         # g_{a,b}(sigma + n) = e^{-pi i n a(a+1)} g_{a, b + n(a+1/2)}(sigma)
         factor, a, b = state
-        factor *= e2pi(Fr(-n) * a * (a + 1) / 2) if exact else e2pi(-n * a * (a + 1) / 2)
-        return factor, a, b + n * (a + Fr(1, 2) if exact else a + 0.5)
+        factor *= e2pi(Fr(-n) * a * (a + 1) / 2)
+        return factor, a, b + n * (a + Fr(1, 2))
 
     def invert(state, t):
         # g_{a,b}(-1/t) = i e^{2 pi i a b} (-i t)^{3/2} g_{b,-a}(t)

@@ -10,11 +10,19 @@ eta-theta functions.  Label "4" is the composite row: the sum of the
 The module also knows, for every row, the congruence group on which the
 completed function transforms with weight 1/2, and computes the exact
 root-of-unity multiplier of that transformation.
+
+Row (m, n) is built from two eta-theta functions, and its data come from
+the tables of theta.  The even e_n gives the point v_n (_THETA_ROWS).
+The odd E_m gives the shadow g_{a,b} (_G_ROWS; E_4's two rows belong to
+4p and 4pp).  From (a, b) follow u_n = v_n + (a - 1/2) tau + (1/2 - b),
+t, w, the series data and the transformation group.  Only the
+multiplier's extra root of unity (_epsilon) is typed out.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Fr
 from itertools import count
@@ -23,36 +31,13 @@ from mpmath import mp, mpc, mpf
 
 from .core import extra_precision, fraction_mpf, quadratic_phases, series_eps, sum_outward
 from .qseries import RootOfUnity, SL2Matrix, e2pi, eta, eta_multiplier, qpoch
-from .theta import _THETA_ROWS, eta_theta_eval, jacobi_theta
+from .theta import _G_ROWS, _THETA_ROWS, eta_theta_eval, jacobi_theta
 from .mu import mu, mu_hat
 
 HALF = Fr(1, 2)
 
 ATOMIC_LABELS = ("1", "2", "3", "4p", "4pp", "5", "6")
 ALL_LABELS = ATOMIC_LABELS + ("4",)
-
-# mu-pole degeneracies: the construction would force u = 0
-_INADMISSIBLE = {("1", 6), ("2", 5), ("3", 8), ("5", 4), ("6", 7)}
-
-_W = {
-    "1": RootOfUnity(1, 2),
-    "2": RootOfUnity(1, 4),
-    "3": RootOfUnity(1, 2),
-    "4p": RootOfUnity(1, 4),
-    "4pp": RootOfUnity(1, 4),
-    "5": RootOfUnity(1, 2),
-    "6": RootOfUnity(1, 4),
-}
-
-_T = {
-    "1": Fr(-1, 32),
-    "2": Fr(-1, 32),
-    "3": Fr(-1, 72),
-    "4p": Fr(-25, 288),
-    "4pp": Fr(-1, 288),
-    "5": Fr(-1, 18),
-    "6": Fr(-1, 72),
-}
 
 # v, the e_n scale and the gaussian center depend only on the column: v is
 # the theta specialization point of e_n (tau/2, tau/2 - 1/2, tau/3, ...,
@@ -61,112 +46,31 @@ _V_FORMS = {n: (coef, shift) for n, (coef, shift, _, _, _) in _THETA_ROWS.items(
 _E_SCALE = {n: scale for n, (_, _, _, _, scale) in _THETA_ROWS.items()}
 _GAUSS_C = {n: HALF + coef for n, (coef, _) in _V_FORMS.items()}
 
-_U_FORMS = {
-    "1": {
-        1: (Fr(1, 4), HALF),
-        2: (Fr(1, 4), Fr(0)),
-        3: (Fr(1, 12), HALF),
-        4: (Fr(1, 12), Fr(0)),
-        5: (Fr(0), HALF),
-        7: (Fr(-1, 12), HALF),
-        8: (Fr(-1, 12), Fr(0)),
-    },
-    "2": {
-        1: (Fr(1, 4), Fr(0)),
-        2: (Fr(1, 4), -HALF),
-        3: (Fr(1, 12), Fr(0)),
-        4: (Fr(1, 12), -HALF),
-        6: (Fr(0), -HALF),
-        7: (Fr(-1, 12), Fr(0)),
-        8: (Fr(-1, 12), -HALF),
-    },
-    "3": {
-        1: (Fr(1, 3), HALF),
-        2: (Fr(1, 3), Fr(0)),
-        3: (Fr(1, 6), HALF),
-        4: (Fr(1, 6), Fr(0)),
-        5: (Fr(1, 12), HALF),
-        6: (Fr(1, 12), Fr(0)),
-        7: (Fr(0), HALF),
-    },
-    "4p": {
-        1: (Fr(1, 12), Fr(0)),
-        2: (Fr(1, 12), -HALF),
-        3: (Fr(-1, 12), Fr(0)),
-        4: (Fr(-1, 12), -HALF),
-        5: (Fr(-1, 6), Fr(0)),
-        6: (Fr(-1, 6), -HALF),
-        7: (Fr(-1, 4), Fr(0)),
-        8: (Fr(-1, 4), -HALF),
-    },
-    "4pp": {
-        1: (Fr(5, 12), Fr(0)),
-        2: (Fr(5, 12), -HALF),
-        3: (Fr(1, 4), Fr(0)),
-        4: (Fr(1, 4), -HALF),
-        5: (Fr(1, 6), Fr(0)),
-        6: (Fr(1, 6), -HALF),
-        7: (Fr(1, 12), Fr(0)),
-        8: (Fr(1, 12), -HALF),
-    },
-    "5": {
-        1: (Fr(1, 6), HALF),
-        2: (Fr(1, 6), Fr(0)),
-        3: (Fr(0), HALF),
-        5: (Fr(-1, 12), HALF),
-        6: (Fr(-1, 12), Fr(0)),
-        7: (Fr(-1, 6), HALF),
-        8: (Fr(-1, 6), Fr(0)),
-    },
-    "6": {
-        1: (Fr(1, 3), Fr(0)),
-        2: (Fr(1, 3), -HALF),
-        3: (Fr(1, 6), Fr(0)),
-        4: (Fr(1, 6), -HALF),
-        5: (Fr(1, 12), Fr(0)),
-        6: (Fr(1, 12), -HALF),
-        8: (Fr(0), -HALF),
-    },
-}
+# the shadow g_{a,b} of each atomic label: the (a, b) of its odd E_m, in the
+# order of theta._G_ROWS, where E_4's two rows belong to 4p and 4pp
+_SHADOW = dict(zip(ATOMIC_LABELS, (spec for m in sorted(_G_ROWS)
+                                   for _, _, spec, _ in _G_ROWS[m]), strict=True))
+
+# u_n = v_n + (a - 1/2) tau + (1/2 - b); a column where u_n = 0, a pole of
+# mu, is not admissible
+_U_FORMS = {label: {n: (coef + a - HALF, shift + HALF - b)
+                    for n, (coef, shift) in _V_FORMS.items()}
+            for label, (a, b) in _SHADOW.items()}
+_INADMISSIBLE = {(label, n) for label, forms in _U_FORMS.items()
+                 for n, u in forms.items() if u == (0, 0)}
+
+# w * q^t is the prefactor of the mu form; b = 0 gives w = -1 and the family
+# sign +1, b = 1/2 gives w = i and the sign -1
+_T = {label: -(a - HALF) ** 2 / 2 for label, (a, _) in _SHADOW.items()}
+_W = {label: RootOfUnity(1, 2) if b == 0 else RootOfUnity(1, 4)
+      for label, (_, b) in _SHADOW.items()}
 
 # the series of row (label, n) is
 #   sign * q^pref / e_n(scale*tau) * sum (-1)^j q^{(j+c)^2/2} / (1 + sign q^{j+d})
-# with sign = s * (-1)^(n+1) for the family sign s below, and the
-# denominator offset d equal to the tau coefficient of u
-_FAMILY_SIGN = {"1": 1, "3": 1, "5": 1, "2": -1, "4p": -1, "4pp": -1, "6": -1}
-
-_SERIES_PREF = {
-    "1": Fr(-9, 32),
-    "2": Fr(-9, 32),
-    "3": Fr(-2, 9),
-    "4p": Fr(-121, 288),
-    "4pp": Fr(-49, 288),
-    "5": Fr(-25, 72),
-    "6": Fr(-2, 9),
-}
-
-# transformation group per (base label, column): (N, intersect_with_c_even)
-# meaning {a = d = 1, b = 0 mod N}, optionally intersected with c even
-_A_TABLE = {
-    ("1", 1): (4, True), ("1", 2): (4, True), ("1", 3): (12, True),
-    ("1", 4): (12, True), ("1", 5): (4, True), ("1", 7): (12, True),
-    ("1", 8): (12, True),
-    ("2", 1): (4, False), ("2", 2): (4, True), ("2", 3): (12, False),
-    ("2", 4): (12, True), ("2", 6): (4, True), ("2", 7): (12, False),
-    ("2", 8): (12, True),
-    ("3", 1): (6, True), ("3", 2): (6, True), ("3", 3): (6, True),
-    ("3", 4): (6, True), ("3", 5): (12, True), ("3", 6): (12, True),
-    ("3", 7): (6, True),
-    ("4", 1): (12, False), ("4", 2): (12, True), ("4", 3): (12, False),
-    ("4", 4): (12, True), ("4", 5): (12, False), ("4", 6): (12, True),
-    ("4", 7): (12, False), ("4", 8): (12, True),
-    ("5", 1): (6, True), ("5", 2): (6, True), ("5", 3): (3, True),
-    ("5", 5): (12, True), ("5", 6): (12, True), ("5", 7): (6, True),
-    ("5", 8): (6, True),
-    ("6", 1): (6, False), ("6", 2): (6, True), ("6", 3): (6, False),
-    ("6", 4): (6, True), ("6", 5): (12, False), ("6", 6): (12, True),
-    ("6", 8): (6, True),
-}
+# with sign = s * (-1)^(n+1) for the family sign s below, pref = -(1 - a)^2/2,
+# and the denominator offset d equal to the tau coefficient of u
+_FAMILY_SIGN = {label: 1 if b == 0 else -1 for label, (_, b) in _SHADOW.items()}
+_SERIES_PREF = {label: -(1 - a) ** 2 / 2 for label, (a, _) in _SHADOW.items()}
 
 
 def normalize_label(m):
@@ -188,11 +92,23 @@ def base_label(label):
 
 def is_admissible(m, n):
     label = normalize_label(m)
-    if n not in range(1, 9):
-        return False
-    if label in ("4", "4p", "4pp"):
-        return True
-    return (label, n) not in _INADMISSIBLE
+    return n in range(1, 9) and (label, n) not in _INADMISSIBLE
+
+
+def _group(label, n):
+    """(N, c_even) of base row (label, n): N is the lcm of the denominators
+    of the tau coefficients of u and v over the row's parts, and c must be
+    even when a constant term is not an integer."""
+    parts = ("4p", "4pp") if label == "4" else (label,)
+    forms = [_V_FORMS[n]] + [_U_FORMS[p][n] for p in parts]
+    return (math.lcm(*(coef.denominator for coef, _ in forms)),
+            any(shift.denominator != 1 for _, shift in forms))
+
+
+# transformation group per (base label, column): {a = d = 1, b = 0 mod N},
+# with c even when c_even; in_A_group checks that it shifts (u, v) by integers
+_A_TABLE = {(label, n): _group(label, n) for label in ("1", "2", "3", "4", "5", "6")
+            for n in range(1, 9) if is_admissible(label, n)}
 
 
 @dataclass(frozen=True)

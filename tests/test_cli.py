@@ -131,6 +131,15 @@ def test_impossible_tolerance_fails_cleanly(capsys):
     assert doc["passed"] is False
 
 
+@pytest.mark.parametrize("suite, samples", [("vmn", "0"), ("vmn", "-3"), ("theta", "0")])
+def test_no_samples_is_usage_error(capsys, suite, samples):
+    # a suite that runs no check must not report a pass
+    code = main(["verify", suite, "--samples", samples])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error: --samples must be at least 1" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "eta", "--tau", "0.1+1.1i", "--crosscheck"),
     ("verify", "theta", "--samples", "1"),

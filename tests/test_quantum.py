@@ -5,17 +5,17 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc
 
-from etamock.qseries import RootOfUnity
-from etamock.quantum import (ELL, F_hk, F_hk_terms, as_fraction,
+from etamock.qseries import RootOfUnity, SL2Matrix
+from etamock.quantum import (ELL, ROOT_A, SHIFT_B, F_hk, F_hk_terms, as_fraction,
                              companion_sum, companion_sum_composite,
                              companion_terms,
-                             group_generators, hk_image, in_quantum_set,
+                             group_generators, hk_image, in_quantum_set, kappa,
                              in_S, in_S_even, in_S_odd, in_S_prime, in_set,
                              mobius_rational, quantum_set_label,
                              rational_formula_defined, rational_z_args,
                              two_term_law, vm1_at_rational, vmn_any,
                              vmn_at_rational)
-from etamock.vmn import all_rows
+from etamock.vmn import all_rows, base_label, transformation_root
 
 # working precision of every test here; see conftest.py
 DPS = 20
@@ -208,3 +208,18 @@ def test_root_arguments_are_exact():
     z1, z2 = rational_z_args("5", Fraction(3, 7))
     assert isinstance(z1, RootOfUnity) and isinstance(z2, RootOfUnity)
     assert z1.exponent.denominator <= 4 * 6 * 7
+
+
+def test_finite_sum_needs_exact_arguments():
+    z1, z2 = rational_z_args("1", Fraction(1, 3))
+    with pytest.raises(TypeError):
+        F_hk_terms(Fraction(1, 3), z1.value(), z2.value())
+
+
+@pytest.mark.parametrize("m, n", sorted({(base_label(lbl), n) for lbl, n in all_rows()}))
+def test_shift_root_is_the_multiplier_of_the_shift(m, n):
+    # zeta_a of Theorem 1.2 (iii), V(x) = zeta_a^kappa V(x + kappa b), is the
+    # inverse of the exact multiplier of T^(kappa b) on the completed row
+    k = kappa(m, n)
+    step = SL2Matrix(1, k * SHIFT_B[m], 0, 1)
+    assert transformation_root(m, n, step) == RootOfUnity.from_fraction(Fraction(-k, ROOT_A[m]))
