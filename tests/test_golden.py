@@ -48,6 +48,8 @@ CASES = {
     "quantum-5-3": ["quantum", "5", "3", "1/3"],
     "quantum-2-1": ["quantum", "2", "1", "1/3"],
     "qexp-e7": ["qexp", "e7", "--both-routes", "--order", "40"],
+    "qexp-E4": ["qexp", "E4", "--both-routes", "--order", "60"],
+    "qexp-factors": ["qexp", "--factors", "1:1,2:-1", "--order", "30"],
 }
 
 
