@@ -18,7 +18,7 @@ Each module imports only from those above it in this list.  Importing
 the package leaves mpmath's working precision as the caller set it.
 """
 
-from .core import DEFAULT_DPS, get_precision
+from .core import DEFAULT_DPS
 from .qseries import (
     FormalQSeries,
     RootOfUnity,

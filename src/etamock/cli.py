@@ -23,8 +23,8 @@ from .theta import (E_from_g, e_from_theta, eta_theta_eval, eta_theta_qexp,
                     g_ab, jacobi_theta, partial_theta,
                     theta_specialization_point)
 from .mu import MabSpec, g_complement, kang_pair, mordell_h, mu, xi_shadow
-from .vmn import (ATOMIC_LABELS, all_rows, catalogue_json, group_sample, normalize_label,
-                  verify_thm11, vmn_eval_mu, vmn_eval_series, vmn_spec)
+from .vmn import (ATOMIC_LABELS, all_rows, base_label, catalogue_json, group_sample,
+                  normalize_label, verify_thm11, vmn_eval_mu, vmn_eval_series, vmn_spec)
 from .quantum import (as_fraction, companion_sum, group_generators, in_quantum_set,
                       mobius_rational, quantum_set_label, rational_z_args, F_hk,
                       vmn_any)
@@ -77,6 +77,17 @@ def parse_complex(text):
     if match["im_only"] is not None:
         return mpc(0, _signed_mpf(match["im_only"]))
     return mpc(mpf(match["re"]), _signed_mpf(match["im"]))
+
+
+_FACTOR = re.compile(r"([+-]?\d+):([+-]?\d+)")
+
+
+def parse_factors(text):
+    """Read an eta quotient given as scale:power,... (e.g. 1:2,2:-1)."""
+    parts = [_FACTOR.fullmatch(part.strip()) for part in text.split(",")]
+    if not all(parts):
+        raise UsageError("--factors takes scale:power,... (e.g. 1:2,2:-1), not %r" % text)
+    return [(int(m[1]), int(m[2])) for m in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +323,9 @@ def cmd_qexp(args):
     report = RunReport("qexp")
     order = Fraction(args.order)
     if args.factors:
-        factors = []
-        for part in args.factors.split(","):
-            a, b = part.split(":")
-            factors.append((int(a), int(b)))
-        series = eta_quotient_qexp(factors, order)
+        if args.label or args.both_routes:
+            raise UsageError("qexp --factors takes no label and no --both-routes")
+        series = eta_quotient_qexp(parse_factors(args.factors), order)
         report.inputs.update(factors=args.factors, order=args.order)
     elif args.label:
         series = eta_theta_qexp(args.label, order)
@@ -324,8 +333,7 @@ def cmd_qexp(args):
         if args.both_routes:
             other = eta_theta_qexp(args.label, order,
                                    representation="character-sum")
-            diff = series - other
-            bad = [(e, c) for e, c in diff.items() if c]
+            bad = (series - other).items()
             report.outputs["route_difference_terms"] = [
                 {"exponent": e, "coefficient": c} for e, c in bad]
             report.add_check("both expansion routes agree exactly",
@@ -461,29 +469,30 @@ def _suite_corollary(report, rng, samples, tol, m=None, x=None):
                          abs(companion_sum(base, x)), _tol(tol, 1e-12))
 
 
+def _orbit(label, n, gens, x):
+    """The images of x under the generators and their inverses, infinity
+    left out, and how many of them fall outside the quantum set of row
+    (label, n)."""
+    mats = gens + tuple(g.inv() for g in gens)
+    images = [y for y in (mobius_rational(g, x) for g in mats) if y is not None]
+    return images, sum(not in_quantum_set(label, n, y) for y in images)
+
+
 def _suite_quantum_closure(report, rng, samples, tol):
     bound = min(12 + samples, 30)
-    rows = sorted({("4" if lbl in ("4p", "4pp") else lbl, n)
-                   for lbl, n in all_rows()})
+    rows = sorted({(base_label(lbl), n) for lbl, n in all_rows()})
     failures = 0
     images = 0
     for label, n in rows:
-        g1, g2 = group_generators(label, n)
-        mats = (g1, g2, g1.inv(), g2.inv())
+        gens = group_generators(label, n)
         for h in range(-bound, bound + 1):
             for k in range(1, bound + 1):
                 x = Fraction(h, k)
-                if x.denominator != k:
+                if x.denominator != k or not in_quantum_set(label, n, x):
                     continue
-                if not in_quantum_set(label, n, x):
-                    continue
-                for mat in mats:
-                    y = mobius_rational(mat, x)
-                    if y is None:
-                        continue
-                    images += 1
-                    if not in_quantum_set(label, n, y):
-                        failures += 1
+                orbit, bad = _orbit(label, n, gens, x)
+                images += len(orbit)
+                failures += bad
     report.outputs["rows"] = len(rows)
     report.outputs["images_checked"] = images
     report.add_check("generator orbits stay inside each quantum set",
@@ -541,19 +550,10 @@ def cmd_quantum(args):
     report.inputs.update(m=args.m, n=args.n, x=x)
     report.outputs["set"] = quantum_set_label(label, args.n)
     report.outputs["member"] = member
-    g1, g2 = group_generators(label, args.n)
-    report.outputs["generators"] = [[g1.a, g1.b, g1.c, g1.d],
-                                    [g2.a, g2.b, g2.c, g2.d]]
+    gens = group_generators(label, args.n)
+    report.outputs["generators"] = [[g.a, g.b, g.c, g.d] for g in gens]
     if member:
-        orbit = []
-        bad = 0
-        for mat in (g1, g2, g1.inv(), g2.inv()):
-            y = mobius_rational(mat, x)
-            if y is None:
-                continue
-            orbit.append(y)
-            if not in_quantum_set(label, args.n, y):
-                bad += 1
+        orbit, bad = _orbit(label, args.n, gens, x)
         report.outputs["orbit_sample"] = orbit
         report.add_check("orbit of x stays inside the set", float(bad), 0.0)
         report.outputs["value"] = vmn_any(label, args.n, x)

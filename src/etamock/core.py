@@ -8,7 +8,6 @@ way to change it for a while); importing the package leaves it alone.
 """
 
 import math
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
 
@@ -19,21 +18,6 @@ MIN_DPS = 15
 
 # a series stops after this many consecutive terms pass its stopping test
 QUIET_RUN = 5
-
-
-def get_precision():
-    return mp.dps
-
-
-@contextmanager
-def extra_precision(extra=10):
-    """Temporarily raise working precision by `extra` digits."""
-    saved = mp.dps
-    mp.dps = saved + extra
-    try:
-        yield
-    finally:
-        mp.dps = saved
 
 
 def series_eps():

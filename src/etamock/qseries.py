@@ -1,10 +1,12 @@
-"""Exact q-series arithmetic, the Dedekind eta function, and its multiplier.
+"""Exact q-expansions, the Dedekind eta function, and its multiplier.
 
-Formal expansions live on the exponent grid (1/D) Z with rational
-coefficients, so eta quotients (D = 24) and theta-type character sums
-compare exactly, term by term.  Numeric eta evaluation reduces to the
-fundamental domain first, which keeps it usable arbitrarily close to the
-real axis.
+A formal expansion maps rational exponents to rational coefficients up to
+a truncation order, so eta quotients and theta-type character sums
+compare exactly, term by term.  Eta quotients are expanded on integer
+coefficient lists by the private `_poly_*` helpers, the only place that
+multiplies, inverts or raises a q-series to a power.  Numeric eta
+evaluation reduces to the fundamental domain first, which keeps it
+usable arbitrarily close to the real axis.
 """
 
 import math
@@ -223,199 +225,61 @@ def eta(tau):
 class FormalQSeries:
     """Truncated q-series with exact rational coefficients.
 
-    Exponents live on the grid (1/denom) Z; `terms` maps the integer grid
-    position s to the coefficient of q^(s/denom).  All exponents below
-    `order` are determined (absent key means coefficient zero); nothing is
-    known at or beyond `order`.
+    `terms` maps each exponent (a Fraction) to its nonzero coefficient.
+    All exponents below `order` are determined (absent key means
+    coefficient zero); nothing is known at or beyond `order`.
     """
 
-    __slots__ = ("denom", "terms", "order")
+    __slots__ = ("terms", "order")
 
-    def __init__(self, denom, terms, order):
-        self.denom = int(denom)
+    def __init__(self, terms, order):
         self.order = Fraction(order)
-        self.terms = {int(s): Fraction(c) for s, c in terms.items() if c}
-        if any(Fraction(s, self.denom) >= self.order for s in self.terms):
+        self.terms = {Fraction(e): Fraction(c) for e, c in terms.items() if c}
+        if any(e >= self.order for e in self.terms):
             raise ValueError("term at or beyond truncation order")
 
     @classmethod
-    def zero(cls, order, denom=24):
-        return cls(denom, {}, order)
-
-    @classmethod
-    def one(cls, order, denom=24):
-        return cls.monomial(0, 1, order, denom)
-
-    @classmethod
-    def monomial(cls, expo, coeff, order, denom=24):
-        expo = Fraction(expo)
-        s = expo * denom
-        if s.denominator != 1:
-            raise ValueError("exponent off the grid")
-        if expo >= Fraction(order):
-            return cls.zero(order, denom)
-        return cls(denom, {int(s): Fraction(coeff)}, order)
-
-    @classmethod
-    def from_terms(cls, pairs, order, denom=24):
+    def from_terms(cls, pairs, order):
+        """Sum the (exponent, coefficient) pairs below `order`."""
+        order = Fraction(order)
         out = {}
         for expo, coeff in pairs:
-            s = Fraction(expo) * denom
-            if s.denominator != 1:
-                raise ValueError("exponent off the grid")
-            if Fraction(expo) < Fraction(order):
-                out[int(s)] = out.get(int(s), Fraction(0)) + Fraction(coeff)
-        return cls(denom, out, order)
+            expo = Fraction(expo)
+            if expo < order:
+                out[expo] = out.get(expo, 0) + Fraction(coeff)
+        return cls(out, order)
 
     def items(self):
         """Sorted (exponent, coefficient) pairs."""
-        return [(Fraction(s, self.denom), c) for s, c in sorted(self.terms.items())]
+        return sorted(self.terms.items())
 
     def coeff(self, expo):
         expo = Fraction(expo)
         if expo >= self.order:
             raise ValueError("coefficient beyond truncation order")
-        s = expo * self.denom
-        if s.denominator != 1:
-            return Fraction(0)
-        return self.terms.get(int(s), Fraction(0))
+        return self.terms.get(expo, Fraction(0))
 
-    def lead(self):
-        """Smallest exponent with nonzero coefficient, or None if empty."""
-        if not self.terms:
-            return None
-        return Fraction(min(self.terms), self.denom)
-
-    def _aligned(self, other):
-        if self.denom == other.denom:
-            return self, other
-        d = math.lcm(self.denom, other.denom)
-        return self._with_denom(d), other._with_denom(d)
-
-    def _with_denom(self, d):
-        k = d // self.denom
-        return FormalQSeries(d, {s * k: c for s, c in self.terms.items()}, self.order)
-
-    def __add__(self, other):
-        a, b = self._aligned(other)
-        order = min(a.order, b.order)
-        out = dict(a.terms)
-        for s, c in b.terms.items():
-            out[s] = out.get(s, Fraction(0)) + c
-        out = {s: c for s, c in out.items() if c and Fraction(s, a.denom) < order}
-        return FormalQSeries(a.denom, out, order)
-
-    def __neg__(self):
-        return FormalQSeries(self.denom, {s: -c for s, c in self.terms.items()}, self.order)
+    def _below(self, order):
+        return {e: c for e, c in self.terms.items() if e < order}
 
     def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        """Multiply every coefficient by the rational c."""
-        c = Fraction(c)
-        if not c:
-            return FormalQSeries.zero(self.order, self.denom)
-        return FormalQSeries(self.denom, {s: v * c for s, v in self.terms.items()}, self.order)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        a, b = self._aligned(other)
-        la = a.lead() if a.terms else a.order
-        lb = b.lead() if b.terms else b.order
-        order = min(a.order + lb, b.order + la)
-        cut = order * a.denom
-        out = {}
-        for s1, c1 in a.terms.items():
-            for s2, c2 in b.terms.items():
-                s = s1 + s2
-                if s < cut:
-                    out[s] = out.get(s, Fraction(0)) + c1 * c2
-        return FormalQSeries(a.denom, {s: c for s, c in out.items() if c}, order)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        """Multiplicative inverse; needs a nonzero leading term."""
-        if not self.terms:
-            raise ZeroDivisionError("cannot invert a series with no known terms")
-        v = min(self.terms)
-        c0 = self.terms[v]
-        length = math.ceil(self.order * self.denom - v)
-        rel = {s - v: c for s, c in self.terms.items()}
-        inv = [Fraction(0)] * length
-        inv[0] = 1 / c0
-        for k in range(1, length):
-            acc = Fraction(0)
-            for s, c in rel.items():
-                if 0 < s <= k:
-                    acc += c * inv[k - s]
-            inv[k] = -acc / c0
-        order = Fraction(-v + length, self.denom)
-        terms = {-v + k: c for k, c in enumerate(inv) if c}
-        return FormalQSeries(self.denom, terms, order)
-
-    def __pow__(self, n):
-        n = int(n)
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = FormalQSeries.one(self.order + (self.lead() or 0) * max(n - 1, 0), self.denom)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def rescale(self, r):
-        """Substitute q -> q^r for a positive rational r."""
-        r = Fraction(r)
-        if r <= 0:
-            raise ValueError("rescale factor must be positive")
-        d = self.denom * r.denominator
-        return FormalQSeries(
-            d,
-            {s * r.numerator: c for s, c in self.terms.items()},
-            self.order * r,
-        )
-
-    def shift(self, expo):
-        """Multiply by q^expo."""
-        expo = Fraction(expo)
-        d = math.lcm(self.denom, expo.denominator)
-        a = self._with_denom(d)
-        ds = int(expo * d)
-        return FormalQSeries(d, {s + ds: c for s, c in a.terms.items()}, a.order + expo)
-
-    def truncate(self, order):
-        order = Fraction(order)
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        cut = order * self.denom
-        return FormalQSeries(self.denom, {s: c for s, c in self.terms.items() if s < cut}, order)
+        order = min(self.order, other.order)
+        out = self._below(order)
+        for e, c in other._below(order).items():
+            out[e] = out.get(e, 0) - c
+        return FormalQSeries(out, order)
 
     def __eq__(self, other):
+        """Equal on every exponent below the smaller of the two orders."""
         if not isinstance(other, FormalQSeries):
             return NotImplemented
-        a, b = self._aligned(other)
-        cut = min(a.order, b.order) * a.denom
-        ta = {s: c for s, c in a.terms.items() if s < cut}
-        tb = {s: c for s, c in b.terms.items() if s < cut}
-        return ta == tb
+        order = min(self.order, other.order)
+        return self._below(order) == other._below(order)
 
-    def __str__(self):
-        if not self.terms:
-            return "O(q^{})".format(self.order)
-        bits = []
-        for expo, c in self.items()[:12]:
-            bits.append("{}*q^({})".format(c, expo))
-        tail = " + ..." if len(self.terms) > 12 else ""
-        return " + ".join(bits) + tail + " + O(q^{})".format(self.order)
-
-    __repr__ = __str__
+    def __repr__(self):
+        bits = ["{}*q^({})".format(c, e) for e, c in self.items()[:12]]
+        tail = [] if len(self.terms) <= 12 else ["..."]
+        return " + ".join(bits + tail + ["O(q^{})".format(self.order)])
 
 
 def _euler_product(length):
@@ -471,31 +335,25 @@ def _poly_pow(p, n, length):
 def eta_quotient_qexp(factors, order):
     """Exact expansion of prod eta(a*tau)^b for factors [(a, b), ...].
 
-    Returns a FormalQSeries on the 1/24 grid, truncated at `order`.  Each
-    factor is expanded as q^(ab/24) * P(q^a)^b with P the Euler product;
-    integer arithmetic throughout.
+    Returns a FormalQSeries truncated at `order`.  Each factor is
+    q^(ab/24) * P(q^a)^b with P the Euler product; its coefficients are
+    spread onto the q-grid and multiplied into the others, in integer
+    arithmetic throughout.
     """
+    if any(a <= 0 or b == 0 for a, b in factors):
+        raise ValueError("factor scales must be positive, powers nonzero")
     order = Fraction(order)
     lead = sum(Fraction(a * b, 24) for a, b in factors)
-    rel = order - lead  # needed relative precision in q
-    if rel <= 0:
-        return FormalQSeries.zero(order)
-    combined = {0: 1}  # q-exponent (integer) -> integer coefficient
+    length = math.ceil(order - lead)  # q-powers s >= 0 with lead + s < order
+    if length <= 0:
+        return FormalQSeries({}, order)
+    combined = [1] + [0] * (length - 1)
     for a, b in factors:
-        if a <= 0 or b == 0:
-            raise ValueError("factor scales must be positive, powers nonzero")
-        xlen = math.floor(rel / a) + 1  # x = q^a, need x-exponents j with a*j < rel
+        xlen = (length - 1) // a + 1  # x = q^a: x-powers j with a*j < length
         p = _euler_product(xlen)
         if b < 0:
             p = _poly_inv(p, xlen)
-        p = _poly_pow(p, abs(b), xlen)
-        step = {a * j: c for j, c in enumerate(p) if c}
-        out = {}
-        for s1, c1 in combined.items():
-            for s2, c2 in step.items():
-                s = s1 + s2
-                if s < rel:
-                    out[s] = out.get(s, 0) + c1 * c2
-        combined = {s: c for s, c in out.items() if c}
-    base = int(lead * 24)
-    return FormalQSeries(24, {base + 24 * s: c for s, c in combined.items()}, order)
+        spread = [0] * length
+        spread[::a] = _poly_pow(p, abs(b), xlen)
+        combined = _poly_mul(spread, combined, length)
+    return FormalQSeries({lead + s: c for s, c in enumerate(combined)}, order)

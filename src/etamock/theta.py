@@ -12,7 +12,7 @@ from itertools import count
 
 from mpmath import mp, mpc
 
-from .core import (converging, extra_precision, fraction_mpf, quadratic_phases, reduce_tau,
+from .core import (converging, fraction_mpf, quadratic_phases, reduce_tau,
                    series_eps, sum_outward)
 from .qseries import (
     FormalQSeries,
@@ -68,7 +68,7 @@ def jacobi_theta(v, tau, representation="product"):
     # a digit, and log10(1/Im tau) more near a cusp: hence the guard digits.
     low = 4 * tau.imag ** 2 < 3
     factor = mpc(1)
-    with extra_precision(3 + 2 * max(0, int(-mp.log10(tau.imag))) if low else 0):
+    with mp.extradps(3 + 2 * max(0, int(-mp.log10(tau.imag))) if low else 0):
         if low:
             tau, (factor, v) = reduce_tau(tau, (factor, v), shift, invert, "theta")
         # v = v0 + lam tau + m with v0 in the period cell

@@ -29,7 +29,7 @@ from itertools import count
 
 from mpmath import mp, mpc, mpf
 
-from .core import extra_precision, fraction_mpf, quadratic_phases, series_eps, sum_outward
+from .core import fraction_mpf, quadratic_phases, series_eps, sum_outward
 from .qseries import RootOfUnity, SL2Matrix, e2pi, eta, eta_multiplier, qpoch
 from .theta import _G_ROWS, _THETA_ROWS, eta_theta_eval, jacobi_theta
 from .mu import mu, mu_hat
@@ -377,7 +377,7 @@ def transformation_root(m, n, gamma):
 def verify_thm11(m, n, gamma, tau):
     """Absolute residual of the weight 1/2 transformation law at tau."""
     tau = mpc(tau)
-    with extra_precision(10):
+    with mp.extradps(10):
         lhs = vmn_completed(m, n, gamma.act(tau))
         root = transformation_root(m, n, gamma)
         rhs = root.value() * mp.sqrt(gamma.c * tau + gamma.d) * \

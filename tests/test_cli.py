@@ -113,6 +113,27 @@ def test_qexp_factors(capsys):
     assert terms[0]["coefficient"] == {"num": 1, "den": 1}
 
 
+@pytest.mark.parametrize("factors", ["1", "1:1,,2:1", "1:x", "1:2:3"])
+def test_qexp_malformed_factors_is_usage_error(capsys, factors):
+    code = main(["qexp", "--factors", factors])
+    assert code == 2
+    assert "scale:power" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["e2"], ["--both-routes"]])
+def test_qexp_factors_take_no_label_or_second_route(capsys, extra):
+    code = main(["qexp", "--factors", "1:1"] + extra)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("order", ["0", "2"])
+def test_qexp_bad_factor_is_domain_error_at_any_order(capsys, order):
+    code = main(["qexp", "--factors", "0:1", "--order", order])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("domain error:")
+
+
 def test_unknown_label_is_usage_error(capsys):
     code = main(["eval", "e", "99", "--tau", "1.0i"])
     assert code == 2

@@ -139,11 +139,40 @@ def test_eta_expansion_pentagonal_numbers():
     assert series.coeff(Fraction(73, 24)) == 0
 
 
+def _times(x, y, order):
+    """Exact product of two expansions below `order`, by direct convolution."""
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            if e1 + e2 < order:
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return FormalQSeries(out, order)
+
+
 def test_eta_quotient_expansion_vs_product_of_parts():
+    # eta^2/eta(2 tau) times eta(2 tau) is eta^2, and eta^2 is eta times eta
     quot = eta_quotient_qexp([(1, 2), (2, -1)], 12)
-    sq = eta_quotient_qexp([(1, 1)], 14) * eta_quotient_qexp([(1, 1)], 14)
-    inv2 = eta_quotient_qexp([(2, 1)], 14).inverse()
-    assert quot == (sq * inv2).truncate(12)
+    eta1 = eta_quotient_qexp([(1, 1)], 14)
+    eta2 = eta_quotient_qexp([(2, 1)], 14)
+    sq = eta_quotient_qexp([(1, 2)], 14)
+    assert _times(eta1, eta1, 14) == sq
+    assert _times(quot, eta2, 12) == sq
+    # powers 13 and -5, as E_4 has them, against repeated multiplication
+    mixed = eta_quotient_qexp([(1, 13), (2, -5)], 8)
+    prod = eta1
+    for _ in range(12):
+        prod = _times(prod, eta1, 9)
+    assert _times(mixed, eta_quotient_qexp([(2, 5)], 9), 8) == prod
+
+
+def test_eta_quotient_checks_factors_at_any_order():
+    for order in (0, -3, 2):
+        with pytest.raises(ValueError):
+            eta_quotient_qexp([(0, 1)], order)
+        with pytest.raises(ValueError):
+            eta_quotient_qexp([(1, 1), (2, 0)], order)
+    empty = eta_quotient_qexp([(1, 1)], 0)
+    assert empty.items() == [] and empty.order == 0
 
 
 def test_eta_quotient_expansion_matches_values():
@@ -155,32 +184,30 @@ def test_eta_quotient_expansion_matches_values():
     assert abs(total - direct) < 1e-22
 
 
-def test_formal_series_ring_identities():
-    one = FormalQSeries.one(10)
-    x = FormalQSeries.monomial(Fraction(1, 3), 2, 10)
-    y = FormalQSeries.monomial(Fraction(1, 2), -1, 10)
-    assert (x + y) - y == x
-    assert x * y == FormalQSeries.monomial(Fraction(5, 6), -2, 10)
-    assert (one + x) * (one - x) == one - x * x
-    assert (one + x).inverse() * (one + x) == one
-
-
-def test_formal_series_pow_and_rescale():
+def test_formal_series_difference_and_equality():
     x = FormalQSeries.from_terms(
-        [(Fraction(0), 1), (Fraction(1, 2), 3)], 8)
-    cube = x * x * x
-    assert x ** 3 == cube
-    r = x.rescale(Fraction(2))
-    assert r.coeff(Fraction(1)) == 3
-    assert x.shift(Fraction(1, 4)).coeff(Fraction(3, 4)) == 3
+        [(Fraction(1, 3), 2), (Fraction(1, 2), -1), (Fraction(1, 3), 1)], 10)
+    y = FormalQSeries.from_terms([(Fraction(1, 2), -1), (Fraction(7, 24), 5)], 10)
+    assert x.items() == [(Fraction(1, 3), 3), (Fraction(1, 2), -1)]
+    d = x - y
+    assert d.items() == [(Fraction(7, 24), -5), (Fraction(1, 3), 3)]
+    assert (x - x).items() == [] and x - x != x
+    # a difference and a comparison are known below the smaller order only
+    short = FormalQSeries.from_terms([(Fraction(1, 3), 3), (Fraction(1, 2), -1)], 1)
+    long = FormalQSeries.from_terms(x.items() + [(Fraction(11), 7)], 12)
+    assert short == long and long == x
+    assert (long - short).order == 1 and (long - short).items() == []
 
 
 def test_formal_series_truncation_behaviour():
     x = FormalQSeries.from_terms(
-        [(Fraction(0), 1), (Fraction(5), 4), (Fraction(9), 2)], 12)
-    t = x.truncate(6)
-    assert t.coeff(Fraction(5)) == 4
-    assert t.coeff(Fraction(3)) == 0
-    assert t.order == Fraction(6)
+        [(Fraction(0), 1), (Fraction(5), 4), (Fraction(9), 2), (Fraction(12), 1)], 6)
+    assert x.coeff(Fraction(5)) == 4
+    assert x.coeff(Fraction(3)) == 0
+    assert x.order == Fraction(6)
     with pytest.raises(ValueError):
-        t.coeff(Fraction(9))
+        x.coeff(Fraction(9))
+    with pytest.raises(ValueError):
+        x.coeff(Fraction(6))
+    with pytest.raises(ValueError):
+        FormalQSeries({Fraction(6): 1}, 6)

@@ -8,6 +8,7 @@ import pytest
 from mpmath import mp, mpc
 
 from etamock.qseries import SL2Matrix
+from etamock.theta import jacobi_theta
 from etamock.vmn import (all_rows, catalogue_json, fmn_product_form,
                          fmn_theta_quotient, group_sample, in_A_group,
                          is_admissible, normalize_label, shift_data,
@@ -143,3 +144,15 @@ def test_group_sample_covers_negative_c():
     mats = group_sample("2", 1, count=6)
     assert any(g.c < 0 for g in mats)
     assert all(g.a * g.d - g.b * g.c == 1 for g in mats)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: jacobi_theta(mpc(0.1, 0.2), mpc(0.1, 0.01)),
+    lambda: verify_thm11("1", 1, group_sample("1", 1, count=1)[0], mpc(0.1, 0.9)),
+], ids=["jacobi_theta", "verify_thm11"])
+def test_guard_digits_keep_a_precision_between_digits(call):
+    # 54 bits is not a whole number of digits: restoring mp.dps would
+    # come back at 53
+    with mp.workprec(54):
+        call()
+        assert mp.prec == 54
