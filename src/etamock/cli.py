@@ -321,7 +321,7 @@ def cmd_eval(args):
 
 def cmd_qexp(args):
     report = RunReport("qexp")
-    order = Fraction(args.order)
+    order = parse_rational(args.order)
     if args.factors:
         if args.label or args.both_routes:
             raise UsageError("qexp --factors takes no label and no --both-routes")

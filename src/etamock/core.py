@@ -104,6 +104,27 @@ def quadratic_phases(a, b, center):
 # the fundamental domain
 
 
+def fold_guard(tau):
+    """Guard digits for a value folded into F from tau; 0 if nothing folds.
+
+    At Im tau >= sqrt(3)/2, the lowest height in F, a series converges as
+    fast as anywhere in F and nothing moves.  Below it the fold's
+    exponentials cost about a digit, and log10(1/Im tau) more near a cusp:
+    3 + 2*floor(log10(1/Im tau)) digits, as measured for theta and mu-hat.
+    """
+    if 4 * tau.imag ** 2 >= 3:
+        return 0
+    return 3 + 2 * max(0, int(-mp.log10(tau.imag)))
+
+
+def period_cell(x, tau):
+    """(x0, k, l) with x = x0 + k tau + l and x0 in the period cell
+    |Im x0| <= Im tau/2, |Re x0| <= 1/2 (for tau in F)."""
+    k = int(mp.nint(x.imag / tau.imag))
+    l = int(mp.nint((x - k * tau).real))
+    return x - k * tau - l, k, l
+
+
 def reduce_tau(tau, state, shift, invert, what):
     """Move tau into the fundamental domain, folding a transformation law
     over `state` at each step.

@@ -12,8 +12,8 @@ from itertools import count
 
 from mpmath import mp, mpc, mpf
 
-from .core import (adaptive_panels, converging, fraction_mpf, quadratic_phases, series_eps,
-                   sum_outward)
+from .core import (adaptive_panels, converging, fold_guard, fraction_mpf, period_cell,
+                   quadratic_phases, reduce_tau, series_eps, sum_outward)
 from .qseries import e2pi, eta
 from .theta import g_ab, jacobi_theta
 
@@ -21,15 +21,13 @@ Fr = Fraction
 
 LATTICE_TOL = 1e-9
 
+# below this height mu is computed from the folded mu-hat; see mu
+FOLD_HEIGHT = 0.1
+
 
 def lattice_distance(u, tau):
     """Distance from u to the nearest point of Z*tau + Z."""
-    u = mpc(u)
-    tau = mpc(tau)
-    xi = u.imag / tau.imag
-    m = mp.nint(xi)
-    n = mp.nint(u.real - m * tau.real)
-    return abs(u - (m * tau + n))
+    return abs(period_cell(mpc(u), mpc(tau))[0])
 
 
 def _check_off_lattice(u, tau, name="u"):
@@ -42,12 +40,31 @@ def mu(u, v, tau):
 
     Both elliptic variables must stay off the lattice Z*tau + Z; u hits
     actual poles there and theta(v) vanishes.
+
+    For Im tau >= FOLD_HEIGHT = 1/10 the value is the defining series,
+    summed at tau itself.  Below it mu is the folded mu_hat less
+    (i/2) R(u - v; tau), with R summed at tau: its terms stay bounded.
+    Measured at dps 25 against the series at dps 225, worst of three
+    (u, v) per tau: near Re tau = 0 the series divides an exponentially
+    small sum by an exponentially small theta(v), and its relative error
+    is 5e-25 at Im tau = 0.1, 8e-23 at 0.05, 4e-15 at 0.02 and 1e-2 at
+    0.01; at Re tau = 1/3 it stays at or below 4e-25 down to 0.01, at
+    Re tau = 1/2 it reaches 1e-23 at 0.02 and 2e-20 at 0.01.  The folded
+    route kept 2e-25 at all of these points, but took 2.5 to 3 times as
+    long from Im tau = 0.3 down to 0.01, so it runs only below 1/10.
     """
     u = mpc(u)
     v = mpc(v)
     tau = mpc(tau)
+    if tau.imag < FOLD_HEIGHT:
+        return mu_hat(u, v, tau) - 0.5j * R_correction(u - v, tau)
     _check_off_lattice(u, tau, "u")
     _check_off_lattice(v, tau, "v")
+    return _mu_series(u, v, tau)
+
+
+def _mu_series(u, v, tau):
+    # the defining series at tau, unreduced: about 1/sqrt(Im tau) terms
     eu = e2pi(u)
     eps = series_eps()
 
@@ -117,8 +134,60 @@ def R_correction(u, tau):
 
 
 def mu_hat(u, v, tau):
-    """Completed mu-hat(u, v; tau) = mu + (i/2) R(u - v)."""
-    return mu(u, v, tau) + 0.5j * R_correction(mpc(u) - mpc(v), tau)
+    """Completed mu-hat(u, v; tau) = mu + (i/2) R(u - v).
+
+    For Im tau >= sqrt(3)/2 (all of F) this is the direct mu + (i/2) R at
+    the point given.  Below it the point is folded first, with the guard
+    digits of core.fold_guard, by the laws of Zwegers' thesis (Thm 1.11),
+    written with z = u - v:
+    mu-hat(u, v; tau + 1) = e(-1/8) mu-hat(u, v; tau),
+    mu-hat(u/tau, v/tau; -1/tau) = -sqrt(-i tau) e^{-pi i z^2/tau} mu-hat(u, v; tau),
+    which take tau into F, and
+    mu-hat(u + k tau + l, v + m tau + n) =
+        (-1)^{k+l+m+n} e^{pi i (k-m)^2 tau + 2 pi i (k-m) z} mu-hat(u, v),
+    which take v and z into the period cell |Re| <= 1/2, |Im| <= Im tau/2.
+    The direct sums then need a few terms whatever Im tau was.  A fold of
+    u and v each into the cell instead lets |Im z| reach Im tau, where mu
+    and R/2 cancel more: on the rows V_{m,n} at tau = -0.4 + 0.001i and
+    dps 16 it lost 6 digits, this fold none.
+
+    mu-hat can be far smaller than mu and R(u - v)/2, which then cancel:
+    for the row V_{1,1} at tau = 0.1i, |mu-hat| is 6.5e-14 and |mu| is
+    0.24.  Either route's error is relative to |mu| + |R|/2 there.  The
+    series summed at tau itself, with no fold, is the cross-check.
+    """
+    u = mpc(u)
+    v = mpc(v)
+    tau = mpc(tau)
+    guard = fold_guard(tau)
+    if not guard:
+        return mu(u, v, tau) + 0.5j * R_correction(u - v, tau)
+    _check_off_lattice(u, tau, "u")
+    _check_off_lattice(v, tau, "v")
+
+    def shift(state, n):
+        # mu-hat(u, v; sigma + n) = e(-n/8) mu-hat(u, v; sigma)
+        factor, u, v = state
+        return factor * e2pi(Fr(-n, 8)), u, v
+
+    def invert(state, sigma):
+        # mu-hat(u, v; -1/sigma) = -mu-hat(-u sigma, -v sigma; sigma)
+        #   / (sqrt(i/sigma) e^{pi i (u - v)^2 sigma})
+        factor, u, v = state
+        factor *= -mp.exp(-1j * mp.pi * (u - v) ** 2 * sigma) / mp.sqrt(1j / sigma)
+        return factor, -u * sigma, -v * sigma
+
+    with mp.extradps(guard):
+        tau, (factor, u, v) = reduce_tau(tau, (mpc(1), u, v), shift, invert, "mu-hat")
+        # v = v0 + m tau + n and u - v = z0 + k tau + l, with v0 and z0 in
+        # the cell; (u, v) -> (u0, v0) = (v0 + z0, v0)
+        v0, _, _ = period_cell(v, tau)
+        z0, k, l = period_cell(u - v, tau)
+        if k or l:
+            factor *= (-1) ** (k + l) * mp.exp(1j * mp.pi * k * (k * tau + 2 * z0))
+        u, v = v0 + z0, v0
+        value = factor * (mu(u, v, tau) + 0.5j * R_correction(u - v, tau))
+    return +value
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from itertools import count
 
 from mpmath import mp, mpc
 
-from .core import (converging, fraction_mpf, quadratic_phases, reduce_tau,
-                   series_eps, sum_outward)
+from .core import (converging, fold_guard, fraction_mpf, period_cell, quadratic_phases,
+                   reduce_tau, series_eps, sum_outward)
 from .qseries import (
     FormalQSeries,
     e2pi,
@@ -63,19 +63,14 @@ def jacobi_theta(v, tau, representation="product"):
         factor *= -1j * mp.sqrt(-1j * sigma) * mp.exp(1j * mp.pi * v * v * sigma)
         return factor, v * sigma
 
-    # at Im tau >= sqrt(3)/2, the lowest height in F, the product converges
-    # as fast as anywhere in F.  Below it the fold's exponentials cost about
-    # a digit, and log10(1/Im tau) more near a cusp: hence the guard digits.
-    low = 4 * tau.imag ** 2 < 3
+    guard = fold_guard(tau)
     factor = mpc(1)
-    with mp.extradps(3 + 2 * max(0, int(-mp.log10(tau.imag))) if low else 0):
-        if low:
+    with mp.extradps(guard):
+        if guard:
             tau, (factor, v) = reduce_tau(tau, (factor, v), shift, invert, "theta")
         # v = v0 + lam tau + m with v0 in the period cell
-        lam = int(mp.nint(v.imag / tau.imag))
-        m = int(mp.nint((v - lam * tau).real))
+        v, lam, m = period_cell(v, tau)
         if lam or m:
-            v = v - lam * tau - m
             factor *= _elliptic_factor(v, tau, lam, m)
         value = factor * _theta_product(v, tau)
     return +value
@@ -280,7 +275,8 @@ def eta_theta_qexp(label, order, representation="eta-quotient"):
         return eta_quotient_qexp(factors, order)
     if representation != "character-sum":
         raise ValueError("unknown representation {!r}".format(representation))
-    bound = math.isqrt(math.ceil(order * 24)) + 2
+    # every exponent is a square n^2, and only n^2 < order is kept
+    bound = math.isqrt(math.ceil(order))
     pairs = []
     if kind == "even":
         _, domain, chi = _EVEN[index]

@@ -375,7 +375,16 @@ def transformation_root(m, n, gamma):
 
 
 def verify_thm11(m, n, gamma, tau):
-    """Absolute residual of the weight 1/2 transformation law at tau."""
+    """Absolute residual of the weight 1/2 transformation law at tau.
+
+    Both sides go through vmn_completed and so through mu_hat.  At
+    gamma tau, near a cusp, mu_hat folds the point back into F by
+    Zwegers' T, S and elliptic laws; at tau, in or near F, it sums
+    directly.  The check therefore tests the paper's data (the row's
+    w q^t and affine u, v, and the multiplier of transformation_root)
+    against Zwegers' laws.  That the fold equals the unfolded series is
+    tested on its own, on every row down to Im tau = 1e-3.
+    """
     tau = mpc(tau)
     with mp.extradps(10):
         lhs = vmn_completed(m, n, gamma.act(tau))

@@ -134,6 +134,12 @@ def test_qexp_bad_factor_is_domain_error_at_any_order(capsys, order):
     assert capsys.readouterr().err.startswith("domain error:")
 
 
+def test_qexp_bad_order_is_usage_error(capsys):
+    code = main(["qexp", "e2", "--order", "x"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: not a rational number")
+
+
 def test_unknown_label_is_usage_error(capsys):
     code = main(["eval", "e", "99", "--tau", "1.0i"])
     assert code == 2

@@ -1,8 +1,9 @@
 """Functional equations at points drawn by hypothesis.
 
-The laws of g_{a,b}, mu and theta hold at every point, so they check the
-series and their reductions where no hand-picked test looks: random
-rational (a, b), and tau down to Im tau = 1e-3, where the sums run longest.
+The laws of g_{a,b}, mu, mu-hat, theta and eta hold at every point, so
+they check the series and their reductions where no hand-picked test
+looks: random rational (a, b), random SL2(Z) elements, and tau down to
+Im tau = 1e-3, where the sums run longest.
 The draws are derandomized, but Hypothesis also mixes in constants it
 finds in the loaded modules, so a run of a subset of the suite may draw
 other points than a full run: each law must hold over its whole domain,
@@ -11,14 +12,15 @@ to a tolerance scaled by the size of the terms its series adds up.
 
 from fractions import Fraction
 from itertools import count
+from math import gcd
 
-import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from etamock.core import e2pi
-from etamock.mu import mu
+from etamock.mu import R_correction, mu, mu_hat
+from etamock.qseries import SL2Matrix, eta, eta_multiplier
 from etamock.theta import _g_direct, g_ab, jacobi_theta
 
 # working precision of every test here; see conftest.py
@@ -142,11 +144,77 @@ def test_mu_elliptic_parity_and_symmetry_laws(tau, su, sv, tu, tv):
     assert _agree(mu(v, u, tau), base, scale=size)
 
 
-@pytest.mark.xfail(strict=True, reason="near the cusp 0 the mu series divides an "
-                   "exponentially small sum by an exponentially small theta(v); "
-                   "the Zwegers S and T laws would fold tau away from it")
+def _mu_hat_size(u, v, tau):
+    """|mu| + |R(u - v)|/2, the size of the two terms mu-hat adds up.
+
+    Rounding error in mu-hat is relative to this.  Near a zero of mu-hat
+    the two terms cancel: for the row V_{1,1} at tau = 0.1i, |mu-hat| is
+    6.5e-14 and |mu| is 0.24."""
+    with mp.workdps(15):
+        return abs(mu(u, v, tau)) + abs(R_correction(u - v, tau)) / 2
+
+
+# small lattice shifts k tau + l of the elliptic variables
+shifts = st.integers(-2, 2)
+
+
+@PROPERTY
+@given(taus, lattice_points, lattice_points, reals, reals)
+@example(CUSP, 0.3, -0.6, 0.17, 1.3)
+def test_mu_hat_translation_and_inversion_laws(tau, su, sv, tu, tv):
+    u, v = su * tau + tu, sv * tau + tv
+    size = _mu_hat_size(u, v, tau)
+    base = mu_hat(u, v, tau)
+    # mu-hat(u, v; tau + 1) = e(-1/8) mu-hat(u, v; tau)
+    assert _agree(mu_hat(u, v, tau + 1), e2pi(Fraction(-1, 8)) * base,
+                  scale=max(_mu_hat_size(u, v, tau + 1), size))
+    # mu-hat(u/tau, v/tau; -1/tau) = -sqrt(-i tau) e^{-pi i (u - v)^2/tau} mu-hat(u, v; tau)
+    weight = -mp.sqrt(-1j * tau) * mp.exp(-1j * mp.pi * (u - v) ** 2 / tau)
+    assert _agree(mu_hat(u / tau, v / tau, -1 / tau), weight * base,
+                  scale=max(_mu_hat_size(u / tau, v / tau, -1 / tau), abs(weight) * size))
+
+
+@PROPERTY
+@given(taus, lattice_points, lattice_points, reals, reals, shifts, shifts, shifts, shifts)
+@example(CUSP, 0.3, -0.6, 0.17, 1.3, 2, -1, -1, 1)
+def test_mu_hat_elliptic_law(tau, su, sv, tu, tv, k, l, m, n):
+    u, v = su * tau + tu, sv * tau + tv
+    # mu-hat(u + k tau + l, v + m tau + n)
+    #   = (-1)^{k+l+m+n} e^{pi i (k-m)^2 tau + 2 pi i (k-m)(u-v)} mu-hat(u, v)
+    weight = (-1) ** (k + l + m + n) * \
+        mp.exp(1j * mp.pi * (k - m) * ((k - m) * tau + 2 * (u - v)))
+    shifted = (u + k * tau + l, v + m * tau + n, tau)
+    assert _agree(mu_hat(*shifted), weight * mu_hat(u, v, tau),
+                  scale=max(_mu_hat_size(*shifted), abs(weight) * _mu_hat_size(u, v, tau)))
+
+
+def _sl2(k, c, d):
+    """T^k times the element of SL2(Z) with bottom row (c, d), coprime."""
+    # extended Euclid: a d - b c = 1
+    r0, r1, s0, s1, t0, t1 = d, c, 1, 0, 0, 1
+    while r1:
+        quo = r0 // r1
+        r0, r1, s0, s1, t0, t1 = r1, r0 - quo * r1, s1, s0 - quo * s1, t1, t0 - quo * t1
+    a, b = s0 * r0, -t0 * r0
+    return SL2Matrix(a + k * c, b + k * d, c, d)
+
+
+@PROPERTY
+@given(st.integers(-3, 3), st.integers(-30, 30), st.integers(-30, 30),
+       st.builds(_tau, reals, st.floats(min_value=-0.5, max_value=0.3)))
+@example(1, 29, -30, mpc("0.371", "0.9"))
+def test_eta_transformation_law(k, c, d, tau):
+    # eta(gamma tau) = psi(gamma) (c tau + d)^{1/2} eta(tau); Im gamma tau
+    # falls to about 1e-4
+    assume(gcd(c, d) == 1)
+    gamma = _sl2(k, c, d)
+    law = eta_multiplier(gamma).value() * mp.sqrt(c * tau + d) * eta(tau)
+    assert _agree(eta(gamma.act(tau)), law)
+
+
 def test_mu_near_cusp_zero():
-    # at tau = 0.01i, theta(tau/2) = 1.6e-33 and mu keeps about 2 of 25 digits
+    # at tau = 0.01i, theta(tau/2) = 1.6e-33: the series summed at tau keeps
+    # about 2 of 25 digits, so mu takes the folded mu-hat there
     tau = mpc(0, "0.01")
     u, v = tau / 2 + mpf("0.25"), tau / 2
     value = mu(u, v, tau)

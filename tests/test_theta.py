@@ -180,6 +180,16 @@ def test_both_expansion_routes_agree(label):
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("order", [25, 26])
+@pytest.mark.parametrize("label", EVEN_LABELS + ODD_LABELS)
+def test_both_expansion_routes_agree_at_a_square_order(label, order):
+    # the character sum's exponents are squares n^2; at order 26 the last
+    # one kept is 25, at order 25 it is 16
+    lhs = eta_theta_qexp(label, order)
+    rhs = eta_theta_qexp(label, order, representation="character-sum")
+    assert lhs == rhs
+
+
 def test_expansion_leading_terms():
     ser = eta_theta_qexp("e1", 10)
     assert ser.coeff(Fraction(0)) == 1

@@ -5,9 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpc
+from mpmath import mp, mpc, mpf
 
-from etamock.qseries import SL2Matrix
+from etamock.mu import R_correction, _mu_series, mu_hat
+from etamock.qseries import SL2Matrix, e2pi
 from etamock.theta import jacobi_theta
 from etamock.vmn import (all_rows, catalogue_json, fmn_product_form,
                          fmn_theta_quotient, group_sample, in_A_group,
@@ -117,6 +118,37 @@ def test_weight_half_transformation(label, n):
         assert verify_thm11(label, n, gamma, tau) < 1e-10
 
 
+def _direct_completion(label, n, tau):
+    """vmn_completed by the series summed at tau itself, with no fold, and
+    the size |w q^t| (|mu| + |R|/2) of the terms the completion adds."""
+    spec = vmn_spec(label, n)
+    if spec.composite:
+        parts = [_direct_completion(lbl, n, tau) for lbl in spec.parts]
+        return sum(p[0] for p in parts), sum(p[1] for p in parts)
+    u, v = spec.u.at(tau), spec.v.at(tau)
+    series, correction = _mu_series(u, v, tau), R_correction(u - v, tau)
+    weight = spec.w.value() * e2pi(spec.t * tau)
+    return weight * (series + 0.5j * correction), abs(weight) * (abs(series) + abs(correction) / 2)
+
+
+# Re tau near the cusps 0, 1/3 and 1/2, far enough from them that the
+# unfolded series at 30 more digits is still a reference; the rows take
+# them in turn
+NEAR_CUSPS = ("0.02", "0.34", "0.49")
+
+
+@pytest.mark.parametrize("height", ["1e-1", "1e-2", "1e-3"])
+def test_folded_completion_equals_direct_series(height):
+    # mu-hat near a row's zero is a difference of far larger mu and R/2,
+    # so the error of either route is relative to their size
+    for i, (label, n) in enumerate(ROWS):
+        tau = mpc(mpf(NEAR_CUSPS[i % 3]), mpf(height))
+        folded = vmn_completed(label, n, tau)
+        with mp.workdps(DPS + 30):
+            direct, size = _direct_completion(label, n, tau)
+        assert abs(folded - direct) <= mpf(10) ** (3 - DPS) * size, (label, n)
+
+
 def test_transformation_fails_off_group():
     """A generic matrix outside the named group must not satisfy the law."""
     tau = mpc(0.1, 0.9)
@@ -149,7 +181,8 @@ def test_group_sample_covers_negative_c():
 @pytest.mark.parametrize("call", [
     lambda: jacobi_theta(mpc(0.1, 0.2), mpc(0.1, 0.01)),
     lambda: verify_thm11("1", 1, group_sample("1", 1, count=1)[0], mpc(0.1, 0.9)),
-], ids=["jacobi_theta", "verify_thm11"])
+    lambda: mu_hat(mpc(0.3, 0.004), mpc(0.1, 0.001), mpc(0.1, 0.01)),
+], ids=["jacobi_theta", "verify_thm11", "mu_hat"])
 def test_guard_digits_keep_a_precision_between_digits(call):
     # 54 bits is not a whole number of digits: restoring mp.dps would
     # come back at 53
