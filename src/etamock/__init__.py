@@ -11,7 +11,8 @@ modules are:
     mu         Appell-Lerch mu, Mordell integral, completions, shadows
     vmn        the catalogue rows, modular transformation machinery
     quantum    rational-point arithmetic and finite hypergeometric sums
-    eichler    period integrals and the verification drivers
+    eichler    period integrals: ray integrals against the 1/sqrt kernel
+    verify     the checks of the paper's claims, and the verify suites
     cli        the command line
 
 Each module imports only from those above it in this list.  Importing
@@ -86,13 +87,14 @@ from .quantum import (
     vmn_at_rational,
 )
 from .eichler import (
-    corollary_check,
-    eichler_integral,
     integral_identity_lhs,
     partial_theta_radial,
-    radial_proportionality,
     ray_integral,
     unary_ray_integral,
+)
+from .verify import (
+    corollary_check,
+    radial_proportionality,
     verify_table2,
     verify_thm12_i,
     verify_thm12_ii,

@@ -1,4 +1,4 @@
-"""Command line surface: evaluation, expansions, verification suites.
+"""Command line: argument parsing, reports, and commands over verify's checks.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 domain error.  JSON output is deterministic for a fixed command line
@@ -6,6 +6,7 @@ domain error.  JSON output is deterministic for a fixed command line
 """
 
 import argparse
+import inspect
 import json
 import random
 import re
@@ -17,19 +18,13 @@ from fractions import Fraction
 from mpmath import mp, mpc, mpf
 
 from .core import DEFAULT_DPS, MIN_DPS
-from .qseries import (RootOfUnity, e2pi, eta, eta_quotient_qexp,
-                      _eta_product_raw, _eta_sum_raw)
-from .theta import (E_from_g, e_from_theta, eta_theta_eval, eta_theta_qexp,
-                    g_ab, jacobi_theta, partial_theta,
-                    theta_specialization_point)
-from .mu import MabSpec, g_complement, kang_pair, mordell_h, mu, xi_shadow
-from .vmn import (ATOMIC_LABELS, all_rows, base_label, catalogue_json, group_sample,
-                  normalize_label, verify_thm11, vmn_eval_mu, vmn_eval_series, vmn_spec)
-from .quantum import (as_fraction, companion_sum, group_generators, in_quantum_set,
-                      mobius_rational, quantum_set_label, rational_z_args, F_hk,
-                      vmn_any)
-from .eichler import (corollary_check, unary_ray_integral, verify_table2,
-                      verify_thm12_i, verify_thm12_ii, verify_thm12_iii)
+from .qseries import RootOfUnity, _eta_product_raw, _eta_sum_raw, eta, eta_quotient_qexp
+from .theta import eta_theta_eval, eta_theta_qexp, g_ab, jacobi_theta, partial_theta
+from .mu import mu
+from .vmn import catalogue_json, normalize_label
+from .quantum import (F_hk, group_generators, in_quantum_set, quantum_set_label,
+                      rational_z_args, vmn_any)
+from .verify import SUITES, E_route_residual, e_route_residual, orbit, vmn_route_residual
 
 
 class UsageError(Exception):
@@ -126,8 +121,12 @@ class RunReport:
     outputs: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
     wall_time: float = 0.0
+    tol: float = None  # --tol, the override of every nonzero default tolerance
 
     def add_check(self, name, residual, tolerance):
+        """Record a check; --tol replaces its tolerance unless that is 0 (exact)."""
+        if tolerance and self.tol is not None:
+            tolerance = self.tol
         self.checks.append(Check(name, float(residual), float(tolerance)))
 
     @property
@@ -197,121 +196,99 @@ class RunReport:
 # eval command
 
 
-def _tol(tol, default):
-    """The --tol override when given, 0 included; else the check's default."""
-    return default if tol is None else tol
-
-
-def _require(args, names):
+def _options(report, args, parse, *names):
+    """Parse the options --name... this function needs, recorded as inputs."""
+    values = []
     for name in names:
-        if getattr(args, name, None) is None:
+        text = getattr(args, name)
+        if text is None:
             raise UsageError("--%s is required for this function" % name)
+        report.inputs[name] = text
+        values.append(parse(text))
+    return values
+
+
+def _indices(report, args, usage, **parsers):
+    """Parse the positional indices, one per keyword, recorded as inputs."""
+    if len(args.indices) != len(parsers):
+        raise UsageError(usage)
+    try:
+        values = [parse(text) for parse, text in zip(parsers.values(), args.indices)]
+    except ValueError:
+        raise UsageError(usage)
+    report.inputs.update(zip(parsers, values))
+    return values
 
 
 def cmd_eval(args):
-    report = RunReport("eval %s" % args.function)
+    report = RunReport("eval %s" % args.function, tol=args.tol)
     fn = args.function
+    second = None  # the second route: (check name, residual thunk, default tolerance)
     if fn == "eta":
-        _require(args, ["tau"])
-        tau = parse_complex(args.tau)
-        report.inputs["tau"] = args.tau
+        tau, = _options(report, args, parse_complex, "tau")
         report.outputs["eta"] = eta(tau)
-        if args.crosscheck:
-            diff = abs(_eta_product_raw(tau) - _eta_sum_raw(tau))
-            report.add_check("eta product route matches pentagonal sum route",
-                             diff, _tol(args.tol, 1e-12))
+        second = ("eta product route matches pentagonal sum route",
+                  lambda: abs(_eta_product_raw(tau) - _eta_sum_raw(tau)), 1e-12)
     elif fn == "theta":
-        _require(args, ["v", "tau"])
-        v = parse_complex(args.v)
-        tau = parse_complex(args.tau)
-        report.inputs.update(v=args.v, tau=args.tau)
+        v, tau = _options(report, args, parse_complex, "v", "tau")
         report.outputs["theta"] = jacobi_theta(v, tau)
-        if args.crosscheck:
-            diff = abs(jacobi_theta(v, tau, representation="sum")
-                       - jacobi_theta(v, tau, representation="product"))
-            report.add_check("theta series matches triple product",
-                             diff, _tol(args.tol, 1e-12))
+        second = ("theta series matches triple product",
+                  lambda: abs(jacobi_theta(v, tau, representation="sum")
+                              - jacobi_theta(v, tau, representation="product")), 1e-12)
     elif fn == "mu":
-        _require(args, ["u", "v", "tau"])
-        u, v, tau = parse_complex(args.u), parse_complex(args.v), parse_complex(args.tau)
-        report.inputs.update(u=args.u, v=args.v, tau=args.tau)
+        u, v, tau = _options(report, args, parse_complex, "u", "v", "tau")
         report.outputs["mu"] = mu(u, v, tau)
     elif fn == "g":
-        _require(args, ["a", "b", "tau"])
-        spec = (parse_rational(args.a), parse_rational(args.b))
-        tau = parse_complex(args.tau)
-        report.inputs.update(a=args.a, b=args.b, tau=args.tau)
-        report.outputs["g_ab"] = g_ab(spec, tau)
+        a, b = _options(report, args, parse_rational, "a", "b")
+        tau, = _options(report, args, parse_complex, "tau")
+        report.outputs["g_ab"] = g_ab((a, b), tau)
     elif fn == "e":
-        if len(args.indices) != 1:
-            raise UsageError("eval e takes one index, 1..13")
-        _require(args, ["tau"])
-        n = int(args.indices[0])
-        tau = parse_complex(args.tau)
-        report.inputs.update(n=n, tau=args.tau)
+        n, = _indices(report, args, "eval e takes one index, 1..13", n=int)
+        tau, = _options(report, args, parse_complex, "tau")
         report.outputs["e_n"] = eta_theta_eval("e%d" % n, tau)
-        if args.crosscheck:
-            diff = abs(eta_theta_eval("e%d" % n, tau)
-                       - eta_theta_eval("e%d" % n, tau,
-                                        representation="character-sum"))
-            report.add_check("eta-quotient route matches character sum",
-                             diff, _tol(args.tol, 1e-12))
+        second = ("eta-quotient route matches character sum",
+                  lambda: e_route_residual(n, tau), 1e-12)
     elif fn == "E":
-        if len(args.indices) != 1:
-            raise UsageError("eval E takes one index, 1..6")
-        _require(args, ["tau"])
-        m = int(args.indices[0])
-        tau = parse_complex(args.tau)
-        report.inputs.update(m=m, tau=args.tau)
+        m, = _indices(report, args, "eval E takes one index, 1..6", m=int)
+        tau, = _options(report, args, parse_complex, "tau")
         report.outputs["E_m"] = eta_theta_eval("E%d" % m, tau)
-        if args.crosscheck:
-            diff = abs(eta_theta_eval("E%d" % m, tau) - E_from_g(m, tau))
-            report.add_check("eta-quotient route matches unary combination",
-                             diff, _tol(args.tol, 1e-12))
+        second = ("eta-quotient route matches unary combination",
+                  lambda: E_route_residual(m, tau), 1e-12)
     elif fn == "Etilde":
-        if len(args.indices) != 1:
-            raise UsageError("eval Etilde takes one index, 1..6")
-        _require(args, ["z"])
-        m = int(args.indices[0])
-        z = parse_complex(args.z)
-        report.inputs.update(m=m, z=args.z)
+        m, = _indices(report, args, "eval Etilde takes one index, 1..6", m=int)
+        z, = _options(report, args, parse_complex, "z")
         report.outputs["E_tilde"] = partial_theta(m, z)
     elif fn == "V":
-        if len(args.indices) != 2:
-            raise UsageError("eval V takes a label and a column, e.g. V 1 2")
-        label, n = args.indices[0], int(args.indices[1])
+        label, n = _indices(report, args, "eval V takes a label and a column, e.g. V 1 2",
+                            m=str, n=int)
         if args.tau is not None:
-            point = parse_complex(args.tau)
-            report.inputs.update(m=label, n=n, tau=args.tau)
+            tau, = _options(report, args, parse_complex, "tau")
+            report.outputs["V"] = vmn_any(label, n, tau)
+            second = ("mu representation matches series representation",
+                      lambda: vmn_route_residual(label, n, tau), 1e-11)
         elif args.x is not None:
-            point = parse_rational(args.x)
-            report.inputs.update(m=label, n=n, x=args.x)
+            x, = _options(report, args, parse_rational, "x")
+            report.outputs["V"] = vmn_any(label, n, x)
         else:
             raise UsageError("eval V needs --tau or --x")
-        report.outputs["V"] = vmn_any(label, n, point)
-        if args.crosscheck and args.tau is not None:
-            diff = abs(vmn_eval_mu(label, n, point)
-                       - vmn_eval_series(label, n, point))
-            report.add_check("mu representation matches series representation",
-                             diff, _tol(args.tol, 1e-11))
     elif fn == "Fhk":
-        _require(args, ["x"])
-        x = parse_rational(args.x)
-        report.inputs["x"] = args.x
+        x, = _options(report, args, parse_rational, "x")
         if args.z1 is not None and args.z2 is not None:
-            z1 = RootOfUnity.from_fraction(parse_rational(args.z1))
-            z2 = RootOfUnity.from_fraction(parse_rational(args.z2))
-            report.inputs.update(z1=args.z1, z2=args.z2)
+            z1, z2 = map(RootOfUnity.from_fraction,
+                         _options(report, args, parse_rational, "z1", "z2"))
         elif args.m is not None:
-            z1, z2 = rational_z_args(args.m, x)
-            report.inputs["m"] = args.m
+            m, = _options(report, args, str, "m")
+            z1, z2 = rational_z_args(m, x)
             report.outputs["z1_exponent"] = z1.exponent
             report.outputs["z2_exponent"] = z2.exponent
         else:
             raise UsageError("eval Fhk needs --z1/--z2 exponents or --m")
         report.outputs["F_hk"] = F_hk(x, z1, z2)
-    else:
-        raise UsageError("unknown function %r" % fn)
+    if args.crosscheck:
+        if second is None:
+            raise UsageError("eval %s has no second route here to --crosscheck" % fn)
+        name, residual, tolerance = second
+        report.add_check(name, residual(), tolerance)
     return report
 
 
@@ -320,7 +297,7 @@ def cmd_eval(args):
 
 
 def cmd_qexp(args):
-    report = RunReport("qexp")
+    report = RunReport("qexp", tol=args.tol)
     order = parse_rational(args.order)
     if args.factors:
         if args.label or args.both_routes:
@@ -346,195 +323,26 @@ def cmd_qexp(args):
 
 
 # ---------------------------------------------------------------------------
-# verify suites
+# verify command
 
 
-def _sample_tau(rng):
-    return mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 1.4))
-
-
-def _sample_uv(rng, tau):
-    def pt():
-        return (rng.uniform(-0.4, 0.4) + rng.uniform(0.1, 0.9) * tau
-                + mpc(0.013, 0.007))
-    return pt(), pt()
-
-
-def _suite_mu(report, rng, samples, tol):
-    for i in range(samples):
-        tau = _sample_tau(rng)
-        u, v = _sample_uv(rng, tau)
-        report.add_check("mu symmetric in u and v (sample %d)" % i,
-                         abs(mu(u, v, tau) - mu(v, u, tau)), _tol(tol, 1e-11))
-        report.add_check("mu elliptic shift u+1 (sample %d)" % i,
-                         abs(mu(u + 1, v, tau) + mu(u, v, tau)), _tol(tol, 1e-11))
-        a = rng.uniform(0.05, 0.45) + 1j * rng.uniform(0.0, 0.2)
-        lhs, rhs = kang_pair(a, tau)
-        report.add_check("mu factors through g2 at alpha (sample %d)" % i,
-                         abs(lhs - rhs), _tol(tol, 1e-9))
-    tau0 = mpc(0, 1)
-    quad = unary_ray_integral((Fraction(3, 4), Fraction(3, 4)), mpf(0), tau0)
-    closed = -e2pi(Fraction(3, 16)) * e2pi(tau0 * Fraction(-1, 32)) \
-        * mordell_h(tau0 / 4 - Fraction(1, 4), tau0)
-    report.add_check("ray integral of unary theta matches Mordell integral",
-                     abs(quad - closed), _tol(tol, 1e-7))
-
-
-def _suite_theta(report, rng, samples, tol):
-    for i in range(samples):
-        tau = _sample_tau(rng)
-        for n in (1, 3, 7, 11):
-            diff = abs(eta_theta_eval("e%d" % n, tau)
-                       - eta_theta_eval("e%d" % n, tau,
-                                        representation="character-sum"))
-            report.add_check(
-                "e_%d eta-quotient equals character sum (sample %d)" % (n, i),
-                diff, _tol(tol, 1e-11))
-        for m_idx in (1, 4, 6):
-            diff = abs(eta_theta_eval("E%d" % m_idx, tau)
-                       - E_from_g(m_idx, tau))
-            report.add_check(
-                "E_%d eta-quotient equals unary combination (sample %d)"
-                % (m_idx, i), diff, _tol(tol, 1e-11))
-        v, t = theta_specialization_point(3, tau)
-        diff = abs(jacobi_theta(v, t) - e_from_theta(3, tau))
-        report.add_check("theta at the row 3 specialization point (sample %d)" % i,
-                         diff, _tol(tol, 1e-11))
-
-
-def _suite_vmn(report, rng, samples, tol):
-    rows = all_rows()
-    for i in range(samples):
-        tau = _sample_tau(rng)
-        for label, n in rng.sample(rows, min(6, len(rows))):
-            diff = abs(vmn_eval_mu(label, n, tau)
-                       - vmn_eval_series(label, n, tau))
-            report.add_check(
-                "row (%s,%d) mu form equals series form (sample %d)"
-                % (label, n, i), diff, _tol(tol, 1e-11))
-
-
-def _suite_thm11(report, rng, samples, tol):
-    rows = all_rows()
-    picked = rng.sample(rows, min(max(samples, 3), len(rows)))
-    for label, n in picked:
-        tau = _sample_tau(rng)
-        for gamma in group_sample(label, n, count=2):
-            res = verify_thm11(label, n, gamma, tau)
-            report.add_check(
-                "completed row (%s,%d) transforms under (%d,%d;%d,%d)"
-                % (label, n, gamma.a, gamma.b, gamma.c, gamma.d),
-                res, _tol(tol, 1e-8))
-
-
-def _suite_thm12(report, rng, samples, tol):
-    points = {"1": Fraction(1, 3), "2": Fraction(1, 3), "3": Fraction(1, 1),
-              "4": Fraction(1, 3), "5": Fraction(1, 2), "6": Fraction(1, 1)}
-    for base in ("1", "2", "3", "4", "5", "6"):
-        x = points[base]
-        tau = _sample_tau(rng)
-        report.add_check("family %s two-step shift identity at %s" % (base, x),
-                         verify_thm12_iii(base, 1, x), _tol(tol, 1e-10))
-        report.add_check("family %s ray identity at tau sample" % base,
-                         verify_thm12_i(base, 1, tau), _tol(tol, 1e-6))
-        if base in ("2", "4", "6"):
-            report.add_check("family %s one-step ray identity at %s" % (base, x),
-                             verify_thm12_ii(base, x), _tol(tol, 1e-6))
-
-
-def _suite_table2(report, rng, samples, tol):
-    for base in ("1", "2", "3", "4", "5", "6"):
-        tau = _sample_tau(rng)
-        res = verify_table2(base, tau)
-        report.add_check("I_%s closed form equals quadrature" % base,
-                         res["I"], _tol(tol, 1e-7))
-        report.add_check("J_%s closed form equals quadrature" % base,
-                         res["J"], _tol(tol, 1e-7))
-        report.add_check("family %s completed transformation" % base,
-                         res["functional_equation"], _tol(tol, 1e-7))
-
-
-def _suite_corollary(report, rng, samples, tol, m=None, x=None):
-    m = m or "1"
-    x = as_fraction(x) if x is not None else Fraction(1, 3)
-    lhs, rhs, res = corollary_check(m, x)
-    report.outputs["lhs"] = lhs
-    report.outputs["rhs"] = rhs
-    report.add_check("quadrature matches finite hypergeometric sum",
-                     res, _tol(tol, 1e-9))
-    base = normalize_label(m)
-    if base in ("1", "2", "3", "4", "5", "6"):
-        kind = "four-term companion" if base == "4" else "sign-companion"
-        report.add_check("%s sums cancel at %s" % (kind, x),
-                         abs(companion_sum(base, x)), _tol(tol, 1e-12))
-
-
-def _orbit(label, n, gens, x):
-    """The images of x under the generators and their inverses, infinity
-    left out, and how many of them fall outside the quantum set of row
-    (label, n)."""
-    mats = gens + tuple(g.inv() for g in gens)
-    images = [y for y in (mobius_rational(g, x) for g in mats) if y is not None]
-    return images, sum(not in_quantum_set(label, n, y) for y in images)
-
-
-def _suite_quantum_closure(report, rng, samples, tol):
-    bound = min(12 + samples, 30)
-    rows = sorted({(base_label(lbl), n) for lbl, n in all_rows()})
-    failures = 0
-    images = 0
-    for label, n in rows:
-        gens = group_generators(label, n)
-        for h in range(-bound, bound + 1):
-            for k in range(1, bound + 1):
-                x = Fraction(h, k)
-                if x.denominator != k or not in_quantum_set(label, n, x):
-                    continue
-                orbit, bad = _orbit(label, n, gens, x)
-                images += len(orbit)
-                failures += bad
-    report.outputs["rows"] = len(rows)
-    report.outputs["images_checked"] = images
-    report.add_check("generator orbits stay inside each quantum set",
-                     float(failures), 0.0)
-
-
-def _suite_shadow(report, rng, samples, tol):
-    pairs = [p for label in ATOMIC_LABELS for p in vmn_spec(label, 1).shadow_pairs()]
-    tau = mpc(0.12, 0.9)
-    half = Fraction(1, 2)
-    for a, b in pairs:
-        diff = abs(xi_shadow(MabSpec(a, b), tau)
-                   - g_complement((a + half, b + half), tau))
-        report.add_check("xi image matches complement theta at (%s,%s)" % (a, b),
-                         diff, _tol(tol, 1e-5))
-
-
-_SUITES = {
-    "mu": _suite_mu,
-    "theta": _suite_theta,
-    "vmn": _suite_vmn,
-    "thm11": _suite_thm11,
-    "thm12": _suite_thm12,
-    "table2": _suite_table2,
-    "corollary": _suite_corollary,
-    "quantum-closure": _suite_quantum_closure,
-    "shadow": _suite_shadow,
-}
+# the options a suite may take, each with its parser
+_SUITE_OPTIONS = {"m": str, "x": parse_rational}
 
 
 def cmd_verify(args):
-    report = RunReport("verify %s" % args.suite)
+    report = RunReport("verify %s" % args.suite, tol=args.tol)
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
+    suite = SUITES[args.suite]
+    given = {name: parse(getattr(args, name)) for name, parse in _SUITE_OPTIONS.items()
+             if getattr(args, name) is not None}
+    extra = sorted(set(given) - set(inspect.signature(suite).parameters))
+    if extra:
+        raise UsageError("verify %s takes no --%s" % (args.suite, extra[0]))
     rng = random.Random(args.seed)
     report.inputs.update(seed=args.seed, samples=args.samples)
-    suite = _SUITES[args.suite]
-    if args.suite == "corollary":
-        suite(report, rng, args.samples, args.tol, m=args.m,
-              x=parse_rational(args.x) if args.x else None)
-    else:
-        suite(report, rng, args.samples, args.tol)
+    suite(report, rng, args.samples, **given)
     return report
 
 
@@ -543,7 +351,7 @@ def cmd_verify(args):
 
 
 def cmd_quantum(args):
-    report = RunReport("quantum %s %d %s" % (args.m, args.n, args.x))
+    report = RunReport("quantum %s %d %s" % (args.m, args.n, args.x), tol=args.tol)
     x = parse_rational(args.x)
     label = normalize_label(args.m)
     member = in_quantum_set(label, args.n, x)
@@ -553,8 +361,8 @@ def cmd_quantum(args):
     gens = group_generators(label, args.n)
     report.outputs["generators"] = [[g.a, g.b, g.c, g.d] for g in gens]
     if member:
-        orbit, bad = _orbit(label, args.n, gens, x)
-        report.outputs["orbit_sample"] = orbit
+        images, bad = orbit(label, args.n, gens, x)
+        report.outputs["orbit_sample"] = images
         report.add_check("orbit of x stays inside the set", float(bad), 0.0)
         report.outputs["value"] = vmn_any(label, args.n, x)
     return report
@@ -622,7 +430,7 @@ def build_parser():
     p.set_defaults(func=cmd_qexp)
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    p.add_argument("suite", choices=sorted(_SUITES))
+    p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--samples", type=int, default=2)
     p.add_argument("--m")
     p.add_argument("--x")

@@ -337,14 +337,12 @@ _G_ROWS = {
 def E_from_g(m, tau):
     """Odd catalogue member m as its g_{a,b} combination."""
     tau = mpc(tau)
-    total = mpc(0)
-    for coeff, phase, spec, scale in _G_ROWS[m]:
-        total += coeff * e2pi(phase) * g_ab(spec, scale * tau)
-    return total
+    return sum(c * g_ab(spec, scale * tau) for c, spec, scale in unary_theta_combination(m))
 
 
 def unary_theta_combination(m):
     """The (coeff*e(phase), (a,b), scale) table behind E_from_g."""
+    _, m = _parse_label(("odd", m))
     return [(c * e2pi(ph), spec, scale) for c, ph, spec, scale in _G_ROWS[m]]
 
 
@@ -353,7 +351,7 @@ def partial_theta(m, z):
     z = mpc(z)
     if z.imag >= 0:
         raise ValueError("partial theta needs Im(z) < 0")
-    _, chi = _ODD[m]
+    _, chi = _ODD[_parse_label(("odd", m))[1]]
     eps = series_eps()
     _, squares = quadratic_phases(-z, 0, 0)
 

@@ -1,0 +1,366 @@
+"""The checks of the paper's claims: their residuals, default tolerances and names.
+
+The drivers check the three quantum-modularity laws of Theorem 1.2 (their
+finite side is quantum.two_term_law), the I/J split of Table 2 (one
+formula over a six-row table) and the corollary at rationals; Theorem
+1.1's driver, vmn.verify_thm11, stays next to the completion it checks.
+The e_n, E_m and V_{m,n} route residuals serve `eval --crosscheck` and suites.
+
+A suite is called as suite(report, rng, samples, **given).  It adds each
+check with report.add_check(name, residual, default tolerance), and
+names as keyword parameters the command-line options it takes.
+"""
+
+from fractions import Fraction
+
+from mpmath import mp, mpc, mpf
+
+from .core import fraction_mpf
+from .qseries import e2pi
+from .theta import (_G_ROWS, E_from_g, e_from_theta, eta_theta_eval, jacobi_theta,
+                    theta_specialization_point)
+from .mu import MabSpec, g_complement, kang_pair, mordell_h, mu, xi_shadow
+from .vmn import (ATOMIC_LABELS, all_rows, base_label, group_sample, normalize_label,
+                  verify_thm11, vmn_eval_mu, vmn_eval_series, vmn_spec)
+from .quantum import (ELL, ROOT_A, SHIFT_B, as_fraction, companion_sum,
+                      group_generators, in_quantum_set, integral_identity_rhs, kappa,
+                      mobius_rational, two_term_law, vmn_any)
+from .eichler import (_g_combo_ray, integral_identity_lhs, partial_theta_radial,
+                      unary_ray_integral)
+
+
+# ---------------------------------------------------------------------------
+# the period-integral identities of Theorem 1.2
+
+
+def verify_thm12_i(m, n, x):
+    """Residual of: V(x) + i^ell (2x+1)^(-1/2) V(x/(2x+1)) equals the
+    ray integral from 1/2."""
+    base = base_label(normalize_label(m))
+    lhs = two_term_law(lambda y: vmn_any(m, n, y), x, 2, e2pi(Fraction(ELL[base], 4)))
+    return abs(lhs - integral_identity_lhs(base, x, endpoint=Fraction(1, 2)))
+
+
+def verify_thm12_ii(m, x):
+    """Residual of the first-column variant with x -> x/(x+1) and the ray
+    from 1; defined for the even families 2, 4, 6."""
+    base = base_label(normalize_label(m))
+    if base not in ("2", "4", "6"):
+        raise ValueError("this variant needs an even family, got %r" % (m,))
+    lhs = two_term_law(lambda y: vmn_any(base, 1, y), x, 1, -e2pi(Fraction(-1, 8)))
+    return abs(lhs - integral_identity_lhs(base, x, endpoint=Fraction(1)))
+
+
+def verify_thm12_iii(m, n, x):
+    """Residual of V(x) - zeta_a^kappa V(x + kappa b) = 0."""
+    base = base_label(normalize_label(m))
+    kap = kappa(base, n)
+    root = e2pi(Fraction(kap, ROOT_A[base]))
+    x = Fraction(x) if isinstance(x, (Fraction, int)) else mpc(x)
+    return abs(vmn_any(m, n, x) - root * vmn_any(m, n, x + kap * SHIFT_B[base]))
+
+
+# ---------------------------------------------------------------------------
+# the I/J decomposition of the completed transformation
+
+
+# Table 2, one row per family: the phases of the prefactors P_I = e(.)/2
+# and P_J = e(.)/2, and the offsets of the Mordell integrals.  The rest
+# follows from ell = ELL[m] and the g_{a,b} combination of E_m.
+_TABLE2 = {
+    "1": (Fraction(1, 8), Fraction(-1, 4), (Fraction(1, 4),)),
+    "2": (Fraction(0), Fraction(5, 8), (Fraction(1, 4),)),
+    "3": (Fraction(1, 6), Fraction(-1, 4), (Fraction(1, 6),)),
+    "4": (Fraction(0), Fraction(5, 8), (Fraction(5, 12), Fraction(1, 12))),
+    "5": (Fraction(1, 12), Fraction(-1, 4), (Fraction(1, 3),)),
+    "6": (Fraction(0), Fraction(5, 8), (Fraction(1, 6),)),
+}
+
+
+def _mordell_piece(alpha, beta, tau):
+    """e(-alpha^2 tau/2) h(alpha tau - beta; tau)."""
+    return e2pi(-alpha * alpha * tau / 2) * mordell_h(alpha * tau - fraction_mpf(beta), tau)
+
+
+def table2_terms(m, tau):
+    """Both printed forms of the I and J pieces for the first column.
+
+    With tau' = -1/tau - ell and a = (ell - 1)/2, the closed forms are
+        I = P_I sqrt(-i tau') sum_off e(-a^2 tau'/2) h(a tau' + off; tau'),
+        J = P_J sqrt(ell tau + 1) sum_off e(-off^2 tau/2) h(off tau - a; tau),
+    and the quadrature forms integrate G = E_m(u/scale)/coeff (the g_{a,b}
+    combination of E_m over its first integer coefficient) from 0 and 1/ell:
+        I = P (ray(1/ell) - ray(0)) + C,  J = P ray(0) - C,
+    with P = (i/2) e((2 - ell)/8) sqrt(ell tau + 1) and
+    C = (i/2) (ell - 1) sqrt(-i tau').
+    """
+    base = base_label(normalize_label(m))
+    phase_i, phase_j, offsets = _TABLE2[base]
+    ell = ELL[base]
+    a = Fraction(ell - 1, 2)
+    tau = mpc(tau)
+    tau1 = -1 / tau - ell
+    root, root1 = mp.sqrt(ell * tau + 1), mp.sqrt(-1j * tau1)
+    rows = _G_ROWS[int(base)]
+    pairs = [(coeff * e2pi(phase) / rows[0][0], spec) for coeff, phase, spec, _ in rows]
+    ray0 = _g_combo_ray(pairs, mpf(0), tau)
+    ray1 = _g_combo_ray(pairs, fraction_mpf(Fraction(1, ell)), tau)
+    pref = 0.5j * e2pi(Fraction(2 - ell, 8)) * root
+    corr = 0.5j * (ell - 1) * root1
+    return {
+        "I_closed": e2pi(phase_i) / 2 * root1
+        * sum(_mordell_piece(a, -off, tau1) for off in offsets),
+        "I_quad": pref * (ray1 - ray0) + corr,
+        "J_closed": e2pi(phase_j) / 2 * root
+        * sum(_mordell_piece(off, a, tau) for off in offsets),
+        "J_quad": pref * ray0 - corr,
+    }
+
+
+def verify_table2(m, tau):
+    """Residuals: closed vs quadrature for I and J, and the completed
+    transformation they decompose."""
+    base = base_label(normalize_label(m))
+    tau = mpc(tau)
+    parts = table2_terms(base, tau)
+    ell = ELL[base]
+    mat_tau = tau / (ell * tau + 1)
+    lhs = vmn_eval_mu(base, 1, mat_tau)
+    rhs = e2pi(Fraction(2 - ell, 8)) * mp.sqrt(ell * tau + 1) \
+        * vmn_eval_mu(base, 1, tau) \
+        + parts["I_closed"] + parts["J_closed"]
+    return {
+        "I": abs(parts["I_closed"] - parts["I_quad"]),
+        "J": abs(parts["J_closed"] - parts["J_quad"]),
+        "functional_equation": abs(lhs - rhs),
+    }
+
+
+# ---------------------------------------------------------------------------
+# the corollary at rationals and the partial-theta radial limits
+
+
+def radial_proportionality(m, n, x, ts=(0.05, 0.02, 0.01), anchor_ts=None):
+    """Fitted constant and residuals for the partial-theta radial limit.
+
+    The limit of the partial theta along x + it is estimated by Richardson
+    extrapolation at the two anchor heights (by default the two finest
+    heights in ts), the constant is that limit divided by the
+    rational-point value of the catalogue entry, and the residuals are
+    reported at the heights in ts.  The constant is fitted, never
+    asserted; the informative content is the decrease of the residuals.
+    """
+    t1, t2 = anchor_ts if anchor_ts is not None else ts[-2:]
+    a1, a2 = partial_theta_radial(m, x, (t1, t2))
+    limit = (t1 * a2 - t2 * a1) / (t1 - t2)
+    V = vmn_any(m, n, Fraction(x))
+    const = limit / V
+    vals = partial_theta_radial(m, x, ts)
+    residuals = [abs(v - const * V) for v in vals]
+    return const, residuals
+
+
+def corollary_check(m, x):
+    """Quadrature and finite-sum sides of the period identity at a rational.
+
+    Returns (lhs, rhs, residual): lhs is the weighted ray integral, rhs
+    the closed q-hypergeometric expression.  The identity holds on the
+    quantum set of the family's first column; elsewhere this raises
+    ValueError.
+    """
+    base = base_label(normalize_label(m))
+    x = as_fraction(x)
+    if not in_quantum_set(base, 1, x):
+        raise ValueError("%s is outside the quantum set of row (%s, 1)"
+                         % (x, base))
+    lhs = integral_identity_lhs(base, x)
+    rhs = integral_identity_rhs(base, x)
+    return lhs, rhs, abs(lhs - rhs)
+
+
+# ---------------------------------------------------------------------------
+# residuals between the two routes to one value
+
+
+def e_route_residual(n, tau):
+    """|e_n by its eta quotient - e_n by its character sum|."""
+    return abs(eta_theta_eval("e%d" % n, tau)
+               - eta_theta_eval("e%d" % n, tau, representation="character-sum"))
+
+
+def E_route_residual(m, tau):
+    """|E_m by its eta quotient - E_m by its g_{a,b} combination|."""
+    return abs(eta_theta_eval("E%d" % m, tau) - E_from_g(m, tau))
+
+
+def vmn_route_residual(label, n, tau):
+    """|V_{m,n} by its mu form - V_{m,n} by its series form|."""
+    return abs(vmn_eval_mu(label, n, tau) - vmn_eval_series(label, n, tau))
+
+
+# ---------------------------------------------------------------------------
+# the suites of the verify command
+
+
+def _sample_tau(rng):
+    return mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 1.4))
+
+
+def _sample_uv(rng, tau):
+    def pt():
+        return (rng.uniform(-0.4, 0.4) + rng.uniform(0.1, 0.9) * tau
+                + mpc(0.013, 0.007))
+    return pt(), pt()
+
+
+def _suite_mu(report, rng, samples):
+    for i in range(samples):
+        tau = _sample_tau(rng)
+        u, v = _sample_uv(rng, tau)
+        report.add_check("mu symmetric in u and v (sample %d)" % i,
+                         abs(mu(u, v, tau) - mu(v, u, tau)), 1e-11)
+        report.add_check("mu elliptic shift u+1 (sample %d)" % i,
+                         abs(mu(u + 1, v, tau) + mu(u, v, tau)), 1e-11)
+        a = rng.uniform(0.05, 0.45) + 1j * rng.uniform(0.0, 0.2)
+        lhs, rhs = kang_pair(a, tau)
+        report.add_check("mu factors through g2 at alpha (sample %d)" % i,
+                         abs(lhs - rhs), 1e-9)
+    tau0 = mpc(0, 1)
+    quad = unary_ray_integral((Fraction(3, 4), Fraction(3, 4)), mpf(0), tau0)
+    closed = -e2pi(Fraction(3, 16)) * e2pi(tau0 * Fraction(-1, 32)) \
+        * mordell_h(tau0 / 4 - Fraction(1, 4), tau0)
+    report.add_check("ray integral of unary theta matches Mordell integral",
+                     abs(quad - closed), 1e-7)
+
+
+def _suite_theta(report, rng, samples):
+    for i in range(samples):
+        tau = _sample_tau(rng)
+        for n in (1, 3, 7, 11):
+            report.add_check(
+                "e_%d eta-quotient equals character sum (sample %d)" % (n, i),
+                e_route_residual(n, tau), 1e-11)
+        for m_idx in (1, 4, 6):
+            report.add_check(
+                "E_%d eta-quotient equals unary combination (sample %d)"
+                % (m_idx, i), E_route_residual(m_idx, tau), 1e-11)
+        v, t = theta_specialization_point(3, tau)
+        diff = abs(jacobi_theta(v, t) - e_from_theta(3, tau))
+        report.add_check("theta at the row 3 specialization point (sample %d)" % i,
+                         diff, 1e-11)
+
+
+def _suite_vmn(report, rng, samples):
+    rows = all_rows()
+    for i in range(samples):
+        tau = _sample_tau(rng)
+        for label, n in rng.sample(rows, min(6, len(rows))):
+            report.add_check(
+                "row (%s,%d) mu form equals series form (sample %d)"
+                % (label, n, i), vmn_route_residual(label, n, tau), 1e-11)
+
+
+def _suite_thm11(report, rng, samples):
+    rows = all_rows()
+    picked = rng.sample(rows, min(max(samples, 3), len(rows)))
+    for label, n in picked:
+        tau = _sample_tau(rng)
+        for gamma in group_sample(label, n, count=2):
+            res = verify_thm11(label, n, gamma, tau)
+            report.add_check(
+                "completed row (%s,%d) transforms under (%d,%d;%d,%d)"
+                % (label, n, gamma.a, gamma.b, gamma.c, gamma.d),
+                res, 1e-8)
+
+
+def _suite_thm12(report, rng, samples):
+    points = {"1": Fraction(1, 3), "2": Fraction(1, 3), "3": Fraction(1, 1),
+              "4": Fraction(1, 3), "5": Fraction(1, 2), "6": Fraction(1, 1)}
+    for base in ("1", "2", "3", "4", "5", "6"):
+        x = points[base]
+        tau = _sample_tau(rng)
+        report.add_check("family %s two-step shift identity at %s" % (base, x),
+                         verify_thm12_iii(base, 1, x), 1e-10)
+        report.add_check("family %s ray identity at tau sample" % base,
+                         verify_thm12_i(base, 1, tau), 1e-6)
+        if base in ("2", "4", "6"):
+            report.add_check("family %s one-step ray identity at %s" % (base, x),
+                             verify_thm12_ii(base, x), 1e-6)
+
+
+def _suite_table2(report, rng, samples):
+    for base in ("1", "2", "3", "4", "5", "6"):
+        tau = _sample_tau(rng)
+        res = verify_table2(base, tau)
+        report.add_check("I_%s closed form equals quadrature" % base,
+                         res["I"], 1e-7)
+        report.add_check("J_%s closed form equals quadrature" % base,
+                         res["J"], 1e-7)
+        report.add_check("family %s completed transformation" % base,
+                         res["functional_equation"], 1e-7)
+
+
+def _suite_corollary(report, rng, samples, m="1", x=Fraction(1, 3)):
+    lhs, rhs, res = corollary_check(m, x)
+    report.outputs["lhs"] = lhs
+    report.outputs["rhs"] = rhs
+    report.add_check("quadrature matches finite hypergeometric sum", res, 1e-9)
+    base = normalize_label(m)
+    if base in ("1", "2", "3", "4", "5", "6"):
+        kind = "four-term companion" if base == "4" else "sign-companion"
+        report.add_check("%s sums cancel at %s" % (kind, x),
+                         abs(companion_sum(base, x)), 1e-12)
+
+
+def orbit(label, n, gens, x):
+    """The images of x under the generators and their inverses, infinity
+    left out, and how many of them fall outside the quantum set of row
+    (label, n)."""
+    mats = gens + tuple(g.inv() for g in gens)
+    images = [y for y in (mobius_rational(g, x) for g in mats) if y is not None]
+    return images, sum(not in_quantum_set(label, n, y) for y in images)
+
+
+def _suite_quantum_closure(report, rng, samples):
+    bound = min(12 + samples, 30)
+    rows = sorted({(base_label(lbl), n) for lbl, n in all_rows()})
+    failures = 0
+    images = 0
+    for label, n in rows:
+        gens = group_generators(label, n)
+        for h in range(-bound, bound + 1):
+            for k in range(1, bound + 1):
+                x = Fraction(h, k)
+                if x.denominator != k or not in_quantum_set(label, n, x):
+                    continue
+                found, bad = orbit(label, n, gens, x)
+                images += len(found)
+                failures += bad
+    report.outputs["rows"] = len(rows)
+    report.outputs["images_checked"] = images
+    report.add_check("generator orbits stay inside each quantum set",
+                     float(failures), 0.0)
+
+
+def _suite_shadow(report, rng, samples):
+    pairs = [p for label in ATOMIC_LABELS for p in vmn_spec(label, 1).shadow_pairs()]
+    tau = mpc(0.12, 0.9)
+    half = Fraction(1, 2)
+    for a, b in pairs:
+        diff = abs(xi_shadow(MabSpec(a, b), tau)
+                   - g_complement((a + half, b + half), tau))
+        report.add_check("xi image matches complement theta at (%s,%s)" % (a, b),
+                         diff, 1e-5)
+
+
+SUITES = {
+    "mu": _suite_mu,
+    "theta": _suite_theta,
+    "vmn": _suite_vmn,
+    "thm11": _suite_thm11,
+    "thm12": _suite_thm12,
+    "table2": _suite_table2,
+    "corollary": _suite_corollary,
+    "quantum-closure": _suite_quantum_closure,
+    "shadow": _suite_shadow,
+}

@@ -285,14 +285,6 @@ class MultiplierData:
     epsilon: RootOfUnity
 
     @property
-    def delta(self):
-        return self.k - self.r
-
-    @property
-    def rho(self):
-        return self.l - self.s
-
-    @property
     def parity(self):
         return (-1) ** ((self.k + self.l + self.r + self.s) % 2)
 

@@ -29,9 +29,9 @@ from etamock.quantum import (ELL, F_hk_terms, companion_sum,
                              integral_identity_rhs, mobius_rational,
                              quantum_set_label, rational_formula_defined,
                              rational_z_args)
-from etamock.eichler import (integral_identity_lhs, radial_proportionality,
-                             unary_ray_integral, verify_thm12_i,
-                             verify_thm12_ii, verify_thm12_iii)
+from etamock.eichler import integral_identity_lhs, unary_ray_integral
+from etamock.verify import (radial_proportionality, verify_thm12_i,
+                            verify_thm12_ii, verify_thm12_iii)
 
 # working precision of every test here; see conftest.py
 DPS = 16

@@ -179,6 +179,63 @@ def test_zero_tolerance_is_an_override(capsys, argv):
     assert code == (0 if all(c["residual"] == 0 for c in checks) else 1)
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "quantum-closure", "--samples", "1"),
+    ("qexp", "e7", "--both-routes", "--order", "10"),
+    ("quantum", "2", "1", "1/3"),
+])
+def test_tolerance_override_leaves_exact_checks_exact(capsys, argv):
+    # --tol replaces the default of an approximate check only
+    code, out = run(capsys, "--tol", "1", *argv)
+    checks = json.loads(out)["checks"]
+    assert code == 0
+    assert checks and all(c["tolerance"] == 0.0 for c in checks)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "thm11", "--x", "1/3"),
+    ("verify", "theta", "--m", "2"),
+])
+def test_suite_options_belong_to_the_suites_that_take_them(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: verify %s takes no --" % argv[1])
+
+
+@pytest.mark.parametrize("argv", [
+    ("V", "1", "1", "--x", "1/2"),
+    ("mu", "--u", "0.3+0.4i", "--v", "0.1+0.2i", "--tau", "0.2+0.9i"),
+    ("g", "--a", "1/4", "--b", "0", "--tau", "1i"),
+    ("Etilde", "1", "--z", "0.1-0.3i"),
+    ("Fhk", "--x", "1/3", "--m", "1"),
+], ids=["V-at-x", "mu", "g", "Etilde", "Fhk"])
+def test_crosscheck_without_second_route_is_usage_error(capsys, argv):
+    code = main(["eval", *argv, "--crosscheck"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "--crosscheck" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("e", "x", "--tau", "1i"),
+    ("E", "1.5", "--tau", "1i"),
+    ("Etilde", "one", "--z", "0.1-0.3i"),
+    ("V", "1", "x", "--tau", "1i"),
+])
+def test_non_integer_index_is_usage_error(capsys, argv):
+    code = main(["eval", *argv])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: eval %s takes" % argv[0])
+
+
+def test_unknown_odd_index_names_the_index(capsys):
+    code = main(["eval", "Etilde", "7", "--z", "0.1-0.3i"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "domain error: unknown eta-theta label ('odd', 7)")
+
+
 def test_csv_format(capsys):
     code, out = run(capsys, "--format", "csv", "verify", "theta",
                     "--samples", "1")

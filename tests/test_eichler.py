@@ -1,4 +1,5 @@
-"""Ray integrals with the 1/sqrt kernel and the period-integral drivers."""
+"""Ray integrals with the 1/sqrt kernel (eichler), and the checks of the
+period identities built on them (verify)."""
 
 from fractions import Fraction
 
@@ -8,13 +9,11 @@ from mpmath import mp, mpc, mpf
 from etamock.qseries import e2pi
 from etamock.mu import R_correction, mordell_h
 from etamock.theta import partial_theta
-from etamock.eichler import (E_ray_integral, corollary_check, eichler_integral,
-                             estar_value, g_decay_rate, integral_identity_lhs,
-                             partial_theta_radial, radial_proportionality,
-                             ray_integral, unary_ray_integral, verify_table2,
-                             verify_thm12_i, verify_thm12_ii,
-                             verify_thm12_iii)
+from etamock.eichler import (estar_value, g_decay_rate, integral_identity_lhs,
+                             partial_theta_radial, ray_integral, unary_ray_integral)
 from etamock.quantum import ELL, integral_identity_rhs
+from etamock.verify import (corollary_check, radial_proportionality, verify_table2,
+                            verify_thm12_i, verify_thm12_ii, verify_thm12_iii)
 
 # working precision of every test here; see conftest.py
 DPS = 16
@@ -86,16 +85,6 @@ def test_integer_second_index_ray_from_zero(a):
     closed = -e2pi(-TAU * a * a / 2 + a) * mordell_h(a * TAU - Fraction(1, 2), TAU) \
         + e2pi(a) / mp.sqrt(-1j * TAU)
     assert abs(quad - closed) < 1e-7
-
-
-def test_eichler_integral_wrapper_routes():
-    spec = (Fraction(3, 4), Fraction(1, 2))
-    direct = unary_ray_integral(spec, mpf(0), TAU)
-    assert abs(eichler_integral(spec, 0, TAU) - direct) < 1e-12
-    conj_route = eichler_integral(spec, "-conj", TAU)
-    assert abs(conj_route - unary_ray_integral(spec, -mp.conj(TAU), TAU)) < 1e-12
-    combo = eichler_integral("1", Fraction(1, 2), TAU)
-    assert abs(combo - E_ray_integral("1", mpf("0.5"), TAU)) < 1e-12
 
 
 @pytest.mark.parametrize("m, n, x", [

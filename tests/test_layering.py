@@ -1,7 +1,8 @@
 """The package's modules import one way, from module-level statements only.
 
-Each module may import only from the modules before it in LAYERS, and no
-import sits inside a function, where it would hide a cycle.
+Each module may import only from the modules before it in LAYERS, no
+import sits inside a function, where it would hide a cycle, and every
+name a module imports is used in it.
 """
 
 import ast
@@ -14,17 +15,21 @@ import etamock
 SRC = os.path.dirname(os.path.abspath(etamock.__file__))
 
 # bottom to top; the package namespace re-exports everything below the CLI
-LAYERS = ("core", "qseries", "theta", "mu", "vmn", "quantum", "eichler", "cli",
-          "__init__")
+LAYERS = ("core", "qseries", "theta", "mu", "vmn", "quantum", "eichler", "verify",
+          "cli", "__init__")
 
 
 def _modules():
     return sorted(name[:-3] for name in os.listdir(SRC) if name.endswith(".py"))
 
 
-def _tree(module):
+def _source(module):
     with open(os.path.join(SRC, module + ".py")) as fh:
-        return ast.parse(fh.read(), filename=module + ".py")
+        return fh.read()
+
+
+def _tree(module):
+    return ast.parse(_source(module), filename=module + ".py")
 
 
 def _package_targets(node):
@@ -67,3 +72,23 @@ def test_imports_point_down_the_layers(module):
         if target not in LAYERS[:rank]
     ]
     assert not upward, "%s imports from its own layer or above: %s" % (module, upward)
+
+
+@pytest.mark.parametrize("module", [m for m in _modules() if m != "__init__"])
+def test_every_imported_name_is_used(module):
+    # the namespace package re-exports what it imports; a statement marked
+    # "noqa: F401" keeps names importable from a module that does not use them
+    lines = _source(module).splitlines()
+    tree = _tree(module)
+    imported = {
+        (alias.asname or alias.name).split(".")[0]: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        and "noqa: F401" not in " ".join(lines[node.lineno - 1:node.end_lineno])
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = ["%s (line %d)" % (name, line) for name, line in sorted(imported.items())
+              if name not in used]
+    assert not unused, "%s imports names it does not use: %s" % (module, unused)

@@ -228,6 +228,14 @@ def test_partial_theta_direct_sum():
     assert abs(partial_theta(2, z) - total) < 1e-20
 
 
+@pytest.mark.parametrize("m", [0, 7, "1"])
+def test_unknown_odd_index_is_value_error(m):
+    with pytest.raises(ValueError, match="unknown eta-theta label"):
+        partial_theta(m, mpc(0.1, -0.3))
+    with pytest.raises(ValueError, match="unknown eta-theta label"):
+        E_from_g(m, mpc(0, 1))
+
+
 def test_partial_theta_rejects_upper_half_plane():
     with pytest.raises(ValueError):
         partial_theta(1, mpc(0.2, 0.1))
