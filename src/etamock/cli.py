@@ -220,9 +220,39 @@ def _indices(report, args, usage, **parsers):
     return values
 
 
+# the options each eval function reads, and the functions that read positional
+# indices (_indices checks how many); any other input is a usage error
+_EVAL_OPTIONS = {
+    "eta": ("tau",), "theta": ("v", "tau"), "mu": ("u", "v", "tau"),
+    "g": ("a", "b", "tau"), "e": ("tau",), "E": ("tau",), "Etilde": ("z",),
+    "V": ("tau", "x"), "Fhk": ("x", "z1", "z2", "m"),
+}
+_EVAL_INDEXED = ("e", "E", "Etilde", "V")
+# every option some function reads, in order of first use
+_EVAL_OPTION_NAMES = tuple(dict.fromkeys(name for names in _EVAL_OPTIONS.values()
+                                         for name in names))
+
+
+def _no_ignored_inputs(args):
+    """UsageError for any index or option the chosen function would not read."""
+    fn = args.function
+    if args.indices and fn not in _EVAL_INDEXED:
+        raise UsageError("eval %s takes no positional indices, got %s"
+                         % (fn, " ".join(args.indices)))
+    extra = [name for name in _EVAL_OPTION_NAMES
+             if getattr(args, name) is not None and name not in _EVAL_OPTIONS[fn]]
+    if extra:
+        raise UsageError("eval %s takes no --%s" % (fn, extra[0]))
+    if fn == "V" and args.tau is not None and args.x is not None:
+        raise UsageError("eval V takes --tau or --x, not both")
+    if fn == "Fhk" and args.m is not None and (args.z1 is not None or args.z2 is not None):
+        raise UsageError("eval Fhk takes --z1/--z2 or --m, not both")
+
+
 def cmd_eval(args):
     report = RunReport("eval %s" % args.function, tol=args.tol)
     fn = args.function
+    _no_ignored_inputs(args)
     second = None  # the second route: (check name, residual thunk, default tolerance)
     if fn == "eta":
         tau, = _options(report, args, parse_complex, "tau")
@@ -404,20 +434,10 @@ def build_parser():
 
     p = sub.add_parser("eval", parents=[common],
                        help="evaluate a catalogued function")
-    p.add_argument("function",
-                   choices=("eta", "theta", "mu", "g", "e", "E", "Etilde",
-                            "V", "Fhk"))
+    p.add_argument("function", choices=tuple(_EVAL_OPTIONS))
     p.add_argument("indices", nargs="*")
-    p.add_argument("--tau")
-    p.add_argument("--x")
-    p.add_argument("--u")
-    p.add_argument("--v")
-    p.add_argument("--z")
-    p.add_argument("--a")
-    p.add_argument("--b")
-    p.add_argument("--z1")
-    p.add_argument("--z2")
-    p.add_argument("--m")
+    for name in _EVAL_OPTION_NAMES:
+        p.add_argument("--" + name)
     p.add_argument("--crosscheck", action="store_true",
                    help="also run the dual-representation check")
     p.set_defaults(func=cmd_eval)

@@ -2,9 +2,10 @@
 
 The workhorse is ray_integral, which integrates G(z)/sqrt(-i(z+tau))
 along the vertical path from a start point up to i*infinity.  The finite
-part uses Gauss-Legendre panels (t = s^2 near the start to tame the
-kernel, then geometrically growing panels), and the far tail is bounded
-analytically using the exponential decay rate of G.
+part uses core's nested tanh-sinh rule on two intervals of the height,
+[0, 1] and [1, T]; its nodes crowd into the start of the ray, where the
+kernel may be steep, and the far tail is bounded analytically using the
+exponential decay rate of G.
 
 The checks that compare these integrals with the finite side of the
 period identities live in verify.
@@ -15,8 +16,8 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .core import fraction_mpf
-# the quadrature lives in core; its names stay importable from here too
+from .core import fraction_mpf, tanh_sinh
+# unused here: the benchmark's span tracer looks these up in this module
 from .core import _gl_cache, adaptive_panels, gauss_legendre_nodes  # noqa: F401
 from .qseries import e2pi
 from .theta import E_from_g, g_ab, partial_theta, unary_theta_combination
@@ -27,10 +28,13 @@ from .quantum import ELL, ROOT_C
 def ray_integral(G, z0, tau, decay, tol=None):
     """int_{z0}^{i inf} G(z)/sqrt(-i(z+tau)) dz along the vertical path.
 
-    `decay`: G(z0 + it) = O(e^{-pi*decay*t}); sets the truncation height.
-    The start segment is parametrized t = s^2 so a 1/sqrt kernel at the
-    endpoint is absorbed; the tail beyond the truncation height is
-    bounded by the decay rate and dropped once negligible.
+    `decay`: G(z0 + it) = O(e^{-pi*decay*t}); sets the truncation height T.
+    The heights [0, 1] and [1, T] each get the tanh-sinh rule with tol/2.
+    Its nodes crowd into t = 0, where the kernel is steepest, so the start
+    needs no substitution; they stop at t ~ 2^-(prec + 11), so a start with
+    z0 + tau = 0, where the kernel is singular, does not settle.  The tail
+    beyond T is bounded by the decay rate and integrated as well only if
+    that bound is above tol.  RuntimeError if the rule does not settle.
     """
     z0 = mpc(z0)
     tau = mpc(tau)
@@ -43,21 +47,13 @@ def ray_integral(G, z0, tau, decay, tol=None):
         z = z0 + 1j * t
         return 1j * G(z) / mp.sqrt(-1j * (z + tau))
 
-    # t in [0, 1] via t = s^2, dt = 2s ds
-    head = adaptive_panels(lambda s: integrand(s * s) * 2 * s, [0, mpf(0.5), 1], tol / 2)
-    cuts = [mpf(1)]
-    while cuts[-1] < T:
-        cuts.append(min(2 * cuts[-1], mpf(T)))
-    body = adaptive_panels(integrand, cuts, tol / 2)
+    head = tanh_sinh(integrand, 0, 1, tol / 2, "ray integral")
+    body = tanh_sinh(integrand, 1, T, tol / 2, "ray integral")
     # tail bound: |G| <= C e^{-pi*decay*t} with C measured at T, kernel >= sqrt(t/2)
     gT = abs(G(z0 + 1j * mpf(T)))
     tail_bound = gT * mp.sqrt(2) / (mp.pi * decay * mp.sqrt(T))
     if tail_bound > tol:
-        extra_cuts = [mpf(T)]
-        T2 = T + S / (mp.pi * decay)
-        while extra_cuts[-1] < T2:
-            extra_cuts.append(min(2 * extra_cuts[-1], mpf(T2)))
-        body += adaptive_panels(integrand, extra_cuts, tol / 2)
+        body += tanh_sinh(integrand, T, T + S / (mp.pi * decay), tol / 2, "ray integral")
     return head + body
 
 

@@ -12,8 +12,8 @@ from itertools import count
 
 from mpmath import mp, mpc, mpf
 
-from .core import (adaptive_panels, converging, fold_guard, fraction_mpf, period_cell,
-                   quadratic_phases, reduce_tau, series_eps, sum_outward)
+from .core import (converging, fold_guard, fraction_mpf, period_cell, quadratic_phases,
+                   reduce_tau, series_eps, sum_outward, tanh_sinh)
 from .qseries import e2pi, eta
 from .theta import g_ab, jacobi_theta
 
@@ -86,8 +86,11 @@ def _mu_series(u, v, tau):
 def mordell_h(u, tau):
     """Mordell integral h(u; tau) over the real line.
 
-    Gauss-Legendre panels on [-X, X] with X set by the Gaussian envelope
-    exp(-pi Im(tau) x^2 - 2 pi Re(u) x); panels refine until stable.
+    The window [-X, X] is set by the Gaussian envelope
+    exp(-pi Im(tau) x^2 - 2 pi Re(u) x) and split at its centre
+    c = -Re(u)/Im(tau); each half gets the nested tanh-sinh rule, whose
+    nodes crowd into c, where the envelope peaks.  RuntimeError if the
+    rule does not settle.
     """
     u = mpc(u)
     tau = mpc(tau)
@@ -100,10 +103,12 @@ def mordell_h(u, tau):
     def f(x):
         return mp.exp(1j * mp.pi * tau * x * x - 2 * mp.pi * u * x) / mp.cosh(mp.pi * x)
 
-    npan = max(8, int(mp.ceil(2 * X)))
-    cuts = [-X + 2 * X * k / npan for k in range(npan + 1)]
-    tol = mpf(10) ** (-(mp.dps - 3))
-    return adaptive_panels(f, cuts, tol)
+    c = -u.real / y
+    # absolute where |f| <= 1 at c, relative to |f(c)| beyond, so that a
+    # large h settles at working precision instead of below it
+    tol = max(1, abs(f(c))) * mpf(10) ** (-(mp.dps - 3)) / 2
+    return (tanh_sinh(f, -X, c, tol, "Mordell integral")
+            + tanh_sinh(f, c, X, tol, "Mordell integral"))
 
 
 def R_correction(u, tau):

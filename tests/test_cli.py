@@ -217,6 +217,24 @@ def test_crosscheck_without_second_route_is_usage_error(capsys, argv):
     assert captured.err.startswith("error:") and "--crosscheck" in captured.err
 
 
+@pytest.mark.parametrize("argv, ignored", [
+    (("eta", "5", "7", "--tau", "1i"), "5 7"),
+    (("eta", "--tau", "1i", "--x", "3"), "--x"),
+    (("g", "1", "--a", "1/4", "--b", "0", "--tau", "1i"), "1"),
+    (("E", "3", "--tau", "1i", "--m", "5"), "--m"),
+    (("Etilde", "2", "--z", "0.1-0.3i", "--tau", "1i"), "--tau"),
+    (("V", "1", "1", "--tau", "1i", "--x", "1/2"), "--x"),
+    (("Fhk", "--x", "3/7", "--m", "2", "--z1", "1/3"), "--z1"),
+], ids=["eta-indices", "eta-x", "g-index", "E-m", "Etilde-tau", "V-tau-and-x",
+        "Fhk-m-and-z1"])
+def test_eval_input_the_function_ignores_is_usage_error(capsys, argv, ignored):
+    code = main(["eval", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: eval %s takes" % argv[0])
+    assert ignored.split()[0].lstrip("-") in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ("e", "x", "--tau", "1i"),
     ("E", "1.5", "--tau", "1i"),

@@ -6,14 +6,17 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
+import etamock.eichler as eichler
+from etamock.core import tanh_sinh
 from etamock.qseries import e2pi
 from etamock.mu import R_correction, mordell_h
 from etamock.theta import partial_theta
 from etamock.eichler import (estar_value, g_decay_rate, integral_identity_lhs,
                              partial_theta_radial, ray_integral, unary_ray_integral)
 from etamock.quantum import ELL, integral_identity_rhs
-from etamock.verify import (corollary_check, radial_proportionality, verify_table2,
-                            verify_thm12_i, verify_thm12_ii, verify_thm12_iii)
+from etamock.verify import (corollary_check, radial_proportionality, table2_terms,
+                            verify_table2, verify_thm12_i, verify_thm12_ii,
+                            verify_thm12_iii)
 
 # working precision of every test here; see conftest.py
 DPS = 16
@@ -177,6 +180,71 @@ def test_ray_integral_complex_start():
     val = ray_integral(lambda z: mp.exp(2j * mp.pi * z), mpc(-0.3, 0.2),
                        mpc(0.3, 0.9), decay=2)
     assert mp.isfinite(val.real) and mp.isfinite(val.imag)
+
+
+def test_tanh_sinh_levels_reuse_every_value():
+    points = []
+
+    def f(x):
+        points.append(x)
+        return mp.exp(x)
+
+    value = tanh_sinh(f, 0, 1, mpf(10) ** (3 - DPS), "test integral")
+    assert abs(value - (mp.e - 1)) < mpf(10) ** (1 - DPS)
+    # nodes within 2^-prec of 1 round to 1; those near 0 keep their distance
+    near_zero = [x for x in points if x < 0.5]
+    assert len(points) == 2 * len(near_zero) + 1
+    assert len(set(near_zero)) == len(near_zero)
+
+
+def test_ray_integral_that_cannot_settle_raises():
+    """G(z0 + it) = sin(1/t)/t swings without bound as t -> 0, so no level
+    of the rule settles on the start of the ray."""
+    def G(z):
+        return mp.sin(1 / z.imag) / z.imag
+
+    with pytest.raises(RuntimeError, match="ray integral failed to converge"):
+        ray_integral(G, mpf(0), mpc(0.3, 0.9), decay=1)
+
+
+# The rays of the benchmark's `period` workload at seed 1: both rays of two
+# Table 2 rows, and the (family, endpoint) ray of four period identities.
+# On the family 3 ray from 1/2, mp.quad's extrapolated error estimate read
+# 1e-15 at its level 4 while the error was 6.0e-12.
+SEED1_TABLE2 = (("2", mpc(-0.038548997356134485, 0.9320261863517083)),
+                ("6", mpc(0.09941399649890248, 1.0023554996917092)))
+SEED1_IDENTITIES = (
+    ("3", Fraction(1, 2), mpc(-0.1185314558716637, 0.9669511098728135)),
+    ("5", Fraction(1, 2), Fraction(5, 4)),
+    ("6", Fraction(1), Fraction(1, 6)),
+    ("2", Fraction(1), Fraction(-1, 6)),
+)
+
+
+def test_ray_integral_stop_rule_against_higher_precision(monkeypatch):
+    """The level-difference stop leaves each ray within 10^(3 - dps) of its
+    value at dps 30, and no call changes mp.dps."""
+    rays = []
+
+    def record(G, z0, tau, decay, tol=None):
+        value = ray_integral(G, z0, tau, decay, tol)
+        assert mp.dps == DPS
+        rays.append((G, z0, tau, decay, value))
+        return value
+
+    monkeypatch.setattr(eichler, "ray_integral", record)
+    monkeypatch.setattr(eichler, "_lhs_cache", {})
+    for m, tau in SEED1_TABLE2:
+        table2_terms(m, tau)
+    for m, endpoint, x in SEED1_IDENTITIES:
+        integral_identity_lhs(m, x, endpoint)
+    assert len(rays) == 8
+    for G, z0, tau, decay, value in rays:
+        with mp.workdps(30):
+            fine = ray_integral(G, z0, tau, decay)
+            assert mp.dps == 30
+        assert mp.dps == DPS
+        assert abs(value - fine) < mpf(10) ** (3 - DPS)
 
 
 def test_estar_tracks_partial_theta_at_conjugate():

@@ -98,6 +98,17 @@ def test_mordell_h_against_generic_quadrature(u, tau):
     assert abs(mordell_h(u, tau) - direct) < 1e-20
 
 
+def test_mordell_h_with_large_integrand_keeps_relative_precision():
+    # the integrand peaks near 3e6 and h is about 1.5e5, so a tolerance of
+    # 10^(3 - dps) taken as absolute is below the rounding of the sum
+    u, tau = mpc(2, 0.3), mpc(-0.4, 0.5)
+    with mp.workdps(DPS + 15):
+        direct = mp.quad(
+            lambda x: mp.exp(1j * mp.pi * tau * x * x - 2 * mp.pi * u * x)
+            / mp.cosh(mp.pi * x), [-mp.inf, -u.real / tau.imag, mp.inf])
+    assert abs(mordell_h(u, tau) - direct) < mpf(10) ** (2 - DPS) * abs(direct)
+
+
 def test_r_correction_parity_and_period():
     tau = mpc(0.1, 1.0)
     u = mpc(0.2, 0.1)
