@@ -1,5 +1,5 @@
 """The numeric core: working precision, series summation, the reduction to
-the fundamental domain, and nested tanh-sinh quadrature.
+the fundamental domain, and nested exp-sinh quadrature on the half-line.
 
 Every other module of the package builds on these; this module imports
 nothing from the package.  Numeric evaluation runs on mpmath's global
@@ -146,68 +146,65 @@ def reduce_tau(tau, state, shift, invert, what):
 
 
 # ---------------------------------------------------------------------------
-# nested tanh-sinh quadrature (Takahasi-Mori; Bailey-Jeyabalan-Li 2005)
+# nested exp-sinh quadrature (Takahasi-Mori; Bailey-Jeyabalan-Li 2005)
 
-# the finest level tried: step 2^-12, about 27,000 integrand values at dps 16
+# the finest level tried: step 2^-12
 MAX_LEVEL = 12
 
-_ts_cache = {}
+_es_cache = {}
 
 
-def tanh_sinh_nodes(level):
-    """The nodes that `level` adds to the tanh-sinh rule on [0, 1].
+def exp_sinh_nodes(level):
+    """The nodes that `level` adds to the exp-sinh rule on [0, inf).
 
-    The rule substitutes y = (1 + tanh(pi/2 sinh t))/2 and sums over
-    t = k h, h = 2^-level.  Level 1 holds every t = k/2 > 0; each later
-    level the odd multiples of its step, so level k together with the
-    levels before it is the whole rule at step 2^-k.  Each node is
-    (s, w) with s = 1/(1 + exp(pi sinh t)), the distance of y from the
-    nearer endpoint, kept as a distance so that it has full relative
-    precision; it stands for y = s and y = 1 - s, each with weight
-    w = pi cosh(t) s (1 - s) per unit step.  The centre t = 0 (y = 1/2,
-    w = pi/4) belongs to every level and is not listed.  Nodes stop where
-    s < 2^-(prec + 11).  Cached per (level, mp.prec); there are at most
-    MAX_LEVEL levels.
+    The rule substitutes t = exp(pi/2 sinh u) and sums over u = k h,
+    h = 2^-level, with weight w = pi/2 cosh(u) t per unit step.  Level 1
+    holds every u = k/2 != 0; each later level the odd multiples of its
+    step, so level k together with the levels before it is the whole rule
+    at step 2^-k.  Each node is (t, w); the node at -u is taken as 1/t, so
+    nodes near 0 keep full relative precision.  The centre u = 0 (t = 1,
+    w = pi/2) belongs to every level and is not listed.  Nodes stop where
+    t < 2^-(prec + 11), and their mirrors where t > 2^(prec + 11).  Cached
+    per (level, mp.prec); there are at most MAX_LEVEL levels.
     """
     key = (level, mp.prec)
-    if key not in _ts_cache:
-        tiny = mpf(2) ** -(mp.prec + 11)
+    if key not in _es_cache:
+        huge = mpf(2) ** (mp.prec + 11)
         step = mpf(2) ** (1 - level) if level > 1 else mpf(0.5)
         nodes = []
         with mp.extraprec(20):
-            t = mpf(2) ** -level
+            u = mpf(2) ** -level
             while True:
-                e = mp.exp(t)
-                s = 1 / (1 + mp.exp(mp.pi * (e - 1 / e) / 2))
-                if s < tiny:
+                e = mp.exp(u)
+                t = mp.exp(mp.pi * (e - 1 / e) / 4)
+                if t > huge:
                     break
-                nodes.append((s, mp.pi * (e + 1 / e) / 2 * s * (1 - s)))
-                t += step
-        _ts_cache[key] = tuple(nodes)
-    return _ts_cache[key]
+                c = mp.pi * (e + 1 / e) / 4
+                nodes += [(1 / t, c / t), (t, c * t)]
+                u += step
+        _es_cache[key] = tuple(nodes)
+    return _es_cache[key]
 
 
-def tanh_sinh(f, a, b, tol, what):
-    """int_a^b f for real a < b by the nested tanh-sinh rule.
+def exp_sinh(f, cut, tol, what):
+    """int_0^cut f by the nested exp-sinh rule on [0, inf): nodes t > cut
+    are not evaluated, and the part beyond the cut is the caller's to bound.
 
     Level k reuses every value of the levels before it and adds the
     values at its new nodes.  The estimate I_k is returned as soon as
     |I_k - I_(k-1)| < tol; RuntimeError if no level up to MAX_LEVEL
-    settles.  The nodes crowd double-exponentially into both endpoints,
-    so a steep start costs no substitution; a singularity such as
-    |x - a|^-1/2 is cut off below the last node, and the levels then do
-    not settle to a tolerance near working precision.
+    settles.  The nodes crowd double-exponentially into t = 0, so a steep
+    start costs no substitution; a singularity such as t^-1/2 is cut off
+    below the last node, and the levels then do not settle to a tolerance
+    near working precision.
     """
-    a = mpf(a)
-    b = mpf(b)
-    length = b - a
-    total = mp.pi / 4 * f(a + length / 2)
+    total = mp.pi / 2 * f(mpf(1))
     last = None
     for level in range(1, MAX_LEVEL + 1):
-        for s, w in tanh_sinh_nodes(level):
-            d = length * s
-            total += w * (f(a + d) + f(b - d))
-        estimate = length * total / 2 ** level
+        for t, w in exp_sinh_nodes(level):
+            if t <= cut:
+                total += w * f(t)
+        estimate = total / 2 ** level
         if last is not None and abs(estimate - last) < tol:
             return estimate
         last = estimate
@@ -217,11 +214,11 @@ def tanh_sinh(f, a, b, tol, what):
 # ---------------------------------------------------------------------------
 # Gauss-Legendre panel quadrature
 #
-# No package code integrates with these any more; tanh_sinh has replaced
+# No package code integrates with these any more; exp_sinh has replaced
 # them.  They stay because the benchmark's span tracer and its tests look
 # `adaptive_panels`, `gauss_legendre_nodes` and `_gl_cache` up through
 # `eichler` and pin their call counts.  They go once the benchmark's spans
-# move to the tanh-sinh rule.
+# move to the exp-sinh rule.
 
 _gl_cache = {}
 

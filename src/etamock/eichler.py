@@ -1,11 +1,11 @@
 """Period integrals: ray integrals against the 1/sqrt kernel.
 
 The workhorse is ray_integral, which integrates G(z)/sqrt(-i(z+tau))
-along the vertical path from a start point up to i*infinity.  The finite
-part uses core's nested tanh-sinh rule on two intervals of the height,
-[0, 1] and [1, T]; its nodes crowd into the start of the ray, where the
-kernel may be steep, and the far tail is bounded analytically using the
-exponential decay rate of G.
+along the vertical path from a start point up to i*infinity.  The height
+runs over the half-line and gets core's nested exp-sinh rule in one call:
+its nodes crowd into the start of the ray, where the kernel may be steep.
+G is not evaluated above a cut set by its exponential decay rate, which
+also bounds the part beyond the cut.
 
 The checks that compare these integrals with the finite side of the
 period identities live in verify.
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .core import fraction_mpf, tanh_sinh
+from .core import exp_sinh, fraction_mpf
 # unused here: the benchmark's span tracer looks these up in this module
 from .core import _gl_cache, adaptive_panels, gauss_legendre_nodes  # noqa: F401
 from .qseries import e2pi
@@ -28,33 +28,34 @@ from .quantum import ELL, ROOT_C
 def ray_integral(G, z0, tau, decay, tol=None):
     """int_{z0}^{i inf} G(z)/sqrt(-i(z+tau)) dz along the vertical path.
 
-    `decay`: G(z0 + it) = O(e^{-pi*decay*t}); sets the truncation height T.
-    The heights [0, 1] and [1, T] each get the tanh-sinh rule with tol/2.
-    Its nodes crowd into t = 0, where the kernel is steepest, so the start
-    needs no substitution; they stop at t ~ 2^-(prec + 11), so a start with
-    z0 + tau = 0, where the kernel is singular, does not settle.  The tail
-    beyond T is bounded by the decay rate and integrated as well only if
-    that bound is above tol.  RuntimeError if the rule does not settle.
+    `decay`: G(z0 + it) = O(e^{-pi*decay*t}); it sets the cut, the height
+    above which G is not evaluated.  The height gets one exp-sinh rule with
+    tol; its nodes crowd into t = 0, where the kernel is steepest.  The part
+    beyond the cut is bounded from |G| there and the decay rate.
+    ValueError, before G is evaluated, if the kernel's singularity -tau lies
+    on the ray; RuntimeError if the rule does not settle or the bound beyond
+    the cut is above tol (as when `decay` overstates G's decay).
     """
     z0 = mpc(z0)
     tau = mpc(tau)
+    if (z0 + tau).real == 0 and (z0 + tau).imag <= 0:
+        raise ValueError("the ray from %s meets the kernel's singularity -tau" % mp.nstr(z0, 8))
     if tol is None:
         tol = mpf(10) ** (-(mp.dps - 3))
     S = mp.log(10) * (mp.dps + 4)
-    T = max(4, S / (mp.pi * decay), 4 * abs(tau) + 4)
+    cut = max(4, S / (mp.pi * decay), 4 * abs(tau) + 4) + S / (mp.pi * decay)
 
     def integrand(t):
         z = z0 + 1j * t
         return 1j * G(z) / mp.sqrt(-1j * (z + tau))
 
-    head = tanh_sinh(integrand, 0, 1, tol / 2, "ray integral")
-    body = tanh_sinh(integrand, 1, T, tol / 2, "ray integral")
-    # tail bound: |G| <= C e^{-pi*decay*t} with C measured at T, kernel >= sqrt(t/2)
-    gT = abs(G(z0 + 1j * mpf(T)))
-    tail_bound = gT * mp.sqrt(2) / (mp.pi * decay * mp.sqrt(T))
-    if tail_bound > tol:
-        body += tanh_sinh(integrand, T, T + S / (mp.pi * decay), tol / 2, "ray integral")
-    return head + body
+    value = exp_sinh(integrand, cut, tol, "ray integral")
+    # |G| <= C e^{-pi*decay*t} with C measured at the cut, kernel >= sqrt(t/2)
+    beyond = abs(G(z0 + 1j * cut)) * mp.sqrt(2) / (mp.pi * decay * mp.sqrt(cut))
+    if beyond > tol:
+        raise RuntimeError("ray integral: the part beyond height %s is bounded only by %s"
+                           % (mp.nstr(cut, 6), mp.nstr(beyond, 3)))
+    return value
 
 
 def g_decay_rate(a, scale=1):

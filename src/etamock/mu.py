@@ -12,8 +12,8 @@ from itertools import count
 
 from mpmath import mp, mpc, mpf
 
-from .core import (converging, fold_guard, fraction_mpf, period_cell, quadratic_phases,
-                   reduce_tau, series_eps, sum_outward, tanh_sinh)
+from .core import (converging, exp_sinh, fold_guard, fraction_mpf, period_cell,
+                   quadratic_phases, reduce_tau, series_eps, sum_outward)
 from .qseries import e2pi, eta
 from .theta import g_ab, jacobi_theta
 
@@ -86,11 +86,12 @@ def _mu_series(u, v, tau):
 def mordell_h(u, tau):
     """Mordell integral h(u; tau) over the real line.
 
-    The window [-X, X] is set by the Gaussian envelope
-    exp(-pi Im(tau) x^2 - 2 pi Re(u) x) and split at its centre
-    c = -Re(u)/Im(tau); each half gets the nested tanh-sinh rule, whose
-    nodes crowd into c, where the envelope peaks.  RuntimeError if the
-    rule does not settle.
+    The integrand's Gaussian envelope exp(-pi Im(tau) x^2 - 2 pi Re(u) x)
+    peaks at c = -Re(u)/Im(tau).  The two half-lines from c are folded into
+    one, int_0^inf f(c + t) + f(c - t) dt, which gets the nested exp-sinh
+    rule with its nodes crowded into c; f is not evaluated beyond the cut
+    X + |c|, where the envelope is below working precision.  RuntimeError
+    if the rule does not settle.
     """
     u = mpc(u)
     tau = mpc(tau)
@@ -106,9 +107,8 @@ def mordell_h(u, tau):
     c = -u.real / y
     # absolute where |f| <= 1 at c, relative to |f(c)| beyond, so that a
     # large h settles at working precision instead of below it
-    tol = max(1, abs(f(c))) * mpf(10) ** (-(mp.dps - 3)) / 2
-    return (tanh_sinh(f, -X, c, tol, "Mordell integral")
-            + tanh_sinh(f, c, X, tol, "Mordell integral"))
+    tol = max(1, abs(f(c))) * mpf(10) ** (-(mp.dps - 3))
+    return exp_sinh(lambda t: f(c + t) + f(c - t), X + abs(c), tol, "Mordell integral")
 
 
 def R_correction(u, tau):

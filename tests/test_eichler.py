@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 import etamock.eichler as eichler
-from etamock.core import tanh_sinh
+from etamock.core import exp_sinh
 from etamock.qseries import e2pi
 from etamock.mu import R_correction, mordell_h
 from etamock.theta import partial_theta
@@ -182,19 +182,18 @@ def test_ray_integral_complex_start():
     assert mp.isfinite(val.real) and mp.isfinite(val.imag)
 
 
-def test_tanh_sinh_levels_reuse_every_value():
+def test_exp_sinh_levels_reuse_every_value():
     points = []
 
-    def f(x):
-        points.append(x)
-        return mp.exp(x)
+    def f(t):
+        points.append(t)
+        return mp.exp(-t)
 
-    value = tanh_sinh(f, 0, 1, mpf(10) ** (3 - DPS), "test integral")
-    assert abs(value - (mp.e - 1)) < mpf(10) ** (1 - DPS)
-    # nodes within 2^-prec of 1 round to 1; those near 0 keep their distance
-    near_zero = [x for x in points if x < 0.5]
-    assert len(points) == 2 * len(near_zero) + 1
-    assert len(set(near_zero)) == len(near_zero)
+    cut = 60
+    value = exp_sinh(f, cut, mpf(10) ** (3 - DPS), "test integral")
+    assert abs(value - 1) < mpf(10) ** (1 - DPS)
+    assert len(set(points)) == len(points)
+    assert max(points) <= cut
 
 
 def test_ray_integral_that_cannot_settle_raises():
@@ -205,6 +204,37 @@ def test_ray_integral_that_cannot_settle_raises():
 
     with pytest.raises(RuntimeError, match="ray integral failed to converge"):
         ray_integral(G, mpf(0), mpc(0.3, 0.9), decay=1)
+
+
+def test_ray_integral_with_overstated_decay_raises():
+    """G decays as e^{-pi 0.02 t}; with decay = 2 the cut is far too low.
+    G jumps to 0 at the cut, so the rule does not settle at the default
+    tol; at a tol loose enough for it to settle, the bound on the part
+    beyond the cut is above tol."""
+    def G(z):
+        return mp.exp(2j * mp.pi * mpf(0.01) * z)
+
+    tau = mpc(0.3, 0.9)
+    with pytest.raises(RuntimeError, match="ray integral"):
+        ray_integral(G, 0, tau, decay=2)
+    with pytest.raises(RuntimeError, match="beyond height"):
+        ray_integral(G, 0, tau, decay=2, tol=mpf("1e-3"))
+    direct = mp.quad(lambda t: 1j * G(1j * t) / mp.sqrt(-1j * (1j * t + tau)),
+                     [0, 1, mp.inf])
+    assert abs(ray_integral(G, 0, tau, decay=mpf(0.02)) - direct) < mpf(10) ** (3 - DPS)
+
+
+@pytest.mark.parametrize("z0, tau", [(0.3, -0.3), (0.3, mpc(-0.3, -0.5))])
+def test_ray_through_the_kernel_singularity_is_domain_error(z0, tau):
+    calls = []
+
+    def G(z):
+        calls.append(z)
+        return mp.exp(2j * mp.pi * z)
+
+    with pytest.raises(ValueError, match="singularity"):
+        ray_integral(G, z0, tau, decay=2)
+    assert calls == []
 
 
 # The rays of the benchmark's `period` workload at seed 1: both rays of two
@@ -223,11 +253,17 @@ SEED1_IDENTITIES = (
 
 def test_ray_integral_stop_rule_against_higher_precision(monkeypatch):
     """The level-difference stop leaves each ray within 10^(3 - dps) of its
-    value at dps 30, and no call changes mp.dps."""
+    value at dps 30 with at most 2,000 integrand values over the 8 rays,
+    and no call changes mp.dps."""
     rays = []
+    evals = []
 
     def record(G, z0, tau, decay, tol=None):
-        value = ray_integral(G, z0, tau, decay, tol)
+        def counted(z):
+            evals.append(z)
+            return G(z)
+
+        value = ray_integral(counted, z0, tau, decay, tol)
         assert mp.dps == DPS
         rays.append((G, z0, tau, decay, value))
         return value
@@ -239,6 +275,7 @@ def test_ray_integral_stop_rule_against_higher_precision(monkeypatch):
     for m, endpoint, x in SEED1_IDENTITIES:
         integral_identity_lhs(m, x, endpoint)
     assert len(rays) == 8
+    assert len(evals) <= 2000
     for G, z0, tau, decay, value in rays:
         with mp.workdps(30):
             fine = ray_integral(G, z0, tau, decay)

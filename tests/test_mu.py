@@ -169,3 +169,25 @@ def test_shadow_independent_of_section():
     one = xi_shadow(MabSpec(a, b), tau)
     other = xi_shadow(MabSpec(a, b, vsec=(Fraction(1, 7), Fraction(2, 5))), tau)
     assert abs(one - other) < 1e-8
+
+
+@pytest.mark.parametrize("u, tau", [
+    (mpc(0.3, 0.1), mpc(0.1, 0.9)),
+    (mpc(-0.2, 0.25), mpc(-0.3, 1.3)),
+    (mpc(0.05, -0.15), mpc(0.45, 0.75)),
+    (mpc(2, 0.3), mpc(-0.4, 0.5)),
+    (mpc(-0.3, 0.2), mpc(0.13, 0.87)),
+    (mpc(0.7, -0.1), mpc(0.2, 0.25)),
+])
+def test_mordell_h_within_its_tolerance_at_dps_16_and_30(u, tau):
+    def f(x):
+        return mp.exp(1j * mp.pi * tau * x * x - 2 * mp.pi * u * x) / mp.cosh(mp.pi * x)
+
+    c = -u.real / tau.imag
+    with mp.workdps(70):
+        direct = mp.quad(f, [-mp.inf, c, mp.inf])
+    for dps in (16, 30):
+        with mp.workdps(dps):
+            # the tolerance mordell_h sets itself: relative to |f(c)| above 1
+            tol = max(1, abs(f(c))) * mpf(10) ** (3 - dps)
+            assert abs(mordell_h(u, tau) - direct) < tol
