@@ -5,7 +5,7 @@ built from Appell-Lerch specializations of odd eta-theta functions.  The
 modules are:
 
     core       working precision, series summation, the reduction to the
-               fundamental domain, Gauss-Legendre panel quadrature
+               fundamental domain, nested exp-sinh quadrature
     qseries    Dedekind eta, exact multipliers, formal q-expansions
     theta      Jacobi theta, eta-theta lists, unary theta g_{a,b}
     mu         Appell-Lerch mu, Mordell integral, completions, shadows

@@ -9,7 +9,7 @@ way to change it for a while); importing the package leaves it alone.
 
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 from mpmath import mp, mpc, mpf
 
@@ -18,6 +18,9 @@ MIN_DPS = 15
 
 # a series stops after this many consecutive terms pass its stopping test
 QUIET_RUN = 5
+
+# the most terms lattice_sum takes on each side of its centre
+SIDE_CAP = 10 ** 5
 
 
 def series_eps():
@@ -53,19 +56,6 @@ def converging(pairs, cap, what):
     raise RuntimeError("%s failed to converge" % what)
 
 
-def sum_outward(down, up, cap, what):
-    """Sum of a two-sided series given as two streams of (value, small)
-    pairs: `down` runs from the centre down, `up` from the next index up.
-
-    The down side is summed first; each side stops on its own quiet run,
-    or raises after `cap` terms.
-    """
-    total = mpc(0)
-    for side in (down, up):
-        total = sum(converging(side, cap, what), total)
-    return total
-
-
 def e2pi(x):
     """exp(2*pi*i*x) for a real/complex number or a Fraction.
 
@@ -98,6 +88,25 @@ def quadratic_phases(a, b, center):
             r *= step
 
     return walk(w, step / rho), walk(w * rho, rho * step)
+
+
+def lattice_sum(term, center, phases, what):
+    """Sum of term(n, w_1, ..., w_k) over n in center + Z, where
+    w_i = e(a_i y^2 + b_i y) at y = n + s_i for phases = ((a_i, b_i, s_i), ...).
+
+    The walk runs down from `center` first, n = center, center - 1, ...,
+    then up from center + 1; each side stops on the quiet run of
+    `converging`, or raises after SIDE_CAP terms.  `term` returns
+    (value, small); a value of None (a zero coefficient, or an n outside a
+    one-sided sum) adds nothing but counts toward the quiet run.  The
+    phases step by the recurrence of quadratic_phases.
+    """
+    walks = [quadratic_phases(a, b, center + s) for a, b, s in phases]
+    total = mpc(0)
+    for side, ns in enumerate((count(center, -1), count(center + 1))):
+        pairs = map(term, ns, *(walk[side] for walk in walks))
+        total = sum(filter(None, converging(pairs, SIDE_CAP, what)), total)
+    return total
 
 
 # ---------------------------------------------------------------------------

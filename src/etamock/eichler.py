@@ -76,21 +76,21 @@ def unary_ray_integral(spec, z0, tau, scale=1, tol=None):
     return ray_integral(lambda z: g_ab(spec, scale * z), z0, tau, decay, tol=tol)
 
 
-def _g_combo_ray(pairs, z0, tau, tol=None):
+def _g_combo_ray(pairs, z0, tau):
     """int of (sum coeff * g_spec(u)) / sqrt(-i(u+tau)) from z0 upward."""
     decay = min(g_decay_rate(spec[0]) for _, spec in pairs)
 
     def G(z):
         return sum(c * g_ab(spec, z) for c, spec in pairs)
 
-    return ray_integral(G, z0, tau, decay, tol=tol)
+    return ray_integral(G, z0, tau, decay)
 
 
 # ---------------------------------------------------------------------------
 # the left side of the period identities
 
 
-def E_ray_integral(m, z0, x, tol=None):
+def E_ray_integral(m, z0, x):
     """int_{z0}^{i inf} E_m(2u/c_m^2)/sqrt(-i(u+x)) du, one unary component
     at a time so each gets its own decay rate."""
     base = base_label(normalize_label(m))
@@ -99,7 +99,7 @@ def E_ray_integral(m, z0, x, tol=None):
     total = mpc(0)
     for coeff, spec, scale in unary_theta_combination(int(base)):
         eff = Fraction(scale) * factor
-        total += coeff * unary_ray_integral(spec, z0, x, scale=eff, tol=tol)
+        total += coeff * unary_ray_integral(spec, z0, x, scale=eff)
     return total
 
 

@@ -8,12 +8,11 @@ mock theta factorization, and a finite-difference shadow operator.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 
 from mpmath import mp, mpc, mpf
 
-from .core import (converging, exp_sinh, fold_guard, fraction_mpf, period_cell,
-                   quadratic_phases, reduce_tau, series_eps, sum_outward)
+from .core import (converging, exp_sinh, fold_guard, fraction_mpf, lattice_sum, period_cell,
+                   reduce_tau, series_eps)
 from .qseries import e2pi, eta
 from .theta import g_ab, jacobi_theta
 
@@ -30,7 +29,7 @@ def lattice_distance(u, tau):
     return abs(period_cell(mpc(u), mpc(tau))[0])
 
 
-def _check_off_lattice(u, tau, name="u"):
+def _check_off_lattice(u, tau, name):
     if lattice_distance(u, tau) < LATTICE_TOL:
         raise ValueError("{} is within {} of the period lattice".format(name, LATTICE_TOL))
 
@@ -68,18 +67,14 @@ def _mu_series(u, v, tau):
     eu = e2pi(u)
     eps = series_eps()
 
-    def terms(ns, nums, powers):
-        for n, num, qn in zip(ns, nums, powers):
-            if n % 2:
-                num = -num
-            yield num / (1 - eu * qn), abs(num) < eps
+    def term(n, num, qn):
+        if n % 2:
+            num = -num
+        return num / (1 - eu * qn), abs(num) < eps
 
     # numerator (-1)^n e(n v) q^{n(n+1)/2} = (-1)^n e(tau n^2/2 + (tau/2 + v) n)
     center = int(mp.nint(-v.imag / tau.imag - 0.5))
-    nums = quadratic_phases(tau / 2, tau / 2 + v, center)
-    powers = quadratic_phases(0, tau, center)
-    total = sum_outward(terms(count(center, -1), nums[0], powers[0]),
-                        terms(count(center + 1), nums[1], powers[1]), 10 ** 5 + 2, "mu series")
+    total = lattice_sum(term, center, ((tau / 2, tau / 2 + v, 0), (0, tau, 0)), "mu series")
     return mp.exp(1j * mp.pi * u) / jacobi_theta(v, tau) * total
 
 
@@ -124,18 +119,16 @@ def R_correction(u, tau):
     root = mp.sqrt(2 * y)
     eps = series_eps()
 
-    def terms(ns, phases):
-        for n, w in zip(ns, phases):
-            nu = n + mpf(0.5)
-            sgn = 1 if nu > 0 else -1
-            amp = sgn * mp.erfc(sgn * mp.sqrt(mp.pi) * (nu + a) * root)
-            term = (-amp if n % 2 else amp) * w
-            yield term, abs(term) < eps
+    def term(n, w):
+        nu = n + mpf(0.5)
+        sgn = 1 if nu > 0 else -1
+        amp = sgn * mp.erfc(sgn * mp.sqrt(mp.pi) * (nu + a) * root)
+        value = (-amp if n % 2 else amp) * w
+        return value, abs(value) < eps
 
     # e^{-pi i nu^2 tau - 2 pi i nu u} = e(-tau nu^2/2 - u nu); nu = n + 1/2
     # runs over -1/2, -3/2, ... and then 1/2, 3/2, ...
-    down, up = quadratic_phases(-tau / 2, -u, mpf(-0.5))
-    return sum_outward(terms(count(-1, -1), down), terms(count(0), up), 10 ** 5, "R series")
+    return lattice_sum(term, -1, ((-tau / 2, -u, mpf(0.5)),), "R series")
 
 
 def mu_hat(u, v, tau):
@@ -238,18 +231,17 @@ def g_complement(spec, tau):
     return mp.conj(g_ab(spec, -mp.conj(mpc(tau))))
 
 
-def xi_shadow(spec, tau, step=None):
+def xi_shadow(spec, tau):
     """Weight-1/2 xi operator applied to M-hat, by central differences.
 
     Computes 2i y^{1/2} conj(d/d tau-bar M-hat) with Richardson
-    extrapolation over two step sizes; compare against
-    g_complement((a+1/2, b+1/2), tau).
+    extrapolation over the steps 10^-4 y and half of it; compare against
+    g_complement((a+1/2, b+1/2), tau).  ValueError if the step is below
+    working precision.
     """
     tau = mpc(tau)
     y = tau.imag
-    if step is None:
-        step = 1e-4 * y
-    step = mpf(step)
+    step = 1e-4 * y
     if step < mpf(10) ** (-mp.dps):
         raise ValueError("step underflows working precision")
 

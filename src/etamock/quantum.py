@@ -30,9 +30,8 @@ from mpmath import mp, mpc
 from .core import fraction_mpf
 from .qseries import RootOfUnity, SL2Matrix, e2pi
 from .theta import _G_ROWS
-from .vmn import _SHADOW, base_label, is_admissible, normalize_label, vmn_eval_mu, vmn_spec
-
-_BASES = ("1", "2", "3", "4", "5", "6")
+from .vmn import (_SHADOW, FAMILIES, base_label, is_admissible, normalize_label, vmn_eval_mu,
+                  vmn_spec)
 
 
 def _step(base, n):
@@ -44,10 +43,10 @@ def _step(base, n):
 # law, is the paper's; the rest is read off: the Moebius flavor ell is 2 when
 # the first column's group needs c even, the translation step SHIFT_B is that
 # group's lcm(N, 2), and c_m^2 = 2 * scale of E_m's g_{a,b} rows
-ELL = {m: 2 if vmn_spec(m, 1).group_c_even else 1 for m in _BASES}
+ELL = {m: 2 if vmn_spec(m, 1).group_c_even else 1 for m in FAMILIES}
 ROOT_A = {"1": 8, "2": 8, "3": 3, "4": 24, "5": 12, "6": 3}
 ROOT_C = {str(m): math.isqrt(2 * rows[0][3]) for m, rows in _G_ROWS.items()}
-SHIFT_B = {m: _step(m, 1) for m in _BASES}
+SHIFT_B = {m: _step(m, 1) for m in FAMILIES}
 
 
 def kappa(m, n):

@@ -8,12 +8,11 @@ even catalogue members and the odd members as combinations of g_{a,b}.
 
 import math
 from fractions import Fraction
-from itertools import count
 
 from mpmath import mp, mpc
 
-from .core import (converging, fold_guard, fraction_mpf, period_cell, quadratic_phases,
-                   reduce_tau, series_eps, sum_outward)
+from .core import (converging, fold_guard, fraction_mpf, lattice_sum, period_cell, reduce_tau,
+                   series_eps)
 from .qseries import (
     FormalQSeries,
     e2pi,
@@ -105,13 +104,11 @@ def _theta_sum(v, tau):
     # e(nu (v + 1/2)) q^{nu^2/2} = e(tau nu^2/2 + (v + 1/2) nu) for nu = n + 1/2
     eps = series_eps()
 
-    def terms(phases):
-        for term in phases:
-            yield term, abs(term) < eps
+    def term(n, w):
+        return w, abs(w) < eps
 
     center = int(mp.nint(-v.imag / tau.imag - 0.5))
-    down, up = quadratic_phases(tau / 2, v + 0.5, center + mp.mpf(0.5))
-    return sum_outward(terms(down), terms(up), 10 ** 5 + 1, "theta sum")
+    return lattice_sum(term, center, ((tau / 2, v + 0.5, mp.mpf(0.5)),), "theta sum")
 
 
 def jacobi_theta_transform(v, tau, lam, mu, gamma):
@@ -135,16 +132,12 @@ def _g_direct(a, b, tau):
     bf = fraction_mpf(b)
     eps = series_eps()
 
-    def terms(xs, phases):
-        for x, w in zip(xs, phases):
-            term = x * w
-            yield term, abs(term) < eps
+    def term(x, w):
+        value = x * w
+        return value, abs(value) < eps
 
     # x e(b x) q^{x^2/2} = x e(tau x^2/2 + b x) over x in a + Z
-    center = int(mp.nint(-af)) + af
-    down, up = quadratic_phases(tau / 2, bf, center)
-    return sum_outward(terms(count(center, -1), down), terms(count(center + 1), up),
-                       10 ** 5 + 1, "unary theta sum")
+    return lattice_sum(term, int(mp.nint(-af)) + af, ((tau / 2, bf, 0),), "unary theta sum")
 
 
 def g_ab(spec, tau):
@@ -250,20 +243,16 @@ def eta_theta_eval(label, tau, representation="eta-quotient"):
     else:
         _, chi = _ODD[index]
         domain, weight = "N", 1
-    total = mpc(0) if kind == "odd" or domain == "N" else mpc(1)  # n = 0 term
-    if kind == "even" and domain == "Z":
-        total = mpc(chi(0).numerator) / chi(0).denominator
 
-    _, squares = quadratic_phases(tau, 0, 0)
+    def term(n, qn):
+        # n runs over 1, 2, ..., and over 0 too for an even sum over Z
+        if n < 0 or n == 0 and domain == "N":
+            return None, True
+        c = chi(n) + (chi(-n) if domain == "Z" and n else 0)
+        value = (mpc(c.numerator) / c.denominator) * (n ** weight) * qn if c else None
+        return value, abs(qn) * max(n, 1) < eps
 
-    def terms():
-        for n, qn in zip(range(1, 10 ** 5), squares):
-            c = chi(n) + (chi(-n) if domain == "Z" else 0)
-            term = (mpc(c.numerator) / c.denominator) * (n ** weight) * qn if c else None
-            yield term, abs(qn) * max(n, 1) < eps
-
-    # None stands for a zero coefficient: nothing to add
-    return sum(filter(None, converging(terms(), 10 ** 5, "character sum")), total)
+    return lattice_sum(term, 0, ((tau, 0, 0),), "character sum")
 
 
 def eta_theta_qexp(label, order, representation="eta-quotient"):
@@ -353,11 +342,11 @@ def partial_theta(m, z):
         raise ValueError("partial theta needs Im(z) < 0")
     _, chi = _ODD[_parse_label(("odd", m))[1]]
     eps = series_eps()
-    _, squares = quadratic_phases(-z, 0, 0)
 
-    def terms():
-        for n, w in zip(range(1, 10 ** 5), squares):
-            c = chi(n)
-            yield (mpc(c.numerator) / c.denominator) * w if c else None, abs(w) < eps
+    def term(n, w):
+        if n <= 0:
+            return None, True
+        c = chi(n)
+        return (mpc(c.numerator) / c.denominator) * w if c else None, abs(w) < eps
 
-    return sum(filter(None, converging(terms(), 10 ** 5, "partial theta")), mpc(0))
+    return lattice_sum(term, 0, ((-z, 0, 0),), "partial theta")

@@ -20,8 +20,8 @@ from .qseries import e2pi
 from .theta import (_G_ROWS, E_from_g, e_from_theta, eta_theta_eval, jacobi_theta,
                     theta_specialization_point)
 from .mu import MabSpec, g_complement, kang_pair, mordell_h, mu, xi_shadow
-from .vmn import (ATOMIC_LABELS, all_rows, base_label, group_sample, normalize_label,
-                  verify_thm11, vmn_eval_mu, vmn_eval_series, vmn_spec)
+from .vmn import (ATOMIC_LABELS, FAMILIES, all_rows, base_label, group_sample,
+                  normalize_label, verify_thm11, vmn_eval_mu, vmn_eval_series, vmn_spec)
 from .quantum import (ELL, ROOT_A, SHIFT_B, as_fraction, companion_sum,
                       group_generators, in_quantum_set, integral_identity_rhs, kappa,
                       mobius_rational, two_term_law, vmn_any)
@@ -37,7 +37,7 @@ def verify_thm12_i(m, n, x):
     """Residual of: V(x) + i^ell (2x+1)^(-1/2) V(x/(2x+1)) equals the
     ray integral from 1/2."""
     base = base_label(normalize_label(m))
-    lhs = two_term_law(lambda y: vmn_any(m, n, y), x, 2, e2pi(Fraction(ELL[base], 4)))
+    lhs = two_term_law(lambda y: vmn_any(base, n, y), x, 2, e2pi(Fraction(ELL[base], 4)))
     return abs(lhs - integral_identity_lhs(base, x, endpoint=Fraction(1, 2)))
 
 
@@ -45,7 +45,7 @@ def verify_thm12_ii(m, x):
     """Residual of the first-column variant with x -> x/(x+1) and the ray
     from 1; defined for the even families 2, 4, 6."""
     base = base_label(normalize_label(m))
-    if base not in ("2", "4", "6"):
+    if ELL[base] != 1:
         raise ValueError("this variant needs an even family, got %r" % (m,))
     lhs = two_term_law(lambda y: vmn_any(base, 1, y), x, 1, -e2pi(Fraction(-1, 8)))
     return abs(lhs - integral_identity_lhs(base, x, endpoint=Fraction(1)))
@@ -140,22 +140,23 @@ def verify_table2(m, tau):
 # the corollary at rationals and the partial-theta radial limits
 
 
-def radial_proportionality(m, n, x, ts=(0.05, 0.02, 0.01), anchor_ts=None):
+def radial_proportionality(m, n, x):
     """Fitted constant and residuals for the partial-theta radial limit.
 
     The limit of the partial theta along x + it is estimated by Richardson
-    extrapolation at the two anchor heights (by default the two finest
-    heights in ts), the constant is that limit divided by the
-    rational-point value of the catalogue entry, and the residuals are
-    reported at the heights in ts.  The constant is fitted, never
-    asserted; the informative content is the decrease of the residuals.
+    extrapolation at the heights t = 0.02 and 0.01, the constant is that
+    limit divided by the rational-point value of the catalogue entry, and
+    the residuals are reported at t = 0.05, 0.02 and 0.01.  The constant
+    is fitted, never asserted; the informative content is the decrease of
+    the residuals.
     """
-    t1, t2 = anchor_ts if anchor_ts is not None else ts[-2:]
-    a1, a2 = partial_theta_radial(m, x, (t1, t2))
+    ts = (0.05, 0.02, 0.01)
+    vals = partial_theta_radial(m, x, ts)
+    t1, t2 = ts[1:]
+    a1, a2 = vals[1:]
     limit = (t1 * a2 - t2 * a1) / (t1 - t2)
     V = vmn_any(m, n, Fraction(x))
     const = limit / V
-    vals = partial_theta_radial(m, x, ts)
     residuals = [abs(v - const * V) for v in vals]
     return const, residuals
 
@@ -276,20 +277,20 @@ def _suite_thm11(report, rng, samples):
 def _suite_thm12(report, rng, samples):
     points = {"1": Fraction(1, 3), "2": Fraction(1, 3), "3": Fraction(1, 1),
               "4": Fraction(1, 3), "5": Fraction(1, 2), "6": Fraction(1, 1)}
-    for base in ("1", "2", "3", "4", "5", "6"):
+    for base in FAMILIES:
         x = points[base]
         tau = _sample_tau(rng)
         report.add_check("family %s two-step shift identity at %s" % (base, x),
                          verify_thm12_iii(base, 1, x), 1e-10)
         report.add_check("family %s ray identity at tau sample" % base,
                          verify_thm12_i(base, 1, tau), 1e-6)
-        if base in ("2", "4", "6"):
+        if ELL[base] == 1:
             report.add_check("family %s one-step ray identity at %s" % (base, x),
                              verify_thm12_ii(base, x), 1e-6)
 
 
 def _suite_table2(report, rng, samples):
-    for base in ("1", "2", "3", "4", "5", "6"):
+    for base in FAMILIES:
         tau = _sample_tau(rng)
         res = verify_table2(base, tau)
         report.add_check("I_%s closed form equals quadrature" % base,
@@ -305,11 +306,9 @@ def _suite_corollary(report, rng, samples, m="1", x=Fraction(1, 3)):
     report.outputs["lhs"] = lhs
     report.outputs["rhs"] = rhs
     report.add_check("quadrature matches finite hypergeometric sum", res, 1e-9)
-    base = normalize_label(m)
-    if base in ("1", "2", "3", "4", "5", "6"):
-        kind = "four-term companion" if base == "4" else "sign-companion"
-        report.add_check("%s sums cancel at %s" % (kind, x),
-                         abs(companion_sum(base, x)), 1e-12)
+    base = base_label(normalize_label(m))
+    kind = "four-term companion" if base == "4" else "sign-companion"
+    report.add_check("%s sums cancel at %s" % (kind, x), abs(companion_sum(base, x)), 1e-12)
 
 
 def orbit(label, n, gens, x):

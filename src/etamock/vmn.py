@@ -25,11 +25,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Fr
-from itertools import count
 
 from mpmath import mp, mpc, mpf
 
-from .core import fraction_mpf, quadratic_phases, series_eps, sum_outward
+from .core import fraction_mpf, lattice_sum, series_eps
 from .qseries import RootOfUnity, SL2Matrix, e2pi, eta, eta_multiplier, qpoch
 from .theta import _G_ROWS, _THETA_ROWS, eta_theta_eval, jacobi_theta
 from .mu import mu, mu_hat
@@ -38,6 +37,8 @@ HALF = Fr(1, 2)
 
 ATOMIC_LABELS = ("1", "2", "3", "4p", "4pp", "5", "6")
 ALL_LABELS = ATOMIC_LABELS + ("4",)
+# the families, one per odd E_m; family 4 is the sum of the labels 4p and 4pp
+FAMILIES = ("1", "2", "3", "4", "5", "6")
 
 # v, the e_n scale and the gaussian center depend only on the column: v is
 # the theta specialization point of e_n (tau/2, tau/2 - 1/2, tau/3, ...,
@@ -107,7 +108,7 @@ def _group(label, n):
 
 # transformation group per (base label, column): {a = d = 1, b = 0 mod N},
 # with c even when c_even; in_A_group checks that it shifts (u, v) by integers
-_A_TABLE = {(label, n): _group(label, n) for label in ("1", "2", "3", "4", "5", "6")
+_A_TABLE = {(label, n): _group(label, n) for label in FAMILIES
             for n in range(1, 9) if is_admissible(label, n)}
 
 
@@ -233,26 +234,23 @@ def _lambert_sum(part, tau):
     tiny = mpf(10) ** (-3 * mp.dps)
     top = mpf(0)
 
-    def terms(ns, gauss, powers):
+    def term(n, num, qj):
         # j = -n: the sum runs up from j = 0 first, then down from j = -1,
         # and stops relative to the largest term seen
         nonlocal top
-        for n, num, qj in zip(ns, gauss, powers):
-            den = 1 + part.den_sign * qj
-            if abs(den) < tiny:
-                raise ZeroDivisionError("Lambert denominator vanished at j=%d" % -n)
-            val = num / den
-            if part.alternating and n % 2:
-                val = -val
-            top = max(top, abs(val))
-            yield val, abs(val) < eps * (1 + top)
+        den = 1 + part.den_sign * qj
+        if abs(den) < tiny:
+            raise ZeroDivisionError("Lambert denominator vanished at j=%d" % -n)
+        val = num / den
+        if part.alternating and n % 2:
+            val = -val
+        top = max(top, abs(val))
+        return val, abs(val) < eps * (1 + top)
 
-    # numerator e(tau (j + c)^2/2) = e(tau x^2/2) for x = n - c, and the
-    # q^{j + d} of the denominator is e(-tau x) for x = n - d
-    gauss = quadratic_phases(tau / 2, 0, -fraction_mpf(part.gauss_center))
-    powers = quadratic_phases(0, -tau, -fraction_mpf(part.den_offset))
-    return sum_outward(terms(count(0, -1), gauss[0], powers[0]),
-                       terms(count(1), gauss[1], powers[1]), 10 ** 5 + 1, "Lambert series")
+    # numerator e(tau (j + c)^2/2) = e(tau y^2/2) at y = n - c, and the
+    # q^{j + d} of the denominator is e(-tau y) at y = n - d
+    return lattice_sum(term, 0, ((tau / 2, 0, -fraction_mpf(part.gauss_center)),
+                                 (0, -tau, -fraction_mpf(part.den_offset))), "Lambert series")
 
 
 def vmn_eval_series(m, n, tau):
@@ -386,16 +384,14 @@ def verify_thm11(m, n, gamma, tau):
         return abs(lhs - rhs)
 
 
-def group_sample(m, n, count=4, include_negative_c=True):
+def group_sample(m, n, count=4):
     """Distinct non-identity members of the named group, built from words."""
     spec = vmn_spec(m, n)
     N = spec.group_N
     tN = SL2Matrix(1, N, 0, 1)
     m2 = SL2Matrix(1, 0, 2, 1)
-    words = [m2 * tN, tN * m2]
-    if include_negative_c:
-        words += [m2.inv() * tN, tN * m2.inv(), m2.inv() * tN.inv()]
-    words += [m2 * tN * m2, tN.inv() * m2 * tN, m2 * m2 * tN, tN * tN * m2]
+    words = [m2 * tN, tN * m2, m2.inv() * tN, tN * m2.inv(), m2.inv() * tN.inv(),
+             m2 * tN * m2, tN.inv() * m2 * tN, m2 * m2 * tN, tN * tN * m2]
     if not spec.group_c_even:
         m1 = SL2Matrix(1, 0, 1, 1)
         words += [m1 * tN, tN * m1, m1.inv() * tN]
@@ -505,5 +501,5 @@ def catalogue_rows():
     return rows
 
 
-def catalogue_json(indent=None):
-    return json.dumps(catalogue_rows(), indent=indent, sort_keys=True)
+def catalogue_json():
+    return json.dumps(catalogue_rows(), sort_keys=True)

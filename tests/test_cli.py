@@ -113,6 +113,15 @@ def test_qexp_factors(capsys):
     assert terms[0]["coefficient"] == {"num": 1, "den": 1}
 
 
+@pytest.mark.parametrize("m", ["4p", "4pp"])
+def test_corollary_of_a_part_checks_its_familys_companion_sums(capsys, m):
+    # the same two checks as --m 4
+    code, out = run(capsys, "verify", "corollary", "--m", m, "--x", "1/3")
+    assert code == 0
+    assert [check["name"] for check in json.loads(out)["checks"]] == [
+        "quadrature matches finite hypergeometric sum", "four-term companion sums cancel at 1/3"]
+
+
 @pytest.mark.parametrize("factors", ["1", "1:1,,2:1", "1:x", "1:2:3"])
 def test_qexp_malformed_factors_is_usage_error(capsys, factors):
     code = main(["qexp", "--factors", factors])

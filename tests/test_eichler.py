@@ -98,7 +98,7 @@ def test_shift_identity(m, n, x):
     assert verify_thm12_iii(m, n, x) < 1e-10
 
 
-@pytest.mark.parametrize("m", ["1", "2", "3", "4", "5", "6"])
+@pytest.mark.parametrize("m", ["1", "2", "3", "4", "5", "6", "4p", "4pp"])
 def test_ray_identity_upper_half_plane(m):
     assert verify_thm12_i(m, 1, mpc(0.21, 1.13)) < 1e-6
 

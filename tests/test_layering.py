@@ -92,3 +92,14 @@ def test_every_imported_name_is_used(module):
     unused = ["%s (line %d)" % (name, line) for name, line in sorted(imported.items())
               if name not in used]
     assert not unused, "%s imports names it does not use: %s" % (module, unused)
+
+
+@pytest.mark.parametrize("module", [m for m in _modules() if m not in ("core", "qseries")])
+def test_series_walk_through_lattice_sum(module):
+    # theta-type series take their phases from core.lattice_sum, not from
+    # the recurrence under it; qseries' eta sum keeps its own walk
+    refs = [node.lineno for node in ast.walk(_tree(module))
+            if isinstance(node, ast.Name) and node.id == "quadratic_phases"
+            or isinstance(node, ast.Attribute) and node.attr == "quadratic_phases"
+            or isinstance(node, ast.alias) and node.name == "quadratic_phases"]
+    assert not refs, "%s uses quadratic_phases at lines %s" % (module, refs)

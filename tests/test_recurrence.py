@@ -1,9 +1,9 @@
 """Series kernels against their per-term formulas.
 
-Each theta-type kernel builds its terms from `core.quadratic_phases`, a
-recurrence with three exponentials per series.  Here each is compared with
-the plain sum of the same terms, every term computed by its own
-exponentials, at 30 more digits.  The error is measured against the sum of
+Each theta-type kernel walks its series with `core.lattice_sum`, whose
+phases step by a recurrence with three exponentials per series.  Here each
+is compared with the plain sum of the same terms, every term computed by
+its own exponentials, at 30 more digits.  The error is measured against the sum of
 |terms|, the scale rounding works on, and must stay within 100 units of
 the working precision.  Points include Im tau = 1e-3, where the mu and R
 sums of the benchmark's cusp checks run longest.
@@ -16,7 +16,7 @@ from itertools import count
 import pytest
 from mpmath import mp, mpc, mpf
 
-from etamock.core import e2pi, fraction_mpf
+from etamock.core import e2pi, fraction_mpf, lattice_sum, series_eps
 from etamock.mu import R_correction, mu
 from etamock.qseries import _eta_sum_raw, kronecker
 from etamock.theta import (_EVEN, _ODD, _g_direct, _theta_sum, eta_theta_eval,
@@ -192,3 +192,30 @@ def test_kernel_matches_per_term_formula(kernel, dps):
             exact, size = reference(*args)
             worst = max(worst, abs(value - exact) / size)
     assert worst < mpf(10) ** (2 - dps)
+
+
+@pytest.mark.parametrize("center", [0, 3, -2])
+def test_lattice_sum_two_phases_against_jtheta(center):
+    # jtheta(2, z, q) = sum over n of q^{(n + 1/2)^2} e^{(2n + 1) i z}, q = e^{pi i tau}:
+    # the phases e(tau y^2/2) and e(z y/pi) at y = n + 1/2
+    eps = series_eps()
+    half = mpf(0.5)
+    for tau, z in [(mpc(0.1, 0.8), mpc(0.3, 0.1)), (mpc(-0.4, 0.05), mpc(-1.2, 0.02))]:
+        value = lattice_sum(lambda n, gauss, wave: (gauss * wave, abs(gauss) < eps), center,
+                            ((tau / 2, 0, half), (0, z / mp.pi, half)), "test series")
+        exact = mp.jtheta(2, z, mp.exp(1j * mp.pi * tau))
+        assert abs(value - exact) < mpf(10) ** (2 - DPS) * max(1, abs(exact))
+
+
+def test_lattice_sum_that_never_quiets_raises():
+    with pytest.raises(RuntimeError, match="^test series failed to converge$"):
+        lattice_sum(lambda n: (None, False), 0, (), "test series")
+
+
+def test_lattice_sum_none_adds_nothing():
+    # only the even n add: sum over m of e(4 tau m^2) = jtheta(3, 0, e^{8 pi i tau})
+    tau = mpc(0.2, 0.3)
+    eps = series_eps()
+    value = lattice_sum(lambda n, w: (None if n % 2 else w, abs(w) < eps), 0, ((tau, 0, 0),),
+                        "test series")
+    assert abs(value - mp.jtheta(3, 0, mp.exp(8j * mp.pi * tau))) < mpf(10) ** (2 - DPS)
