@@ -34,6 +34,7 @@ CASES = {
     "verify-shadow": ["verify", "shadow", "--seed", "0"],
     "verify-thm11": ["verify", "thm11", "--seed", "0", "--samples", "1"],
     "verify-corollary": ["verify", "corollary", "--m", "5", "--x", "1/2"],
+    "verify-corollary-4": ["verify", "corollary", "--m", "4", "--x", "1/3"],
     "eval-theta": ["eval", "theta", "--v", "0.1+0.0002i",
                    "--tau", "0.13+0.001i", "--crosscheck"],
     "eval-eta": ["eval", "eta", "--tau", "0.01+0.002i", "--crosscheck"],
@@ -47,6 +48,7 @@ CASES = {
     "eval-Fhk-4pp": ["eval", "Fhk", "--x", "3/7", "--m", "4pp"],
     "quantum-5-3": ["quantum", "5", "3", "1/3"],
     "quantum-2-1": ["quantum", "2", "1", "1/3"],
+    "quantum-4-1": ["quantum", "4", "1", "1/3"],
     "qexp-e7": ["qexp", "e7", "--both-routes", "--order", "40"],
     "qexp-E4": ["qexp", "E4", "--both-routes", "--order", "60"],
     "qexp-factors": ["qexp", "--factors", "1:1,2:-1", "--order", "30"],
