@@ -21,7 +21,7 @@ from .core import exp_sinh, fraction_mpf
 from .core import _gl_cache, adaptive_panels, gauss_legendre_nodes  # noqa: F401
 from .qseries import e2pi
 from .theta import E_from_g, g_ab, partial_theta, unary_theta_combination
-from .vmn import base_label, normalize_label
+from .vmn import family
 from .quantum import ELL, ROOT_C
 
 
@@ -93,7 +93,7 @@ def _g_combo_ray(pairs, z0, tau):
 def E_ray_integral(m, z0, x):
     """int_{z0}^{i inf} E_m(2u/c_m^2)/sqrt(-i(u+x)) du, one unary component
     at a time so each gets its own decay rate."""
-    base = base_label(normalize_label(m))
+    base = family(m)
     c = ROOT_C[base]
     factor = Fraction(2, c * c)
     total = mpc(0)
@@ -112,7 +112,7 @@ def integral_identity_lhs(m, x, endpoint=None):
     The default endpoint is 1/2 for the families with ell = 2 and 1 for
     those with ell = 1.
     """
-    base = base_label(normalize_label(m))
+    base = family(m)
     if endpoint is None:
         endpoint = Fraction(1, ELL[base])
     key = (base, str(endpoint), str(x), mp.dps)
@@ -129,7 +129,7 @@ def integral_identity_lhs(m, x, endpoint=None):
 
 def partial_theta_radial(m, x, ts):
     """Values of the partial theta at -2(x+it)/c_m^2 for each t in ts."""
-    base = base_label(normalize_label(m))
+    base = family(m)
     c = ROOT_C[base]
     out = []
     for t in ts:
@@ -144,7 +144,7 @@ def estar_value(m, tau0):
     On that ray -i(u + tau0) is positive real, so the principal square
     root satisfies sqrt(u + tau0) = e(1/8) sqrt(-i(u + tau0)).
     """
-    base = base_label(normalize_label(m))
+    base = family(m)
     tau0 = mpc(tau0)
     z0 = -mp.conj(tau0)
     raw = ray_integral(lambda z: E_from_g(int(base), z), z0, tau0, decay=2)

@@ -9,8 +9,10 @@ The arguments z1, z2 of F_hk for each family come from rational_z_args
 alone.  The rest is read off from it: the rational values of the first
 column, the sign-companion sums (F_hk at (z1, z2) and at (-z1, -z2)), and
 the finite side of the period identities, which is the two-term law of
-Theorem 1.2 (two_term_law) applied to the rational values.  The composite
-family 4 is always the sum over its parts 4p and 4pp.
+Theorem 1.2 (two_term_law) applied to the rational values.  A value of
+family 4 is the sum over vmn.parts, the labels of E_4's two g_{a,b} rows:
+the first-column value and the companion term lists are written once for
+one part and summed or chained over the parts.
 
 The per-family data come from the catalogue rows of vmn and the g_{a,b}
 rows of theta.  rational_z_args reads the shadow (a, b) of each label.
@@ -30,8 +32,8 @@ from mpmath import mp, mpc
 from .core import fraction_mpf
 from .qseries import RootOfUnity, SL2Matrix, e2pi
 from .theta import _G_ROWS
-from .vmn import (_SHADOW, FAMILIES, base_label, is_admissible, normalize_label, vmn_eval_mu,
-                  vmn_spec)
+from .vmn import (_SHADOW, FAMILIES, family, is_admissible, normalize_label, parts,
+                  vmn_eval_mu, vmn_spec)
 
 
 def _step(base, n):
@@ -51,7 +53,7 @@ SHIFT_B = {m: _step(m, 1) for m in FAMILIES}
 
 def kappa(m, n):
     """Power of the translation step in the shift law of column n."""
-    base = base_label(normalize_label(m))
+    base = family(m)
     return _step(base, n) // SHIFT_B[base]
 
 
@@ -116,7 +118,7 @@ _QUANTUM_SET = {
 
 
 def quantum_set_label(m, n):
-    base = base_label(normalize_label(m))
+    base = family(m)
     try:
         return _QUANTUM_SET[(base, n)]
     except KeyError:
@@ -129,13 +131,11 @@ def in_quantum_set(m, n, x):
 
 # sets on which the finite-sum evaluation at rationals is defined:
 # every factor in the denominators is then provably nonzero
-_DEFINED_SET = {"1": "S", "2": "S", "3": "S'|S_od", "4": "S",
-                "4p": "S", "4pp": "S", "5": "S'|S_ev", "6": "S'"}
+_DEFINED_SET = {"1": "S", "2": "S", "3": "S'|S_od", "4": "S", "5": "S'|S_ev", "6": "S'"}
 
 
 def rational_formula_defined(m, x):
-    label = normalize_label(m)
-    return _SET_PREDICATES[_DEFINED_SET[label]](x)
+    return _SET_PREDICATES[_DEFINED_SET[family(m)]](x)
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +205,16 @@ def rational_prefactor(m, x):
 
 
 def vm1_at_rational(m, x):
-    """Exact-terminating value of the first-column function at x = h/k."""
+    """Exact-terminating value of the first-column function at x = h/k,
+    summed over the row's parts."""
     label = normalize_label(m)
     x = as_fraction(x)
-    if label == "4":
-        return vm1_at_rational("4p", x) + vm1_at_rational("4pp", x)
     if not rational_formula_defined(label, x):
         raise ValueError(
             "the terminating evaluation for family %s is not defined at %s"
             % (label, x))
-    z1, z2 = rational_z_args(label, x)
-    return rational_prefactor(label, x).value() * F_hk(x, z1, z2)
+    return sum(rational_prefactor(part, x).value() * F_hk(x, *rational_z_args(part, x))
+               for part in parts(label))
 
 
 def vmn_at_rational(m, n, x):
@@ -280,7 +279,7 @@ def _tpow(p):
 def group_generators(m, n):
     """Generators of the quantum-modularity group of row (m, n): M1 for a
     first column without c even, M2 otherwise, and T^lcm(N, 2)."""
-    base = base_label(normalize_label(m))
+    base = family(m)
     spec = vmn_spec(base, n)
     first = _M1 if n == 1 and not spec.group_c_even else _M2
     return first, _tpow(_step(base, n))
@@ -314,7 +313,7 @@ def integral_identity_rhs(m, x):
     It is the two-term law of the first column, read at the rational x
     with r = -1 for ell_m = 2 and r = -e(-1/8) for ell_m = 1.
     """
-    base = base_label(normalize_label(m))
+    base = family(m)
     ell = ELL[base]
     r = -1 if ell == 2 else -e2pi(Fr(-1, 8))
     return two_term_law(lambda y: vm1_at_rational(base, y), as_fraction(x), ell, r)
@@ -322,18 +321,18 @@ def integral_identity_rhs(m, x):
 
 def companion_terms(m, x):
     """Term lists of the two sign-companion finite sums for one family:
-    F_hk at the family's arguments (z1, z2) and at (-z1, -z2).  Family 4
-    chains the lists of its parts 4p and 4pp.
+    F_hk at the family's arguments (z1, z2) and at (-z1, -z2), chained
+    over the family's parts.
 
     ValueError outside the quantum set of the family's row (m, 1).
     """
-    base = base_label(normalize_label(m))
+    base = family(m)
     x = as_fraction(x)
     if not in_quantum_set(base, 1, x):
         raise ValueError("%s is outside the quantum set of row (%s, 1)" % (x, base))
     flip = RootOfUnity.from_fraction(Fr(1, 2))
     minus, plus = [], []
-    for label in ("4p", "4pp") if base == "4" else (base,):
+    for label in parts(base):
         z1, z2 = rational_z_args(label, x)
         minus += F_hk_terms(x, z1, z2)
         plus += F_hk_terms(x, z1 * flip, z2 * flip)
@@ -348,7 +347,8 @@ def companion_sum(m, x):
 
 
 def companion_sum_composite(x):
-    """companion_sum for the composite family 4."""
+    """companion_sum for the composite family 4; it stays because the
+    benchmark inputs (perfbench/inputs.py) call it."""
     return companion_sum("4", x)
 
 

@@ -20,8 +20,8 @@ from .qseries import e2pi
 from .theta import (_G_ROWS, E_from_g, e_from_theta, eta_theta_eval, jacobi_theta,
                     theta_specialization_point)
 from .mu import MabSpec, g_complement, kang_pair, mordell_h, mu, xi_shadow
-from .vmn import (ATOMIC_LABELS, FAMILIES, all_rows, base_label, group_sample,
-                  normalize_label, verify_thm11, vmn_eval_mu, vmn_eval_series, vmn_spec)
+from .vmn import (FAMILIES, all_rows, family, group_sample, verify_thm11, vmn_eval_mu,
+                  vmn_eval_series, vmn_spec)
 from .quantum import (ELL, ROOT_A, SHIFT_B, as_fraction, companion_sum,
                       group_generators, in_quantum_set, integral_identity_rhs, kappa,
                       mobius_rational, two_term_law, vmn_any)
@@ -36,7 +36,7 @@ from .eichler import (_g_combo_ray, integral_identity_lhs, partial_theta_radial,
 def verify_thm12_i(m, n, x):
     """Residual of: V(x) + i^ell (2x+1)^(-1/2) V(x/(2x+1)) equals the
     ray integral from 1/2."""
-    base = base_label(normalize_label(m))
+    base = family(m)
     lhs = two_term_law(lambda y: vmn_any(base, n, y), x, 2, e2pi(Fraction(ELL[base], 4)))
     return abs(lhs - integral_identity_lhs(base, x, endpoint=Fraction(1, 2)))
 
@@ -44,7 +44,7 @@ def verify_thm12_i(m, n, x):
 def verify_thm12_ii(m, x):
     """Residual of the first-column variant with x -> x/(x+1) and the ray
     from 1; defined for the even families 2, 4, 6."""
-    base = base_label(normalize_label(m))
+    base = family(m)
     if ELL[base] != 1:
         raise ValueError("this variant needs an even family, got %r" % (m,))
     lhs = two_term_law(lambda y: vmn_any(base, 1, y), x, 1, -e2pi(Fraction(-1, 8)))
@@ -53,7 +53,7 @@ def verify_thm12_ii(m, x):
 
 def verify_thm12_iii(m, n, x):
     """Residual of V(x) - zeta_a^kappa V(x + kappa b) = 0."""
-    base = base_label(normalize_label(m))
+    base = family(m)
     kap = kappa(base, n)
     root = e2pi(Fraction(kap, ROOT_A[base]))
     x = Fraction(x) if isinstance(x, (Fraction, int)) else mpc(x)
@@ -94,7 +94,7 @@ def table2_terms(m, tau):
     with P = (i/2) e((2 - ell)/8) sqrt(ell tau + 1) and
     C = (i/2) (ell - 1) sqrt(-i tau').
     """
-    base = base_label(normalize_label(m))
+    base = family(m)
     phase_i, phase_j, offsets = _TABLE2[base]
     ell = ELL[base]
     a = Fraction(ell - 1, 2)
@@ -120,7 +120,7 @@ def table2_terms(m, tau):
 def verify_table2(m, tau):
     """Residuals: closed vs quadrature for I and J, and the completed
     transformation they decompose."""
-    base = base_label(normalize_label(m))
+    base = family(m)
     tau = mpc(tau)
     parts = table2_terms(base, tau)
     ell = ELL[base]
@@ -169,7 +169,7 @@ def corollary_check(m, x):
     quantum set of the family's first column; elsewhere this raises
     ValueError.
     """
-    base = base_label(normalize_label(m))
+    base = family(m)
     x = as_fraction(x)
     if not in_quantum_set(base, 1, x):
         raise ValueError("%s is outside the quantum set of row (%s, 1)"
@@ -306,7 +306,7 @@ def _suite_corollary(report, rng, samples, m="1", x=Fraction(1, 3)):
     report.outputs["lhs"] = lhs
     report.outputs["rhs"] = rhs
     report.add_check("quadrature matches finite hypergeometric sum", res, 1e-9)
-    base = base_label(normalize_label(m))
+    base = family(m)
     kind = "four-term companion" if base == "4" else "sign-companion"
     report.add_check("%s sums cancel at %s" % (kind, x), abs(companion_sum(base, x)), 1e-12)
 
@@ -322,7 +322,7 @@ def orbit(label, n, gens, x):
 
 def _suite_quantum_closure(report, rng, samples):
     bound = min(12 + samples, 30)
-    rows = sorted({(base_label(lbl), n) for lbl, n in all_rows()})
+    rows = sorted({(family(lbl), n) for lbl, n in all_rows()})
     failures = 0
     images = 0
     for label, n in rows:
@@ -342,7 +342,7 @@ def _suite_quantum_closure(report, rng, samples):
 
 
 def _suite_shadow(report, rng, samples):
-    pairs = [p for label in ATOMIC_LABELS for p in vmn_spec(label, 1).shadow_pairs()]
+    pairs = [p for m in FAMILIES for p in vmn_spec(m, 1).shadow_pairs()]
     tau = mpc(0.12, 0.9)
     half = Fraction(1, 2)
     for a, b in pairs:

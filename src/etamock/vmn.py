@@ -4,26 +4,28 @@ Fifty-nine rows indexed by a label m in {1..6, 4p, 4pp} and a column
 n in {1..8}.  Each admissible row carries two representations that must
 agree: a mu-specialization w * q^t * mu(u, v; tau) with affine-in-tau
 arguments, and a Lambert-type series against one of the weight 1/2
-eta-theta functions.  Label "4" is the composite row: the sum of the
-"4p" and "4pp" specializations.
+eta-theta functions.
 
 The module also knows, for every row, the congruence group on which the
 completed function transforms with weight 1/2, and computes the exact
 root-of-unity multiplier of that transformation.
 
-Row (m, n) is built from two eta-theta functions, and its data come from
-the tables of theta.  The even e_n gives the point v_n (_THETA_ROWS).
-The odd E_m gives the shadow g_{a,b} (_G_ROWS; E_4's two rows belong to
-4p and 4pp).  From (a, b) follow u_n = v_n + (a - 1/2) tau + (1/2 - b),
-t, w, the series data and the transformation group.  Only the
-multiplier's extra root of unity (_epsilon) is typed out.
+Each row is one frozen VmnSpec, built once at import by _row and kept in
+_ROWS in the order of all_rows.  Row (m, n) pairs two eta-theta functions
+of theta: the even e_n gives the point v_n (_THETA_ROWS), and the odd E_m
+the shadow g_{a,b} (_G_ROWS).  From (a, b) follow u_n = v_n + (a - 1/2) tau
++ (1/2 - b), t, w, the series data and the transformation group; only the
+multiplier's extra root of unity (_epsilon) is typed out.  E_4 has two
+g_{a,b} rows, the labels 4p and 4pp, and row 4 is their sum.  parts(label)
+alone knows that split, and family(m) maps a label to its family.  Every
+evaluation is written once on an atomic record and summed over the parts.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction as Fr
 
 from mpmath import mp, mpc, mpf
@@ -37,79 +39,35 @@ HALF = Fr(1, 2)
 
 ATOMIC_LABELS = ("1", "2", "3", "4p", "4pp", "5", "6")
 ALL_LABELS = ATOMIC_LABELS + ("4",)
-# the families, one per odd E_m; family 4 is the sum of the labels 4p and 4pp
+# the families, one per odd E_m
 FAMILIES = ("1", "2", "3", "4", "5", "6")
-
-# v, the e_n scale and the gaussian center depend only on the column: v is
-# the theta specialization point of e_n (tau/2, tau/2 - 1/2, tau/3, ...,
-# tau/6 - 1/2), and the center is 1/2 plus its tau coefficient
-_V_FORMS = {n: (coef, shift) for n, (coef, shift, _, _, _) in _THETA_ROWS.items()}
-_E_SCALE = {n: scale for n, (_, _, _, _, scale) in _THETA_ROWS.items()}
-_GAUSS_C = {n: HALF + coef for n, (coef, _) in _V_FORMS.items()}
 
 # the shadow g_{a,b} of each atomic label: the (a, b) of its odd E_m, in the
 # order of theta._G_ROWS, where E_4's two rows belong to 4p and 4pp
 _SHADOW = dict(zip(ATOMIC_LABELS, (spec for m in sorted(_G_ROWS)
                                    for _, _, spec, _ in _G_ROWS[m]), strict=True))
 
-# u_n = v_n + (a - 1/2) tau + (1/2 - b); a column where u_n = 0, a pole of
-# mu, is not admissible
-_U_FORMS = {label: {n: (coef + a - HALF, shift + HALF - b)
-                    for n, (coef, shift) in _V_FORMS.items()}
-            for label, (a, b) in _SHADOW.items()}
-_INADMISSIBLE = {(label, n) for label, forms in _U_FORMS.items()
-                 for n, u in forms.items() if u == (0, 0)}
-
-# w * q^t is the prefactor of the mu form; b = 0 gives w = -1 and the family
-# sign +1, b = 1/2 gives w = i and the sign -1
-_T = {label: -(a - HALF) ** 2 / 2 for label, (a, _) in _SHADOW.items()}
-_W = {label: RootOfUnity(1, 2) if b == 0 else RootOfUnity(1, 4)
-      for label, (_, b) in _SHADOW.items()}
-
-# the series of row (label, n) is
-#   sign * q^pref / e_n(scale*tau) * sum (-1)^j q^{(j+c)^2/2} / (1 + sign q^{j+d})
-# with sign = s * (-1)^(n+1) for the family sign s below, pref = -(1 - a)^2/2,
-# and the denominator offset d equal to the tau coefficient of u
-_FAMILY_SIGN = {label: 1 if b == 0 else -1 for label, (_, b) in _SHADOW.items()}
-_SERIES_PREF = {label: -(1 - a) ** 2 / 2 for label, (a, _) in _SHADOW.items()}
-
 
 def normalize_label(m):
     """Accept 1..6, "1".."6", "4p"/"4'"/"4prime", "4pp"/"4''" and friends."""
     s = str(m).strip().lower()
     s = s.replace("′", "'").replace("″", "''")
-    aliases = {"4'": "4p", "4''": "4pp", "4prime": "4p", "4primeprime": "4pp",
-               "4page": "4p"}
+    aliases = {"4'": "4p", "4''": "4pp", "4prime": "4p", "4primeprime": "4pp"}
     s = aliases.get(s, s)
     if s not in ALL_LABELS:
         raise ValueError("unknown label %r; use 1..6, 4p, or 4pp" % (m,))
     return s
 
 
-def base_label(label):
-    """Collapse 4p/4pp onto 4 for the shared group and quantum-set data."""
-    return "4" if label in ("4p", "4pp") else label
+def parts(label):
+    """The atomic labels whose rows sum to row `label`: 4p and 4pp for 4."""
+    return ("4p", "4pp") if label == "4" else (label,)
 
 
-def is_admissible(m, n):
+def family(m):
+    """The family of label m, the index of its odd E_m: 4 for 4p and 4pp."""
     label = normalize_label(m)
-    return n in range(1, 9) and (label, n) not in _INADMISSIBLE
-
-
-def _group(label, n):
-    """(N, c_even) of base row (label, n): N is the lcm of the denominators
-    of the tau coefficients of u and v over the row's parts, and c must be
-    even when a constant term is not an integer."""
-    parts = ("4p", "4pp") if label == "4" else (label,)
-    forms = [_V_FORMS[n]] + [_U_FORMS[p][n] for p in parts]
-    return (math.lcm(*(coef.denominator for coef, _ in forms)),
-            any(shift.denominator != 1 for _, shift in forms))
-
-
-# transformation group per (base label, column): {a = d = 1, b = 0 mod N},
-# with c even when c_even; in_A_group checks that it shifts (u, v) by integers
-_A_TABLE = {(label, n): _group(label, n) for label in FAMILIES
-            for n in range(1, 9) if is_admissible(label, n)}
+    return "4" if label in parts("4") else label
 
 
 @dataclass(frozen=True)
@@ -121,10 +79,6 @@ class AffineTauForm:
 
     def at(self, tau):
         return mpc(tau) * fraction_mpf(self.alpha) + fraction_mpf(self.beta)
-
-    def as_dict(self):
-        return {"alpha": {"num": self.alpha.numerator, "den": self.alpha.denominator},
-                "beta": {"num": self.beta.numerator, "den": self.beta.denominator}}
 
 
 @dataclass(frozen=True)
@@ -162,71 +116,93 @@ class VmnSpec:
 
     def shadow_pairs(self):
         """Indices (a, b) with u - v = a*tau - b, one pair per mu part."""
-        if self.composite:
-            return tuple(p for lbl in self.parts
-                         for p in vmn_spec(lbl, self.n).shadow_pairs())
-        return ((self.u.alpha - self.v.alpha, -(self.u.beta - self.v.beta)),)
+        return tuple((s.u.alpha - s.v.alpha, -(s.u.beta - s.v.beta))
+                     for s in _atoms(self.label, self.n))
 
 
-def _series_part(label, n):
-    sign = _FAMILY_SIGN[label] * (-1) ** (n + 1)
-    return SeriesPart(sign=sign, e_index=n, e_scale=_E_SCALE[n],
-                      q_prefactor=_SERIES_PREF[label], gauss_center=_GAUSS_C[n],
-                      alternating=(n % 2 == 1), den_sign=sign,
-                      den_offset=_U_FORMS[label][n][0])
+def _row(label, n):
+    """The record of row (label, n), or None when a part puts u_n = 0, a pole of mu.
+
+    v_n is the theta point of e_n (tau/2, tau/2 - 1/2, tau/3, ..., tau/6 - 1/2).
+    A part with shadow g_{a,b} gives u_n = v_n + (a - 1/2) tau + (1/2 - b),
+    t = -(a - 1/2)^2/2, w = -1 when b = 0 and i when b = 1/2 (the parts of
+    row 4 share b = 1/2), and the series
+        sign * q^pref / e_n(scale*tau) * sum (-1)^j q^{(j+c)^2/2} / (1 + sign q^{j+d})
+    with sign = +-(-1)^(n+1), + when b = 0, pref = -(1 - a)^2/2, c = 1/2 plus
+    the tau coefficient of v, and d the tau coefficient of u.  The group
+    {a = d = 1, b = 0 mod N}, with c even when c_even, shifts (u, v) by
+    integers: N is the lcm of the denominators of the tau coefficients of v
+    and each u, and c is even when a constant term is not an integer.
+    """
+    coef, shift, _, _, scale = _THETA_ROWS[n]
+    v = AffineTauForm(coef, shift)
+    us, series = [], []
+    for a, b in (_SHADOW[p] for p in parts(label)):
+        u = AffineTauForm(coef + a - HALF, shift + HALF - b)
+        if u == AffineTauForm(0, 0):
+            return None
+        sign = (1 if b == 0 else -1) * (-1) ** (n + 1)
+        us.append(u)
+        series.append(SeriesPart(sign=sign, e_index=n, e_scale=scale,
+                                 q_prefactor=-(1 - a) ** 2 / 2, gauss_center=HALF + coef,
+                                 alternating=(n % 2 == 1), den_sign=sign, den_offset=u.alpha))
+    atomic = len(us) == 1
+    return VmnSpec(label=label, n=n, w=RootOfUnity(1, 2) if b == 0 else RootOfUnity(1, 4),
+                   t=-(a - HALF) ** 2 / 2 if atomic else None, u=us[0] if atomic else None,
+                   v=v, series=tuple(series),
+                   group_N=math.lcm(*(f.alpha.denominator for f in [v] + us)),
+                   group_c_even=any(f.beta.denominator != 1 for f in [v] + us),
+                   parts=() if atomic else parts(label))
+
+
+# every admissible row in the order of all_rows: the atomic families, the
+# parts of family 4, then family 4
+_ROWS = {(spec.label, spec.n): spec
+         for spec in (_row(label, n) for label in ("1", "2", "3", "5", "6", "4p", "4pp", "4")
+                      for n in range(1, 9))
+         if spec is not None}
+
+
+def is_admissible(m, n):
+    return (normalize_label(m), n) in _ROWS
 
 
 def vmn_spec(m, n):
     label = normalize_label(m)
     if n not in range(1, 9):
         raise ValueError("column n must be in 1..8, got %r" % (n,))
-    if not is_admissible(label, n):
+    if (label, n) not in _ROWS:
         raise ValueError(
             "row (%s, %d) is not admissible: the construction would place the "
             "first Appell-Lerch argument at u = 0, a pole of mu" % (label, n))
-    group = _A_TABLE[(base_label(label), n)]
-    v = AffineTauForm(*_V_FORMS[n])
-    if label == "4":
-        return VmnSpec(label="4", n=n, w=RootOfUnity(1, 4), t=None, u=None,
-                       v=v, series=(_series_part("4p", n), _series_part("4pp", n)),
-                       group_N=group[0], group_c_even=group[1],
-                       parts=("4p", "4pp"))
-    return VmnSpec(label=label, n=n, w=_W[label], t=_T[label],
-                   u=AffineTauForm(*_U_FORMS[label][n]), v=v,
-                   series=(_series_part(label, n),),
-                   group_N=group[0], group_c_even=group[1])
+    return _ROWS[(label, n)]
+
+
+def _atoms(m, n):
+    """The records of the atomic parts of row (m, n)."""
+    return [_ROWS[(label, n)] for label in parts(vmn_spec(m, n).label)]
 
 
 def all_rows():
     """The 59 admissible (label, n) pairs: 35 atomic, 16 primed, 8 composite."""
-    rows = []
-    for label in ("1", "2", "3", "5", "6", "4p", "4pp", "4"):
-        for n in range(1, 9):
-            if is_admissible(label, n):
-                rows.append((label, n))
-    return rows
+    return list(_ROWS)
+
+
+def _mu_form(spec, f, tau):
+    """w * q^t * f(u, v; tau) on an atomic row."""
+    return spec.w.value() * e2pi(spec.t * tau) * f(spec.u.at(tau), spec.v.at(tau), tau)
 
 
 def vmn_eval_mu(m, n, tau):
-    """Appell-Lerch representation w * q^t * mu(u, v; tau)."""
-    spec = vmn_spec(m, n)
+    """Appell-Lerch representation w * q^t * mu(u, v; tau), summed over the parts."""
     tau = mpc(tau)
-    if spec.composite:
-        return sum(vmn_eval_mu(lbl, n, tau) for lbl in spec.parts)
-    u = spec.u.at(tau)
-    v = spec.v.at(tau)
-    return spec.w.value() * e2pi(spec.t * tau) * mu(u, v, tau)
+    return sum(_mu_form(spec, mu, tau) for spec in _atoms(m, n))
 
 
 def vmn_completed(m, n, tau):
-    """Completion w * q^t * mu_hat(u, v; tau)."""
-    spec = vmn_spec(m, n)
+    """Completion w * q^t * mu_hat(u, v; tau), summed over the parts."""
     tau = mpc(tau)
-    if spec.composite:
-        return sum(vmn_completed(lbl, n, tau) for lbl in spec.parts)
-    u = spec.u.at(tau)
-    v = spec.v.at(tau)
-    return spec.w.value() * e2pi(spec.t * tau) * mu_hat(u, v, tau)
+    return sum(_mu_form(spec, mu_hat, tau) for spec in _atoms(m, n))
 
 
 def _lambert_sum(part, tau):
@@ -297,10 +273,11 @@ def _form_shift(form, gamma):
     return int(k), int(l)
 
 
-def _epsilon(label, gamma):
+def _epsilon(spec, gamma):
     a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
+    label = spec.label
     if label in ("2", "4p", "4pp", "6"):
-        return RootOfUnity.from_fraction(Fr(a * b) * _T[label])
+        return RootOfUnity.from_fraction(Fr(a * b) * spec.t)
     if label == "1":
         return RootOfUnity.from_fraction(Fr(4 - 4 * a - a * b + 4 * c, 32))
     if label == "3":
@@ -312,24 +289,28 @@ def _epsilon(label, gamma):
     raise ValueError("no multiplier data for label %r" % (label,))
 
 
-def shift_data(m, n, gamma):
-    """MultiplierData for gamma, or ValueError if the shifts are not integral."""
-    spec = vmn_spec(m, n)
-    if spec.composite:
-        first = shift_data("4p", n, gamma)
-        second = shift_data("4pp", n, gamma)
-        if first.parity != second.parity or \
-                first.epsilon.exponent != second.epsilon.exponent:
-            raise ValueError("composite multiplier mismatch for %r" % (gamma,))
-        return first
+def _shift_data(spec, gamma):
     kl = _form_shift(spec.u, gamma)
     rs = _form_shift(spec.v, gamma)
     if kl is None or rs is None:
         raise ValueError(
             "gamma %r does not preserve the (u, v) lattice data of row "
-            "(%s, %d)" % (gamma, spec.label, n))
+            "(%s, %d)" % (gamma, spec.label, spec.n))
     return MultiplierData(k=kl[0], l=kl[1], r=rs[0], s=rs[1],
-                          epsilon=_epsilon(spec.label, gamma))
+                          epsilon=_epsilon(spec, gamma))
+
+
+def shift_data(m, n, gamma):
+    """MultiplierData for gamma, or ValueError if the shifts are not integral.
+
+    A row of several parts takes its first part's data; the parts' shifts
+    may differ, but they must agree on the parity and epsilon the
+    multiplier reads.
+    """
+    first, *rest = (_shift_data(spec, gamma) for spec in _atoms(m, n))
+    if any(d.parity != first.parity or d.epsilon != first.epsilon for d in rest):
+        raise ValueError("composite multiplier mismatch for %r" % (gamma,))
+    return first
 
 
 def in_A_group(m, n, gamma):
@@ -414,15 +395,10 @@ def group_sample(m, n, count=4):
 # differences against the first column
 
 
-def fmn_theta_quotient(m, n, tau):
-    """The theta-quotient form of V_mn - V_m1 (zero in the first column)."""
-    spec = vmn_spec(m, n)
-    tau = mpc(tau)
-    if spec.composite:
-        return sum(fmn_theta_quotient(lbl, n, tau) for lbl in spec.parts)
-    if n == 1:
+def _theta_quotient(spec, tau):
+    if spec.n == 1:
         return mpc(0)
-    first = vmn_spec(spec.label, 1)
+    first = _ROWS[(spec.label, 1)]
     u1 = first.u.at(tau)
     un = spec.u.at(tau)
     vn = spec.v.at(tau)
@@ -433,15 +409,16 @@ def fmn_theta_quotient(m, n, tau):
     return 1j * spec.w.value() * e2pi(spec.t * tau) * num / den
 
 
-def fmn_product_form(m, n, tau):
-    """Same difference as an explicit infinite product (independent route)."""
-    spec = vmn_spec(m, n)
+def fmn_theta_quotient(m, n, tau):
+    """The theta-quotient form of V_mn - V_m1 (zero in the first column)."""
     tau = mpc(tau)
-    if spec.composite:
-        return sum(fmn_product_form(lbl, n, tau) for lbl in spec.parts)
-    if n == 1:
+    return sum(_theta_quotient(spec, tau) for spec in _atoms(m, n))
+
+
+def _product_form(spec, tau):
+    if spec.n == 1:
         return mpc(0)
-    first = vmn_spec(spec.label, 1)
+    first = _ROWS[(spec.label, 1)]
     q = e2pi(tau)
 
     def pair(z):
@@ -457,49 +434,31 @@ def fmn_product_form(m, n, tau):
     return pref * num / den
 
 
+def fmn_product_form(m, n, tau):
+    """Same difference as an explicit infinite product (independent route)."""
+    tau = mpc(tau)
+    return sum(_product_form(spec, tau) for spec in _atoms(m, n))
+
+
 # ---------------------------------------------------------------------------
 # catalogue export
 
 
-def _fr_dict(fr):
-    return {"num": fr.numerator, "den": fr.denominator}
-
-
-def catalogue_rows():
-    """JSON-ready description of all 59 rows."""
-    rows = []
-    for label, n in all_rows():
-        spec = vmn_spec(label, n)
-        row = {
-            "label": label,
-            "n": n,
-            "w": _fr_dict(spec.w.exponent),
-            "group": {"N": spec.group_N, "c_even": spec.group_c_even},
-            "series": [
-                {
-                    "sign": p.sign,
-                    "e_index": p.e_index,
-                    "e_scale": _fr_dict(p.e_scale),
-                    "q_prefactor": _fr_dict(p.q_prefactor),
-                    "gauss_center": _fr_dict(p.gauss_center),
-                    "alternating": p.alternating,
-                    "den_sign": p.den_sign,
-                    "den_offset": _fr_dict(p.den_offset),
-                }
-                for p in spec.series
-            ],
-            "v": spec.v.as_dict(),
-        }
-        if spec.composite:
-            row["parts"] = list(spec.parts)
-        else:
-            row["t"] = _fr_dict(spec.t)
-            row["u"] = spec.u.as_dict()
-            a, b = spec.shadow_pairs()[0]
-            row["shadow"] = {"a": _fr_dict(a), "b": _fr_dict(b)}
-        rows.append(row)
-    return rows
+def _fraction_json(value):
+    if isinstance(value, Fr):
+        return {"num": value.numerator, "den": value.denominator}
+    raise TypeError("%r is not JSON serializable" % (value,))
 
 
 def catalogue_json():
-    return json.dumps(catalogue_rows(), sort_keys=True)
+    """JSON description of all 59 rows, read off their records."""
+    rows = []
+    for spec in _ROWS.values():
+        row = {key: value for key, value in asdict(spec).items()
+               if value is not None and value != ()}
+        row["group"] = {"N": row.pop("group_N"), "c_even": row.pop("group_c_even")}
+        if spec.u is not None:
+            (a, b), = spec.shadow_pairs()
+            row["shadow"] = {"a": a, "b": b}
+        rows.append(row)
+    return json.dumps(rows, sort_keys=True, default=_fraction_json)

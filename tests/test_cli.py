@@ -154,6 +154,12 @@ def test_unknown_label_is_usage_error(capsys):
     assert code == 2
 
 
+def test_stray_label_alias_is_usage_error(capsys):
+    code = main(["eval", "V", "4page", "1", "--tau", "0.1+1i"])
+    assert code == 2
+    assert "unknown label '4page'" in capsys.readouterr().err
+
+
 def test_missing_argument_is_usage_error(capsys):
     code = main(["eval", "V", "1", "1"])
     assert code == 2

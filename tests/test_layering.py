@@ -2,7 +2,7 @@
 
 Each module may import only from the modules before it in LAYERS, no
 import sits inside a function, where it would hide a cycle, and every
-name a module imports is used in it.
+name a module imports is used in it.  Only vmn names the parts of family 4.
 """
 
 import ast
@@ -103,3 +103,11 @@ def test_series_walk_through_lattice_sum(module):
             or isinstance(node, ast.Attribute) and node.attr == "quadratic_phases"
             or isinstance(node, ast.alias) and node.name == "quadratic_phases"]
     assert not refs, "%s uses quadratic_phases at lines %s" % (module, refs)
+
+
+@pytest.mark.parametrize("module", [m for m in _modules() if m != "vmn"])
+def test_family_four_split_only_in_vmn(module):
+    # vmn.parts and vmn.family are the one place that knows 4 = 4p + 4pp
+    refs = [node.lineno for node in ast.walk(_tree(module))
+            if isinstance(node, ast.Constant) and node.value in ("4p", "4pp")]
+    assert not refs, "%s names the parts of family 4 at lines %s" % (module, refs)

@@ -15,7 +15,7 @@ from etamock.quantum import (ELL, ROOT_A, SHIFT_B, F_hk, F_hk_terms, as_fraction
                              rational_formula_defined, rational_z_args,
                              two_term_law, vm1_at_rational, vmn_any,
                              vmn_at_rational)
-from etamock.vmn import all_rows, base_label, transformation_root
+from etamock.vmn import all_rows, family, transformation_root
 
 # working precision of every test here; see conftest.py
 DPS = 20
@@ -199,6 +199,18 @@ def test_companion_sum_defined_at_minus_one_over_ell(lbl):
     assert len(minus) == len(plus) > 0
 
 
+def test_composite_rational_values_split():
+    # family 4's value is the sum of its parts' values, bit for bit, and its
+    # companion terms are the parts' term lists one after the other
+    flip = RootOfUnity(1, 2)
+    for x in (Fraction(1, 3), Fraction(1, 5), Fraction(-3, 7)):
+        assert vm1_at_rational("4", x) == vm1_at_rational("4p", x) + vm1_at_rational("4pp", x)
+        (z1, z2), (y1, y2) = (rational_z_args(part, x) for part in ("4p", "4pp"))
+        assert companion_terms("4", x) == (
+            F_hk_terms(x, z1, z2) + F_hk_terms(x, y1, y2),
+            F_hk_terms(x, z1 * flip, z2 * flip) + F_hk_terms(x, y1 * flip, y2 * flip))
+
+
 def test_composite_four_term_cancellation():
     for x in (Fraction(1, 3), Fraction(1, 5), Fraction(3, 7)):
         assert abs(companion_sum_composite(x)) < 1e-13
@@ -216,7 +228,7 @@ def test_finite_sum_needs_exact_arguments():
         F_hk_terms(Fraction(1, 3), z1.value(), z2.value())
 
 
-@pytest.mark.parametrize("m, n", sorted({(base_label(lbl), n) for lbl, n in all_rows()}))
+@pytest.mark.parametrize("m, n", sorted({(family(lbl), n) for lbl, n in all_rows()}))
 def test_shift_root_is_the_multiplier_of_the_shift(m, n):
     # zeta_a of Theorem 1.2 (iii), V(x) = zeta_a^kappa V(x + kappa b), is the
     # inverse of the exact multiplier of T^(kappa b) on the completed row

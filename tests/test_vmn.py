@@ -47,8 +47,9 @@ def test_label_normalization():
     assert normalize_label("4'") == "4p"
     assert normalize_label("4''") == "4pp"
     assert normalize_label("4prime") == "4p"
-    with pytest.raises(ValueError):
-        normalize_label("9")
+    for stray in ("9", "4page"):
+        with pytest.raises(ValueError):
+            normalize_label(stray)
 
 
 @pytest.mark.parametrize("label, n", ROWS)
@@ -59,14 +60,24 @@ def test_mu_form_equals_series_form(label, n):
 
 
 def test_composite_row_splits():
+    # the composite value is the sum of its parts' values, bit for bit
     tau = mpc(-0.21, 0.88)
+    for f in (vmn_eval_mu, vmn_completed, fmn_theta_quotient, fmn_product_form):
+        for n in range(1, 9):
+            assert f("4", n, tau) == f("4p", n, tau) + f("4pp", n, tau), (f.__name__, n)
+
+
+def test_composite_shift_data_agrees_with_each_part():
+    # the parts shift (u, v) by different integers, but agree on the parity
+    # and epsilon of the multiplier, which the composite takes from them
     for n in range(1, 9):
-        whole = vmn_eval_mu("4", n, tau)
-        parts = vmn_eval_mu("4p", n, tau) + vmn_eval_mu("4pp", n, tau)
-        assert abs(whole - parts) < 1e-18
-        hat = vmn_completed("4", n, tau)
-        hat_parts = vmn_completed("4p", n, tau) + vmn_completed("4pp", n, tau)
-        assert abs(hat - hat_parts) < 1e-18
+        for gamma in group_sample("4", n, count=4):
+            whole = shift_data("4", n, gamma)
+            assert whole == shift_data("4p", n, gamma)
+            for part in ("4p", "4pp"):
+                data = shift_data(part, n, gamma)
+                assert (data.parity, data.epsilon) == (whole.parity, whole.epsilon)
+                assert transformation_root(part, n, gamma) == transformation_root("4", n, gamma)
 
 
 def test_adjacent_fifth_family_rows_coincide():
