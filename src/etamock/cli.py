@@ -6,7 +6,9 @@ domain error.  JSON output is deterministic for a fixed command line
 """
 
 import argparse
+import csv
 import inspect
+import io
 import json
 import random
 import re
@@ -148,7 +150,7 @@ class RunReport:
         return json.dumps(self.as_dict(), indent=2)
 
     def to_csv(self):
-        lines = ["kind,name,value,tolerance,passed"]
+        rows = [("kind", "name", "value", "tolerance", "passed")]
 
         def flat(prefix, value):
             if isinstance(value, dict):
@@ -158,14 +160,15 @@ class RunReport:
                 for i, v in enumerate(value):
                     flat("%s.%d" % (prefix, i), v)
             else:
-                lines.append("output,%s,%r,," % (prefix, value))
+                rows.append(("output", prefix, repr(value), "", ""))
 
         for k, v in self.outputs.items():
             flat(k, format_value(v))
         for c in self.checks:
-            lines.append("check,%s,%r,%r,%s"
-                         % (c.name, c.residual, c.tolerance, c.passed))
-        return "\n".join(lines)
+            rows.append(("check", c.name, repr(c.residual), repr(c.tolerance), c.passed))
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        return out.getvalue().rstrip("\n")
 
     def to_plain(self):
         lines = ["%s" % self.command]

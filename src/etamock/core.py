@@ -1,6 +1,9 @@
 """The numeric core: working precision, series summation, the reduction to
 the fundamental domain, and nested exp-sinh quadrature on the half-line.
 
+Every theta-type series is one `lattice_sum`, which owns its walk and the
+one stopping rule for series; the products stay on `converging`.
+
 Every other module of the package builds on these; this module imports
 nothing from the package.  Numeric evaluation runs on mpmath's global
 context, so the precision is whatever the caller set (`mp.workdps` is the
@@ -9,7 +12,7 @@ way to change it for a while); importing the package leaves it alone.
 
 import math
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, count, islice
 
 from mpmath import mp, mpc, mpf
 
@@ -42,10 +45,9 @@ def converging(pairs, cap, what):
     """The values of the (value, small) `pairs` up to the end of the first
     run of QUIET_RUN small ones in a row.
 
-    The caller decides what "small" means (an absolute, envelope or
-    relative test) and how the values combine; this owns the run count and
-    the iteration cap.  RuntimeError if `cap` pairs, or all of them, pass
-    without such a run.
+    The infinite products use this, each with its own envelope test for
+    "small"; series stop inside lattice_sum.  RuntimeError if `cap` pairs,
+    or all of them, pass without such a run.
     """
     quiet = 0
     for value, small in islice(pairs, cap):
@@ -90,22 +92,45 @@ def quadratic_phases(a, b, center):
     return walk(w, step / rho), walk(w * rho, rho * step)
 
 
-def lattice_sum(term, center, phases, what):
+def lattice_sum(term, center, phases, what, one_sided=False):
     """Sum of term(n, w_1, ..., w_k) over n in center + Z, where
     w_i = e(a_i y^2 + b_i y) at y = n + s_i for phases = ((a_i, b_i, s_i), ...).
 
-    The walk runs down from `center` first, n = center, center - 1, ...,
-    then up from center + 1; each side stops on the quiet run of
-    `converging`, or raises after SIDE_CAP terms.  `term` returns
-    (value, small); a value of None (a zero coefficient, or an n outside a
-    one-sided sum) adds nothing but counts toward the quiet run.  The
-    phases step by the recurrence of quadratic_phases.
+    `term` returns the value, or None for a zero coefficient, which adds
+    nothing and does not count toward the quiet run.  The walk runs down
+    from `center`, n = center, center - 1, ..., then up from center + 1;
+    `one_sided` takes n = center and then runs up only.  Each side stops
+    after QUIET_RUN values in a row below series_eps() * max(1, largest
+    |value| so far), or raises after SIDE_CAP terms.  The test is relative
+    to the largest term, not to the running sum: a sum that cancels, such
+    as theta near a zero, cannot be more exact than eps times that term.
+    The phases step by the recurrence of quadratic_phases.
     """
     walks = [quadratic_phases(a, b, center + s) for a, b, s in phases]
+    if one_sided:
+        sides = [(count(center), [chain(islice(down, 1), up) for down, up in walks])]
+    else:
+        sides = [(count(center, -1), [down for down, _ in walks]),
+                 (count(center + 1), [up for _, up in walks])]
+    eps = series_eps()
+    bound = eps  # eps * max(1, largest |value| so far)
     total = mpc(0)
-    for side, ns in enumerate((count(center, -1), count(center + 1))):
-        pairs = map(term, ns, *(walk[side] for walk in walks))
-        total = sum(filter(None, converging(pairs, SIDE_CAP, what)), total)
+    for ns, ws in sides:
+        quiet = 0
+        for value in map(term, islice(ns, SIDE_CAP), *ws):
+            if value is None:
+                continue
+            total += value
+            size = abs(value)
+            if size < bound:
+                quiet += 1
+                if quiet == QUIET_RUN:
+                    break
+            else:
+                quiet = 0
+                bound = max(bound, eps * size)
+        else:
+            raise RuntimeError("%s failed to converge" % what)
     return total
 
 

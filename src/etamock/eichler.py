@@ -33,8 +33,9 @@ def ray_integral(G, z0, tau, decay, tol=None):
     tol; its nodes crowd into t = 0, where the kernel is steepest.  The part
     beyond the cut is bounded from |G| there and the decay rate.
     ValueError, before G is evaluated, if the kernel's singularity -tau lies
-    on the ray; RuntimeError if the rule does not settle or the bound beyond
-    the cut is above tol (as when `decay` overstates G's decay).
+    on the ray; RuntimeError, after one value of G, if the bound beyond the
+    cut is above tol (as when `decay` overstates G's decay), and
+    RuntimeError if the rule does not settle.
     """
     z0 = mpc(z0)
     tau = mpc(tau)
@@ -45,17 +46,18 @@ def ray_integral(G, z0, tau, decay, tol=None):
     S = mp.log(10) * (mp.dps + 4)
     cut = max(4, S / (mp.pi * decay), 4 * abs(tau) + 4) + S / (mp.pi * decay)
 
-    def integrand(t):
-        z = z0 + 1j * t
-        return 1j * G(z) / mp.sqrt(-1j * (z + tau))
-
-    value = exp_sinh(integrand, cut, tol, "ray integral")
-    # |G| <= C e^{-pi*decay*t} with C measured at the cut, kernel >= sqrt(t/2)
+    # |G| <= C e^{-pi*decay*t} with C measured at the cut, kernel >= sqrt(t/2);
+    # checked first, since an overstated decay leaves the rule unsettled
     beyond = abs(G(z0 + 1j * cut)) * mp.sqrt(2) / (mp.pi * decay * mp.sqrt(cut))
     if beyond > tol:
         raise RuntimeError("ray integral: the part beyond height %s is bounded only by %s"
                            % (mp.nstr(cut, 6), mp.nstr(beyond, 3)))
-    return value
+
+    def integrand(t):
+        z = z0 + 1j * t
+        return 1j * G(z) / mp.sqrt(-1j * (z + tau))
+
+    return exp_sinh(integrand, cut, tol, "ray integral")
 
 
 def g_decay_rate(a, scale=1):

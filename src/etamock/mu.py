@@ -65,12 +65,9 @@ def mu(u, v, tau):
 def _mu_series(u, v, tau):
     # the defining series at tau, unreduced: about 1/sqrt(Im tau) terms
     eu = e2pi(u)
-    eps = series_eps()
 
     def term(n, num, qn):
-        if n % 2:
-            num = -num
-        return num / (1 - eu * qn), abs(num) < eps
+        return (-num if n % 2 else num) / (1 - eu * qn)
 
     # numerator (-1)^n e(n v) q^{n(n+1)/2} = (-1)^n e(tau n^2/2 + (tau/2 + v) n)
     center = int(mp.nint(-v.imag / tau.imag - 0.5))
@@ -117,14 +114,12 @@ def R_correction(u, tau):
     y = tau.imag
     a = u.imag / y
     root = mp.sqrt(2 * y)
-    eps = series_eps()
 
     def term(n, w):
         nu = n + mpf(0.5)
         sgn = 1 if nu > 0 else -1
         amp = sgn * mp.erfc(sgn * mp.sqrt(mp.pi) * (nu + a) * root)
-        value = (-amp if n % 2 else amp) * w
-        return value, abs(value) < eps
+        return (-amp if n % 2 else amp) * w
 
     # e^{-pi i nu^2 tau - 2 pi i nu u} = e(-tau nu^2/2 - u nu); nu = n + 1/2
     # runs over -1/2, -3/2, ... and then 1/2, 3/2, ...

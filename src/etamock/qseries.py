@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc
 
-from .core import converging, e2pi, quadratic_phases, reduce_tau, series_eps
+from .core import converging, e2pi, lattice_sum, reduce_tau, series_eps
 
 
 def kronecker(a, n):
@@ -185,18 +185,12 @@ def _eta_product_raw(tau):
 
 
 def _eta_sum_raw(tau):
-    # lacunary form: sum over m >= 1 of (12|m) q^(m^2/24)
-    eps = series_eps()
-    _, powers = quadratic_phases(tau / 24, 0, 0)
+    # lacunary form: sum over m >= 1 of (12|m) q^(m^2/24); (12|0) = 0
+    def term(m, qm):
+        chi = kronecker(12, m)
+        return chi * qm if chi else None
 
-    def terms():
-        for m, qm in zip(range(1, 10 ** 4), powers):
-            chi = kronecker(12, m)
-            if chi:
-                term = chi * qm
-                yield term, abs(term) < eps
-
-    return sum(converging(terms(), 10 ** 4, "eta sum"), mpc(0))
+    return lattice_sum(term, 0, ((tau / 24, 0, 0),), "eta sum", one_sided=True)
 
 
 def eta(tau):

@@ -102,13 +102,8 @@ def _theta_product(v, tau):
 
 def _theta_sum(v, tau):
     # e(nu (v + 1/2)) q^{nu^2/2} = e(tau nu^2/2 + (v + 1/2) nu) for nu = n + 1/2
-    eps = series_eps()
-
-    def term(n, w):
-        return w, abs(w) < eps
-
     center = int(mp.nint(-v.imag / tau.imag - 0.5))
-    return lattice_sum(term, center, ((tau / 2, v + 0.5, mp.mpf(0.5)),), "theta sum")
+    return lattice_sum(lambda n, w: w, center, ((tau / 2, v + 0.5, mp.mpf(0.5)),), "theta sum")
 
 
 def jacobi_theta_transform(v, tau, lam, mu, gamma):
@@ -130,14 +125,9 @@ def jacobi_theta_transform(v, tau, lam, mu, gamma):
 def _g_direct(a, b, tau):
     af = fraction_mpf(a)
     bf = fraction_mpf(b)
-    eps = series_eps()
-
-    def term(x, w):
-        value = x * w
-        return value, abs(value) < eps
-
     # x e(b x) q^{x^2/2} = x e(tau x^2/2 + b x) over x in a + Z
-    return lattice_sum(term, int(mp.nint(-af)) + af, ((tau / 2, bf, 0),), "unary theta sum")
+    return lattice_sum(lambda x, w: x * w, int(mp.nint(-af)) + af, ((tau / 2, bf, 0),),
+                       "unary theta sum")
 
 
 def g_ab(spec, tau):
@@ -215,8 +205,8 @@ def _parse_label(label):
         kind, index = label
     else:
         s = str(label).replace("_", "")
-        kind = "odd" if s[0] == "E" else "even"
-        index = int(s[1:])
+        kind = {"e": "even", "E": "odd"}.get(s[:1])
+        index = int(s[1:]) if s[1:].isdigit() else None
     if kind == "even" and index in _EVEN:
         return kind, index
     if kind == "odd" and index in _ODD:
@@ -236,7 +226,6 @@ def eta_theta_eval(label, tau, representation="eta-quotient"):
         return out
     if representation != "character-sum":
         raise ValueError("unknown representation {!r}".format(representation))
-    eps = series_eps()
     if kind == "even":
         _, domain, chi = _EVEN[index]
         weight = 0
@@ -246,13 +235,12 @@ def eta_theta_eval(label, tau, representation="eta-quotient"):
 
     def term(n, qn):
         # n runs over 1, 2, ..., and over 0 too for an even sum over Z
-        if n < 0 or n == 0 and domain == "N":
-            return None, True
+        if n == 0 and domain == "N":
+            return None
         c = chi(n) + (chi(-n) if domain == "Z" and n else 0)
-        value = (mpc(c.numerator) / c.denominator) * (n ** weight) * qn if c else None
-        return value, abs(qn) * max(n, 1) < eps
+        return (mpc(c.numerator) / c.denominator) * (n ** weight) * qn if c else None
 
-    return lattice_sum(term, 0, ((tau, 0, 0),), "character sum")
+    return lattice_sum(term, 0, ((tau, 0, 0),), "character sum", one_sided=True)
 
 
 def eta_theta_qexp(label, order, representation="eta-quotient"):
@@ -341,12 +329,9 @@ def partial_theta(m, z):
     if z.imag >= 0:
         raise ValueError("partial theta needs Im(z) < 0")
     _, chi = _ODD[_parse_label(("odd", m))[1]]
-    eps = series_eps()
 
     def term(n, w):
-        if n <= 0:
-            return None, True
-        c = chi(n)
-        return (mpc(c.numerator) / c.denominator) * w if c else None, abs(w) < eps
+        c = chi(n) if n else 0
+        return (mpc(c.numerator) / c.denominator) * w if c else None
 
-    return lattice_sum(term, 0, ((-z, 0, 0),), "partial theta")
+    return lattice_sum(term, 0, ((-z, 0, 0),), "partial theta", one_sided=True)

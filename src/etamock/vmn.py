@@ -30,7 +30,7 @@ from fractions import Fraction as Fr
 
 from mpmath import mp, mpc, mpf
 
-from .core import fraction_mpf, lattice_sum, series_eps
+from .core import fraction_mpf, lattice_sum
 from .qseries import RootOfUnity, SL2Matrix, e2pi, eta, eta_multiplier, qpoch
 from .theta import _G_ROWS, _THETA_ROWS, eta_theta_eval, jacobi_theta
 from .mu import mu, mu_hat
@@ -206,22 +206,15 @@ def vmn_completed(m, n, tau):
 
 
 def _lambert_sum(part, tau):
-    eps = series_eps()
     tiny = mpf(10) ** (-3 * mp.dps)
-    top = mpf(0)
 
     def term(n, num, qj):
-        # j = -n: the sum runs up from j = 0 first, then down from j = -1,
-        # and stops relative to the largest term seen
-        nonlocal top
+        # j = -n: the sum runs up from j = 0 first, then down from j = -1
         den = 1 + part.den_sign * qj
         if abs(den) < tiny:
             raise ZeroDivisionError("Lambert denominator vanished at j=%d" % -n)
         val = num / den
-        if part.alternating and n % 2:
-            val = -val
-        top = max(top, abs(val))
-        return val, abs(val) < eps * (1 + top)
+        return -val if part.alternating and n % 2 else val
 
     # numerator e(tau (j + c)^2/2) = e(tau y^2/2) at y = n - c, and the
     # q^{j + d} of the denominator is e(-tau y) at y = n - d

@@ -1,5 +1,7 @@
 """Command line behaviour: formats, determinism, exit codes."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -276,6 +278,19 @@ def test_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "kind,name,value,tolerance,passed"
     assert any(line.startswith("check,") for line in lines[1:])
+    # the vmn suite's check names hold commas, as in "row (5,7)"
+    code, out = run(capsys, "--format", "csv", "verify", "vmn", "--samples", "1")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert any("," in row[1] for row in rows[1:])
+    assert all(len(row) == 5 for row in rows)
+
+
+def test_unknown_label_prefix_is_domain_error(capsys):
+    code = main(["qexp", "x7", "--order", "5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("domain error: unknown eta-theta label 'x7'")
 
 
 def test_plain_format_reports_wall_time(capsys):

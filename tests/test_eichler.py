@@ -197,10 +197,12 @@ def test_exp_sinh_levels_reuse_every_value():
 
 
 def test_ray_integral_that_cannot_settle_raises():
-    """G(z0 + it) = sin(1/t)/t swings without bound as t -> 0, so no level
-    of the rule settles on the start of the ray."""
+    """G(z0 + it) = sin(1/t)/t e^{-pi t} swings without bound as t -> 0, so
+    no level of the rule settles on the start of the ray; it decays at the
+    cut, so the bound beyond the cut passes."""
     def G(z):
-        return mp.sin(1 / z.imag) / z.imag
+        t = z.imag
+        return mp.sin(1 / t) / t * mp.exp(-mp.pi * t)
 
     with pytest.raises(RuntimeError, match="ray integral failed to converge"):
         ray_integral(G, mpf(0), mpc(0.3, 0.9), decay=1)
@@ -208,15 +210,18 @@ def test_ray_integral_that_cannot_settle_raises():
 
 def test_ray_integral_with_overstated_decay_raises():
     """G decays as e^{-pi 0.02 t}; with decay = 2 the cut is far too low.
-    G jumps to 0 at the cut, so the rule does not settle at the default
-    tol; at a tol loose enough for it to settle, the bound on the part
-    beyond the cut is above tol."""
+    The bound on the part beyond the cut is above tol, at the default tol
+    and at a loose one, and it is checked before the rule runs."""
+    calls = []
+
     def G(z):
+        calls.append(z)
         return mp.exp(2j * mp.pi * mpf(0.01) * z)
 
     tau = mpc(0.3, 0.9)
-    with pytest.raises(RuntimeError, match="ray integral"):
+    with pytest.raises(RuntimeError, match="beyond height"):
         ray_integral(G, 0, tau, decay=2)
+    assert len(calls) == 1
     with pytest.raises(RuntimeError, match="beyond height"):
         ray_integral(G, 0, tau, decay=2, tol=mpf("1e-3"))
     direct = mp.quad(lambda t: 1j * G(1j * t) / mp.sqrt(-1j * (1j * t + tau)),

@@ -94,10 +94,10 @@ def test_every_imported_name_is_used(module):
     assert not unused, "%s imports names it does not use: %s" % (module, unused)
 
 
-@pytest.mark.parametrize("module", [m for m in _modules() if m not in ("core", "qseries")])
+@pytest.mark.parametrize("module", [m for m in _modules() if m != "core"])
 def test_series_walk_through_lattice_sum(module):
-    # theta-type series take their phases from core.lattice_sum, not from
-    # the recurrence under it; qseries' eta sum keeps its own walk
+    # theta-type series take their phases and their stop from
+    # core.lattice_sum, not from the recurrence under it
     refs = [node.lineno for node in ast.walk(_tree(module))
             if isinstance(node, ast.Name) and node.id == "quadratic_phases"
             or isinstance(node, ast.Attribute) and node.attr == "quadratic_phases"

@@ -16,7 +16,7 @@ from itertools import count
 import pytest
 from mpmath import mp, mpc, mpf
 
-from etamock.core import e2pi, fraction_mpf, lattice_sum, series_eps
+from etamock.core import QUIET_RUN, e2pi, fraction_mpf, lattice_sum
 from etamock.mu import R_correction, mu
 from etamock.qseries import _eta_sum_raw, kronecker
 from etamock.theta import (_EVEN, _ODD, _g_direct, _theta_sum, eta_theta_eval,
@@ -198,10 +198,9 @@ def test_kernel_matches_per_term_formula(kernel, dps):
 def test_lattice_sum_two_phases_against_jtheta(center):
     # jtheta(2, z, q) = sum over n of q^{(n + 1/2)^2} e^{(2n + 1) i z}, q = e^{pi i tau}:
     # the phases e(tau y^2/2) and e(z y/pi) at y = n + 1/2
-    eps = series_eps()
     half = mpf(0.5)
     for tau, z in [(mpc(0.1, 0.8), mpc(0.3, 0.1)), (mpc(-0.4, 0.05), mpc(-1.2, 0.02))]:
-        value = lattice_sum(lambda n, gauss, wave: (gauss * wave, abs(gauss) < eps), center,
+        value = lattice_sum(lambda n, gauss, wave: gauss * wave, center,
                             ((tau / 2, 0, half), (0, z / mp.pi, half)), "test series")
         exact = mp.jtheta(2, z, mp.exp(1j * mp.pi * tau))
         assert abs(value - exact) < mpf(10) ** (2 - DPS) * max(1, abs(exact))
@@ -209,13 +208,58 @@ def test_lattice_sum_two_phases_against_jtheta(center):
 
 def test_lattice_sum_that_never_quiets_raises():
     with pytest.raises(RuntimeError, match="^test series failed to converge$"):
-        lattice_sum(lambda n: (None, False), 0, (), "test series")
+        lattice_sum(lambda n: mpc(1), 0, (), "test series")
 
 
 def test_lattice_sum_none_adds_nothing():
     # only the even n add: sum over m of e(4 tau m^2) = jtheta(3, 0, e^{8 pi i tau})
     tau = mpc(0.2, 0.3)
-    eps = series_eps()
-    value = lattice_sum(lambda n, w: (None if n % 2 else w, abs(w) < eps), 0, ((tau, 0, 0),),
-                        "test series")
+    value = lattice_sum(lambda n, w: None if n % 2 else w, 0, ((tau, 0, 0),), "test series")
     assert abs(value - mp.jtheta(3, 0, mp.exp(8j * mp.pi * tau))) < mpf(10) ** (2 - DPS)
+
+
+def test_lattice_sum_one_sided_starts_at_center():
+    # sum over n >= 3 of e(tau n^2), and term never sees an n below 3
+    tau = mpc(0.1, 0.05)
+    seen = []
+
+    def term(n, w):
+        seen.append(n)
+        return w
+
+    value = lattice_sum(term, 3, ((tau, 0, 0),), "test series", one_sided=True)
+    assert seen[:2] == [3, 4] and min(seen) == 3
+    exact = sum(e2pi(tau * n * n) for n in range(3, 60))
+    assert abs(value - exact) < mpf(10) ** (2 - DPS)
+
+
+def test_lattice_sum_none_run_does_not_end_the_sum():
+    # zero coefficients for 0 < |n| <= 3 QUIET_RUN: the run of None must not
+    # count as quiet, or each side would stop before the terms at |n| > 3 QUIET_RUN
+    tau = mpc(0, 0.002)
+    gap = 3 * QUIET_RUN
+    value = lattice_sum(lambda n, w: None if 0 < abs(n) <= gap else w, 0, ((tau, 0, 0),),
+                        "test series")
+    exact = 1 + 2 * sum(e2pi(tau * n * n) for n in range(gap + 1, 200))
+    assert abs(e2pi(tau * (gap + 1) ** 2)) > mpf(10) ** -2
+    assert abs(value - exact) < mpf(10) ** (2 - DPS)
+
+
+def test_lattice_sum_stops_relative_to_its_largest_term():
+    # scaled by 10^40, the sum stops at the same n as unscaled: each side ends
+    # on values below eps * |largest value|, not below eps
+    tau = mpc(0.1, 0.3)
+    scale = mpf(10) ** 40
+    runs = []
+    for factor in (1, scale):
+        seen = []
+
+        def term(n, w):
+            seen.append(n)
+            return factor * w
+
+        runs.append((lattice_sum(term, 0, ((tau, 0, 0),), "test series"), seen))
+    (value, seen), (big, big_seen) = runs
+    assert big_seen == seen
+    assert abs(big / scale - value) < mpf(10) ** (2 - DPS)
+    assert abs(value - mp.jtheta(3, 0, mp.exp(2j * mp.pi * tau))) < mpf(10) ** (2 - DPS)
