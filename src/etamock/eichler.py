@@ -121,7 +121,7 @@ def integral_identity_lhs(m, x, endpoint=None):
     if key not in _lhs_cache:
         c = ROOT_C[base]
         xv = fraction_mpf(x) if isinstance(x, (Fraction, int)) else mpc(x)
-        _lhs_cache[key] = -1j / c * E_ray_integral(base, fraction_mpf(endpoint), xv)
+        _lhs_cache[key] = -1j * E_ray_integral(base, fraction_mpf(endpoint), xv) / c
     return _lhs_cache[key]
 
 

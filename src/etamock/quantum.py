@@ -16,10 +16,11 @@ one part and summed or chained over the parts.
 
 The per-family data come from the catalogue rows of vmn and the g_{a,b}
 rows of theta.  rational_z_args reads the shadow (a, b) of each label.
-The first column's group gives ell and the translation step, and the
+The first column's group gives ell and the translation step, the
+multiplier of that step gives the root zeta_a of the shift law, and the
 group of column n gives kappa and the generators.  What the paper prints
-and the checks compare against stays typed: the root orders ROOT_A, the
-quantum sets and the sets where the finite sums are defined.
+and the checks compare against stays typed: the quantum sets and the sets
+where the finite sums are defined.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .core import fraction_mpf
 from .qseries import RootOfUnity, SL2Matrix, e2pi
 from .theta import _G_ROWS
 from .vmn import (_SHADOW, FAMILIES, family, is_admissible, normalize_label, parts,
-                  vmn_eval_mu, vmn_spec)
+                  transformation_root, vmn_eval_mu, vmn_spec)
 
 
 def _step(base, n):
@@ -41,14 +42,15 @@ def _step(base, n):
     return math.lcm(vmn_spec(base, n).group_N, 2)
 
 
-# per-family constants.  ROOT_A, the order of the root zeta_a of the shift
-# law, is the paper's; the rest is read off: the Moebius flavor ell is 2 when
-# the first column's group needs c even, the translation step SHIFT_B is that
-# group's lcm(N, 2), and c_m^2 = 2 * scale of E_m's g_{a,b} rows
+# per-family constants, all read off: ell is 2 when the first column's group
+# needs c even, the translation step SHIFT_B is that group's lcm(N, 2), the
+# root zeta_a of the shift law is the inverse of the multiplier of T^SHIFT_B
+# on the first column, and c_m^2 = 2 * scale of E_m's g_{a,b} rows
 ELL = {m: 2 if vmn_spec(m, 1).group_c_even else 1 for m in FAMILIES}
-ROOT_A = {"1": 8, "2": 8, "3": 3, "4": 24, "5": 12, "6": 3}
 ROOT_C = {str(m): math.isqrt(2 * rows[0][3]) for m, rows in _G_ROWS.items()}
 SHIFT_B = {m: _step(m, 1) for m in FAMILIES}
+ZETA_A = {m: transformation_root(m, 1, SL2Matrix(1, SHIFT_B[m], 0, 1)).conjugate()
+          for m in FAMILIES}
 
 
 def kappa(m, n):

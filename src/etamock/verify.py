@@ -22,7 +22,7 @@ from .theta import (_G_ROWS, E_from_g, e_from_theta, eta_theta_eval, jacobi_thet
 from .mu import MabSpec, g_complement, kang_pair, mordell_h, mu, xi_shadow
 from .vmn import (FAMILIES, all_rows, family, group_sample, verify_thm11, vmn_eval_mu,
                   vmn_eval_series, vmn_spec)
-from .quantum import (ELL, ROOT_A, SHIFT_B, as_fraction, companion_sum,
+from .quantum import (ELL, SHIFT_B, ZETA_A, as_fraction, companion_sum,
                       group_generators, in_quantum_set, integral_identity_rhs, kappa,
                       mobius_rational, two_term_law, vmn_any)
 from .eichler import (_g_combo_ray, integral_identity_lhs, partial_theta_radial,
@@ -55,7 +55,7 @@ def verify_thm12_iii(m, n, x):
     """Residual of V(x) - zeta_a^kappa V(x + kappa b) = 0."""
     base = family(m)
     kap = kappa(base, n)
-    root = e2pi(Fraction(kap, ROOT_A[base]))
+    root = (ZETA_A[base] ** kap).value()
     x = Fraction(x) if isinstance(x, (Fraction, int)) else mpc(x)
     return abs(vmn_any(m, n, x) - root * vmn_any(m, n, x + kap * SHIFT_B[base]))
 

@@ -14,8 +14,8 @@ Each row is one frozen VmnSpec, built once at import by _row and kept in
 _ROWS in the order of all_rows.  Row (m, n) pairs two eta-theta functions
 of theta: the even e_n gives the point v_n (_THETA_ROWS), and the odd E_m
 the shadow g_{a,b} (_G_ROWS).  From (a, b) follow u_n = v_n + (a - 1/2) tau
-+ (1/2 - b), t, w, the series data and the transformation group; only the
-multiplier's extra root of unity (_epsilon) is typed out.  E_4 has two
++ (1/2 - b), t, w, the series data and the transformation group, and
+from (u, v, t) by Zwegers' laws the multiplier of any gamma.  E_4 has two
 g_{a,b} rows, the labels 4p and 4pp, and row 4 is their sum.  parts(label)
 alone knows that split, and family(m) maps a label to its family.  Every
 evaluation is written once on an atomic record and summed over the parts.
@@ -266,35 +266,43 @@ def _form_shift(form, gamma):
     return int(k), int(l)
 
 
-def _epsilon(spec, gamma):
-    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
-    label = spec.label
-    if label in ("2", "4p", "4pp", "6"):
-        return RootOfUnity.from_fraction(Fr(a * b) * spec.t)
-    if label == "1":
-        return RootOfUnity.from_fraction(Fr(4 - 4 * a - a * b + 4 * c, 32))
-    if label == "3":
-        return RootOfUnity.from_fraction(
-            Fr(6 - 6 * a - a * b + 18 * c - 9 * c * d, 72))
-    if label == "5":
-        return RootOfUnity.from_fraction(
-            Fr(12 - 12 * a - 4 * a * b + 18 * c - 9 * c * d, 72))
-    raise ValueError("no multiplier data for label %r" % (label,))
-
-
 def _shift_data(spec, gamma):
-    kl = _form_shift(spec.u, gamma)
-    rs = _form_shift(spec.v, gamma)
+    """The shifts of (u, v) under gamma and the root epsilon they leave.
+
+    By Zwegers' modular and elliptic laws (thesis, Prop. 1.4, Thm 1.11),
+    with z = u - v, J = c tau + d and delta = k - r, the exponent that
+    w q^t mu_hat(u, v; tau) leaves under gamma, times J, is
+        P = t(-c tau^2 + (a - d) tau + b) - (c/2)(z + delta tau + l - s)^2
+            + (delta^2 tau/2 + delta z) J,
+    and it must be epsilon * J for a constant epsilon.
+    """
+    kl, rs = _form_shift(spec.u, gamma), _form_shift(spec.v, gamma)
     if kl is None or rs is None:
         raise ValueError(
             "gamma %r does not preserve the (u, v) lattice data of row "
             "(%s, %d)" % (gamma, spec.label, spec.n))
-    return MultiplierData(k=kl[0], l=kl[1], r=rs[0], s=rs[1],
-                          epsilon=_epsilon(spec, gamma))
+    (k, l), (r, s) = kl, rs
+    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
+    t, delta = spec.t, k - r
+    # P = p2 tau^2 + p1 tau + p0, with z = A tau + B,
+    # z + delta tau + l - s = m1 tau + m0 and delta^2 tau/2 + delta z = e1 tau + e0
+    A, B = spec.u.alpha - spec.v.alpha, spec.u.beta - spec.v.beta
+    m1, m0 = A + delta, B + l - s
+    e1, e0 = Fr(delta * delta, 2) + delta * A, delta * B
+    p2 = c * (e1 - t - m1 * m1 / 2)
+    p1 = t * (a - d) - c * m1 * m0 + e1 * d + e0 * c
+    p0 = t * b - c * m0 * m0 / 2 + e0 * d
+    if p2 != 0 or p1 * d != p0 * c:
+        raise ValueError("row (%s, %d) has no multiplier under gamma %r: c tau + d does "
+                         "not divide P = %s tau^2 + %s tau + %s"
+                         % (spec.label, spec.n, gamma, p2, p1, p0))
+    return MultiplierData(k=k, l=l, r=r, s=s,
+                          epsilon=RootOfUnity.from_fraction(p1 / c if c else p0 / d))
 
 
 def shift_data(m, n, gamma):
-    """MultiplierData for gamma, or ValueError if the shifts are not integral.
+    """MultiplierData for gamma; ValueError if a shift is not integral or
+    the leftover exponent is not a constant.
 
     A row of several parts takes its first part's data; the parts' shifts
     may differ, but they must agree on the parity and epsilon the
@@ -310,8 +318,8 @@ def in_A_group(m, n, gamma):
     """Membership in the named transformation group of the row.
 
     The named predicate is {a = d = 1, b = 0 mod N}, optionally with c even.
-    Named membership must imply integral (u, v) shifts; that implication is
-    checked on every call.
+    Named membership must imply a multiplier (integral (u, v) shifts and a
+    constant epsilon); that implication is checked on every call.
     """
     spec = vmn_spec(m, n)
     N = spec.group_N
@@ -321,15 +329,14 @@ def in_A_group(m, n, gamma):
     if named:
         try:
             shift_data(m, n, gamma)
-        except ValueError:
-            raise RuntimeError(
-                "internal table inconsistency: named member %r has "
-                "non-integral shifts for row (%s, %d)" % (gamma, spec.label, n))
+        except ValueError as err:
+            raise RuntimeError("a member of the named group has no multiplier: %s" % err)
     return named
 
 
 def transformation_root(m, n, gamma):
-    """Exact multiplier psi^-3 * (-1)^(k+l+r+s) * epsilon as a root of unity."""
+    """Exact multiplier psi^-3 * (-1)^(k+l+r+s) * epsilon as a root of unity,
+    on every gamma that shifts (u, v) by integers, in the named group or not."""
     data = shift_data(m, n, gamma)
     psi = eta_multiplier(gamma)
     root = (psi ** -3) * data.epsilon

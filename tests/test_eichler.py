@@ -147,6 +147,17 @@ def test_quadrature_matches_finite_sum(m, x):
     assert abs(rhs - integral_identity_rhs(m, x)) < 1e-12
 
 
+@pytest.mark.parametrize("m, x", [
+    ("1", Fraction(1, 3)), ("2", Fraction(1, 3)), ("3", Fraction(1)),
+    ("4", Fraction(1, 3)), ("5", Fraction(1, 2)), ("6", Fraction(1)),
+])
+def test_corollary_holds_to_working_precision(m, x):
+    # at the thm12 suite's points; a 53-bit -i/c_m on the integral side
+    # (c_m = 6, 24, 12, 6 for families 3-6) stops the residual near 1e-17
+    with mp.workdps(30):
+        assert corollary_check(m, x)[2] < 1e-28
+
+
 @pytest.mark.parametrize("m, x", [("1", Fraction(2, 5)), ("2", Fraction(2, 3))])
 def test_corollary_outside_quantum_set_is_domain_error(m, x):
     with pytest.raises(ValueError, match="outside the quantum set"):

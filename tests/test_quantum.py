@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp, mpc
 
 from etamock.qseries import RootOfUnity, SL2Matrix
-from etamock.quantum import (ELL, ROOT_A, SHIFT_B, F_hk, F_hk_terms, as_fraction,
+from etamock.quantum import (ELL, SHIFT_B, ZETA_A, F_hk, F_hk_terms, as_fraction,
                              companion_sum, companion_sum_composite,
                              companion_terms,
                              group_generators, hk_image, in_quantum_set, kappa,
@@ -19,6 +19,9 @@ from etamock.vmn import all_rows, family, transformation_root
 
 # working precision of every test here; see conftest.py
 DPS = 20
+
+# the orders of the roots zeta_a of the shift law as the paper prints them
+PAPER_ROOT_A = {"1": 8, "2": 8, "3": 3, "4": 24, "5": 12, "6": 3}
 
 
 def test_basic_set_predicates():
@@ -234,4 +237,9 @@ def test_shift_root_is_the_multiplier_of_the_shift(m, n):
     # inverse of the exact multiplier of T^(kappa b) on the completed row
     k = kappa(m, n)
     step = SL2Matrix(1, k * SHIFT_B[m], 0, 1)
-    assert transformation_root(m, n, step) == RootOfUnity.from_fraction(Fraction(-k, ROOT_A[m]))
+    assert transformation_root(m, n, step) == \
+        RootOfUnity.from_fraction(Fraction(-k, PAPER_ROOT_A[m]))
+
+
+def test_shift_roots_are_the_papers():
+    assert ZETA_A == {m: RootOfUnity(1, order) for m, order in PAPER_ROOT_A.items()}

@@ -1,5 +1,6 @@
 """The 59-row catalogue, its completions, and the transformation law."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -8,13 +9,13 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from etamock.mu import R_correction, _mu_series, mu_hat
-from etamock.qseries import SL2Matrix, e2pi
+from etamock.qseries import RootOfUnity, SL2Matrix, e2pi
 from etamock.theta import jacobi_theta
-from etamock.vmn import (all_rows, catalogue_json, fmn_product_form,
-                         fmn_theta_quotient, group_sample, in_A_group,
-                         is_admissible, normalize_label, shift_data,
-                         transformation_root, verify_thm11, vmn_completed,
-                         vmn_eval_mu, vmn_eval_series, vmn_spec)
+from etamock.vmn import (ATOMIC_LABELS, AffineTauForm, _shift_data, all_rows,
+                         catalogue_json, fmn_product_form, fmn_theta_quotient,
+                         group_sample, in_A_group, is_admissible, normalize_label,
+                         shift_data, transformation_root, verify_thm11,
+                         vmn_completed, vmn_eval_mu, vmn_eval_series, vmn_spec)
 
 # working precision of every test here; see conftest.py
 DPS = 20
@@ -161,17 +162,88 @@ def test_folded_completion_equals_direct_series(height):
 
 
 def test_transformation_fails_off_group():
-    """A generic matrix outside the named group must not satisfy the law."""
-    tau = mpc(0.1, 0.9)
-    gamma = SL2Matrix(1, 1, 1, 2)
-    try:
-        root = transformation_root("1", 1, gamma)
-    except ValueError:
-        return
-    lhs = vmn_completed("1", 1, gamma.act(tau))
-    rhs = root.value() * mp.sqrt(gamma.c * tau + gamma.d) \
-        * vmn_completed("1", 1, tau)
-    assert abs(lhs - rhs) > 1e-4
+    # (1, 1; 1, 2) moves row (1, 1)'s u and v off their lattice
+    with pytest.raises(ValueError, match="does not preserve"):
+        transformation_root("1", 1, SL2Matrix(1, 1, 1, 2))
+
+
+@pytest.mark.parametrize("label, n, gamma", [
+    ("1", 1, SL2Matrix(-5, -4, -1, -1)),
+    ("3", 2, SL2Matrix(-2, -3, -5, -8)),
+    ("3", 3, SL2Matrix(-2, -3, -5, -8)),
+])
+def test_transformation_law_beyond_the_named_group(label, n, gamma):
+    # each matrix shifts (u, v) by integers but lies outside the named group
+    assert not in_A_group(label, n, gamma)
+    with mp.workdps(30):
+        assert verify_thm11(label, n, gamma, mpc(0.17, 0.81)) < 1e-25
+
+
+# ---------------------------------------------------------------------------
+# the multiplier derived from Zwegers' laws against the typed formulas
+
+
+def _typed_epsilon(spec, gamma):
+    """The root epsilon as typed out per label before it was derived."""
+    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
+    label = spec.label
+    if label in ("2", "4p", "4pp", "6"):
+        return RootOfUnity.from_fraction(Fraction(a * b) * spec.t)
+    if label == "1":
+        return RootOfUnity.from_fraction(Fraction(4 - 4 * a - a * b + 4 * c, 32))
+    if label == "3":
+        return RootOfUnity.from_fraction(
+            Fraction(6 - 6 * a - a * b + 18 * c - 9 * c * d, 72))
+    if label == "5":
+        return RootOfUnity.from_fraction(
+            Fraction(12 - 12 * a - 4 * a * b + 18 * c - 9 * c * d, 72))
+    raise ValueError("no multiplier data for label %r" % (label,))
+
+
+def _group_words(label, n, rng):
+    """Up to 12 sample words of the row's group, and 40 random products of
+    up to 4 of them and their inverses."""
+    words = group_sample(label, n, count=12)
+    letters = words + [g.inv() for g in words]
+    products = []
+    for _ in range(40):
+        g = SL2Matrix(1, 0, 0, 1)
+        for _ in range(rng.randint(1, 4)):
+            g = g * rng.choice(letters)
+        products.append(g)
+    return words + products
+
+
+ATOMIC_ROWS = [(label, n) for label, n in ROWS if label in ATOMIC_LABELS]
+
+
+def test_derived_epsilon_equals_the_typed_formulas():
+    rng = random.Random(16)
+    count = 0
+    for label, n in ATOMIC_ROWS:
+        spec = vmn_spec(label, n)
+        for gamma in _group_words(label, n, rng):
+            assert _shift_data(spec, gamma).epsilon == _typed_epsilon(spec, gamma), \
+                (label, n, gamma)
+            count += 1
+    assert count > 2400
+
+
+@pytest.mark.parametrize("label, n", [("1", 1), ("2", 3), ("3", 5), ("4p", 2), ("5", 5)])
+def test_row_with_a_wrong_point_has_no_multiplier(label, n):
+    # v's tau coefficient moved by 1/4: every shift of the row's group stays
+    # integral (N is a multiple of 4), but t no longer matches u - v, so
+    # c tau + d does not divide P
+    spec = vmn_spec(label, n)
+    assert spec.group_N % 4 == 0
+    bad = dataclasses.replace(spec, v=AffineTauForm(spec.v.alpha + Fraction(1, 4),
+                                                    spec.v.beta))
+    for gamma in group_sample(label, n, count=12):
+        with pytest.raises(ValueError) as err:
+            _shift_data(bad, gamma)
+        message = str(err.value)
+        assert "does not divide" in message
+        assert "row (%s, %d)" % (label, n) in message and repr(gamma) in message
 
 
 def test_catalogue_json_complete_and_stable():
