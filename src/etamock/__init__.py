@@ -19,7 +19,7 @@ Each module imports only from those above it in this list.  Importing
 the package leaves mpmath's working precision as the caller set it.
 """
 
-from .core import DEFAULT_DPS
+from .core import DEFAULT_DPS, ConvergenceError
 from .qseries import (
     FormalQSeries,
     RootOfUnity,
@@ -90,6 +90,7 @@ from .eichler import (
     integral_identity_lhs,
     partial_theta_radial,
     ray_integral,
+    shadow_ray_integral,
     unary_ray_integral,
 )
 from .verify import (

@@ -1,8 +1,9 @@
 """Command line: argument parsing, reports, and commands over verify's checks.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-domain error.  JSON output is deterministic for a fixed command line
-(wall time is reported only in plain format).
+domain error, such as a series that does not converge at the input.  JSON
+output is deterministic for a fixed command line (wall time is reported
+only in plain format).
 """
 
 import argparse
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .core import DEFAULT_DPS, MIN_DPS
+from .core import DEFAULT_DPS, MIN_DPS, ConvergenceError
 from .qseries import RootOfUnity, _eta_product_raw, _eta_sum_raw, eta, eta_quotient_qexp
 from .theta import eta_theta_eval, eta_theta_qexp, g_ab, jacobi_theta, partial_theta
 from .mu import mu
@@ -485,7 +486,7 @@ def main(argv=None):
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (ValueError, KeyError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, ZeroDivisionError, ConvergenceError) as exc:
         print("domain error: %s" % exc, file=sys.stderr)
         return 2
     report.wall_time = time.time() - start

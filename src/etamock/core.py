@@ -26,6 +26,10 @@ QUIET_RUN = 5
 SIDE_CAP = 10 ** 5
 
 
+class ConvergenceError(RuntimeError):
+    """A series, product, reduction or quadrature that did not settle."""
+
+
 def series_eps():
     """Stop threshold for infinite sums: one digit below working precision."""
     return mp.mpf(10) ** (-(mp.dps + 1))
@@ -46,7 +50,7 @@ def converging(pairs, cap, what):
     run of QUIET_RUN small ones in a row.
 
     The infinite products use this, each with its own envelope test for
-    "small"; series stop inside lattice_sum.  RuntimeError if `cap` pairs,
+    "small"; series stop inside lattice_sum.  ConvergenceError if `cap` pairs,
     or all of them, pass without such a run.
     """
     quiet = 0
@@ -55,7 +59,7 @@ def converging(pairs, cap, what):
         quiet = quiet + 1 if small else 0
         if quiet >= QUIET_RUN:
             return
-    raise RuntimeError("%s failed to converge" % what)
+    raise ConvergenceError("%s failed to converge" % what)
 
 
 def e2pi(x):
@@ -130,7 +134,7 @@ def lattice_sum(term, center, phases, what, one_sided=False):
                 quiet = 0
                 bound = max(bound, eps * size)
         else:
-            raise RuntimeError("%s failed to converge" % what)
+            raise ConvergenceError("%s failed to converge" % what)
     return total
 
 
@@ -176,7 +180,7 @@ def reduce_tau(tau, state, shift, invert, what):
             return tau, state
         tau = -1 / tau
         state = invert(state, tau)
-    raise RuntimeError("%s reduction failed to terminate" % what)
+    raise ConvergenceError("%s reduction failed to terminate" % what)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +230,7 @@ def exp_sinh(f, cut, tol, what):
 
     Level k reuses every value of the levels before it and adds the
     values at its new nodes.  The estimate I_k is returned as soon as
-    |I_k - I_(k-1)| < tol; RuntimeError if no level up to MAX_LEVEL
+    |I_k - I_(k-1)| < tol; ConvergenceError if no level up to MAX_LEVEL
     settles.  The nodes crowd double-exponentially into t = 0, so a steep
     start costs no substitution; a singularity such as t^-1/2 is cut off
     below the last node, and the levels then do not settle to a tolerance
@@ -242,7 +246,7 @@ def exp_sinh(f, cut, tol, what):
         if last is not None and abs(estimate - last) < tol:
             return estimate
         last = estimate
-    raise RuntimeError("%s failed to converge" % what)
+    raise ConvergenceError("%s failed to converge" % what)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ its nodes crowd into the start of the ray, where the kernel may be steep.
 G is not evaluated above a cut set by its exponential decay rate, which
 also bounds the part beyond the cut.
 
+The period integrals of E_m take one ray of g_{a,b} per shadow pair (a, b)
+of E_m, weighted by e(-ab) (shadow_ray_integral).
+
 The checks that compare these integrals with the finite side of the
 period identities live in verify.
 """
@@ -20,8 +23,8 @@ from .core import exp_sinh, fraction_mpf
 # unused here: the benchmark's span tracer looks these up in this module
 from .core import _gl_cache, adaptive_panels, gauss_legendre_nodes  # noqa: F401
 from .qseries import e2pi
-from .theta import E_from_g, g_ab, partial_theta, unary_theta_combination
-from .vmn import family
+from .theta import E_from_g, g_ab, partial_theta
+from .vmn import _SHADOW, family, parts
 from .quantum import ELL, ROOT_C
 
 
@@ -35,7 +38,7 @@ def ray_integral(G, z0, tau, decay, tol=None):
     ValueError, before G is evaluated, if the kernel's singularity -tau lies
     on the ray; RuntimeError, after one value of G, if the bound beyond the
     cut is above tol (as when `decay` overstates G's decay), and
-    RuntimeError if the rule does not settle.
+    ConvergenceError, a RuntimeError, if the rule does not settle.
     """
     z0 = mpc(z0)
     tau = mpc(tau)
@@ -60,68 +63,50 @@ def ray_integral(G, z0, tau, decay, tol=None):
     return exp_sinh(integrand, cut, tol, "ray integral")
 
 
-def g_decay_rate(a, scale=1):
-    """Exponential decay rate of g_{a,b}(scale*z) as Im(z) grows."""
+def g_decay_rate(a):
+    """Exponential decay rate of g_{a,b}(z) as Im(z) grows."""
     af = float(a)
     frac = af - math.floor(af)
     alpha = min(frac, 1 - frac)
-    if alpha == 0:
-        # the n = 0 term vanishes; next exponent is 1/2
-        return scale * 1.0
-    return scale * alpha * alpha
+    # at alpha = 0 the n = 0 term vanishes, and the next exponent is 1/2
+    return alpha * alpha if alpha else 1.0
 
 
-def unary_ray_integral(spec, z0, tau, scale=1, tol=None):
-    """int_{z0}^{i inf} g_{a,b}(scale*z)/sqrt(-i(z+tau)) dz."""
-    a, b = spec
-    decay = g_decay_rate(a, scale)
-    return ray_integral(lambda z: g_ab(spec, scale * z), z0, tau, decay, tol=tol)
+def unary_ray_integral(spec, z0, tau, tol=None):
+    """int_{z0}^{i inf} g_{a,b}(z)/sqrt(-i(z+tau)) dz."""
+    return ray_integral(lambda z: g_ab(spec, z), z0, tau, g_decay_rate(spec[0]), tol=tol)
 
 
-def _g_combo_ray(pairs, z0, tau):
-    """int of (sum coeff * g_spec(u)) / sqrt(-i(u+tau)) from z0 upward."""
-    decay = min(g_decay_rate(spec[0]) for _, spec in pairs)
-
-    def G(z):
-        return sum(c * g_ab(spec, z) for c, spec in pairs)
-
-    return ray_integral(G, z0, tau, decay)
+def shadow_ray_integral(m, z0, tau):
+    """sum e(-ab) int_{z0}^{i inf} g_{a,b}(z)/sqrt(-i(z+tau)) dz over the
+    shadow pairs (a, b) of E_m, one ray per pair so each gets its own decay
+    rate.  Since E_m(2z/c_m^2) = (c_m/2) sum e(-ab) g_{a,b}(z), this is
+    (2/c_m) int_{z0}^{i inf} E_m(2z/c_m^2)/sqrt(-i(z+tau)) dz."""
+    return sum(e2pi(-a * b) * unary_ray_integral((a, b), z0, tau)
+               for a, b in (_SHADOW[p] for p in parts(family(m))))
 
 
 # ---------------------------------------------------------------------------
 # the left side of the period identities
 
 
-def E_ray_integral(m, z0, x):
-    """int_{z0}^{i inf} E_m(2u/c_m^2)/sqrt(-i(u+x)) du, one unary component
-    at a time so each gets its own decay rate."""
-    base = family(m)
-    c = ROOT_C[base]
-    factor = Fraction(2, c * c)
-    total = mpc(0)
-    for coeff, spec, scale in unary_theta_combination(int(base)):
-        eff = Fraction(scale) * factor
-        total += coeff * unary_ray_integral(spec, z0, x, scale=eff)
-    return total
-
-
 _lhs_cache = {}
 
 
 def integral_identity_lhs(m, x, endpoint=None):
-    """-(i/c_m) int_{endpoint}^{i inf} E_m(2u/c_m^2)/sqrt(-i(u+x)) du.
+    """-(i/c_m) int_{endpoint}^{i inf} E_m(2u/c_m^2)/sqrt(-i(u+x)) du,
+    which is -(i/2) shadow_ray_integral(m, endpoint, x).
 
     The default endpoint is 1/2 for the families with ell = 2 and 1 for
-    those with ell = 1.
+    those with ell = 1.  Cached on the exact endpoint and x, and mp.prec.
     """
     base = family(m)
     if endpoint is None:
         endpoint = Fraction(1, ELL[base])
-    key = (base, str(endpoint), str(x), mp.dps)
+    key = (base, endpoint, x, mp.prec)
     if key not in _lhs_cache:
-        c = ROOT_C[base]
         xv = fraction_mpf(x) if isinstance(x, (Fraction, int)) else mpc(x)
-        _lhs_cache[key] = -1j * E_ray_integral(base, fraction_mpf(endpoint), xv) / c
+        _lhs_cache[key] = -0.5j * shadow_ray_integral(base, fraction_mpf(endpoint), xv)
     return _lhs_cache[key]
 
 
@@ -133,11 +118,7 @@ def partial_theta_radial(m, x, ts):
     """Values of the partial theta at -2(x+it)/c_m^2 for each t in ts."""
     base = family(m)
     c = ROOT_C[base]
-    out = []
-    for t in ts:
-        z = -2 * (mpc(fraction_mpf(x), t)) / (c * c)
-        out.append(partial_theta(int(base), z))
-    return out
+    return [partial_theta(int(base), -2 * mpc(fraction_mpf(x), t) / (c * c)) for t in ts]
 
 
 def estar_value(m, tau0):
@@ -146,8 +127,7 @@ def estar_value(m, tau0):
     On that ray -i(u + tau0) is positive real, so the principal square
     root satisfies sqrt(u + tau0) = e(1/8) sqrt(-i(u + tau0)).
     """
-    base = family(m)
+    base = int(family(m))
     tau0 = mpc(tau0)
-    z0 = -mp.conj(tau0)
-    raw = ray_integral(lambda z: E_from_g(int(base), z), z0, tau0, decay=2)
+    raw = ray_integral(lambda z: E_from_g(base, z), -mp.conj(tau0), tau0, decay=2)
     return raw / e2pi(Fraction(1, 8))

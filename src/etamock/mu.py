@@ -82,8 +82,8 @@ def mordell_h(u, tau):
     peaks at c = -Re(u)/Im(tau).  The two half-lines from c are folded into
     one, int_0^inf f(c + t) + f(c - t) dt, which gets the nested exp-sinh
     rule with its nodes crowded into c; f is not evaluated beyond the cut
-    X + |c|, where the envelope is below working precision.  RuntimeError
-    if the rule does not settle.
+    X + |c|, where the envelope is below working precision.
+    ConvergenceError if the rule does not settle.
     """
     u = mpc(u)
     tau = mpc(tau)

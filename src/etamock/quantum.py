@@ -14,13 +14,13 @@ family 4 is the sum over vmn.parts, the labels of E_4's two g_{a,b} rows:
 the first-column value and the companion term lists are written once for
 one part and summed or chained over the parts.
 
-The per-family data come from the catalogue rows of vmn and the g_{a,b}
-rows of theta.  rational_z_args reads the shadow (a, b) of each label.
-The first column's group gives ell and the translation step, the
-multiplier of that step gives the root zeta_a of the shift law, and the
-group of column n gives kappa and the generators.  What the paper prints
-and the checks compare against stays typed: the quantum sets and the sets
-where the finite sums are defined.
+The per-family data come from the catalogue rows of vmn and their shadow
+pairs (a, b): rational_z_args reads the (a, b) of each label, and c_m is
+2 * denominator(a).  The first column's group gives ell and the
+translation step, the multiplier of that step gives the root zeta_a of
+the shift law, and the group of column n gives kappa and the generators.
+What the paper prints and the checks compare against stays typed: the
+quantum sets and the sets where the finite sums are defined.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from mpmath import mp, mpc
 
 from .core import fraction_mpf
 from .qseries import RootOfUnity, SL2Matrix, e2pi
-from .theta import _G_ROWS
 from .vmn import (_SHADOW, FAMILIES, family, is_admissible, normalize_label, parts,
                   transformation_root, vmn_eval_mu, vmn_spec)
 
@@ -43,11 +42,11 @@ def _step(base, n):
 
 
 # per-family constants, all read off: ell is 2 when the first column's group
-# needs c even, the translation step SHIFT_B is that group's lcm(N, 2), the
-# root zeta_a of the shift law is the inverse of the multiplier of T^SHIFT_B
-# on the first column, and c_m^2 = 2 * scale of E_m's g_{a,b} rows
+# needs c even, c_m is 2 * denominator(a) for the shadow pairs of E_m (they
+# share it), the translation step SHIFT_B is that group's lcm(N, 2), and the
+# root zeta_a of the shift law inverts the multiplier of T^SHIFT_B there
 ELL = {m: 2 if vmn_spec(m, 1).group_c_even else 1 for m in FAMILIES}
-ROOT_C = {str(m): math.isqrt(2 * rows[0][3]) for m, rows in _G_ROWS.items()}
+ROOT_C = {m: 2 * _SHADOW[parts(m)[0]][0].denominator for m in FAMILIES}
 SHIFT_B = {m: _step(m, 1) for m in FAMILIES}
 ZETA_A = {m: transformation_root(m, 1, SL2Matrix(1, SHIFT_B[m], 0, 1)).conjugate()
           for m in FAMILIES}

@@ -299,15 +299,17 @@ def e_from_theta(n, tau):
     return pref * e2pi(tau * qpow) * eta_theta_eval(("even", n), tau * scale.numerator / scale.denominator)
 
 
-# odd members as phase-weighted g_{a,b} combinations: (coeff, phase, (a,b), scale)
+# the shadow pairs (a, b) of each odd member, the only typed data on the odd
+# side: E_m = (c/2) sum e(-ab) g_{a,b}(c^2 tau/2) over them, where
+# c = c_m = 2 * denominator(a) turns each nu in a + Z of g_{a,b} into the
+# n = nu * c/2 of E_m's character sum, and nu^2 c^2/4 into n^2
 _G_ROWS = {
-    1: [(4, Fr(0), (Fr(1, 4), Fr(0)), 32)],
-    2: [(4, Fr(-1, 8), (Fr(1, 4), Fr(1, 2)), 32)],
-    3: [(3, Fr(0), (Fr(1, 3), Fr(0)), 18)],
-    4: [(12, Fr(-1, 24), (Fr(1, 12), Fr(1, 2)), 288),
-        (12, Fr(-5, 24), (Fr(5, 12), Fr(1, 2)), 288)],
-    5: [(6, Fr(0), (Fr(1, 6), Fr(0)), 72)],
-    6: [(3, Fr(-1, 6), (Fr(1, 3), Fr(1, 2)), 18)],
+    1: ((Fr(1, 4), Fr(0)),),
+    2: ((Fr(1, 4), Fr(1, 2)),),
+    3: ((Fr(1, 3), Fr(0)),),
+    4: ((Fr(1, 12), Fr(1, 2)), (Fr(5, 12), Fr(1, 2))),
+    5: ((Fr(1, 6), Fr(0)),),
+    6: ((Fr(1, 3), Fr(1, 2)),),
 }
 
 
@@ -318,9 +320,9 @@ def E_from_g(m, tau):
 
 
 def unary_theta_combination(m):
-    """The (coeff*e(phase), (a,b), scale) table behind E_from_g."""
+    """The (c/2 e(-ab), (a, b), c^2/2) rows behind E_from_g, c = 2 denominator(a)."""
     _, m = _parse_label(("odd", m))
-    return [(c * e2pi(ph), spec, scale) for c, ph, spec, scale in _G_ROWS[m]]
+    return [(a.denominator * e2pi(-a * b), (a, b), 2 * a.denominator ** 2) for a, b in _G_ROWS[m]]
 
 
 def partial_theta(m, z):

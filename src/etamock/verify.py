@@ -1,9 +1,9 @@
 """The checks of the paper's claims: their residuals, default tolerances and names.
 
 The drivers check the three quantum-modularity laws of Theorem 1.2 (their
-finite side is quantum.two_term_law), the I/J split of Table 2 (one
-formula over a six-row table) and the corollary at rationals; Theorem
-1.1's driver, vmn.verify_thm11, stays next to the completion it checks.
+finite side is quantum.two_term_law), the I/J split of Table 2 (read off
+the shadow pairs of E_m) and the corollary at rationals; Theorem 1.1's
+driver, vmn.verify_thm11, stays next to the completion it checks.
 The e_n, E_m and V_{m,n} route residuals serve `eval --crosscheck` and suites.
 
 A suite is called as suite(report, rng, samples, **given).  It adds each
@@ -17,15 +17,15 @@ from mpmath import mp, mpc, mpf
 
 from .core import fraction_mpf
 from .qseries import e2pi
-from .theta import (_G_ROWS, E_from_g, e_from_theta, eta_theta_eval, jacobi_theta,
+from .theta import (E_from_g, e_from_theta, eta_theta_eval, jacobi_theta,
                     theta_specialization_point)
 from .mu import MabSpec, g_complement, kang_pair, mordell_h, mu, xi_shadow
-from .vmn import (FAMILIES, all_rows, family, group_sample, verify_thm11, vmn_eval_mu,
-                  vmn_eval_series, vmn_spec)
+from .vmn import (_SHADOW, FAMILIES, all_rows, family, group_sample, parts, verify_thm11,
+                  vmn_eval_mu, vmn_eval_series, vmn_spec)
 from .quantum import (ELL, SHIFT_B, ZETA_A, as_fraction, companion_sum,
                       group_generators, in_quantum_set, integral_identity_rhs, kappa,
                       mobius_rational, two_term_law, vmn_any)
-from .eichler import (_g_combo_ray, integral_identity_lhs, partial_theta_radial,
+from .eichler import (integral_identity_lhs, partial_theta_radial, shadow_ray_integral,
                       unary_ray_integral)
 
 
@@ -64,55 +64,55 @@ def verify_thm12_iii(m, n, x):
 # the I/J decomposition of the completed transformation
 
 
-# Table 2, one row per family: the phases of the prefactors P_I = e(.)/2
-# and P_J = e(.)/2, and the offsets of the Mordell integrals.  The rest
-# follows from ell = ELL[m] and the g_{a,b} combination of E_m.
-_TABLE2 = {
-    "1": (Fraction(1, 8), Fraction(-1, 4), (Fraction(1, 4),)),
-    "2": (Fraction(0), Fraction(5, 8), (Fraction(1, 4),)),
-    "3": (Fraction(1, 6), Fraction(-1, 4), (Fraction(1, 6),)),
-    "4": (Fraction(0), Fraction(5, 8), (Fraction(5, 12), Fraction(1, 12))),
-    "5": (Fraction(1, 12), Fraction(-1, 4), (Fraction(1, 3),)),
-    "6": (Fraction(0), Fraction(5, 8), (Fraction(1, 6),)),
-}
-
-
 def _mordell_piece(alpha, beta, tau):
     """e(-alpha^2 tau/2) h(alpha tau - beta; tau)."""
     return e2pi(-alpha * alpha * tau / 2) * mordell_h(alpha * tau - fraction_mpf(beta), tau)
 
 
+def _table2_row(m):
+    """Table 2's row of family m: (phase of P_I, phase of P_J, offsets)."""
+    ell = ELL[m]
+    pairs = [_SHADOW[p] for p in parts(m)]
+    return (pairs[0][0] * (ell - 1) / 2, Fraction(ell - 4, 8),
+            tuple(Fraction(1, 2) - a for a, _ in pairs))
+
+
 def table2_terms(m, tau):
     """Both printed forms of the I and J pieces for the first column.
 
-    With tau' = -1/tau - ell and a = (ell - 1)/2, the closed forms are
-        I = P_I sqrt(-i tau') sum_off e(-a^2 tau'/2) h(a tau' + off; tau'),
-        J = P_J sqrt(ell tau + 1) sum_off e(-off^2 tau/2) h(off tau - a; tau),
-    and the quadrature forms integrate G = E_m(u/scale)/coeff (the g_{a,b}
-    combination of E_m over its first integer coefficient) from 0 and 1/ell:
+    With tau' = -1/tau - ell and A = (ell - 1)/2, the closed forms are
+        I = P_I sqrt(-i tau') sum_off e(-A^2 tau'/2) h(A tau' + off; tau'),
+        J = P_J sqrt(ell tau + 1) sum_off e(-off^2 tau/2) h(off tau - A; tau),
+    and the quadrature forms take ray(z0) = shadow_ray_integral(m, z0, tau)
+    from 0 and 1/ell:
         I = P (ray(1/ell) - ray(0)) + C,  J = P ray(0) - C,
     with P = (i/2) e((2 - ell)/8) sqrt(ell tau + 1) and
-    C = (i/2) (ell - 1) sqrt(-i tau').
+    C = (i/2) (ell - 1) sqrt(-i tau').  Each shadow pair (a, b) of E_m, with
+    b = 1/2 - A, has the ray from 0 -e(alpha b) e(-alpha^2 tau/2)
+    h(alpha tau - b + 1/2; tau), alpha = a - 1/2 (Zwegers, thesis, Thm 1.16;
+    at b = 0 it adds 1/sqrt(-i tau), which C takes back).  Table 2 follows:
+    the offset of a pair is 1/2 - a = -alpha, as h is even; P_J's phase
+    (ell - 4)/8 is that of -P times e(-ab) e(alpha b) = e(-b/2); P_I's phase
+    a (ell - 1)/2, a of the first pair, is e(alpha (beta + 1/2)) at alpha = A,
+    beta = -off, for I's Mordell integral at tau'.
     """
     base = family(m)
-    phase_i, phase_j, offsets = _TABLE2[base]
+    phase_i, phase_j, offsets = _table2_row(base)
     ell = ELL[base]
-    a = Fraction(ell - 1, 2)
+    A = Fraction(ell - 1, 2)
     tau = mpc(tau)
     tau1 = -1 / tau - ell
     root, root1 = mp.sqrt(ell * tau + 1), mp.sqrt(-1j * tau1)
-    rows = _G_ROWS[int(base)]
-    pairs = [(coeff * e2pi(phase) / rows[0][0], spec) for coeff, phase, spec, _ in rows]
-    ray0 = _g_combo_ray(pairs, mpf(0), tau)
-    ray1 = _g_combo_ray(pairs, fraction_mpf(Fraction(1, ell)), tau)
+    ray0 = shadow_ray_integral(base, mpf(0), tau)
+    ray1 = shadow_ray_integral(base, fraction_mpf(Fraction(1, ell)), tau)
     pref = 0.5j * e2pi(Fraction(2 - ell, 8)) * root
     corr = 0.5j * (ell - 1) * root1
     return {
         "I_closed": e2pi(phase_i) / 2 * root1
-        * sum(_mordell_piece(a, -off, tau1) for off in offsets),
+        * sum(_mordell_piece(A, -off, tau1) for off in offsets),
         "I_quad": pref * (ray1 - ray0) + corr,
         "J_closed": e2pi(phase_j) / 2 * root
-        * sum(_mordell_piece(off, a, tau) for off in offsets),
+        * sum(_mordell_piece(off, A, tau) for off in offsets),
         "J_quad": pref * ray0 - corr,
     }
 
@@ -122,16 +122,14 @@ def verify_table2(m, tau):
     transformation they decompose."""
     base = family(m)
     tau = mpc(tau)
-    parts = table2_terms(base, tau)
+    terms = table2_terms(base, tau)
     ell = ELL[base]
-    mat_tau = tau / (ell * tau + 1)
-    lhs = vmn_eval_mu(base, 1, mat_tau)
-    rhs = e2pi(Fraction(2 - ell, 8)) * mp.sqrt(ell * tau + 1) \
-        * vmn_eval_mu(base, 1, tau) \
-        + parts["I_closed"] + parts["J_closed"]
+    lhs = vmn_eval_mu(base, 1, tau / (ell * tau + 1))
+    rhs = e2pi(Fraction(2 - ell, 8)) * mp.sqrt(ell * tau + 1) * vmn_eval_mu(base, 1, tau) \
+        + terms["I_closed"] + terms["J_closed"]
     return {
-        "I": abs(parts["I_closed"] - parts["I_quad"]),
-        "J": abs(parts["J_closed"] - parts["J_quad"]),
+        "I": abs(terms["I_closed"] - terms["I_quad"]),
+        "J": abs(terms["J_closed"] - terms["J_quad"]),
         "functional_equation": abs(lhs - rhs),
     }
 

@@ -44,8 +44,8 @@ FAMILIES = ("1", "2", "3", "4", "5", "6")
 
 # the shadow g_{a,b} of each atomic label: the (a, b) of its odd E_m, in the
 # order of theta._G_ROWS, where E_4's two rows belong to 4p and 4pp
-_SHADOW = dict(zip(ATOMIC_LABELS, (spec for m in sorted(_G_ROWS)
-                                   for _, _, spec, _ in _G_ROWS[m]), strict=True))
+_SHADOW = dict(zip(ATOMIC_LABELS, (spec for m in sorted(_G_ROWS) for spec in _G_ROWS[m]),
+                   strict=True))
 
 
 def normalize_label(m):

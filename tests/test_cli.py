@@ -293,6 +293,15 @@ def test_unknown_label_prefix_is_domain_error(capsys):
     assert captured.err.startswith("domain error: unknown eta-theta label 'x7'")
 
 
+def test_series_that_does_not_converge_is_domain_error(capsys):
+    # the partial theta at Im z = -1e-12 would need far more terms than
+    # core.SIDE_CAP: a domain error, not a failed check or a traceback
+    code = main(["eval", "Etilde", "1", "--z", "0.1-1e-12i"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "domain error: partial theta failed to converge\n"
+
+
 def test_plain_format_reports_wall_time(capsys):
     code, out = run(capsys, "--format", "plain", "eval", "eta",
                     "--tau", "0.1+1.2i")

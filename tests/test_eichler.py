@@ -14,8 +14,8 @@ from etamock.theta import partial_theta
 from etamock.eichler import (estar_value, g_decay_rate, integral_identity_lhs,
                              partial_theta_radial, ray_integral, unary_ray_integral)
 from etamock.quantum import ELL, integral_identity_rhs
-from etamock.verify import (corollary_check, radial_proportionality, table2_terms,
-                            verify_table2, verify_thm12_i, verify_thm12_ii,
+from etamock.verify import (_table2_row, corollary_check, radial_proportionality,
+                            table2_terms, verify_table2, verify_thm12_i, verify_thm12_ii,
                             verify_thm12_iii)
 
 # working precision of every test here; see conftest.py
@@ -23,11 +23,22 @@ DPS = 16
 
 TAU = mpc(0.13, 0.87)
 
+# Table 2 as the paper prints it, one row per family: the phases of the
+# prefactors P_I = e(.)/2 and P_J = e(.)/2, and the offsets of the Mordell
+# integrals
+PAPER_TABLE2 = {
+    "1": (Fraction(1, 8), Fraction(-1, 4), (Fraction(1, 4),)),
+    "2": (Fraction(0), Fraction(5, 8), (Fraction(1, 4),)),
+    "3": (Fraction(1, 6), Fraction(-1, 4), (Fraction(1, 6),)),
+    "4": (Fraction(0), Fraction(5, 8), (Fraction(5, 12), Fraction(1, 12))),
+    "5": (Fraction(1, 12), Fraction(-1, 4), (Fraction(1, 3),)),
+    "6": (Fraction(0), Fraction(5, 8), (Fraction(1, 6),)),
+}
+
 
 def test_decay_rate_conventions():
     assert g_decay_rate(Fraction(1, 4)) == pytest.approx(1.0 / 16)
     assert g_decay_rate(Fraction(1, 3)) == pytest.approx(1.0 / 9)
-    assert g_decay_rate(Fraction(5, 12), scale=2) == pytest.approx(2 * 25.0 / 144)
     assert g_decay_rate(1) == pytest.approx(1.0)
     assert g_decay_rate(Fraction(3, 2)) == pytest.approx(1.0 / 4)
 
@@ -127,6 +138,16 @@ def test_one_step_composition_gives_two_step(m):
     second = integral_identity_lhs(m, image, endpoint=Fraction(1))
     w = e2pi(Fraction(-1, 8)) / mp.sqrt(mpf(x.numerator) / x.denominator + 1)
     assert abs(whole - first - w * second) < 1e-8
+
+
+@pytest.mark.parametrize("m", sorted(PAPER_TABLE2))
+def test_period_table_is_the_papers(m):
+    # derived from the shadow pairs of E_m; phases are compared mod 1
+    phase_i, phase_j, offsets = _table2_row(m)
+    paper_i, paper_j, paper_offsets = PAPER_TABLE2[m]
+    assert (phase_i - paper_i) % 1 == 0 and (phase_j - paper_j) % 1 == 0
+    assert offsets == paper_offsets
+    assert e2pi(phase_i) == e2pi(paper_i) and e2pi(phase_j) == e2pi(paper_j)
 
 
 @pytest.mark.parametrize("m", ["1", "2", "3", "4", "5", "6"])
@@ -298,6 +319,29 @@ def test_ray_integral_stop_rule_against_higher_precision(monkeypatch):
             assert mp.dps == 30
         assert mp.dps == DPS
         assert abs(value - fine) < mpf(10) ** (3 - DPS)
+
+
+def test_lhs_cache_keys_on_exact_inputs_and_precision(monkeypatch):
+    """Inputs that print alike, and precisions with one mp.dps, each get
+    their own value: the value a cold cache gives."""
+    x = mpc("0.1", "0.9")
+    near = x + mpf(2) ** -55
+    assert near != x and str(near) == str(x)
+
+    def cold(y):
+        monkeypatch.setattr(eichler, "_lhs_cache", {})
+        return integral_identity_lhs("2", y)
+
+    at_x, at_near = cold(x), cold(near)
+    with mp.extraprec(2):
+        assert mp.dps == DPS
+        wider = cold(x)
+    monkeypatch.setattr(eichler, "_lhs_cache", {})
+    assert integral_identity_lhs("2", x) == at_x
+    assert integral_identity_lhs("2", near) == at_near
+    with mp.extraprec(2):
+        assert integral_identity_lhs("2", x) == wider
+    assert len(eichler._lhs_cache) == 3
 
 
 def test_estar_tracks_partial_theta_at_conjugate():

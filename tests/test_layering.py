@@ -2,7 +2,8 @@
 
 Each module may import only from the modules before it in LAYERS, no
 import sits inside a function, where it would hide a cycle, and every
-name a module imports is used in it.  Only vmn names the parts of family 4.
+name a module imports is used in it.  Only vmn names the parts of family 4,
+and only theta and vmn read the shadow pairs of theta._G_ROWS.
 """
 
 import ast
@@ -111,3 +112,14 @@ def test_family_four_split_only_in_vmn(module):
     refs = [node.lineno for node in ast.walk(_tree(module))
             if isinstance(node, ast.Constant) and node.value in ("4p", "4pp")]
     assert not refs, "%s names the parts of family 4 at lines %s" % (module, refs)
+
+
+@pytest.mark.parametrize("module", [m for m in _modules() if m not in ("theta", "vmn")])
+def test_shadow_pairs_read_only_in_theta_and_vmn(module):
+    # theta types the pairs and vmn keys them by label (vmn._SHADOW); the
+    # other modules take c_m, weights and Table 2 from those
+    refs = [node.lineno for node in ast.walk(_tree(module))
+            if isinstance(node, ast.alias) and node.name == "_G_ROWS"
+            or isinstance(node, ast.Attribute) and node.attr == "_G_ROWS"
+            or isinstance(node, ast.Name) and node.id == "_G_ROWS"]
+    assert not refs, "%s reads theta._G_ROWS at lines %s" % (module, refs)

@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from etamock.qseries import SL2Matrix, e2pi, eta
+from etamock.quantum import ROOT_C
 from etamock.theta import (E_from_g, _theta_product, e_from_theta,
                            eta_theta_eval, eta_theta_qexp, g_ab, jacobi_theta,
                            jacobi_theta_transform, partial_theta,
@@ -16,6 +17,18 @@ from etamock.theta import (E_from_g, _theta_product, e_from_theta,
 DPS = 25
 
 TAUS = [mpc(0.1, 0.9), mpc(-0.35, 1.4), mpc(0.48, 0.62)]
+
+# the odd members as the paper prints them: (coeff, phase, (a, b), scale)
+# for E_m = sum coeff e(phase) g_{a,b}(scale tau)
+PAPER_G_ROWS = {
+    1: [(4, Fraction(0), (Fraction(1, 4), Fraction(0)), 32)],
+    2: [(4, Fraction(-1, 8), (Fraction(1, 4), Fraction(1, 2)), 32)],
+    3: [(3, Fraction(0), (Fraction(1, 3), Fraction(0)), 18)],
+    4: [(12, Fraction(-1, 24), (Fraction(1, 12), Fraction(1, 2)), 288),
+        (12, Fraction(-5, 24), (Fraction(5, 12), Fraction(1, 2)), 288)],
+    5: [(6, Fraction(0), (Fraction(1, 6), Fraction(0)), 72)],
+    6: [(3, Fraction(-1, 6), (Fraction(1, 3), Fraction(1, 2)), 18)],
+}
 
 
 def test_theta_is_odd_and_vanishes_at_zero():
@@ -206,6 +219,19 @@ def test_even_member_specializes_jacobi_theta(n):
     tau = mpc(0.1, 1.2)
     v, t = theta_specialization_point(n, tau)
     assert abs(jacobi_theta(v, t) - e_from_theta(n, tau)) < 1e-15
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_unary_combination_is_the_papers(m):
+    # coeff = c/2, phase = -ab mod 1 and scale = c^2/2 with c = c_m =
+    # 2 * denominator(a), read off each shadow pair (a, b)
+    rows = unary_theta_combination(m)
+    assert [spec for _, spec, _ in rows] == [spec for _, _, spec, _ in PAPER_G_ROWS[m]]
+    for (coeff, (a, b), scale), (c, phase, _, paper_scale) in zip(rows, PAPER_G_ROWS[m]):
+        assert a.denominator == c and (-a * b - phase) % 1 == 0
+        assert coeff == c * e2pi(phase)
+        assert type(scale) is int and scale == paper_scale
+    assert ROOT_C[str(m)] ** 2 == 2 * PAPER_G_ROWS[m][0][3]
 
 
 @pytest.mark.parametrize("m", range(1, 7))
