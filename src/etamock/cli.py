@@ -412,6 +412,15 @@ def cmd_catalogue(args):
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads -1/3, -.5, -0.4+0.5i and -i as values, not options (no option
+    here looks like a number); subcommand parsers share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.]|-[ij]$")
+
+
 def build_parser():
     def add_global_flags(p, suppress):
         d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
@@ -427,9 +436,9 @@ def build_parser():
 
     # accepted both before and after the subcommand: the subparser copies
     # use SUPPRESS so they do not clobber values parsed at the top level
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     add_global_flags(common, suppress=True)
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="etamock",
         description="Evaluate and verify a catalogue of mock theta functions "
                     "built from eta-theta Appell-Lerch specializations.")

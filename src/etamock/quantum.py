@@ -8,25 +8,26 @@ at the working precision.
 The arguments z1, z2 of F_hk for each family come from rational_z_args
 alone.  The rest is read off from it: the rational values of the first
 column, the sign-companion sums (F_hk at (z1, z2) and at (-z1, -z2)), and
-the finite side of the period identities, which is the two-term law of
-Theorem 1.2 (two_term_law) applied to the rational values.  A value of
-family 4 is the sum over vmn.parts, the labels of E_4's two g_{a,b} rows:
-the first-column value and the companion term lists are written once for
-one part and summed or chained over the parts.
+the finite side of the period identities.  A value of family 4 is the sum
+over vmn.parts, the labels of E_4's two g_{a,b} rows, written once for one
+part and summed or chained over the parts.
 
-The per-family data come from the catalogue rows of vmn and their shadow
-pairs (a, b): rational_z_args reads the (a, b) of each label, and c_m is
-2 * denominator(a).  The first column's group gives ell and the
-translation step, the multiplier of that step gives the root zeta_a of
-the shift law, and the group of column n gives kappa and the generators.
-What the paper prints and the checks compare against stays typed: the
-quantum sets and the sets where the finite sums are defined.
+Theorem 1.2 is one law, two_term_law: at a generator gamma = (a, b; c, d)
+of the row's group (group_generators),
+    L(x) = V(x) - conj(nu) (c x + d)^(-1/2) V(gamma x),
+with nu the row's exact multiplier under gamma (vmn.transformation_root).
+L vanishes at the translation T^lcm(N, 2); at M_1 and M_2 it is a period
+integral of E_m, and the finite side of the period identities is L of the
+first column at M_ell.  What the paper prints
+and the checks compare against stays typed: the quantum sets and the sets
+where the finite sums are defined.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction as Fr
+from functools import cache
 
 from mpmath import mp, mpc
 
@@ -36,26 +37,34 @@ from .vmn import (_SHADOW, FAMILIES, family, is_admissible, normalize_label, par
                   transformation_root, vmn_eval_mu, vmn_spec)
 
 
-def _step(base, n):
-    """The translation T^step that generates with M1 or M2: lcm(N, 2)."""
-    return math.lcm(vmn_spec(base, n).group_N, 2)
+def M_ell(ell):
+    """M_ell = (1, 0; ell, 1), which sends x to x/(ell x + 1)."""
+    return SL2Matrix(1, 0, ell, 1)
 
 
-# per-family constants, all read off: ell is 2 when the first column's group
-# needs c even, c_m is 2 * denominator(a) for the shadow pairs of E_m (they
-# share it), the translation step SHIFT_B is that group's lcm(N, 2), and the
-# root zeta_a of the shift law inverts the multiplier of T^SHIFT_B there
-ELL = {m: 2 if vmn_spec(m, 1).group_c_even else 1 for m in FAMILIES}
+def group_generators(m, n):
+    """Generators of the quantum-modularity group of row (m, n): M_1 for a
+    first column whose group does not need c even, M_2 otherwise, and the
+    translation T^lcm(N, 2)."""
+    spec = vmn_spec(family(m), n)
+    ell = 1 if n == 1 and not spec.group_c_even else 2
+    return M_ell(ell), SL2Matrix(1, math.lcm(spec.group_N, 2), 0, 1)
+
+
+def mobius_rational(gamma, x):
+    """gamma acting on a rational; None when the image is infinity."""
+    x = as_fraction(x)
+    den = gamma.c * x + gamma.d
+    if den == 0:
+        return None
+    return (gamma.a * x + gamma.b) / den
+
+
+# per-family constants, both read off: ell from the first column's
+# generators, and c_m = 2 * denominator(a) for the shadow pairs of E_m
+# (they share it)
+ELL = {m: group_generators(m, 1)[0].c for m in FAMILIES}
 ROOT_C = {m: 2 * _SHADOW[parts(m)[0]][0].denominator for m in FAMILIES}
-SHIFT_B = {m: _step(m, 1) for m in FAMILIES}
-ZETA_A = {m: transformation_root(m, 1, SL2Matrix(1, SHIFT_B[m], 0, 1)).conjugate()
-          for m in FAMILIES}
-
-
-def kappa(m, n):
-    """Power of the translation step in the shift law of column n."""
-    base = family(m)
-    return _step(base, n) // SHIFT_B[base]
 
 
 # ---------------------------------------------------------------------------
@@ -245,79 +254,40 @@ def vmn_any(m, n, x):
 
 
 # ---------------------------------------------------------------------------
-# Moebius data on rationals
+# the law of Theorem 1.2 and the finite sums read off from it
 
 
-def hk_image(ell, x):
-    """Normalized image (H, K) of h/k under x -> x/(ell x + 1), K > 0."""
-    x = as_fraction(x)
-    h, k = x.numerator, x.denominator
-    kk = ell * h + k
-    if kk == 0:
-        raise ZeroDivisionError("x = -1/%d maps to infinity" % ell)
-    if kk < 0:
-        return -h, -kk
-    return h, kk
+@cache
+def multiplier(base, n, gamma):
+    """vmn.transformation_root, the exact multiplier nu of family base's
+    column n under gamma, memoized: the checks reuse a few roots."""
+    return transformation_root(base, n, gamma)
 
 
-def mobius_rational(gamma, x):
-    """gamma acting on a rational; None when the image is infinity."""
-    x = as_fraction(x)
-    den = gamma.c * x + gamma.d
-    if den == 0:
-        return None
-    return (gamma.a * x + gamma.b) / den
+def two_term_law(V, m, n, gamma, x):
+    """L(x) = V(x) - conj(nu) (c x + d)^(-1/2) V(gamma x), principal root,
+    with nu = multiplier(family(m), n, gamma) and gamma = (a, b; c, d).
 
-
-_M2 = SL2Matrix(1, 0, 2, 1)
-_M1 = SL2Matrix(1, 0, 1, 1)
-
-
-def _tpow(p):
-    return SL2Matrix(1, p, 0, 1)
-
-
-def group_generators(m, n):
-    """Generators of the quantum-modularity group of row (m, n): M1 for a
-    first column without c even, M2 otherwise, and T^lcm(N, 2)."""
-    base = family(m)
-    spec = vmn_spec(base, n)
-    first = _M1 if n == 1 and not spec.group_c_even else _M2
-    return first, _tpow(_step(base, n))
-
-
-# ---------------------------------------------------------------------------
-# the two-term law and the finite sums read off from it
-
-
-def two_term_law(V, x, ell, r):
-    """V(x) + r (ell x + 1)^(-1/2) V(x/(ell x + 1)), principal root.
-
-    x is a rational or a point of the upper half plane.  At x = -1/ell the
-    map sends x to infinity, and this raises ZeroDivisionError.
+    x is a rational or a point of the upper half plane.  Where gamma sends
+    x to infinity this raises ZeroDivisionError.
     """
-    if isinstance(x, (Fr, int)):
-        x = Fr(x)
-        image = Fr(*hk_image(ell, x))
-        w = fraction_mpf(ell * x + 1)
-    else:
-        x = mpc(x)
-        image = x / (ell * x + 1)
-        w = ell * x + 1
-    return V(x) + r * (1 / mp.sqrt(mpc(w))) * V(image)
+    r = -(multiplier(family(m), n, gamma).conjugate().value())
+    exact = isinstance(x, (Fr, int))
+    x = Fr(x) if exact else mpc(x)
+    w = gamma.c * x + gamma.d
+    if w == 0:
+        raise ZeroDivisionError("x = %s maps to infinity" % x)
+    w = fraction_mpf(w) if exact else w
+    return V(x) + r * (1 / mp.sqrt(mpc(w))) * V(gamma.act(x))
 
 
 def integral_identity_rhs(m, x):
     """Finite q-hypergeometric side equal to the weighted period integral
-    -(i/c_m) int E_m(2u/c_m^2)/sqrt(-i(u+x)) du from 1/ell_m to i-infinity.
-
-    It is the two-term law of the first column, read at the rational x
-    with r = -1 for ell_m = 2 and r = -e(-1/8) for ell_m = 1.
-    """
+    -(i/c_m) int E_m(2u/c_m^2)/sqrt(-i(u+x)) du from 1/ell_m to i-infinity:
+    the law of the first column at M_ell, read at the rational x."""
     base = family(m)
-    ell = ELL[base]
-    r = -1 if ell == 2 else -e2pi(Fr(-1, 8))
-    return two_term_law(lambda y: vm1_at_rational(base, y), as_fraction(x), ell, r)
+    return two_term_law(lambda y: vm1_at_rational(base, y), base, 1, M_ell(ELL[base]),
+                        as_fraction(x))
 
 
 def companion_terms(m, x):

@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from mpmath import mp, mpc
 
-from .core import (converging, fold_guard, fraction_mpf, lattice_sum, period_cell, reduce_tau,
-                   series_eps)
+from .core import (SIDE_CAP, ConvergenceError, converging, fold_guard, fraction_mpf,
+                   lattice_sum, period_cell, reduce_tau, series_eps)
 from .qseries import (
     FormalQSeries,
     e2pi,
@@ -326,11 +326,15 @@ def unary_theta_combination(m):
 
 
 def partial_theta(m, z):
-    """Partial theta sum(chi_m(n) e^{-2 pi i z n^2}) on the lower half plane."""
+    """Partial theta sum(chi_m(n) e^{-2 pi i z n^2}) on the lower half plane;
+    ConvergenceError at once when its terms would need more than SIDE_CAP
+    steps to fall below 10^-(dps+1)."""
     z = mpc(z)
     if z.imag >= 0:
         raise ValueError("partial theta needs Im(z) < 0")
     _, chi = _ODD[_parse_label(("odd", m))[1]]
+    if mp.sqrt((mp.dps + 1) * mp.ln(10) / (2 * mp.pi * -z.imag)) > SIDE_CAP:
+        raise ConvergenceError("partial theta failed to converge")
 
     def term(n, w):
         c = chi(n) if n else 0

@@ -1,9 +1,11 @@
 """The checks of the paper's claims: their residuals, default tolerances and names.
 
-The drivers check the three quantum-modularity laws of Theorem 1.2 (their
-finite side is quantum.two_term_law), the I/J split of Table 2 (read off
-the shadow pairs of E_m) and the corollary at rationals; Theorem 1.1's
-driver, vmn.verify_thm11, stays next to the completion it checks.
+The drivers check Theorem 1.2 as one law, quantum.two_term_law: zero at
+the row's translation (iii), a ray integral of E_m at M_2 (i) and at M_1
+(ii).  Table 2's I/J split (read off the shadow pairs of E_m) decomposes
+the completed law at M_ell; the corollary is that law's ray identity at
+rationals.  Each root is the row's multiplier; Theorem 1.1's driver,
+vmn.verify_thm11, stays next to the completion it checks.
 The e_n, E_m and V_{m,n} route residuals serve `eval --crosscheck` and suites.
 
 A suite is called as suite(report, rng, samples, **given).  It adds each
@@ -22,9 +24,9 @@ from .theta import (E_from_g, e_from_theta, eta_theta_eval, jacobi_theta,
 from .mu import MabSpec, g_complement, kang_pair, mordell_h, mu, xi_shadow
 from .vmn import (_SHADOW, FAMILIES, all_rows, family, group_sample, parts, verify_thm11,
                   vmn_eval_mu, vmn_eval_series, vmn_spec)
-from .quantum import (ELL, SHIFT_B, ZETA_A, as_fraction, companion_sum,
-                      group_generators, in_quantum_set, integral_identity_rhs, kappa,
-                      mobius_rational, two_term_law, vmn_any)
+from .quantum import (ELL, M_ell, as_fraction, companion_sum, group_generators,
+                      in_quantum_set, integral_identity_rhs, mobius_rational, multiplier,
+                      two_term_law, vmn_any)
 from .eichler import (integral_identity_lhs, partial_theta_radial, shadow_ray_integral,
                       unary_ray_integral)
 
@@ -33,31 +35,31 @@ from .eichler import (integral_identity_lhs, partial_theta_radial, shadow_ray_in
 # the period-integral identities of Theorem 1.2
 
 
-def verify_thm12_i(m, n, x):
-    """Residual of: V(x) + i^ell (2x+1)^(-1/2) V(x/(2x+1)) equals the
-    ray integral from 1/2."""
+def _period_residual(m, n, gamma, x):
+    """|L(x) - the ray integral from 1/c| for the law at gamma = M_c."""
     base = family(m)
-    lhs = two_term_law(lambda y: vmn_any(base, n, y), x, 2, e2pi(Fraction(ELL[base], 4)))
-    return abs(lhs - integral_identity_lhs(base, x, endpoint=Fraction(1, 2)))
+    law = two_term_law(lambda y: vmn_any(base, n, y), base, n, gamma, x)
+    return abs(law - integral_identity_lhs(base, x, endpoint=Fraction(1, gamma.c)))
+
+
+def verify_thm12_i(m, n, x):
+    """Residual of (i): the law of row (m, n) at M_2 equals the ray
+    integral from 1/2."""
+    return _period_residual(m, n, M_ell(2), x)
 
 
 def verify_thm12_ii(m, x):
-    """Residual of the first-column variant with x -> x/(x+1) and the ray
-    from 1; defined for the even families 2, 4, 6."""
-    base = family(m)
-    if ELL[base] != 1:
+    """Residual of (ii): the law of the first column at M_1 equals the ray
+    integral from 1; defined for the even families 2, 4, 6."""
+    if ELL[family(m)] != 1:
         raise ValueError("this variant needs an even family, got %r" % (m,))
-    lhs = two_term_law(lambda y: vmn_any(base, 1, y), x, 1, -e2pi(Fraction(-1, 8)))
-    return abs(lhs - integral_identity_lhs(base, x, endpoint=Fraction(1)))
+    return _period_residual(m, 1, M_ell(1), x)
 
 
 def verify_thm12_iii(m, n, x):
-    """Residual of V(x) - zeta_a^kappa V(x + kappa b) = 0."""
-    base = family(m)
-    kap = kappa(base, n)
-    root = (ZETA_A[base] ** kap).value()
-    x = Fraction(x) if isinstance(x, (Fraction, int)) else mpc(x)
-    return abs(vmn_any(m, n, x) - root * vmn_any(m, n, x + kap * SHIFT_B[base]))
+    """Residual of (iii): the law of row (m, n) at its translation
+    T^lcm(N, 2), V(x) - conj(nu) V(x + lcm(N, 2)), vanishes."""
+    return abs(two_term_law(lambda y: vmn_any(m, n, y), m, n, group_generators(m, n)[1], x))
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +88,8 @@ def table2_terms(m, tau):
     and the quadrature forms take ray(z0) = shadow_ray_integral(m, z0, tau)
     from 0 and 1/ell:
         I = P (ray(1/ell) - ray(0)) + C,  J = P ray(0) - C,
-    with P = (i/2) e((2 - ell)/8) sqrt(ell tau + 1) and
-    C = (i/2) (ell - 1) sqrt(-i tau').  Each shadow pair (a, b) of E_m, with
+    with P = (i/2) nu sqrt(ell tau + 1), nu = e((2 - ell)/8) the multiplier
+    at M_ell, and C = (i/2) (ell - 1) sqrt(-i tau').  Each shadow pair (a, b) of E_m, with
     b = 1/2 - A, has the ray from 0 -e(alpha b) e(-alpha^2 tau/2)
     h(alpha tau - b + 1/2; tau), alpha = a - 1/2 (Zwegers, thesis, Thm 1.16;
     at b = 0 it adds 1/sqrt(-i tau), which C takes back).  Table 2 follows:
@@ -99,13 +101,14 @@ def table2_terms(m, tau):
     base = family(m)
     phase_i, phase_j, offsets = _table2_row(base)
     ell = ELL[base]
+    nu = multiplier(base, 1, M_ell(ell)).value()
     A = Fraction(ell - 1, 2)
     tau = mpc(tau)
     tau1 = -1 / tau - ell
     root, root1 = mp.sqrt(ell * tau + 1), mp.sqrt(-1j * tau1)
     ray0 = shadow_ray_integral(base, mpf(0), tau)
     ray1 = shadow_ray_integral(base, fraction_mpf(Fraction(1, ell)), tau)
-    pref = 0.5j * e2pi(Fraction(2 - ell, 8)) * root
+    pref = 0.5j * nu * root
     corr = 0.5j * (ell - 1) * root1
     return {
         "I_closed": e2pi(phase_i) / 2 * root1
@@ -119,14 +122,15 @@ def table2_terms(m, tau):
 
 def verify_table2(m, tau):
     """Residuals: closed vs quadrature for I and J, and the completed
-    transformation they decompose."""
+    transformation they decompose, V(M_ell tau) = nu sqrt(ell tau + 1) V(tau)
+    + I + J."""
     base = family(m)
     tau = mpc(tau)
     terms = table2_terms(base, tau)
-    ell = ELL[base]
-    lhs = vmn_eval_mu(base, 1, tau / (ell * tau + 1))
-    rhs = e2pi(Fraction(2 - ell, 8)) * mp.sqrt(ell * tau + 1) * vmn_eval_mu(base, 1, tau) \
-        + terms["I_closed"] + terms["J_closed"]
+    gamma = M_ell(ELL[base])
+    lhs = vmn_eval_mu(base, 1, gamma.act(tau))
+    rhs = multiplier(base, 1, gamma).value() * mp.sqrt(gamma.c * tau + 1) \
+        * vmn_eval_mu(base, 1, tau) + terms["I_closed"] + terms["J_closed"]
     return {
         "I": abs(terms["I_closed"] - terms["I_quad"]),
         "J": abs(terms["J_closed"] - terms["J_quad"]),

@@ -302,6 +302,26 @@ def test_series_that_does_not_converge_is_domain_error(capsys):
     assert captured.err == "domain error: partial theta failed to converge\n"
 
 
+@pytest.mark.parametrize("argv, name, value", [
+    (["eval", "eta"], "--tau", "-0.4+0.5i"),
+    (["eval", "eta"], "--tau", "-.4+.5i"),
+    (["eval", "theta", "--tau", "0.1+1.1i"], "--v", "-i"),
+    (["eval", "V", "1", "1"], "--x", "-1/3"),
+])
+def test_negative_option_values_are_values(capsys, argv, name, value):
+    # "--opt -v" reads as "--opt=-v": a negative value is not an option
+    code, out = run(capsys, *argv, name, value)
+    assert code == 0
+    assert run(capsys, *argv, name + "=" + value) == (code, out)
+
+
+@pytest.mark.parametrize("x", ["-1/3", "-5/3"])
+def test_negative_positional_rational(capsys, x):
+    code, out = run(capsys, "quantum", "1", "1", x)
+    assert code == 0
+    assert json.loads(out)["inputs"]["x"] == {"num": int(x.split("/")[0]), "den": 3}
+
+
 def test_plain_format_reports_wall_time(capsys):
     code, out = run(capsys, "--format", "plain", "eval", "eta",
                     "--tau", "0.1+1.2i")

@@ -5,23 +5,33 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc
 
-from etamock.qseries import RootOfUnity, SL2Matrix
-from etamock.quantum import (ELL, SHIFT_B, ZETA_A, F_hk, F_hk_terms, as_fraction,
+import etamock.quantum as quantum
+from etamock.qseries import RootOfUnity
+from etamock.quantum import (ELL, M_ell, F_hk, F_hk_terms, as_fraction,
                              companion_sum, companion_sum_composite,
                              companion_terms,
-                             group_generators, hk_image, in_quantum_set, kappa,
+                             group_generators, in_quantum_set, multiplier,
                              in_S, in_S_even, in_S_odd, in_S_prime, in_set,
                              mobius_rational, quantum_set_label,
                              rational_formula_defined, rational_z_args,
                              two_term_law, vm1_at_rational, vmn_any,
                              vmn_at_rational)
-from etamock.vmn import all_rows, family, transformation_root
+from etamock.verify import verify_thm12_i, verify_thm12_iii
+from etamock.vmn import FAMILIES, all_rows, family
 
 # working precision of every test here; see conftest.py
 DPS = 20
 
-# the orders of the roots zeta_a of the shift law as the paper prints them
+# the 43 rows of the catalogue, family 4's two parts as one
+ROWS = sorted({(family(lbl), n) for lbl, n in all_rows()})
+
+# Theorem 1.2 as the paper prints it.  (iii): V(x) = zeta_a^kappa V(x + kappa b),
+# with zeta_a a root of these orders and b these first-column steps
 PAPER_ROOT_A = {"1": 8, "2": 8, "3": 3, "4": 24, "5": 12, "6": 3}
+PAPER_SHIFT_B = {"1": 4, "2": 4, "3": 6, "4": 12, "5": 6, "6": 6}
+# (i) and (ii): V(x) + r (c x + d)^(-1/2) V(gamma x) equals a ray integral,
+# with r = e(ell/4) at M_2 and r = e(3/8) at M_1
+PAPER_M1_ROOT = RootOfUnity(3, 8)
 
 
 def test_basic_set_predicates():
@@ -49,10 +59,8 @@ def test_floats_are_rejected():
 
 
 def test_every_row_has_a_quantum_set():
-    rows = sorted({("4" if lbl in ("4p", "4pp") else lbl, n)
-                   for lbl, n in all_rows()})
-    assert len(rows) == 43
-    for lbl, n in rows:
+    assert len(ROWS) == 43
+    for lbl, n in ROWS:
         label = quantum_set_label(lbl, n)
         assert label in ("S", "S_ev", "S_od", "S'", "S'&S_ev", "S'&S_od",
                          "S'|S_ev", "S'|S_od")
@@ -65,7 +73,7 @@ def test_every_row_has_a_quantum_set():
     (2, Fraction(-3, 5), (3, 1)),
 ])
 def test_mobius_image_normalization(ell, x, image):
-    assert hk_image(ell, x) == image
+    assert mobius_rational(M_ell(ell), x) == Fraction(*image)
 
 
 @pytest.mark.parametrize("x", [Fraction(1, 3), mpc(0.2, 0.9)])
@@ -77,7 +85,8 @@ def test_two_term_law_reads_the_image(x):
         seen.append(y)
         return mpc(3)
 
-    got = two_term_law(V, x, 2, 1j)
+    # r = -conj(nu) = i at M_2 for family 2, whose ell is 1
+    got = two_term_law(V, "2", 1, M_ell(2), x)
     assert seen == [x, x / (2 * x + 1)]
     assert abs(got - (3 + 3j / mp.sqrt(2 * xv + 1))) < 1e-18
 
@@ -231,15 +240,46 @@ def test_finite_sum_needs_exact_arguments():
         F_hk_terms(Fraction(1, 3), z1.value(), z2.value())
 
 
-@pytest.mark.parametrize("m, n", sorted({(family(lbl), n) for lbl, n in all_rows()}))
+@pytest.mark.parametrize("m, n", ROWS)
 def test_shift_root_is_the_multiplier_of_the_shift(m, n):
-    # zeta_a of Theorem 1.2 (iii), V(x) = zeta_a^kappa V(x + kappa b), is the
-    # inverse of the exact multiplier of T^(kappa b) on the completed row
-    k = kappa(m, n)
-    step = SL2Matrix(1, k * SHIFT_B[m], 0, 1)
-    assert transformation_root(m, n, step) == \
-        RootOfUnity.from_fraction(Fraction(-k, PAPER_ROOT_A[m]))
+    # the row's translation is T^(kappa b), and conj(nu) there is zeta_a^kappa
+    T = group_generators(m, n)[1]
+    kappa, rest = divmod(T.b, PAPER_SHIFT_B[m])
+    assert rest == 0 and kappa >= 1
+    assert multiplier(m, n, T).conjugate() == \
+        RootOfUnity.from_fraction(Fraction(kappa, PAPER_ROOT_A[m]))
 
 
 def test_shift_roots_are_the_papers():
-    assert ZETA_A == {m: RootOfUnity(1, order) for m, order in PAPER_ROOT_A.items()}
+    firsts = {m: group_generators(m, 1)[1] for m in FAMILIES}
+    assert {m: T.b for m, T in firsts.items()} == PAPER_SHIFT_B
+    assert {m: multiplier(m, 1, T).conjugate() for m, T in firsts.items()} == \
+        {m: RootOfUnity(1, order) for m, order in PAPER_ROOT_A.items()}
+
+
+@pytest.mark.parametrize("m, n", ROWS)
+def test_two_term_roots_are_the_papers(m, n):
+    # r = -conj(nu), exactly, at M_2 on every row and at M_1 where it generates
+    def r(gamma):
+        return multiplier(m, n, gamma).conjugate() * RootOfUnity(1, 2)
+
+    assert r(M_ell(2)) == RootOfUnity.from_fraction(Fraction(ELL[m], 4))
+    first = group_generators(m, n)[0]
+    assert first.c == (ELL[m] if n == 1 else 2)
+    if first.c == 1:
+        assert r(first) == PAPER_M1_ROOT
+
+
+def test_mutant_multiplier_fails_the_laws(monkeypatch):
+    # a multiplier off by e(1/8) must fail the shift law and the ray identity
+    # at their suite tolerances
+    root = quantum.transformation_root
+    monkeypatch.setattr(quantum, "transformation_root",
+                        lambda m, n, gamma: root(m, n, gamma) * RootOfUnity(1, 8))
+    multiplier.cache_clear()
+    try:
+        assert verify_thm12_iii("1", 1, Fraction(1, 3)) > 1e-10
+        assert verify_thm12_iii("3", 2, mpc(0.1, 0.9)) > 1e-10
+        assert verify_thm12_i("1", 1, Fraction(1, 3)) > 1e-6
+    finally:
+        multiplier.cache_clear()

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
+import etamock.theta as theta
+from etamock.core import ConvergenceError
 from etamock.qseries import SL2Matrix, e2pi, eta
 from etamock.quantum import ROOT_C
 from etamock.theta import (E_from_g, _theta_product, e_from_theta,
@@ -260,6 +262,18 @@ def test_unknown_odd_index_is_value_error(m):
         partial_theta(m, mpc(0.1, -0.3))
     with pytest.raises(ValueError, match="unknown eta-theta label"):
         E_from_g(m, mpc(0, 1))
+
+
+@pytest.mark.parametrize("m, z", [(1, mpc(0.1, -1e-12)), (6, mpc(0, -1e-10))])
+def test_partial_theta_too_close_to_the_real_line_fails_at_once(monkeypatch, m, z):
+    # the terms decay like e^(-2 pi |Im z| n^2): more than core.SIDE_CAP of
+    # them would be needed, so the walk must not start
+    def walk(*args, **kwargs):
+        raise AssertionError("lattice_sum called")
+
+    monkeypatch.setattr(theta, "lattice_sum", walk)
+    with pytest.raises(ConvergenceError, match="partial theta failed to converge"):
+        partial_theta(m, z)
 
 
 def test_partial_theta_rejects_upper_half_plane():
