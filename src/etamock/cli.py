@@ -17,14 +17,15 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from mpmath import mp, mpc, mpf
 
 from .core import DEFAULT_DPS, MIN_DPS, ConvergenceError
-from .qseries import RootOfUnity, _eta_product_raw, _eta_sum_raw, eta, eta_quotient_qexp
+from .qseries import RootOfUnity, _eta_sum_raw, eta, eta_quotient_qexp
 from .theta import eta_theta_eval, eta_theta_qexp, g_ab, jacobi_theta, partial_theta
 from .mu import mu
-from .vmn import catalogue_json, normalize_label
+from .vmn import all_rows, catalogue_json, normalize_label
 from .quantum import (F_hk, group_generators, in_quantum_set, quantum_set_label,
                       rational_z_args, vmn_any)
 from .verify import SUITES, E_route_residual, e_route_residual, orbit, vmn_route_residual
@@ -249,6 +250,10 @@ def _no_ignored_inputs(args):
         raise UsageError("eval %s takes no --%s" % (fn, extra[0]))
     if fn == "V" and args.tau is not None and args.x is not None:
         raise UsageError("eval V takes --tau or --x, not both")
+    if args.all and fn != "V":
+        raise UsageError("eval %s takes no --all" % fn)
+    if args.all and (args.indices or args.x is not None):
+        raise UsageError("eval V --all takes --tau, and no indices or --x")
     if fn == "Fhk" and args.m is not None and (args.z1 is not None or args.z2 is not None):
         raise UsageError("eval Fhk takes --z1/--z2 or --m, not both")
 
@@ -257,18 +262,19 @@ def cmd_eval(args):
     report = RunReport("eval %s" % args.function, tol=args.tol)
     fn = args.function
     _no_ignored_inputs(args)
-    second = None  # the second route: (check name, residual thunk, default tolerance)
+    routes = []  # the second routes: (check name, residual thunk, default tolerance)
     if fn == "eta":
         tau, = _options(report, args, parse_complex, "tau")
         report.outputs["eta"] = eta(tau)
-        second = ("eta product route matches pentagonal sum route",
-                  lambda: abs(_eta_product_raw(tau) - _eta_sum_raw(tau)), 1e-12)
+        # the printed, folded product against the unfolded lacunary sum
+        routes.append(("eta product route matches pentagonal sum route",
+                       lambda: abs(eta(tau) - _eta_sum_raw(tau)), 1e-12))
     elif fn == "theta":
         v, tau = _options(report, args, parse_complex, "v", "tau")
         report.outputs["theta"] = jacobi_theta(v, tau)
-        second = ("theta series matches triple product",
-                  lambda: abs(jacobi_theta(v, tau, representation="sum")
-                              - jacobi_theta(v, tau, representation="product")), 1e-12)
+        routes.append(("theta series matches triple product",
+                       lambda: abs(jacobi_theta(v, tau, representation="sum")
+                                   - jacobi_theta(v, tau, representation="product")), 1e-12))
     elif fn == "mu":
         u, v, tau = _options(report, args, parse_complex, "u", "v", "tau")
         report.outputs["mu"] = mu(u, v, tau)
@@ -280,26 +286,33 @@ def cmd_eval(args):
         n, = _indices(report, args, "eval e takes one index, 1..13", n=int)
         tau, = _options(report, args, parse_complex, "tau")
         report.outputs["e_n"] = eta_theta_eval("e%d" % n, tau)
-        second = ("eta-quotient route matches character sum",
-                  lambda: e_route_residual(n, tau), 1e-12)
+        routes.append(("eta-quotient route matches character sum",
+                       lambda: e_route_residual(n, tau), 1e-12))
     elif fn == "E":
         m, = _indices(report, args, "eval E takes one index, 1..6", m=int)
         tau, = _options(report, args, parse_complex, "tau")
         report.outputs["E_m"] = eta_theta_eval("E%d" % m, tau)
-        second = ("eta-quotient route matches unary combination",
-                  lambda: E_route_residual(m, tau), 1e-12)
+        routes.append(("eta-quotient route matches unary combination",
+                       lambda: E_route_residual(m, tau), 1e-12))
     elif fn == "Etilde":
         m, = _indices(report, args, "eval Etilde takes one index, 1..6", m=int)
         z, = _options(report, args, parse_complex, "z")
         report.outputs["E_tilde"] = partial_theta(m, z)
+    elif fn == "V" and args.all:
+        # every row at one tau: the rows share their eta and theta values
+        tau, = _options(report, args, parse_complex, "tau")
+        for label, n in all_rows():
+            report.outputs["V(%s,%d)" % (label, n)] = vmn_any(label, n, tau)
+            routes.append(("row (%s,%d) mu representation matches series representation"
+                           % (label, n), partial(vmn_route_residual, label, n, tau), 1e-11))
     elif fn == "V":
         label, n = _indices(report, args, "eval V takes a label and a column, e.g. V 1 2",
                             m=str, n=int)
         if args.tau is not None:
             tau, = _options(report, args, parse_complex, "tau")
             report.outputs["V"] = vmn_any(label, n, tau)
-            second = ("mu representation matches series representation",
-                      lambda: vmn_route_residual(label, n, tau), 1e-11)
+            routes.append(("mu representation matches series representation",
+                           lambda: vmn_route_residual(label, n, tau), 1e-11))
         elif args.x is not None:
             x, = _options(report, args, parse_rational, "x")
             report.outputs["V"] = vmn_any(label, n, x)
@@ -319,10 +332,10 @@ def cmd_eval(args):
             raise UsageError("eval Fhk needs --z1/--z2 exponents or --m")
         report.outputs["F_hk"] = F_hk(x, z1, z2)
     if args.crosscheck:
-        if second is None:
+        if not routes:
             raise UsageError("eval %s has no second route here to --crosscheck" % fn)
-        name, residual, tolerance = second
-        report.add_check(name, residual(), tolerance)
+        for name, residual, tolerance in routes:
+            report.add_check(name, residual(), tolerance)
     return report
 
 
@@ -451,6 +464,8 @@ def build_parser():
     p.add_argument("indices", nargs="*")
     for name in _EVAL_OPTION_NAMES:
         p.add_argument("--" + name)
+    p.add_argument("--all", action="store_true",
+                   help="eval V: every row of the catalogue at --tau")
     p.add_argument("--crosscheck", action="store_true",
                    help="also run the dual-representation check")
     p.set_defaults(func=cmd_eval)

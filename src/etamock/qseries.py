@@ -12,6 +12,7 @@ usable arbitrarily close to the real axis.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp, mpc
 
@@ -179,11 +180,6 @@ def eta_multiplier(gamma):
     return RootOfUnity.from_fraction(expo)
 
 
-def _eta_product_raw(tau):
-    q = e2pi(tau)
-    return e2pi(tau / 24) * qpoch(q, q)
-
-
 def _eta_sum_raw(tau):
     # lacunary form: sum over m >= 1 of (12|m) q^(m^2/24); (12|0) = 0
     def term(m, qm):
@@ -193,16 +189,31 @@ def _eta_sum_raw(tau):
     return lattice_sum(term, 0, ((tau / 24, 0, 0),), "eta sum", one_sided=True)
 
 
+# entries kept by each folded-kernel memo (eta here, jacobi_theta in theta),
+# least recently used out
+KERNEL_MEMO = 256
+
+
 def eta(tau):
     """Dedekind eta at tau in the upper half plane.
 
     Reduces tau to the fundamental domain with the translation and
-    inversion laws before summing, so small Im(tau) is fine.
+    inversion laws before it multiplies, so small Im(tau) is fine.
+
+    The folded value is memoized, keyed by tau and mp.prec, for the
+    KERNEL_MEMO = 256 most recently used keys: the catalogue's rows at one
+    tau share a few eta(s tau), and a value computed at one precision is
+    never returned at another.
     """
     tau = mpc(tau)
     if tau.imag <= 0:
         raise ValueError("tau must have positive imaginary part")
+    return _eta_folded(tau, mp.prec)
 
+
+@lru_cache(maxsize=KERNEL_MEMO)
+def _eta_folded(tau, prec):
+    # prec only keys the memo: the caller's mp.prec is prec
     def shift(state, n):
         factor, expo = state  # expo: accumulated 24th-root exponent
         return factor, expo + Fraction(n, 24)
@@ -213,7 +224,8 @@ def eta(tau):
         return factor * mp.sqrt(-1j * sigma), expo
 
     tau, (factor, expo) = reduce_tau(tau, (mpc(1), Fraction(0)), shift, invert, "eta")
-    return e2pi(expo) * factor * _eta_product_raw(tau)
+    q = e2pi(tau)
+    return e2pi(expo) * factor * (e2pi(tau / 24) * qpoch(q, q))
 
 
 class FormalQSeries:

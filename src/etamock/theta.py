@@ -8,12 +8,14 @@ even catalogue members and the odd members as combinations of g_{a,b}.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp, mpc
 
 from .core import (SIDE_CAP, ConvergenceError, converging, fold_guard, fraction_mpf,
                    lattice_sum, period_cell, reduce_tau, series_eps)
 from .qseries import (
+    KERNEL_MEMO,
     FormalQSeries,
     e2pi,
     eta,
@@ -39,8 +41,13 @@ def jacobi_theta(v, tau, representation="product"):
     factors whatever Im tau was.  For Im tau >= sqrt(3)/2 (all of F) and
     v in the cell nothing moves, and the value is the bare product.
 
-    representation="sum" runs the defining series with no reduction; it
-    is the independent cross-check of the folded product.
+    The folded value is memoized, keyed by (v, tau, mp.prec), for the
+    KERNEL_MEMO = 256 most recently used keys, as eta's is: the rows of
+    the catalogue at one tau share a few theta(v_n; tau).
+
+    representation="sum" runs the defining series with no reduction and
+    never reads or fills the memo; it is the independent cross-check of
+    the folded product.
     """
     v = mpc(v)
     tau = mpc(tau)
@@ -50,7 +57,12 @@ def jacobi_theta(v, tau, representation="product"):
         return _theta_sum(v, tau)
     if representation != "product":
         raise ValueError("unknown representation {!r}".format(representation))
+    return _theta_folded(v, tau, mp.prec)
 
+
+@lru_cache(maxsize=KERNEL_MEMO)
+def _theta_folded(v, tau, prec):
+    # prec only keys the memo: the caller's mp.prec is prec
     def shift(state, n):
         # theta(v; sigma + n) = e(n/8) theta(v; sigma)
         factor, v = state

@@ -12,6 +12,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 import etamock
+from etamock import qseries, theta
 from etamock.cli import main, parse_complex, parse_rational, UsageError
 
 
@@ -96,6 +97,53 @@ def test_catalogue_row_count(capsys):
     assert code == 0
     doc = json.loads(out)
     assert len(doc["outputs"]["rows"]) == 59
+
+
+def test_eta_crosscheck_near_the_real_line(capsys):
+    # the printed, folded eta against the lacunary sum; two unfolded
+    # routes here ran for half a minute and then failed to converge
+    code, out = run(capsys, "eval", "eta", "--tau", "0.3+2e-7i", "--crosscheck")
+    assert code == 0
+    check, = json.loads(out)["checks"]
+    assert check["passed"] and check["residual"] < 1e-13
+
+
+def _clear_kernel_memos():
+    qseries._eta_folded.cache_clear()
+    theta._theta_folded.cache_clear()
+
+
+def test_eval_V_all_equals_each_row_on_its_own(capsys):
+    tau = "0.21+0.77i"
+    _clear_kernel_memos()
+    code, out = run(capsys, "eval", "V", "--all", "--tau", tau, "--crosscheck")
+    assert code == 0
+    doc = json.loads(out)
+    rows = etamock.all_rows()
+    assert list(doc["outputs"]) == ["V(%s,%d)" % row for row in rows]
+    assert [c["name"] for c in doc["checks"]] == [
+        "row (%s,%d) mu representation matches series representation" % row
+        for row in rows]
+    assert doc["passed"]
+    for label, n in rows:
+        # each row as a command of its own would compute it, memo cold
+        _clear_kernel_memos()
+        code, out = run(capsys, "eval", "V", label, str(n), "--tau", tau)
+        assert code == 0
+        assert json.loads(out)["outputs"]["V"] == doc["outputs"]["V(%s,%d)" % (label, n)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("V", "1", "1", "--all", "--tau", "1i"),
+    ("V", "--all", "--x", "1/3"),
+    ("V", "--all", "--tau", "1i", "--x", "1/3"),
+    ("eta", "--all", "--tau", "1i"),
+], ids=["V-indices", "V-x", "V-tau-and-x", "eta"])
+def test_eval_all_with_a_row_or_another_function_is_usage_error(capsys, argv):
+    code = main(["eval", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: eval")
 
 
 def test_qexp_both_routes(capsys):
