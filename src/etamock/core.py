@@ -12,6 +12,7 @@ way to change it for a while); importing the package leaves it alone.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, count, islice
 
 from mpmath import mp, mpc, mpf
@@ -24,6 +25,10 @@ QUIET_RUN = 5
 
 # the most terms lattice_sum takes on each side of its centre
 SIDE_CAP = 10 ** 5
+
+# entries kept by each memo of a kernel value (e2pi at rationals here, eta
+# in qseries, jacobi_theta in theta), least recently used out
+KERNEL_MEMO = 256
 
 
 class ConvergenceError(RuntimeError):
@@ -66,12 +71,18 @@ def e2pi(x):
     """exp(2*pi*i*x) for a real/complex number or a Fraction.
 
     Fractions are reduced mod 1 exactly first, so huge rational phases
-    keep full precision.
+    keep full precision.  A root of unity is memoized, keyed by the reduced
+    exponent and mp.prec, for the KERNEL_MEMO most recently used keys.
     """
     if isinstance(x, Fraction):
-        x = x % 1
-        x = mpf(x.numerator) / x.denominator
+        return _e2pi_rational(x % 1, mp.prec)
     return mp.exp(2j * mp.pi * x)
+
+
+@lru_cache(maxsize=KERNEL_MEMO)
+def _e2pi_rational(x, prec):
+    # prec only keys the memo: the caller's mp.prec is prec
+    return mp.exp(2j * mp.pi * (mpf(x.numerator) / x.denominator))
 
 
 def quadratic_phases(a, b, center):

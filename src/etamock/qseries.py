@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from mpmath import mp, mpc
 
-from .core import converging, e2pi, lattice_sum, reduce_tau, series_eps
+from .core import KERNEL_MEMO, converging, e2pi, lattice_sum, reduce_tau, series_eps
 
 
 def kronecker(a, n):
@@ -187,11 +187,6 @@ def _eta_sum_raw(tau):
         return chi * qm if chi else None
 
     return lattice_sum(term, 0, ((tau / 24, 0, 0),), "eta sum", one_sided=True)
-
-
-# entries kept by each folded-kernel memo (eta here, jacobi_theta in theta),
-# least recently used out
-KERNEL_MEMO = 256
 
 
 def eta(tau):

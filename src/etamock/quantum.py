@@ -12,6 +12,12 @@ the finite side of the period identities.  A value of family 4 is the sum
 over vmn.parts, the labels of E_4's two g_{a,b} rows, written once for one
 part and summed or chained over the parts.
 
+F_hk at x = h/k splits in two halves.  The numerators and the steps
+e(h/(2k))^(j+1) depend only on (h mod 2k, k) and are memoized; the
+denominators depend on each argument pair.  So the sums at one h/k share
+one numerator: both sign companions, the parts of family 4, and x and
+x + lcm(N, 2) in the shift law, since lcm(N, 2) is even.
+
 Theorem 1.2 is one law, two_term_law: at a generator gamma = (a, b; c, d)
 of the row's group (group_generators),
     L(x) = V(x) - conj(nu) (c x + d)^(-1/2) V(gamma x),
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Fr
-from functools import cache
+from functools import cache, lru_cache
 
 from mpmath import mp, mpc
 
@@ -152,36 +158,69 @@ def rational_formula_defined(m, x):
 # finite q-hypergeometric sums
 
 
+# entries kept by the numerator memo: the finite sums at one (h mod 2k, k)
+# come together (sign companions, parts, shifts by an even step)
+NUMERATOR_MEMO = 8
+
+
 def F_hk_terms(x, z1, z2):
     """The k summands (-z;z)_j e(h j(j+1)/(4k)) / ((z1;z)_{j+1} (z2;z)_{j+1})
     with z = e(h/(2k)) for the reduced fraction x = h/k.
+
+    The numerators and the steps z^(j+1) depend only on (h mod 2k, k); they
+    are computed once and memoized (_hk_numerators).  The denominators
+    depend on each argument pair.
 
     z1 and z2 must be RootOfUnity values (TypeError otherwise).  Every
     denominator factor is first checked exactly; a vanishing factor raises
     ZeroDivisionError naming it.
     """
+    return _finite_sums(x, ((z1, z2),))[0]
+
+
+def _finite_sums(x, pairs):
+    """The term lists of F_hk at x, one per argument pair (z1, z2): one
+    numerator lookup, then a denominator pass per pair."""
     x = as_fraction(x)
     h, k = x.numerator, x.denominator
-    for name, z in (("z1", z1), ("z2", z2)):
-        if not isinstance(z, RootOfUnity):
-            raise TypeError("%s must be a RootOfUnity, got %r" % (name, z))
-        for j in range(k):
-            if (z.exponent + Fr(h * j, 2 * k)) % 1 == 0:
-                raise ZeroDivisionError(
-                    "factor (1 - %s zeta^%d) vanishes for h/k = %s" % (name, j, x))
-    z1v, z2v = z1.value(), z2.value()
+    for z1, z2 in pairs:
+        for name, z in (("z1", z1), ("z2", z2)):
+            if not isinstance(z, RootOfUnity):
+                raise TypeError("%s must be a RootOfUnity, got %r" % (name, z))
+            # 1 - z zeta^j = 0 iff num/den + h j/(2k) is an integer
+            for j in range(k):
+                if (2 * k * z.num + z.den * h * j) % (2 * k * z.den) == 0:
+                    raise ZeroDivisionError(
+                        "factor (1 - %s zeta^%d) vanishes for h/k = %s" % (name, j, x))
+    steps, numerators = _hk_numerators(h % (2 * k), k, mp.prec)
+    sums = []
+    for z1, z2 in pairs:
+        z1v, z2v = z1.value(), z2.value()
+        d1 = 1 - z1v
+        d2 = 1 - z2v
+        terms = []
+        for numerator, step in zip(numerators, steps):
+            terms.append(numerator / (d1 * d2))
+            d1 *= 1 - z1v * step
+            d2 *= 1 - z2v * step
+        sums.append(terms)
+    return sums
+
+
+@lru_cache(maxsize=NUMERATOR_MEMO)
+def _hk_numerators(h, k, prec):
+    """The steps zeta^(j+1) and the numerators (-zeta;zeta)_j e(h j(j+1)/(4k)),
+    j < k, with zeta = e(h/(2k)): both depend on h only mod 2k."""
+    # prec only keys the memo: the caller's mp.prec is prec
     zeta = e2pi(Fr(h, 2 * k))
-    terms = []
+    steps, numerators = [], []
     num_poch = mpc(1)
-    d1 = 1 - z1v
-    d2 = 1 - z2v
     for j in range(k):
-        terms.append(num_poch * e2pi(Fr(h * j * (j + 1), 4 * k)) / (d1 * d2))
+        numerators.append(num_poch * e2pi(Fr(h * j * (j + 1), 4 * k)))
         step = zeta ** (j + 1)
+        steps.append(step)
         num_poch *= 1 + step
-        d1 *= 1 - z1v * step
-        d2 *= 1 - z2v * step
-    return terms
+    return tuple(steps), tuple(numerators)
 
 
 def F_hk(x, z1, z2):
@@ -223,8 +262,10 @@ def vm1_at_rational(m, x):
         raise ValueError(
             "the terminating evaluation for family %s is not defined at %s"
             % (label, x))
-    return sum(rational_prefactor(part, x).value() * F_hk(x, *rational_z_args(part, x))
-               for part in parts(label))
+    labels = parts(label)
+    sums = _finite_sums(x, [rational_z_args(part, x) for part in labels])
+    return sum(rational_prefactor(part, x).value() * sum(terms)
+               for part, terms in zip(labels, sums))
 
 
 def vmn_at_rational(m, n, x):
@@ -244,8 +285,12 @@ def vmn_at_rational(m, n, x):
 
 
 def vmn_any(m, n, x):
-    """Evaluate row (m, n) at a rational (exact) or upper half-plane point."""
-    if isinstance(x, (Fr, int)) or (isinstance(x, str) and "/" in x):
+    """Evaluate row (m, n) at a rational (exact) or upper half-plane point.
+
+    A string, int, Fraction or float is a rational point, read by
+    as_fraction (so a float raises TypeError); anything else is complex.
+    """
+    if isinstance(x, (str, int, Fr, float)):
         return vmn_at_rational(m, n, as_fraction(x))
     x = mpc(x)
     if x.imag <= 0:
@@ -302,12 +347,12 @@ def companion_terms(m, x):
     if not in_quantum_set(base, 1, x):
         raise ValueError("%s is outside the quantum set of row (%s, 1)" % (x, base))
     flip = RootOfUnity.from_fraction(Fr(1, 2))
-    minus, plus = [], []
+    pairs = []
     for label in parts(base):
         z1, z2 = rational_z_args(label, x)
-        minus += F_hk_terms(x, z1, z2)
-        plus += F_hk_terms(x, z1 * flip, z2 * flip)
-    return minus, plus
+        pairs += [(z1, z2), (z1 * flip, z2 * flip)]
+    sums = _finite_sums(x, pairs)
+    return sum(sums[0::2], []), sum(sums[1::2], [])
 
 
 def companion_sum(m, x):

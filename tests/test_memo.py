@@ -1,27 +1,37 @@
-"""The memo of the folded eta and theta kernels.
+"""The memos of the package's kernels.
 
 `eta` and the product route of `jacobi_theta` keep their folded values,
 keyed by the exact arguments and `mp.prec`, for the KERNEL_MEMO most
-recently used keys.  These tests pin that contract: the cap holds, a value
-never crosses precisions, the sum route stays outside the memo, and a
-warm memo returns the bits a cold one computes.  They also pin how much
-the 59 rows share at one tau, so a change that perturbs the bits of s*tau
-or v_n fails here rather than silently losing the sharing.
+recently used keys; so does `e2pi` at a rational exponent, keyed by the
+exponent mod 1.  The finite sums F_hk keep their x-only half, the steps
+and numerators at (h mod 2k, k), for the NUMERATOR_MEMO most recently used
+keys.  These tests pin that contract: each cap holds, a value never
+crosses precisions, the sum route stays outside the memo, and a warm memo
+returns the bits a cold one computes.  They also pin how much the 59 rows
+share at one tau, and how much the finite sums share at one h/k, so a
+change that perturbs the bits of s*tau or v_n, or the key of the
+numerators, fails here rather than silently losing the sharing.
 """
 
 from contextlib import contextmanager
+from fractions import Fraction as Fr
 
 import pytest
 from mpmath import mp, mpc
 
-from etamock import qseries, theta
-from etamock.qseries import KERNEL_MEMO, eta
+from etamock import core, qseries, quantum, theta
+from etamock.core import e2pi
+from etamock.qseries import KERNEL_MEMO, RootOfUnity, eta
+from etamock.quantum import (NUMERATOR_MEMO, F_hk_terms, companion_sum, group_generators,
+                             in_quantum_set, integral_identity_rhs, vm1_at_rational)
 from etamock.theta import E_from_g, eta_theta_eval, jacobi_theta
-from etamock.vmn import all_rows, vmn_eval_mu, vmn_eval_series
+from etamock.verify import verify_thm12_iii
+from etamock.vmn import FAMILIES, all_rows, family, vmn_eval_mu, vmn_eval_series
 
 DPS = 30
 
-MEMOS = (qseries._eta_folded, theta._theta_folded)
+KERNELS = (qseries._eta_folded, theta._theta_folded)
+MEMOS = KERNELS + (core._e2pi_rational, quantum._hk_numerators)
 
 # exact in binary at every precision, so only mp.prec tells the keys apart;
 # Im tau < sqrt(3)/2, so both kernels fold
@@ -44,6 +54,8 @@ def no_memo():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qseries, "_eta_folded", qseries._eta_folded.__wrapped__)
         patch.setattr(theta, "_theta_folded", theta._theta_folded.__wrapped__)
+        patch.setattr(core, "_e2pi_rational", core._e2pi_rational.__wrapped__)
+        patch.setattr(quantum, "_hk_numerators", quantum._hk_numerators.__wrapped__)
         yield
 
 
@@ -51,12 +63,12 @@ def same_bits(a, b):
     return a.real._mpf_ == b.real._mpf_ and a.imag._mpf_ == b.imag._mpf_
 
 
-def test_neither_memo_outgrows_its_cap():
+def test_neither_kernel_memo_outgrows_its_cap():
     for k in range(KERNEL_MEMO + 44):
         tau = mpc(k / 1000, 1.2)
         eta(tau)
         jacobi_theta(V, tau)
-    for memo in MEMOS:
+    for memo in KERNELS:
         info = memo.cache_info()
         assert info.maxsize == KERNEL_MEMO
         assert info.currsize == KERNEL_MEMO and info.misses == KERNEL_MEMO + 44
@@ -79,7 +91,7 @@ def test_a_value_is_never_returned_at_another_precision(order):
                 assert same_bits(kernel(), cold[name, dps]), (name, dps)
     for name in kernels:
         assert not same_bits(cold[name, 16], cold[name, 30])
-    for memo in MEMOS:
+    for memo in KERNELS:
         assert memo.cache_info().misses == 2
 
 
@@ -123,6 +135,106 @@ def test_the_catalogue_at_one_tau_shares_its_kernels():
     assert len(warm) == 2 * (59 + 13 + 6)
     assert all(same_bits(a, b) for a, b in zip(warm, cold, strict=True))
     # 268 eta calls on 23 distinct s*tau, 67 theta calls on 8 distinct v_n
-    eta_info, theta_info = (memo.cache_info() for memo in MEMOS)
+    eta_info, theta_info = (memo.cache_info() for memo in KERNELS)
     assert (eta_info.misses, eta_info.hits) == (23, 245)
     assert (theta_info.misses, theta_info.hits) == (8, 59)
+
+
+# ---------------------------------------------------------------------------
+# e2pi at rationals and the numerators of the finite sums
+
+# a root of unity of an order prime to every 2k used here: never a pole
+SAFE = RootOfUnity(1, 97)
+
+
+def test_neither_rational_memo_outgrows_its_cap():
+    for n in range(KERNEL_MEMO + 44):
+        e2pi(Fr(n, 1009))
+    info = core._e2pi_rational.cache_info()
+    assert info.maxsize == KERNEL_MEMO
+    assert info.currsize == KERNEL_MEMO and info.misses == KERNEL_MEMO + 44
+    for k in range(1, NUMERATOR_MEMO + 5):
+        F_hk_terms(Fr(1, k), SAFE, SAFE)
+    info = quantum._hk_numerators.cache_info()
+    assert info.maxsize == NUMERATOR_MEMO
+    assert info.currsize == NUMERATOR_MEMO and info.misses == NUMERATOR_MEMO + 4
+
+
+def test_e2pi_keys_on_the_exponent_mod_one():
+    for x in (Fr(1, 3), Fr(4, 3), Fr(-2, 3), Fr(3 * 10 ** 30 + 1, 3)):
+        assert same_bits(e2pi(x), e2pi(Fr(1, 3)))
+    info = core._e2pi_rational.cache_info()
+    assert (info.misses, info.hits) == (1, 7)
+
+
+@pytest.mark.parametrize("order", [(16, 40), (40, 16)], ids=["16-then-40", "40-then-16"])
+def test_a_rational_value_is_never_returned_at_another_precision(order):
+    x = Fr(5, 7)
+    kernels = {"e2pi": lambda: [e2pi(Fr(3, 7))],
+               "F_hk": lambda: F_hk_terms(x, SAFE, SAFE * SAFE)}
+    cold = {}
+    for dps in order:
+        with mp.workdps(dps):
+            for name, kernel in kernels.items():
+                with no_memo():
+                    cold[name, dps] = kernel()
+    for dps in order:
+        with mp.workdps(dps):
+            for name, kernel in kernels.items():
+                for _ in range(2):  # a second call hits and returns the same bits
+                    assert all(same_bits(a, b) for a, b in
+                               zip(kernel(), cold[name, dps], strict=True)), (name, dps)
+    for name in kernels:
+        assert not same_bits(cold[name, 16][0], cold[name, 40][0])
+    assert quantum._hk_numerators.cache_info().misses == 2
+
+
+def _finite_side(x):
+    """Every finite-sum value at x: the companion sums, the first-column
+    values, the corollary's finite side and the shift law of each base row."""
+    values = []
+    for m in FAMILIES:
+        if in_quantum_set(m, 1, x):
+            values.append(companion_sum(m, x))
+        if quantum.rational_formula_defined(m, x):
+            values += [vm1_at_rational(m, x), integral_identity_rhs(m, x)]
+    for m, n in sorted({(family(label), n) for label, n in all_rows()}):
+        if in_quantum_set(m, n, x):
+            values.append(mpc(verify_thm12_iii(m, n, x)))
+    return values
+
+
+def test_a_warm_numerator_memo_returns_the_cold_bits():
+    with mp.workdps(40):
+        for x in (Fr(1, 3), Fr(-5, 7), Fr(7, 12)):
+            with no_memo():
+                cold = _finite_side(x)
+            warm = _finite_side(x)
+            assert len(warm) > 10
+            assert all(same_bits(a, b) for a, b in zip(warm, cold, strict=True)), x
+
+
+def _numerator_calls(f, *args):
+    quantum._hk_numerators.cache_clear()
+    f(*args)
+    info = quantum._hk_numerators.cache_info()
+    return info.misses, info.hits
+
+
+@pytest.mark.parametrize("m", ["1", "2", "3", "5", "6"])
+def test_both_sign_companions_share_one_numerator(m):
+    assert _numerator_calls(companion_sum, m, Fr(1, 5)) == (1, 0)
+
+
+def test_the_parts_of_family_4_share_one_numerator():
+    x = Fr(1, 5)
+    assert _numerator_calls(companion_sum, "4", x) == (1, 0)
+    assert _numerator_calls(vm1_at_rational, "4", x) == (1, 0)
+
+
+@pytest.mark.parametrize("m, n", [("1", 1), ("3", 2), ("4", 1), ("6", 4)])
+def test_the_shift_law_reads_one_numerator_at_x_and_its_image(m, n):
+    # x and x + lcm(N, 2) differ by an even integer, so h mod 2k agrees
+    x = Fr(1, 4)
+    assert in_quantum_set(m, n, x) and group_generators(m, n)[1].b % 2 == 0
+    assert _numerator_calls(verify_thm12_iii, m, n, x) == (1, 1)

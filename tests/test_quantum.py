@@ -171,6 +171,18 @@ def test_vmn_any_dispatches_on_point_type():
     from etamock.vmn import vmn_eval_mu
     assert abs(a - vmn_eval_mu("1", 1, tau)) < 1e-18
     assert abs(b - vmn_at_rational("1", 1, Fraction(1, 3))) < 1e-18
+    # every string and int is a rational point, with or without a slash
+    for x in ("1", "-1", 1, -1, "1/1", "-3/3"):
+        assert vmn_any("1", 1, x) == vmn_at_rational("1", 1, Fraction(x))
+    for x in ("2", "2/1", 2):
+        with pytest.raises(ValueError, match="outside the quantum set"):
+            vmn_any("1", 1, x)
+    # a float is not exact: as_fraction refuses it
+    for x in (0.5, 1.0):
+        with pytest.raises(TypeError, match="rational points must be exact"):
+            vmn_any("1", 1, x)
+    with pytest.raises(ValueError, match="below the real line"):
+        vmn_any("1", 1, mpc(0.1, -1))
 
 
 @pytest.mark.parametrize("lbl", ["1", "2", "5"])
