@@ -294,7 +294,8 @@ def vmn_any(m, n, x):
         return vmn_at_rational(m, n, as_fraction(x))
     x = mpc(x)
     if x.imag <= 0:
-        raise ValueError("points below the real line are not supported")
+        raise ValueError("points on or below the real line are not supported; "
+                         "a rational point must be exact")
     return vmn_eval_mu(m, n, x)
 
 

@@ -63,7 +63,7 @@ def same_bits(a, b):
     return a.real._mpf_ == b.real._mpf_ and a.imag._mpf_ == b.imag._mpf_
 
 
-def test_neither_kernel_memo_outgrows_its_cap():
+def test_neither_memo_outgrows_its_cap():
     for k in range(KERNEL_MEMO + 44):
         tau = mpc(k / 1000, 1.2)
         eta(tau)

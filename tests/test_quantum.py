@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpc
+from mpmath import mp, mpc, mpf
 
 import etamock.quantum as quantum
 from etamock.qseries import RootOfUnity
@@ -181,8 +181,9 @@ def test_vmn_any_dispatches_on_point_type():
     for x in (0.5, 1.0):
         with pytest.raises(TypeError, match="rational points must be exact"):
             vmn_any("1", 1, x)
-    with pytest.raises(ValueError, match="below the real line"):
-        vmn_any("1", 1, mpc(0.1, -1))
+    for x in (mpc(0.1, -1), mpc(0.5, 0), mpf(0.5)):
+        with pytest.raises(ValueError, match="on or below the real line"):
+            vmn_any("1", 1, x)
 
 
 @pytest.mark.parametrize("lbl", ["1", "2", "5"])

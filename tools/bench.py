@@ -1,10 +1,11 @@
 """Run the benchmark on seeds 1-5 of every workload and write BENCH_<n>.json.
 
     python3 tools/bench.py --out BENCH_<n>.json [--parent DIR]
-        [--seeds 1,2,3,4,5] [--seconds 25] [--workloads cusp,bulk,period,rational]
+        [--seeds 1,2,3,4,5] [--workloads cusp,bulk,period,rational]
 
 Each run is `python3 perfbench/run.py --workload W --seed N --seconds S
---trace 0` in the root of a source checkout.  With `--parent DIR`, a second
+--trace 0` in the root of a source checkout, with the workloads and S (the
+`run_seconds`) that BENCHMARK.json declares.  With `--parent DIR`, a second
 checkout (the parent commit) runs the same command, alternating with this
 one run by run, so both see the same drift of a shared machine; its numbers
 are stored beside this checkout's.  Both trees are byte-compiled first, since
@@ -24,7 +25,10 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("cusp", "bulk", "period", "rational")
+with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
+    BENCHMARK = json.load(_fh)
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+SECONDS = BENCHMARK["run_seconds"]
 
 
 def commit(tree):
@@ -36,10 +40,10 @@ def commit(tree):
             "dirty": bool(git("status", "--porcelain", "--", "src", "perfbench"))}
 
 
-def run(tree, workload, seed, seconds):
+def run(tree, workload, seed):
     """The env stamp and end-to-end metrics of one run in `tree`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -68,10 +72,11 @@ def main(argv=None):
     p.add_argument("--out", required=True)
     p.add_argument("--parent")
     p.add_argument("--seeds", default="1,2,3,4,5")
-    p.add_argument("--seconds", type=float, default=25)
     p.add_argument("--workloads", default=",".join(WORKLOADS))
     args = p.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
+    if len(seeds) < 2:
+        p.error("--seeds needs two seeds or more for an interquartile range")
     workloads = args.workloads.split(",")
     trees = {"change": ROOT}
     if args.parent:
@@ -85,13 +90,13 @@ def main(argv=None):
             # alternate which tree goes first, pair by pair
             order = list(trees) if i % 2 == 0 else list(trees)[::-1]
             for name in order:
-                env, metrics = run(trees[name], w, seed, args.seconds)
+                env, metrics = run(trees[name], w, seed)
                 envs.setdefault(name, env)
                 runs[name][w].append(metrics)
                 print("%s %s seed %d: wall_s %.4g" % (name, w, seed, metrics["wall_s"]["value"]),
                       file=sys.stderr)
     report = {"command": "python3 perfbench/run.py --workload W --seed N --seconds %g --trace 0"
-                         % args.seconds,
+                         % SECONDS,
               "seeds": seeds}
     for name, tree in trees.items():
         report[name] = dict(commit(tree), env=envs[name],
