@@ -22,11 +22,10 @@ from etamock.quantum import (ELL, F_hk_terms, M_ell, companion_terms, in_quantum
                              integral_identity_rhs, rational_formula_defined,
                              rational_prefactor, rational_z_args, two_term_law,
                              vm1_at_rational)
-from etamock.vmn import FAMILIES, parts
+from etamock.vmn import ATOMIC_LABELS, FAMILIES, parts
 
 DPS = 16
 
-ATOMIC = ("1", "2", "3", "4p", "4pp", "5", "6")
 FLIP = RootOfUnity(1, 2)
 
 
@@ -113,7 +112,7 @@ def test_every_finite_sum_is_the_reference_bit_for_bit(dps):
     with mp.workdps(dps):
         for x in residues(20):
             cases = [(F_hk_terms, reference, (x, *rational_z_args(label, x)))
-                     for label in ATOMIC]
+                     for label in ATOMIC_LABELS]
             for m in FAMILIES:
                 if in_quantum_set(m, 1, x):
                     cases.append((companion_terms, reference_companion, (m, x)))
