@@ -39,14 +39,13 @@ from .theta import (
     eta_theta_qexp,
     g_ab,
     jacobi_theta,
-    jacobi_theta_transform,
     partial_theta,
+    radial_limit,
     unary_theta_combination,
 )
 from .mu import (
     MabSpec,
     M_hat,
-    M_holo,
     R_correction,
     g2_universal,
     g_complement,
@@ -80,7 +79,6 @@ from .quantum import (
     companion_sum_composite,
     group_generators,
     in_quantum_set,
-    in_set,
     quantum_set_label,
     vm1_at_rational,
     vmn_any,
@@ -88,14 +86,12 @@ from .quantum import (
 )
 from .eichler import (
     integral_identity_lhs,
-    partial_theta_radial,
     ray_integral,
     shadow_ray_integral,
     unary_ray_integral,
 )
 from .verify import (
     corollary_check,
-    radial_proportionality,
     verify_table2,
     verify_thm12_i,
     verify_thm12_ii,

@@ -23,9 +23,9 @@ from .core import exp_sinh, fraction_mpf
 # unused here: the benchmark's span tracer looks these up in this module
 from .core import _gl_cache, adaptive_panels, gauss_legendre_nodes  # noqa: F401
 from .qseries import e2pi
-from .theta import E_from_g, g_ab, partial_theta
+from .theta import g_ab
 from .vmn import _SHADOW, family, parts
-from .quantum import ELL, ROOT_C
+from .quantum import ELL
 
 
 def ray_integral(G, z0, tau, decay, tol=None):
@@ -109,25 +109,3 @@ def integral_identity_lhs(m, x, endpoint=None):
         _lhs_cache[key] = -0.5j * shadow_ray_integral(base, fraction_mpf(endpoint), xv)
     return _lhs_cache[key]
 
-
-# ---------------------------------------------------------------------------
-# partial theta asymptotics toward the rational line
-
-
-def partial_theta_radial(m, x, ts):
-    """Values of the partial theta at -2(x+it)/c_m^2 for each t in ts."""
-    base = family(m)
-    c = ROOT_C[base]
-    return [partial_theta(int(base), -2 * mpc(fraction_mpf(x), t) / (c * c)) for t in ts]
-
-
-def estar_value(m, tau0):
-    """int_{-conj(tau0)}^{i inf} E_m(u)/sqrt(u + tau0) du.
-
-    On that ray -i(u + tau0) is positive real, so the principal square
-    root satisfies sqrt(u + tau0) = e(1/8) sqrt(-i(u + tau0)).
-    """
-    base = int(family(m))
-    tau0 = mpc(tau0)
-    raw = ray_integral(lambda z: E_from_g(base, z), -mp.conj(tau0), tau0, decay=2)
-    return raw / e2pi(Fraction(1, 8))

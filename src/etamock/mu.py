@@ -215,12 +215,6 @@ def M_hat(spec, tau):
     return _mab_prefactor(spec, tau) * mu_hat(spec.u_at(tau), spec.v_at(tau), tau)
 
 
-def M_holo(spec, tau):
-    """Holomorphic part of M-hat_{a,b} (mu in place of mu-hat)."""
-    tau = mpc(tau)
-    return _mab_prefactor(spec, tau) * mu(spec.u_at(tau), spec.v_at(tau), tau)
-
-
 def g_complement(spec, tau):
     """g^c_{a,b}(tau) = conjugate(g_{a,b}(-conjugate(tau)))."""
     return mp.conj(g_ab(spec, -mp.conj(mpc(tau))))

@@ -51,21 +51,8 @@ def kronecker(a, n):
     return result if n == 1 else 0
 
 
-def qpoch(a, q, n=None):
-    """q-Pochhammer (a; q)_n = prod_{k<n} (1 - a q^k); n=None means infinity.
-
-    The infinite product needs |q| < 1.
-    """
-    if n is not None:
-        n = int(n)
-        if n < 0:
-            raise ValueError("negative length not supported")
-        prod = mpc(1)
-        aq = mpc(a)
-        for _ in range(n):
-            prod *= 1 - aq
-            aq *= q
-        return prod
+def qpoch(a, q):
+    """q-Pochhammer (a; q)_infinity = prod_{k>=0} (1 - a q^k), for |q| < 1."""
     q = mpc(q)
     if abs(q) >= 1:
         raise ValueError("infinite q-Pochhammer needs |q| < 1")

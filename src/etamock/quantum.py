@@ -66,11 +66,8 @@ def mobius_rational(gamma, x):
     return (gamma.a * x + gamma.b) / den
 
 
-# per-family constants, both read off: ell from the first column's
-# generators, and c_m = 2 * denominator(a) for the shadow pairs of E_m
-# (they share it)
+# ell of each family, read off its first column's generators
 ELL = {m: group_generators(m, 1)[0].c for m in FAMILIES}
-ROOT_C = {m: 2 * _SHADOW[parts(m)[0]][0].denominator for m in FAMILIES}
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +364,4 @@ def companion_sum_composite(x):
     """companion_sum for the composite family 4; it stays because the
     benchmark inputs (perfbench/inputs.py) call it."""
     return companion_sum("4", x)
-
-
-def in_set(label, x):
-    """Membership in one of the named rational sets by its label."""
-    if label not in _SET_PREDICATES:
-        raise KeyError("unknown set label %r; known: %s"
-                       % (label, sorted(_SET_PREDICATES)))
-    return _SET_PREDICATES[label](as_fraction(x))
 

@@ -2,8 +2,9 @@
 
 The catalogue covers the thirteen even weight-1/2 functions, the six odd
 weight-3/2 functions, their partial-theta cousins on the lower half
-plane, and the bridging identities that express theta specializations as
-even catalogue members and the odd members as combinations of g_{a,b}.
+plane with their radial limits at rationals (radial_limit), and the
+bridging identities that express theta specializations as even catalogue
+members and the odd members as combinations of g_{a,b}.
 """
 
 import math
@@ -19,7 +20,6 @@ from .qseries import (
     FormalQSeries,
     e2pi,
     eta,
-    eta_multiplier,
     eta_quotient_qexp,
     kronecker,
 )
@@ -116,22 +116,6 @@ def _theta_sum(v, tau):
     # e(nu (v + 1/2)) q^{nu^2/2} = e(tau nu^2/2 + (v + 1/2) nu) for nu = n + 1/2
     center = int(mp.nint(-v.imag / tau.imag - 0.5))
     return lattice_sum(lambda n, w: w, center, ((tau / 2, v + 0.5, mp.mpf(0.5)),), "theta sum")
-
-
-def jacobi_theta_transform(v, tau, lam, mu, gamma):
-    """Predicted theta value at ((v+lam*tau+mu)/(c*tau+d), gamma*tau).
-
-    Built from jacobi_theta(v, tau) with the elliptic shift law and the
-    modular law with multiplier psi(gamma)^3; for comparison against
-    direct evaluation at the transformed point.
-    """
-    v = mpc(v)
-    tau = mpc(tau)
-    w = v + lam * tau + mu
-    pred = _elliptic_factor(v, tau, lam, mu) * jacobi_theta(v, tau)
-    cd = gamma.c * tau + gamma.d
-    psi3 = eta_multiplier(gamma).value() ** 3
-    return psi3 * mp.sqrt(cd) * mp.exp(1j * mp.pi * gamma.c * w ** 2 / cd) * pred
 
 
 def _g_direct(a, b, tau):
@@ -353,3 +337,33 @@ def partial_theta(m, z):
         return (mpc(c.numerator) / c.denominator) * w if c else None
 
     return lattice_sum(term, 0, ((-z, 0, 0),), "partial theta", one_sided=True)
+
+
+def radial_limit(m, x):
+    """The limit of partial_theta(m, -2(x + it)/c^2) as t -> 0+ at a rational x,
+    c = c_m = 2 denominator(a) for the shadow pairs (a, b) of E_m.
+
+    There the sum is sum C(n) e^{-n^2 s}, s = 4 pi t/c^2, C(n) = chi_m(n)
+    e(2 x n^2/c^2), of period M = k c^2 at x = h/k.  If C has mean zero (an odd
+    chi_m gives that), the limit is L(0, C) = -sum_{n<=M} C(n)(n/M - 1/2)
+    (Lawrence and Zagier, Asian J. Math. 3, 1999), summed by phase mod 1 with
+    exact Fraction coefficients and one e(r) per phase; else ValueError.
+    """
+    if isinstance(x, float):
+        raise TypeError("a rational point must be exact; got float %r" % (x,))
+    _, m = _parse_label(("odd", m))
+    _, chi = _ODD[m]
+    h, k = Fr(x).numerator, Fr(x).denominator
+    M = k * 4 * _G_ROWS[m][0][0].denominator ** 2
+    mean, coef = {}, {}
+    for n in range(1, M + 1):
+        c = chi(n)
+        if c:
+            r = 2 * h * n * n % M
+            mean[r] = mean.get(r, 0) + c
+            coef[r] = coef.get(r, 0) + c * (2 * n - M)
+    if abs(sum(fraction_mpf(c) * e2pi(Fr(r, M)) for r, c in mean.items() if c)) \
+            > sum(map(abs, mean.values())) * mp.mpf(10) ** (4 - mp.dps):
+        raise ValueError("chi_%d e(2 x n^2/c^2) has a nonzero mean at x = %s; "
+                         "the partial theta has no radial limit there" % (m, Fr(x)))
+    return -sum(fraction_mpf(c / (2 * M)) * e2pi(Fr(r, M)) for r, c in coef.items())

@@ -7,6 +7,8 @@ the completed law at M_ell; the corollary is that law's ray identity at
 rationals.  Each root is the row's multiplier; Theorem 1.1's driver,
 vmn.verify_thm11, stays next to the completion it checks.
 The e_n, E_m and V_{m,n} route residuals serve `eval --crosscheck` and suites.
+The suite `radial` checks that E_m's partial theta tends to 2 conj(V_m1(x))
+at a rational x, and `columns` that V_mn - V_m1 is a theta quotient and a product.
 
 A suite is called as suite(report, rng, samples, **given).  It adds each
 check with report.add_check(name, residual, default tolerance), and
@@ -19,16 +21,15 @@ from mpmath import mp, mpc, mpf
 
 from .core import fraction_mpf
 from .qseries import e2pi
-from .theta import (E_from_g, e_from_theta, eta_theta_eval, jacobi_theta,
+from .theta import (E_from_g, e_from_theta, eta_theta_eval, jacobi_theta, radial_limit,
                     theta_specialization_point)
 from .mu import MabSpec, g_complement, kang_pair, mordell_h, mu, xi_shadow
-from .vmn import (_SHADOW, FAMILIES, all_rows, family, group_sample, parts, verify_thm11,
-                  vmn_eval_mu, vmn_eval_series, vmn_spec)
+from .vmn import (_SHADOW, FAMILIES, all_rows, family, fmn_product_form, fmn_theta_quotient,
+                  group_sample, parts, verify_thm11, vmn_eval_mu, vmn_eval_series, vmn_spec)
 from .quantum import (ELL, M_ell, as_fraction, companion_sum, group_generators,
                       in_quantum_set, integral_identity_rhs, mobius_rational, multiplier,
-                      two_term_law, vmn_any)
-from .eichler import (integral_identity_lhs, partial_theta_radial, shadow_ray_integral,
-                      unary_ray_integral)
+                      two_term_law, vm1_at_rational, vmn_any)
+from .eichler import integral_identity_lhs, shadow_ray_integral, unary_ray_integral
 
 
 # ---------------------------------------------------------------------------
@@ -139,28 +140,7 @@ def verify_table2(m, tau):
 
 
 # ---------------------------------------------------------------------------
-# the corollary at rationals and the partial-theta radial limits
-
-
-def radial_proportionality(m, n, x):
-    """Fitted constant and residuals for the partial-theta radial limit.
-
-    The limit of the partial theta along x + it is estimated by Richardson
-    extrapolation at the heights t = 0.02 and 0.01, the constant is that
-    limit divided by the rational-point value of the catalogue entry, and
-    the residuals are reported at t = 0.05, 0.02 and 0.01.  The constant
-    is fitted, never asserted; the informative content is the decrease of
-    the residuals.
-    """
-    ts = (0.05, 0.02, 0.01)
-    vals = partial_theta_radial(m, x, ts)
-    t1, t2 = ts[1:]
-    a1, a2 = vals[1:]
-    limit = (t1 * a2 - t2 * a1) / (t1 - t2)
-    V = vmn_any(m, n, Fraction(x))
-    const = limit / V
-    residuals = [abs(v - const * V) for v in vals]
-    return const, residuals
+# the corollary at rationals
 
 
 def corollary_check(m, x):
@@ -203,6 +183,11 @@ def vmn_route_residual(label, n, tau):
 
 # ---------------------------------------------------------------------------
 # the suites of the verify command
+
+
+def _dps_tol(value):
+    """A check's tolerance at working precision: 10^(4 - dps) max(1, |value|)."""
+    return mpf(10) ** (4 - mp.dps) * max(1, abs(value))
 
 
 def _sample_tau(rng):
@@ -303,6 +288,29 @@ def _suite_table2(report, rng, samples):
                          res["functional_equation"], 1e-7)
 
 
+def _suite_columns(report, rng, samples):
+    rows = [(label, n) for label, n in all_rows() if n > 1]
+    for i in range(samples):
+        tau = _sample_tau(rng)
+        for label, n in rows:
+            gap = vmn_eval_mu(label, n, tau) - vmn_eval_mu(label, 1, tau)
+            for form, f in (("theta quotient", fmn_theta_quotient), ("product", fmn_product_form)):
+                report.add_check("row (%s,%d) minus its first column is the %s (sample %d)"
+                                 % (label, n, form, i), abs(gap - f(label, n, tau)), _dps_tol(gap))
+
+
+def _suite_radial(report, rng, samples):
+    # k <= 10, as vm1_at_rational loses about 0.35 k digits at h/k
+    window = [Fraction(h, k) for k in range(1, 11) for h in range(-k, k + 1)
+              if Fraction(h, k).denominator == k]
+    for base in FAMILIES:
+        points = [x for x in window if in_quantum_set(base, 1, x)]
+        for x in rng.sample(points, min(samples, len(points))):
+            limit = radial_limit(int(base), x)
+            report.add_check("family %s partial theta tends to 2 conj(V) at %s" % (base, x),
+                             abs(limit - 2 * mp.conj(vm1_at_rational(base, x))), _dps_tol(limit))
+
+
 def _suite_corollary(report, rng, samples, m="1", x=Fraction(1, 3)):
     lhs, rhs, res = corollary_check(m, x)
     report.outputs["lhs"] = lhs
@@ -358,10 +366,12 @@ SUITES = {
     "mu": _suite_mu,
     "theta": _suite_theta,
     "vmn": _suite_vmn,
+    "columns": _suite_columns,
     "thm11": _suite_thm11,
     "thm12": _suite_thm12,
     "table2": _suite_table2,
     "corollary": _suite_corollary,
+    "radial": _suite_radial,
     "quantum-closure": _suite_quantum_closure,
     "shadow": _suite_shadow,
 }

@@ -110,10 +110,6 @@ class VmnSpec:
     group_c_even: bool
     parts: tuple = ()
 
-    @property
-    def composite(self):
-        return bool(self.parts)
-
     def shadow_pairs(self):
         """Indices (a, b) with u - v = a*tau - b, one pair per mu part."""
         return tuple((s.u.alpha - s.v.alpha, -(s.u.beta - s.v.beta))

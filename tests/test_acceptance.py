@@ -16,22 +16,23 @@ from math import gcd
 import pytest
 from mpmath import mp, mpc, mpf
 
+from etamock.core import fraction_mpf
 from etamock.qseries import e2pi, eta
 from etamock.theta import (E_from_g, e_from_theta, eta_theta_eval,
-                           eta_theta_qexp, jacobi_theta,
-                           theta_specialization_point)
+                           eta_theta_qexp, jacobi_theta, partial_theta,
+                           radial_limit, theta_specialization_point,
+                           unary_theta_combination)
 from etamock.mu import (MabSpec, R_correction, g_complement, kang_pair,
                         mordell_h, mu, xi_shadow)
-from etamock.vmn import all_rows, group_sample, is_admissible, verify_thm11
-from etamock.quantum import (ELL, F_hk_terms, companion_sum,
+from etamock.vmn import FAMILIES, all_rows, group_sample, is_admissible, verify_thm11
+from etamock.quantum import (ELL, _SET_PREDICATES, F_hk_terms, companion_sum,
                              companion_sum_composite, companion_terms,
-                             group_generators, in_quantum_set, in_set,
+                             group_generators, in_quantum_set,
                              integral_identity_rhs, mobius_rational,
                              quantum_set_label, rational_formula_defined,
-                             rational_z_args)
+                             rational_z_args, vm1_at_rational)
 from etamock.eichler import integral_identity_lhs, unary_ray_integral
-from etamock.verify import (radial_proportionality, verify_thm12_i,
-                            verify_thm12_ii, verify_thm12_iii)
+from etamock.verify import verify_thm12_i, verify_thm12_ii, verify_thm12_iii
 
 # working precision of every test here; see conftest.py
 DPS = 16
@@ -340,15 +341,16 @@ def test_10_termination_nonvanishing_and_set_closure():
     images = 0
     for m, n in BASE_PAIRS:
         label = quantum_set_label(m, n)
+        in_set = _SET_PREDICATES[label]
         g1, g2 = group_generators(m, n)
-        members = [x for x in window if in_set(label, x)]
+        members = [x for x in window if in_set(x)]
         for g in (g1, g2, g1.inv(), g2.inv()):
             for x in members:
                 y = mobius_rational(g, x)
                 if y is None:
                     continue
                 images += 1
-                assert in_set(label, y), \
+                assert in_set(y), \
                     "set %s not closed: %s -> %s under %s" % (label, x, y, g)
     assert images > 200000
 
@@ -362,13 +364,33 @@ RADIAL_POINTS = {
     "6": (Fr(1, 2), Fr(1, 5), Fr(1, 4)),
 }
 
+# heights t of the points x + it: the partial theta nears its limit as O(t)
+# only below about t = 1e-3 (2e-4 for family 4 at 1/5); above, it wanders
+RADIAL_HEIGHTS = (5e-4, 2e-4, 1e-4)
+
 
 def test_11_radial_limits_track_rational_values():
-    for m, points in RADIAL_POINTS.items():
-        for x in points:
+    # by height max(|h|, k), so the odd integers come first: family 3 at
+    # x = 1 needs all of its period k c^2, where k c^2/4 is not one
+    window = sorted(reduced_fractions(12), key=lambda x: (max(abs(x.numerator), x.denominator),
+                                                          x.denominator, x.numerator))
+    for m in FAMILIES:
+        points = [x for x in window if in_quantum_set(m, 1, x)][:10]
+        assert len(points) == 10
+        with mp.workdps(30):
+            for x in points:
+                limit = radial_limit(int(m), x)
+                resid = abs(limit - 2 * mp.conj(vm1_at_rational(m, x)))
+                assert resid < mpf(10) ** (4 - mp.dps) * max(1, abs(limit)), \
+                    "radial limit of family %s at %s: %s" % (m, x, resid)
+        # along x + it the partial theta is read at -2(x + it)/c_m^2, and
+        # c_m^2/2 is the scale of E_m's unary thetas
+        square = 2 * unary_theta_combination(int(m))[0][2]
+        for x in RADIAL_POINTS[m]:
             assert in_quantum_set(m, 1, x)
-            const, residuals = radial_proportionality(m, 1, x)
-            assert mp.isfinite(const)
+            limit = radial_limit(int(m), x)
+            residuals = [abs(partial_theta(int(m), -2 * mpc(fraction_mpf(x), t) / square) - limit)
+                         for t in RADIAL_HEIGHTS]
             assert residuals[0] > residuals[1] > residuals[2], \
                 "radial residuals not decreasing for %s at %s: %s" % (
                     m, x, [float(r) for r in residuals])

@@ -10,13 +10,12 @@ import etamock.eichler as eichler
 from etamock.core import exp_sinh
 from etamock.qseries import e2pi
 from etamock.mu import R_correction, mordell_h
-from etamock.theta import partial_theta
-from etamock.eichler import (estar_value, g_decay_rate, integral_identity_lhs,
-                             partial_theta_radial, ray_integral, unary_ray_integral)
+from etamock.theta import E_from_g, partial_theta, radial_limit, unary_theta_combination
+from etamock.eichler import (g_decay_rate, integral_identity_lhs, ray_integral,
+                             unary_ray_integral)
 from etamock.quantum import ELL, integral_identity_rhs
-from etamock.verify import (_table2_row, corollary_check, radial_proportionality,
-                            table2_terms, verify_table2, verify_thm12_i, verify_thm12_ii,
-                            verify_thm12_iii)
+from etamock.verify import (_table2_row, corollary_check, table2_terms, verify_table2,
+                            verify_thm12_i, verify_thm12_ii, verify_thm12_iii)
 
 # working precision of every test here; see conftest.py
 DPS = 16
@@ -194,17 +193,16 @@ def test_minus_one_over_ell_is_excluded(m):
         verify_thm12_i(m, 1, Fraction(-1, 2))
 
 
-def test_partial_theta_radial_heights():
-    vals = partial_theta_radial("1", Fraction(1, 3), (0.05, 0.01))
-    direct = partial_theta(1, -2 * mpc(mpf(1) / 3, 0.01) / 64)
-    assert abs(vals[1] - direct) < 1e-12
-
-
 @pytest.mark.parametrize("m, x", [("1", Fraction(1, 3)), ("5", Fraction(1, 2))])
 def test_radial_residuals_decrease(m, x):
-    const, residuals = radial_proportionality(m, 1, x)
-    assert residuals[0] > residuals[1] > residuals[2]
-    assert abs(const) > 1e-6
+    # the partial theta at -2(x + it)/c_m^2 nears its radial limit as O(t)
+    # once t is small: halving t halves the residual; c_m^2/2 is E_m's scale
+    limit = radial_limit(int(m), x)
+    square = 2 * unary_theta_combination(int(m))[0][2]
+    r1, r2 = [abs(partial_theta(int(m), -2 * mpc(mpf(x.numerator) / x.denominator, t) / square)
+                  - limit) for t in (2e-4, 1e-4)]
+    assert 1.8 < r1 / r2 < 2.2
+    assert abs(limit) > 1e-6
 
 
 def test_ray_integral_complex_start():
@@ -352,7 +350,10 @@ def test_estar_tracks_partial_theta_at_conjugate():
     resid = []
     for y in (0.05, 0.02, 0.008):
         tau0 = mpc(xt, y)
-        a = estar_value("1", tau0)
+        # int_{-conj(tau0)}^{i inf} E_1(u)/sqrt(u + tau0) du: on that ray
+        # -i(u + tau0) is positive real, so sqrt(u + tau0) = e(1/8) sqrt(-i(u + tau0))
+        raw = ray_integral(lambda z: E_from_g(1, z), -mp.conj(tau0), tau0, decay=2)
+        a = raw / e2pi(Fraction(1, 8))
         b = partial_theta(1, mp.conj(tau0))
         resid.append(abs(a - C * b))
     assert resid[0] > resid[1] > resid[2]

@@ -35,6 +35,8 @@ CASES = {
     "verify-thm11": ["verify", "thm11", "--seed", "0", "--samples", "1"],
     "verify-corollary": ["verify", "corollary", "--m", "5", "--x", "1/2"],
     "verify-corollary-4": ["verify", "corollary", "--m", "4", "--x", "1/3"],
+    "verify-radial": ["verify", "radial", "--seed", "0"],
+    "verify-columns": ["verify", "columns", "--seed", "0"],
     "eval-theta": ["eval", "theta", "--v", "0.1+0.0002i",
                    "--tau", "0.13+0.001i", "--crosscheck"],
     "eval-eta": ["eval", "eta", "--tau", "0.01+0.002i", "--crosscheck"],

@@ -3,7 +3,8 @@
 Each module may import only from the modules before it in LAYERS, no
 import sits inside a function, where it would hide a cycle, and every
 name a module imports is used in it.  Only vmn names the parts of family 4,
-and only theta and vmn read the shadow pairs of theta._G_ROWS.
+and only theta and vmn read the shadow pairs of theta._G_ROWS.  Every public
+function or class has a caller in the package or in the benchmark.
 """
 
 import ast
@@ -14,6 +15,7 @@ import pytest
 import etamock
 
 SRC = os.path.dirname(os.path.abspath(etamock.__file__))
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
 # bottom to top; the package namespace re-exports everything below the CLI
 LAYERS = ("core", "qseries", "theta", "mu", "vmn", "quantum", "eichler", "verify",
@@ -123,3 +125,44 @@ def test_shadow_pairs_read_only_in_theta_and_vmn(module):
             or isinstance(node, ast.Attribute) and node.attr == "_G_ROWS"
             or isinstance(node, ast.Name) and node.id == "_G_ROWS"]
     assert not refs, "%s reads theta._G_ROWS at lines %s" % (module, refs)
+
+
+def _references(tree):
+    """The names and attributes a module reads, leaving out a function's or
+    class's own name inside its definition."""
+    refs = set()
+    for stmt in tree.body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name is not None and name != own:
+                refs.add(name)
+    return refs
+
+
+def _benchmark_references():
+    """What perfbench reads: names, attributes and the function names that
+    spans.LAYERS gives as strings."""
+    refs = set()
+    for name in os.listdir(PERFBENCH):
+        if name.endswith(".py"):
+            with open(os.path.join(PERFBENCH, name)) as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            refs |= _references(tree)
+            if name == "spans.py":
+                layers, = [stmt.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+                           and [t.id for t in stmt.targets] == ["LAYERS"]]
+                refs |= {node.value for node in ast.walk(layers)
+                         if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return refs
+
+
+def test_every_public_definition_has_a_caller():
+    # the tests do not count, nor does the re-export in __init__
+    modules = [m for m in _modules() if m != "__init__"]
+    refs = _benchmark_references().union(*(_references(_tree(m)) for m in modules))
+    public = ["%s.%s" % (module, stmt.name) for module in modules for stmt in _tree(module).body
+              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+              and not stmt.name.startswith("_")]
+    unused = [name for name in public if name.split(".")[1] not in refs]
+    assert not unused, "public definitions that nothing in the package calls: %s" % unused

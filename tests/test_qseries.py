@@ -51,11 +51,12 @@ def test_kronecker_multiplicative_in_lower_argument():
                 assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
 
 
-def test_qpoch_finite_recurrence():
+def test_qpoch_shift_recurrence():
+    # (a; q)_inf = (1 - a) (a q; q)_inf
     a, q = mpc(0.3, 0.1), mpc(0.2, 0.4)
     for n in range(5):
-        step = qpoch(a, q, n) * (1 - a * q ** n)
-        assert abs(qpoch(a, q, n + 1) - step) < 1e-23
+        step = (1 - a * q ** n) * qpoch(a * q ** (n + 1), q)
+        assert abs(qpoch(a * q ** n, q) - step) < 1e-23
 
 
 def test_qpoch_infinite_matches_eta():

@@ -11,7 +11,7 @@ from etamock.quantum import (ELL, M_ell, F_hk, F_hk_terms, as_fraction,
                              companion_sum, companion_sum_composite,
                              companion_terms,
                              group_generators, in_quantum_set, multiplier,
-                             in_S, in_S_even, in_S_odd, in_S_prime, in_set,
+                             in_S, in_S_even, in_S_odd, in_S_prime,
                              mobius_rational, quantum_set_label,
                              rational_formula_defined, rational_z_args,
                              two_term_law, vm1_at_rational, vmn_any,
@@ -44,11 +44,13 @@ def test_basic_set_predicates():
 
 
 def test_set_lookup_by_label():
-    assert in_set("S", Fraction(1, 3))
-    assert in_set("S_ev", Fraction(1, 2))
-    assert not in_set("S'", Fraction(3, 5))
-    with pytest.raises(KeyError):
-        in_set("nonsense", Fraction(1, 2))
+    # rows (1, 1), (1, 2) and (1, 3) have the sets S, S_ev and S'
+    assert [quantum_set_label("1", n) for n in (1, 2, 3)] == ["S", "S_ev", "S'"]
+    assert in_quantum_set("1", 1, Fraction(1, 3))
+    assert in_quantum_set("1", 2, Fraction(1, 2))
+    assert not in_quantum_set("1", 3, Fraction(3, 5))
+    with pytest.raises(ValueError, match="no quantum set"):
+        in_quantum_set("1", 6, Fraction(1, 2))
 
 
 def test_floats_are_rejected():

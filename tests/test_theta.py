@@ -6,12 +6,11 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 import etamock.theta as theta
-from etamock.core import ConvergenceError
-from etamock.qseries import SL2Matrix, e2pi, eta
-from etamock.quantum import ROOT_C
+from etamock.core import ConvergenceError, fraction_mpf
+from etamock.qseries import SL2Matrix, e2pi, eta, eta_multiplier
 from etamock.theta import (E_from_g, _theta_product, e_from_theta,
                            eta_theta_eval, eta_theta_qexp, g_ab, jacobi_theta,
-                           jacobi_theta_transform, partial_theta,
+                           partial_theta, radial_limit,
                            theta_specialization_point,
                            unary_theta_combination)
 
@@ -127,11 +126,16 @@ def test_theta_derivative_at_zero_is_eta_cubed():
     (2, -1, SL2Matrix(1, 0, -2, 1)),
 ])
 def test_theta_transformation_prediction(lam, mu, gamma):
+    # theta at ((v + lam tau + mu)/(c tau + d), gamma tau) from theta(v; tau), by
+    # the elliptic shift law and the modular law with multiplier psi(gamma)^3
     tau = mpc(0.21, 0.93)
     v = mpc(0.17, 0.28)
-    pred = jacobi_theta_transform(v, tau, lam, mu, gamma)
+    shifted = v + lam * tau + mu
     cd = gamma.c * tau + gamma.d
-    w = (v + lam * tau + mu) / cd
+    pred = eta_multiplier(gamma).value() ** 3 * mp.sqrt(cd) \
+        * mp.exp(1j * mp.pi * gamma.c * shifted ** 2 / cd) \
+        * (-1) ** (lam + mu) * mp.exp(-1j * mp.pi * lam * (lam * tau + 2 * v)) * jacobi_theta(v, tau)
+    w = shifted / cd
     direct = jacobi_theta(w, gamma.act(tau))
     assert abs(pred - direct) < 1e-20
     # against the bare product too, so the law is not checked only against
@@ -233,7 +237,6 @@ def test_unary_combination_is_the_papers(m):
         assert a.denominator == c and (-a * b - phase) % 1 == 0
         assert coeff == c * e2pi(phase)
         assert type(scale) is int and scale == paper_scale
-    assert ROOT_C[str(m)] ** 2 == 2 * PAPER_G_ROWS[m][0][3]
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -279,3 +282,33 @@ def test_partial_theta_too_close_to_the_real_line_fails_at_once(monkeypatch, m, 
 def test_partial_theta_rejects_upper_half_plane():
     with pytest.raises(ValueError):
         partial_theta(1, mpc(0.2, 0.1))
+
+
+@pytest.mark.parametrize("m, x", [(1, Fraction(1, 3)), (3, Fraction(1)), (4, Fraction(-5, 7)),
+                                  (6, Fraction(7, 4))])
+def test_radial_limit_is_the_bernoulli_sum_over_k_c_squared(m, x):
+    # k c^2 is a period of C_x at x = h/k; the term-by-term sum over it must
+    # give what radial_limit gets from the least period and grouped phases
+    _, chi = theta._ODD[m]
+    square = 2 * PAPER_G_ROWS[m][0][3]
+    M = x.denominator * square
+    with mp.workdps(40):
+        plain = -sum(fraction_mpf(chi(n)) * e2pi(2 * x * n * n / square) * (mpf(n) / M - mpf(1) / 2)
+                     for n in range(1, M + 1))
+    assert abs(radial_limit(m, x) - plain) < mpf(10) ** (4 - DPS) * max(1, abs(plain))
+
+
+def test_radial_limit_of_a_nonzero_mean_is_domain_error(monkeypatch):
+    # with an even character in place of chi_1, at x = 0 the sum along the ray
+    # is sum over odd n of e^(-n^2 s), which grows like s^(-1/2)
+    factors, _ = theta._ODD[1]
+    monkeypatch.setitem(theta._ODD, 1, (factors, lambda n: Fraction(n % 2)))
+    with pytest.raises(ValueError, match="nonzero mean"):
+        radial_limit(1, 0)
+
+
+def test_radial_limit_needs_an_exact_point():
+    with pytest.raises(TypeError):
+        radial_limit(1, 0.5)
+    with pytest.raises(ValueError, match="unknown eta-theta label"):
+        radial_limit("1", Fraction(1, 3))

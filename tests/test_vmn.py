@@ -134,7 +134,7 @@ def _direct_completion(label, n, tau):
     """vmn_completed by the series summed at tau itself, with no fold, and
     the size |w q^t| (|mu| + |R|/2) of the terms the completion adds."""
     spec = vmn_spec(label, n)
-    if spec.composite:
+    if spec.parts:
         parts = [_direct_completion(lbl, n, tau) for lbl in spec.parts]
         return sum(p[0] for p in parts), sum(p[1] for p in parts)
     u, v = spec.u.at(tau), spec.v.at(tau)
