@@ -235,9 +235,10 @@ def exp_sinh_nodes(level):
     return _es_cache[key]
 
 
-def exp_sinh(f, cut, tol, what):
-    """int_0^cut f by the nested exp-sinh rule on [0, inf): nodes t > cut
-    are not evaluated, and the part beyond the cut is the caller's to bound.
+def exp_sinh(f, cut, tol, what, low=0):
+    """int_low^cut f by the nested exp-sinh rule on [0, inf): nodes t > cut
+    and t < low are not evaluated, and the parts beyond the cuts are the
+    caller's to bound.  The centre t = 1 is always evaluated.
 
     Level k reuses every value of the levels before it and adds the
     values at its new nodes.  The estimate I_k is returned as soon as
@@ -251,7 +252,7 @@ def exp_sinh(f, cut, tol, what):
     last = None
     for level in range(1, MAX_LEVEL + 1):
         for t, w in exp_sinh_nodes(level):
-            if t <= cut:
+            if low <= t <= cut:
                 total += w * f(t)
         estimate = total / 2 ** level
         if last is not None and abs(estimate - last) < tol:

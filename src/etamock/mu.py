@@ -76,7 +76,27 @@ def _mu_series(u, v, tau):
 
 
 def mordell_h(u, tau):
-    """Mordell integral h(u; tau) over the real line.
+    """Mordell integral h(u; tau) = int e^{pi i tau x^2 - 2 pi u x}/cosh(pi x) dx
+    over the real line.
+
+    Where Im tau and Im(-1/tau) are both at least FOLD_HEIGHT, h is two erfc
+    lattice sums and no quadrature (Zwegers, thesis, Prop. 1.10):
+    h(u; tau) = R(u; tau) + (-i tau)^{-1/2} e^{pi i u^2/tau} R(u/tau; -1/tau),
+    each R about 1/sqrt(Im) terms.  Elsewhere one of the two R would need
+    many terms, and h is the quadrature _mordell_quad.
+    """
+    u = mpc(u)
+    tau = mpc(tau)
+    if tau.imag <= 0:
+        raise ValueError("tau must have positive imaginary part")
+    if tau.imag < FOLD_HEIGHT or (-1 / tau).imag < FOLD_HEIGHT:
+        return _mordell_quad(u, tau)
+    return R_correction(u, tau) \
+        + mp.exp(1j * mp.pi * u * u / tau) / mp.sqrt(-1j * tau) * R_correction(u / tau, -1 / tau)
+
+
+def _mordell_quad(u, tau):
+    """h(u; tau) by quadrature over the real line.
 
     The integrand's Gaussian envelope exp(-pi Im(tau) x^2 - 2 pi Re(u) x)
     peaks at c = -Re(u)/Im(tau).  The two half-lines from c are folded into
@@ -85,11 +105,7 @@ def mordell_h(u, tau):
     X + |c|, where the envelope is below working precision.
     ConvergenceError if the rule does not settle.
     """
-    u = mpc(u)
-    tau = mpc(tau)
     y = tau.imag
-    if y <= 0:
-        raise ValueError("tau must have positive imaginary part")
     S = max(mpf(40), mp.log(10) * (mp.dps + 2))
     X = mp.sqrt(S / (mp.pi * y)) + abs(u.real) / y + 1
 
@@ -114,16 +130,18 @@ def R_correction(u, tau):
     y = tau.imag
     a = u.imag / y
     root = mp.sqrt(2 * y)
+    root_pi = mp.sqrt(mp.pi)
+    half = mpf(0.5)
 
     def term(n, w):
-        nu = n + mpf(0.5)
+        nu = n + half
         sgn = 1 if nu > 0 else -1
-        amp = sgn * mp.erfc(sgn * mp.sqrt(mp.pi) * (nu + a) * root)
+        amp = sgn * mp.erfc(sgn * root_pi * (nu + a) * root)
         return (-amp if n % 2 else amp) * w
 
     # e^{-pi i nu^2 tau - 2 pi i nu u} = e(-tau nu^2/2 - u nu); nu = n + 1/2
     # runs over -1/2, -3/2, ... and then 1/2, 3/2, ...
-    return lattice_sum(term, -1, ((-tau / 2, -u, mpf(0.5)),), "R series")
+    return lattice_sum(term, -1, ((-tau / 2, -u, half),), "R series")
 
 
 def mu_hat(u, v, tau):

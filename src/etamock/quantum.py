@@ -75,6 +75,8 @@ ELL = {m: group_generators(m, 1)[0].c for m in FAMILIES}
 
 
 def as_fraction(x):
+    if isinstance(x, Fr):
+        return x
     if isinstance(x, float):
         raise TypeError("rational points must be exact; got float %r" % (x,))
     return Fr(x)
@@ -139,7 +141,13 @@ def quantum_set_label(m, n):
 
 
 def in_quantum_set(m, n, x):
-    return _SET_PREDICATES[quantum_set_label(m, n)](x)
+    return _set_predicate(m, n)(x)
+
+
+@cache
+def _set_predicate(m, n):
+    """The predicate of row (m, n)'s quantum set, looked up once per row."""
+    return _SET_PREDICATES[quantum_set_label(m, n)]
 
 
 # sets on which the finite-sum evaluation at rationals is defined:

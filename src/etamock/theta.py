@@ -26,6 +26,9 @@ from .qseries import (
 
 Fr = Fraction
 
+# the weight of g_{a,b}, exact in binary at every precision
+_THREE_HALVES = mp.mpf(1.5)
+
 
 def jacobi_theta(v, tau, representation="product"):
     """Jacobi theta of characteristic (1/2, 1/2) at (v, tau).
@@ -147,7 +150,7 @@ def g_ab(spec, tau):
     def invert(state, t):
         # g_{a,b}(-1/t) = i e^{2 pi i a b} (-i t)^{3/2} g_{b,-a}(t)
         factor, a, b = state
-        return factor * (1j * e2pi(a * b) * (-1j * t) ** mp.mpf("1.5")), b, -a
+        return factor * (1j * e2pi(a * b) * (-1j * t) ** _THREE_HALVES), b, -a
 
     tau, (factor, a, b) = reduce_tau(tau, (mpc(1), a, b), shift, invert, "unary theta")
     # normalize a mod 1 (free) and b mod 1 (costs the phase e(a*floor(b)))

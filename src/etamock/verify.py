@@ -107,8 +107,8 @@ def table2_terms(m, tau):
     tau = mpc(tau)
     tau1 = -1 / tau - ell
     root, root1 = mp.sqrt(ell * tau + 1), mp.sqrt(-1j * tau1)
-    ray0 = shadow_ray_integral(base, mpf(0), tau)
-    ray1 = shadow_ray_integral(base, fraction_mpf(Fraction(1, ell)), tau)
+    ray0 = shadow_ray_integral(base, Fraction(0), tau)
+    ray1 = shadow_ray_integral(base, Fraction(1, ell), tau)
     pref = 0.5j * nu * root
     corr = 0.5j * (ell - 1) * root1
     return {

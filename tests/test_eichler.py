@@ -10,8 +10,9 @@ import etamock.eichler as eichler
 from etamock.core import exp_sinh
 from etamock.qseries import e2pi
 from etamock.mu import R_correction, mordell_h
-from etamock.theta import E_from_g, partial_theta, radial_limit, unary_theta_combination
-from etamock.eichler import (g_decay_rate, integral_identity_lhs, ray_integral,
+from etamock.theta import (_G_ROWS, E_from_g, g_ab, partial_theta, radial_limit,
+                           unary_theta_combination)
+from etamock.eichler import (_cusp_pair, g_decay_rate, integral_identity_lhs, ray_integral,
                              unary_ray_integral)
 from etamock.quantum import ELL, integral_identity_rhs
 from etamock.verify import (_table2_row, corollary_check, table2_terms, verify_table2,
@@ -288,19 +289,19 @@ SEED1_IDENTITIES = (
 
 def test_ray_integral_stop_rule_against_higher_precision(monkeypatch):
     """The level-difference stop leaves each ray within 10^(3 - dps) of its
-    value at dps 30 with at most 2,000 integrand values over the 8 rays,
+    value at dps 30 with at most 1,350 integrand values over the 8 rays,
     and no call changes mp.dps."""
     rays = []
     evals = []
 
-    def record(G, z0, tau, decay, tol=None):
+    def record(G, z0, tau, decay, tol=None, **cuts):
         def counted(z):
             evals.append(z)
             return G(z)
 
-        value = ray_integral(counted, z0, tau, decay, tol)
+        value = ray_integral(counted, z0, tau, decay, tol, **cuts)
         assert mp.dps == DPS
-        rays.append((G, z0, tau, decay, value))
+        rays.append((G, z0, tau, decay, cuts, value))
         return value
 
     monkeypatch.setattr(eichler, "ray_integral", record)
@@ -310,13 +311,121 @@ def test_ray_integral_stop_rule_against_higher_precision(monkeypatch):
     for m, endpoint, x in SEED1_IDENTITIES:
         integral_identity_lhs(m, x, endpoint)
     assert len(rays) == 8
-    assert len(evals) <= 2000
-    for G, z0, tau, decay, value in rays:
+    assert len(evals) <= 1350
+    for G, z0, tau, decay, cuts, value in rays:
         with mp.workdps(30):
-            fine = ray_integral(G, z0, tau, decay)
+            fine = ray_integral(G, z0, tau, decay, **cuts)
             assert mp.dps == 30
         assert mp.dps == DPS
         assert abs(value - fine) < mpf(10) ** (3 - DPS)
+
+
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1, 3),
+                               Fraction(-2, 5)])
+@pytest.mark.parametrize("spec", [p for rows in _G_ROWS.values() for p in rows])
+def test_the_lower_cut_decays_as_g_does_at_the_cusp(monkeypatch, spec, x):
+    """The cusp_decay D that unary_ray_integral passes on is the rate of g_{a,b}
+    at x = p/q: |g_{a,b}(x + it)| t^{3/2} e^{pi D/t} is the same at
+    t = 1/(40 q^2) and 1/(80 q^2), where the terms of least |nu| of the
+    folded g_{a',b'} outweigh the rest by e^{-20} or more."""
+    seen = []
+    monkeypatch.setattr(eichler, "ray_integral",
+                        lambda *args, cusp_decay=None, **kwargs: seen.append(cusp_decay))
+    unary_ray_integral(spec, x, TAU)
+    D, = seen
+    q = x.denominator
+
+    def scaled(t):
+        z = mpc(mpf(x.numerator) / q, t)
+        return abs(g_ab(spec, z)) * t ** 1.5 * mp.exp(mp.pi * D / t)
+
+    near, nearer = scaled(mpf(1) / (40 * q * q)), scaled(mpf(1) / (80 * q * q))
+    assert abs(near / nearer - 1) < 1e-8
+
+
+def test_the_lower_cut_leaves_out_only_what_cannot_change_the_ray():
+    spec, z0 = (Fraction(1, 4), Fraction(1, 2)), Fraction(1, 2)
+    (a1, _), q = _cusp_pair(spec, z0)
+    values = {}
+    for cusp in (g_decay_rate(a1) / q ** 2, None):
+        calls = []
+
+        def G(z):
+            calls.append(z)
+            return g_ab(spec, z)
+
+        values[cusp] = ray_integral(G, mpf(0.5), TAU, g_decay_rate(spec[0]), cusp_decay=cusp), \
+            len(calls)
+    (cut, fewer), (whole, every) = values.values()
+    assert fewer < 0.7 * every
+    assert abs(cut - whole) < mpf(10) ** (-DPS)
+
+
+def test_a_lower_cut_that_its_bound_rejects_is_dropped():
+    """e(z) does not vanish as t -> 0, so the bound at t_low is far above
+    10^-(dps+2): the rule runs down to t = 0, after one more value of G."""
+    calls = []
+
+    def G(z):
+        calls.append(z)
+        return mp.exp(2j * mp.pi * z)
+
+    tau = mpc(0.3, 0.9)
+    whole = ray_integral(G, 0, tau, decay=2)
+    every = len(calls)
+    assert ray_integral(G, 0, tau, decay=2, cusp_decay=1) == whole
+    assert len(calls) == 2 * every + 1
+
+
+def _counting_g_ab(monkeypatch):
+    calls = []
+
+    def counted(spec, z):
+        calls.append(z)
+        return g_ab(spec, z)
+
+    monkeypatch.setattr(eichler, "g_ab", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec, z0", [((Fraction(1, 4), Fraction(1, 2)), Fraction(1, 2)),
+                                      ((Fraction(1, 12), Fraction(1, 2)), Fraction(1))])
+def test_a_second_ray_from_one_start_reads_the_memo(monkeypatch, spec, z0):
+    calls = _counting_g_ab(monkeypatch)
+    for tau in (mpc(-0.2, 1.1), mpf(1) / 3):
+        eichler._ray_value.cache_clear()
+        cold = unary_ray_integral(spec, z0, tau)
+        eichler._ray_value.cache_clear()
+        unary_ray_integral(spec, z0, TAU)
+        before = len(calls)
+        warm = unary_ray_integral(spec, z0, tau)
+        assert len(calls) == before
+        assert (warm.real, warm.imag) == (cold.real, cold.imag)
+
+
+def test_a_ray_at_higher_precision_recomputes_its_values(monkeypatch):
+    """The memo reads mp.prec when G is called, not when G is made: a G made
+    at dps 16 and called at dps 30 returns dps-30 values, at the node t = 1
+    that every ray shares too."""
+    spec, z0 = (Fraction(1, 4), Fraction(1, 2)), Fraction(1, 2)
+    made = []
+
+    def record(G, *args, **kwargs):
+        made.append((G, args, kwargs))
+        return ray_integral(G, *args, **kwargs)
+
+    monkeypatch.setattr(eichler, "ray_integral", record)
+    eichler._ray_value.cache_clear()
+    coarse = unary_ray_integral(spec, z0, TAU)
+    (G, args, kwargs), = made
+    calls = _counting_g_ab(monkeypatch)
+    with mp.workdps(30):
+        fine = ray_integral(G, *args, **kwargs)
+        assert len(calls) > 0
+        eichler._ray_value.cache_clear()
+        cold = unary_ray_integral(spec, z0, TAU)
+    assert (fine.real, fine.imag) == (cold.real, cold.imag)
+    assert abs(fine - coarse) > 0
 
 
 def test_lhs_cache_keys_on_exact_inputs_and_precision(monkeypatch):

@@ -5,7 +5,9 @@ keyed by the exact arguments and `mp.prec`, for the KERNEL_MEMO most
 recently used keys; so does `e2pi` at a rational exponent, keyed by the
 exponent mod 1.  The finite sums F_hk keep their x-only half, the steps
 and numerators at (h mod 2k, k), for the NUMERATOR_MEMO most recently used
-keys.  These tests pin that contract: each cap holds, a value never
+keys; the ray integrals keep the values of g_{a,b} at their nodes for the
+RAY_MEMO most recently used keys (their reuse and their precision are
+pinned in test_eichler.py).  These tests pin that contract: each cap holds, a value never
 crosses precisions, the sum route stays outside the memo, and a warm memo
 returns the bits a cold one computes.  They also pin how much the 59 rows
 share at one tau, and how much the finite sums share at one h/k, so a
@@ -19,8 +21,9 @@ from fractions import Fraction as Fr
 import pytest
 from mpmath import mp, mpc
 
-from etamock import core, qseries, quantum, theta
+from etamock import core, eichler, qseries, quantum, theta
 from etamock.core import e2pi
+from etamock.eichler import RAY_MEMO
 from etamock.qseries import KERNEL_MEMO, RootOfUnity, eta
 from etamock.quantum import (NUMERATOR_MEMO, F_hk_terms, companion_sum, group_generators,
                              in_quantum_set, integral_identity_rhs, vm1_at_rational)
@@ -31,7 +34,7 @@ from etamock.vmn import FAMILIES, all_rows, family, vmn_eval_mu, vmn_eval_series
 DPS = 30
 
 KERNELS = (qseries._eta_folded, theta._theta_folded)
-MEMOS = KERNELS + (core._e2pi_rational, quantum._hk_numerators)
+MEMOS = KERNELS + (core._e2pi_rational, quantum._hk_numerators, eichler._ray_value)
 
 # exact in binary at every precision, so only mp.prec tells the keys apart;
 # Im tau < sqrt(3)/2, so both kernels fold
@@ -63,7 +66,7 @@ def same_bits(a, b):
     return a.real._mpf_ == b.real._mpf_ and a.imag._mpf_ == b.imag._mpf_
 
 
-def test_neither_memo_outgrows_its_cap():
+def test_neither_memo_outgrows_its_cap(monkeypatch):
     for k in range(KERNEL_MEMO + 44):
         tau = mpc(k / 1000, 1.2)
         eta(tau)
@@ -72,6 +75,14 @@ def test_neither_memo_outgrows_its_cap():
         info = memo.cache_info()
         assert info.maxsize == KERNEL_MEMO
         assert info.currsize == KERNEL_MEMO and info.misses == KERNEL_MEMO + 44
+    # the ray memo of g_{a,b} values, filled here through a stand-in for g_ab
+    # that costs nothing
+    monkeypatch.setattr(eichler, "g_ab", lambda spec, z: z)
+    for k in range(RAY_MEMO + 44):
+        eichler._ray_value(Fr(1, 4), Fr(1, 2), mpc(0.5, k + 1), mp.prec)
+    info = eichler._ray_value.cache_info()
+    assert info.maxsize == RAY_MEMO
+    assert info.currsize == RAY_MEMO and info.misses == RAY_MEMO + 44
 
 
 @pytest.mark.parametrize("order", [(16, 30), (30, 16)], ids=["16-then-30", "30-then-16"])

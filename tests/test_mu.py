@@ -8,9 +8,9 @@ from mpmath import mp, mpc, mpf
 
 from etamock.qseries import e2pi, eta
 from etamock.theta import g_ab, jacobi_theta
-from etamock.mu import (MabSpec, M_hat, R_correction, _mab_prefactor, g2_universal,
-                        g_complement, kang_pair, mordell_h, mu, mu_hat,
-                        xi_shadow)
+from etamock.mu import (FOLD_HEIGHT, MabSpec, M_hat, R_correction, _mab_prefactor,
+                        _mordell_quad, g2_universal, g_complement, kang_pair, mordell_h,
+                        mu, mu_hat, xi_shadow)
 
 # working precision of every test here; see conftest.py
 DPS = 25
@@ -173,14 +173,25 @@ def test_shadow_independent_of_section():
     assert abs(one - other) < 1e-8
 
 
-@pytest.mark.parametrize("u, tau", [
+# the points of the test_mordell_h_* tests but the parity one
+MORDELL_POINTS = [
     (mpc(0.3, 0.1), mpc(0.1, 0.9)),
     (mpc(-0.2, 0.25), mpc(-0.3, 1.3)),
     (mpc(0.05, -0.15), mpc(0.45, 0.75)),
     (mpc(2, 0.3), mpc(-0.4, 0.5)),
     (mpc(-0.3, 0.2), mpc(0.13, 0.87)),
     (mpc(0.7, -0.1), mpc(0.2, 0.25)),
-])
+]
+
+
+def _mordell_scale(u, tau):
+    """max(1, |integrand| at its peak c): the quadrature's tolerance is this
+    times 10^(3 - dps)."""
+    c = -u.real / tau.imag
+    return max(1, abs(mp.exp(1j * mp.pi * tau * c * c - 2 * mp.pi * u * c) / mp.cosh(mp.pi * c)))
+
+
+@pytest.mark.parametrize("u, tau", MORDELL_POINTS)
 def test_mordell_h_within_its_tolerance_at_dps_16_and_30(u, tau):
     def f(x):
         return mp.exp(1j * mp.pi * tau * x * x - 2 * mp.pi * u * x) / mp.cosh(mp.pi * x)
@@ -190,6 +201,23 @@ def test_mordell_h_within_its_tolerance_at_dps_16_and_30(u, tau):
         direct = mp.quad(f, [-mp.inf, c, mp.inf])
     for dps in (16, 30):
         with mp.workdps(dps):
-            # the tolerance mordell_h sets itself: relative to |f(c)| above 1
-            tol = max(1, abs(f(c))) * mpf(10) ** (3 - dps)
-            assert abs(mordell_h(u, tau) - direct) < tol
+            # the quadrature's own tolerance, which the two-R route meets too
+            assert abs(mordell_h(u, tau) - direct) < _mordell_scale(u, tau) * mpf(10) ** (3 - dps)
+
+
+@pytest.mark.parametrize("u, tau", MORDELL_POINTS + [(mpc(0.31, 0.27), mpc(0.2, 0.8))])
+def test_mordell_h_two_r_route_agrees_with_the_quadrature(u, tau):
+    # every point is in the two-R region, so the routes differ
+    assert tau.imag >= FOLD_HEIGHT and (-1 / tau).imag >= FOLD_HEIGHT
+    for dps in (16, 30):
+        with mp.workdps(dps):
+            quad = _mordell_quad(u, tau)
+            assert abs(mordell_h(u, tau) - quad) < _mordell_scale(u, tau) * mpf(10) ** (3 - dps)
+
+
+@pytest.mark.parametrize("u, tau", [(mpc(0.2, 0.03), mpc(0.1, 0.08)),
+                                    (mpc(-0.1, 0.2), mpc(3, 0.8))])
+def test_mordell_h_below_the_fold_height_is_the_quadrature(u, tau):
+    # Im tau, then Im(-1/tau), below FOLD_HEIGHT
+    assert min(tau.imag, (-1 / tau).imag) < FOLD_HEIGHT
+    assert mordell_h(u, tau) == _mordell_quad(u, tau)
