@@ -182,12 +182,13 @@ def reduce_tau(tau, state, shift, invert, what):
     each inversion tau -> -1/tau calls state = invert(state, -1/tau).
     Returns the reduced tau and the final state.
     """
+    edge = 1 - mpf(10) ** (-mp.dps)
     for _ in range(10 ** 4):
         n = int(mp.nint(tau.real))
         if n != 0:
             tau = tau - n
             state = shift(state, n)
-        if abs(tau) >= 1 - mpf(10) ** (-mp.dps):
+        if abs(tau) >= edge:
             return tau, state
         tau = -1 / tau
         state = invert(state, tau)

@@ -308,21 +308,14 @@ def vmn_any(m, n, x):
 # the law of Theorem 1.2 and the finite sums read off from it
 
 
-@cache
-def multiplier(base, n, gamma):
-    """vmn.transformation_root, the exact multiplier nu of family base's
-    column n under gamma, memoized: the checks reuse a few roots."""
-    return transformation_root(base, n, gamma)
-
-
 def two_term_law(V, m, n, gamma, x):
     """L(x) = V(x) - conj(nu) (c x + d)^(-1/2) V(gamma x), principal root,
-    with nu = multiplier(family(m), n, gamma) and gamma = (a, b; c, d).
+    with nu = transformation_root(family(m), n, gamma) and gamma = (a, b; c, d).
 
     x is a rational or a point of the upper half plane.  Where gamma sends
     x to infinity this raises ZeroDivisionError.
     """
-    r = -(multiplier(family(m), n, gamma).conjugate().value())
+    r = -(transformation_root(family(m), n, gamma).conjugate().value())
     exact = isinstance(x, (Fr, int))
     x = Fr(x) if exact else mpc(x)
     w = gamma.c * x + gamma.d

@@ -4,10 +4,15 @@ The catalogue covers the thirteen even weight-1/2 functions, the six odd
 weight-3/2 functions, their partial-theta cousins on the lower half
 plane with their radial limits at rationals (radial_limit), and the
 bridging identities that express theta specializations as even catalogue
-members and the odd members as combinations of g_{a,b}.
+members and the odd members as combinations of g_{a,b}.  Each of the
+nineteen is one EtaTheta record of ETA_THETA, keyed by its label; an odd
+record carries its shadow pairs (a, b), from which c_m follows.  The
+theta point of e_1..e_8 (theta_point) follows from n.
 """
 
 import math
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -163,126 +168,134 @@ def g_ab(spec, tau):
     return factor * _g_direct(a, b, tau)
 
 
-# even catalogue: eta-quotient factors, summation domain, character
-_EVEN = {
-    1: ([(1, 2), (2, -1)], "Z", lambda n: Fr((-1) ** n)),
-    2: ([(2, 5), (1, -2), (4, -2)], "Z", lambda n: Fr(1)),
-    3: ([(24, 1)], "N", lambda n: Fr(kronecker(12, n))),
-    4: ([(48, 1), (72, 2), (24, -1), (144, -1)], "N", lambda n: Fr(kronecker(n, 6) ** 2)),
-    5: ([(8, 1), (32, 1), (16, -1)], "N", lambda n: Fr(kronecker(2, n))),
-    6: ([(16, 2), (8, -1)], "N", lambda n: Fr(kronecker(n, 2) ** 2)),
-    7: ([(3, 1), (18, 2), (6, -1), (9, -1)], "N",
-        lambda n: Fr(2 * kronecker(n, 6) ** 2 - kronecker(n, 3) ** 2)),
-    8: ([(6, 2), (9, 1), (36, 1), (3, -1), (12, -1), (18, -1)], "N",
-        lambda n: Fr(kronecker(n, 3) ** 2)),
-    9: ([(48, 3), (24, -1), (96, -1)], "N", lambda n: Fr(kronecker(24, n))),
-    10: ([(24, 1), (96, 1), (144, 5), (48, -2), (72, -2), (288, -2)], "N",
-         lambda n: Fr(kronecker(18, n))),
-    11: ([(1, 1), (4, 1), (6, 2), (2, -1), (3, -1), (12, -1)], "Z",
-         lambda n: 1 - Fr(3, 2) * kronecker(n, 3) ** 2),
-    12: ([(2, 2), (3, 1), (1, -1), (6, -1)], "Z",
-         lambda n: 1 - 2 * Fr(kronecker(n, 2) ** 2) - Fr(3, 2) * kronecker(n, 3) ** 2
-         + 3 * Fr(kronecker(n, 6) ** 2)),
-    13: ([(8, 2), (48, 1), (16, -1), (24, -1)], "N",
-         lambda n: Fr(3 * kronecker(n, 6) ** 2 - 2 * kronecker(n, 2) ** 2)),
-}
+HALF = Fr(1, 2)
 
-# odd catalogue: eta-quotient factors, character (without the weight-n factor)
-_ODD = {
-    1: ([(8, 3)], lambda n: Fr(kronecker(-4, n))),
-    2: ([(16, 9), (8, -3), (32, -3)], lambda n: Fr(kronecker(-2, n))),
-    3: ([(3, 2), (12, 2), (6, -1)], lambda n: Fr(kronecker(n, 3))),
-    4: ([(48, 13), (24, -5), (96, -5)], lambda n: Fr(kronecker(-6, n))),
-    5: ([(24, 5), (48, -2)], lambda n: Fr(kronecker(n, 12))),
-    6: ([(6, 5), (3, -2)], lambda n: Fr(2 * kronecker(n, 12) - kronecker(n, 3))),
+
+@dataclass(frozen=True)
+class EtaTheta:
+    """One eta-theta function: prod eta(d tau)^e over its eta_quotient pairs
+    (d, e) is sum chi(n) n^weight q^(n^2) over n >= 1, or over Z if over_z;
+    weight is 0 for e_n (of weight 1/2) and 1 for E_m (3/2).  E_m = (c/2) sum
+    e(-ab) g_{a,b}(c^2 tau/2) over its g_pairs (a, b), with c = c_m = 2
+    denominator(a), the same for each pair: the n = nu c/2 of the sum for
+    each nu in a + Z, and n^2 = nu^2 c^2/4."""
+
+    eta_quotient: tuple
+    chi: object
+    over_z: bool = False
+    weight: int = 0
+    g_pairs: tuple = ()
+
+    @property
+    def c(self):
+        return 2 * self.g_pairs[0][0].denominator
+
+
+# Lemke Oliver's thirteen even and six odd eta-theta functions, by label
+ETA_THETA = {
+    "e1": EtaTheta(((1, 2), (2, -1)), lambda n: Fr((-1) ** n), over_z=True),
+    "e2": EtaTheta(((2, 5), (1, -2), (4, -2)), lambda n: Fr(1), over_z=True),
+    "e3": EtaTheta(((24, 1),), lambda n: Fr(kronecker(12, n))),
+    "e4": EtaTheta(((48, 1), (72, 2), (24, -1), (144, -1)), lambda n: Fr(kronecker(n, 6) ** 2)),
+    "e5": EtaTheta(((8, 1), (32, 1), (16, -1)), lambda n: Fr(kronecker(2, n))),
+    "e6": EtaTheta(((16, 2), (8, -1)), lambda n: Fr(kronecker(n, 2) ** 2)),
+    "e7": EtaTheta(((3, 1), (18, 2), (6, -1), (9, -1)),
+                   lambda n: Fr(2 * kronecker(n, 6) ** 2 - kronecker(n, 3) ** 2)),
+    "e8": EtaTheta(((6, 2), (9, 1), (36, 1), (3, -1), (12, -1), (18, -1)),
+                   lambda n: Fr(kronecker(n, 3) ** 2)),
+    "e9": EtaTheta(((48, 3), (24, -1), (96, -1)), lambda n: Fr(kronecker(24, n))),
+    "e10": EtaTheta(((24, 1), (96, 1), (144, 5), (48, -2), (72, -2), (288, -2)),
+                    lambda n: Fr(kronecker(18, n))),
+    "e11": EtaTheta(((1, 1), (4, 1), (6, 2), (2, -1), (3, -1), (12, -1)),
+                    lambda n: 1 - Fr(3, 2) * kronecker(n, 3) ** 2, over_z=True),
+    "e12": EtaTheta(((2, 2), (3, 1), (1, -1), (6, -1)),
+                    lambda n: 1 - 2 * Fr(kronecker(n, 2) ** 2) - Fr(3, 2) * kronecker(n, 3) ** 2
+                    + 3 * Fr(kronecker(n, 6) ** 2), over_z=True),
+    "e13": EtaTheta(((8, 2), (48, 1), (16, -1), (24, -1)),
+                    lambda n: Fr(3 * kronecker(n, 6) ** 2 - 2 * kronecker(n, 2) ** 2)),
+    "E1": EtaTheta(((8, 3),), lambda n: Fr(kronecker(-4, n)), weight=1,
+                   g_pairs=((Fr(1, 4), Fr(0)),)),
+    "E2": EtaTheta(((16, 9), (8, -3), (32, -3)), lambda n: Fr(kronecker(-2, n)), weight=1,
+                   g_pairs=((Fr(1, 4), HALF),)),
+    "E3": EtaTheta(((3, 2), (12, 2), (6, -1)), lambda n: Fr(kronecker(n, 3)), weight=1,
+                   g_pairs=((Fr(1, 3), Fr(0)),)),
+    "E4": EtaTheta(((48, 13), (24, -5), (96, -5)), lambda n: Fr(kronecker(-6, n)), weight=1,
+                   g_pairs=((Fr(1, 12), HALF), (Fr(5, 12), HALF))),
+    "E5": EtaTheta(((24, 5), (48, -2)), lambda n: Fr(kronecker(n, 12)), weight=1,
+                   g_pairs=((Fr(1, 6), Fr(0)),)),
+    "E6": EtaTheta(((6, 5), (3, -2)), lambda n: Fr(2 * kronecker(n, 12) - kronecker(n, 3)),
+                   weight=1, g_pairs=((Fr(1, 3), HALF),)),
 }
 
 
 def _parse_label(label):
-    """Accept 'e7', 'E3', or ('even', 7) style labels."""
+    """The record of an 'e7', 'E3', 'e_7' or ('even', 7) style label."""
     if isinstance(label, tuple):
         kind, index = label
+        prefix = {"even": "e", "odd": "E"}.get(kind)
+        key = "%s%d" % (prefix, index) if prefix and isinstance(index, int) else None
     else:
         s = str(label).replace("_", "")
-        kind = {"e": "even", "E": "odd"}.get(s[:1])
-        index = int(s[1:]) if s[1:].isdigit() else None
-    if kind == "even" and index in _EVEN:
-        return kind, index
-    if kind == "odd" and index in _ODD:
-        return kind, index
-    raise ValueError("unknown eta-theta label {!r}".format(label))
+        key = s[:1] + str(int(s[1:])) if s[1:].isdigit() else None
+    if key not in ETA_THETA:
+        raise ValueError("unknown eta-theta label {!r}".format(label))
+    return ETA_THETA[key]
 
 
 def eta_theta_eval(label, tau, representation="eta-quotient"):
     """Evaluate a catalogue member at tau via either representation."""
-    kind, index = _parse_label(label)
+    rec = _parse_label(label)
     tau = mpc(tau)
     if representation == "eta-quotient":
-        factors = _EVEN[index][0] if kind == "even" else _ODD[index][0]
         out = mpc(1)
-        for scale, power in factors:
+        for scale, power in rec.eta_quotient:
             out *= eta(scale * tau) ** power
         return out
     if representation != "character-sum":
         raise ValueError("unknown representation {!r}".format(representation))
-    if kind == "even":
-        _, domain, chi = _EVEN[index]
-        weight = 0
-    else:
-        _, chi = _ODD[index]
-        domain, weight = "N", 1
 
     def term(n, qn):
-        # n runs over 1, 2, ..., and over 0 too for an even sum over Z
-        if n == 0 and domain == "N":
-            return None
-        c = chi(n) + (chi(-n) if domain == "Z" and n else 0)
-        return (mpc(c.numerator) / c.denominator) * (n ** weight) * qn if c else None
+        # n runs over 0, 1, 2, ...; a chi summed over n >= 1 only has chi(0) = 0
+        c = rec.chi(n) + (rec.chi(-n) if rec.over_z and n else 0)
+        return (mpc(c.numerator) / c.denominator) * (n ** rec.weight) * qn if c else None
 
     return lattice_sum(term, 0, ((tau, 0, 0),), "character sum", one_sided=True)
 
 
 def eta_theta_qexp(label, order, representation="eta-quotient"):
     """Exact q-expansion of a catalogue member, truncated at `order`."""
-    kind, index = _parse_label(label)
+    rec = _parse_label(label)
     order = Fraction(order)
     if representation == "eta-quotient":
-        factors = _EVEN[index][0] if kind == "even" else _ODD[index][0]
-        return eta_quotient_qexp(factors, order)
+        return eta_quotient_qexp(rec.eta_quotient, order)
     if representation != "character-sum":
         raise ValueError("unknown representation {!r}".format(representation))
     # every exponent is a square n^2, and only n^2 < order is kept
     bound = math.isqrt(math.ceil(order))
-    pairs = []
-    if kind == "even":
-        _, domain, chi = _EVEN[index]
-        rng = range(-bound, bound + 1) if domain == "Z" else range(1, bound + 1)
-        pairs = [(n * n, chi(n)) for n in rng]
-    else:
-        _, chi = _ODD[index]
-        pairs = [(n * n, chi(n) * n) for n in range(1, bound + 1)]
-    return FormalQSeries.from_terms(pairs, order)
+    rng = range(-bound if rec.over_z else 1, bound + 1)
+    return FormalQSeries.from_terms([(n * n, rec.chi(n) * n ** rec.weight) for n in rng], order)
 
 
-# Lemma-style theta specializations: each even label e_n for n <= 8 equals
-# prefactor * q^power * e_n(scale * tau) with theta argument coef*tau + shift.
-_THETA_ROWS = {
-    1: (Fr(1, 2), Fr(0), -1j, Fr(-1, 8), Fr(1, 2)),
-    2: (Fr(1, 2), Fr(-1, 2), 1, Fr(-1, 8), Fr(1, 2)),
-    3: (Fr(1, 3), Fr(0), -1j, Fr(-1, 18), Fr(1, 72)),
-    4: (Fr(1, 3), Fr(-1, 2), 1, Fr(-1, 18), Fr(1, 72)),
-    5: (Fr(1, 4), Fr(0), -1j, Fr(-1, 32), Fr(1, 32)),
-    6: (Fr(1, 4), Fr(-1, 2), 1, Fr(-1, 32), Fr(1, 32)),
-    7: (Fr(1, 6), Fr(0), -1j, Fr(-1, 72), Fr(1, 18)),
-    8: (Fr(1, 6), Fr(-1, 2), 1, Fr(-1, 72), Fr(1, 18)),
-}
+ThetaPoint = namedtuple("ThetaPoint", "coef shift pref power scale")
+
+
+def theta_point(n):
+    """theta(coef tau + shift; tau) = pref q^power e_n(scale tau) for e_n, n <= 8: coef
+    is 1/2, 1/3, 1/4, 1/6 for n = 1-2, 3-4, 5-6, 7-8, shift is 0 for an odd n and -1/2
+    for an even n, pref is -i at shift 0 and 1 at -1/2, power = -coef^2/2, and
+    scale = 1/(2 d^2) for d the denominator of coef + 1/2."""
+    if n not in range(1, 9):
+        raise ValueError("only the first eight even members specialize")
+    coef, shift = Fr(1, (2, 3, 4, 6)[(n - 1) // 2]), Fr(n % 2 - 1, 2)
+    return ThetaPoint(coef, shift, 1 if shift else -1j, -coef ** 2 / 2,
+                      Fr(1, 2 * (coef + HALF).denominator ** 2))
 
 
 def theta_specialization_point(n, tau):
     """The theta argument (v, tau) matching even catalogue member n <= 8."""
-    coef, shift, _, _, _ = _THETA_ROWS[n]
-    tau = mpc(tau)
-    return tau * coef.numerator / coef.denominator + mpc(shift.numerator) / shift.denominator, tau
+    point, tau = theta_point(n), mpc(tau)
+    return tau * point.coef.numerator / point.coef.denominator \
+        + mpc(point.shift.numerator) / point.shift.denominator, tau
 
 
 def e_from_theta(n, tau):
@@ -291,25 +304,9 @@ def e_from_theta(n, tau):
     Matches jacobi_theta at the specialization point returned by
     theta_specialization_point.
     """
-    if n not in _THETA_ROWS:
-        raise ValueError("only the first eight even members specialize")
-    _, _, pref, qpow, scale = _THETA_ROWS[n]
-    tau = mpc(tau)
-    return pref * e2pi(tau * qpow) * eta_theta_eval(("even", n), tau * scale.numerator / scale.denominator)
-
-
-# the shadow pairs (a, b) of each odd member, the only typed data on the odd
-# side: E_m = (c/2) sum e(-ab) g_{a,b}(c^2 tau/2) over them, where
-# c = c_m = 2 * denominator(a) turns each nu in a + Z of g_{a,b} into the
-# n = nu * c/2 of E_m's character sum, and nu^2 c^2/4 into n^2
-_G_ROWS = {
-    1: ((Fr(1, 4), Fr(0)),),
-    2: ((Fr(1, 4), Fr(1, 2)),),
-    3: ((Fr(1, 3), Fr(0)),),
-    4: ((Fr(1, 12), Fr(1, 2)), (Fr(5, 12), Fr(1, 2))),
-    5: ((Fr(1, 6), Fr(0)),),
-    6: ((Fr(1, 3), Fr(1, 2)),),
-}
+    point, tau = theta_point(n), mpc(tau)
+    return point.pref * e2pi(tau * point.power) * eta_theta_eval(
+        ("even", n), tau * point.scale.numerator / point.scale.denominator)
 
 
 def E_from_g(m, tau):
@@ -319,9 +316,9 @@ def E_from_g(m, tau):
 
 
 def unary_theta_combination(m):
-    """The (c/2 e(-ab), (a, b), c^2/2) rows behind E_from_g, c = 2 denominator(a)."""
-    _, m = _parse_label(("odd", m))
-    return [(a.denominator * e2pi(-a * b), (a, b), 2 * a.denominator ** 2) for a, b in _G_ROWS[m]]
+    """The (c/2 e(-ab), (a, b), c^2/2) rows behind E_from_g, c = c_m."""
+    rec = _parse_label(("odd", m))
+    return [(rec.c // 2 * e2pi(-a * b), (a, b), rec.c ** 2 // 2) for a, b in rec.g_pairs]
 
 
 def partial_theta(m, z):
@@ -331,7 +328,7 @@ def partial_theta(m, z):
     z = mpc(z)
     if z.imag >= 0:
         raise ValueError("partial theta needs Im(z) < 0")
-    _, chi = _ODD[_parse_label(("odd", m))[1]]
+    chi = _parse_label(("odd", m)).chi
     if mp.sqrt((mp.dps + 1) * mp.ln(10) / (2 * mp.pi * -z.imag)) > SIDE_CAP:
         raise ConvergenceError("partial theta failed to converge")
 
@@ -354,13 +351,12 @@ def radial_limit(m, x):
     """
     if isinstance(x, float):
         raise TypeError("a rational point must be exact; got float %r" % (x,))
-    _, m = _parse_label(("odd", m))
-    _, chi = _ODD[m]
+    rec = _parse_label(("odd", m))
     h, k = Fr(x).numerator, Fr(x).denominator
-    M = k * 4 * _G_ROWS[m][0][0].denominator ** 2
+    M = k * rec.c ** 2
     mean, coef = {}, {}
     for n in range(1, M + 1):
-        c = chi(n)
+        c = rec.chi(n)
         if c:
             r = 2 * h * n * n % M
             mean[r] = mean.get(r, 0) + c

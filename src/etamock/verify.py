@@ -25,10 +25,11 @@ from .theta import (E_from_g, e_from_theta, eta_theta_eval, jacobi_theta, radial
                     theta_specialization_point)
 from .mu import MabSpec, g_complement, kang_pair, mordell_h, mu, xi_shadow
 from .vmn import (_SHADOW, FAMILIES, all_rows, family, fmn_product_form, fmn_theta_quotient,
-                  group_sample, parts, verify_thm11, vmn_eval_mu, vmn_eval_series, vmn_spec)
+                  group_sample, parts, transformation_root, verify_thm11, vmn_eval_mu,
+                  vmn_eval_series, vmn_spec)
 from .quantum import (ELL, M_ell, as_fraction, companion_sum, group_generators,
-                      in_quantum_set, integral_identity_rhs, mobius_rational, multiplier,
-                      two_term_law, vm1_at_rational, vmn_any)
+                      in_quantum_set, integral_identity_rhs, mobius_rational, two_term_law,
+                      vm1_at_rational, vmn_any)
 from .eichler import integral_identity_lhs, shadow_ray_integral, unary_ray_integral
 
 
@@ -102,7 +103,7 @@ def table2_terms(m, tau):
     base = family(m)
     phase_i, phase_j, offsets = _table2_row(base)
     ell = ELL[base]
-    nu = multiplier(base, 1, M_ell(ell)).value()
+    nu = transformation_root(base, 1, M_ell(ell)).value()
     A = Fraction(ell - 1, 2)
     tau = mpc(tau)
     tau1 = -1 / tau - ell
@@ -130,7 +131,7 @@ def verify_table2(m, tau):
     terms = table2_terms(base, tau)
     gamma = M_ell(ELL[base])
     lhs = vmn_eval_mu(base, 1, gamma.act(tau))
-    rhs = multiplier(base, 1, gamma).value() * mp.sqrt(gamma.c * tau + 1) \
+    rhs = transformation_root(base, 1, gamma).value() * mp.sqrt(gamma.c * tau + 1) \
         * vmn_eval_mu(base, 1, tau) + terms["I_closed"] + terms["J_closed"]
     return {
         "I": abs(terms["I_closed"] - terms["I_quad"]),

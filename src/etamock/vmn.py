@@ -11,10 +11,10 @@ completed function transforms with weight 1/2, and computes the exact
 root-of-unity multiplier of that transformation.
 
 Each row is one frozen VmnSpec, built once at import by _row and kept in
-_ROWS in the order of all_rows.  Row (m, n) pairs two eta-theta functions
-of theta: the even e_n gives the point v_n (_THETA_ROWS), and the odd E_m
-the shadow g_{a,b} (_G_ROWS).  From (a, b) follow u_n = v_n + (a - 1/2) tau
-+ (1/2 - b), t, w, the series data and the transformation group, and
+_ROWS in the order of all_rows.  Row (m, n) pairs two eta-theta records
+of theta: the even e_n gives the point v_n (theta_point), and the odd E_m
+the shadow g_{a,b} (its g_pairs).  From (a, b) follow u_n = v_n + (a - 1/2)
+tau + (1/2 - b), t, w, the series data and the transformation group, and
 from (u, v, t) by Zwegers' laws the multiplier of any gamma.  E_4 has two
 g_{a,b} rows, the labels 4p and 4pp, and row 4 is their sum.  parts(label)
 alone knows that split, and family(m) maps a label to its family.  Every
@@ -27,24 +27,22 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction as Fr
+from functools import cache
 
 from mpmath import mp, mpc, mpf
 
 from .core import fraction_mpf, lattice_sum
 from .qseries import RootOfUnity, SL2Matrix, e2pi, eta, eta_multiplier, qpoch
-from .theta import _G_ROWS, _THETA_ROWS, eta_theta_eval, jacobi_theta
+from .theta import ETA_THETA, HALF, eta_theta_eval, jacobi_theta, theta_point
 from .mu import mu, mu_hat
-
-HALF = Fr(1, 2)
 
 ATOMIC_LABELS = ("1", "2", "3", "4p", "4pp", "5", "6")
 ALL_LABELS = ATOMIC_LABELS + ("4",)
 # the families, one per odd E_m
 FAMILIES = ("1", "2", "3", "4", "5", "6")
 
-# the shadow g_{a,b} of each atomic label: the (a, b) of its odd E_m, in the
-# order of theta._G_ROWS, where E_4's two rows belong to 4p and 4pp
-_SHADOW = dict(zip(ATOMIC_LABELS, (spec for m in sorted(_G_ROWS) for spec in _G_ROWS[m]),
+# the shadow (a, b) of each atomic label, from its E_m's g_pairs: E_4's two are 4p and 4pp
+_SHADOW = dict(zip(ATOMIC_LABELS, (pair for m in FAMILIES for pair in ETA_THETA["E" + m].g_pairs),
                    strict=True))
 
 
@@ -130,17 +128,17 @@ def _row(label, n):
     integers: N is the lcm of the denominators of the tau coefficients of v
     and each u, and c is even when a constant term is not an integer.
     """
-    coef, shift, _, _, scale = _THETA_ROWS[n]
-    v = AffineTauForm(coef, shift)
+    point = theta_point(n)
+    v = AffineTauForm(point.coef, point.shift)
     us, series = [], []
     for a, b in (_SHADOW[p] for p in parts(label)):
-        u = AffineTauForm(coef + a - HALF, shift + HALF - b)
+        u = AffineTauForm(point.coef + a - HALF, point.shift + HALF - b)
         if u == AffineTauForm(0, 0):
             return None
         sign = (1 if b == 0 else -1) * (-1) ** (n + 1)
         us.append(u)
-        series.append(SeriesPart(sign=sign, e_index=n, e_scale=scale,
-                                 q_prefactor=-(1 - a) ** 2 / 2, gauss_center=HALF + coef,
+        series.append(SeriesPart(sign=sign, e_index=n, e_scale=point.scale,
+                                 q_prefactor=-(1 - a) ** 2 / 2, gauss_center=HALF + point.coef,
                                  alternating=(n % 2 == 1), den_sign=sign, den_offset=u.alpha))
     atomic = len(us) == 1
     return VmnSpec(label=label, n=n, w=RootOfUnity(1, 2) if b == 0 else RootOfUnity(1, 4),
@@ -330,9 +328,10 @@ def in_A_group(m, n, gamma):
     return named
 
 
+@cache
 def transformation_root(m, n, gamma):
     """Exact multiplier psi^-3 * (-1)^(k+l+r+s) * epsilon as a root of unity,
-    on every gamma that shifts (u, v) by integers, in the named group or not."""
+    on every gamma that shifts (u, v) by integers, in the named group or not; memoized."""
     data = shift_data(m, n, gamma)
     psi = eta_multiplier(gamma)
     root = (psi ** -3) * data.epsilon

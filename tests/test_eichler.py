@@ -7,10 +7,10 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 import etamock.eichler as eichler
-from etamock.core import exp_sinh
+from etamock.core import exp_sinh, fraction_mpf
 from etamock.qseries import e2pi
 from etamock.mu import R_correction, mordell_h
-from etamock.theta import (_G_ROWS, E_from_g, g_ab, partial_theta, radial_limit,
+from etamock.theta import (ETA_THETA, E_from_g, g_ab, partial_theta, radial_limit,
                            unary_theta_combination)
 from etamock.eichler import (_cusp_pair, g_decay_rate, integral_identity_lhs, ray_integral,
                              unary_ray_integral)
@@ -196,14 +196,25 @@ def test_minus_one_over_ell_is_excluded(m):
 
 @pytest.mark.parametrize("m, x", [("1", Fraction(1, 3)), ("5", Fraction(1, 2))])
 def test_radial_residuals_decrease(m, x):
-    # the partial theta at -2(x + it)/c_m^2 nears its radial limit as O(t)
-    # once t is small: halving t halves the residual; c_m^2/2 is E_m's scale
+    # the partial theta at -2(x + it)/c_m^2 is sum C(n) e^(-n^2 s), with
+    # s = 4 pi t/c_m^2 and C(n) = chi_m(n) e(2 x n^2/c_m^2) of period
+    # M = k c_m^2, and it is L(0, C) - L(-2, C) s + O(s^2) once t is small:
+    # halving t halves the residual against the limit L(0, C) and quarters
+    # it against the first two terms; c_m^2/2 is E_m's scale
     limit = radial_limit(int(m), x)
     square = 2 * unary_theta_combination(int(m))[0][2]
-    r1, r2 = [abs(partial_theta(int(m), -2 * mpc(mpf(x.numerator) / x.denominator, t) / square)
-                  - limit) for t in (2e-4, 1e-4)]
+    ts = (2e-4, 1e-4)
+    values = [partial_theta(int(m), -2 * mpc(mpf(x.numerator) / x.denominator, t) / square)
+              for t in ts]
+    r1, r2 = [abs(value - limit) for value in values]
     assert 1.8 < r1 / r2 < 2.2
     assert abs(limit) > 1e-6
+    # L(-2, C) = -(M^2/3) sum_{n<=M} C(n) B_3(n/M)
+    chi, M = ETA_THETA["E" + m].chi, x.denominator * square
+    L2 = -mpf(M) ** 2 / 3 * sum(fraction_mpf(chi(n)) * e2pi(2 * x * n * n / square)
+                                * mp.bernpoly(3, mpf(n) / M) for n in range(1, M + 1))
+    q1, q2 = [abs(value - (limit - L2 * 4 * mp.pi * t / square)) for value, t in zip(values, ts)]
+    assert 3.6 < q1 / q2 < 4.4
 
 
 def test_ray_integral_complex_start():
@@ -322,7 +333,7 @@ def test_ray_integral_stop_rule_against_higher_precision(monkeypatch):
 
 @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1, 3),
                                Fraction(-2, 5)])
-@pytest.mark.parametrize("spec", [p for rows in _G_ROWS.values() for p in rows])
+@pytest.mark.parametrize("spec", [p for rec in ETA_THETA.values() for p in rec.g_pairs])
 def test_the_lower_cut_decays_as_g_does_at_the_cusp(monkeypatch, spec, x):
     """The cusp_decay D that unary_ray_integral passes on is the rate of g_{a,b}
     at x = p/q: |g_{a,b}(x + it)| t^{3/2} e^{pi D/t} is the same at

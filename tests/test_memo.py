@@ -7,7 +7,8 @@ exponent mod 1.  The finite sums F_hk keep their x-only half, the steps
 and numerators at (h mod 2k, k), for the NUMERATOR_MEMO most recently used
 keys; the ray integrals keep the values of g_{a,b} at their nodes for the
 RAY_MEMO most recently used keys (their reuse and their precision are
-pinned in test_eichler.py).  These tests pin that contract: each cap holds, a value never
+pinned in test_eichler.py).  The exact multiplier transformation_root is
+memoized on (m, n, gamma), with no precision in the key.  These tests pin that contract: each cap holds, a value never
 crosses precisions, the sum route stays outside the memo, and a warm memo
 returns the bits a cold one computes.  They also pin how much the 59 rows
 share at one tau, and how much the finite sums share at one h/k, so a
@@ -29,7 +30,8 @@ from etamock.quantum import (NUMERATOR_MEMO, F_hk_terms, companion_sum, group_ge
                              in_quantum_set, integral_identity_rhs, vm1_at_rational)
 from etamock.theta import E_from_g, eta_theta_eval, jacobi_theta
 from etamock.verify import verify_thm12_iii
-from etamock.vmn import FAMILIES, all_rows, family, vmn_eval_mu, vmn_eval_series
+from etamock.vmn import (FAMILIES, all_rows, family, transformation_root, vmn_eval_mu,
+                         vmn_eval_series)
 
 DPS = 30
 
@@ -249,3 +251,15 @@ def test_the_shift_law_reads_one_numerator_at_x_and_its_image(m, n):
     x = Fr(1, 4)
     assert in_quantum_set(m, n, x) and group_generators(m, n)[1].b % 2 == 0
     assert _numerator_calls(verify_thm12_iii, m, n, x) == (1, 1)
+
+
+def test_the_multiplier_is_derived_once_per_row_and_gamma():
+    # the law at one generator reads one exact root, at any tau and precision
+    transformation_root.cache_clear()
+    verify_thm12_iii("3", 2, mpc(0.1, 0.9))
+    misses = transformation_root.cache_info().misses
+    assert misses >= 1
+    verify_thm12_iii("3", 2, mpc(-0.2, 1.1))
+    with mp.workdps(50):
+        verify_thm12_iii("3", 2, mpc(0.1, 0.9))
+    assert transformation_root.cache_info().misses == misses

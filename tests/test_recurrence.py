@@ -19,7 +19,7 @@ from mpmath import mp, mpc, mpf
 from etamock.core import QUIET_RUN, e2pi, fraction_mpf, lattice_sum
 from etamock.mu import R_correction, mu
 from etamock.qseries import _eta_sum_raw, kronecker
-from etamock.theta import (_EVEN, _ODD, _g_direct, _theta_sum, eta_theta_eval,
+from etamock.theta import (ETA_THETA, _g_direct, _theta_sum, eta_theta_eval,
                            jacobi_theta, partial_theta)
 from etamock.vmn import _lambert_sum, all_rows, vmn_spec
 
@@ -27,6 +27,9 @@ from etamock.vmn import _lambert_sum, all_rows, vmn_spec
 DPS = 16
 
 EXTRA = 30
+
+# the indices m of the odd records E_m
+ODD_INDICES = [int(label[1:]) for label in ETA_THETA if label[0] == "E"]
 
 
 def _terms_sum(terms):
@@ -98,14 +101,13 @@ def _ref_eta_sum(tau):
 
 
 def _ref_character_sum(label, tau):
-    odd, index = label[0] == "E", int(label[1:])
-    if odd:
-        chi = _ODD[index][1]
+    rec = ETA_THETA[label]
+    chi = rec.chi
+    if rec.weight:
         coeffs = ((chi(n) * n, n) for n in count(1))
         c0 = 0
     else:
-        _, domain, chi = _EVEN[index]
-        both = domain == "Z"
+        both = rec.over_z
         coeffs = ((chi(n) + (chi(-n) if both else 0), n) for n in count(1))
         c0 = chi(0) if both else 0
     total, size = _terms_sum(fraction_mpf(c) * e2pi(tau * n * n) for c, n in coeffs)
@@ -113,7 +115,7 @@ def _ref_character_sum(label, tau):
 
 
 def _ref_partial_theta(m, z):
-    chi = _ODD[m][1]
+    chi = ETA_THETA["E%d" % m].chi
     return _terms_sum(fraction_mpf(chi(n)) * mp.exp(-2j * mp.pi * z * n * n) for n in count(1))
 
 
@@ -157,11 +159,10 @@ def _cases(kernel, dps):
             return [((tau,), _ref_eta_sum) for tau in _taus(rng, [0.1, 0.9], 3)]
         if kernel == "character-sum":
             taus = _taus(rng, [0.3, 1], 1)
-            labels = ["e%d" % n for n in _EVEN] + ["E%d" % m for m in _ODD]
-            return [((label, tau), _ref_character_sum) for label in labels for tau in taus]
+            return [((label, tau), _ref_character_sum) for label in ETA_THETA for tau in taus]
         if kernel == "partial_theta":
             return [((m, mpc(rng.uniform(-0.5, 0.5), -y)), _ref_partial_theta)
-                    for m in _ODD for y in (0.1, 1)]
+                    for m in ODD_INDICES for y in (0.1, 1)]
         if kernel == "_lambert_sum":
             taus = _taus(rng, [0.3, 1], 1)
             return [((part, taus[i % 2]), _ref_lambert) for i, row in enumerate(all_rows())

@@ -1,5 +1,6 @@
 """Jacobi theta, the eta-theta catalogue, and unary theta pieces."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from etamock.core import ConvergenceError, fraction_mpf
 from etamock.qseries import SL2Matrix, e2pi, eta, eta_multiplier
 from etamock.theta import (E_from_g, _theta_product, e_from_theta,
                            eta_theta_eval, eta_theta_qexp, g_ab, jacobi_theta,
-                           partial_theta, radial_limit,
+                           partial_theta, radial_limit, theta_point,
                            theta_specialization_point,
                            unary_theta_combination)
 
@@ -30,6 +31,79 @@ PAPER_G_ROWS = {
     5: [(6, Fraction(0), (Fraction(1, 6), Fraction(0)), 72)],
     6: [(3, Fraction(-1, 6), (Fraction(1, 3), Fraction(1, 2)), 18)],
 }
+
+# the theta specializations as the paper prints them: for n <= 8,
+# theta(coef tau + shift; tau) = pref q^power e_n(scale tau), as
+# (coef, shift, pref, power, scale)
+PAPER_THETA_ROWS = {
+    1: (Fraction(1, 2), Fraction(0), -1j, Fraction(-1, 8), Fraction(1, 2)),
+    2: (Fraction(1, 2), Fraction(-1, 2), 1, Fraction(-1, 8), Fraction(1, 2)),
+    3: (Fraction(1, 3), Fraction(0), -1j, Fraction(-1, 18), Fraction(1, 72)),
+    4: (Fraction(1, 3), Fraction(-1, 2), 1, Fraction(-1, 18), Fraction(1, 72)),
+    5: (Fraction(1, 4), Fraction(0), -1j, Fraction(-1, 32), Fraction(1, 32)),
+    6: (Fraction(1, 4), Fraction(-1, 2), 1, Fraction(-1, 32), Fraction(1, 32)),
+    7: (Fraction(1, 6), Fraction(0), -1j, Fraction(-1, 72), Fraction(1, 18)),
+    8: (Fraction(1, 6), Fraction(-1, 2), 1, Fraction(-1, 72), Fraction(1, 18)),
+}
+
+
+def _theta_points_off_the_paper():
+    """The n whose derived theta point differs from PAPER_THETA_ROWS, pref
+    compared exactly, type included (-1j or 1, not a rounded e(-1/4))."""
+    off = []
+    for n, (coef, shift, pref, power, scale) in PAPER_THETA_ROWS.items():
+        point = theta_point(n)
+        if (point.coef, point.shift, point.power, point.scale) != (coef, shift, power, scale) \
+                or point.pref != pref or type(point.pref) is not type(pref):
+            off.append(n)
+    return off
+
+
+def test_theta_points_are_the_papers():
+    assert _theta_points_off_the_paper() == []
+
+
+def test_mutant_theta_point_with_d_from_coef_fails(monkeypatch):
+    # scale = 1/(2 d^2) with d the denominator of coef + 1/2; a mutant that
+    # takes d from coef alone misses every row but coef = 1/4, where both are 4
+    monkeypatch.setattr(theta, "HALF", Fraction(0))
+    assert _theta_points_off_the_paper() == [1, 2, 3, 4, 7, 8]
+
+
+@pytest.mark.parametrize("n", [0, 9, -1])
+def test_theta_point_only_for_the_first_eight(n):
+    with pytest.raises(ValueError, match="only the first eight even members specialize"):
+        theta_point(n)
+
+
+def test_records_by_label():
+    # 13 even records of weight 1/2, 6 odd of weight 3/2 with their shadow
+    # pairs; c_m is the same for both pairs of E_4
+    assert sorted(theta.ETA_THETA) == sorted(["e%d" % n for n in range(1, 14)]
+                                             + ["E%d" % m for m in range(1, 7)])
+    for label, rec in theta.ETA_THETA.items():
+        odd = label[0] == "E"
+        assert rec.weight == int(odd) and not (odd and rec.over_z)
+        paper = PAPER_G_ROWS[int(label[1:])] if odd else []
+        assert list(rec.g_pairs) == [spec for _, _, spec, _ in paper]
+        if odd:
+            assert {2 * a.denominator for a, _ in rec.g_pairs} == {rec.c}
+        else:
+            # the character sum walks n = 0, 1, 2, ...: a sum over n >= 1 needs chi(0) = 0
+            assert rec.over_z or rec.chi(0) == 0
+
+
+@pytest.mark.parametrize("label, key", [("e7", "e7"), ("E3", "E3"), ("e_7", "e7"), ("E_3", "E3"),
+                                        ("e07", "e7"), (("even", 7), "e7"), (("odd", 3), "E3")])
+def test_accepted_label_forms(label, key):
+    assert theta._parse_label(label) is theta.ETA_THETA[key]
+
+
+@pytest.mark.parametrize("label", ["e14", "E7", "e0", "x7", "e", "7", 7, ("even", "7"),
+                                   ("odd", 7), ("even", 7.0), ("odd", 0), ("neither", 1)])
+def test_rejected_label_forms(label):
+    with pytest.raises(ValueError, match="unknown eta-theta label"):
+        theta._parse_label(label)
 
 
 def test_theta_is_odd_and_vanishes_at_zero():
@@ -289,7 +363,7 @@ def test_partial_theta_rejects_upper_half_plane():
 def test_radial_limit_is_the_bernoulli_sum_over_k_c_squared(m, x):
     # k c^2 is a period of C_x at x = h/k; the term-by-term sum over it must
     # give what radial_limit gets from the least period and grouped phases
-    _, chi = theta._ODD[m]
+    chi = theta.ETA_THETA["E%d" % m].chi
     square = 2 * PAPER_G_ROWS[m][0][3]
     M = x.denominator * square
     with mp.workdps(40):
@@ -301,8 +375,8 @@ def test_radial_limit_is_the_bernoulli_sum_over_k_c_squared(m, x):
 def test_radial_limit_of_a_nonzero_mean_is_domain_error(monkeypatch):
     # with an even character in place of chi_1, at x = 0 the sum along the ray
     # is sum over odd n of e^(-n^2 s), which grows like s^(-1/2)
-    factors, _ = theta._ODD[1]
-    monkeypatch.setitem(theta._ODD, 1, (factors, lambda n: Fraction(n % 2)))
+    even_chi = dataclasses.replace(theta.ETA_THETA["E1"], chi=lambda n: Fraction(n % 2))
+    monkeypatch.setitem(theta.ETA_THETA, "E1", even_chi)
     with pytest.raises(ValueError, match="nonzero mean"):
         radial_limit(1, 0)
 
