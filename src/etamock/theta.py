@@ -15,11 +15,13 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 
 from mpmath import mp, mpc
 
-from .core import (SIDE_CAP, ConvergenceError, converging, fold_guard, fraction_mpf,
-                   lattice_sum, period_cell, reduce_tau, series_eps)
+from .core import (SIDE_CAP, ConvergenceError, converging, fixed_mul, fixed_prec, fixed_sum,
+                   fixed_walk, fold_guard, fraction_mpf, from_fixed, lattice_sum, period_cell,
+                   reduce_tau, series_eps, to_fixed)
 from .qseries import (
     KERNEL_MEMO,
     FormalQSeries,
@@ -48,6 +50,13 @@ def jacobi_theta(v, tau, representation="product"):
     (Zwegers, thesis, Prop. 1.3).  The triple product then needs a few
     factors whatever Im tau was.  For Im tau >= sqrt(3)/2 (all of F) and
     v in the cell nothing moves, and the value is the bare product.
+
+    The product multiplies on pairs of Python integers at mp.prec + 20
+    bits (core.fixed_prec), and its few exponentials are taken at those
+    bits too.  Its leading factor 1 - e(v) is -2i sin(pi v) e(v/2), so
+    theta keeps its relative precision next to its zeros v in Z + tau Z,
+    where nothing folds; at tau = 0.3 + 0.98i and v = 1e-9 + 2e-10i, dps 16,
+    the product of mpc factors it replaced kept 9 of the 16 digits.
 
     The folded value is memoized, keyed by (v, tau, mp.prec), for the
     KERNEL_MEMO = 256 most recently used keys, as eta's is: the rows of
@@ -101,23 +110,36 @@ def _elliptic_factor(v, tau, lam, m):
 
 
 def _theta_product(v, tau):
-    # the triple product, unreduced: about 1/Im(tau) factors
-    q = e2pi(tau)
-    zeta = e2pi(v)
-    eps = series_eps()
-    big = max(abs(zeta), abs(1 / zeta), mp.one)
+    # the triple product, unreduced: about 1/Im(tau) factors, multiplied on
+    # integer pairs.  Its n = 1 factor 1 - zeta = -2i sin(pi v) e(v/2) is
+    # taken out, so theta keeps its digits near its zeros:
+    # theta = -2 q^{1/8} sin(pi v) prod_{n >= 1} (1 - q^n)(1 - zeta q^n)(1 - q^n/zeta)
+    wp = fixed_prec()
+    one = 1 << wp
+    eps2 = int(mp.ldexp(series_eps(), wp) ** 2)
+    with mp.workprec(wp):
+        q = e2pi(tau)
+        zeta = e2pi(v)
+        inverse = 1 / zeta
+        # q^n, zeta q^n and q^n/zeta from n = 1, each walking by q; the
+        # larger of the last two is the envelope of the factors
+        walks = zip(*(fixed_walk(to_fixed(c * q, wp), q, None, wp) for c in (1, zeta, inverse)))
+        lead = 1 if v.imag <= 0 else 2  # |zeta| = e^(-2 pi Im v)
+        head = -2 * e2pi(tau / 8) * mp.sin(mp.pi * v)
 
     def factors():
-        qn = q
-        while True:
-            factor = (1 - qn) * (1 - zeta * qn) * (1 - qn / zeta)
-            scale = abs(qn) * big
-            qn *= q
-            yield factor, scale < eps
+        for walk in walks:
+            (a, b), (c, d), (e, f) = walk
+            factor = fixed_mul((one - a, -b), (one - c, -d), wp)
+            x, y = walk[lead]
+            yield fixed_mul(factor, (one - e, -f), wp), x * x + y * y < eps2
 
-    # the n = 1 factor (1 - zeta q^{n-1}) leads
-    prod = math.prod(converging(factors(), 10 ** 6, "theta product"), start=mpc(1) - zeta)
-    return -1j * e2pi(tau / 8) * mp.exp(-1j * mp.pi * v) * prod
+    prod = (one, 0)
+    for factor in converging(factors(), 10 ** 6, "theta product"):
+        prod = fixed_mul(prod, factor, wp)
+    with mp.workprec(wp):
+        value = head * from_fixed(prod, wp)
+    return +value
 
 
 def _theta_sum(v, tau):
@@ -127,11 +149,37 @@ def _theta_sum(v, tau):
 
 
 def _g_direct(a, b, tau):
-    af = fraction_mpf(a)
-    bf = fraction_mpf(b)
-    # x e(b x) q^{x^2/2} = x e(tau x^2/2 + b x) over x in a + Z
-    return lattice_sum(lambda x, w: x * w, int(mp.nint(-af)) + af, ((tau / 2, bf, 0),),
-                       "unary theta sum")
+    """The sum of x e(b x) q^{x^2/2} = x e(tau x^2/2 + b x) over x in a + Z,
+    for rationals a and b, at tau itself.
+
+    The sum runs on pairs of Python integers at wp = mp.prec + 20 bits,
+    with its few exponentials taken at wp bits, and stops by
+    core.fixed_sum's rule, which is lattice_sum's.  Each side of the walk
+    from the x nearest 0 is scaled by its first nonzero term: a term is
+    (x d) w/w_0 in units of w_0/d, d the denominator of a and w_0 the phase
+    at the side's first x.  So its integers keep about wp bits however
+    large Im tau is; at Im tau = 10^6 that first term is about e^(-pi 10^6).
+    """
+    a, b = Fr(a), Fr(b)
+    d = a.denominator
+    wp = fixed_prec()
+    x = a + round(-a)  # the x in a + Z nearest 0, where the phase peaks
+
+    def side(w, ratio, m, dx):
+        # from x = m/d by steps dx, with phase w at x and ratio to the next
+        walk = fixed_walk((1 << wp, 0), ratio, step, wp)
+        return w / d, ((n * re, n * im) for n, (re, im) in zip(count(m, dx * d), walk))
+
+    with mp.workprec(wp):
+        xf, bf = fraction_mpf(x), fraction_mpf(b)
+        w = e2pi(tau * xf * xf / 2 + bf * xf)
+        rho = e2pi(tau * (xf + 0.5) + bf)  # the ratio of the phases from x to x + 1
+        step = e2pi(tau)
+        down = step / rho
+        # x = 0 adds nothing, so a side that would start there starts at -1
+        sides = [side(w, down, int(x * d), -1) if x else side(down, down * step, -d, -1),
+                 side(w * rho, rho * step, int(x * d) + d, 1)]
+    return fixed_sum(sides, wp, "unary theta sum")
 
 
 def g_ab(spec, tau):
@@ -139,7 +187,11 @@ def g_ab(spec, tau):
 
     Reduces tau to the fundamental domain with the translation and
     inversion laws first, so the sum converges fast even for Im(tau)
-    close to zero (needed by the period integrals).
+    close to zero (needed by the period integrals).  The sum in F is
+    _g_direct, on Python integers.  A fold from near a rational cusp can
+    leave Im tau in the millions, and there a term is far below the
+    phase's peak at x = 0: each side of the sum is scaled by its own first
+    nonzero term, so the integers do not widen with Im tau.
     """
     a, b = map(Fr, spec)
     tau = mpc(tau)

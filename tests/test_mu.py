@@ -221,3 +221,63 @@ def test_mordell_h_below_the_fold_height_is_the_quadrature(u, tau):
     # Im tau, then Im(-1/tau), below FOLD_HEIGHT
     assert min(tau.imag, (-1 / tau).imag) < FOLD_HEIGHT
     assert mordell_h(u, tau) == _mordell_quad(u, tau)
+
+
+# Im tau from the bottom of F up to the heights a fold reaches near a cusp,
+# where mu sums its series on integer pairs with nothing folded; u and v
+# across the period cell, z = u - v on its edges too.  The error is divided
+# by |e(u/2)/theta(v)| times the sum of |terms|; the bounds are the worst
+# errors of the mpc loop this series replaced, on the same points.
+MU_SWEEP_TAUS = [mpc(mpf(re), mpf(im)) for im in ("0.87", "1", "1.7", "5", "40", "250")
+                 for re in ("-0.5", "0.29")]
+# (s_u, t_u, s_v, t_v) for u = s_u + t_u tau and v = s_v + t_v tau
+MU_CELL = [("0.21", "0.5", "-0.35", "0"), ("-0.4", "-0.5", "0.15", "0"),
+           ("0.33", "0.3", "-0.12", "-0.2"), ("-0.27", "-0.45", "0.44", "0.4"),
+           ("0.5", "0.1", "0.06", "0.35"), ("0.11", "0", "-0.5", "-0.5")]
+MU_SWEEP_WORST = {16: 6.6e-15, 30: 3.4e-29}
+
+
+def _mu_plain(u, v, tau):
+    """mu(u, v; tau) by a plain loop over n, each term from its own powers,
+    and |e(u/2)/theta(v)| times the sum of |terms|."""
+    q, eu = e2pi(tau), e2pi(u)
+    center = int(mp.nint(-v.imag / tau.imag - 0.5))
+    total, size = mpc(0), mpf(0)
+    for n in range(center - 20, center + 21):
+        term = (-1) ** n * e2pi(n * v) * q ** (n * (n + 1) // 2) / (1 - eu * q ** n)
+        total += term
+        size += abs(term)
+    scale = mp.exp(1j * mp.pi * u) / jacobi_theta(v, tau, representation="sum")
+    return scale * total, abs(scale) * size
+
+
+@pytest.mark.parametrize("dps", sorted(MU_SWEEP_WORST))
+def test_mu_series_sweep_against_a_plain_loop(dps):
+    worst = 0
+    for tau in MU_SWEEP_TAUS:
+        for su, tu, sv, tv in MU_CELL:
+            with mp.workdps(dps):
+                u, v = mpf(su) + mpf(tu) * tau, mpf(sv) + mpf(tv) * tau
+                value = mu(u, v, tau)
+            with mp.workdps(dps + 40):
+                exact, size = _mu_plain(u, v, tau)
+                worst = max(worst, abs(value - exact) / size)
+    assert worst <= MU_SWEEP_WORST[dps]
+
+
+@pytest.mark.parametrize("u, v, tau, prec", [
+    # q = e^{-40 pi}, far below one unit of a pair at 113 bits: the walk
+    # ratios keep their own exponent
+    (mpc(1 / 12, 10), mpc(0.25), mpc(0, 20), 93),
+    # |e(u) q^n| crosses 1 two steps below the peak of the numerators: the
+    # walks of e(u) q^n up and of its inverse down both start at |.| <= 1
+    (mpc(0.5), mpc(0.5, -20), mpc(0, 10), 86),
+])
+def test_mu_series_trap_points(u, v, tau, prec):
+    with mp.workprec(prec):
+        u, v, tau = mpc(u), mpc(v), mpc(tau)
+        value = mu(u, v, tau)
+        dps = mp.dps
+    with mp.workdps(dps + 40):
+        exact, size = _mu_plain(u, v, tau)
+        assert abs(value - exact) <= mpf(10) ** (2 - dps) * size

@@ -16,7 +16,7 @@ from itertools import count
 import pytest
 from mpmath import mp, mpc, mpf
 
-from etamock.core import QUIET_RUN, e2pi, fraction_mpf, lattice_sum
+from etamock.core import QUIET_RUN, e2pi, fraction_mpf, lattice_sum, quadratic_phases
 from etamock.mu import R_correction, mu
 from etamock.qseries import _eta_sum_raw, kronecker
 from etamock.theta import (ETA_THETA, _g_direct, _theta_sum, eta_theta_eval,
@@ -264,3 +264,16 @@ def test_lattice_sum_stops_relative_to_its_largest_term():
     assert big_seen == seen
     assert abs(big / scale - value) < mpf(10) ** (2 - DPS)
     assert abs(value - mp.jtheta(3, 0, mp.exp(2j * mp.pi * tau))) < mpf(10) ** (2 - DPS)
+
+
+def test_phase_with_no_square_walks_geometrically():
+    # a = 0: the ratio never changes, and the walk gives bit for bit what
+    # the recurrence gives that multiplies the ratio by e(0) = 1 every step
+    b, center = mpc(0.17, -0.4), 3
+    down, up = quadratic_phases(0, b, center)
+    w, rho, step = e2pi(b * center), e2pi(b), e2pi(0)
+    assert step == 1
+    for walk, value, ratio in ((down, w, step / rho), (up, w * rho, rho * step)):
+        for _ in range(12):
+            assert next(walk) == value
+            value, ratio = value * ratio, ratio * step

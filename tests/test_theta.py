@@ -1,15 +1,17 @@
 """Jacobi theta, the eta-theta catalogue, and unary theta pieces."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf
 
+import etamock.core as core
 import etamock.theta as theta
 from etamock.core import ConvergenceError, fraction_mpf
 from etamock.qseries import SL2Matrix, e2pi, eta, eta_multiplier
-from etamock.theta import (E_from_g, _theta_product, e_from_theta,
+from etamock.theta import (E_from_g, _g_direct, _theta_product, e_from_theta,
                            eta_theta_eval, eta_theta_qexp, g_ab, jacobi_theta,
                            partial_theta, radial_limit, theta_point,
                            theta_specialization_point,
@@ -252,6 +254,110 @@ def test_g_ab_low_height_reduction():
     with mp.workdps(40):
         slow = _g_bruteforce(a, b, tau, cutoff=2500)
     assert abs(g_ab((a, b), tau) - slow) < 1e-18
+
+
+# Im tau from the bottom of F up to the heights a fold reaches near a cusp:
+# there the product of theta and the sum of g run on integer pairs with
+# nothing folded.  Each kernel is measured against a reference at 40 more
+# digits, its error divided by the sum of |terms| its rounding works on; the
+# bounds are the worst errors of the mpc loops these kernels replaced, on
+# the same points.
+SWEEP_TAUS = [mpc(mpf(re), mpf(im)) for im in ("0.87", "1", "1.7", "5", "40", "250")
+              for re in ("-0.5", "-0.13", "0.41")]
+# v = s + t tau across the period cell
+CELL = [(mpf(s), mpf(t)) for s, t in [("-0.5", "0.5"), ("-0.31", "-0.22"), ("0.07", "0.03"),
+                                      ("0.19", "-0.5"), ("0.37", "0.41"), ("0.5", "-0.09")]]
+THETA_SWEEP_WORST = {16: 2.7e-15, 30: 2.1e-29, 40: 7.9e-40}
+G_SWEEP_WORST = {16: 9.0e-15, 30: 8.4e-30, 40: 5.5e-40}
+
+
+def _theta_terms_size(v, tau):
+    # sum over nu in Z + 1/2 of |e(tau nu^2/2 + (v + 1/2) nu)|
+    return sum(mp.exp(-mp.pi * tau.imag * nu * nu - 2 * mp.pi * v.imag * nu)
+               for nu in (n + mpf(0.5) for n in range(-13, 13)))
+
+
+@pytest.mark.parametrize("dps", sorted(THETA_SWEEP_WORST))
+def test_theta_product_sweep_against_the_sum(dps):
+    worst = 0
+    for tau in SWEEP_TAUS:
+        for s, t in CELL:
+            with mp.workdps(dps):
+                v = s + t * tau
+                value = jacobi_theta(v, tau)
+            with mp.workdps(dps + 40):
+                err = abs(value - jacobi_theta(v, tau, representation="sum"))
+                worst = max(worst, err / _theta_terms_size(v, tau))
+    assert worst <= THETA_SWEEP_WORST[dps]
+
+
+@pytest.mark.parametrize("dps", [16, 30])
+@pytest.mark.parametrize("v", [("1e-9", "2e-10"), "tau + 3e-8", ("1e-5", "0")])
+def test_theta_near_its_zeros_at_the_height_of_f(dps, v):
+    # nothing folds at Im tau >= sqrt(3)/2, so the product alone must keep
+    # relative precision as theta(v) -> 0; 1 - e(v) cancels there
+    with mp.workdps(dps):
+        tau = mpc(mpf("0.3"), mpf("0.98"))
+        v = tau + mpf("3e-8") if v == "tau + 3e-8" else mpc(*map(mpf, v))
+        value = jacobi_theta(v, tau)
+    with mp.workdps(dps + 40):
+        exact = jacobi_theta(v, tau, representation="sum")
+        assert abs(value - exact) <= mpf(10) ** (2 - dps) * abs(exact)
+
+
+def _g_terms_size(a, b, tau):
+    # sum over x in a + Z of |x e(tau x^2/2 + b x)|
+    af = fraction_mpf(a)
+    return sum(abs(x) * mp.exp(-mp.pi * tau.imag * x * x)
+               for x in (af + n for n in range(-12, 13)))
+
+
+def _g_sweep_pairs():
+    rng = random.Random(24)
+    return [(Fraction(rng.randrange(24), 24), Fraction(rng.randrange(24), 24)) for _ in range(8)] \
+        + [(Fraction(0), Fraction(5, 24)), (Fraction(1, 2), Fraction(0))]
+
+
+@pytest.mark.parametrize("dps", sorted(G_SWEEP_WORST))
+def test_g_sum_sweep_against_the_plain_sum(dps):
+    worst = 0
+    for tau in SWEEP_TAUS:
+        for a, b in _g_sweep_pairs():
+            with mp.workdps(dps):
+                value = _g_direct(a, b, tau)
+            with mp.workdps(dps + 40):
+                err = abs(value - _g_bruteforce(a, b, tau, cutoff=12))
+                worst = max(worst, err / _g_terms_size(a, b, tau))
+    assert worst <= G_SWEEP_WORST[dps]
+
+
+@pytest.mark.parametrize("a", [Fraction(0), Fraction(1, 24), Fraction(13, 24)])
+def test_g_sum_far_above_f_keeps_its_integers_narrow(monkeypatch, a):
+    # at Im tau = 10^6 the first nonzero term is about e^(-pi 10^6): scaled by
+    # the phase's peak instead, the pairs would need millions of bits
+    widths = []
+
+    def spy_walk(*args):
+        for pair in core.fixed_walk(*args):
+            widths.extend(n.bit_length() for n in pair)
+            yield pair
+
+    def spy_sum(sides, wp, what):
+        def spied(terms):
+            for pair in terms:
+                widths.extend(n.bit_length() for n in pair)
+                yield pair
+        return core.fixed_sum([(scale, spied(terms)) for scale, terms in sides], wp, what)
+
+    monkeypatch.setattr(theta, "fixed_walk", spy_walk)
+    monkeypatch.setattr(theta, "fixed_sum", spy_sum)
+    tau = mpc(mpf("0.3"), mpf("1e6"))
+    b = Fraction(7, 24)
+    value = _g_direct(a, b, tau)
+    assert widths and max(widths) <= 2 * (mp.prec + core.FIXED_GUARD)
+    with mp.workdps(DPS + 40):
+        exact = _g_bruteforce(a, b, tau, cutoff=3)
+        assert abs(value - exact) <= mpf(10) ** (2 - DPS) * abs(exact)
 
 
 EVEN_LABELS = ["e%d" % n for n in range(1, 14)]
