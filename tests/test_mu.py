@@ -266,11 +266,13 @@ def test_mu_series_sweep_against_a_plain_loop(dps):
 
 
 @pytest.mark.parametrize("u, v, tau, prec", [
-    # q = e^{-40 pi}, far below one unit of a pair at 113 bits: the walk
-    # ratios keep their own exponent
+    # q = e^{-40 pi}, far below one unit of a pair at 113 bits, and
+    # |e(u)| = e^{-20 pi}
     (mpc(1 / 12, 10), mpc(0.25), mpc(0, 20), 93),
-    # |e(u) q^n| crosses 1 two steps below the peak of the numerators: the
-    # walks of e(u) q^n up and of its inverse down both start at |.| <= 1
+    # |e(u) q^n| crosses 1 at n = 0, where the sides meet, and the
+    # numerators peak two steps above it: the up side's walk ratio falls from
+    # e^{20 pi} to e^{-20 pi} and below, which a ratio kept in units of the
+    # pairs would not resolve
     (mpc(0.5), mpc(0.5, -20), mpc(0, 10), 86),
 ])
 def test_mu_series_trap_points(u, v, tau, prec):

@@ -292,10 +292,12 @@ def test_theta_product_sweep_against_the_sum(dps):
 
 
 @pytest.mark.parametrize("dps", [16, 30])
-@pytest.mark.parametrize("v", [("1e-9", "2e-10"), "tau + 3e-8", ("1e-5", "0")])
+@pytest.mark.parametrize("v", [("1e-9", "2e-10"), "tau + 3e-8", ("1e-5", "0"),
+                               ("1e-16", "3e-17")])
 def test_theta_near_its_zeros_at_the_height_of_f(dps, v):
     # nothing folds at Im tau >= sqrt(3)/2, so the product alone must keep
-    # relative precision as theta(v) -> 0; 1 - e(v) cancels there
+    # relative precision as theta(v) -> 0; 1 - e(v) cancels there, by more
+    # than the 20 guard bits of the product at the last point
     with mp.workdps(dps):
         tau = mpc(mpf("0.3"), mpf("0.98"))
         v = tau + mpf("3e-8") if v == "tau + 3e-8" else mpc(*map(mpf, v))
