@@ -98,19 +98,10 @@ def quadratic_phases(a, b, center):
     other x = center + 1, center + 2, ...  Each steps by the recurrence
     w <- w r, r <- r e(2a), where r is the ratio to the next term, so the
     whole series costs three exponentials and one multiplication pair per
-    term; for a = 0 the ratio is constant and each term costs one
-    multiplication.  a and b may be complex; center may be any real.
+    term.  a and b may be complex; center may be any real.
     """
     w = e2pi(a * center * center + b * center)
     rho = e2pi(a * (2 * center + 1) + b)  # w(center + 1) / w(center)
-    if a == 0:
-        # e(b x) alone: the ratio is the same at every step
-        def geometric(w, r):
-            while True:
-                yield w
-                w *= r
-
-        return geometric(w, 1 / rho), geometric(w * rho, rho)
     step = e2pi(2 * a)
 
     def walk(w, r):
@@ -227,7 +218,8 @@ def fixed_walk(start, ratio, step, wp):
     start is a pair at wp; ratio and step are mpc, and r_k is kept as a
     walk ratio with its own exponent.  A walk should run the way its
     modulus shrinks: then each w_k is within a few units of 2^-wp of its
-    value, and its integers stop growing after the first.
+    value, and its integers stop growing after the first.  A ratio above
+    2^wp keeps the shift 0, and its integers widen instead.
     """
     w = start
     r, s = _ratio(ratio, wp)
@@ -241,7 +233,7 @@ def fixed_walk(start, ratio, step, wp):
         w = fixed_mul(w, r, s)
         # r step, its integers shifted back to wp bits
         c, d = fixed_mul(r, step, 0)
-        k = max(abs(c), abs(d)).bit_length() - wp
+        k = min(max(abs(c), abs(d)).bit_length() - wp, s + t)
         r, s = (c >> k, d >> k), s + t - k
 
 
@@ -253,9 +245,10 @@ def fixed_sum(sides, wp, what):
     Each side stops by lattice_sum's rule: after QUIET_RUN terms in a row
     below series_eps() * max(1, largest |term| so far), or with
     ConvergenceError after SIDE_CAP terms.  The sum of a side is exact in
-    integers, and is rounded once, when it is scaled.  A side's scale
-    should be about its first nonzero term, so that its integers keep
-    about wp bits however small or large the terms are.
+    integers; it is scaled, and the sides added, at wp bits, and the total
+    is returned at wp bits for the caller to round.  A side's scale should
+    be about its first nonzero term, so that its integers keep about wp
+    bits however small or large the terms are.
     """
     tens = 10 ** (2 * mp.dps + 2)  # 1/eps^2, eps = series_eps()
     cap = 1 << 4 * wp  # above every |pair|^2 of a side
@@ -291,7 +284,8 @@ def fixed_sum(sides, wp, what):
         for x in converging(marked(islice(terms, SIDE_CAP)), SIDE_CAP, what):
             re += x[0]
             im += x[1]
-        total += scale * from_fixed((re, im), wp)
+        with mp.workprec(wp):
+            total += scale * from_fixed((re, im), wp)
         top2 = max(top2, mpf((norm * peak, -2 * (shift + wp))))
     return total
 

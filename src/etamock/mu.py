@@ -6,6 +6,7 @@ completed forms M-hat indexed by rational (a, b), Kang's universal
 mock theta factorization, and a finite-difference shadow operator.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,7 +58,10 @@ def mu(u, v, tau):
     through core's fixed-point helpers, and stops by lattice_sum's rule.
     Its sides meet where |e(u) q^n| crosses 1, so the walk of e(u) q^n
     runs up and that of its inverse runs down, each the way its modulus
-    shrinks.
+    shrinks.  When u - v lies far outside the period cell, a side starts
+    at its first term within 2^-(wp + 40) of its largest, so its integers
+    stay below about 2 wp + 40 bits.  The sum, theta(v) and e(u/2) are
+    combined at mp.prec + 20 bits and rounded once.
     """
     u = mpc(u)
     v = mpc(v)
@@ -77,9 +81,22 @@ def _mu_series(u, v, tau):
     # k - 1 the term is -e(-u) h_n/(1 - y_n), with h_n = num_n q^{-n} and
     # y_n = 1/x_n, and y_n shrinks.  So every walk runs the way its modulus
     # shrinks, and each side is scaled by the phase of its first term.
+    #
+    # |num_n| is a Gaussian in n about c = -Im v/Im tau - 1/2, and |h_n|
+    # one about c + 1.  When u - v is far outside the period cell, k is far
+    # from c and a side's terms would grow from k to its peak, widening the
+    # integers by about 4.5 Im(u - v)^2/Im tau bits.  So a side starts at
+    # its first term within 2^-(wp + 40) of its largest; the terms it skips
+    # stay below 2^-wp of it even next to a pole (|1 - x_k| >= 6e-9 off the
+    # lattice).
     wp = fixed_prec()
     one = 1 << wp
     k = int(mp.ceil(-u.imag / tau.imag))
+    c = -v.imag / tau.imag - 0.5
+    d = float(c - mp.nint(c))
+    reach = math.sqrt((wp + 40) * math.log(2) / (math.pi * float(tau.imag)) + d * d)
+    lo = max(k, int(mp.ceil(c - reach)))
+    hi = min(k - 1, int(mp.floor(c + 1 + reach)))
 
     def side(scale, ratio, g):
         # the terms over scale: a walk from 1 by ratio, stepping by q, over
@@ -90,15 +107,20 @@ def _mu_series(u, v, tau):
 
     with mp.workprec(wp):
         q = e2pi(tau)
-        x = e2pi(u + k * tau)
-        # h_{k-1} = (-1)^{k-1} e((k - 1)(k - 2) tau/2 + (k - 1) v), with
-        # h_{n-1}/h_n = -e(-(n - 1) tau - v)
-        down = side((-1) ** k * e2pi((k - 1) * (k - 2) * tau / 2 + (k - 1) * v - u),
-                    -e2pi(-(k - 2) * tau - v), q / x)
-        # num_k, with num_{n+1}/num_n = -e((n + 1) tau + v)
-        up = side((-1) ** k * e2pi(k * (k + 1) * tau / 2 + k * v), -e2pi((k + 1) * tau + v), x)
-        head = mp.exp(1j * mp.pi * u)
-    return head / jacobi_theta(v, tau) * fixed_sum([down, up], wp, "mu series")
+        x = e2pi(u + lo * tau)
+        y = q / x if hi == lo - 1 else e2pi(-u - hi * tau)
+        # down from n = hi: -e(-u) h_hi, h_n = (-1)^n e(n (n - 1) tau/2 + n v),
+        # with h_{n-1}/h_n = -e(-(n - 1) tau - v)
+        down = side((-1) ** (hi + 1) * e2pi(hi * (hi - 1) * tau / 2 + hi * v - u),
+                    -e2pi(-(hi - 1) * tau - v), y)
+        # up from n = lo: num_lo, with num_{n+1}/num_n = -e((n + 1) tau + v)
+        up = side((-1) ** lo * e2pi(lo * (lo + 1) * tau / 2 + lo * v), -e2pi((lo + 1) * tau + v), x)
+    # the sum stops at the caller's precision; it and theta are then taken
+    # together at wp bits, and rounded once
+    total = fixed_sum([down, up], wp, "mu series")
+    with mp.workprec(wp):
+        value = mp.exp(1j * mp.pi * u) / jacobi_theta(v, tau) * total
+    return +value
 
 
 def mordell_h(u, tau):

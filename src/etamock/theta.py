@@ -154,7 +154,8 @@ def _g_direct(a, b, tau):
 
     The sum runs on pairs of Python integers at wp = mp.prec + 20 bits,
     with its few exponentials taken at wp bits, and stops by
-    core.fixed_sum's rule, which is lattice_sum's.  Each side of the walk
+    core.fixed_sum's rule, which is lattice_sum's; its two sides are added
+    at wp bits and rounded once.  Each side of the walk
     from the x nearest 0 is scaled by its first nonzero term: a term is
     (x d) w/w_0 in units of w_0/d, d the denominator of a and w_0 the phase
     at the side's first x.  So its integers keep about wp bits however
@@ -179,7 +180,7 @@ def _g_direct(a, b, tau):
         # x = 0 adds nothing, so a side that would start there starts at -1
         sides = [side(w, down, int(x * d), -1) if x else side(down, down * step, -d, -1),
                  side(w * rho, rho * step, int(x * d) + d, 1)]
-    return fixed_sum(sides, wp, "unary theta sum")
+    return +fixed_sum(sides, wp, "unary theta sum")
 
 
 def g_ab(spec, tau):

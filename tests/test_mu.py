@@ -1,16 +1,21 @@
 """Appell-Lerch mu, its completion, the shadow operator, and Mordell h."""
 
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf
 
+from etamock import core
 from etamock.qseries import e2pi, eta
 from etamock.theta import g_ab, jacobi_theta
 from etamock.mu import (FOLD_HEIGHT, MabSpec, M_hat, R_correction, _mab_prefactor,
                         _mordell_quad, g2_universal, g_complement, kang_pair, mordell_h,
                         mu, mu_hat, xi_shadow)
+
+# the module, which the package's function mu shadows as an attribute
+mu_module = importlib.import_module("etamock.mu")
 
 # working precision of every test here; see conftest.py
 DPS = 25
@@ -226,8 +231,10 @@ def test_mordell_h_below_the_fold_height_is_the_quadrature(u, tau):
 # Im tau from the bottom of F up to the heights a fold reaches near a cusp,
 # where mu sums its series on integer pairs with nothing folded; u and v
 # across the period cell, z = u - v on its edges too.  The error is divided
-# by |e(u/2)/theta(v)| times the sum of |terms|; the bounds are the worst
-# errors of the mpc loop this series replaced, on the same points.
+# by |e(u/2)/theta(v)| times the sum of |terms|.  The first bounds are the
+# worst errors of the mpc loop this series replaced, on the same points;
+# the second are ten times the worst errors of the integer series, so that
+# a later loss in it shows.
 MU_SWEEP_TAUS = [mpc(mpf(re), mpf(im)) for im in ("0.87", "1", "1.7", "5", "40", "250")
                  for re in ("-0.5", "0.29")]
 # (s_u, t_u, s_v, t_v) for u = s_u + t_u tau and v = s_v + t_v tau
@@ -235,6 +242,7 @@ MU_CELL = [("0.21", "0.5", "-0.35", "0"), ("-0.4", "-0.5", "0.15", "0"),
            ("0.33", "0.3", "-0.12", "-0.2"), ("-0.27", "-0.45", "0.44", "0.4"),
            ("0.5", "0.1", "0.06", "0.35"), ("0.11", "0", "-0.5", "-0.5")]
 MU_SWEEP_WORST = {16: 6.6e-15, 30: 3.4e-29}
+MU_SWEEP_TIGHT = {16: 1.1e-16, 30: 8.0e-31}
 
 
 def _mu_plain(u, v, tau):
@@ -242,8 +250,9 @@ def _mu_plain(u, v, tau):
     and |e(u/2)/theta(v)| times the sum of |terms|."""
     q, eu = e2pi(tau), e2pi(u)
     center = int(mp.nint(-v.imag / tau.imag - 0.5))
+    k = int(mp.ceil(-u.imag / tau.imag))  # the first n with |e(u) q^n| <= 1
     total, size = mpc(0), mpf(0)
-    for n in range(center - 20, center + 21):
+    for n in range(min(center, k) - 20, max(center, k) + 21):
         term = (-1) ** n * e2pi(n * v) * q ** (n * (n + 1) // 2) / (1 - eu * q ** n)
         total += term
         size += abs(term)
@@ -263,6 +272,7 @@ def test_mu_series_sweep_against_a_plain_loop(dps):
                 exact, size = _mu_plain(u, v, tau)
                 worst = max(worst, abs(value - exact) / size)
     assert worst <= MU_SWEEP_WORST[dps]
+    assert worst <= MU_SWEEP_TIGHT[dps]
 
 
 @pytest.mark.parametrize("u, v, tau, prec", [
@@ -274,6 +284,14 @@ def test_mu_series_sweep_against_a_plain_loop(dps):
     # e^{20 pi} to e^{-20 pi} and below, which a ratio kept in units of the
     # pairs would not resolve
     (mpc(0.5), mpc(0.5, -20), mpc(0, 10), 86),
+    # u - v far outside the period cell: |e(u) q^n| crosses 1 at n = -11,
+    # eleven steps from the peak of the numerators, and the up side's first
+    # walk ratio is about 2^91, above the 2^76 of a pair at 56 + 20 bits
+    (mpc(0.3, 11), mpc(0.2), mpc(0, 1), 56),
+    (mpc(0.3, 11), mpc(0.2), mpc(0, 1), 103),
+    # the same from the other side: the down side's terms would grow
+    (mpc(0.3), mpc(0.2, 11), mpc(0, 1), 56),
+    (mpc(0.3), mpc(0.2, 11), mpc(0, 1), 103),
 ])
 def test_mu_series_trap_points(u, v, tau, prec):
     with mp.workprec(prec):
@@ -283,3 +301,26 @@ def test_mu_series_trap_points(u, v, tau, prec):
     with mp.workdps(dps + 40):
         exact, size = _mu_plain(u, v, tau)
         assert abs(value - exact) <= mpf(10) ** (2 - dps) * size
+
+
+@pytest.mark.parametrize("u, v", [(mpc(0.3, 11), mpc(0.2)), (mpc(0.3), mpc(0.2, 11)),
+                                  (mpc(0.3, -40), mpc(0.2)), (mpc(0.3), mpc(0.2, -40))])
+def test_mu_series_far_outside_the_cell_keeps_its_integers_narrow(monkeypatch, u, v):
+    # started where |e(u) q^n| crosses 1, a side's terms would grow to the
+    # peak of the numerators, by about 4.5 Im(u - v)^2/Im tau bits: 550 at
+    # Im(u - v) = 11 and 7,200 at 40, for tau = 0.1 + i
+    widths = []
+
+    def spy_walk(*args):
+        for pair in core.fixed_walk(*args):
+            widths.extend(n.bit_length() for n in pair)
+            yield pair
+
+    monkeypatch.setattr(mu_module, "fixed_walk", spy_walk)
+    tau = mpc(0.1, 1)
+    value = mu(u, v, tau)
+    wp = mp.prec + core.FIXED_GUARD
+    assert widths and max(widths) <= 2 * wp + 48
+    with mp.workdps(DPS + 40):
+        exact, size = _mu_plain(u, v, tau)
+        assert abs(value - exact) <= mpf(10) ** (2 - DPS) * size

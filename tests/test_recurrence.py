@@ -16,7 +16,7 @@ from itertools import count
 import pytest
 from mpmath import mp, mpc, mpf
 
-from etamock.core import QUIET_RUN, e2pi, fraction_mpf, lattice_sum, quadratic_phases
+from etamock.core import QUIET_RUN, e2pi, fixed_walk, fraction_mpf, from_fixed, lattice_sum
 from etamock.mu import R_correction, mu
 from etamock.qseries import _eta_sum_raw, kronecker
 from etamock.theta import (ETA_THETA, _g_direct, _theta_sum, eta_theta_eval,
@@ -266,14 +266,16 @@ def test_lattice_sum_stops_relative_to_its_largest_term():
     assert abs(value - mp.jtheta(3, 0, mp.exp(2j * mp.pi * tau))) < mpf(10) ** (2 - DPS)
 
 
-def test_phase_with_no_square_walks_geometrically():
-    # a = 0: the ratio never changes, and the walk gives bit for bit what
-    # the recurrence gives that multiplies the ratio by e(0) = 1 every step
-    b, center = mpc(0.17, -0.4), 3
-    down, up = quadratic_phases(0, b, center)
-    w, rho, step = e2pi(b * center), e2pi(b), e2pi(0)
-    assert step == 1
-    for walk, value, ratio in ((down, w, step / rho), (up, w * rho, rho * step)):
-        for _ in range(12):
-            assert next(walk) == value
-            value, ratio = value * ratio, ratio * step
+
+def test_fixed_walk_with_a_ratio_above_its_pairs_widens_them():
+    # a first ratio of about 2^90 against pairs of 76 bits: its shift would
+    # go below zero at the first step, so the integers widen instead.  The
+    # walk rises to about 2^410 and falls back below 1 by the 20th step
+    wp = 76
+    ratio, step = mpc(mpf(2) ** 90, 3), mpc(mpf(2) ** -10, mpf(2) ** -11)
+    walk = fixed_walk((1 << wp, 0), ratio, step, wp)
+    with mp.workprec(600):
+        w, r = mpc(1), ratio
+        for _ in range(30):
+            assert abs(from_fixed(next(walk), wp) - w) <= mpf(2) ** (8 - wp) * max(1, abs(w))
+            w, r = w * r, r * step

@@ -259,9 +259,10 @@ def test_g_ab_low_height_reduction():
 # Im tau from the bottom of F up to the heights a fold reaches near a cusp:
 # there the product of theta and the sum of g run on integer pairs with
 # nothing folded.  Each kernel is measured against a reference at 40 more
-# digits, its error divided by the sum of |terms| its rounding works on; the
-# bounds are the worst errors of the mpc loops these kernels replaced, on
-# the same points.
+# digits, its error divided by the sum of |terms| its rounding works on.
+# The first bounds are the worst errors of the mpc loops these kernels
+# replaced, on the same points; the second are ten times the worst errors
+# of the integer kernels, so that a later loss in them shows.
 SWEEP_TAUS = [mpc(mpf(re), mpf(im)) for im in ("0.87", "1", "1.7", "5", "40", "250")
               for re in ("-0.5", "-0.13", "0.41")]
 # v = s + t tau across the period cell
@@ -269,6 +270,8 @@ CELL = [(mpf(s), mpf(t)) for s, t in [("-0.5", "0.5"), ("-0.31", "-0.22"), ("0.0
                                       ("0.19", "-0.5"), ("0.37", "0.41"), ("0.5", "-0.09")]]
 THETA_SWEEP_WORST = {16: 2.7e-15, 30: 2.1e-29, 40: 7.9e-40}
 G_SWEEP_WORST = {16: 9.0e-15, 30: 8.4e-30, 40: 5.5e-40}
+THETA_SWEEP_TIGHT = {16: 1.1e-16, 30: 7.5e-31, 40: 9.6e-41}
+G_SWEEP_TIGHT = {16: 1.2e-16, 30: 8.8e-31, 40: 9.8e-41}
 
 
 def _theta_terms_size(v, tau):
@@ -289,6 +292,7 @@ def test_theta_product_sweep_against_the_sum(dps):
                 err = abs(value - jacobi_theta(v, tau, representation="sum"))
                 worst = max(worst, err / _theta_terms_size(v, tau))
     assert worst <= THETA_SWEEP_WORST[dps]
+    assert worst <= THETA_SWEEP_TIGHT[dps]
 
 
 @pytest.mark.parametrize("dps", [16, 30])
@@ -331,6 +335,7 @@ def test_g_sum_sweep_against_the_plain_sum(dps):
                 err = abs(value - _g_bruteforce(a, b, tau, cutoff=12))
                 worst = max(worst, err / _g_terms_size(a, b, tau))
     assert worst <= G_SWEEP_WORST[dps]
+    assert worst <= G_SWEEP_TIGHT[dps]
 
 
 @pytest.mark.parametrize("a", [Fraction(0), Fraction(1, 24), Fraction(13, 24)])
