@@ -286,29 +286,19 @@ def test_mu_series_sweep_against_a_plain_loop(dps):
     (mpc(0.5), mpc(0.5, -20), mpc(0, 10), 86),
     # u - v far outside the period cell: |e(u) q^n| crosses 1 at n = -11,
     # eleven steps from the peak of the numerators, and the up side's first
-    # walk ratio is about 2^91, above the 2^76 of a pair at 56 + 20 bits
+    # walk ratio there is about 2^91, above the 2^76 of a pair at 56 + 20
+    # bits; started there, the side's integers would widen by about
+    # 4.5 Im(u - v)^2/Im tau bits, 550 here
     (mpc(0.3, 11), mpc(0.2), mpc(0, 1), 56),
     (mpc(0.3, 11), mpc(0.2), mpc(0, 1), 103),
     # the same from the other side: the down side's terms would grow
     (mpc(0.3), mpc(0.2, 11), mpc(0, 1), 56),
     (mpc(0.3), mpc(0.2, 11), mpc(0, 1), 103),
+    # and farther, where they would widen by 7,200 bits
+    (mpc(0.3, -40), mpc(0.2), mpc(0.1, 1), 56),
+    (mpc(0.3), mpc(0.2, -40), mpc(0.1, 1), 56),
 ])
-def test_mu_series_trap_points(u, v, tau, prec):
-    with mp.workprec(prec):
-        u, v, tau = mpc(u), mpc(v), mpc(tau)
-        value = mu(u, v, tau)
-        dps = mp.dps
-    with mp.workdps(dps + 40):
-        exact, size = _mu_plain(u, v, tau)
-        assert abs(value - exact) <= mpf(10) ** (2 - dps) * size
-
-
-@pytest.mark.parametrize("u, v", [(mpc(0.3, 11), mpc(0.2)), (mpc(0.3), mpc(0.2, 11)),
-                                  (mpc(0.3, -40), mpc(0.2)), (mpc(0.3), mpc(0.2, -40))])
-def test_mu_series_far_outside_the_cell_keeps_its_integers_narrow(monkeypatch, u, v):
-    # started where |e(u) q^n| crosses 1, a side's terms would grow to the
-    # peak of the numerators, by about 4.5 Im(u - v)^2/Im tau bits: 550 at
-    # Im(u - v) = 11 and 7,200 at 40, for tau = 0.1 + i
+def test_mu_series_trap_points(monkeypatch, u, v, tau, prec):
     widths = []
 
     def spy_walk(*args):
@@ -317,10 +307,11 @@ def test_mu_series_far_outside_the_cell_keeps_its_integers_narrow(monkeypatch, u
             yield pair
 
     monkeypatch.setattr(mu_module, "fixed_walk", spy_walk)
-    tau = mpc(0.1, 1)
-    value = mu(u, v, tau)
-    wp = mp.prec + core.FIXED_GUARD
-    assert widths and max(widths) <= 2 * wp + 48
-    with mp.workdps(DPS + 40):
+    with mp.workprec(prec):
+        u, v, tau = mpc(u), mpc(v), mpc(tau)
+        value = mu(u, v, tau)
+        dps = mp.dps
+    assert widths and max(widths) <= 2 * (prec + core.FIXED_GUARD) + 48
+    with mp.workdps(dps + 40):
         exact, size = _mu_plain(u, v, tau)
-        assert abs(value - exact) <= mpf(10) ** (2 - DPS) * size
+        assert abs(value - exact) <= mpf(10) ** (2 - dps) * size
