@@ -61,7 +61,7 @@ def mu(u, v, tau):
     shrinks.  When u - v lies far outside the period cell, a side starts
     at its first term within 2^-(wp + 40) of its largest, so its integers
     stay below about 2 wp + 40 bits.  The sum, theta(v) and e(u/2) are
-    combined at mp.prec + 20 bits and rounded once.
+    combined at wp = mp.prec + 20 bits and rounded once.
     """
     u = mpc(u)
     v = mpc(v)
@@ -93,10 +93,11 @@ def _mu_series(u, v, tau):
     one = 1 << wp
     k = int(mp.ceil(-u.imag / tau.imag))
     c = -v.imag / tau.imag - 0.5
-    d = float(c - mp.nint(c))
+    n = int(mp.nint(c))
+    d = float(c - n)  # c = n + d, |d| <= 1/2
     reach = math.sqrt((wp + 40) * math.log(2) / (math.pi * float(tau.imag)) + d * d)
-    lo = max(k, int(mp.ceil(c - reach)))
-    hi = min(k - 1, int(mp.floor(c + 1 + reach)))
+    lo = max(k, n + math.ceil(d - reach))
+    hi = min(k - 1, n + 1 + math.floor(d + reach))
 
     def side(scale, ratio, g):
         # the terms over scale: a walk from 1 by ratio, stepping by q, over
@@ -115,11 +116,12 @@ def _mu_series(u, v, tau):
                     -e2pi(-(hi - 1) * tau - v), y)
         # up from n = lo: num_lo, with num_{n+1}/num_n = -e((n + 1) tau + v)
         up = side((-1) ** lo * e2pi(lo * (lo + 1) * tau / 2 + lo * v), -e2pi((lo + 1) * tau + v), x)
-    # the sum stops at the caller's precision; it and theta are then taken
-    # together at wp bits, and rounded once
+    # the sum stops at the caller's precision and comes back at wp bits; it
+    # is combined with theta(v) and e(u/2) at wp bits and rounded once
     total = fixed_sum([down, up], wp, "mu series")
+    theta = jacobi_theta(v, tau)
     with mp.workprec(wp):
-        value = mp.exp(1j * mp.pi * u) / jacobi_theta(v, tau) * total
+        value = mp.exp(1j * mp.pi * u) / theta * total
     return +value
 
 
