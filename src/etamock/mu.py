@@ -1,7 +1,7 @@
 """Appell-Lerch mu, its completion, and the surrounding machinery.
 
-Covers the two-variable mu kernel, the Mordell integral h, the
-real-analytic correction R, the completed mu-hat, the normalized
+Covers the two-variable mu kernel, the real-analytic correction R, the
+Mordell integral h as two R sums, the completed mu-hat, the normalized
 completed forms M-hat indexed by rational (a, b), Kang's universal
 mock theta factorization, and a finite-difference shadow operator.
 """
@@ -12,8 +12,9 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .core import (converging, exp_sinh, fixed_div, fixed_prec, fixed_sum, fixed_walk, fold_guard,
-                   fraction_mpf, lattice_sum, period_cell, reduce_tau, series_eps, to_fixed)
+from .core import (QUIET_RUN, SIDE_CAP, ConvergenceError, converging, fixed_div, fixed_prec,
+                   fixed_sum, fixed_walk, fold_guard, fraction_mpf, lattice_sum, period_cell,
+                   reduce_tau, series_eps, to_fixed)
 from .qseries import e2pi, eta
 from .theta import g_ab, jacobi_theta
 
@@ -25,13 +26,9 @@ LATTICE_TOL = 1e-9
 FOLD_HEIGHT = 0.1
 
 
-def lattice_distance(u, tau):
-    """Distance from u to the nearest point of Z*tau + Z."""
-    return abs(period_cell(mpc(u), mpc(tau))[0])
-
-
 def _check_off_lattice(u, tau, name):
-    if lattice_distance(u, tau) < LATTICE_TOL:
+    # the distance from u to the nearest point of Z*tau + Z
+    if abs(period_cell(u, tau)[0]) < LATTICE_TOL:
         raise ValueError("{} is within {} of the period lattice".format(name, LATTICE_TOL))
 
 
@@ -127,46 +124,24 @@ def _mu_series(u, v, tau):
 
 def mordell_h(u, tau):
     """Mordell integral h(u; tau) = int e^{pi i tau x^2 - 2 pi u x}/cosh(pi x) dx
-    over the real line.
+    over the real line, as two erfc lattice sums and no quadrature, by
+    Zwegers' law (thesis, Prop. 1.10), which holds at every tau:
+    h(u; tau) = R(u; tau) + (-i tau)^{-1/2} e^{pi i u^2/tau} R(u/tau; -1/tau).
 
-    Where Im tau and Im(-1/tau) are both at least FOLD_HEIGHT, h is two erfc
-    lattice sums and no quadrature (Zwegers, thesis, Prop. 1.10):
-    h(u; tau) = R(u; tau) + (-i tau)^{-1/2} e^{pi i u^2/tau} R(u/tau; -1/tau),
-    each R about 1/sqrt(Im) terms.  Elsewhere one of the two R would need
-    many terms, and h is the quadrature _mordell_quad.
+    With W = sqrt((dps + 1) ln 10/(pi Im tau)), the R at tau takes at most
+    |a| + W + 6 terms a side, a = Im u/Im tau, and the R at -1/tau at most
+    |a'| + |tau| W + 6, a' = a Re tau - Re u (see R_correction): about
+    1/sqrt(Im tau) and |tau|/sqrt(Im tau).  ValueError if Im tau <= 0;
+    ConvergenceError where either R would need more than SIDE_CAP terms a
+    side, as below Im tau = 1.2e-9 at dps 16; each R raises before its first
+    erfc.
     """
     u = mpc(u)
     tau = mpc(tau)
     if tau.imag <= 0:
         raise ValueError("tau must have positive imaginary part")
-    if tau.imag < FOLD_HEIGHT or (-1 / tau).imag < FOLD_HEIGHT:
-        return _mordell_quad(u, tau)
     return R_correction(u, tau) \
         + mp.exp(1j * mp.pi * u * u / tau) / mp.sqrt(-1j * tau) * R_correction(u / tau, -1 / tau)
-
-
-def _mordell_quad(u, tau):
-    """h(u; tau) by quadrature over the real line.
-
-    The integrand's Gaussian envelope exp(-pi Im(tau) x^2 - 2 pi Re(u) x)
-    peaks at c = -Re(u)/Im(tau).  The two half-lines from c are folded into
-    one, int_0^inf f(c + t) + f(c - t) dt, which gets the nested exp-sinh
-    rule with its nodes crowded into c; f is not evaluated beyond the cut
-    X + |c|, where the envelope is below working precision.
-    ConvergenceError if the rule does not settle.
-    """
-    y = tau.imag
-    S = max(mpf(40), mp.log(10) * (mp.dps + 2))
-    X = mp.sqrt(S / (mp.pi * y)) + abs(u.real) / y + 1
-
-    def f(x):
-        return mp.exp(1j * mp.pi * tau * x * x - 2 * mp.pi * u * x) / mp.cosh(mp.pi * x)
-
-    c = -u.real / y
-    # absolute where |f| <= 1 at c, relative to |f(c)| beyond, so that a
-    # large h settles at working precision instead of below it
-    tol = max(1, abs(f(c))) * mpf(10) ** (-(mp.dps - 3))
-    return exp_sinh(lambda t: f(c + t) + f(c - t), X + abs(c), tol, "Mordell integral")
 
 
 def R_correction(u, tau):
@@ -174,11 +149,19 @@ def R_correction(u, tau):
 
     Terms carry sgn(nu) - erf(sqrt(2 pi y)(nu + a)), written through erfc
     so the Gaussian envelope is kept to full precision at large |nu|.
+    They are about e^{-pi y (nu + a)^2}, so a side takes at most
+    |a| + W + QUIET_RUN + 1 terms, W = sqrt((dps + 1) ln 10/(pi y)), and
+    2 W^2/|a| + QUIET_RUN + 1 where |a| > W.  ConvergenceError before the
+    first erfc where that passes SIDE_CAP.
     """
     u = mpc(u)
     tau = mpc(tau)
     y = tau.imag
     a = u.imag / y
+    width2 = (mp.dps + 1) * mp.ln10 / (mp.pi * y)
+    reach = abs(a) + mp.sqrt(width2) if a * a <= width2 else 2 * width2 / abs(a)
+    if reach + QUIET_RUN + 1 > SIDE_CAP:
+        raise ConvergenceError("R series failed to converge")
     root = mp.sqrt(2 * y)
     root_pi = mp.sqrt(mp.pi)
     half = mpf(0.5)

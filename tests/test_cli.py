@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -348,6 +349,17 @@ def test_series_that_does_not_converge_is_domain_error(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "domain error: partial theta failed to converge\n"
+
+
+def test_r_past_the_side_cap_is_a_prompt_domain_error(capsys):
+    # at Im tau = 1e-9, mu's R(u - v; tau) would need more than core.SIDE_CAP
+    # terms a side: it raises before its first erfc, not after seconds of them
+    start = time.perf_counter()
+    code = main(["eval", "mu", "--u", "0.2+3e-10i", "--v", "0.1+1e-10i", "--tau", "0.13+1e-9i"])
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "domain error: R series failed to converge\n"
 
 
 @pytest.mark.parametrize("argv, name, value", [

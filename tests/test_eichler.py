@@ -224,6 +224,26 @@ def test_ray_integral_complex_start():
     assert mp.isfinite(val.real) and mp.isfinite(val.imag)
 
 
+# int_{0.3}^{i inf} g_{1/12,1/2}(z)/sqrt(-i(z + tau)) dz at tau = 0.2 + 0.7i, the
+# slowest-decaying shadow pair (E4's, g ~ e^{-pi t/144}) from a start that
+# ray_integral does not treat as a cusp, though the cusp 3/10 puts a bump
+# near t = 1e-3.  By mp.quad at dps 30, split by doubling from 1e-12 to 4.4
+# and then every 32 up to 4004; dps 40 moved it by 2e-32.  Made by
+#   PYTHONPATH=src python -c "from fractions import Fraction as F; from mpmath import *;
+#     from etamock.theta import g_ab; mp.dps = 30; z0, tau = mpf('0.3'), mpc(0.2, 0.7);
+#     pts = [0] + [mpf(10)**-12 * 2**k for k in range(43)];
+#     pts += [pts[-1] + 32*j for j in range(1, 126)];
+#     print(quad(lambda t: 1j*g_ab((F(1, 12), F(1, 2)), z0 + 1j*t)/sqrt(-1j*(z0 + 1j*t + tau)), pts))"
+SLOW_RAY = ("-0.19478002947580497532326813734454", "1.1847430575542297903479867459994")
+
+
+def test_slowest_ray_from_a_non_cusp_start_keeps_the_bump():
+    for dps in (16, 30):
+        with mp.workdps(dps):
+            value = unary_ray_integral((Fraction(1, 12), Fraction(1, 2)), mpf("0.3"), mpc(0.2, 0.7))
+            assert abs(value - mpc(*SLOW_RAY)) < mpf(10) ** (3 - dps)
+
+
 def test_exp_sinh_levels_reuse_every_value():
     points = []
 

@@ -2,17 +2,19 @@
 
 import importlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf
 
 from etamock import core
+from etamock.core import ConvergenceError, exp_sinh
 from etamock.qseries import e2pi, eta
 from etamock.theta import g_ab, jacobi_theta
 from etamock.mu import (FOLD_HEIGHT, MabSpec, M_hat, R_correction, _mab_prefactor,
-                        _mordell_quad, g2_universal, g_complement, kang_pair, mordell_h,
-                        mu, mu_hat, xi_shadow)
+                        g2_universal, g_complement, kang_pair, mordell_h, mu, mu_hat,
+                        xi_shadow)
 
 # the module, which the package's function mu shadows as an attribute
 mu_module = importlib.import_module("etamock.mu")
@@ -86,9 +88,9 @@ def test_mu_hat_depends_on_both_arguments():
 
 
 def test_mordell_h_is_even():
-    tau = mpc(0.2, 0.8)
-    u = mpc(0.31, 0.27)
-    assert abs(mordell_h(u, tau) - mordell_h(-u, tau)) < 1e-21
+    # the second point is below the fold height
+    for u, tau in [(mpc(0.31, 0.27), mpc(0.2, 0.8)), (mpc(0.2, 0.0003), mpc(0.13, 0.001))]:
+        assert abs(mordell_h(u, tau) - mordell_h(-u, tau)) < 1e-21
 
 
 @pytest.mark.parametrize("u, tau", [
@@ -189,43 +191,160 @@ MORDELL_POINTS = [
 ]
 
 
+def _mordell_integrand(u, tau):
+    return lambda x: mp.exp(1j * mp.pi * tau * x * x - 2 * mp.pi * u * x) / mp.cosh(mp.pi * x)
+
+
 def _mordell_scale(u, tau):
-    """max(1, |integrand| at its peak c): the quadrature's tolerance is this
-    times 10^(3 - dps)."""
-    c = -u.real / tau.imag
-    return max(1, abs(mp.exp(1j * mp.pi * tau * c * c - 2 * mp.pi * u * c) / mp.cosh(mp.pi * c)))
+    """max(1, |integrand| at its Gaussian's peak c = -Re u/Im tau): the
+    tolerance of a value of h is this times 10^(3 - dps)."""
+    return max(1, abs(_mordell_integrand(u, tau)(-u.real / tau.imag)))
+
+
+def _exp_sinh_h(u, tau):
+    """h(u; tau) by the nested exp-sinh rule, crowded into the Gaussian's
+    peak c = -Re u/Im tau: the two half-lines from c folded into one, cut
+    where the envelope is below working precision.
+
+    Right only where Im tau and Im(-1/tau) are both at least FOLD_HEIGHT.
+    Below, c moves far out while the mass stays near x = 0, where
+    1/cosh(pi x) cuts the Gaussian off; two levels that both miss the mass
+    agree, and the rule returns a wrong value with no error (3.1e-116
+    against 1.146 + 0.188i at u = 0.2 + 0.0003i, tau = 0.13 + 0.001i).
+    """
+    y = tau.imag
+    S = max(mpf(40), mp.log(10) * (mp.dps + 2))
+    X = mp.sqrt(S / (mp.pi * y)) + abs(u.real) / y + 1
+    f = _mordell_integrand(u, tau)
+    c = -u.real / y
+    tol = _mordell_scale(u, tau) * mpf(10) ** (-(mp.dps - 3))
+    return exp_sinh(lambda t: f(c + t) + f(c - t), X + abs(c), tol, "Mordell integral")
 
 
 @pytest.mark.parametrize("u, tau", MORDELL_POINTS)
 def test_mordell_h_within_its_tolerance_at_dps_16_and_30(u, tau):
-    def f(x):
-        return mp.exp(1j * mp.pi * tau * x * x - 2 * mp.pi * u * x) / mp.cosh(mp.pi * x)
-
     c = -u.real / tau.imag
     with mp.workdps(70):
-        direct = mp.quad(f, [-mp.inf, c, mp.inf])
+        direct = mp.quad(_mordell_integrand(u, tau), [-mp.inf, c, mp.inf])
     for dps in (16, 30):
         with mp.workdps(dps):
-            # the quadrature's own tolerance, which the two-R route meets too
             assert abs(mordell_h(u, tau) - direct) < _mordell_scale(u, tau) * mpf(10) ** (3 - dps)
 
 
 @pytest.mark.parametrize("u, tau", MORDELL_POINTS + [(mpc(0.31, 0.27), mpc(0.2, 0.8))])
 def test_mordell_h_two_r_route_agrees_with_the_quadrature(u, tau):
-    # every point is in the two-R region, so the routes differ
+    # the exp-sinh rule is right at these points only
     assert tau.imag >= FOLD_HEIGHT and (-1 / tau).imag >= FOLD_HEIGHT
     for dps in (16, 30):
         with mp.workdps(dps):
-            quad = _mordell_quad(u, tau)
+            quad = _exp_sinh_h(u, tau)
             assert abs(mordell_h(u, tau) - quad) < _mordell_scale(u, tau) * mpf(10) ** (3 - dps)
 
 
-@pytest.mark.parametrize("u, tau", [(mpc(0.2, 0.03), mpc(0.1, 0.08)),
-                                    (mpc(-0.1, 0.2), mpc(3, 0.8))])
-def test_mordell_h_below_the_fold_height_is_the_quadrature(u, tau):
-    # Im tau, then Im(-1/tau), below FOLD_HEIGHT
-    assert min(tau.imag, (-1 / tau).imag) < FOLD_HEIGHT
-    assert mordell_h(u, tau) == _mordell_quad(u, tau)
+def _split_quad(u, tau):
+    """h(u; tau) by mp.quad split every 1/2 on [-60, 60], across the mass
+    near x = 0; beyond, the integrand is below 2 e^{-60 pi (1 - 2 |Re u|)}."""
+    return mp.quad(_mordell_integrand(u, tau), mp.linspace(-60, 60, 241))
+
+
+# Points where Im tau or Im(-1/tau) is below FOLD_HEIGHT, with h from
+# _split_quad at dps 30, which moved each by less than 4e-32 at dps 40:
+#   python -c "from mpmath import *; mp.dps = 30; u, t = mpc(U), mpc(T);
+#     print(quad(lambda x: exp(1j*pi*t*x*x - 2*pi*u*x)/cosh(pi*x), linspace(-60, 60, 241)))"
+# with U, T the point's Python complex numbers.  On mpmath's pure-Python
+# backend that takes 1.6 to 4.9 s a point, so the values are pinned, and
+# one point is recomputed live.
+SMALL_IM_POINTS = [
+    (0.2 + 0.0003j, 0.13 + 0.001j,
+     "1.1459679481264459594766315264736", "0.18769434944292614513429961258755"),
+    (0.1 + 0.0001j, 0.5 + 0.0005j,
+     "0.86078652473708633553925373616473", "0.25611123711865289405666722712094"),
+    (0.3 + 0.01j, 0.13 + 0.01j,
+     "1.3493713724234954170550125974032", "0.3901151134853741229146754436908"),
+    (0.3 + 0j, 3 + 0.01j,
+     "0.43683047861729024739225456346682", "0.33375636305521153993394281512651"),
+]
+
+
+@pytest.mark.parametrize("u, tau, re, im", SMALL_IM_POINTS)
+def test_mordell_h_below_the_fold_height_matches_the_split_quadrature(u, tau, re, im):
+    u, tau = mpc(u), mpc(tau)
+    with mp.workdps(35):
+        reference = mpc(re, im)
+    for dps in (16, 30):
+        with mp.workdps(dps):
+            error = abs(mordell_h(u, tau) - reference)
+            assert error < _mordell_scale(u, tau) * mpf(10) ** (3 - dps)
+
+
+def test_split_quadrature_reproduces_its_pinned_value():
+    u, tau, re, im = SMALL_IM_POINTS[2]
+    with mp.workdps(30):
+        assert abs(_split_quad(mpc(u), mpc(tau)) - mpc(re, im)) < mpf(10) ** -30
+
+
+@pytest.mark.parametrize("u, tau", MORDELL_POINTS
+                         + [(mpc(u), mpc(t)) for u, t, _, _ in SMALL_IM_POINTS])
+def test_mordell_h_elliptic_laws_at_dps_16_and_30(u, tau):
+    # Zwegers, thesis, Prop. 1.2:
+    # h(u) + h(u + 1) = 2 (-i tau)^{-1/2} e^{pi i (u + 1/2)^2/tau} and
+    # h(u) + e^{-2 pi i u - pi i tau} h(u + tau) = 2 e^{-pi i u - pi i tau/4}
+    for dps in (16, 30):
+        with mp.workdps(dps):
+            h = mordell_h(u, tau)
+            laws = [(h, mordell_h(u + 1, tau),
+                     -2 / mp.sqrt(-1j * tau) * mp.exp(1j * mp.pi * (u + 0.5) ** 2 / tau)),
+                    (h, mp.exp(-2j * mp.pi * u - 1j * mp.pi * tau) * mordell_h(u + tau, tau),
+                     -2 * mp.exp(-1j * mp.pi * u - 1j * mp.pi * tau / 4))]
+            for terms in laws:
+                scale = max([1] + [abs(t) for t in terms])
+                assert abs(sum(terms)) < scale * mpf(10) ** (3 - dps)
+
+
+def test_r_correction_side_estimate_never_undercounts(monkeypatch):
+    # R_correction raises before its sum where its estimate of the terms a
+    # side takes passes SIDE_CAP.  With SIDE_CAP one below the terms a side
+    # really took, it must raise, and before the first term.
+    real_sum = mu_module.lattice_sum
+    taken = []
+
+    def counting(term, *args):
+        def counted(n, *w):
+            taken.append(n)
+            return term(n, *w)
+        return real_sum(counted, *args)
+
+    monkeypatch.setattr(mu_module, "lattice_sum", counting)
+    rng = random.Random(7)
+    for dps in (16, 30):
+        with mp.workdps(dps):
+            for _ in range(12):
+                y = 10 ** rng.uniform(-3.5, 0.5)
+                a = rng.choice([0, 0.5, rng.uniform(-3, 3), rng.uniform(-300, 300),
+                                rng.uniform(-3e4, 3e4)])
+                u, tau = mpc(rng.uniform(-2, 2), a * y), mpc(rng.uniform(-3, 3), y)
+                monkeypatch.setattr(mu_module, "SIDE_CAP", core.SIDE_CAP)
+                taken.clear()
+                R_correction(u, tau)
+                # the sides run down from n = -1 and up from n = 0
+                side = max(-min(taken), max(taken) + 1)
+                monkeypatch.setattr(mu_module, "SIDE_CAP", side - 1)
+                taken.clear()
+                with pytest.raises(ConvergenceError, match="R series"):
+                    R_correction(u, tau)
+                assert not taken
+
+
+def test_r_past_the_side_cap_raises_at_once():
+    # at Im tau = 1e-9 and dps 16 a side of R would take about 1.1e5 terms,
+    # past core.SIDE_CAP; mu below FOLD_HEIGHT sums R(u - v; tau) there
+    with mp.workdps(16):
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="R series"):
+            mu(mpc(0.2, 3e-10), mpc(0.1, 1e-10), mpc(0.13, 1e-9))
+        with pytest.raises(ConvergenceError, match="R series"):
+            mordell_h(mpc(0.3), mpc(0.13, 1e-9))
+        assert time.perf_counter() - start < 2
 
 
 # Im tau from the bottom of F up to the heights a fold reaches near a cusp,
