@@ -265,10 +265,10 @@ def cmd_eval(args):
     routes = []  # the second routes: (check name, residual thunk, default tolerance)
     if fn == "eta":
         tau, = _options(report, args, parse_complex, "tau")
-        report.outputs["eta"] = eta(tau)
-        # the printed, folded product against the unfolded lacunary sum
+        value = report.outputs["eta"] = eta(tau)
+        # the printed, folded product against the unfolded lacunary sum, relative to |eta|
         routes.append(("eta product route matches pentagonal sum route",
-                       lambda: abs(eta(tau) - _eta_sum_raw(tau)), 1e-12))
+                       lambda: abs(value - _eta_sum_raw(tau)), 1e-12 * abs(value)))
     elif fn == "theta":
         v, tau = _options(report, args, parse_complex, "v", "tau")
         report.outputs["theta"] = jacobi_theta(v, tau)

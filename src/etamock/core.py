@@ -1,12 +1,12 @@
 """The numeric core: working precision, series summation, the reduction to
 the fundamental domain, and nested exp-sinh quadrature on the half-line.
 
-Every theta-type series is one `lattice_sum`, which owns its walk and the
-stopping test for series; the products stay on `converging`, which counts
-the quiet run that ends every series and product.  The product of theta,
-the sum of g_{a,b} and the series of mu run their inner loops on Python
-integers, through the fixed-point helpers below and `fixed_sum`, which
-stops as lattice_sum does.
+Every series has one walk and one stopping rule.  Its terms are pairs of
+Python integers, scaled per side, and `fixed_sum` stops each side after
+QUIET_RUN small terms in a row; `lattice_sum` is the front for the
+theta-type series, which walks their phases with `fixed_walk`.  The
+infinite products stay on `converging`, which counts the quiet run that
+ends every series and product.
 
 Every other module of the package builds on these; this module imports
 nothing from the package.  Numeric evaluation runs on mpmath's global
@@ -17,7 +17,7 @@ way to change it for a while); importing the package leaves it alone.
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, count, islice
+from itertools import count, islice
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import to_fixed as _mpf_to_fixed
@@ -28,7 +28,7 @@ MIN_DPS = 15
 # a series stops after this many consecutive terms pass its stopping test
 QUIET_RUN = 5
 
-# the most terms lattice_sum takes on each side of its centre
+# the most terms a series takes on each side of its centre
 SIDE_CAP = 10 ** 5
 
 # entries kept by each memo of a kernel value (e2pi at rationals here, eta
@@ -60,8 +60,8 @@ def converging(pairs, cap, what):
     run of QUIET_RUN small ones in a row.
 
     Every series and product stops here.  The infinite products bring
-    their own envelope test for "small"; lattice_sum and fixed_sum mark a
-    term small below eps times the largest term so far.  ConvergenceError
+    their own envelope test for "small"; fixed_sum marks a term small at
+    or below eps times the largest term so far.  ConvergenceError
     if `cap` pairs, or all of them, pass without such a run.
     """
     quiet = 0
@@ -89,70 +89,6 @@ def e2pi(x):
 def _e2pi_rational(x, prec):
     # prec only keys the memo: the caller's mp.prec is prec
     return mp.exp(2j * mp.pi * (mpf(x.numerator) / x.denominator))
-
-
-def quadratic_phases(a, b, center):
-    """e(a x^2 + b x), e(t) = exp(2 pi i t), over x in center + Z.
-
-    Returns two generators: one yields x = center, center - 1, ..., the
-    other x = center + 1, center + 2, ...  Each steps by the recurrence
-    w <- w r, r <- r e(2a), where r is the ratio to the next term, so the
-    whole series costs three exponentials and one multiplication pair per
-    term.  a and b may be complex; center may be any real.
-    """
-    w = e2pi(a * center * center + b * center)
-    rho = e2pi(a * (2 * center + 1) + b)  # w(center + 1) / w(center)
-    step = e2pi(2 * a)
-
-    def walk(w, r):
-        while True:
-            yield w
-            w *= r
-            r *= step
-
-    return walk(w, step / rho), walk(w * rho, rho * step)
-
-
-def lattice_sum(term, center, phases, what, one_sided=False):
-    """Sum of term(n, w_1, ..., w_k) over n in center + Z, where
-    w_i = e(a_i y^2 + b_i y) at y = n + s_i for phases = ((a_i, b_i, s_i), ...).
-
-    `term` returns the value, or None for a zero coefficient, which adds
-    nothing and does not count toward the quiet run.  The walk runs down
-    from `center`, n = center, center - 1, ..., then up from center + 1;
-    `one_sided` takes n = center and then runs up only.  Each side stops
-    after QUIET_RUN values in a row below series_eps() * max(1, largest
-    |value| so far), or raises after SIDE_CAP terms.  The test is relative
-    to the largest term, not to the running sum: a sum that cancels, such
-    as theta near a zero, cannot be more exact than eps times that term.
-    The phases step by the recurrence of quadratic_phases.
-    """
-    walks = [quadratic_phases(a, b, center + s) for a, b, s in phases]
-    if one_sided:
-        sides = [(count(center), [chain(islice(down, 1), up) for down, up in walks])]
-    else:
-        sides = [(count(center, -1), [down for down, _ in walks]),
-                 (count(center + 1), [up for _, up in walks])]
-    eps = series_eps()
-    bound = eps  # eps * max(1, largest |value| so far)
-
-    def marked(values):
-        nonlocal bound
-        for value in values:
-            if value is None:
-                continue
-            size = abs(value)
-            if size < bound:
-                yield value, True
-            else:
-                bound = max(bound, eps * size)
-                yield value, False
-
-    total = mpc(0)
-    for ns, ws in sides:
-        for value in converging(marked(map(term, islice(ns, SIDE_CAP), *ws)), SIDE_CAP, what):
-            total += value
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +140,16 @@ def fixed_div(x, y, wp):
     return ((a * c + b * d) << wp) // norm, ((b * c - a * d) << wp) // norm
 
 
+def fixed_scale(c, x):
+    """The pair x times the real c: an int, a Fraction or an mpf."""
+    if isinstance(c, mpf):
+        sign, n, exp, _ = c._mpf_  # c = (-1)^sign n 2^exp
+        n, d = (-n if sign else n) << max(exp, 0), 1 << max(-exp, 0)
+    else:
+        n, d = c.numerator, c.denominator
+    return n * x[0] // d, n * x[1] // d
+
+
 def _ratio(z, wp):
     # z as (pair, shift): z = pair 2^-shift with integers of at most wp bits;
     # an mpf (sign, man, exp, bc) is below 2^(exp + bc)
@@ -239,41 +185,38 @@ def fixed_walk(start, ratio, step, wp):
 
 def fixed_sum(sides, wp, what):
     """The sum of a series given as its sides, each a pair (scale, terms):
-    the terms are pairs at wp, and a pair x stands for the term
+    the terms are pairs at wp, or None, and a pair x stands for the term
     scale (x_re + i x_im) 2^-wp.
 
-    Each side stops by lattice_sum's rule: after QUIET_RUN terms in a row
-    below series_eps() * max(1, largest |term| so far), or with
-    ConvergenceError after SIDE_CAP terms.  The sum of a side is exact in
-    integers; it is scaled, and the sides added, at wp bits, and the total
-    is returned at wp bits for the caller to round.  A side's scale should
-    be about its first nonzero term, so that its integers keep about wp
-    bits however small or large the terms are.
+    This is the one stopping rule of every series.  Each side stops after
+    QUIET_RUN terms in a row at or below series_eps() * max(1, largest
+    |term| so far), or with ConvergenceError after SIDE_CAP terms; None
+    adds nothing and does not count toward the run.  The test is relative
+    to the largest term, not to the running sum: a sum that cancels, such
+    as theta near a zero, cannot be more exact than eps times that term.
+    A side is summed exactly in integers, scaled and added at wp bits, and
+    the total is returned at wp bits for the caller to round.  A side's
+    scale should be about its first nonzero term, so that its integers
+    keep about wp bits however small or large the terms are.
     """
     tens = 10 ** (2 * mp.dps + 2)  # 1/eps^2, eps = series_eps()
-    cap = 1 << 4 * wp  # above every |pair|^2 of a side
     top2 = mpf(1)  # max(1, largest |term| so far)^2
     total = mpc(0)
     for scale, terms in sides:
-        # |scale|^2 = norm 2^(-2 shift), so a pair x has |term|^2 =
-        # |x|^2 norm 2^(-2 (shift + wp)); the bound on |x|^2 is then
-        # eps^2 top2 2^(2 (shift + wp))/norm, at most cap
-        (a, b), shift = _ratio(scale, wp)
-        norm = a * a + b * b
-        man, exp = top2.man_exp
-        exp += 2 * (shift + wp)
-        den = norm * tens
-        if man.bit_length() + exp - den.bit_length() > 4 * wp:
-            bound2 = cap
-        else:
-            bound2 = (man << exp) // den if exp >= 0 else man // (den << -exp)
+        # a small pair x has |x|^2 <= eps^2 top2 2^(2 wp)/|scale|^2, rounded
+        # down, to 0 under a scale far above top2 (then (0, 0) is still
+        # small), and capped at 2^(4 wp), above every |pair|^2 of a side
+        scale2 = abs(scale) ** 2
+        bound2 = int(min(mp.ldexp(top2 / (scale2 * tens), 2 * wp), mpf(2) ** (4 * wp)))
         peak = 0
 
         def marked(terms):
             nonlocal bound2, peak
             for x in terms:
+                if x is None:
+                    continue
                 size2 = x[0] * x[0] + x[1] * x[1]
-                if size2 < bound2:
+                if size2 <= bound2:
                     yield x, True
                 else:
                     bound2 = max(bound2, size2 // tens)
@@ -286,8 +229,42 @@ def fixed_sum(sides, wp, what):
             im += x[1]
         with mp.workprec(wp):
             total += scale * from_fixed((re, im), wp)
-        top2 = max(top2, mpf((norm * peak, -2 * (shift + wp))))
+        top2 = max(top2, scale2 * mp.ldexp(peak, -2 * wp))
     return total
+
+
+def lattice_sum(term, center, phases, what, one_sided=False):
+    """Sum of term(n, w_1, ..., w_k) over n in center + Z, where
+    w_i = e(a_i y^2 + b_i y) at y = n + s_i for phases = ((a_i, b_i, s_i), ...):
+    the front of the theta-type series on fixed_walk and fixed_sum.
+
+    The walk runs down from `center`, then up from center + 1; `one_sided`
+    takes n = center and then runs up only.  Each side is scaled by w_1 at
+    its first n, and `term` gets w_1 as a pair at wp = fixed_prec() relative
+    to that value, every other w_i as a pair at wp of its own value.  It
+    returns a pair in the units of w_1's, or None for a zero coefficient.
+    Each phase steps on integers by w <- w r, r <- r e(2a), from three
+    exponentials a side, and should shrink the way its side walks.  The
+    sides stop by fixed_sum's rule, and the total is rounded once.
+    """
+    wp = fixed_prec()
+    starts = [(center, 1)] if one_sided else [(center, -1), (center + 1, 1)]
+    sides = []
+    with mp.workprec(wp):
+        for start, dn in starts:
+            scale, walks = mpc(1), []
+            for i, (a, b, s) in enumerate(phases):
+                y = start + s
+                w = e2pi(a * y * y + b * y)
+                # w(y + dn)/w(y) = e(a (2 y dn + 1) + b dn)
+                ratio = e2pi(a * (2 * y * dn + 1) + b * dn)
+                if i:
+                    w = to_fixed(w, wp)
+                else:
+                    scale, w = w, (1 << wp, 0)
+                walks.append(fixed_walk(w, ratio, e2pi(2 * a) if a else None, wp))
+            sides.append((scale, map(term, islice(count(start, dn), SIDE_CAP), *walks)))
+    return +fixed_sum(sides, wp, what)
 
 
 # ---------------------------------------------------------------------------

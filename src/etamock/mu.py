@@ -9,12 +9,13 @@ mock theta factorization, and a finite-difference shadow operator.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from mpmath import mp, mpc, mpf
 
 from .core import (QUIET_RUN, SIDE_CAP, ConvergenceError, converging, fixed_div, fixed_prec,
-                   fixed_sum, fixed_walk, fold_guard, fraction_mpf, lattice_sum, period_cell,
-                   reduce_tau, series_eps, to_fixed)
+                   fixed_scale, fixed_sum, fixed_walk, fold_guard, fraction_mpf, from_fixed,
+                   lattice_sum, period_cell, reduce_tau, series_eps, to_fixed)
 from .qseries import e2pi, eta
 from .theta import g_ab, jacobi_theta
 
@@ -52,12 +53,12 @@ def mu(u, v, tau):
     (u, v) per height at dps 25), so it runs only below 1/10.
 
     The series sums on pairs of Python integers at mp.prec + 20 bits,
-    through core's fixed-point helpers, and stops by lattice_sum's rule.
-    Its sides meet where |e(u) q^n| crosses 1, so the walk of e(u) q^n
-    runs up and that of its inverse runs down, each the way its modulus
-    shrinks.  When u - v lies far outside the period cell, a side starts
-    at its first term within 2^-(wp + 40) of its largest, so its integers
-    stay below about 2 wp + 40 bits.  The sum, theta(v) and e(u/2) are
+    through core's fixed-point helpers, and stops by core.fixed_sum's rule,
+    the one rule of every series.  Its sides meet where |e(u) q^n| crosses
+    1, so the walk of e(u) q^n runs up and that of its inverse runs down,
+    each the way its modulus shrinks.  When u - v lies far outside the
+    period cell, a side starts at its first term within 2^-(wp + 40) of its
+    largest, so its integers stay below about 2 wp + 40 bits.  The sum, theta(v) and e(u/2) are
     combined at wp = mp.prec + 20 bits and rounded once.
     """
     u = mpc(u)
@@ -128,13 +129,12 @@ def mordell_h(u, tau):
     Zwegers' law (thesis, Prop. 1.10), which holds at every tau:
     h(u; tau) = R(u; tau) + (-i tau)^{-1/2} e^{pi i u^2/tau} R(u/tau; -1/tau).
 
-    With W = sqrt((dps + 1) ln 10/(pi Im tau)), the R at tau takes at most
-    |a| + W + 6 terms a side, a = Im u/Im tau, and the R at -1/tau at most
-    |a'| + |tau| W + 6, a' = a Re tau - Re u (see R_correction): about
-    1/sqrt(Im tau) and |tau|/sqrt(Im tau).  ValueError if Im tau <= 0;
-    ConvergenceError where either R would need more than SIDE_CAP terms a
-    side, as below Im tau = 1.2e-9 at dps 16; each R raises before its first
-    erfc.
+    The R at tau and at -1/tau take at most max(|a|, W + 7) and
+    max(|a'|, |tau| W + 7) terms a side (see R_correction), with
+    W = sqrt((dps + 1) ln 10/(pi Im tau)), a = Im u/Im tau and
+    a' = a Re tau - Re u.  ValueError if Im tau <= 0; ConvergenceError
+    before the first erfc where either passes SIDE_CAP, as below
+    Im tau = 1.2e-9 at dps 16.
     """
     u = mpc(u)
     tau = mpc(tau)
@@ -145,36 +145,54 @@ def mordell_h(u, tau):
 
 
 def R_correction(u, tau):
-    """Zwegers' nonholomorphic correction R(u; tau).
+    """Zwegers' nonholomorphic correction R(u; tau): the sum over n of
+    (-1)^n (sgn(nu) - erf(x)) e(-tau nu^2/2 - u nu), nu = n + 1/2,
+    x = sqrt(2 pi y) t, t = nu + a, y = Im tau and a = Im u/y.
 
-    Terms carry sgn(nu) - erf(sqrt(2 pi y)(nu + a)), written through erfc
-    so the Gaussian envelope is kept to full precision at large |nu|.
-    They are about e^{-pi y (nu + a)^2}, so a side takes at most
-    |a| + W + QUIET_RUN + 1 terms, W = sqrt((dps + 1) ln 10/(pi y)), and
-    2 W^2/|a| + QUIET_RUN + 1 where |a| > W.  ConvergenceError before the
-    first erfc where that passes SIDE_CAP.
+    R(-u) = R(u) (thesis, Prop. 1.9) makes a <= 0, and then
+    sgn(nu) - erf(x) = [sgn(nu) - sgn(t)] + sgn(t) erfc(|x|), sgn(0) = 1,
+    splits R into two sums whose walks shrink: the gap, twice the raw terms
+    over 0 < nu < -a, whose modulus e^{pi y nu (nu + 2a)} falls toward
+    nu = -a; and e(a (Re u - a conj(tau)/2)) times the sum of
+    (-1)^n sgn(t) erfc(|x|) e^{x^2} e(-conj(tau) t^2/2 + (a conj(tau) - conj(u)) t),
+    the Gaussian e^{-pi y t^2} times a coefficient in (0, 1].  The raw
+    phase grows by e^{2 pi y} a step past nu = -a, so only the gap walks
+    it.  The gap takes ceil(-a - 1/2) terms and a side of the other sum at
+    most W + QUIET_RUN + 2, W = sqrt((dps + 1) ln 10/(pi y));
+    ConvergenceError before the first erfc where either passes SIDE_CAP.
     """
     u = mpc(u)
     tau = mpc(tau)
     y = tau.imag
-    a = u.imag / y
-    width2 = (mp.dps + 1) * mp.ln10 / (mp.pi * y)
-    reach = abs(a) + mp.sqrt(width2) if a * a <= width2 else 2 * width2 / abs(a)
-    if reach + QUIET_RUN + 1 > SIDE_CAP:
-        raise ConvergenceError("R series failed to converge")
-    root = mp.sqrt(2 * y)
-    root_pi = mp.sqrt(mp.pi)
-    half = mpf(0.5)
+    if u.imag > 0:
+        u = -u
+    width = mp.sqrt((mp.dps + 1) * mp.ln10 / (mp.pi * y))
+    wp = fixed_prec()
+    with mp.workprec(wp):
+        a = u.imag / y
+        gap = max(0, int(mp.ceil(-a - 0.5)))
+        if max(gap, width + QUIET_RUN + 2) > SIDE_CAP:
+            raise ConvergenceError("R series failed to converge")
+        shift = a + 0.5
+        root = mp.sqrt(2 * mp.pi * y)
+        phase = (-tau.conjugate() / 2, a * tau.conjugate() - u.conjugate(), shift)
 
     def term(n, w):
-        nu = n + half
-        sgn = 1 if nu > 0 else -1
-        amp = sgn * mp.erfc(sgn * root_pi * (nu + a) * root)
-        return (-amp if n % 2 else amp) * w
+        if w == (0, 0):
+            return w  # below 2^-wp of the side's first term: no erfc
+        x = root * (n + shift)
+        c = mp.erfc(abs(x)) * mp.exp(x * x)
+        return fixed_scale(-c if (x < 0) != (n % 2 == 1) else c, w)
 
-    # e^{-pi i nu^2 tau - 2 pi i nu u} = e(-tau nu^2/2 - u nu); nu = n + 1/2
-    # runs over -1/2, -3/2, ... and then 1/2, 3/2, ...
-    return lattice_sum(term, -1, ((-tau / 2, -u, half),), "R series")
+    total = lattice_sum(term, int(mp.nint(-shift)), (phase,), "R series")
+    with mp.workprec(wp):
+        total *= e2pi(a * (u.real - a * tau.conjugate() / 2))
+        if gap:
+            # the gap from nu = 1/2, its ratio e(-tau - u) negated for (-1)^n
+            walk = fixed_walk((1 << wp, 0), -e2pi(-tau - u), e2pi(-tau), wp)
+            total += 2 * e2pi(-tau / 8 - u / 2) * from_fixed(
+                [sum(parts) for parts in zip(*islice(walk, gap))], wp)
+    return +total
 
 
 def mu_hat(u, v, tau):

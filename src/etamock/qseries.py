@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from mpmath import mp, mpc
 
-from .core import KERNEL_MEMO, converging, e2pi, lattice_sum, reduce_tau, series_eps
+from .core import KERNEL_MEMO, converging, e2pi, fixed_scale, lattice_sum, reduce_tau, series_eps
 
 
 def kronecker(a, n):
@@ -171,7 +171,7 @@ def _eta_sum_raw(tau):
     # lacunary form: sum over m >= 1 of (12|m) q^(m^2/24); (12|0) = 0
     def term(m, qm):
         chi = kronecker(12, m)
-        return chi * qm if chi else None
+        return fixed_scale(chi, qm) if chi else None
 
     return lattice_sum(term, 0, ((tau / 24, 0, 0),), "eta sum", one_sided=True)
 

@@ -19,9 +19,9 @@ from itertools import count
 
 from mpmath import mp, mpc
 
-from .core import (SIDE_CAP, ConvergenceError, converging, fixed_mul, fixed_prec, fixed_sum,
-                   fixed_walk, fold_guard, fraction_mpf, from_fixed, lattice_sum, period_cell,
-                   reduce_tau, series_eps, to_fixed)
+from .core import (SIDE_CAP, ConvergenceError, converging, fixed_mul, fixed_prec, fixed_scale,
+                   fixed_sum, fixed_walk, fold_guard, fraction_mpf, from_fixed, lattice_sum,
+                   period_cell, reduce_tau, series_eps, to_fixed)
 from .qseries import (
     KERNEL_MEMO,
     FormalQSeries,
@@ -96,10 +96,12 @@ def _theta_folded(v, tau, prec):
     with mp.extradps(guard):
         if guard:
             tau, (factor, v) = reduce_tau(tau, (factor, v), shift, invert, "theta")
-        # v = v0 + lam tau + m with v0 in the period cell
-        v, lam, m = period_cell(v, tau)
-        if lam or m:
-            factor *= _elliptic_factor(v, tau, lam, m)
+        # v0 = v - lam tau - m in the period cell, with log10(|lam| (|lam tau| + |v|)) guard digits
+        lam = abs(v.imag) / tau.imag
+        with mp.extradps(int(mp.log10(1 + lam * (lam * abs(tau) + abs(v)))) + 1):
+            v, lam, m = period_cell(v, tau)
+            if lam or m:
+                factor *= _elliptic_factor(v, tau, lam, m)
         value = factor * _theta_product(v, tau)
     return +value
 
@@ -154,8 +156,8 @@ def _g_direct(a, b, tau):
 
     The sum runs on pairs of Python integers at wp = mp.prec + 20 bits,
     with its few exponentials taken at wp bits, and stops by
-    core.fixed_sum's rule, which is lattice_sum's; its two sides are added
-    at wp bits and rounded once.  Each side of the walk
+    core.fixed_sum's rule, the one rule of every series; its two sides are
+    added at wp bits and rounded once.  Each side of the walk
     from the x nearest 0 is scaled by its first nonzero term: a term is
     (x d) w/w_0 in units of w_0/d, d the denominator of a and w_0 the phase
     at the side's first x.  So its integers keep about wp bits however
@@ -310,7 +312,7 @@ def eta_theta_eval(label, tau, representation="eta-quotient"):
     def term(n, qn):
         # n runs over 0, 1, 2, ...; a chi summed over n >= 1 only has chi(0) = 0
         c = rec.chi(n) + (rec.chi(-n) if rec.over_z and n else 0)
-        return (mpc(c.numerator) / c.denominator) * (n ** rec.weight) * qn if c else None
+        return fixed_scale(c * n ** rec.weight, qn) if c else None
 
     return lattice_sum(term, 0, ((tau, 0, 0),), "character sum", one_sided=True)
 
@@ -387,7 +389,7 @@ def partial_theta(m, z):
 
     def term(n, w):
         c = chi(n) if n else 0
-        return (mpc(c.numerator) / c.denominator) * w if c else None
+        return fixed_scale(c, w) if c else None
 
     return lattice_sum(term, 0, ((-z, 0, 0),), "partial theta", one_sided=True)
 

@@ -29,9 +29,9 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction as Fr
 from functools import cache
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpc
 
-from .core import fraction_mpf, lattice_sum
+from .core import fixed_div, fixed_prec, fraction_mpf, lattice_sum
 from .qseries import RootOfUnity, SL2Matrix, e2pi, eta, eta_multiplier, qpoch
 from .theta import ETA_THETA, HALF, eta_theta_eval, jacobi_theta, theta_point
 from .mu import mu, mu_hat
@@ -200,15 +200,16 @@ def vmn_completed(m, n, tau):
 
 
 def _lambert_sum(part, tau):
-    tiny = mpf(10) ** (-3 * mp.dps)
+    wp = fixed_prec()
+    one = 1 << wp
 
     def term(n, num, qj):
         # j = -n: the sum runs up from j = 0 first, then down from j = -1
-        den = 1 + part.den_sign * qj
-        if abs(den) < tiny:
+        den = (one + part.den_sign * qj[0], part.den_sign * qj[1])
+        if den == (0, 0):
             raise ZeroDivisionError("Lambert denominator vanished at j=%d" % -n)
-        val = num / den
-        return -val if part.alternating and n % 2 else val
+        val = fixed_div(num, den, wp)
+        return (-val[0], -val[1]) if part.alternating and n % 2 else val
 
     # numerator e(tau (j + c)^2/2) = e(tau y^2/2) at y = n - c, and the
     # q^{j + d} of the denominator is e(-tau y) at y = n - d

@@ -100,13 +100,29 @@ def test_catalogue_row_count(capsys):
     assert len(doc["outputs"]["rows"]) == 59
 
 
+def _eta_crosscheck(capsys, tau):
+    code, out = run(capsys, "eval", "eta", "--tau", tau, "--crosscheck")
+    doc = json.loads(out)
+    check, = doc["checks"]
+    return code, check, abs(complex(doc["outputs"]["eta"]["re"], doc["outputs"]["eta"]["im"]))
+
+
 def test_eta_crosscheck_near_the_real_line(capsys):
-    # the printed, folded eta against the lacunary sum; two unfolded
+    # the printed, folded eta against the lacunary sum, relative to |eta|:
+    # here |eta| = 8.9e-5683, and the sum's rounding noise holds no digit of
+    # it, so the check fails (its tolerance is 0 as a float); two unfolded
     # routes here ran for half a minute and then failed to converge
-    code, out = run(capsys, "eval", "eta", "--tau", "0.3+2e-7i", "--crosscheck")
-    assert code == 0
-    check, = json.loads(out)["checks"]
-    assert check["passed"] and check["residual"] < 1e-13
+    code, check, size = _eta_crosscheck(capsys, "0.3+2e-7i")
+    assert code == 1 and not check["passed"]
+    assert size == check["tolerance"] == 0 and 0 < check["residual"] < 1e-13
+
+
+def test_eta_crosscheck_fails_where_eta_is_below_the_noise(capsys):
+    # |eta| = 1.3e-10 and the routes differ by about 1e-16, 1e-6 of |eta|
+    code, check, size = _eta_crosscheck(capsys, "0.3+1e-4i")
+    assert code == 1 and not check["passed"]
+    assert check["tolerance"] == pytest.approx(1e-12 * size, rel=1e-12)
+    assert check["residual"] > 1000 * check["tolerance"]
 
 
 def _clear_kernel_memos():

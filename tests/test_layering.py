@@ -4,7 +4,8 @@ Each module may import only from the modules before it in LAYERS, no
 import sits inside a function, where it would hide a cycle, and every
 name a module imports is used in it.  Only vmn names the parts of family 4,
 and only theta and vmn read the shadow pairs, the g_pairs of theta's odd
-eta-theta records.  Every public
+eta-theta records.  Outside core only the infinite products call
+`converging`; every series stops by `core.fixed_sum`.  Every public
 function or class has a caller in the package or in the benchmark.
 """
 
@@ -98,15 +99,35 @@ def test_every_imported_name_is_used(module):
     assert not unused, "%s imports names it does not use: %s" % (module, unused)
 
 
+# the infinite products of qpoch and theta, and the g_2 series, whose terms
+# are ratios of growing products: each brings its own test for "small".
+# Every other series stops by core.fixed_sum's rule
+PRODUCTS = {"qseries": {"qpoch"}, "theta": {"_theta_product"}, "mu": {"g2_universal"}}
+
+
+def _callers(tree, name):
+    """The names of the innermost functions that call `name`."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == name:
+            found.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
 @pytest.mark.parametrize("module", [m for m in _modules() if m != "core"])
 def test_series_walk_through_lattice_sum(module):
-    # theta-type series take their phases and their stop from
-    # core.lattice_sum, not from the recurrence under it
-    refs = [node.lineno for node in ast.walk(_tree(module))
-            if isinstance(node, ast.Name) and node.id == "quadratic_phases"
-            or isinstance(node, ast.Attribute) and node.attr == "quadratic_phases"
-            or isinstance(node, ast.alias) and node.name == "quadratic_phases"]
-    assert not refs, "%s uses quadratic_phases at lines %s" % (module, refs)
+    # outside core only the infinite products call converging: a series
+    # takes its walk and its stop from lattice_sum or fixed_sum
+    extra = _callers(_tree(module), "converging") - PRODUCTS.get(module, set())
+    assert not extra, "%s calls converging in %s" % (module, sorted(map(str, extra)))
 
 
 @pytest.mark.parametrize("module", [m for m in _modules() if m != "vmn"])

@@ -302,19 +302,26 @@ def test_mordell_h_elliptic_laws_at_dps_16_and_30(u, tau):
 
 
 def test_r_correction_side_estimate_never_undercounts(monkeypatch):
-    # R_correction raises before its sum where its estimate of the terms a
-    # side takes passes SIDE_CAP.  With SIDE_CAP one below the terms a side
-    # really took, it must raise, and before the first term.
-    real_sum = mu_module.lattice_sum
-    taken = []
+    # R_correction raises before its sums where its estimate of the terms a
+    # side takes passes SIDE_CAP.  With SIDE_CAP one below the terms the
+    # longest side really took, of the erfc sum or of the finite gap sum, it
+    # must raise, and before the first term of either.
+    real_sum, real_walk = mu_module.lattice_sum, mu_module.fixed_walk
+    taken, gap = [], []
 
-    def counting(term, *args):
+    def counting(term, center, *args):
         def counted(n, *w):
-            taken.append(n)
+            taken.append(n - center)
             return term(n, *w)
-        return real_sum(counted, *args)
+        return real_sum(counted, center, *args)
+
+    def counting_walk(*args):
+        for w in real_walk(*args):
+            gap.append(w)
+            yield w
 
     monkeypatch.setattr(mu_module, "lattice_sum", counting)
+    monkeypatch.setattr(mu_module, "fixed_walk", counting_walk)
     rng = random.Random(7)
     for dps in (16, 30):
         with mp.workdps(dps):
@@ -325,14 +332,17 @@ def test_r_correction_side_estimate_never_undercounts(monkeypatch):
                 u, tau = mpc(rng.uniform(-2, 2), a * y), mpc(rng.uniform(-3, 3), y)
                 monkeypatch.setattr(mu_module, "SIDE_CAP", core.SIDE_CAP)
                 taken.clear()
+                gap.clear()
                 R_correction(u, tau)
-                # the sides run down from n = -1 and up from n = 0
-                side = max(-min(taken), max(taken) + 1)
+                # the erfc sum runs down from its centre, then up from the
+                # next n; the gap sum is one side
+                side = max(1 - min(taken), max(taken), len(gap))
                 monkeypatch.setattr(mu_module, "SIDE_CAP", side - 1)
                 taken.clear()
+                gap.clear()
                 with pytest.raises(ConvergenceError, match="R series"):
                     R_correction(u, tau)
-                assert not taken
+                assert not taken and not gap
 
 
 def test_r_past_the_side_cap_raises_at_once():

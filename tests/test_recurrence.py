@@ -1,12 +1,15 @@
-"""Series kernels against their per-term formulas.
+"""Series kernels against their per-term formulas, and the one walk under them.
 
-Each theta-type kernel walks its series with `core.lattice_sum`, whose
-phases step by a recurrence with three exponentials per series.  Here each
-is compared with the plain sum of the same terms, every term computed by
-its own exponentials, at 30 more digits.  The error is measured against the sum of
+Every theta-type kernel sums its series through `core.lattice_sum`, a
+front on `core.fixed_walk` and `core.fixed_sum`: its phases step on
+pairs of Python integers, and `fixed_sum` holds the one stopping rule of
+every series.  Here each kernel is compared with the plain sum of the
+same terms, every term computed by its own exponentials, at 30 more
+digits, at dps 16, 30 and 40.  The error is measured against the sum of
 |terms|, the scale rounding works on, and must stay within 100 units of
 the working precision.  Points include Im tau = 1e-3, where the mu and R
-sums of the benchmark's cusp checks run longest.
+sums of the benchmark's cusp checks run longest, and R at |Im u/Im tau|
+up to 40, where its erfc sum and its finite gap sum both count.
 """
 
 import random
@@ -16,12 +19,13 @@ from itertools import count
 import pytest
 from mpmath import mp, mpc, mpf
 
-from etamock.core import QUIET_RUN, e2pi, fixed_walk, fraction_mpf, from_fixed, lattice_sum
+from etamock.core import (QUIET_RUN, e2pi, fixed_mul, fixed_prec, fixed_scale,
+                          fixed_sum, fixed_walk, fraction_mpf, from_fixed, lattice_sum)
 from etamock.mu import R_correction, mu
 from etamock.qseries import _eta_sum_raw, kronecker
 from etamock.theta import (ETA_THETA, _g_direct, _theta_sum, eta_theta_eval,
                            jacobi_theta, partial_theta)
-from etamock.vmn import _lambert_sum, all_rows, vmn_spec
+from etamock.vmn import SeriesPart, _lambert_sum, all_rows, vmn_spec
 
 # working precision of every test here; see conftest.py
 DPS = 16
@@ -151,6 +155,12 @@ def _cases(kernel, dps):
                 v = tau * rng.uniform(-0.9, 0.9) + rng.uniform(-0.5, 0.5)
                 out.append(((u, v, tau), _ref_mu) if kernel == "mu"
                            else ((u - v, tau), _ref_R))
+            if kernel == "R_correction":
+                # a = Im u/Im tau past the cell: a gap of up to 40 terms, and
+                # at a = +-40, Im tau = 0.9, |R| is about 2e-49
+                for tau in _taus(rng, [1e-2, 0.9], 1):
+                    out += [((mpc(rng.uniform(-0.5, 0.5), a * tau.imag), tau), _ref_R)
+                            for a in (40, -40, 2.3, -7, 1, -1.5)]
             return out
         if kernel == "_theta_sum":
             return [((tau * rng.uniform(-2, 2) + rng.uniform(-0.5, 0.5), tau), _ref_theta_sum)
@@ -182,7 +192,7 @@ KERNELS = {
 }
 
 
-@pytest.mark.parametrize("dps", [16, 30])
+@pytest.mark.parametrize("dps", [16, 30, 40])
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_kernel_matches_per_term_formula(kernel, dps):
     worst = 0
@@ -195,13 +205,24 @@ def test_kernel_matches_per_term_formula(kernel, dps):
     assert worst < mpf(10) ** (2 - dps)
 
 
+def test_lambert_denominator_that_vanishes_raises():
+    # 1 - q^(j + 0) is 0 at j = 0: the denominator pair is (0, 0)
+    part = SeriesPart(sign=1, e_index=1, e_scale=Fraction(1, 2), q_prefactor=Fraction(0),
+                      gauss_center=Fraction(1, 2), alternating=False, den_sign=-1,
+                      den_offset=Fraction(0))
+    with pytest.raises(ZeroDivisionError, match="^Lambert denominator vanished at j=0$"):
+        _lambert_sum(part, mpc(0.1, 0.8))
+
+
 @pytest.mark.parametrize("center", [0, 3, -2])
 def test_lattice_sum_two_phases_against_jtheta(center):
     # jtheta(2, z, q) = sum over n of q^{(n + 1/2)^2} e^{(2n + 1) i z}, q = e^{pi i tau}:
-    # the phases e(tau y^2/2) and e(z y/pi) at y = n + 1/2
+    # the phases e(tau y^2/2) and e(z y/pi) at y = n + 1/2; the first is
+    # relative to its value at each side's start, the second absolute
     half = mpf(0.5)
+    wp = fixed_prec()
     for tau, z in [(mpc(0.1, 0.8), mpc(0.3, 0.1)), (mpc(-0.4, 0.05), mpc(-1.2, 0.02))]:
-        value = lattice_sum(lambda n, gauss, wave: gauss * wave, center,
+        value = lattice_sum(lambda n, gauss, wave: fixed_mul(gauss, wave, wp), center,
                             ((tau / 2, 0, half), (0, z / mp.pi, half)), "test series")
         exact = mp.jtheta(2, z, mp.exp(1j * mp.pi * tau))
         assert abs(value - exact) < mpf(10) ** (2 - DPS) * max(1, abs(exact))
@@ -209,7 +230,7 @@ def test_lattice_sum_two_phases_against_jtheta(center):
 
 def test_lattice_sum_that_never_quiets_raises():
     with pytest.raises(RuntimeError, match="^test series failed to converge$"):
-        lattice_sum(lambda n: mpc(1), 0, (), "test series")
+        lattice_sum(lambda n: (1 << fixed_prec(), 0), 0, (), "test series")
 
 
 def test_lattice_sum_none_adds_nothing():
@@ -250,14 +271,14 @@ def test_lattice_sum_stops_relative_to_its_largest_term():
     # scaled by 10^40, the sum stops at the same n as unscaled: each side ends
     # on values below eps * |largest value|, not below eps
     tau = mpc(0.1, 0.3)
-    scale = mpf(10) ** 40
+    scale = 10 ** 40
     runs = []
     for factor in (1, scale):
         seen = []
 
         def term(n, w):
             seen.append(n)
-            return factor * w
+            return fixed_scale(factor, w)
 
         runs.append((lattice_sum(term, 0, ((tau, 0, 0),), "test series"), seen))
     (value, seen), (big, big_seen) = runs
@@ -265,6 +286,27 @@ def test_lattice_sum_stops_relative_to_its_largest_term():
     assert abs(big / scale - value) < mpf(10) ** (2 - DPS)
     assert abs(value - mp.jtheta(3, 0, mp.exp(2j * mp.pi * tau))) < mpf(10) ** (2 - DPS)
 
+
+def test_fixed_sum_side_of_zero_pairs_under_a_huge_scale_stops():
+    # the bound on |pair|^2 rounds down to 0 under a scale of 2^200; a
+    # (0, 0) pair at that bound still counts as small
+    seen = []
+
+    def zeros():
+        for k in count():
+            seen.append(k)
+            yield 0, 0
+
+    assert fixed_sum([(mpc(2) ** 200, zeros())], fixed_prec(), "test series") == 0
+    assert len(seen) == QUIET_RUN
+
+
+def test_fixed_scale_takes_int_fraction_and_mpf():
+    x = (3 << 70, -(5 << 70))
+    assert fixed_scale(-7, x) == (-21 << 70, 35 << 70)
+    assert fixed_scale(Fraction(-3, 4), x) == (-9 << 68, 15 << 68)
+    assert fixed_scale(mpf(-0.375), x) == (-9 << 67, 15 << 67)
+    assert fixed_scale(mpf(2) ** 80, x) == (3 << 150, -(5 << 150))
 
 
 def test_fixed_walk_with_a_ratio_above_its_pairs_widens_them():

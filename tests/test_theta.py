@@ -311,6 +311,20 @@ def test_theta_near_its_zeros_at_the_height_of_f(dps, v):
         assert abs(value - exact) <= mpf(10) ** (2 - dps) * abs(exact)
 
 
+@pytest.mark.parametrize("dps", [16, 30])
+@pytest.mark.parametrize("im_v", ["-40", "-100"])
+def test_theta_far_from_its_period_cell(dps, im_v):
+    # v = 0.2 + i Im v is 40 or 100 periods tau from its cell, and nothing
+    # folds tau: the move and the elliptic factor's exponent, about
+    # pi lam^2 |tau|, take their own guard digits
+    with mp.workdps(dps):
+        v, tau = mpc(mpf("0.2"), mpf(im_v)), mpc(mpf("0.1"), 1)
+        value = jacobi_theta(v, tau)
+    with mp.workdps(dps + 40):
+        exact = jacobi_theta(v, tau, representation="sum")
+        assert abs(value - exact) <= mpf(10) ** (2 - dps) * abs(exact)
+
+
 def _g_terms_size(a, b, tau):
     # sum over x in a + Z of |x e(tau x^2/2 + b x)|
     af = fraction_mpf(a)
