@@ -150,10 +150,11 @@ def fixed_scale(c, x):
     return n * x[0] // d, n * x[1] // d
 
 
-def _ratio(z, wp):
-    # z as (pair, shift): z = pair 2^-shift with integers of at most wp bits;
-    # an mpf (sign, man, exp, bc) is below 2^(exp + bc)
-    shift = max(0, wp - max(exp + bc for _, man, exp, bc in z._mpc_ if man))
+def _ratio(z, wp, least=0):
+    # z as (pair, shift): z = pair 2^-shift with integers of at most wp bits,
+    # or wider where the shift would fall below `least`; an mpf
+    # (sign, man, exp, bc) is below 2^(exp + bc)
+    shift = max(least, wp - max(exp + bc for _, man, exp, bc in z._mpc_ if man))
     return to_fixed(z, shift), shift
 
 
@@ -203,11 +204,17 @@ def fixed_sum(sides, wp, what):
     top2 = mpf(1)  # max(1, largest |term| so far)^2
     total = mpc(0)
     for scale, terms in sides:
-        # a small pair x has |x|^2 <= eps^2 top2 2^(2 wp)/|scale|^2, rounded
-        # down, to 0 under a scale far above top2 (then (0, 0) is still
-        # small), and capped at 2^(4 wp), above every |pair|^2 of a side
-        scale2 = abs(scale) ** 2
-        bound2 = int(min(mp.ldexp(top2 / (scale2 * tens), 2 * wp), mpf(2) ** (4 * wp)))
+        # |scale|^2 = norm 2^(-2 shift), so a small pair x has |x|^2 at most
+        # eps^2 top2 2^(2 (shift + wp))/norm, rounded down, to 0 under a scale
+        # far above top2 (then (0, 0) is small), and capped at 2^(4 wp)
+        (a, b), shift = _ratio(scale, wp, -math.inf)
+        norm = a * a + b * b
+        man, exp = top2.man_exp
+        exp += 2 * (shift + wp)
+        den = norm * tens
+        bits = man.bit_length() + exp - den.bit_length()
+        bound2 = (0 if bits < 0 else 1 << 4 * wp if bits > 4 * wp
+                  else (man << exp) // den if exp >= 0 else man // (den << -exp))
         peak = 0
 
         def marked(terms):
@@ -229,7 +236,7 @@ def fixed_sum(sides, wp, what):
             im += x[1]
         with mp.workprec(wp):
             total += scale * from_fixed((re, im), wp)
-        top2 = max(top2, scale2 * mp.ldexp(peak, -2 * wp))
+        top2 = max(top2, mpf((norm * peak, -2 * (shift + wp))))
     return total
 
 
@@ -258,10 +265,7 @@ def lattice_sum(term, center, phases, what, one_sided=False):
                 w = e2pi(a * y * y + b * y)
                 # w(y + dn)/w(y) = e(a (2 y dn + 1) + b dn)
                 ratio = e2pi(a * (2 * y * dn + 1) + b * dn)
-                if i:
-                    w = to_fixed(w, wp)
-                else:
-                    scale, w = w, (1 << wp, 0)
+                scale, w = (scale, to_fixed(w, wp)) if i else (w, (1 << wp, 0))
                 walks.append(fixed_walk(w, ratio, e2pi(2 * a) if a else None, wp))
             sides.append((scale, map(term, islice(count(start, dn), SIDE_CAP), *walks)))
     return +fixed_sum(sides, wp, what)

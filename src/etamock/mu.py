@@ -53,12 +53,12 @@ def mu(u, v, tau):
     (u, v) per height at dps 25), so it runs only below 1/10.
 
     The series sums on pairs of Python integers at mp.prec + 20 bits,
-    through core's fixed-point helpers, and stops by core.fixed_sum's rule,
-    the one rule of every series.  Its sides meet where |e(u) q^n| crosses
-    1, so the walk of e(u) q^n runs up and that of its inverse runs down,
-    each the way its modulus shrinks.  When u - v lies far outside the
-    period cell, a side starts at its first term within 2^-(wp + 40) of its
-    largest, so its integers stay below about 2 wp + 40 bits.  The sum, theta(v) and e(u/2) are
+    through core's fixed-point helpers, and stops by core.fixed_sum's rule.
+    Its sides meet where |e(u) q^n| crosses 1, so the walk of e(u) q^n
+    runs up and that of its inverse runs down, each the way its modulus
+    shrinks.  When u - v lies far outside the period cell, a side starts
+    at its first term within 2^-(wp + 40) of its largest, so its integers
+    stay below about 2 wp + 40 bits.  The sum, theta(v) and e(u/2) are
     combined at wp = mp.prec + 20 bits and rounded once.
     """
     u = mpc(u)
@@ -130,11 +130,10 @@ def mordell_h(u, tau):
     h(u; tau) = R(u; tau) + (-i tau)^{-1/2} e^{pi i u^2/tau} R(u/tau; -1/tau).
 
     The R at tau and at -1/tau take at most max(|a|, W + 7) and
-    max(|a'|, |tau| W + 7) terms a side (see R_correction), with
-    W = sqrt((dps + 1) ln 10/(pi Im tau)), a = Im u/Im tau and
-    a' = a Re tau - Re u.  ValueError if Im tau <= 0; ConvergenceError
-    before the first erfc where either passes SIDE_CAP, as below
-    Im tau = 1.2e-9 at dps 16.
+    max(|a'|, |tau| W + 7) terms a side, W = sqrt((dps + 1) ln 10/(pi Im tau)),
+    a = Im u/Im tau and a' = a Re tau - Re u (see R_correction).  ValueError
+    if Im tau <= 0; ConvergenceError before the first erfc where either
+    passes SIDE_CAP, as below Im tau = 1.2e-9 at dps 16.
     """
     u = mpc(u)
     tau = mpc(tau)
@@ -152,14 +151,13 @@ def R_correction(u, tau):
     R(-u) = R(u) (thesis, Prop. 1.9) makes a <= 0, and then
     sgn(nu) - erf(x) = [sgn(nu) - sgn(t)] + sgn(t) erfc(|x|), sgn(0) = 1,
     splits R into two sums whose walks shrink: the gap, twice the raw terms
-    over 0 < nu < -a, whose modulus e^{pi y nu (nu + 2a)} falls toward
-    nu = -a; and e(a (Re u - a conj(tau)/2)) times the sum of
-    (-1)^n sgn(t) erfc(|x|) e^{x^2} e(-conj(tau) t^2/2 + (a conj(tau) - conj(u)) t),
-    the Gaussian e^{-pi y t^2} times a coefficient in (0, 1].  The raw
-    phase grows by e^{2 pi y} a step past nu = -a, so only the gap walks
-    it.  The gap takes ceil(-a - 1/2) terms and a side of the other sum at
-    most W + QUIET_RUN + 2, W = sqrt((dps + 1) ln 10/(pi y));
-    ConvergenceError before the first erfc where either passes SIDE_CAP.
+    over 0 < nu < -a, which fall toward nu = -a, past which the raw phase
+    grows by e^{2 pi y} a step; and e(a (Re u - a conj(tau)/2)) times the
+    sum of (-1)^n sgn(t) erfc(|x|) e^{x^2} e(-conj(tau) t^2/2 + (a conj(tau) - conj(u)) t),
+    a Gaussian e^{-pi y t^2} times a coefficient in (0, 1].  The gap takes
+    ceil(-a - 1/2) terms and a side of the other sum at most
+    W + QUIET_RUN + 2, W = sqrt((dps + 1) ln 10/(pi y)); ConvergenceError
+    before the first erfc where either passes SIDE_CAP.
     """
     u = mpc(u)
     tau = mpc(tau)

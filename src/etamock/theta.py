@@ -96,9 +96,8 @@ def _theta_folded(v, tau, prec):
     with mp.extradps(guard):
         if guard:
             tau, (factor, v) = reduce_tau(tau, (factor, v), shift, invert, "theta")
-        # v0 = v - lam tau - m in the period cell, with log10(|lam| (|lam tau| + |v|)) guard digits
-        lam = abs(v.imag) / tau.imag
-        with mp.extradps(int(mp.log10(1 + lam * (lam * abs(tau) + abs(v)))) + 1):
+        # v0 = v - lam tau - m in the period cell, with about log2(lam^2 |tau v|) guard bits
+        with mp.extraprec(max(0, 2 * mp.mag(v.imag / tau.imag) + mp.mag(tau) + mp.mag(v))):
             v, lam, m = period_cell(v, tau)
             if lam or m:
                 factor *= _elliptic_factor(v, tau, lam, m)
