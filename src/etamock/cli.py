@@ -107,11 +107,18 @@ def format_value(v):
     return v
 
 
+def check_number(v):
+    """A check's residual or tolerance as a float, or as mp.nstr text where
+    a nonzero value is below the float range, so that it cannot read as 0."""
+    f = float(v)
+    return f if f or not v else mp.nstr(v, 15)
+
+
 @dataclass
 class Check:
     name: str
-    residual: float
-    tolerance: float
+    residual: mpf
+    tolerance: mpf
 
     @property
     def passed(self):
@@ -131,7 +138,7 @@ class RunReport:
         """Record a check; --tol replaces its tolerance unless that is 0 (exact)."""
         if tolerance and self.tol is not None:
             tolerance = self.tol
-        self.checks.append(Check(name, float(residual), float(tolerance)))
+        self.checks.append(Check(name, mp.mpmathify(residual), mp.mpmathify(tolerance)))
 
     @property
     def ok(self):
@@ -142,8 +149,8 @@ class RunReport:
             "command": self.command,
             "inputs": {k: format_value(v) for k, v in self.inputs.items()},
             "outputs": {k: format_value(v) for k, v in self.outputs.items()},
-            "checks": [{"name": c.name, "residual": c.residual,
-                        "tolerance": c.tolerance, "passed": c.passed}
+            "checks": [{"name": c.name, "residual": check_number(c.residual),
+                        "tolerance": check_number(c.tolerance), "passed": c.passed}
                        for c in self.checks],
             "passed": self.ok,
         }
@@ -167,7 +174,8 @@ class RunReport:
         for k, v in self.outputs.items():
             flat(k, format_value(v))
         for c in self.checks:
-            rows.append(("check", c.name, repr(c.residual), repr(c.tolerance), c.passed))
+            rows.append(("check", c.name, str(check_number(c.residual)),
+                         str(check_number(c.tolerance)), c.passed))
         out = io.StringIO()
         csv.writer(out, lineterminator="\n").writerows(rows)
         return out.getvalue().rstrip("\n")
@@ -182,10 +190,15 @@ class RunReport:
                 lines.append("%s = %.15g %+.15gi" % (k, fv["re"], fv["im"]))
             else:
                 lines.append("%s = %s" % (k, fv))
+
+        def sci(v, digits):
+            v = check_number(v)
+            return v if isinstance(v, str) else "%.*e" % (digits, v)
+
         for c in self.checks:
-            lines.append("[%s] %s  residual=%.3e  tol=%.1e"
+            lines.append("[%s] %s  residual=%s  tol=%s"
                          % ("PASS" if c.passed else "FAIL", c.name,
-                            c.residual, c.tolerance))
+                            sci(c.residual, 3), sci(c.tolerance, 1)))
         lines.append("wall time %.2f s" % self.wall_time)
         return "\n".join(lines)
 

@@ -6,7 +6,9 @@ Python integers, scaled per side, and `fixed_sum` stops each side after
 QUIET_RUN small terms in a row; `lattice_sum` is the front for the
 theta-type series, which walks their phases with `fixed_walk`.  The
 infinite products stay on `converging`, which counts the quiet run that
-ends every series and product.
+ends every series and product.  Beside the fixed-point helpers sits one
+special function on integers, `fixed_erfcx`, the scaled complementary
+error function that R's erfc sum takes in place of mpmath's erfc.
 
 Every other module of the package builds on these; this module imports
 nothing from the package.  Numeric evaluation runs on mpmath's global
@@ -141,13 +143,101 @@ def fixed_div(x, y, wp):
 
 
 def fixed_scale(c, x):
-    """The pair x times the real c: an int, a Fraction or an mpf."""
-    if isinstance(c, mpf):
-        sign, n, exp, _ = c._mpf_  # c = (-1)^sign n 2^exp
-        n, d = (-n if sign else n) << max(exp, 0), 1 << max(-exp, 0)
-    else:
-        n, d = c.numerator, c.denominator
+    """The pair x times the rational c: an int or a Fraction."""
+    n, d = c.numerator, c.denominator
     return n * x[0] // d, n * x[1] // d
+
+
+# guard bits of fixed_erfcx over its wp, and the ends of its three regimes
+ERFCX_GUARD = 12
+ERFCX_SERIES_END = 2
+ERFCX_FRACTION_START = 16
+
+
+@lru_cache(maxsize=KERNEL_MEMO)
+def _erfcx_tables(wp):
+    # at p = wp + ERFCX_GUARD bits: the Maclaurin coefficients in t = x/2,
+    # highest first; the pairs (e^{-k^2 h^2} 2^p, k^2 h^2) of the trapezoid
+    # sum; 2h/pi; 1/sqrt(pi); and the length of the continued fraction
+    p = wp + ERFCX_GUARD
+    with mp.workprec(p + 20):
+        root_pi = to_fixed(1 / mp.sqrt(mp.pi), p + 20)[0]
+        # (-2)^k/Gamma(k/2 + 1): 4^j/j! at k = 2j, and at k = 2j + 1
+        # -2^(3j + 2)/((2j + 1)!! sqrt(pi)), as Gamma(j + 3/2) = (2j + 1)!! sqrt(pi)/2^(j + 1)
+        series, fact, odd = [], 1, 1
+        for k in count():
+            j = k // 2
+            if k % 2:
+                odd *= 2 * j + 1
+                d = -((root_pi << 3 * j + 2) // odd >> 20)
+            else:
+                fact *= max(j, 1)
+                d = (1 << 2 * j + p) // fact
+            if not d:
+                break
+            series.append(d)
+        # h keeps both of Chiarella and Reichel's error terms below 2^-(wp + 1)
+        # on [2, 16): e^{x^2 - pi^2/h^2}, largest at x = 16, and the pole term
+        # 2 e^{x^2}/(e^{2 pi x/h} - 1), largest at x = 2 while x < pi/h
+        bits = (wp + 1) * mp.ln2
+        h = min(mp.pi / mp.sqrt(ERFCX_FRACTION_START ** 2 + bits),
+                2 * ERFCX_SERIES_END * mp.pi / (bits + ERFCX_SERIES_END ** 2 + mp.ln2))
+        trapezoid = []
+        for k in count(1):
+            e = to_fixed(mp.exp(-(k * h) ** 2), p)[0]
+            if not e:
+                break
+            trapezoid.append((e << p, to_fixed((k * h) ** 2, p)[0]))
+        width = to_fixed(2 * h / mp.pi, p)[0]
+        # the fraction x + (1/2)/(x + 1/(x + ...)) has positive terms, so its
+        # convergents A_n/B_n alternate about its value: its length is the
+        # first n where two of them agree to 2^-(p + 4) at x = 16, where it
+        # converges slowest
+        x = mpf(ERFCX_FRACTION_START)
+        a, b = (mpf(1), x), (mpf(0), mpf(1))
+        for terms in count(1):
+            a, b = (a[1], x * a[1] + terms * a[0] / 2), (b[1], x * b[1] + terms * b[0] / 2)
+            if abs(a[1] / b[1] - a[0] / b[0]) < mpf(2) ** -(p + 4):
+                break
+    return series[::-1], trapezoid, width, root_pi >> 20, terms
+
+
+def fixed_erfcx(x, wp):
+    """The integer erfcx(x) 2^wp = e^{x^2} erfc(x) 2^wp, rounded down, of
+    x >= 0 given as the integer x 2^wp.
+
+    Three regimes, each at wp + ERFCX_GUARD bits on integers, with its
+    tables built on the first call at a wp and kept per wp:
+    - x < 2: the Maclaurin series sum of (-x)^k/Gamma(k/2 + 1), by Horner
+      in t = x/2 < 1, so no rounding error grows;
+    - 2 <= x < 16: the trapezoid sum of C. Chiarella and A. Reichel (Math.
+      Comp. 22, 1968), erfcx(x) = (2 h x/pi) [1/(2 x^2) +
+      sum over k >= 1 of e^{-k^2 h^2}/(x^2 + k^2 h^2)], with h small
+      enough that its two error terms stay below 2^-(wp + 1);
+    - x >= 16: Laplace's continued fraction
+      erfcx(x) = 1/(sqrt(pi) (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))),
+      evaluated backward.
+    Against erfc(x) e^{x^2} at 30 more digits the result is within 1.02
+    units of 2^-wp over [0, 40] at dps 16 to 200, as measured; the tests
+    hold it to 64 units.
+    """
+    series, trapezoid, width, root_pi, terms = _erfcx_tables(wp)
+    p = wp + ERFCX_GUARD
+    x <<= ERFCX_GUARD
+    if x >> p < ERFCX_SERIES_END:
+        t, value = x >> 1, 0
+        for d in series:
+            value = d + (value * t >> p)
+    elif x >> p < ERFCX_FRACTION_START:
+        x2 = x * x >> p
+        total = (1 << 2 * p) // (2 * x2) + sum(e // (x2 + k2) for e, k2 in trapezoid)
+        value = (width * x >> p) * total >> p
+    else:
+        value = x
+        for k in range(terms, 0, -1):
+            value = x + (k << 2 * p - 1) // value
+        value = (root_pi << p) // value
+    return value >> ERFCX_GUARD
 
 
 def _ratio(z, wp, least=0):
@@ -166,7 +256,9 @@ def fixed_walk(start, ratio, step, wp):
     walk ratio with its own exponent.  A walk should run the way its
     modulus shrinks: then each w_k is within a few units of 2^-wp of its
     value, and its integers stop growing after the first.  A ratio above
-    2^wp keeps the shift 0, and its integers widen instead.
+    2^wp keeps the shift 0, and its integers widen instead.  Each step
+    rounds down, so a walk that has decayed below 2^-wp ends on pairs of
+    -1 and 0, such as (-1, 0), not on (0, 0).
     """
     w = start
     r, s = _ratio(ratio, wp)

@@ -13,8 +13,8 @@ from itertools import islice
 
 from mpmath import mp, mpc, mpf
 
-from .core import (QUIET_RUN, SIDE_CAP, ConvergenceError, converging, fixed_div, fixed_prec,
-                   fixed_scale, fixed_sum, fixed_walk, fold_guard, fraction_mpf, from_fixed,
+from .core import (QUIET_RUN, SIDE_CAP, ConvergenceError, converging, fixed_div, fixed_erfcx,
+                   fixed_prec, fixed_sum, fixed_walk, fold_guard, fraction_mpf, from_fixed,
                    lattice_sum, period_cell, reduce_tau, series_eps, to_fixed)
 from .qseries import e2pi, eta
 from .theta import g_ab, jacobi_theta
@@ -153,11 +153,20 @@ def R_correction(u, tau):
     splits R into two sums whose walks shrink: the gap, twice the raw terms
     over 0 < nu < -a, which fall toward nu = -a, past which the raw phase
     grows by e^{2 pi y} a step; and e(a (Re u - a conj(tau)/2)) times the
-    sum of (-1)^n sgn(t) erfc(|x|) e^{x^2} e(-conj(tau) t^2/2 + (a conj(tau) - conj(u)) t),
-    a Gaussian e^{-pi y t^2} times a coefficient in (0, 1].  The gap takes
-    ceil(-a - 1/2) terms and a side of the other sum at most
-    W + QUIET_RUN + 2, W = sqrt((dps + 1) ln 10/(pi y)); ConvergenceError
-    before the first erfc where either passes SIDE_CAP.
+    sum of (-1)^n sgn(t) erfcx(|x|) e(-conj(tau) t^2/2 + (a conj(tau) - conj(u)) t),
+    erfcx(x) = e^{x^2} erfc(x), a Gaussian e^{-pi y t^2} times a coefficient
+    in (0, 1].  The gap takes ceil(-a - 1/2) terms and a side of the other
+    sum at most W + QUIET_RUN + 2, W = sqrt((dps + 1) ln 10/(pi y));
+    ConvergenceError before the first erfcx where either passes SIDE_CAP.
+
+    Each term of the erfcx sum is integer work at wp = mp.prec + 20 bits:
+    x_n is formed from n + a + 1/2 and sqrt(2 pi y) held at wp + 21 bits,
+    within one unit of 2^-wp for every n up to SIDE_CAP; core.fixed_erfcx
+    takes it to erfcx(|x_n|) 2^wp, within 64 units of 2^-wp (its Maclaurin
+    series below 2, Chiarella and Reichel's trapezoid sum below 16, Laplace's
+    continued fraction above), and the phase pair is multiplied by that
+    integer.  A phase pair of -1, 0 and 1 only, the end of a decayed walk,
+    takes no erfcx: its product rounds the same whatever erfcx in (0, 1) is.
     """
     u = mpc(u)
     tau = mpc(tau)
@@ -166,21 +175,31 @@ def R_correction(u, tau):
         u = -u
     width = mp.sqrt((mp.dps + 1) * mp.ln10 / (mp.pi * y))
     wp = fixed_prec()
+    # |n + shift| stays below SIDE_CAP + 1 on both sides, so shift and
+    # sqrt(2 pi y) at g bits keep every x_n within one unit of 2^-wp
+    g = wp + SIDE_CAP.bit_length() + 4
     with mp.workprec(wp):
         a = u.imag / y
         gap = max(0, int(mp.ceil(-a - 0.5)))
         if max(gap, width + QUIET_RUN + 2) > SIDE_CAP:
             raise ConvergenceError("R series failed to converge")
         shift = a + 0.5
-        root = mp.sqrt(2 * mp.pi * y)
         phase = (-tau.conjugate() / 2, a * tau.conjugate() - u.conjugate(), shift)
+    with mp.workprec(g):
+        offset, root = to_fixed(shift, g)[0], to_fixed(mp.sqrt(2 * mp.pi * y), g)[0]
+    drop, half = 2 * g - wp, 1 << (2 * g - wp - 1)
 
     def term(n, w):
-        if w == (0, 0):
-            return w  # below 2^-wp of the side's first term: no erfc
-        x = root * (n + shift)
-        c = mp.erfc(abs(x)) * mp.exp(x * x)
-        return fixed_scale(-c if (x < 0) != (n % 2 == 1) else c, w)
+        t = (n << g) + offset  # (n + shift) 2^g, rounded down, so of the sign of n + shift
+        sign = -1 if (t < 0) != (n % 2 == 1) else 1
+        x = (abs(t) * root + half) >> drop  # |x_n| 2^wp, to nearest
+        if x and -1 <= min(w) and max(w) <= 1:
+            # 0 < erfcx(x) < 1, so sign erfcx(x) w_i rounds down to -1 where
+            # sign w_i < 0 and to 0 elsewhere: the end of a decayed walk
+            # (see fixed_walk) costs no erfcx
+            return tuple(-1 if sign * v < 0 else 0 for v in w)
+        c = sign * fixed_erfcx(x, wp)
+        return c * w[0] >> wp, c * w[1] >> wp
 
     total = lattice_sum(term, int(mp.nint(-shift)), (phase,), "R series")
     with mp.workprec(wp):

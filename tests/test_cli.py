@@ -14,7 +14,7 @@ from mpmath import mp, mpc, mpf
 
 import etamock
 from etamock import qseries, theta
-from etamock.cli import main, parse_complex, parse_rational, UsageError
+from etamock.cli import RunReport, main, parse_complex, parse_rational, UsageError
 
 
 def run(capsys, *argv):
@@ -110,11 +110,13 @@ def _eta_crosscheck(capsys, tau):
 def test_eta_crosscheck_near_the_real_line(capsys):
     # the printed, folded eta against the lacunary sum, relative to |eta|:
     # here |eta| = 8.9e-5683, and the sum's rounding noise holds no digit of
-    # it, so the check fails (its tolerance is 0 as a float); two unfolded
-    # routes here ran for half a minute and then failed to converge
+    # it, so the check fails; its tolerance, below the float range, prints
+    # as text.  Two unfolded routes here ran for half a minute and then
+    # failed to converge
     code, check, size = _eta_crosscheck(capsys, "0.3+2e-7i")
     assert code == 1 and not check["passed"]
-    assert size == check["tolerance"] == 0 and 0 < check["residual"] < 1e-13
+    assert size == 0 and 0 < check["residual"] < 1e-13
+    assert mpf("1e-5696") < mpf(check["tolerance"]) < mpf("1e-5694")
 
 
 def test_eta_crosscheck_fails_where_eta_is_below_the_noise(capsys):
@@ -123,6 +125,21 @@ def test_eta_crosscheck_fails_where_eta_is_below_the_noise(capsys):
     assert code == 1 and not check["passed"]
     assert check["tolerance"] == pytest.approx(1e-12 * size, rel=1e-12)
     assert check["residual"] > 1000 * check["tolerance"]
+
+
+def test_a_tolerance_below_the_float_range_keeps_its_value():
+    report = RunReport("test")
+    report.add_check("passes", mpf("1e-5001"), mpf("1e-5000"))
+    report.add_check("fails", mpf("2e-5000"), mpf("1e-5000"))
+    report.add_check("exact", 0.0, 0.0)
+    assert [c.passed for c in report.checks] == [True, False, True]
+    checks = report.as_dict()["checks"]
+    assert [mpf(c["tolerance"]) for c in checks[:2]] == [mpf("1e-5000")] * 2
+    assert mpf(checks[0]["residual"]) == mpf("1e-5001")
+    assert checks[2]["residual"] == checks[2]["tolerance"] == 0.0
+    rows = list(csv.reader(io.StringIO(report.to_csv())))
+    assert [mpf(row[3]) for row in rows[1:3]] == [mpf("1e-5000")] * 2
+    assert "residual=1.0e-5001  tol=1.0e-5000" in report.to_plain()
 
 
 def _clear_kernel_memos():

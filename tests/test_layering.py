@@ -5,7 +5,8 @@ import sits inside a function, where it would hide a cycle, and every
 name a module imports is used in it.  Only vmn names the parts of family 4,
 and only theta and vmn read the shadow pairs, the g_pairs of theta's odd
 eta-theta records.  Outside core only the infinite products call
-`converging`; every series stops by `core.fixed_sum`.  Every public
+`converging`; every series stops by `core.fixed_sum`.  No module calls
+mpmath's erfc: R's erfc terms take `core.fixed_erfcx`.  Every public
 function or class has a caller in the package or in the benchmark.
 """
 
@@ -128,6 +129,15 @@ def test_series_walk_through_lattice_sum(module):
     # takes its walk and its stop from lattice_sum or fixed_sum
     extra = _callers(_tree(module), "converging") - PRODUCTS.get(module, set())
     assert not extra, "%s calls converging in %s" % (module, sorted(map(str, extra)))
+
+
+@pytest.mark.parametrize("module", _modules())
+def test_erfc_only_through_the_integer_kernel(module):
+    # R's erfc terms take core.fixed_erfcx; no module reads mpmath's erfc
+    refs = [node.lineno for node in ast.walk(_tree(module))
+            if isinstance(node, ast.Attribute) and node.attr == "erfc"
+            or isinstance(node, ast.alias) and node.name == "erfc"]
+    assert not refs, "%s calls mpmath's erfc at lines %s" % (module, refs)
 
 
 @pytest.mark.parametrize("module", [m for m in _modules() if m != "vmn"])

@@ -357,6 +357,38 @@ def test_r_past_the_side_cap_raises_at_once():
         assert time.perf_counter() - start < 2
 
 
+def test_r_sums_the_end_of_a_decayed_walk_without_erfcx(monkeypatch):
+    # at Im tau = 0.9 the Gaussian phase falls below 2^-wp by x = 12, and the
+    # quiet run past it walks on pairs of -1 and 0 out to x of about 20:
+    # with the kernel raising there, R still sums those pairs, to the same bits
+    tau = mpc(0.21, 0.9)
+    a = mpf(-1.3)
+    u = mpc(0.17, a * tau.imag)
+    with mp.workdps(16):
+        expected = R_correction(u, tau)
+        root = mp.sqrt(2 * mp.pi * tau.imag)
+        real_kernel, real_sum = mu_module.fixed_erfcx, mu_module.lattice_sum
+        far = []
+
+        def kernel(x, wp):
+            if x >> wp >= 12:
+                raise AssertionError("erfcx at x = %s" % mp.nstr(mpf((x, -wp)), 5))
+            return real_kernel(x, wp)
+
+        def counting(term, center, *args):
+            def counted(n, w):
+                if root * abs(n + a + 0.5) >= 13:
+                    far.append(w)
+                return term(n, w)
+            return real_sum(counted, center, *args)
+
+        monkeypatch.setattr(mu_module, "fixed_erfcx", kernel)
+        monkeypatch.setattr(mu_module, "lattice_sum", counting)
+        assert R_correction(u, tau) == expected
+    assert far and all(set(w) <= {-1, 0, 1} for w in far)
+    assert any(w != (0, 0) for w in far)
+
+
 # Im tau from the bottom of F up to the heights a fold reaches near a cusp,
 # where mu sums its series on integer pairs with nothing folded; u and v
 # across the period cell, z = u - v on its edges too.  The error is divided

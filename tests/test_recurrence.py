@@ -19,7 +19,7 @@ from itertools import count
 import pytest
 from mpmath import mp, mpc, mpf
 
-from etamock.core import (QUIET_RUN, e2pi, fixed_mul, fixed_prec, fixed_scale,
+from etamock.core import (QUIET_RUN, e2pi, fixed_erfcx, fixed_mul, fixed_prec, fixed_scale,
                           fixed_sum, fixed_walk, fraction_mpf, from_fixed, lattice_sum)
 from etamock.mu import R_correction, mu
 from etamock.qseries import _eta_sum_raw, kronecker
@@ -205,6 +205,26 @@ def test_kernel_matches_per_term_formula(kernel, dps):
     assert worst < mpf(10) ** (2 - dps)
 
 
+@pytest.mark.parametrize("dps", [16, 30, 40, 60])
+def test_fixed_erfcx_within_64_units(dps):
+    # x over [0, 40] in steps of 1/16 and at random points, x = 0, x = 2^-100
+    # and both regime boundaries +- 2^-60, against erfc(x) e^{x^2} at 30
+    # more digits
+    rng = random.Random(dps)
+    with mp.workdps(dps):
+        wp = fixed_prec()
+    xs = [k << wp - 4 for k in range(641)] + [rng.getrandbits(wp + 5) for _ in range(100)]
+    xs += [0, 1 << max(wp - 100, 0)]
+    xs += [(edge << wp) + d * (1 << wp - 60) for edge in (2, 16) for d in (-1, 1)]
+    worst = 0
+    with mp.workdps(dps + EXTRA):
+        for x in xs:
+            value = fixed_erfcx(x, wp)
+            t = mpf((x, -wp))
+            worst = max(worst, abs(value - mp.erfc(t) * mp.exp(t * t) * 2 ** wp))
+    assert worst <= 64
+
+
 def test_lambert_denominator_that_vanishes_raises():
     # 1 - q^(j + 0) is 0 at j = 0: the denominator pair is (0, 0)
     part = SeriesPart(sign=1, e_index=1, e_scale=Fraction(1, 2), q_prefactor=Fraction(0),
@@ -301,12 +321,11 @@ def test_fixed_sum_side_of_zero_pairs_under_a_huge_scale_stops():
     assert len(seen) == QUIET_RUN
 
 
-def test_fixed_scale_takes_int_fraction_and_mpf():
+def test_fixed_scale_takes_int_and_fraction():
     x = (3 << 70, -(5 << 70))
     assert fixed_scale(-7, x) == (-21 << 70, 35 << 70)
     assert fixed_scale(Fraction(-3, 4), x) == (-9 << 68, 15 << 68)
-    assert fixed_scale(mpf(-0.375), x) == (-9 << 67, 15 << 67)
-    assert fixed_scale(mpf(2) ** 80, x) == (3 << 150, -(5 << 150))
+    assert fixed_scale(Fraction(1, 3), (1, -1)) == (0, -1)
 
 
 def test_fixed_walk_with_a_ratio_above_its_pairs_widens_them():
