@@ -208,8 +208,8 @@ def test_kernel_matches_per_term_formula(kernel, dps):
 @pytest.mark.parametrize("dps", [16, 30, 40, 60])
 def test_fixed_erfcx_within_64_units(dps):
     # x over [0, 40] in steps of 1/16 and at random points, x = 0, x = 2^-100
-    # and both regime boundaries +- 2^-60, against erfc(x) e^{x^2} at 30
-    # more digits
+    # (one unit of 2^-wp where wp < 100) and both regime boundaries +- 2^-60,
+    # against erfc(x) e^{x^2} at 30 more digits
     rng = random.Random(dps)
     with mp.workdps(dps):
         wp = fixed_prec()
