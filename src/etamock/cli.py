@@ -22,7 +22,7 @@ from functools import partial
 from mpmath import mp, mpc, mpf
 
 from .core import DEFAULT_DPS, MIN_DPS, ConvergenceError
-from .qseries import RootOfUnity, _eta_sum_raw, eta, eta_quotient_qexp
+from .qseries import RootOfUnity, eta, eta_quotient_qexp
 from .theta import eta_theta_eval, eta_theta_qexp, g_ab, jacobi_theta, partial_theta
 from .mu import mu
 from .vmn import all_rows, catalogue_json, normalize_label
@@ -94,24 +94,21 @@ def parse_factors(text):
 
 
 def format_value(v):
+    """A value as JSON writes it: a Fraction as num/den, a complex number as
+    re/im, and an mpf as a float, or as mp.nstr text where a nonzero value is
+    below the float range, so that it cannot read as 0."""
     if isinstance(v, Fraction):
         return {"num": v.numerator, "den": v.denominator}
     if isinstance(v, (mpc, complex)):
-        return {"re": float(v.real), "im": float(v.imag)}
+        return {"re": format_value(v.real), "im": format_value(v.imag)}
     if isinstance(v, mpf):
-        return float(v)
+        f = float(v)
+        return f if f or not v else mp.nstr(v, 15)
     if isinstance(v, (list, tuple)):
         return [format_value(x) for x in v]
     if isinstance(v, dict):
         return {k: format_value(x) for k, x in v.items()}
     return v
-
-
-def check_number(v):
-    """A check's residual or tolerance as a float, or as mp.nstr text where
-    a nonzero value is below the float range, so that it cannot read as 0."""
-    f = float(v)
-    return f if f or not v else mp.nstr(v, 15)
 
 
 @dataclass
@@ -149,8 +146,8 @@ class RunReport:
             "command": self.command,
             "inputs": {k: format_value(v) for k, v in self.inputs.items()},
             "outputs": {k: format_value(v) for k, v in self.outputs.items()},
-            "checks": [{"name": c.name, "residual": check_number(c.residual),
-                        "tolerance": check_number(c.tolerance), "passed": c.passed}
+            "checks": [{"name": c.name, "residual": format_value(c.residual),
+                        "tolerance": format_value(c.tolerance), "passed": c.passed}
                        for c in self.checks],
             "passed": self.ok,
         }
@@ -169,13 +166,13 @@ class RunReport:
                 for i, v in enumerate(value):
                     flat("%s.%d" % (prefix, i), v)
             else:
-                rows.append(("output", prefix, repr(value), "", ""))
+                rows.append(("output", prefix, str(value), "", ""))
 
         for k, v in self.outputs.items():
             flat(k, format_value(v))
         for c in self.checks:
-            rows.append(("check", c.name, str(check_number(c.residual)),
-                         str(check_number(c.tolerance)), c.passed))
+            rows.append(("check", c.name, str(format_value(c.residual)),
+                         str(format_value(c.tolerance)), c.passed))
         out = io.StringIO()
         csv.writer(out, lineterminator="\n").writerows(rows)
         return out.getvalue().rstrip("\n")
@@ -187,12 +184,13 @@ class RunReport:
         for k, v in self.outputs.items():
             fv = format_value(v)
             if isinstance(fv, dict) and set(fv) == {"re", "im"}:
-                lines.append("%s = %.15g %+.15gi" % (k, fv["re"], fv["im"]))
+                re, im = (x if isinstance(x, str) else "%.15g" % x for x in (fv["re"], fv["im"]))
+                lines.append("%s = %s %si" % (k, re, im if im.startswith("-") else "+" + im))
             else:
                 lines.append("%s = %s" % (k, fv))
 
         def sci(v, digits):
-            v = check_number(v)
+            v = format_value(v)
             return v if isinstance(v, str) else "%.*e" % (digits, v)
 
         for c in self.checks:
@@ -279,9 +277,10 @@ def cmd_eval(args):
     if fn == "eta":
         tau, = _options(report, args, parse_complex, "tau")
         value = report.outputs["eta"] = eta(tau)
-        # the printed, folded product against the unfolded lacunary sum, relative to |eta|
+        # the printed, folded product against the lacunary sum e_3(tau/24), relative to |eta|
         routes.append(("eta product route matches pentagonal sum route",
-                       lambda: abs(value - _eta_sum_raw(tau)), 1e-12 * abs(value)))
+                       lambda: abs(value - eta_theta_eval("e3", tau / 24, "character-sum")),
+                       1e-12 * abs(value)))
     elif fn == "theta":
         v, tau = _options(report, args, parse_complex, "v", "tau")
         report.outputs["theta"] = jacobi_theta(v, tau)

@@ -3,8 +3,8 @@ the fundamental domain, and nested exp-sinh quadrature on the half-line.
 
 Every series has one walk and one stopping rule.  Its terms are pairs of
 Python integers, scaled per side, and `fixed_sum` stops each side after
-QUIET_RUN small terms in a row; `lattice_sum` is the front for the
-theta-type series, which walks their phases with `fixed_walk`.  The
+QUIET_RUN small terms in a row; `lattice_sum` is the front of every
+theta-type series but mu's, and walks their phases with `fixed_walk`.  The
 infinite products stay on `converging`, which counts the quiet run that
 ends every series and product.  Beside the fixed-point helpers sits one
 special function on integers, `fixed_erfcx`, the scaled complementary
@@ -19,7 +19,7 @@ way to change it for a while); importing the package leaves it alone.
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice
+from itertools import chain, count, islice
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import to_fixed as _mpf_to_fixed
@@ -99,12 +99,11 @@ def _e2pi_rational(x, prec):
 # The inner loops of theta's product, g_{a,b}'s sum and mu's series run on
 # Python integers, as mpmath's own jtheta does: at dps 16 a complex product
 # of two integer pairs takes about an eighth of the time of one of two mpc
-# (0.75 against 5.7 us).  A complex
-# number there is a pair (re, im) of integers read as (re + i im) 2^-wp, at
-# wp = fixed_prec() bits.  A walk ratio keeps its own binary exponent: it is
-# a pair with a shift s, read as (re + i im) 2^-s, whose integers have
-# about wp bits however small the ratio is, so q = e^{-40 pi} at tau = 20i
-# keeps all its digits.
+# (0.75 against 5.7 us).  A complex number there is a pair (re, im) of
+# integers read as (re + i im) 2^-wp, at wp = fixed_prec() bits.  A walk
+# ratio keeps its own binary exponent: it is a pair with a shift s, read as
+# (re + i im) 2^-s, whose integers have about wp bits however small the
+# ratio is, so q = e^{-40 pi} at tau = 20i keeps all its digits.
 
 # guard bits of the fixed-point kernels over mp.prec
 FIXED_GUARD = 20
@@ -335,31 +334,45 @@ def fixed_sum(sides, wp, what):
 def lattice_sum(term, center, phases, what, one_sided=False):
     """Sum of term(n, w_1, ..., w_k) over n in center + Z, where
     w_i = e(a_i y^2 + b_i y) at y = n + s_i for phases = ((a_i, b_i, s_i), ...):
-    the front of the theta-type series on fixed_walk and fixed_sum.
+    the front of every theta-type series on fixed_walk and fixed_sum.
 
     The walk runs down from `center`, then up from center + 1; `one_sided`
-    takes n = center and then runs up only.  Each side is scaled by w_1 at
-    its first n, and `term` gets w_1 as a pair at wp = fixed_prec() relative
-    to that value, every other w_i as a pair at wp of its own value.  It
-    returns a pair in the units of w_1's, or None for a zero coefficient.
-    Each phase steps on integers by w <- w r, r <- r e(2a), from three
-    exponentials a side, and should shrink the way its side walks.  The
-    sides stop by fixed_sum's rule, and the total is rounded once.
+    takes n = center and then runs up only.  Each phase takes three
+    exponentials, shared by the sides: w at `center`, rho = e(a (2 y + 1) + b)
+    to center + 1 and the step e(2a); the down side walks from (w, step/rho),
+    the up side from (w rho, rho step), by w <- w r, r <- r step on integers.
+    A side starts at its first n whose term is not None, its phases advanced
+    in mpc, and is scaled by w_1 there: `term` gets w_1 as a pair at
+    wp = fixed_prec() relative to that scale, every other w_i as a pair at wp
+    of its own value, and returns a pair in the units of the scale, or None.
+    A side of None terms raises ConvergenceError after SIDE_CAP n; a phase
+    should shrink the way its side walks, and a_i, b_i, s_i may be Fractions.
+    The sides stop by fixed_sum's rule, and the total is rounded once.
     """
     wp = fixed_prec()
-    starts = [(center, 1)] if one_sided else [(center, -1), (center + 1, 1)]
     sides = []
     with mp.workprec(wp):
-        for start, dn in starts:
-            scale, walks = mpc(1), []
-            for i, (a, b, s) in enumerate(phases):
-                y = start + s
-                w = e2pi(a * y * y + b * y)
-                # w(y + dn)/w(y) = e(a (2 y dn + 1) + b dn)
-                ratio = e2pi(a * (2 * y * dn + 1) + b * dn)
-                scale, w = (scale, to_fixed(w, wp)) if i else (w, (1 << wp, 0))
-                walks.append(fixed_walk(w, ratio, e2pi(2 * a) if a else None, wp))
-            sides.append((scale, map(term, islice(count(start, dn), SIDE_CAP), *walks)))
+        walks = []
+        for a, b, s in phases:
+            y, b = (fraction_mpf(x) if isinstance(x, Fraction) else x for x in (center + s, b))
+            rho = e2pi(a * (2 * y + 1) + b)
+            walks.append((e2pi(a * y * y + b * y), rho, e2pi(2 * a) if a else None))
+        starts = [(center, 1, walks)] if one_sided else [
+            (center, -1, [(w, (t or 1) / r, t) for w, r, t in walks]),
+            (center + 1, 1, [(w * r, r * (t or 1), t) for w, r, t in walks])]
+        for n, dn, walks in starts:
+            for skipped in range(SIDE_CAP):
+                pairs = [(1 << wp, 0)] * bool(walks) + [to_fixed(w, wp) for w, _, _ in walks[1:]]
+                steps = [fixed_walk(x, r, t, wp) for x, (_, r, t) in zip(pairs, walks)]
+                # each walk's first pair, its ratios read at wp bits here
+                first = term(n, *map(next, steps))
+                if first is not None:
+                    break
+                walks = [(w * r, r * (t or 1), t) for w, r, t in walks]
+                n += dn
+            # after SIDE_CAP None terms, first is None and fixed_sum raises
+            rest = map(term, islice(count(n + dn, dn), SIDE_CAP - skipped - 1), *steps)
+            sides.append((walks[0][0] if walks else mpc(1), chain([first], rest)))
     return +fixed_sum(sides, wp, what)
 
 

@@ -4,9 +4,9 @@ A formal expansion maps rational exponents to rational coefficients up to
 a truncation order, so eta quotients and theta-type character sums
 compare exactly, term by term.  Eta quotients are expanded on integer
 coefficient lists by the private `_poly_*` helpers, the only place that
-multiplies, inverts or raises a q-series to a power.  Numeric eta
-evaluation reduces to the fundamental domain first, which keeps it
-usable arbitrarily close to the real axis.
+multiplies, inverts or raises a q-series to a power.  Numeric eta reduces
+to the fundamental domain first, so it is usable arbitrarily close to the
+real axis.  No series is summed here: eta's lacunary sum is theta's e_3(tau/24).
 """
 
 import math
@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from mpmath import mp, mpc
 
-from .core import KERNEL_MEMO, converging, e2pi, fixed_scale, lattice_sum, reduce_tau, series_eps
+from .core import KERNEL_MEMO, converging, e2pi, reduce_tau, series_eps
 
 
 def kronecker(a, n):
@@ -165,15 +165,6 @@ def eta_multiplier(gamma):
     if (24 * expo).denominator != 1:
         raise AssertionError("eta multiplier exponent not a 24th root")
     return RootOfUnity.from_fraction(expo)
-
-
-def _eta_sum_raw(tau):
-    # lacunary form: sum over m >= 1 of (12|m) q^(m^2/24); (12|0) = 0
-    def term(m, qm):
-        chi = kronecker(12, m)
-        return fixed_scale(chi, qm) if chi else None
-
-    return lattice_sum(term, 0, ((tau / 24, 0, 0),), "eta sum", one_sided=True)
 
 
 def eta(tau):

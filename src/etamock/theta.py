@@ -15,13 +15,12 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 
 from mpmath import mp, mpc
 
 from .core import (SIDE_CAP, ConvergenceError, converging, fixed_mul, fixed_prec, fixed_scale,
-                   fixed_sum, fixed_walk, fold_guard, fraction_mpf, from_fixed, lattice_sum,
-                   period_cell, reduce_tau, series_eps, to_fixed)
+                   fixed_walk, fold_guard, fraction_mpf, from_fixed, lattice_sum, period_cell,
+                   reduce_tau, series_eps, to_fixed)
 from .qseries import (
     KERNEL_MEMO,
     FormalQSeries,
@@ -153,35 +152,20 @@ def _g_direct(a, b, tau):
     """The sum of x e(b x) q^{x^2/2} = x e(tau x^2/2 + b x) over x in a + Z,
     for rationals a and b, at tau itself.
 
-    The sum runs on pairs of Python integers at wp = mp.prec + 20 bits,
-    with its few exponentials taken at wp bits, and stops by
-    core.fixed_sum's rule, the one rule of every series; its two sides are
-    added at wp bits and rounded once.  Each side of the walk
-    from the x nearest 0 is scaled by its first nonzero term: a term is
-    (x d) w/w_0 in units of w_0/d, d the denominator of a and w_0 the phase
-    at the side's first x.  So its integers keep about wp bits however
-    large Im tau is; at Im tau = 10^6 that first term is about e^(-pi 10^6).
+    A term on core.lattice_sum: x = k/d for the integer k = n d + c, c/d = a,
+    and a term is the phase pair times k/d on integers, None at x = 0.  The
+    walk runs from round(-a), nearest the phase's peak at x = 0, and each
+    side is scaled at its first nonzero term, so its integers keep about wp
+    bits however large Im tau is: at Im tau = 10^6 that term is e^(-pi 10^6).
     """
     a, b = Fr(a), Fr(b)
-    d = a.denominator
-    wp = fixed_prec()
-    x = a + round(-a)  # the x in a + Z nearest 0, where the phase peaks
+    c, d = a.numerator, a.denominator
 
-    def side(w, ratio, m, dx):
-        # from x = m/d by steps dx, with phase w at x and ratio to the next
-        walk = fixed_walk((1 << wp, 0), ratio, step, wp)
-        return w / d, ((n * re, n * im) for n, (re, im) in zip(count(m, dx * d), walk))
+    def term(n, w):
+        k = n * d + c
+        return (k * w[0] // d, k * w[1] // d) if k else None
 
-    with mp.workprec(wp):
-        xf, bf = fraction_mpf(x), fraction_mpf(b)
-        w = e2pi(tau * xf * xf / 2 + bf * xf)
-        rho = e2pi(tau * (xf + 0.5) + bf)  # the ratio of the phases from x to x + 1
-        step = e2pi(tau)
-        down = step / rho
-        # x = 0 adds nothing, so a side that would start there starts at -1
-        sides = [side(w, down, int(x * d), -1) if x else side(down, down * step, -d, -1),
-                 side(w * rho, rho * step, int(x * d) + d, 1)]
-    return +fixed_sum(sides, wp, "unary theta sum")
+    return lattice_sum(term, round(-a), ((tau / 2, b, a),), "unary theta sum")
 
 
 def g_ab(spec, tau):
@@ -190,10 +174,8 @@ def g_ab(spec, tau):
     Reduces tau to the fundamental domain with the translation and
     inversion laws first, so the sum converges fast even for Im(tau)
     close to zero (needed by the period integrals).  The sum in F is
-    _g_direct, on Python integers.  A fold from near a rational cusp can
-    leave Im tau in the millions, and there a term is far below the
-    phase's peak at x = 0: each side of the sum is scaled by its own first
-    nonzero term, so the integers do not widen with Im tau.
+    _g_direct, on Python integers, which keeps its digits at the Im tau in
+    the millions that a fold from near a rational cusp can leave.
     """
     a, b = map(Fr, spec)
     tau = mpc(tau)
@@ -307,13 +289,18 @@ def eta_theta_eval(label, tau, representation="eta-quotient"):
         return out
     if representation != "character-sum":
         raise ValueError("unknown representation {!r}".format(representation))
+    # n runs over 0, 1, 2, ...; a chi summed over n >= 1 only has chi(0) = 0
+    return _character_sum(lambda n: (rec.chi(n) + (rec.chi(-n) if rec.over_z and n else 0))
+                          * n ** rec.weight, tau, "character sum")
 
-    def term(n, qn):
-        # n runs over 0, 1, 2, ...; a chi summed over n >= 1 only has chi(0) = 0
-        c = rec.chi(n) + (rec.chi(-n) if rec.over_z and n else 0)
-        return fixed_scale(c * n ** rec.weight, qn) if c else None
 
-    return lattice_sum(term, 0, ((tau, 0, 0),), "character sum", one_sided=True)
+def _character_sum(coefficient, tau, what):
+    # sum over n >= 0 of coefficient(n) e(tau n^2), scaled at its first nonzero term
+    def term(n, w):
+        c = coefficient(n)
+        return fixed_scale(c, w) if c else None
+
+    return lattice_sum(term, 0, ((tau, 0, 0),), what, one_sided=True)
 
 
 def eta_theta_qexp(label, order, representation="eta-quotient"):
@@ -385,12 +372,7 @@ def partial_theta(m, z):
     chi = _parse_label(("odd", m)).chi
     if mp.sqrt((mp.dps + 1) * mp.ln(10) / (2 * mp.pi * -z.imag)) > SIDE_CAP:
         raise ConvergenceError("partial theta failed to converge")
-
-    def term(n, w):
-        c = chi(n) if n else 0
-        return fixed_scale(c, w) if c else None
-
-    return lattice_sum(term, 0, ((-z, 0, 0),), "partial theta", one_sided=True)
+    return _character_sum(chi, -z, "partial theta")  # chi(0) = 0 for every odd record
 
 
 def radial_limit(m, x):

@@ -101,21 +101,22 @@ def test_catalogue_row_count(capsys):
 
 
 def _eta_crosscheck(capsys, tau):
+    # |eta| from its printed parts, each a float or, below the float range, text
     code, out = run(capsys, "eval", "eta", "--tau", tau, "--crosscheck")
     doc = json.loads(out)
     check, = doc["checks"]
-    return code, check, abs(complex(doc["outputs"]["eta"]["re"], doc["outputs"]["eta"]["im"]))
+    return code, check, abs(mpc(*(mpf(doc["outputs"]["eta"][k]) for k in ("re", "im"))))
 
 
 def test_eta_crosscheck_near_the_real_line(capsys):
     # the printed, folded eta against the lacunary sum, relative to |eta|:
     # here |eta| = 8.9e-5683, and the sum's rounding noise holds no digit of
-    # it, so the check fails; its tolerance, below the float range, prints
-    # as text.  Two unfolded routes here ran for half a minute and then
+    # it, so the check fails; eta and the tolerance, below the float range,
+    # print as text.  Two unfolded routes here ran for half a minute and then
     # failed to converge
     code, check, size = _eta_crosscheck(capsys, "0.3+2e-7i")
     assert code == 1 and not check["passed"]
-    assert size == 0 and 0 < check["residual"] < 1e-13
+    assert mpf("8.8e-5683") < size < mpf("9e-5683") and 0 < check["residual"] < 1e-13
     assert mpf("1e-5696") < mpf(check["tolerance"]) < mpf("1e-5694")
 
 
@@ -123,8 +124,29 @@ def test_eta_crosscheck_fails_where_eta_is_below_the_noise(capsys):
     # |eta| = 1.3e-10 and the routes differ by about 1e-16, 1e-6 of |eta|
     code, check, size = _eta_crosscheck(capsys, "0.3+1e-4i")
     assert code == 1 and not check["passed"]
-    assert check["tolerance"] == pytest.approx(1e-12 * size, rel=1e-12)
+    assert check["tolerance"] == pytest.approx(1e-12 * float(size), rel=1e-12)
     assert check["residual"] > 1000 * check["tolerance"]
+
+
+@pytest.mark.parametrize("tau", ["0.1+100i", "0.1+400i"])
+def test_eta_crosscheck_far_above_the_real_line(capsys, tau):
+    # eta(tau) = e_3(tau/24) with e(tau/24) about e^(-26) and e^(-105) here:
+    # the sum is scaled at its first nonzero term, not at the zero term n = 0,
+    # so it keeps its digits relative to |eta|
+    code, check, size = _eta_crosscheck(capsys, tau)
+    assert code == 0 and check["passed"]
+    assert 0 < size and check["residual"] <= 1e-15 * size
+
+
+def test_an_output_below_the_float_range_keeps_its_value():
+    report = RunReport("test")
+    report.outputs.update(z=mpc(mpf("2e-5000"), 0.5), x=mpf("-3e-5000"), y=mpf(0))
+    outputs = report.as_dict()["outputs"]
+    assert mpf(outputs["z"]["re"]) == mpf("2e-5000") and outputs["z"]["im"] == 0.5
+    assert mpf(outputs["x"]) == mpf("-3e-5000") and outputs["y"] == 0.0
+    rows = list(csv.reader(io.StringIO(report.to_csv())))
+    assert [mpf(row[2]) for row in rows[1:]] == [mpf("2e-5000"), 0.5, mpf("-3e-5000"), 0]
+    assert "z = 2.0e-5000 +0.5i" in report.to_plain()
 
 
 def test_a_tolerance_below_the_float_range_keeps_its_value():

@@ -5,7 +5,9 @@ import sits inside a function, where it would hide a cycle, and every
 name a module imports is used in it.  Only vmn names the parts of family 4,
 and only theta and vmn read the shadow pairs, the g_pairs of theta's odd
 eta-theta records.  Outside core only the infinite products call
-`converging`; every series stops by `core.fixed_sum`.  No module calls
+`converging`; every series stops by `core.fixed_sum`, and only mu's own
+series hands its sides to it: every theta-type series is a term on
+`core.lattice_sum`, and qseries sums none.  No module calls
 mpmath's erfc: R's erfc terms take `core.fixed_erfcx`.  Every public
 function or class has a caller in the package or in the benchmark.
 """
@@ -129,6 +131,16 @@ def test_series_walk_through_lattice_sum(module):
     # takes its walk and its stop from lattice_sum or fixed_sum
     extra = _callers(_tree(module), "converging") - PRODUCTS.get(module, set())
     assert not extra, "%s calls converging in %s" % (module, sorted(map(str, extra)))
+
+
+def test_only_mu_series_builds_its_own_sides():
+    # every theta-type series is a term on core.lattice_sum, theta's sums of
+    # g_{a,b} and of the characters among them; only mu's series, whose two
+    # sides are different formulas, gives fixed_sum sides of its own
+    callers = {(module, function) for module in _modules() if module != "core"
+               for function in _callers(_tree(module), "fixed_sum")}
+    assert callers == {("mu", "_mu_series")}
+    assert not _callers(_tree("qseries"), "lattice_sum"), "qseries sums a theta-type series"
 
 
 @pytest.mark.parametrize("module", _modules())

@@ -1,15 +1,20 @@
 """Series kernels against their per-term formulas, and the one walk under them.
 
-Every theta-type kernel sums its series through `core.lattice_sum`, a
-front on `core.fixed_walk` and `core.fixed_sum`: its phases step on
-pairs of Python integers, and `fixed_sum` holds the one stopping rule of
-every series.  Here each kernel is compared with the plain sum of the
-same terms, every term computed by its own exponentials, at 30 more
-digits, at dps 16, 30 and 40.  The error is measured against the sum of
+Every theta-type kernel is a term on `core.lattice_sum`, a front on
+`core.fixed_walk` and `core.fixed_sum`: its phases step on pairs of Python
+integers, each side scaled at its first nonzero term, and `fixed_sum`
+holds the one stopping rule of every series.  Only mu's series gives
+`fixed_sum` sides of its own.  Here each kernel is compared with the plain
+sum of the same terms, every term computed by its own exponentials, at 30
+more digits, at dps 16, 30 and 40: g_{a,b}, the theta sum, the character
+sums (eta's lacunary sum among them, as e_3 at tau/24), the partial theta,
+the Lambert sums, mu and R.  The error is measured against the sum of
 |terms|, the scale rounding works on, and must stay within 100 units of
 the working precision.  Points include Im tau = 1e-3, where the mu and R
 sums of the benchmark's cusp checks run longest, and R at |Im u/Im tau|
-up to 40, where its erfc sum and its finite gap sum both count.
+up to 40, where its erfc sum and its finite gap sum both count.  Where the
+first nonzero term lies far below the phase at the centre, the sums are
+held to a few units of 10^-dps relative to their value.
 """
 
 import random
@@ -19,10 +24,12 @@ from itertools import count
 import pytest
 from mpmath import mp, mpc, mpf
 
-from etamock.core import (QUIET_RUN, e2pi, fixed_erfcx, fixed_mul, fixed_prec, fixed_scale,
-                          fixed_sum, fixed_walk, fraction_mpf, from_fixed, lattice_sum)
+import etamock.core as core
+from etamock.core import (QUIET_RUN, ConvergenceError, e2pi, fixed_erfcx, fixed_mul, fixed_prec,
+                          fixed_scale, fixed_sum, fixed_walk, fraction_mpf, from_fixed,
+                          lattice_sum)
 from etamock.mu import R_correction, mu
-from etamock.qseries import _eta_sum_raw, kronecker
+from etamock.qseries import kronecker
 from etamock.theta import (ETA_THETA, _g_direct, _theta_sum, eta_theta_eval,
                            jacobi_theta, partial_theta)
 from etamock.vmn import SeriesPart, _lambert_sum, all_rows, vmn_spec
@@ -165,7 +172,7 @@ def _cases(kernel, dps):
         if kernel == "_theta_sum":
             return [((tau * rng.uniform(-2, 2) + rng.uniform(-0.5, 0.5), tau), _ref_theta_sum)
                     for tau in _taus(rng, [0.05, 0.5, 1.2], 3)]
-        if kernel == "_eta_sum_raw":
+        if kernel == "eta-sum":
             return [((tau,), _ref_eta_sum) for tau in _taus(rng, [0.1, 0.9], 3)]
         if kernel == "character-sum":
             taus = _taus(rng, [0.3, 1], 1)
@@ -185,7 +192,8 @@ KERNELS = {
     "mu": mu,
     "R_correction": R_correction,
     "_theta_sum": _theta_sum,
-    "_eta_sum_raw": _eta_sum_raw,
+    # eta(tau) = e_3(tau/24): the lacunary sum of eval eta's crosscheck
+    "eta-sum": lambda tau: eta_theta_eval("e3", tau / 24, "character-sum"),
     "character-sum": lambda label, tau: eta_theta_eval(label, tau, "character-sum"),
     "partial_theta": partial_theta,
     "_lambert_sum": _lambert_sum,
@@ -305,6 +313,66 @@ def test_lattice_sum_stops_relative_to_its_largest_term():
     assert big_seen == seen
     assert abs(big / scale - value) < mpf(10) ** (2 - DPS)
     assert abs(value - mp.jtheta(3, 0, mp.exp(2j * mp.pi * tau))) < mpf(10) ** (2 - DPS)
+
+
+@pytest.mark.parametrize("one_sided", [False, True])
+def test_lattice_sum_none_at_center_keeps_working_precision(one_sided):
+    # at tau = 20i the phase at n = +-1 is e^(-40 pi) = 2.6e-55, below 2^-wp:
+    # each side is scaled at its first nonzero term, not at the None at n = 0
+    tau = mpc(0, 20)
+    value = lattice_sum(lambda n, w: w if n else None, 0, ((tau, 0, 0),), "test series",
+                        one_sided=one_sided)
+    with mp.workdps(DPS + EXTRA):
+        exact = (1 if one_sided else 2) * sum(e2pi(tau * n * n) for n in range(1, 4))
+        assert abs(value - exact) <= mpf(10) ** -DPS * abs(exact)
+
+
+def test_lattice_side_of_none_terms_raises_within_the_side_cap(monkeypatch):
+    # a side whose every term is None moves its start on n by n, and must
+    # end in ConvergenceError after SIDE_CAP n, not loop
+    monkeypatch.setattr(core, "SIDE_CAP", 200)
+    seen = []
+
+    def term(n, w):
+        seen.append(n)
+
+    with pytest.raises(ConvergenceError, match="^test series failed to converge$"):
+        lattice_sum(term, 0, ((mpc(0.1, 0.01), 0, 0),), "test series", one_sided=True)
+    assert seen == list(range(200))
+
+
+@pytest.mark.parametrize("dps", [16, 30])
+def test_character_sums_far_above_the_real_line(dps):
+    # all 19 character sums against their eta quotients, relative: at n = 0
+    # the coefficient is 0 for most, and e(tau) is e^(-10 pi) to e^(-60 pi)
+    # below it, so a sum scaled at n = 0 kept no digit from Im tau = 12 on
+    worst = 0
+    for y in (5, 12, 30):
+        for label in ETA_THETA:
+            with mp.workdps(dps):
+                tau = mpc(mpf("0.1"), y)
+                value = eta_theta_eval(label, tau, "character-sum")
+            with mp.workdps(dps + 20):
+                exact = eta_theta_eval(label, tau)
+                worst = max(worst, abs(value - exact) / abs(exact))
+    assert worst < 4 * mpf(10) ** -dps
+
+
+@pytest.mark.parametrize("dps", [16, 30])
+@pytest.mark.parametrize("y", [8, 20])
+def test_partial_theta_far_below_the_real_line(dps, y):
+    # e^{-2 pi i z} is e^(-16 pi) or e^(-40 pi) at z = 0.1 - y i: the sum
+    # starts at its first nonzero term, n = 1, relative to which it is exact
+    worst = 0
+    for m in ODD_INDICES:
+        with mp.workdps(dps):
+            z = mpc(mpf("0.1"), -y)
+            value = partial_theta(m, z)
+        with mp.workdps(dps + 40):
+            chi = ETA_THETA["E%d" % m].chi
+            exact = sum(chi(n) * mp.exp(-2j * mp.pi * z * n * n) for n in range(1, 20))
+            worst = max(worst, abs(value - exact) / abs(exact))
+    assert worst < 4 * mpf(10) ** -dps
 
 
 def test_fixed_sum_side_of_zero_pairs_under_a_huge_scale_stops():

@@ -356,10 +356,13 @@ def test_g_sum_sweep_against_the_plain_sum(dps):
 def test_g_sum_far_above_f_keeps_its_integers_narrow(monkeypatch, a):
     # at Im tau = 10^6 the first nonzero term is about e^(-pi 10^6): scaled by
     # the phase's peak instead, the pairs would need millions of bits
+    # the sum runs on core.lattice_sum, so the spies replace core's helpers
+    # and call the originals, kept here, not the spies themselves
     widths = []
+    fixed_walk, fixed_sum = core.fixed_walk, core.fixed_sum
 
     def spy_walk(*args):
-        for pair in core.fixed_walk(*args):
+        for pair in fixed_walk(*args):
             widths.extend(n.bit_length() for n in pair)
             yield pair
 
@@ -368,10 +371,10 @@ def test_g_sum_far_above_f_keeps_its_integers_narrow(monkeypatch, a):
             for pair in terms:
                 widths.extend(n.bit_length() for n in pair)
                 yield pair
-        return core.fixed_sum([(scale, spied(terms)) for scale, terms in sides], wp, what)
+        return fixed_sum([(scale, spied(terms)) for scale, terms in sides], wp, what)
 
-    monkeypatch.setattr(theta, "fixed_walk", spy_walk)
-    monkeypatch.setattr(theta, "fixed_sum", spy_sum)
+    monkeypatch.setattr(core, "fixed_walk", spy_walk)
+    monkeypatch.setattr(core, "fixed_sum", spy_sum)
     tau = mpc(mpf("0.3"), mpf("1e6"))
     b = Fraction(7, 24)
     value = _g_direct(a, b, tau)
