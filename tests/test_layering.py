@@ -134,9 +134,9 @@ def test_series_walk_through_lattice_sum(module):
 
 
 def test_only_mu_series_builds_its_own_sides():
-    # every theta-type series is a term on core.lattice_sum, theta's sums of
-    # g_{a,b} and of the characters among them; only mu's series, whose two
-    # sides are different formulas, gives fixed_sum sides of its own
+    # every theta-type series, g_{a,b} and the character sums among them, is
+    # a term on core.lattice_sum; only mu's series, whose two sides are
+    # different formulas, gives fixed_sum sides of its own
     callers = {(module, function) for module in _modules() if module != "core"
                for function in _callers(_tree(module), "fixed_sum")}
     assert callers == {("mu", "_mu_series")}
