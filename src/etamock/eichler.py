@@ -11,9 +11,18 @@ below a lower cut set by D it is not evaluated either.  Each cut is checked
 with one value of G there, which bounds the part it leaves out.
 
 The period integrals of E_m take one ray of g_{a,b} per shadow pair (a, b)
-of E_m, weighted by e(-ab) (shadow_ray_integral).  The values of g_{a,b} on
-a ray do not depend on tau, so the rays of one (a, b) from one start share
-them through a memo (unary_ray_integral).
+of E_m, weighted by e(-ab) (shadow_ray_integral).  Every such ray starts
+at a rational x = p/q, and there g_{a,b} obeys the exact identity
+
+    g_{a,b}(x + it) = e(r) (qt)^{-3/2} g_{a',b'}(X + i/(q^2 t)),   t > 0,
+
+whose (a', b'), X and r _cusp_pair finds by folding x to infinity once,
+in Fractions.  So a ray reads g_{a,b} from one table of exact coefficients
+per (a, b, x) and precision (_ray_table): above t = 1/q the direct sum of
+g_{a,b} at height t, below it the sum of g_{a',b'} at height 1/(q^2 t),
+each a Gaussian sum at a height of at least 1/q, taken on integers at a
+node with one real exponential (_ray_node).  The table does not depend on
+tau, so the rays of one (a, b) from one x share it.
 
 The checks that compare these integrals with the finite side of the
 period identities live in verify.
@@ -25,18 +34,13 @@ from functools import lru_cache
 
 from mpmath import mp, mpc, mpf
 
-from .core import exp_sinh, fraction_mpf
+from .core import KERNEL_MEMO, exp_sinh, fixed_prec, fixed_scale, fraction_mpf, to_fixed
 # unused here: the benchmark's span tracer looks these up in this module
 from .core import _gl_cache, adaptive_panels, gauss_legendre_nodes  # noqa: F401
 from .qseries import e2pi
 from .theta import g_ab
 from .vmn import _SHADOW, family, parts
 from .quantum import ELL
-
-# entries kept by the memo of g_{a,b} values on rays, least recently used
-# out: a benchmark round of the period identities fills about a thousand
-RAY_MEMO = 4096
-
 
 def ray_integral(G, z0, tau, decay, tol=None, cusp_decay=None):
     """int_{z0}^{i inf} G(z)/sqrt(-i(z+tau)) dz along the vertical path.
@@ -91,25 +95,150 @@ def ray_integral(G, z0, tau, decay, tol=None, cusp_decay=None):
 
 
 def _cusp_pair(spec, x):
-    """((a', b'), q) for g_{a,b} at the rational x = p/q, with
-    |g_{a,b}(x + it)| = (qt)^{-3/2} |g_{a',b'}(X + i/(q^2 t))| for a real X.
+    """((a', b'), X, r) for g_{a,b} at the rational x = p/q: for every t > 0,
 
-    x is folded to infinity exactly by the laws that g_ab folds tau with:
-    tau -> tau - n takes (a, b) to (a, b + n(a + 1/2)), and tau -> -1/tau
-    takes it to (b, -a).  Their composite gamma sends x to infinity, so
-    |c x + d| = 0 and |c(x + it) + d| = qt; each law carries the factor
-    |c z + d|^{-3/2} of weight 3/2.
+        g_{a,b}(x + it) = e(r) (qt)^{-3/2} g_{a',b'}(X + i/(q^2 t)),
+
+    with X a rational of denominator q.
+
+    x is folded to infinity exactly, in Fractions, by the laws that g_ab
+    folds tau with.  tau -> tau - n takes (a, b) to (a, b + n(a + 1/2)) and
+    adds -n a(a + 1)/2 to r.  tau -> -1/tau, at a point of real part x_k,
+    takes the shifted (a, b) to (b, -a) and adds 1/4 + ab + (3/8) sgn(x_k)
+    to r; x_k = 0 at the last inversion, which sends x to infinity.  Their
+    composite gamma = (A B; C D) has C x + D = 0 and |C| = q, so
+    C(x + it) + D = iCt and gamma(x + it) = A/C + i/(q^2 t): X = A/C.  The
+    weight-3/2 factors (-i sigma)^{3/2} of the inversions multiply to
+    (qt)^{-3/2} times a phase that is the same for every t > 0, since iCt
+    keeps its argument; each inversion's share of it is its limit as
+    t -> 0, e(3/8 sgn(x_k)).
     """
     a, b = map(Fraction, spec)
     x = Fraction(x)
-    q = x.denominator
+    r = Fraction(0)
+    A, C = 1, 0
     while True:
         n = round(x)
         x -= n
-        a, b = b + n * (a + Fraction(1, 2)), -a
+        r -= n * a * (a + 1) / 2
+        b += n * (a + Fraction(1, 2))
+        r += Fraction(1, 4) + a * b + Fraction(3, 8) * ((x > 0) - (x < 0))
+        a, b = b, -a
+        A, C = -C, A - n * C
         if x == 0:
-            return (a, b), q
+            return (a, b), Fraction(A, C), r
         x = -1 / x
+
+
+def _table_size(nu0, q, wp):
+    """The least N >= 1 at which the terms |nu| > N of a side, at s = 1/q,
+    sum below 2^-wp |nu0|, nu0 the least nonzero |nu|.
+
+    The terms past N of each run of nu are at most (N + k + 1)
+    e^{-pi s((N + k)^2 - nu0^2)}, k >= 0, one per unit of |nu|; once
+    pi s (2N + 1) >= log 4 each is at most half the one before, so the two
+    runs sum to at most 4 (N + 1) e^{-pi s (N^2 - nu0^2)}.
+    """
+    s, nu0, target = math.pi / q, float(nu0), -wp * math.log(2)
+    N = 1
+    while s * (2 * N + 1) < math.log(4) \
+            or math.log(4 * (N + 1) / nu0) - s * (N * N - nu0 * nu0) >= target:
+        N += 1
+    return N
+
+
+def _gauss_side(a, b, x, q, wp):
+    """The table of sum nu e(b nu + x nu^2/2) e^{-pi s nu^2} over nu in a + Z,
+    for s >= 1/q: (d, m0, runs), nu = m/d with d the denominator of a mod 1
+    and m0/d the least nonzero |nu|.
+
+    The up run takes nu = m/d >= 0 (from m = d at an integer a, whose
+    nu = 0 term is zero), the down run nu < 0, each up to |nu| = N of
+    _table_size.  A run is (lead, first, coefficients): its first weight
+    relative to the scale e^{-pi s m0^2/d^2} is E^lead, E = e^{-pi s/d^2},
+    the ratio to its second weight is E^first, and each ratio is E^{2 d^2}
+    times the one before; the coefficients nu e(b nu + x nu^2/2) are pairs
+    at wp, exact but for the last bit.
+    """
+    a0 = a % 1
+    c, d = a0.numerator, a0.denominator
+    starts = (c or d, c - d)
+    m0 = min(map(abs, starts))
+    N = _table_size(Fraction(m0, d), q, wp)
+    runs = []
+    with mp.workprec(wp):
+        for m, sign in zip(starts, (1, -1)):
+            nus = [Fraction(k, d) for k in range(m, sign * (N * d + 1), sign * d)]
+            coefficients = tuple(fixed_scale(nu, to_fixed(mp.expjpi(fraction_mpf(
+                2 * (b * nu + x * nu * nu / 2) % 2)), wp)) for nu in nus)
+            runs.append((m * m - m0 * m0, 2 * abs(m) * d + d * d, coefficients))
+    return d, m0, tuple(runs)
+
+
+@lru_cache(maxsize=KERNEL_MEMO)
+def _ray_table(a, b, x, prec):
+    """(q, e(r), the direct side, the cusp side) of g_{a,b} on the ray from
+    x = p/q, each side a _gauss_side table at wp = fixed_prec()."""
+    # prec only keys the memo: the caller's mp.prec is prec
+    (a1, b1), X, r = _cusp_pair((a, b), x)
+    q = x.denominator
+    wp = fixed_prec()
+    with mp.workprec(wp):
+        phase = mp.expjpi(fraction_mpf(2 * r % 2))
+    return q, phase, _gauss_side(a, b, x, q, wp), _gauss_side(a1, b1, X, q, wp)
+
+
+def _fixed_power(x, k, p):
+    """x^k at p bits, for x in [0, 1] given as the integer x 2^p."""
+    y = 1 << p
+    while k:
+        if k & 1:
+            y = y * x >> p
+        x = x * x >> p
+        k >>= 1
+    return y
+
+
+def _gauss_sum(side, s, wp):
+    """The sum of a _gauss_side table at s >= 1/q: one real exponential
+    E = e^{-pi s/d^2}, then the weights of each run relative to the scale
+    walk on integers at wp, and the walk stops at its first zero weight (all
+    later ones are zero too) or at the end of the table.  The powers of E
+    are taken on integers at 2 log2(d) + 4 guard bits, which cover their
+    exponents, at most 3 d^2."""
+    d, m0, runs = side
+    p = wp + 2 * d.bit_length() + 4
+    with mp.workprec(p):
+        E = mp.exp(-mp.pi * s / (d * d))
+        scale = E ** (m0 * m0)
+    e = to_fixed(E, p)[0]
+    step = _fixed_power(e, 2 * d * d, p) >> p - wp
+    re = im = 0
+    for lead, first, coefficients in runs:
+        w, r = (_fixed_power(e, k, p) >> p - wp for k in (lead, first))
+        for x, y in coefficients:
+            if not w:
+                break
+            re += x * w
+            im += y * w
+            w = w * r >> wp
+            r = r * step >> wp
+    return scale * mpc(mpf((re, -2 * wp)), mpf((im, -2 * wp)))
+
+
+def _ray_node(table, t):
+    """g_{a,b}(x + it) from the ray's table: the direct side at s = t if
+    qt >= 1, else e(r) (qt)^{-3/2} times the cusp side at s = 1/(q^2 t), so
+    that s >= 1/q on both."""
+    q, phase, direct, cusp = table
+    wp = fixed_prec()
+    with mp.workprec(wp):
+        qt = q * t
+        if qt >= 1:
+            value = _gauss_sum(direct, t, wp)
+        else:
+            value = phase * _gauss_sum(cusp, 1 / (q * qt), wp) / (qt * mp.sqrt(qt))
+    return +value
 
 
 def g_decay_rate(a):
@@ -124,28 +253,25 @@ def g_decay_rate(a):
 def unary_ray_integral(spec, z0, tau, tol=None):
     """int_{z0}^{i inf} g_{a,b}(z)/sqrt(-i(z+tau)) dz.
 
-    A start z0 given as a Fraction or an int is a cusp of g_{a,b}, and the
-    ray gets the lower cut of ray_integral there, with the decay rate of
-    _cusp_pair's (a', b'): cusp_decay = g_decay_rate(a')/q^2.  Any other z0
-    gets no lower cut.  The values of g_{a,b} at the nodes z0 + it do not
-    depend on tau, so they are kept in a memo keyed by (a, b), the node
-    (which holds the start) and the mp.prec of the call, for the RAY_MEMO
-    most recently used keys: a second ray of (a, b) from z0 reads them.
+    A start z0 = p/q given as a Fraction or an int is a cusp of g_{a,b}.
+    The ray reads g_{a,b}(z0 + it) from one table (_ray_table), memoized on
+    (a, b, z0, mp.prec) for the KERNEL_MEMO most recently used keys and
+    read at the mp.prec of each node: above t = 1/q the direct sum of
+    g_{a,b}, below it the cusp side of the exact identity
+    g_{a,b}(z0 + it) = e(r) (qt)^{-3/2} g_{a',b'}(X + i/(q^2 t)) of
+    _cusp_pair, so each node is a Gaussian sum at s >= 1/q.  The ray gets
+    the lower cut of ray_integral, with the decay rate of (a', b'):
+    cusp_decay = g_decay_rate(a')/q^2.  Any other z0 evaluates g_ab at each
+    node and gets no lower cut.
     """
     a, b = map(Fraction, spec)
-    cusp_decay = None
-    if isinstance(z0, (Fraction, int)):
-        (a1, _), q = _cusp_pair((a, b), z0)
-        cusp_decay = g_decay_rate(a1) / q ** 2
-        z0 = fraction_mpf(z0)
-    return ray_integral(lambda z: _ray_value(a, b, z, mp.prec), z0, tau, g_decay_rate(a),
-                        tol=tol, cusp_decay=cusp_decay)
-
-
-@lru_cache(maxsize=RAY_MEMO)
-def _ray_value(a, b, z, prec):
-    # prec only keys the memo: the caller's mp.prec is prec
-    return g_ab((a, b), z)
+    if not isinstance(z0, (Fraction, int)):
+        return ray_integral(lambda z: g_ab((a, b), z), z0, tau, g_decay_rate(a), tol=tol)
+    x = Fraction(z0)
+    (a1, _), _, _ = _cusp_pair((a, b), x)
+    return ray_integral(lambda z: _ray_node(_ray_table(a, b, x, mp.prec), z.imag),
+                        fraction_mpf(x), tau, g_decay_rate(a), tol=tol,
+                        cusp_decay=g_decay_rate(a1) / x.denominator ** 2)
 
 
 def shadow_ray_integral(m, z0, tau):

@@ -215,7 +215,7 @@ def _suite_mu(report, rng, samples):
         report.add_check("mu factors through g2 at alpha (sample %d)" % i,
                          abs(lhs - rhs), 1e-9)
     tau0 = mpc(0, 1)
-    quad = unary_ray_integral((Fraction(3, 4), Fraction(3, 4)), mpf(0), tau0)
+    quad = unary_ray_integral((Fraction(3, 4), Fraction(3, 4)), Fraction(0), tau0)
     closed = -e2pi(Fraction(3, 16)) * e2pi(tau0 * Fraction(-1, 32)) \
         * mordell_h(tau0 / 4 - Fraction(1, 4), tau0)
     report.add_check("ray integral of unary theta matches Mordell integral",

@@ -376,7 +376,8 @@ def test_the_lower_cut_decays_as_g_does_at_the_cusp(monkeypatch, spec, x):
 
 def test_the_lower_cut_leaves_out_only_what_cannot_change_the_ray():
     spec, z0 = (Fraction(1, 4), Fraction(1, 2)), Fraction(1, 2)
-    (a1, _), q = _cusp_pair(spec, z0)
+    (a1, _), _, _ = _cusp_pair(spec, z0)
+    q = z0.denominator
     values = {}
     for cusp in (g_decay_rate(a1) / q ** 2, None):
         calls = []
@@ -419,25 +420,32 @@ def _counting_g_ab(monkeypatch):
     return calls
 
 
+def _same_bits(a, b):
+    return (a.real, a.imag) == (b.real, b.imag)
+
+
 @pytest.mark.parametrize("spec, z0", [((Fraction(1, 4), Fraction(1, 2)), Fraction(1, 2)),
                                       ((Fraction(1, 12), Fraction(1, 2)), Fraction(1))])
 def test_a_second_ray_from_one_start_reads_the_memo(monkeypatch, spec, z0):
+    """A ray of (a, b) from z0 at another tau builds no table and gives the
+    bits of a ray from a cold memo."""
     calls = _counting_g_ab(monkeypatch)
     for tau in (mpc(-0.2, 1.1), mpf(1) / 3):
-        eichler._ray_value.cache_clear()
+        eichler._ray_table.cache_clear()
         cold = unary_ray_integral(spec, z0, tau)
-        eichler._ray_value.cache_clear()
+        eichler._ray_table.cache_clear()
         unary_ray_integral(spec, z0, TAU)
-        before = len(calls)
+        assert eichler._ray_table.cache_info().misses == 1
         warm = unary_ray_integral(spec, z0, tau)
-        assert len(calls) == before
-        assert (warm.real, warm.imag) == (cold.real, cold.imag)
+        assert eichler._ray_table.cache_info().misses == 1
+        assert _same_bits(warm, cold)
+    assert calls == []
 
 
 def test_a_ray_at_higher_precision_recomputes_its_values(monkeypatch):
-    """The memo reads mp.prec when G is called, not when G is made: a G made
-    at dps 16 and called at dps 30 returns dps-30 values, at the node t = 1
-    that every ray shares too."""
+    """The table is looked up at the mp.prec of each node, not of the call
+    that made G: a G made at dps 16 and called at dps 30 builds a dps-30
+    table and gives the bits of a ray made at dps 30."""
     spec, z0 = (Fraction(1, 4), Fraction(1, 2)), Fraction(1, 2)
     made = []
 
@@ -446,17 +454,89 @@ def test_a_ray_at_higher_precision_recomputes_its_values(monkeypatch):
         return ray_integral(G, *args, **kwargs)
 
     monkeypatch.setattr(eichler, "ray_integral", record)
-    eichler._ray_value.cache_clear()
+    eichler._ray_table.cache_clear()
     coarse = unary_ray_integral(spec, z0, TAU)
     (G, args, kwargs), = made
-    calls = _counting_g_ab(monkeypatch)
     with mp.workdps(30):
         fine = ray_integral(G, *args, **kwargs)
-        assert len(calls) > 0
-        eichler._ray_value.cache_clear()
+        assert eichler._ray_table.cache_info().misses == 2
+        eichler._ray_table.cache_clear()
         cold = unary_ray_integral(spec, z0, TAU)
-    assert (fine.real, fine.imag) == (cold.real, cold.imag)
+    assert _same_bits(fine, cold)
     assert abs(fine - coarse) > 0
+
+
+# the shadow pairs of the odd records, and one pair of no record
+CUSP_PAIRS = [p for rec in ETA_THETA.values() for p in rec.g_pairs] \
+    + [(Fraction(3, 4), Fraction(3, 4))]
+CUSP_STARTS = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1, 3), Fraction(-2, 5),
+               Fraction(3, 7), Fraction(5, 8), Fraction(-7, 12)]
+
+
+@pytest.mark.parametrize("dps", [16, 30])
+@pytest.mark.parametrize("x", CUSP_STARTS)
+def test_the_cusp_fold_is_exact(dps, x):
+    """g_{a,b}(x + it) = e(r) (qt)^{-3/2} g_{a',b'}(X + i/(q^2 t)) for the
+    ((a', b'), X, r) of _cusp_pair, both sides by g_ab at dps + 34, at a
+    height on each side of t = 1/q and one below the lower cut's scale."""
+    q = x.denominator
+    for spec in CUSP_PAIRS:
+        (a1, b1), X, r = _cusp_pair(spec, x)
+        assert X.denominator == q
+        with mp.workdps(dps + 34):
+            for t in (mpf(3) / q, mpf(1) / (3 * q), mpf(1) / (20 * q * q)):
+                direct = g_ab(spec, mpc(fraction_mpf(x), t))
+                folded = e2pi(r) * (q * t) ** mpf(-1.5) \
+                    * g_ab((a1, b1), mpc(fraction_mpf(X), 1 / (q * q * t)))
+                assert abs(direct - folded) < mpf(10) ** -(dps + 30) * abs(direct), (spec, t)
+
+
+def _abs_terms(spec, x, t):
+    """The sum of |terms| of the node sum at x + it: sum |nu| e^{-pi s nu^2}
+    over nu in a + Z on the side that _ray_node takes, times (qt)^{-3/2} on
+    the cusp side."""
+    q = x.denominator
+    (a1, _), _, _ = _cusp_pair(spec, x)
+    a, s, factor = (spec[0], t, 1) if q * t >= 1 else (a1, 1 / (q * q * t), (q * t) ** -1.5)
+    a0 = fraction_mpf(Fraction(a) % 1)
+    return factor * mp.nsum(lambda n: abs(a0 + n) * mp.exp(-mp.pi * s * (a0 + n) ** 2),
+                            [-mp.inf, mp.inf])
+
+
+# (1, 7/10) has a direct side of integer a, and (1/4, 0) from 0 a cusp side of
+# integer a' = 0: neither side has a nu = 0 term, and each is scaled at nu = +-1
+TABLE_PAIRS = CUSP_PAIRS + [(Fraction(1), Fraction(7, 10))]
+
+
+@pytest.mark.parametrize("dps", [16, 30, 40])
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 2), Fraction(-2, 5), Fraction(5, 8)])
+def test_the_ray_table_gives_g_ab(dps, x):
+    """Each node value of the table is within 2 units of 10^-dps of its sum of
+    |terms| of g_ab at dps + 34, from t = 10^-4 to 10^3, at t = 1/q where the
+    direct side takes its fewest terms, just below it where the cusp side
+    does, and at t = 469."""
+    q = x.denominator
+    heights = [mpf(10) ** -4, mpf(1) / (7 * q), mpf(1) / q, mpf(1) / q * (1 - mpf(10) ** -dps),
+               mpf(2) / q, mpf(469), mpf(10) ** 3]
+    with mp.workdps(dps):
+        for spec in TABLE_PAIRS:
+            table = eichler._ray_table(spec[0], spec[1], x, mp.prec)
+            for t in heights:
+                value = eichler._ray_node(table, t)
+                with mp.workdps(dps + 34):
+                    exact = g_ab(spec, mpc(fraction_mpf(x), t))
+                    bound = 2 * mpf(10) ** -dps * _abs_terms(spec, x, t)
+                assert abs(value - exact) <= bound, (spec, t)
+
+
+def test_a_ray_from_a_rational_start_calls_no_g_ab(monkeypatch):
+    calls = _counting_g_ab(monkeypatch)
+    spec = (Fraction(1, 12), Fraction(1, 2))
+    for z0 in (Fraction(1, 2), 1):
+        unary_ray_integral(spec, z0, TAU)
+    assert calls == []
+    unary_ray_integral(spec, mpf(0.5), TAU)
+    assert len(calls) > 0
 
 
 def test_lhs_cache_keys_on_exact_inputs_and_precision(monkeypatch):

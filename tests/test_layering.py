@@ -5,9 +5,14 @@ import sits inside a function, where it would hide a cycle, and every
 name a module imports is used in it.  Only vmn names the parts of family 4,
 and only theta and vmn read the shadow pairs, the g_pairs of theta's odd
 eta-theta records.  Outside core only the infinite products call
-`converging`; every series stops by `core.fixed_sum`, and only mu's own
-series hands its sides to it: every theta-type series is a term on
-`core.lattice_sum`, and qseries sums none.  No module calls
+`converging`; every infinite series stops by `core.fixed_sum`, and only
+mu's own series hands its sides to it: every theta-type series is a term
+on `core.lattice_sum`, which only R, the Lambert sums and theta's own
+sums call, and qseries sums none.  One theta-type sum is finite and has
+no stopping rule: the Gaussian sum at a node of a ray from a cusp
+(`eichler._gauss_sum`), whose table's length N is fixed in advance for
+the lowest height the ray reaches; it calls none of the series fronts nor
+`g_ab`.  No module calls
 mpmath's erfc: R's erfc terms take `core.fixed_erfcx`.  Every public
 function or class has a caller in the package or in the benchmark.
 """
@@ -140,7 +145,29 @@ def test_only_mu_series_builds_its_own_sides():
     callers = {(module, function) for module in _modules() if module != "core"
                for function in _callers(_tree(module), "fixed_sum")}
     assert callers == {("mu", "_mu_series")}
-    assert not _callers(_tree("qseries"), "lattice_sum"), "qseries sums a theta-type series"
+    callers = {(module, function) for module in _modules() if module != "core"
+               for function in _callers(_tree(module), "lattice_sum")}
+    assert callers == {("mu", "R_correction"), ("vmn", "_lambert_sum"), ("theta", "_theta_sum"),
+                       ("theta", "_g_direct"), ("theta", "_character_sum")}
+
+
+def _calls(function):
+    """The names of the functions and methods that `function` calls."""
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(function) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_the_ray_node_sum_is_a_finite_table_sum():
+    # a node of a ray from a cusp sums its fixed table on integers: no
+    # stopping rule, no series front and no fold of tau
+    functions = {stmt.name: stmt for stmt in _tree("eichler").body
+                 if isinstance(stmt, ast.FunctionDef)}
+    for name in ("_ray_node", "_gauss_sum"):
+        called = _calls(functions[name])
+        assert called, name
+        assert not called & {"converging", "fixed_sum", "lattice_sum", "g_ab", "reduce_tau",
+                             "e2pi"}, (name, sorted(called))
 
 
 @pytest.mark.parametrize("module", _modules())

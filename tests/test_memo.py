@@ -5,9 +5,9 @@ keyed by the exact arguments and `mp.prec`, for the KERNEL_MEMO most
 recently used keys; so does `e2pi` at a rational exponent, keyed by the
 exponent mod 1.  The finite sums F_hk keep their x-only half, the steps
 and numerators at (h mod 2k, k), for the NUMERATOR_MEMO most recently used
-keys; the ray integrals keep the values of g_{a,b} at their nodes for the
-RAY_MEMO most recently used keys (their reuse and their precision are
-pinned in test_eichler.py).  The exact multiplier transformation_root is
+keys; the ray integrals keep one table of g_{a,b} per ray, keyed by (a, b),
+the rational start and `mp.prec`, for the KERNEL_MEMO most recently used
+keys (their reuse and their precision are pinned in test_eichler.py).  The exact multiplier transformation_root is
 memoized on (m, n, gamma), with no precision in the key.  These tests pin that contract: each cap holds, a value never
 crosses precisions, the sum route stays outside the memo, and a warm memo
 returns the bits a cold one computes.  They also pin how much the 59 rows
@@ -24,7 +24,6 @@ from mpmath import mp, mpc
 
 from etamock import core, eichler, qseries, quantum, theta
 from etamock.core import e2pi
-from etamock.eichler import RAY_MEMO
 from etamock.qseries import KERNEL_MEMO, RootOfUnity, eta
 from etamock.quantum import (NUMERATOR_MEMO, F_hk_terms, companion_sum, group_generators,
                              in_quantum_set, integral_identity_rhs, vm1_at_rational)
@@ -36,7 +35,7 @@ from etamock.vmn import (FAMILIES, all_rows, family, transformation_root, vmn_ev
 DPS = 30
 
 KERNELS = (qseries._eta_folded, theta._theta_folded)
-MEMOS = KERNELS + (core._e2pi_rational, quantum._hk_numerators, eichler._ray_value)
+MEMOS = KERNELS + (core._e2pi_rational, quantum._hk_numerators, eichler._ray_table)
 
 # exact in binary at every precision, so only mp.prec tells the keys apart;
 # Im tau < sqrt(3)/2, so both kernels fold
@@ -77,14 +76,15 @@ def test_neither_memo_outgrows_its_cap(monkeypatch):
         info = memo.cache_info()
         assert info.maxsize == KERNEL_MEMO
         assert info.currsize == KERNEL_MEMO and info.misses == KERNEL_MEMO + 44
-    # the ray memo of g_{a,b} values, filled here through a stand-in for g_ab
-    # that costs nothing
-    monkeypatch.setattr(eichler, "g_ab", lambda spec, z: z)
-    for k in range(RAY_MEMO + 44):
-        eichler._ray_value(Fr(1, 4), Fr(1, 2), mpc(0.5, k + 1), mp.prec)
-    info = eichler._ray_value.cache_info()
-    assert info.maxsize == RAY_MEMO
-    assert info.currsize == RAY_MEMO and info.misses == RAY_MEMO + 44
+    # the ray memo of g_{a,b} tables, filled here through stand-ins for the
+    # fold and the sides that cost nothing
+    monkeypatch.setattr(eichler, "_cusp_pair", lambda spec, x: (spec, x, Fr(0)))
+    monkeypatch.setattr(eichler, "_gauss_side", lambda *args: args)
+    for k in range(KERNEL_MEMO + 44):
+        eichler._ray_table(Fr(1, 4), Fr(1, 2), Fr(1, k + 1), mp.prec)
+    info = eichler._ray_table.cache_info()
+    assert info.maxsize == KERNEL_MEMO
+    assert info.currsize == KERNEL_MEMO and info.misses == KERNEL_MEMO + 44
 
 
 @pytest.mark.parametrize("order", [(16, 30), (30, 16)], ids=["16-then-30", "30-then-16"])

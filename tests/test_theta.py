@@ -256,6 +256,26 @@ def test_g_ab_low_height_reduction():
     assert abs(g_ab((a, b), tau) - slow) < 1e-18
 
 
+# eight pairs (a, b) of denominator 24
+G_FOLD_PAIRS = [(Fraction(a, 24), Fraction(b, 24))
+                for a, b in ((1, 5), (5, 13), (7, -11), (11, 1), (13, 19), (17, -7), (19, 23),
+                             (23, 12))]
+
+
+@pytest.mark.parametrize("im", ["1e-3", "1e-6", "1e-10"])
+def test_g_ab_keeps_working_precision_near_the_real_line(im):
+    # the fold takes core.fold_guard guard digits, as theta's does: without
+    # them the worst relative error at dps 16 was 1.1e-15, 1.9e-12 and
+    # 1.9e-5 at these heights, and with them it is 8e-18 to 1.0e-17
+    with mp.workdps(16):
+        tau = mpc(mpf("0.137"), mpf(im))
+        for spec in G_FOLD_PAIRS:
+            value = g_ab(spec, tau)
+            with mp.workdps(60):
+                ref = g_ab(spec, tau)
+            assert abs(value - ref) < mpf(10) ** -16 * abs(ref), spec
+
+
 # Im tau from the bottom of F up to the heights a fold reaches near a cusp:
 # there the product of theta and the sum of g run on integer pairs with
 # nothing folded.  Each kernel is measured against a reference at 40 more
