@@ -7,10 +7,11 @@ exponent mod 1.  The finite sums F_hk keep their x-only half, the steps
 and numerators at (h mod 2k, k), for the NUMERATOR_MEMO most recently used
 keys; the ray integrals keep one table of g_{a,b} per ray, keyed by (a, b),
 the rational start and `mp.prec`, for the KERNEL_MEMO most recently used
-keys (their reuse and their precision are pinned in test_eichler.py).  The exact multiplier transformation_root is
-memoized on (m, n, gamma), with no precision in the key.  These tests pin that contract: each cap holds, a value never
-crosses precisions, the sum route stays outside the memo, and a warm memo
-returns the bits a cold one computes.  They also pin how much the 59 rows
+keys (their reuse and their precision are pinned in test_eichler.py).  The
+exact multiplier transformation_root is memoized on (m, n, gamma), with no
+precision in the key.  These tests pin that contract: each cap holds, a
+value never crosses precisions, the sum route stays outside the memo, and
+a warm memo returns the bits a cold one computes.  They also pin how much the 59 rows
 share at one tau, and how much the finite sums share at one h/k, so a
 change that perturbs the bits of s*tau or v_n, or the key of the
 numerators, fails here rather than silently losing the sharing.
