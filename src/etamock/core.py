@@ -4,11 +4,11 @@ the fundamental domain, and nested exp-sinh quadrature on the half-line.
 Every series has one walk and one stopping rule.  Its terms are pairs of
 Python integers, scaled per side, and `fixed_sum` stops each side after
 QUIET_RUN small terms in a row; `lattice_sum` is the front of every
-theta-type series but mu's, and walks their phases with `fixed_walk`.  The
-infinite products stay on `converging`, which counts the quiet run that
-ends every series and product.  Beside the fixed-point helpers sits one
-special function on integers, `fixed_erfcx`, the scaled complementary
-error function that R's erfc sum takes in place of mpmath's erfc.
+theta-type series but mu's, and walks their phases with `fixed_walk`.
+Every infinite product stops by `fixed_product`, on the same walks, and
+`converging` counts the quiet run that ends each series and product.  One
+special function runs on integers too: `fixed_erfcx`, the scaled erfc
+that R's erfc sum takes in place of mpmath's erfc.
 
 Every other module of the package builds on these; this module imports
 nothing from the package.  Numeric evaluation runs on mpmath's global
@@ -61,8 +61,8 @@ def converging(pairs, cap, what):
     """The values of the (value, small) `pairs` up to the end of the first
     run of QUIET_RUN small ones in a row.
 
-    Every series and product stops here.  The infinite products bring
-    their own envelope test for "small"; fixed_sum marks a term small at
+    Every series and product stops here.  fixed_product marks a factor
+    small when its envelope is below eps; fixed_sum marks a term small at
     or below eps times the largest term so far.  ConvergenceError
     if `cap` pairs, or all of them, pass without such a run.
     """
@@ -96,7 +96,7 @@ def _e2pi_rational(x, prec):
 # ---------------------------------------------------------------------------
 # fixed point
 #
-# The inner loops of theta's product, g_{a,b}'s sum and mu's series run on
+# The inner loops of every product, theta-type sum and mu's series run on
 # Python integers, as mpmath's own jtheta does: at dps 16 a complex product
 # of two integer pairs takes about an eighth of the time of one of two mpc
 # (0.75 against 5.7 us).  A complex number there is a pair (re, im) of
@@ -251,28 +251,30 @@ def fixed_walk(start, ratio, step, wp):
     """The pairs w_0 = start, w_1, ... at wp of the walk w_(k+1) = w_k r_k,
     r_0 = ratio, r_(k+1) = r_k step; step None keeps r_k = ratio.
 
-    start is a pair at wp; ratio and step are mpc, and r_k is kept as a
-    walk ratio with its own exponent.  A walk should run the way its
-    modulus shrinks: then each w_k is within a few units of 2^-wp of its
-    value, and its integers stop growing after the first.  A ratio above
-    2^wp keeps the shift 0, and its integers widen instead.  Each step
-    rounds down, so a walk that has decayed below 2^-wp ends on pairs of
-    -1 and 0, such as (-1, 0), not on (0, 0).
+    start is a pair at wp; ratio and step are mpc, read when the walk is
+    made, and r_k is kept as a walk ratio with its own exponent.  A walk
+    should run the way its modulus shrinks: then each w_k is within a few
+    units of 2^-wp of its value, and its integers stop growing after the
+    first.  A ratio above 2^wp keeps the shift 0, and its integers widen
+    instead.  Each step rounds down, so a walk that has decayed below
+    2^-wp ends on pairs of -1 and 0, such as (-1, 0), not on (0, 0).
     """
-    w = start
     r, s = _ratio(ratio, wp)
-    if step is None:
+    step, t = (None, 0) if step is None else _ratio(step, wp)
+
+    def walk(w, r, s):
+        while step is None:
+            yield w
+            w = fixed_mul(w, r, s)
         while True:
             yield w
             w = fixed_mul(w, r, s)
-    step, t = _ratio(step, wp)
-    while True:
-        yield w
-        w = fixed_mul(w, r, s)
-        # r step, its integers shifted back to wp bits
-        c, d = fixed_mul(r, step, 0)
-        k = min(max(abs(c), abs(d)).bit_length() - wp, s + t)
-        r, s = (c >> k, d >> k), s + t - k
+            # r step, its integers shifted back to wp bits
+            c, d = fixed_mul(r, step, 0)
+            k = min(max(abs(c), abs(d)).bit_length() - wp, s + t)
+            r, s = (c >> k, d >> k), s + t - k
+
+    return walk(start, r, s)
 
 
 def fixed_sum(sides, wp, what):
@@ -329,6 +331,35 @@ def fixed_sum(sides, wp, what):
             total += scale * from_fixed((re, im), wp)
         top2 = max(top2, mpf((norm * peak, -2 * (shift + wp))))
     return total
+
+
+def fixed_product(starts, q, what):
+    """The product over k >= 0 of prod_(c in starts) (1 - c q^k), |q| < 1,
+    at wp = fixed_prec() bits for the caller to round: every infinite product.
+
+    Each start walks by q on fixed_walk and the factors multiply on integer
+    pairs, the running product raised back to wp bits whenever it falls
+    below 1/2.  It stops by `converging` after QUIET_RUN factors in a row
+    whose envelope, the walk of the largest start, is below series_eps().
+    """
+    wp = fixed_prec()
+    one = 1 << wp
+    eps2 = int(mp.ldexp(series_eps(), wp) ** 2)
+    with mp.workprec(wp):
+        pairs = [to_fixed(c, wp) for c in starts]
+        # every walk shrinks by |q|, so the largest start's is the envelope
+        lead = max(range(len(pairs)), key=lambda i: pairs[i][0] ** 2 + pairs[i][1] ** 2)
+        walks = zip(*(fixed_walk(x, q, None, wp) for x in pairs))
+        marked = ((walk, walk[lead][0] ** 2 + walk[lead][1] ** 2 < eps2) for walk in walks)
+        prod, shift = (one, 0), wp
+        for walk in converging(marked, 10 ** 6, what):
+            for a, b in walk:
+                prod = fixed_mul(prod, (one - a, -b), wp)
+            a, b = prod
+            k = wp - max(abs(a), abs(b)).bit_length()
+            if k > 0:
+                prod, shift = (a << k, b << k), shift + k
+        return from_fixed(prod, shift)
 
 
 def lattice_sum(term, center, phases, what, one_sided=False):

@@ -6,7 +6,8 @@ compare exactly, term by term.  Eta quotients are expanded on integer
 coefficient lists by the private `_poly_*` helpers, the only place that
 multiplies, inverts or raises a q-series to a power.  Numeric eta reduces
 to the fundamental domain first, so it is usable arbitrarily close to the
-real axis.  No series is summed here: eta's lacunary sum is theta's e_3(tau/24).
+real axis.  No series is summed here: eta's lacunary sum is theta's
+e_3(tau/24), and its product, like every (a; q)_infinity, is core.fixed_product.
 """
 
 import math
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 from mpmath import mp, mpc
 
-from .core import KERNEL_MEMO, converging, e2pi, reduce_tau, series_eps
+from .core import KERNEL_MEMO, e2pi, fixed_product, reduce_tau
 
 
 def kronecker(a, n):
@@ -56,16 +57,7 @@ def qpoch(a, q):
     q = mpc(q)
     if abs(q) >= 1:
         raise ValueError("infinite q-Pochhammer needs |q| < 1")
-    eps = series_eps()
-
-    def factors():
-        aq = mpc(a)
-        while True:
-            factor = 1 - aq
-            aq *= q
-            yield factor, abs(aq) < eps
-
-    return math.prod(converging(factors(), 10 ** 6, "q-Pochhammer"), start=mpc(1))
+    return +fixed_product((a,), q, "q-Pochhammer")
 
 
 @dataclass(frozen=True)

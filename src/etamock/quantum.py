@@ -25,8 +25,8 @@ with nu the row's exact multiplier under gamma (vmn.transformation_root).
 L vanishes at the translation T^lcm(N, 2); at M_1 and M_2 it is a period
 integral of E_m, and the finite side of the period identities is L of the
 first column at M_ell.  What the paper prints
-and the checks compare against stays typed: the quantum sets and the sets
-where the finite sums are defined.
+and the checks compare against stays typed: the quantum sets.  Where the
+finite sums are defined is derived: h odd, and no denominator factor zero.
 """
 
 from __future__ import annotations
@@ -150,13 +150,11 @@ def _set_predicate(m, n):
     return _SET_PREDICATES[quantum_set_label(m, n)]
 
 
-# sets on which the finite-sum evaluation at rationals is defined:
-# every factor in the denominators is then provably nonzero
-_DEFINED_SET = {"1": "S", "2": "S", "3": "S'|S_od", "4": "S", "5": "S'|S_ev", "6": "S'"}
-
-
 def rational_formula_defined(m, x):
-    return _SET_PREDICATES[_DEFINED_SET[family(m)]](x)
+    """Whether family m's finite sums have a value at x = h/k: h is odd, and
+    no denominator factor of the family's argument pairs vanishes."""
+    x = as_fraction(x)
+    return in_S(x) and not _vanishing_factor(x, [rational_z_args(p, x) for p in parts(family(m))])
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +186,9 @@ def _finite_sums(x, pairs):
     numerator lookup, then a denominator pass per pair."""
     x = as_fraction(x)
     h, k = x.numerator, x.denominator
-    for z1, z2 in pairs:
-        for name, z in (("z1", z1), ("z2", z2)):
-            if not isinstance(z, RootOfUnity):
-                raise TypeError("%s must be a RootOfUnity, got %r" % (name, z))
-            # 1 - z zeta^j = 0 iff num/den + h j/(2k) is an integer
-            for j in range(k):
-                if (2 * k * z.num + z.den * h * j) % (2 * k * z.den) == 0:
-                    raise ZeroDivisionError(
-                        "factor (1 - %s zeta^%d) vanishes for h/k = %s" % (name, j, x))
+    zero = _vanishing_factor(x, pairs)
+    if zero:
+        raise ZeroDivisionError("factor (1 - %s zeta^%d) vanishes for h/k = %s" % (*zero, x))
     steps, numerators = _hk_numerators(h % (2 * k), k, mp.prec)
     sums = []
     for z1, z2 in pairs:
@@ -210,6 +202,21 @@ def _finite_sums(x, pairs):
             d2 *= 1 - z2v * step
         sums.append(terms)
     return sums
+
+
+def _vanishing_factor(x, pairs):
+    """(name, j) of the first factor 1 - z zeta^j, j < k, of the pairs
+    (z1, z2) that vanishes at x = h/k, zeta = e(h/(2k)), or None."""
+    h, k = x.numerator, x.denominator
+    for z1, z2 in pairs:
+        for name, z in (("z1", z1), ("z2", z2)):
+            if not isinstance(z, RootOfUnity):
+                raise TypeError("%s must be a RootOfUnity, got %r" % (name, z))
+            # 1 - z zeta^j = 0 iff num/den + h j/(2k) is an integer
+            for j in range(k):
+                if (2 * k * z.num + z.den * h * j) % (2 * k * z.den) == 0:
+                    return name, j
+    return None
 
 
 @lru_cache(maxsize=NUMERATOR_MEMO)

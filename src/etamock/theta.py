@@ -18,9 +18,8 @@ from functools import lru_cache
 
 from mpmath import mp, mpc
 
-from .core import (SIDE_CAP, ConvergenceError, converging, fixed_mul, fixed_prec, fixed_scale,
-                   fixed_walk, fold_guard, fraction_mpf, from_fixed, lattice_sum, period_cell,
-                   reduce_tau, series_eps, to_fixed)
+from .core import (SIDE_CAP, ConvergenceError, fixed_prec, fixed_product, fixed_scale, fold_guard,
+                   fraction_mpf, lattice_sum, period_cell, reduce_tau)
 from .qseries import (
     KERNEL_MEMO,
     FormalQSeries,
@@ -50,12 +49,10 @@ def jacobi_theta(v, tau, representation="product"):
     factors whatever Im tau was.  For Im tau >= sqrt(3)/2 (all of F) and
     v in the cell nothing moves, and the value is the bare product.
 
-    The product multiplies on pairs of Python integers at mp.prec + 20
-    bits (core.fixed_prec), and its few exponentials are taken at those
-    bits too.  Its leading factor 1 - e(v) is -2i sin(pi v) e(v/2), so
-    theta keeps its relative precision next to its zeros v in Z + tau Z,
-    where nothing folds; at tau = 0.3 + 0.98i and v = 1e-9 + 2e-10i, dps 16,
-    the product of mpc factors it replaced kept 9 of the 16 digits.
+    The product is core.fixed_product, its exponentials taken at its
+    wp bits.  Its leading factor 1 - e(v) is taken out as
+    -2i sin(pi v) e(v/2), so theta keeps its relative precision next to
+    its zeros v in Z + tau Z, where nothing folds.
 
     The folded value is memoized, keyed by (v, tau, mp.prec), for the
     KERNEL_MEMO = 256 most recently used keys, as eta's is: the rows of
@@ -99,47 +96,24 @@ def _theta_folded(v, tau, prec):
         with mp.extraprec(max(0, 2 * mp.mag(v.imag / tau.imag) + mp.mag(tau) + mp.mag(v))):
             v, lam, m = period_cell(v, tau)
             if lam or m:
-                factor *= _elliptic_factor(v, tau, lam, m)
+                # theta(v + lam tau + m; tau)/theta(v; tau)
+                factor *= (-1) ** (lam + m) * mp.exp(-1j * mp.pi * lam * (lam * tau + 2 * v))
         value = factor * _theta_product(v, tau)
     return +value
 
 
-def _elliptic_factor(v, tau, lam, m):
-    """theta(v + lam*tau + m; tau) / theta(v; tau), for integers lam, m."""
-    return (-1) ** (lam + m) * mp.exp(-1j * mp.pi * lam * (lam * tau + 2 * v))
-
-
 def _theta_product(v, tau):
-    # the triple product, unreduced: about 1/Im(tau) factors, multiplied on
-    # integer pairs.  Its n = 1 factor 1 - zeta = -2i sin(pi v) e(v/2) is
+    # the triple product, unreduced: about 1/Im(tau) factors on
+    # core.fixed_product.  Its n = 1 factor 1 - zeta = -2i sin(pi v) e(v/2) is
     # taken out, so theta keeps its digits near its zeros:
     # theta = -2 q^{1/8} sin(pi v) prod_{n >= 1} (1 - q^n)(1 - zeta q^n)(1 - q^n/zeta)
-    wp = fixed_prec()
-    one = 1 << wp
-    eps2 = int(mp.ldexp(series_eps(), wp) ** 2)
-    with mp.workprec(wp):
+    with mp.workprec(fixed_prec()):
         q = e2pi(tau)
         zeta = e2pi(v)
-        inverse = 1 / zeta
-        # q^n, zeta q^n and q^n/zeta from n = 1, each walking by q; the
-        # larger of the last two is the envelope of the factors
-        walks = zip(*(fixed_walk(to_fixed(c * q, wp), q, None, wp) for c in (1, zeta, inverse)))
-        lead = 1 if v.imag <= 0 else 2  # |zeta| = e^(-2 pi Im v)
+        starts = [c * q for c in (1, zeta, 1 / zeta)]
         head = -2 * e2pi(tau / 8) * mp.sin(mp.pi * v)
-
-    def factors():
-        for walk in walks:
-            (a, b), (c, d), (e, f) = walk
-            factor = fixed_mul((one - a, -b), (one - c, -d), wp)
-            x, y = walk[lead]
-            yield fixed_mul(factor, (one - e, -f), wp), x * x + y * y < eps2
-
-    prod = (one, 0)
-    for factor in converging(factors(), 10 ** 6, "theta product"):
-        prod = fixed_mul(prod, factor, wp)
-    with mp.workprec(wp):
-        value = head * from_fixed(prod, wp)
-    return +value
+    # head and product at wp bits, their product rounded once
+    return head * fixed_product(starts, q, "theta product")
 
 
 def _theta_sum(v, tau):

@@ -31,8 +31,8 @@ from functools import cache
 
 from mpmath import mp, mpc
 
-from .core import fixed_div, fixed_prec, fraction_mpf, lattice_sum
-from .qseries import RootOfUnity, SL2Matrix, e2pi, eta, eta_multiplier, qpoch
+from .core import fixed_div, fixed_prec, fixed_product, fraction_mpf, lattice_sum
+from .qseries import RootOfUnity, SL2Matrix, e2pi, eta, eta_multiplier
 from .theta import ETA_THETA, HALF, eta_theta_eval, jacobi_theta, theta_point
 from .mu import mu, mu_hat
 
@@ -394,8 +394,7 @@ def group_sample(m, n, count=4):
 def _theta_quotient(spec, tau):
     if spec.n == 1:
         return mpc(0)
-    first = _ROWS[(spec.label, 1)]
-    u1 = first.u.at(tau)
+    u1 = _ROWS[(spec.label, 1)].u.at(tau)
     un = spec.u.at(tau)
     vn = spec.v.at(tau)
     num = eta(tau) ** 3 * jacobi_theta(tau / 2 + un, tau) \
@@ -414,19 +413,15 @@ def fmn_theta_quotient(m, n, tau):
 def _product_form(spec, tau):
     if spec.n == 1:
         return mpc(0)
-    first = _ROWS[(spec.label, 1)]
     q = e2pi(tau)
-
-    def pair(z):
-        return qpoch(e2pi(z), q) * qpoch(e2pi(-z) * q, q)
-
-    u1 = first.u.at(tau)
+    u1 = _ROWS[(spec.label, 1)].u.at(tau)
     un = spec.u.at(tau)
     vn = spec.v.at(tau)
-    pref = -1j * spec.w.value() * e2pi(u1 - un / 2 + vn / 2) \
-        * e2pi((spec.t - Fr(1, 8)) * tau)
-    num = pair(un - u1) * qpoch(q, q) * pair(tau / 2 + un)
-    den = qpoch(e2pi(tau / 2), q) ** 2 * pair(u1) * pair(un) * pair(vn)
+    pref = -1j * spec.w.value() * e2pi(u1 - un / 2 + vn / 2 + (spec.t - Fr(1, 8)) * tau)
+    # (z; q)(q/z; q) is the product over the starts z and q/z, at z = e(w)
+    starts = [c for w in (un - u1, tau / 2 + un, u1, un, vn) for c in (e2pi(w), e2pi(-w) * q)]
+    num = fixed_product(starts[:4] + [q], q, "product form")
+    den = fixed_product([e2pi(tau / 2)] * 2 + starts[4:], q, "product form")
     return pref * num / den
 
 

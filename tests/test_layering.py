@@ -4,7 +4,9 @@ Each module may import only from the modules before it in LAYERS, no
 import sits inside a function, where it would hide a cycle, and every
 name a module imports is used in it.  Only vmn names the parts of family 4,
 and only theta and vmn read the shadow pairs, the g_pairs of theta's odd
-eta-theta records.  Outside core only the infinite products call
+eta-theta records.  Every infinite product stops by `core.fixed_product`
+(qpoch, and with it eta, theta's triple product and vmn's product form),
+and outside core only Kang's g_2 series, a sum of running products, calls
 `converging`; every infinite series stops by `core.fixed_sum`, and only
 mu's own series hands its sides to it: every theta-type series is a term
 on `core.lattice_sum`, which only R, the Lambert sums and theta's own
@@ -107,10 +109,10 @@ def test_every_imported_name_is_used(module):
     assert not unused, "%s imports names it does not use: %s" % (module, unused)
 
 
-# the infinite products of qpoch and theta, and the g_2 series, whose terms
-# are ratios of growing products: each brings its own test for "small".
-# Every other series stops by core.fixed_sum's rule
-PRODUCTS = {"qseries": {"qpoch"}, "theta": {"_theta_product"}, "mu": {"g2_universal"}}
+# the g_2 series, whose terms are ratios of growing products, brings its
+# own test for "small".  Every product stops by core.fixed_product's rule
+# and every other series by core.fixed_sum's
+PRODUCTS = {"mu": {"g2_universal"}}
 
 
 def _callers(tree, name):
@@ -132,8 +134,9 @@ def _callers(tree, name):
 
 @pytest.mark.parametrize("module", [m for m in _modules() if m != "core"])
 def test_series_walk_through_lattice_sum(module):
-    # outside core only the infinite products call converging: a series
-    # takes its walk and its stop from lattice_sum or fixed_sum
+    # outside core only the g_2 series calls converging: a series takes its
+    # walk and its stop from lattice_sum or fixed_sum, a product from
+    # fixed_product
     extra = _callers(_tree(module), "converging") - PRODUCTS.get(module, set())
     assert not extra, "%s calls converging in %s" % (module, sorted(map(str, extra)))
 
@@ -156,6 +159,18 @@ def _calls(function):
     return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
             for node in ast.walk(function) if isinstance(node, ast.Call)
             and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+@pytest.mark.parametrize("module, name", [("qseries", "qpoch"), ("theta", "_theta_product"),
+                                          ("vmn", "_product_form")])
+def test_every_infinite_product_is_one_fixed_product(module, name):
+    # each product hands its starts to core.fixed_product and multiplies
+    # no factor of its own
+    function, = [stmt for stmt in _tree(module).body
+                 if isinstance(stmt, ast.FunctionDef) and stmt.name == name]
+    called = _calls(function)
+    assert "fixed_product" in called
+    assert not called & {"converging", "fixed_mul", "fixed_walk", "qpoch"}, sorted(called)
 
 
 def test_the_ray_node_sum_is_a_finite_table_sum():

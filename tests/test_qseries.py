@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
+from etamock.core import fixed_product
 from etamock.qseries import (FormalQSeries, RootOfUnity, SL2Matrix,
                              dedekind_sum, e2pi, eta, eta_multiplier,
                              eta_quotient_qexp, kronecker, qpoch)
@@ -57,6 +58,34 @@ def test_qpoch_shift_recurrence():
     for n in range(5):
         step = (1 - a * q ** n) * qpoch(a * q ** (n + 1), q)
         assert abs(qpoch(a * q ** n, q) - step) < 1e-23
+
+
+# (a, q) with |q| up to 0.93, products from 1e-10 to 7e3: at the parent's
+# mpc product, (2.5 - i; 0.05 + 0.9i) was 4.9 units of 10^-dps off at dps 100
+QPOCH_CASES = [(2.5 - 1j, 0.05 + 0.9j), (0.3 + 0.1j, 0.2 + 0.4j), (-0.7 + 0.2j, -0.6 + 0.65j),
+               (0.05 + 0.9j, 0.05 + 0.9j), (1.5, 0.9), (-3 + 2j, -0.3 - 0.85j),
+               (0.9 + 0.1j, 0.1 - 0.2j), (0.5j, 0.85 + 0.3j)]
+
+
+@pytest.mark.parametrize("dps", [16, 50, 100])
+def test_qpoch_against_mpmath_qp(dps):
+    # an independent reference: mpmath's q-Pochhammer at 30 more digits
+    for a, q in QPOCH_CASES:
+        with mp.workdps(dps):
+            value = qpoch(a, q)
+        with mp.workdps(dps + 30):
+            want = mp.qp(a, q)
+            assert abs(value - want) <= abs(want) * mpf(10) ** -dps, (a, q)
+
+
+def test_a_product_stops_on_its_largest_start():
+    # the envelope is the walk of the largest start: the tiny start's walk
+    # would end the product while the other's factors still count
+    starts, q = [mpc(1e-30), mpc(-2, 1)], mpc(0.3, 0.5)
+    value = +fixed_product(starts, q, "test product")
+    with mp.workdps(DPS + 30):
+        want = mp.qp(starts[0], q) * mp.qp(starts[1], q)
+        assert abs(value - want) <= abs(want) * mpf(10) ** -DPS
 
 
 def test_qpoch_infinite_matches_eta():

@@ -1,5 +1,6 @@
 """Quantum sets, finite sums at roots of unity, and rational evaluation."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,21 @@ def test_finite_sum_never_divides_by_zero():
                     continue
                 z1, z2 = rational_z_args(lbl, x)
                 F_hk(x, z1, z2)
+
+
+# where the finite sums of each family are defined, as once typed in the
+# package; rational_formula_defined now derives it from the vanishing factors
+TYPED_DEFINED_SET = {"1": "S", "2": "S", "3": "S'|S_od", "4": "S", "5": "S'|S_ev", "6": "S'"}
+
+
+def test_derived_defined_set_is_the_typed_table():
+    points = [Fraction(h, k) for k in range(1, 41) for h in range(-2 * k, 2 * k + 1)
+              if math.gcd(h, k) == 1]
+    for m, label in TYPED_DEFINED_SET.items():
+        typed = quantum._SET_PREDICATES[label]
+        for x in points:
+            assert rational_formula_defined(m, x) == typed(x), (m, x)
+    assert len(points) * len(TYPED_DEFINED_SET) == 11766
 
 
 def test_rational_evaluation_requires_membership():

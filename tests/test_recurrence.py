@@ -408,3 +408,17 @@ def test_fixed_walk_with_a_ratio_above_its_pairs_widens_them():
         for _ in range(30):
             assert abs(from_fixed(next(walk), wp) - w) <= mpf(2) ** (8 - wp) * max(1, abs(w))
             w, r = w * r, r * step
+
+
+@pytest.mark.parametrize("stepped", [False, True])
+def test_fixed_walk_reads_its_ratios_where_it_is_made(stepped):
+    # a walk made inside workprec(wp) gives the pairs it gives there
+    # wherever it is iterated: its ratio and step keep their wp bits
+    wp = fixed_prec()
+    with mp.workprec(wp):
+        ratio = e2pi(mpc("0.1", "0.3"))
+        step = e2pi(mpc("0.07", "0.2")) if stepped else None
+        inside = fixed_walk((1 << wp, 0), ratio, step, wp)
+        outside = fixed_walk((1 << wp, 0), ratio, step, wp)
+        want = [next(inside) for _ in range(6)]
+    assert [next(outside) for _ in range(6)] == want
