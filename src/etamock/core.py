@@ -22,6 +22,7 @@ from functools import lru_cache
 from itertools import chain, count, islice
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp
 from mpmath.libmp import to_fixed as _mpf_to_fixed
 
 DEFAULT_DPS = 16
@@ -96,14 +97,14 @@ def _e2pi_rational(x, prec):
 # ---------------------------------------------------------------------------
 # fixed point
 #
-# The inner loops of every product, theta-type sum and mu's series run on
-# Python integers, as mpmath's own jtheta does: at dps 16 a complex product
-# of two integer pairs takes about an eighth of the time of one of two mpc
-# (0.75 against 5.7 us).  A complex number there is a pair (re, im) of
-# integers read as (re + i im) 2^-wp, at wp = fixed_prec() bits.  A walk
-# ratio keeps its own binary exponent: it is a pair with a shift s, read as
-# (re + i im) 2^-s, whose integers have about wp bits however small the
-# ratio is, so q = e^{-40 pi} at tau = 20i keeps all its digits.
+# The inner loops of every product, theta-type sum, mu's series and finite
+# sum F_hk run on Python integers, as mpmath's own jtheta does: at dps 16 a
+# complex product of two integer pairs takes about an eighth of the time of
+# one of two mpc (0.75 against 5.7 us).  A complex number there is a pair
+# (re, im) of integers read as (re + i im) 2^-wp, at wp = fixed_prec() bits.
+# A walk ratio keeps its own binary exponent: it is a pair with a shift s,
+# read as (re + i im) 2^-s, whose integers have about wp bits however small
+# the ratio is, so q = e^{-40 pi} at tau = 20i keeps all its digits.
 
 # guard bits of the fixed-point kernels over mp.prec
 FIXED_GUARD = 20
@@ -121,8 +122,10 @@ def to_fixed(z, wp):
 
 
 def from_fixed(x, wp):
-    """The mpc (re + i im) 2^-wp of the pair x = (re, im)."""
-    return mpc(mpf((x[0], -wp)), mpf((x[1], -wp)))
+    """The mpc (re + i im) 2^-wp of the pair x = (re, im), rounded once."""
+    prec, rounding = mp._prec_rounding
+    return mp.make_mpc((from_man_exp(x[0], -wp, prec, rounding),
+                        from_man_exp(x[1], -wp, prec, rounding)))
 
 
 def fixed_mul(x, y, shift):
@@ -139,6 +142,12 @@ def fixed_div(x, y, wp):
     c, d = y
     norm = c * c + d * d
     return ((a * c + b * d) << wp) // norm, ((b * c - a * d) << wp) // norm
+
+
+def fixed_raise(x, shift, wp):
+    """The pair x at 2^-shift as (pair, shift), raised to wp bits if below 1/2."""
+    k = wp - max(map(abs, x)).bit_length()
+    return ((x[0] << k, x[1] << k), shift + k) if k > 0 else (x, shift)
 
 
 def fixed_scale(c, x):
@@ -340,11 +349,12 @@ def fixed_product(starts, q, what):
     Each start walks by q on fixed_walk and the factors multiply on integer
     pairs, the running product raised back to wp bits whenever it falls
     below 1/2.  It stops by `converging` after QUIET_RUN factors in a row
-    whose envelope, the walk of the largest start, is below series_eps().
+    whose envelope over 1 - |q|, about the tail it drops, is below series_eps().
     """
     wp = fixed_prec()
     one = 1 << wp
-    eps2 = int(mp.ldexp(series_eps(), wp) ** 2)
+    # (series_eps() (1 - |q|) 2^wp)^2, in floats
+    eps2 = int(((1 << wp) / 10 ** (mp.dps + 1) * (1 - abs(complex(q)))) ** 2)
     with mp.workprec(wp):
         pairs = [to_fixed(c, wp) for c in starts]
         # every walk shrinks by |q|, so the largest start's is the envelope
@@ -355,10 +365,7 @@ def fixed_product(starts, q, what):
         for walk in converging(marked, 10 ** 6, what):
             for a, b in walk:
                 prod = fixed_mul(prod, (one - a, -b), wp)
-            a, b = prod
-            k = wp - max(abs(a), abs(b)).bit_length()
-            if k > 0:
-                prod, shift = (a << k, b << k), shift + k
+            prod, shift = fixed_raise(prod, shift, wp)
         return from_fixed(prod, shift)
 
 

@@ -2,8 +2,8 @@
 q-hypergeometric sums at roots of unity, and exact evaluation at rationals.
 
 Everything here is driven by reduced fractions h/k and exact roots of
-unity; floating point enters only when a finite sum is actually evaluated
-at the working precision.
+unity.  A finite sum is evaluated on integer pairs (core's fixed point), and
+each of its terms and values is rounded to the working precision once.
 
 The arguments z1, z2 of F_hk for each family come from rational_z_args
 alone.  The rest is read off from it: the rational values of the first
@@ -13,7 +13,7 @@ over vmn.parts, the labels of E_4's two g_{a,b} rows, written once for one
 part and summed or chained over the parts.
 
 F_hk at x = h/k splits in two halves.  The numerators and the steps
-e(h/(2k))^(j+1) depend only on (h mod 2k, k) and are memoized; the
+e(h/(2k))^j depend only on (h mod 2k, k) and are memoized; the
 denominators depend on each argument pair.  So the sums at one h/k share
 one numerator: both sign companions, the parts of family 4, and x and
 x + lcm(N, 2) in the shift law, since lcm(N, 2) is even.
@@ -37,8 +37,9 @@ from functools import cache, lru_cache
 
 from mpmath import mp, mpc
 
-from .core import fraction_mpf
-from .qseries import RootOfUnity, SL2Matrix, e2pi
+from .core import (FIXED_GUARD, KERNEL_MEMO, fixed_div, fixed_mul, fixed_prec, fixed_raise,
+                   fraction_mpf, from_fixed, to_fixed)
+from .qseries import RootOfUnity, SL2Matrix
 from .vmn import (_SHADOW, FAMILIES, family, is_admissible, normalize_label, parts,
                   transformation_root, vmn_eval_mu, vmn_spec)
 
@@ -170,36 +171,41 @@ def F_hk_terms(x, z1, z2):
     """The k summands (-z;z)_j e(h j(j+1)/(4k)) / ((z1;z)_{j+1} (z2;z)_{j+1})
     with z = e(h/(2k)) for the reduced fraction x = h/k.
 
-    The numerators and the steps z^(j+1) depend only on (h mod 2k, k); they
-    are computed once and memoized (_hk_numerators).  The denominators
-    depend on each argument pair.
+    They are computed on integer pairs at wp = fixed_prec() bits, then each
+    rounded.  The numerators and the steps z^j are read from one table of
+    4k-th roots of unity (_roots); they depend only on (h mod 2k, k) and are
+    memoized (_hk_numerators).  The denominators depend on each argument pair.
 
     z1 and z2 must be RootOfUnity values (TypeError otherwise).  Every
     denominator factor is first checked exactly; a vanishing factor raises
     ZeroDivisionError naming it.
     """
-    return _finite_sums(x, ((z1, z2),))[0]
+    return [from_fixed(term, fixed_prec()) for term in _finite_sums(x, ((z1, z2),))[0]]
 
 
 def _finite_sums(x, pairs):
-    """The term lists of F_hk at x, one per argument pair (z1, z2): one
-    numerator lookup, then a denominator pass per pair."""
+    """The term lists of F_hk at x, one per argument pair (z1, z2), as pairs
+    at wp = fixed_prec(): one numerator lookup, then one integer pass per pair."""
     x = as_fraction(x)
     h, k = x.numerator, x.denominator
     zero = _vanishing_factor(x, pairs)
     if zero:
         raise ZeroDivisionError("factor (1 - %s zeta^%d) vanishes for h/k = %s" % (*zero, x))
-    steps, numerators = _hk_numerators(h % (2 * k), k, mp.prec)
+    wp = fixed_prec()
+    one = 1 << wp
+    steps, numerators = _hk_numerators(h % (2 * k), k, wp)
+    with mp.workprec(wp):
+        pairs = [(to_fixed(z1.value(), wp), to_fixed(z2.value(), wp)) for z1, z2 in pairs]
     sums = []
     for z1, z2 in pairs:
-        z1v, z2v = z1.value(), z2.value()
-        d1 = 1 - z1v
-        d2 = 1 - z2v
-        terms = []
+        # the running denominator (z1;zeta)_(j+1) (z2;zeta)_(j+1), read at 2^-shift
+        den, shift, terms = (one, 0), wp, []
         for numerator, step in zip(numerators, steps):
-            terms.append(numerator / (d1 * d2))
-            d1 *= 1 - z1v * step
-            d2 *= 1 - z2v * step
+            a, b = fixed_mul(z1, step, wp)
+            c, d = fixed_mul(z2, step, wp)
+            den = fixed_mul(den, fixed_mul((one - a, -b), (one - c, -d), wp), wp)
+            den, shift = fixed_raise(den, shift, wp)
+            terms.append(fixed_div(numerator, den, shift))
         sums.append(terms)
     return sums
 
@@ -219,25 +225,35 @@ def _vanishing_factor(x, pairs):
     return None
 
 
+@lru_cache(maxsize=KERNEL_MEMO)
+def _roots(k, wp):
+    """The roots e(i/(4k)), i < 4k, as pairs at wp: the k of the first
+    quadrant computed, the rest from them by exact quarter turns."""
+    with mp.workprec(wp + 10):
+        quadrant = [to_fixed(mp.expjpi(mp.mpf(i) / (2 * k)), wp) for i in range(k)]
+    return tuple(quadrant + [(-b, a) for a, b in quadrant] + [(-a, -b) for a, b in quadrant]
+                 + [(b, -a) for a, b in quadrant])
+
+
 @lru_cache(maxsize=NUMERATOR_MEMO)
-def _hk_numerators(h, k, prec):
-    """The steps zeta^(j+1) and the numerators (-zeta;zeta)_j e(h j(j+1)/(4k)),
-    j < k, with zeta = e(h/(2k)): both depend on h only mod 2k."""
-    # prec only keys the memo: the caller's mp.prec is prec
-    zeta = e2pi(Fr(h, 2 * k))
-    steps, numerators = [], []
-    num_poch = mpc(1)
+def _hk_numerators(h, k, wp):
+    """The steps zeta^j and the numerators (-zeta;zeta)_j e(h j(j+1)/(4k)),
+    j < k, with zeta = e(h/(2k)), as pairs at wp: zeta^j and the phase are
+    the 4k-th roots at 2 h j and h j(j+1), so both depend on h only mod 2k."""
+    roots = _roots(k, wp)
+    steps = [roots[2 * h * j % (4 * k)] for j in range(k + 1)]
+    numerators, poch = [], (1 << wp, 0)
     for j in range(k):
-        numerators.append(num_poch * e2pi(Fr(h * j * (j + 1), 4 * k)))
-        step = zeta ** (j + 1)
-        steps.append(step)
-        num_poch *= 1 + step
-    return tuple(steps), tuple(numerators)
+        numerators.append(fixed_mul(poch, roots[h * j * (j + 1) % (4 * k)], wp))
+        poch = fixed_mul(poch, ((1 << wp) + steps[j + 1][0], steps[j + 1][1]), wp)
+    return tuple(steps[:k]), tuple(numerators)
 
 
 def F_hk(x, z1, z2):
-    """Finite q-hypergeometric sum over the terms of F_hk_terms."""
-    return sum(F_hk_terms(x, z1, z2))
+    """Finite q-hypergeometric sum of F_hk_terms, added at FIXED_GUARD more bits."""
+    with mp.extraprec(FIXED_GUARD):
+        total = mp.fsum(F_hk_terms(x, z1, z2))
+    return +total
 
 
 def rational_z_args(m, x):
@@ -276,8 +292,12 @@ def vm1_at_rational(m, x):
             % (label, x))
     labels = parts(label)
     sums = _finite_sums(x, [rational_z_args(part, x) for part in labels])
-    return sum(rational_prefactor(part, x).value() * sum(terms)
-               for part, terms in zip(labels, sums))
+    wp = fixed_prec()
+    with mp.workprec(wp):
+        prefactors = [to_fixed(rational_prefactor(part, x).value(), wp) for part in labels]
+    # each part added exactly and rounded once: family 4's value is its parts' sum
+    return sum(from_fixed(fixed_mul(prefactor, [sum(c) for c in zip(*terms)], wp), wp)
+               for prefactor, terms in zip(prefactors, sums))
 
 
 def vmn_at_rational(m, n, x):
@@ -357,15 +377,18 @@ def companion_terms(m, x):
     for label in parts(base):
         z1, z2 = rational_z_args(label, x)
         pairs += [(z1, z2), (z1 * flip, z2 * flip)]
-    sums = _finite_sums(x, pairs)
+    sums = [[from_fixed(term, fixed_prec()) for term in terms] for terms in _finite_sums(x, pairs)]
     return sum(sums[0::2], []), sum(sums[1::2], [])
 
 
 def companion_sum(m, x):
     """Sum of the sign-companion finite sums; vanishes on the quantum set
     of the family's first column (termwise for the families 3 and 6)."""
-    minus, plus = companion_terms(m, x)
-    return sum(minus) + sum(plus)
+    # its terms computed and added at FIXED_GUARD more bits, rounded once
+    with mp.extraprec(FIXED_GUARD):
+        minus, plus = companion_terms(m, x)
+        total = mp.fsum(minus + plus)
+    return +total
 
 
 def companion_sum_composite(x):

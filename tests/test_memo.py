@@ -5,11 +5,13 @@ keyed by the exact arguments and `mp.prec`, for the KERNEL_MEMO most
 recently used keys; so does `e2pi` at a rational exponent, keyed by the
 exponent mod 1.  The finite sums F_hk keep their x-only half, the steps
 and numerators at (h mod 2k, k), for the NUMERATOR_MEMO most recently used
-keys; the ray integrals keep one table of g_{a,b} per ray, keyed by (a, b),
-the rational start and `mp.prec`, for the KERNEL_MEMO most recently used
-keys (their reuse and their precision are pinned in test_eichler.py).  The
-exact multiplier transformation_root is memoized on (m, n, gamma), with no
-precision in the key.  These tests pin that contract: each cap holds, a
+keys, and read them from one table of 4k-th roots of unity per k, kept for
+the KERNEL_MEMO most recently used (k, precision) keys; the ray integrals
+keep one table of g_{a,b} per ray, keyed by (a, b), the rational start and
+`mp.prec`, for the KERNEL_MEMO most recently used keys (their reuse and
+their precision are pinned in test_eichler.py).  The exact multiplier
+transformation_root is memoized on (m, n, gamma), with no precision in
+the key.  These tests pin that contract: each cap holds, a
 value never crosses precisions, the sum route stays outside the memo, and
 a warm memo returns the bits a cold one computes.  They also pin how much the 59 rows
 share at one tau, and how much the finite sums share at one h/k, so a
@@ -36,7 +38,8 @@ from etamock.vmn import (FAMILIES, all_rows, family, transformation_root, vmn_ev
 DPS = 30
 
 KERNELS = (qseries._eta_folded, theta._theta_folded)
-MEMOS = KERNELS + (core._e2pi_rational, quantum._hk_numerators, eichler._ray_table)
+MEMOS = KERNELS + (core._e2pi_rational, quantum._hk_numerators, quantum._roots,
+                   eichler._ray_table)
 
 # exact in binary at every precision, so only mp.prec tells the keys apart;
 # Im tau < sqrt(3)/2, so both kernels fold
@@ -61,6 +64,7 @@ def no_memo():
         patch.setattr(theta, "_theta_folded", theta._theta_folded.__wrapped__)
         patch.setattr(core, "_e2pi_rational", core._e2pi_rational.__wrapped__)
         patch.setattr(quantum, "_hk_numerators", quantum._hk_numerators.__wrapped__)
+        patch.setattr(quantum, "_roots", quantum._roots.__wrapped__)
         yield
 
 
@@ -201,6 +205,7 @@ def test_a_rational_value_is_never_returned_at_another_precision(order):
     for name in kernels:
         assert not same_bits(cold[name, 16][0], cold[name, 40][0])
     assert quantum._hk_numerators.cache_info().misses == 2
+    assert quantum._roots.cache_info().misses == 2
 
 
 def _finite_side(x):

@@ -60,11 +60,13 @@ def test_qpoch_shift_recurrence():
         assert abs(qpoch(a * q ** n, q) - step) < 1e-23
 
 
-# (a, q) with |q| up to 0.93, products from 1e-10 to 7e3: at the parent's
-# mpc product, (2.5 - i; 0.05 + 0.9i) was 4.9 units of 10^-dps off at dps 100
+# (a, q) with |q| up to 0.97, products from 1e-34 to 7e3: at the parent's
+# mpc product, (2.5 - i; 0.05 + 0.9i) was 4.9 units of 10^-dps off at dps 100;
+# a product stopped on its envelope alone, not on the envelope over 1 - |q|,
+# was 2.9 units off at (1.5; 0.97) and 2.8 at (0.5i; 0.97)
 QPOCH_CASES = [(2.5 - 1j, 0.05 + 0.9j), (0.3 + 0.1j, 0.2 + 0.4j), (-0.7 + 0.2j, -0.6 + 0.65j),
                (0.05 + 0.9j, 0.05 + 0.9j), (1.5, 0.9), (-3 + 2j, -0.3 - 0.85j),
-               (0.9 + 0.1j, 0.1 - 0.2j), (0.5j, 0.85 + 0.3j)]
+               (0.9 + 0.1j, 0.1 - 0.2j), (0.5j, 0.85 + 0.3j), (1.5, 0.97), (0.5j, 0.97)]
 
 
 @pytest.mark.parametrize("dps", [16, 50, 100])
