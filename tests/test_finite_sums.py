@@ -21,6 +21,7 @@ from functools import cache
 import pytest
 from mpmath import mp, mpc, mpf
 
+from etamock.core import fraction_mpf
 from etamock.qseries import RootOfUnity, e2pi
 from etamock.quantum import (ELL, F_hk, F_hk_terms, M_ell, companion_sum, companion_terms,
                              in_quantum_set, integral_identity_rhs, rational_formula_defined,
@@ -106,13 +107,9 @@ def reference_rhs(m, x):
     with mp.workdps(mp.dps + EXTRA):
         value = two_term_law(lambda y: reference_vm1(m, y)[0][0], m, 1, gamma, x)
         # the law adds V(x) and V(gamma x) / sqrt(c x + d) up to a phase
-        width = 1 / mp.sqrt(abs(fraction(gamma.c * x + gamma.d)))
+        width = 1 / mp.sqrt(abs(fraction_mpf(gamma.c * x + gamma.d)))
         scale = reference_vm1(m, x)[0][1] + width * reference_vm1(m, gamma.act(x))[0][1]
         return [(value, scale)]
-
-
-def fraction(x):
-    return mpf(x.numerator) / x.denominator
 
 
 def terms_and_sum(x, z1, z2):
