@@ -34,8 +34,9 @@ QUIET_RUN = 5
 # the most terms a series takes on each side of its centre
 SIDE_CAP = 10 ** 5
 
-# entries kept by each memo of a kernel value (e2pi at rationals here, eta
-# in qseries, jacobi_theta in theta), least recently used out
+# entries kept by each memo of a kernel value (e2pi here, eta in qseries,
+# jacobi_theta in theta, each atomic part of a row in vmn), least recently
+# used out
 KERNEL_MEMO = 256
 
 
@@ -80,18 +81,20 @@ def e2pi(x):
     """exp(2*pi*i*x) for a real/complex number or a Fraction.
 
     Fractions are reduced mod 1 exactly first, so huge rational phases
-    keep full precision.  A root of unity is memoized, keyed by the reduced
-    exponent and mp.prec, for the KERNEL_MEMO most recently used keys.
+    keep full precision.  Every value is memoized, keyed by the exponent (a
+    Fraction as reduced, any other number as given, each kind apart) and
+    mp.prec, for the KERNEL_MEMO most recently used keys: so q = e(tau) and
+    the phases of the series at one tau are computed once.
     """
-    if isinstance(x, Fraction):
-        return _e2pi_rational(x % 1, mp.prec)
-    return mp.exp(2j * mp.pi * x)
+    return _e2pi(x % 1 if isinstance(x, Fraction) else x, mp.prec)
 
 
-@lru_cache(maxsize=KERNEL_MEMO)
-def _e2pi_rational(x, prec):
+@lru_cache(maxsize=KERNEL_MEMO, typed=True)
+def _e2pi(x, prec):
     # prec only keys the memo: the caller's mp.prec is prec
-    return mp.exp(2j * mp.pi * (mpf(x.numerator) / x.denominator))
+    if isinstance(x, Fraction):
+        x = mpf(x.numerator) / x.denominator
+    return mp.exp(2j * mp.pi * x)
 
 
 # ---------------------------------------------------------------------------

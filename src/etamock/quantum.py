@@ -171,10 +171,11 @@ def F_hk_terms(x, z1, z2):
     """The k summands (-z;z)_j e(h j(j+1)/(4k)) / ((z1;z)_{j+1} (z2;z)_{j+1})
     with z = e(h/(2k)) for the reduced fraction x = h/k.
 
-    They are computed on integer pairs at wp = fixed_prec() bits, then each
-    rounded.  The numerators and the steps z^j are read from one table of
-    4k-th roots of unity (_roots); they depend only on (h mod 2k, k) and are
-    memoized (_hk_numerators).  The denominators depend on each argument pair.
+    They are computed on integer pairs at wp = fixed_prec() bits (more for
+    k > 10, see _finite_sums), then each rounded.  The numerators and the
+    steps z^j are read from one table of 4k-th roots of unity (_roots); they
+    depend only on (h mod 2k, k) and are memoized (_hk_numerators).  The
+    denominators depend on each argument pair.
 
     z1 and z2 must be RootOfUnity values (TypeError otherwise).  Every
     denominator factor is first checked exactly; a vanishing factor raises
@@ -185,13 +186,15 @@ def F_hk_terms(x, z1, z2):
 
 def _finite_sums(x, pairs):
     """The term lists of F_hk at x, one per argument pair (z1, z2), as pairs
-    at wp = fixed_prec(): one numerator lookup, then one integer pass per pair."""
+    at fixed_prec(): one numerator lookup, then one integer pass per pair, at
+    max(0, ceil(1.2 k) - 12) more bits for the 0.35 k digits the terms cancel."""
     x = as_fraction(x)
     h, k = x.numerator, x.denominator
     zero = _vanishing_factor(x, pairs)
     if zero:
         raise ZeroDivisionError("factor (1 - %s zeta^%d) vanishes for h/k = %s" % (*zero, x))
-    wp = fixed_prec()
+    extra = max(0, -(-6 * k // 5) - 12)
+    wp = fixed_prec() + extra
     one = 1 << wp
     steps, numerators = _hk_numerators(h % (2 * k), k, wp)
     with mp.workprec(wp):
@@ -205,7 +208,8 @@ def _finite_sums(x, pairs):
             c, d = fixed_mul(z2, step, wp)
             den = fixed_mul(den, fixed_mul((one - a, -b), (one - c, -d), wp), wp)
             den, shift = fixed_raise(den, shift, wp)
-            terms.append(fixed_div(numerator, den, shift))
+            re, im = fixed_div(numerator, den, shift)
+            terms.append((re >> extra, im >> extra))
         sums.append(terms)
     return sums
 

@@ -301,7 +301,7 @@ def _suite_columns(report, rng, samples):
 
 
 def _suite_radial(report, rng, samples):
-    # k <= 24: the finite sums' guard bits cover the 0.35 k digits they cancel
+    # k <= 24; the finite sums' guard bits grow with k, past the 0.35 k digits they cancel
     window = [Fraction(h, k) for k in range(1, 25) for h in range(-k, k + 1)
               if Fraction(h, k).denominator == k]
     for base in FAMILIES:

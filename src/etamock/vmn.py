@@ -19,6 +19,9 @@ from (u, v, t) by Zwegers' laws the multiplier of any gamma.  E_4 has two
 g_{a,b} rows, the labels 4p and 4pp, and row 4 is their sum.  parts(label)
 alone knows that split, and family(m) maps a label to its family.  Every
 evaluation is written once on an atomic record and summed over the parts.
+On each route (mu, mu_hat, the Lambert series) a part's value is memoized
+on (route, label, n, tau, mp.prec), so the catalogue at one tau computes
+each of its 51 atomic parts once: row 4 is the sum of rows 4p and 4pp.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction as Fr
-from functools import cache
+from functools import cache, lru_cache
 
 from mpmath import mp, mpc
 
-from .core import fixed_div, fixed_prec, fixed_product, fraction_mpf, lattice_sum
+from .core import KERNEL_MEMO, fixed_div, fixed_prec, fixed_product, fraction_mpf, lattice_sum
 from .qseries import RootOfUnity, SL2Matrix, e2pi, eta, eta_multiplier
 from .theta import ETA_THETA, HALF, eta_theta_eval, jacobi_theta, theta_point
 from .mu import mu, mu_hat
@@ -187,16 +190,29 @@ def _mu_form(spec, f, tau):
     return spec.w.value() * e2pi(spec.t * tau) * f(spec.u.at(tau), spec.v.at(tau), tau)
 
 
-def vmn_eval_mu(m, n, tau):
-    """Appell-Lerch representation w * q^t * mu(u, v; tau), summed over the parts."""
+@lru_cache(maxsize=KERNEL_MEMO)
+def _part_memo(route, label, n, tau, prec):
+    # prec only keys the memo; mu and mu_hat are read from the module at call time
+    spec = _ROWS[(label, n)]
+    if route == "series":
+        return _series_form(spec, tau)
+    return _mu_form(spec, mu if route == "mu" else mu_hat, tau)
+
+
+def _parts_sum(route, m, n, tau):
+    """Row (m, n) at tau on one route: the sum of its parts' memoized values."""
     tau = mpc(tau)
-    return sum(_mu_form(spec, mu, tau) for spec in _atoms(m, n))
+    return sum(_part_memo(route, spec.label, spec.n, tau, mp.prec) for spec in _atoms(m, n))
+
+
+def vmn_eval_mu(m, n, tau):
+    """Appell-Lerch representation w * q^t * mu(u, v; tau), summed over the memoized parts."""
+    return _parts_sum("mu", m, n, tau)
 
 
 def vmn_completed(m, n, tau):
-    """Completion w * q^t * mu_hat(u, v; tau), summed over the parts."""
-    tau = mpc(tau)
-    return sum(_mu_form(spec, mu_hat, tau) for spec in _atoms(m, n))
+    """Completion w * q^t * mu_hat(u, v; tau), summed over the memoized parts."""
+    return _parts_sum("mu_hat", m, n, tau)
 
 
 def _lambert_sum(part, tau):
@@ -217,16 +233,16 @@ def _lambert_sum(part, tau):
                                  (0, -tau, -fraction_mpf(part.den_offset))), "Lambert series")
 
 
+def _series_form(spec, tau):
+    """sign * q^pref / e_n(scale tau) * the Lambert sum, on an atomic row."""
+    part, = spec.series
+    e_val = eta_theta_eval("e%d" % part.e_index, tau * fraction_mpf(part.e_scale))
+    return part.sign * e2pi(part.q_prefactor * tau) / e_val * _lambert_sum(part, tau)
+
+
 def vmn_eval_series(m, n, tau):
-    """Lambert-type series representation against e_n."""
-    spec = vmn_spec(m, n)
-    tau = mpc(tau)
-    total = mpc(0)
-    for part in spec.series:
-        e_val = eta_theta_eval("e%d" % part.e_index, tau * fraction_mpf(part.e_scale))
-        pref = part.sign * e2pi(part.q_prefactor * tau) / e_val
-        total += pref * _lambert_sum(part, tau)
-    return total
+    """Lambert-type series representation against e_n, summed over the memoized parts."""
+    return _parts_sum("series", m, n, tau)
 
 
 # ---------------------------------------------------------------------------

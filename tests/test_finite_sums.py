@@ -207,6 +207,17 @@ def test_a_first_column_value_at_k_24_keeps_its_digits(x):
         assert abs(value - want) <= 1e-13 * abs(want)
 
 
+@pytest.mark.parametrize("m, x", [("2", Fr(-1, 40)), ("6", Fr(1, 48)), ("6", Fr(1, 30))],
+                         ids=["2-at--1/40", "6-at-1/48", "6-at-1/30"])
+def test_a_first_column_value_past_k_24_keeps_its_digits(m, x):
+    # the terms cancel about 0.35 k digits, which a fixed guard of 20 bits
+    # does not cover: with it the relative errors were 8.5e-9, 5.8e-6, 8.8e-13
+    value = vm1_at_rational(m, x)
+    with mp.workdps(DPS + 40):
+        want = vm1_at_rational(m, x)
+        assert abs(value - want) <= 1e-16 * abs(want)
+
+
 # exponents of the --z1/--z2 arguments: every root of unity of these orders,
 # and one of an order prime to every 2k, which never vanishes
 EXPONENTS = [Fr(n, d) for d in (1, 2, 3, 4, 6, 8, 16) for n in range(d)] + [Fr(1, 97)]

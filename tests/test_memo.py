@@ -2,20 +2,22 @@
 
 `eta` and the product route of `jacobi_theta` keep their folded values,
 keyed by the exact arguments and `mp.prec`, for the KERNEL_MEMO most
-recently used keys; so does `e2pi` at a rational exponent, keyed by the
-exponent mod 1.  The finite sums F_hk keep their x-only half, the steps
-and numerators at (h mod 2k, k), for the NUMERATOR_MEMO most recently used
-keys, and read them from one table of 4k-th roots of unity per k, kept for
-the KERNEL_MEMO most recently used (k, precision) keys; the ray integrals
-keep one table of g_{a,b} per ray, keyed by (a, b), the rational start and
-`mp.prec`, for the KERNEL_MEMO most recently used keys (their reuse and
-their precision are pinned in test_eichler.py).  The exact multiplier
-transformation_root is memoized on (m, n, gamma), with no precision in
-the key.  These tests pin that contract: each cap holds, a
-value never crosses precisions, the sum route stays outside the memo, and
-a warm memo returns the bits a cold one computes.  They also pin how much the 59 rows
-share at one tau, and how much the finite sums share at one h/k, so a
-change that perturbs the bits of s*tau or v_n, or the key of the
+recently used keys; so does `e2pi`, keyed by a rational exponent mod 1 or
+any other exponent as given, and so does each atomic part of a row of
+`vmn` on each route, keyed by (route, label, n, tau).  The finite sums
+F_hk keep their x-only half, the steps and numerators at (h mod 2k, k),
+for the NUMERATOR_MEMO most recently used keys, and read them from one
+table of 4k-th roots of unity per k, kept for the KERNEL_MEMO most
+recently used (k, precision) keys; the ray integrals keep one table of
+g_{a,b} per ray, keyed by (a, b), the rational start and `mp.prec`, for
+the KERNEL_MEMO most recently used keys (their reuse and their precision
+are pinned in test_eichler.py).  The exact multiplier transformation_root
+is memoized on (m, n, gamma), with no precision in the key.  These tests
+pin that contract: each cap holds, a value never crosses precisions, the
+sum route stays outside the memo, and a warm memo returns the bits a cold
+one computes.  They also pin how much the 59 rows share at one tau (each
+atomic part once a route), and how much the finite sums share at one h/k,
+so a change that perturbs the bits of s*tau or v_n, or the key of the
 numerators, fails here rather than silently losing the sharing.
 """
 
@@ -25,7 +27,7 @@ from fractions import Fraction as Fr
 import pytest
 from mpmath import mp, mpc
 
-from etamock import core, eichler, qseries, quantum, theta
+from etamock import core, eichler, qseries, quantum, theta, vmn
 from etamock.core import e2pi
 from etamock.qseries import KERNEL_MEMO, RootOfUnity, eta
 from etamock.quantum import (NUMERATOR_MEMO, F_hk_terms, companion_sum, group_generators,
@@ -38,7 +40,7 @@ from etamock.vmn import (FAMILIES, all_rows, family, transformation_root, vmn_ev
 DPS = 30
 
 KERNELS = (qseries._eta_folded, theta._theta_folded)
-MEMOS = KERNELS + (core._e2pi_rational, quantum._hk_numerators, quantum._roots,
+MEMOS = KERNELS + (core._e2pi, vmn._part_memo, quantum._hk_numerators, quantum._roots,
                    eichler._ray_table)
 
 # exact in binary at every precision, so only mp.prec tells the keys apart;
@@ -62,7 +64,8 @@ def no_memo():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qseries, "_eta_folded", qseries._eta_folded.__wrapped__)
         patch.setattr(theta, "_theta_folded", theta._theta_folded.__wrapped__)
-        patch.setattr(core, "_e2pi_rational", core._e2pi_rational.__wrapped__)
+        patch.setattr(core, "_e2pi", core._e2pi.__wrapped__)
+        patch.setattr(vmn, "_part_memo", vmn._part_memo.__wrapped__)
         patch.setattr(quantum, "_hk_numerators", quantum._hk_numerators.__wrapped__)
         patch.setattr(quantum, "_roots", quantum._roots.__wrapped__)
         yield
@@ -81,20 +84,29 @@ def test_neither_memo_outgrows_its_cap(monkeypatch):
         info = memo.cache_info()
         assert info.maxsize == KERNEL_MEMO
         assert info.currsize == KERNEL_MEMO and info.misses == KERNEL_MEMO + 44
+    # e2pi at complex exponents, and the part memo of the rows, filled
+    # through a stand-in for a part's value that costs nothing
+    monkeypatch.setattr(vmn, "_mu_form", lambda spec, f, tau: tau)
+    core._e2pi.cache_clear()
+    for k in range(KERNEL_MEMO + 44):
+        e2pi(mpc(k / 1000, 1.2))
+        vmn_eval_mu("1", 1, mpc(k / 1000, 1.2))
     # the ray memo of g_{a,b} tables, filled here through stand-ins for the
     # fold and the sides that cost nothing
     monkeypatch.setattr(eichler, "_cusp_pair", lambda spec, x: (spec, x, Fr(0)))
     monkeypatch.setattr(eichler, "_gauss_side", lambda *args: args)
     for k in range(KERNEL_MEMO + 44):
         eichler._ray_table(Fr(1, 4), Fr(1, 2), Fr(1, k + 1), mp.prec)
-    info = eichler._ray_table.cache_info()
-    assert info.maxsize == KERNEL_MEMO
-    assert info.currsize == KERNEL_MEMO and info.misses == KERNEL_MEMO + 44
+    for memo in (core._e2pi, vmn._part_memo, eichler._ray_table):
+        info = memo.cache_info()
+        assert info.maxsize == KERNEL_MEMO
+        assert info.currsize == KERNEL_MEMO and info.misses == KERNEL_MEMO + 44
 
 
-@pytest.mark.parametrize("order", [(16, 30), (30, 16)], ids=["16-then-30", "30-then-16"])
-def test_a_value_is_never_returned_at_another_precision(order):
-    kernels = {"eta": lambda: eta(TAU), "theta": lambda: jacobi_theta(V, TAU)}
+def assert_cold_bits_at_each_precision(kernels, order):
+    """Each kernel, a function returning a list of values, gives through
+    its memo the bits it computes cold at each precision of `order`, on a
+    first call and on a second, and different bits at the two precisions."""
     cold = {}
     for dps in order:
         with mp.workdps(dps):
@@ -104,13 +116,26 @@ def test_a_value_is_never_returned_at_another_precision(order):
     for dps in order:
         with mp.workdps(dps):
             for name, kernel in kernels.items():
-                assert same_bits(kernel(), cold[name, dps]), (name, dps)
-                # a second call is a hit and returns the same bits
-                assert same_bits(kernel(), cold[name, dps]), (name, dps)
+                for _ in range(2):  # a second call hits and returns the same bits
+                    assert all(same_bits(a, b) for a, b in
+                               zip(kernel(), cold[name, dps], strict=True)), (name, dps)
     for name in kernels:
-        assert not same_bits(cold[name, 16], cold[name, 30])
+        assert not same_bits(cold[name, order[0]][0], cold[name, order[1]][0])
+
+
+@pytest.mark.parametrize("order", [(16, 30), (30, 16)], ids=["16-then-30", "30-then-16"])
+def test_a_value_is_never_returned_at_another_precision(order):
+    assert_cold_bits_at_each_precision(
+        {"eta": lambda: [eta(TAU)], "theta": lambda: [jacobi_theta(V, TAU)],
+         "e2pi": lambda: [e2pi(TAU)]}, order)
     for memo in KERNELS:
         assert memo.cache_info().misses == 2
+    # a row's part, on each route; the rows of family 4 read the same parts
+    assert_cold_bits_at_each_precision(
+        {"mu": lambda: [vmn_eval_mu("4p", 2, TAU), vmn_eval_mu("4", 2, TAU)],
+         "series": lambda: [vmn_eval_series("4p", 2, TAU), vmn_eval_series("4", 2, TAU)]},
+        order)
+    assert vmn._part_memo.cache_info().misses == 2 * 2 * 2
 
 
 def test_the_sum_route_bypasses_the_memo():
@@ -152,10 +177,29 @@ def test_the_catalogue_at_one_tau_shares_its_kernels():
     warm = _routes(tau)
     assert len(warm) == 2 * (59 + 13 + 6)
     assert all(same_bits(a, b) for a, b in zip(warm, cold, strict=True))
-    # 268 eta calls on 23 distinct s*tau, 67 theta calls on 8 distinct v_n
+    # 218 eta calls on 23 distinct s*tau, 51 theta calls on 8 distinct v_n:
+    # a row of family 4 reads its parts' values, so it calls neither
     eta_info, theta_info = (memo.cache_info() for memo in KERNELS)
-    assert (eta_info.misses, eta_info.hits) == (23, 245)
-    assert (theta_info.misses, theta_info.hits) == (8, 59)
+    assert (eta_info.misses, eta_info.hits) == (23, 195)
+    assert (theta_info.misses, theta_info.hits) == (8, 43)
+    # 51 parts a route (next test), and 888 exponentials on 189 distinct
+    # arguments: q, the steps and the phases of the walks at one tau
+    part_info = vmn._part_memo.cache_info()
+    assert (part_info.misses, part_info.hits) == (2 * 51, 2 * 16)
+    assert core._e2pi.cache_info().misses == 189
+
+
+@pytest.mark.parametrize("route", [vmn_eval_mu, vmn_eval_series], ids=["mu", "series"])
+def test_each_route_computes_each_atomic_part_once(route):
+    # 51 atomic and primed rows compute their part; the 8 rows of family 4
+    # read the values of 4p and 4pp
+    tau = mpc(0.17, 0.93)
+    values = {row: route(*row, tau) for row in all_rows()}
+    info = vmn._part_memo.cache_info()
+    assert (info.misses, info.hits) == (51, 16)
+    for n in range(1, 9):
+        if ("4", n) in values:
+            assert same_bits(values["4", n], values["4p", n] + values["4pp", n])
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +212,7 @@ SAFE = RootOfUnity(1, 97)
 def test_neither_rational_memo_outgrows_its_cap():
     for n in range(KERNEL_MEMO + 44):
         e2pi(Fr(n, 1009))
-    info = core._e2pi_rational.cache_info()
+    info = core._e2pi.cache_info()
     assert info.maxsize == KERNEL_MEMO
     assert info.currsize == KERNEL_MEMO and info.misses == KERNEL_MEMO + 44
     for k in range(1, NUMERATOR_MEMO + 5):
@@ -181,29 +225,16 @@ def test_neither_rational_memo_outgrows_its_cap():
 def test_e2pi_keys_on_the_exponent_mod_one():
     for x in (Fr(1, 3), Fr(4, 3), Fr(-2, 3), Fr(3 * 10 ** 30 + 1, 3)):
         assert same_bits(e2pi(x), e2pi(Fr(1, 3)))
-    info = core._e2pi_rational.cache_info()
+    info = core._e2pi.cache_info()
     assert (info.misses, info.hits) == (1, 7)
 
 
 @pytest.mark.parametrize("order", [(16, 40), (40, 16)], ids=["16-then-40", "40-then-16"])
 def test_a_rational_value_is_never_returned_at_another_precision(order):
     x = Fr(5, 7)
-    kernels = {"e2pi": lambda: [e2pi(Fr(3, 7))],
-               "F_hk": lambda: F_hk_terms(x, SAFE, SAFE * SAFE)}
-    cold = {}
-    for dps in order:
-        with mp.workdps(dps):
-            for name, kernel in kernels.items():
-                with no_memo():
-                    cold[name, dps] = kernel()
-    for dps in order:
-        with mp.workdps(dps):
-            for name, kernel in kernels.items():
-                for _ in range(2):  # a second call hits and returns the same bits
-                    assert all(same_bits(a, b) for a, b in
-                               zip(kernel(), cold[name, dps], strict=True)), (name, dps)
-    for name in kernels:
-        assert not same_bits(cold[name, 16][0], cold[name, 40][0])
+    assert_cold_bits_at_each_precision(
+        {"e2pi": lambda: [e2pi(Fr(3, 7))], "F_hk": lambda: F_hk_terms(x, SAFE, SAFE * SAFE)},
+        order)
     assert quantum._hk_numerators.cache_info().misses == 2
     assert quantum._roots.cache_info().misses == 2
 
