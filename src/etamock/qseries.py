@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from mpmath import mp, mpc
 
-from .core import KERNEL_MEMO, e2pi, fixed_product, reduce_tau
+from .core import KERNEL_MEMO, e2pi, fixed_product, fold_guard, reduce_tau
 
 
 def kronecker(a, n):
@@ -163,7 +163,8 @@ def eta(tau):
     """Dedekind eta at tau in the upper half plane.
 
     Reduces tau to the fundamental domain with the translation and
-    inversion laws before it multiplies, so small Im(tau) is fine.
+    inversion laws before it multiplies, with core.fold_guard(tau) guard
+    digits as theta, g_{a,b} and mu-hat, so small Im(tau) is fine.
 
     The folded value is memoized, keyed by tau and mp.prec, for the
     KERNEL_MEMO = 256 most recently used keys: the catalogue's rows at one
@@ -188,9 +189,11 @@ def _eta_folded(tau, prec):
         factor, expo = state
         return factor * mp.sqrt(-1j * sigma), expo
 
-    tau, (factor, expo) = reduce_tau(tau, (mpc(1), Fraction(0)), shift, invert, "eta")
-    q = e2pi(tau)
-    return e2pi(expo) * factor * (e2pi(tau / 24) * qpoch(q, q))
+    with mp.extradps(fold_guard(tau)):
+        tau, (factor, expo) = reduce_tau(tau, (mpc(1), Fraction(0)), shift, invert, "eta")
+        q = e2pi(tau)
+        value = e2pi(expo) * factor * (e2pi(tau / 24) * qpoch(q, q))
+    return +value
 
 
 class FormalQSeries:

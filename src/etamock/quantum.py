@@ -2,8 +2,9 @@
 q-hypergeometric sums at roots of unity, and exact evaluation at rationals.
 
 Everything here is driven by reduced fractions h/k and exact roots of
-unity.  A finite sum is evaluated on integer pairs (core's fixed point), and
-each of its terms and values is rounded to the working precision once.
+unity.  Every finite sum has one path, _finite_sums: its terms are pairs of
+integers at fixed_prec() (core's fixed point), and F_hk, companion_sum and
+vm1_at_rational each add theirs exactly and round the value once.
 
 The arguments z1, z2 of F_hk for each family come from rational_z_args
 alone.  The rest is read off from it: the rational values of the first
@@ -12,11 +13,11 @@ the finite side of the period identities.  A value of family 4 is the sum
 over vmn.parts, the labels of E_4's two g_{a,b} rows, written once for one
 part and summed or chained over the parts.
 
-F_hk at x = h/k splits in two halves.  The numerators and the steps
-e(h/(2k))^j depend only on (h mod 2k, k) and are memoized; the
-denominators depend on each argument pair.  So the sums at one h/k share
-one numerator: both sign companions, the parts of family 4, and x and
-x + lcm(N, 2) in the shift law, since lcm(N, 2) is even.
+The steps e(h/(2k))^j and the numerators of F_hk at x = h/k are read from
+one table of 4k-th roots of unity, memoized on (k, precision) (_roots); the
+denominators depend on each argument pair.  So every finite sum at one h/k
+and one precision reads one table: both sign companions, the parts of
+family 4, the first-column value, and x + lcm(N, 2) in the shift law.
 
 Theorem 1.2 is one law, two_term_law: at a generator gamma = (a, b; c, d)
 of the row's group (group_generators),
@@ -37,8 +38,8 @@ from functools import cache, lru_cache
 
 from mpmath import mp, mpc
 
-from .core import (FIXED_GUARD, KERNEL_MEMO, fixed_div, fixed_mul, fixed_prec, fixed_raise,
-                   fraction_mpf, from_fixed, to_fixed)
+from .core import (KERNEL_MEMO, fixed_div, fixed_mul, fixed_prec, fixed_raise, fraction_mpf,
+                   from_fixed, to_fixed)
 from .qseries import RootOfUnity, SL2Matrix
 from .vmn import (_SHADOW, FAMILIES, family, is_admissible, normalize_label, parts,
                   transformation_root, vmn_eval_mu, vmn_spec)
@@ -162,32 +163,18 @@ def rational_formula_defined(m, x):
 # finite q-hypergeometric sums
 
 
-# entries kept by the numerator memo: the finite sums at one (h mod 2k, k)
-# come together (sign companions, parts, shifts by an even step)
-NUMERATOR_MEMO = 8
-
-
-def F_hk_terms(x, z1, z2):
-    """The k summands (-z;z)_j e(h j(j+1)/(4k)) / ((z1;z)_{j+1} (z2;z)_{j+1})
-    with z = e(h/(2k)) for the reduced fraction x = h/k.
-
-    They are computed on integer pairs at wp = fixed_prec() bits (more for
-    k > 10, see _finite_sums), then each rounded.  The numerators and the
-    steps z^j are read from one table of 4k-th roots of unity (_roots); they
-    depend only on (h mod 2k, k) and are memoized (_hk_numerators).  The
-    denominators depend on each argument pair.
-
-    z1 and z2 must be RootOfUnity values (TypeError otherwise).  Every
-    denominator factor is first checked exactly; a vanishing factor raises
-    ZeroDivisionError naming it.
-    """
-    return [from_fixed(term, fixed_prec()) for term in _finite_sums(x, ((z1, z2),))[0]]
-
-
 def _finite_sums(x, pairs):
-    """The term lists of F_hk at x, one per argument pair (z1, z2), as pairs
-    at fixed_prec(): one numerator lookup, then one integer pass per pair, at
-    max(0, ceil(1.2 k) - 12) more bits for the 0.35 k digits the terms cancel."""
+    """The term lists of F_hk at x = h/k, one per argument pair (z1, z2):
+    the k summands (-zeta;zeta)_j e(h j(j+1)/(4k)) / ((z1;zeta)_(j+1) (z2;zeta)_(j+1)),
+    zeta = e(h/(2k)), as pairs at fixed_prec().
+
+    The steps zeta^j and the numerators are read from one table of 4k-th
+    roots of unity (_roots) once per call; then one integer pass runs per
+    pair, at max(0, ceil(1.2 k) - 12) more bits for the 0.35 k digits the
+    terms cancel.  z1 and z2 must be RootOfUnity values (TypeError
+    otherwise); a vanishing denominator factor raises ZeroDivisionError
+    naming it.
+    """
     x = as_fraction(x)
     h, k = x.numerator, x.denominator
     zero = _vanishing_factor(x, pairs)
@@ -196,7 +183,13 @@ def _finite_sums(x, pairs):
     extra = max(0, -(-6 * k // 5) - 12)
     wp = fixed_prec() + extra
     one = 1 << wp
-    steps, numerators = _hk_numerators(h % (2 * k), k, wp)
+    # zeta^j and the phase e(h j(j+1)/(4k)) are the 4k-th roots at 2 h j and h j(j+1)
+    roots = _roots(k, wp)
+    steps = [roots[2 * h * j % (4 * k)] for j in range(k + 1)]
+    numerators, poch = [], (one, 0)
+    for j in range(k):
+        numerators.append(fixed_mul(poch, roots[h * j * (j + 1) % (4 * k)], wp))
+        poch = fixed_mul(poch, (one + steps[j + 1][0], steps[j + 1][1]), wp)
     with mp.workprec(wp):
         pairs = [(to_fixed(z1.value(), wp), to_fixed(z2.value(), wp)) for z1, z2 in pairs]
     sums = []
@@ -239,25 +232,11 @@ def _roots(k, wp):
                  + [(b, -a) for a, b in quadrant])
 
 
-@lru_cache(maxsize=NUMERATOR_MEMO)
-def _hk_numerators(h, k, wp):
-    """The steps zeta^j and the numerators (-zeta;zeta)_j e(h j(j+1)/(4k)),
-    j < k, with zeta = e(h/(2k)), as pairs at wp: zeta^j and the phase are
-    the 4k-th roots at 2 h j and h j(j+1), so both depend on h only mod 2k."""
-    roots = _roots(k, wp)
-    steps = [roots[2 * h * j % (4 * k)] for j in range(k + 1)]
-    numerators, poch = [], (1 << wp, 0)
-    for j in range(k):
-        numerators.append(fixed_mul(poch, roots[h * j * (j + 1) % (4 * k)], wp))
-        poch = fixed_mul(poch, ((1 << wp) + steps[j + 1][0], steps[j + 1][1]), wp)
-    return tuple(steps[:k]), tuple(numerators)
-
-
 def F_hk(x, z1, z2):
-    """Finite q-hypergeometric sum of F_hk_terms, added at FIXED_GUARD more bits."""
-    with mp.extraprec(FIXED_GUARD):
-        total = mp.fsum(F_hk_terms(x, z1, z2))
-    return +total
+    """The finite q-hypergeometric sum at the reduced fraction x = h/k of
+    the k terms of _finite_sums for one pair: added exactly, rounded once."""
+    terms = _finite_sums(x, ((z1, z2),))[0]
+    return from_fixed([sum(c) for c in zip(*terms)], fixed_prec())
 
 
 def rational_z_args(m, x):
@@ -365,10 +344,11 @@ def integral_identity_rhs(m, x):
                         as_fraction(x))
 
 
-def companion_terms(m, x):
-    """Term lists of the two sign-companion finite sums for one family:
-    F_hk at the family's arguments (z1, z2) and at (-z1, -z2), chained
-    over the family's parts.
+def companion_sum(m, x):
+    """Sum of the sign-companion finite sums of one family: F_hk at the
+    family's arguments (z1, z2) and at (-z1, -z2), over the family's parts,
+    every term added exactly and rounded once.  It vanishes on the quantum
+    set of the family's first column (termwise for the families 3 and 6).
 
     ValueError outside the quantum set of the family's row (m, 1).
     """
@@ -381,18 +361,8 @@ def companion_terms(m, x):
     for label in parts(base):
         z1, z2 = rational_z_args(label, x)
         pairs += [(z1, z2), (z1 * flip, z2 * flip)]
-    sums = [[from_fixed(term, fixed_prec()) for term in terms] for terms in _finite_sums(x, pairs)]
-    return sum(sums[0::2], []), sum(sums[1::2], [])
-
-
-def companion_sum(m, x):
-    """Sum of the sign-companion finite sums; vanishes on the quantum set
-    of the family's first column (termwise for the families 3 and 6)."""
-    # its terms computed and added at FIXED_GUARD more bits, rounded once
-    with mp.extraprec(FIXED_GUARD):
-        minus, plus = companion_terms(m, x)
-        total = mp.fsum(minus + plus)
-    return +total
+    terms = [term for pair_terms in _finite_sums(x, pairs) for term in pair_terms]
+    return from_fixed([sum(c) for c in zip(*terms)], fixed_prec())
 
 
 def companion_sum_composite(x):

@@ -16,8 +16,8 @@ from math import gcd
 import pytest
 from mpmath import mp, mpc, mpf
 
-from etamock.core import fraction_mpf
-from etamock.qseries import e2pi, eta
+from etamock.core import fixed_prec, fraction_mpf, from_fixed
+from etamock.qseries import RootOfUnity, e2pi, eta
 from etamock.theta import (E_from_g, e_from_theta, eta_theta_eval,
                            eta_theta_qexp, jacobi_theta, partial_theta,
                            radial_limit, theta_specialization_point,
@@ -25,9 +25,8 @@ from etamock.theta import (E_from_g, e_from_theta, eta_theta_eval,
 from etamock.mu import (MabSpec, R_correction, g_complement, kang_pair,
                         mordell_h, mu, xi_shadow)
 from etamock.vmn import FAMILIES, all_rows, group_sample, is_admissible, verify_thm11
-from etamock.quantum import (ELL, _SET_PREDICATES, F_hk_terms, companion_sum,
-                             companion_sum_composite, companion_terms,
-                             group_generators, in_quantum_set,
+from etamock.quantum import (ELL, _SET_PREDICATES, _finite_sums, companion_sum,
+                             companion_sum_composite, group_generators, in_quantum_set,
                              integral_identity_rhs, mobius_rational,
                              quantum_set_label, rational_formula_defined,
                              rational_z_args, vm1_at_rational)
@@ -205,7 +204,11 @@ def test_06_shadow_by_finite_difference_matches_complement():
 
 
 def test_07_first_family_example_values_and_integral():
-    minus, plus = companion_terms("1", Fr(1, 3))
+    x = Fr(1, 3)
+    z1, z2 = rational_z_args("1", x)
+    flip = RootOfUnity(1, 2)
+    minus, plus = ([from_fixed(t, fixed_prec()) for t in terms]
+                   for terms in _finite_sums(x, [(z1, z2), (z1 * flip, z2 * flip)]))
     published_minus = [mpc("0.713123", "-0.411722"),
                        mpc("-2.38616", "1.37765"),
                        mpc("1.22474", "0")]
@@ -326,13 +329,13 @@ def test_10_termination_nonvanishing_and_set_closure():
                 continue
             z1, z2 = rational_z_args(label, x)
             if rational_formula_defined(label, x):
-                terms = F_hk_terms(x, z1, z2)
+                terms = [from_fixed(t, fixed_prec()) for t in _finite_sums(x, [(z1, z2)])[0]]
                 assert len(terms) == x.denominator
                 assert all(mp.isfinite(t) for t in terms)
                 defined_seen += 1
             else:
                 with pytest.raises(ZeroDivisionError):
-                    F_hk_terms(x, z1, z2)
+                    _finite_sums(x, [(z1, z2)])
                 refused_seen += 1
     assert defined_seen > 500 and refused_seen > 50
 

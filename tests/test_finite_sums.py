@@ -1,8 +1,9 @@
 """The finite sums F_hk against the per-pair loop of their definition.
 
-`quantum` computes the x-only half of F_hk (the steps zeta^j and the
-numerators) once per (h mod 2k, k) from one table of 4k-th roots of unity,
-and then runs one integer pass per argument pair.  The reference below is
+`quantum._finite_sums` reads the x-only half of F_hk (the steps zeta^j and
+the numerators) from one table of 4k-th roots of unity, and then runs one
+integer pass per argument pair; F_hk, companion_sum and vm1_at_rational add
+its terms exactly and round once.  The reference below is
 the mpc loop that computes every term of one pair from scratch, with its
 exact vanishing test on Fractions, run at 30 more digits.  Every term and
 every sum must be within 1 unit of 10^-dps of the sum of the moduli of its
@@ -21,10 +22,11 @@ from functools import cache
 import pytest
 from mpmath import mp, mpc, mpf
 
-from etamock.core import fraction_mpf
+from etamock import quantum
+from etamock.core import fixed_prec, fraction_mpf, from_fixed
 from etamock.qseries import RootOfUnity, e2pi
-from etamock.quantum import (ELL, F_hk, F_hk_terms, M_ell, companion_sum, companion_terms,
-                             in_quantum_set, integral_identity_rhs, rational_formula_defined,
+from etamock.quantum import (ELL, F_hk, M_ell, companion_sum, in_quantum_set,
+                             integral_identity_rhs, rational_formula_defined,
                              rational_prefactor, rational_z_args, two_term_law,
                              vm1_at_rational)
 from etamock.vmn import ATOMIC_LABELS, FAMILIES, parts
@@ -112,13 +114,23 @@ def reference_rhs(m, x):
         return [(value, scale)]
 
 
+def finite_terms(x, pairs):
+    """The term lists of quantum._finite_sums, each term rounded once."""
+    return [[from_fixed(term, fixed_prec()) for term in terms]
+            for terms in quantum._finite_sums(x, pairs)]
+
+
 def terms_and_sum(x, z1, z2):
-    return F_hk_terms(x, z1, z2) + [F_hk(x, z1, z2)]
+    return finite_terms(x, [(z1, z2)])[0] + [F_hk(x, z1, z2)]
 
 
 def companion_terms_and_sum(m, x):
-    minus, plus = companion_terms(m, x)
-    return minus + plus + [companion_sum(m, x)]
+    pairs = []
+    for part in parts(m):
+        z1, z2 = rational_z_args(part, x)
+        pairs += [(z1, z2), (z1 * FLIP, z2 * FLIP)]
+    sums = finite_terms(x, pairs)
+    return sum(sums[0::2], []) + sum(sums[1::2], []) + [companion_sum(m, x)]
 
 
 def vm1_value(m, x):

@@ -5,10 +5,11 @@ keyed by the exact arguments and `mp.prec`, for the KERNEL_MEMO most
 recently used keys; so does `e2pi`, keyed by a rational exponent mod 1 or
 any other exponent as given, and so does each atomic part of a row of
 `vmn` on each route, keyed by (route, label, n, tau).  The finite sums
-F_hk keep their x-only half, the steps and numerators at (h mod 2k, k),
-for the NUMERATOR_MEMO most recently used keys, and read them from one
-table of 4k-th roots of unity per k, kept for the KERNEL_MEMO most
-recently used (k, precision) keys; the ray integrals keep one table of
+F_hk, companion_sum and vm1_at_rational read their steps and numerators
+from one table of 4k-th roots of unity per k, kept for the KERNEL_MEMO most
+recently used (k, precision) keys, and run their integer pass at one
+precision, so every finite sum at one h/k reads one table; the ray
+integrals keep one table of
 g_{a,b} per ray, keyed by (a, b), the rational start and `mp.prec`, for
 the KERNEL_MEMO most recently used keys (their reuse and their precision
 are pinned in test_eichler.py).  The exact multiplier transformation_root
@@ -17,8 +18,8 @@ pin that contract: each cap holds, a value never crosses precisions, the
 sum route stays outside the memo, and a warm memo returns the bits a cold
 one computes.  They also pin how much the 59 rows share at one tau (each
 atomic part once a route), and how much the finite sums share at one h/k,
-so a change that perturbs the bits of s*tau or v_n, or the key of the
-numerators, fails here rather than silently losing the sharing.
+so a change that perturbs the bits of s*tau or v_n, or the precision of a
+finite sum, fails here rather than silently losing the sharing.
 """
 
 from contextlib import contextmanager
@@ -30,8 +31,8 @@ from mpmath import mp, mpc
 from etamock import core, eichler, qseries, quantum, theta, vmn
 from etamock.core import e2pi
 from etamock.qseries import KERNEL_MEMO, RootOfUnity, eta
-from etamock.quantum import (NUMERATOR_MEMO, F_hk_terms, companion_sum, group_generators,
-                             in_quantum_set, integral_identity_rhs, vm1_at_rational)
+from etamock.quantum import (F_hk, companion_sum, group_generators, in_quantum_set,
+                             integral_identity_rhs, rational_z_args, vm1_at_rational)
 from etamock.theta import E_from_g, eta_theta_eval, jacobi_theta
 from etamock.verify import verify_thm12_iii
 from etamock.vmn import (FAMILIES, all_rows, family, transformation_root, vmn_eval_mu,
@@ -40,8 +41,7 @@ from etamock.vmn import (FAMILIES, all_rows, family, transformation_root, vmn_ev
 DPS = 30
 
 KERNELS = (qseries._eta_folded, theta._theta_folded)
-MEMOS = KERNELS + (core._e2pi, vmn._part_memo, quantum._hk_numerators, quantum._roots,
-                   eichler._ray_table)
+MEMOS = KERNELS + (core._e2pi, vmn._part_memo, quantum._roots, eichler._ray_table)
 
 # exact in binary at every precision, so only mp.prec tells the keys apart;
 # Im tau < sqrt(3)/2, so both kernels fold
@@ -66,7 +66,6 @@ def no_memo():
         patch.setattr(theta, "_theta_folded", theta._theta_folded.__wrapped__)
         patch.setattr(core, "_e2pi", core._e2pi.__wrapped__)
         patch.setattr(vmn, "_part_memo", vmn._part_memo.__wrapped__)
-        patch.setattr(quantum, "_hk_numerators", quantum._hk_numerators.__wrapped__)
         patch.setattr(quantum, "_roots", quantum._roots.__wrapped__)
         yield
 
@@ -182,11 +181,12 @@ def test_the_catalogue_at_one_tau_shares_its_kernels():
     eta_info, theta_info = (memo.cache_info() for memo in KERNELS)
     assert (eta_info.misses, eta_info.hits) == (23, 195)
     assert (theta_info.misses, theta_info.hits) == (8, 43)
-    # 51 parts a route (next test), and 888 exponentials on 189 distinct
-    # arguments: q, the steps and the phases of the walks at one tau
+    # 51 parts a route (next test), and 888 exponentials on 191 distinct
+    # keys: q, the steps and the phases of the walks at one tau, and those of
+    # the eta folds, which take their guard digits
     part_info = vmn._part_memo.cache_info()
     assert (part_info.misses, part_info.hits) == (2 * 51, 2 * 16)
-    assert core._e2pi.cache_info().misses == 189
+    assert core._e2pi.cache_info().misses == 191
 
 
 @pytest.mark.parametrize("route", [vmn_eval_mu, vmn_eval_series], ids=["mu", "series"])
@@ -203,7 +203,7 @@ def test_each_route_computes_each_atomic_part_once(route):
 
 
 # ---------------------------------------------------------------------------
-# e2pi at rationals and the numerators of the finite sums
+# e2pi at rationals and the table of roots of the finite sums
 
 # a root of unity of an order prime to every 2k used here: never a pole
 SAFE = RootOfUnity(1, 97)
@@ -215,11 +215,6 @@ def test_neither_rational_memo_outgrows_its_cap():
     info = core._e2pi.cache_info()
     assert info.maxsize == KERNEL_MEMO
     assert info.currsize == KERNEL_MEMO and info.misses == KERNEL_MEMO + 44
-    for k in range(1, NUMERATOR_MEMO + 5):
-        F_hk_terms(Fr(1, k), SAFE, SAFE)
-    info = quantum._hk_numerators.cache_info()
-    assert info.maxsize == NUMERATOR_MEMO
-    assert info.currsize == NUMERATOR_MEMO and info.misses == NUMERATOR_MEMO + 4
 
 
 def test_e2pi_keys_on_the_exponent_mod_one():
@@ -233,9 +228,8 @@ def test_e2pi_keys_on_the_exponent_mod_one():
 def test_a_rational_value_is_never_returned_at_another_precision(order):
     x = Fr(5, 7)
     assert_cold_bits_at_each_precision(
-        {"e2pi": lambda: [e2pi(Fr(3, 7))], "F_hk": lambda: F_hk_terms(x, SAFE, SAFE * SAFE)},
+        {"e2pi": lambda: [e2pi(Fr(3, 7))], "F_hk": lambda: [F_hk(x, SAFE, SAFE * SAFE)]},
         order)
-    assert quantum._hk_numerators.cache_info().misses == 2
     assert quantum._roots.cache_info().misses == 2
 
 
@@ -264,30 +258,44 @@ def test_a_warm_numerator_memo_returns_the_cold_bits():
             assert all(same_bits(a, b) for a, b in zip(warm, cold, strict=True)), x
 
 
-def _numerator_calls(f, *args):
-    quantum._hk_numerators.cache_clear()
+def _roots_calls(f, *args):
+    quantum._roots.cache_clear()
     f(*args)
-    info = quantum._hk_numerators.cache_info()
+    info = quantum._roots.cache_info()
     return info.misses, info.hits
+
+
+def test_every_finite_sum_at_one_x_reads_one_table():
+    # F_hk, companion_sum and vm1_at_rational run their integer pass at one
+    # precision, so at one x and dps they read one table of roots
+    x = Fr(1, 5)
+    for dps in (16, 40):
+        with mp.workdps(dps):
+            quantum._roots.cache_clear()
+            companion_sum("1", x)
+            vm1_at_rational("1", x)
+            F_hk(x, *rational_z_args("1", x))
+            info = quantum._roots.cache_info()
+            assert (info.misses, info.hits) == (1, 2)
 
 
 @pytest.mark.parametrize("m", ["1", "2", "3", "5", "6"])
 def test_both_sign_companions_share_one_numerator(m):
-    assert _numerator_calls(companion_sum, m, Fr(1, 5)) == (1, 0)
+    assert _roots_calls(companion_sum, m, Fr(1, 5)) == (1, 0)
 
 
 def test_the_parts_of_family_4_share_one_numerator():
     x = Fr(1, 5)
-    assert _numerator_calls(companion_sum, "4", x) == (1, 0)
-    assert _numerator_calls(vm1_at_rational, "4", x) == (1, 0)
+    assert _roots_calls(companion_sum, "4", x) == (1, 0)
+    assert _roots_calls(vm1_at_rational, "4", x) == (1, 0)
 
 
 @pytest.mark.parametrize("m, n", [("1", 1), ("3", 2), ("4", 1), ("6", 4)])
 def test_the_shift_law_reads_one_numerator_at_x_and_its_image(m, n):
-    # x and x + lcm(N, 2) differ by an even integer, so h mod 2k agrees
+    # x and x + lcm(N, 2) have one denominator, so they read one table
     x = Fr(1, 4)
     assert in_quantum_set(m, n, x) and group_generators(m, n)[1].b % 2 == 0
-    assert _numerator_calls(verify_thm12_iii, m, n, x) == (1, 1)
+    assert _roots_calls(verify_thm12_iii, m, n, x) == (1, 1)
 
 
 def test_the_multiplier_is_derived_once_per_row_and_gamma():

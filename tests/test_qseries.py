@@ -114,6 +114,18 @@ def test_eta_inversion_law():
         assert abs(lhs - rhs) < 1e-22
 
 
+@pytest.mark.parametrize("h, k, im", [(1, 3, "1e-7"), (3, 10, "1e-5"), (5, 13, "3e-6")])
+def test_eta_keeps_its_digits_near_a_cusp(h, k, im):
+    # the fold takes core.fold_guard guard digits, as theta's does: without
+    # them the relative errors at dps 16 were 2.0e-6, 2.1e-11 and 2.5e-10
+    with mp.workdps(16):
+        tau = mpc(mpf(h) / k, mpf(im))
+        value = eta(tau)
+    with mp.workdps(16 + 44):
+        ref = eta(tau)
+        assert abs(value - ref) <= 10 * mpf(10) ** -16 * abs(ref)
+
+
 @pytest.mark.parametrize("c", [2, 3, 5, 7, 12])
 def test_dedekind_sum_closed_form_first_column(c):
     assert dedekind_sum(1, c) == Fraction((c - 1) * (c - 2), 12 * c)

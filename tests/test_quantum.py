@@ -7,10 +7,10 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 import etamock.quantum as quantum
+from etamock.core import fixed_prec, from_fixed
 from etamock.qseries import RootOfUnity
-from etamock.quantum import (ELL, M_ell, F_hk, F_hk_terms, as_fraction,
+from etamock.quantum import (ELL, M_ell, F_hk, as_fraction,
                              companion_sum, companion_sum_composite,
-                             companion_terms,
                              group_generators, in_quantum_set,
                              in_S, in_S_even, in_S_odd, in_S_prime,
                              mobius_rational, quantum_set_label,
@@ -18,7 +18,7 @@ from etamock.quantum import (ELL, M_ell, F_hk, F_hk_terms, as_fraction,
                              two_term_law, vm1_at_rational, vmn_any,
                              vmn_at_rational)
 from etamock.verify import verify_thm12_i, verify_thm12_iii
-from etamock.vmn import FAMILIES, all_rows, family, transformation_root
+from etamock.vmn import FAMILIES, all_rows, family, parts, transformation_root
 
 # working precision of every test here; see conftest.py
 DPS = 20
@@ -116,9 +116,25 @@ def test_generator_orbit_closure_sample():
                         assert in_quantum_set(lbl, n, y)
 
 
+def finite_terms(x, pairs):
+    """The term lists of quantum._finite_sums, each term rounded once."""
+    return [[from_fixed(term, fixed_prec()) for term in terms]
+            for terms in quantum._finite_sums(x, pairs)]
+
+
+def companion_pairs(m, x):
+    """The argument pairs of companion_sum: each part's (z1, z2), then (-z1, -z2)."""
+    flip = RootOfUnity(1, 2)
+    pairs = []
+    for part in parts(m):
+        z1, z2 = rational_z_args(part, x)
+        pairs += [(z1, z2), (z1 * flip, z2 * flip)]
+    return pairs
+
+
 def test_finite_sum_terminates_and_is_exact():
     z1, z2 = rational_z_args("1", Fraction(1, 3))
-    terms = F_hk_terms(Fraction(1, 3), z1, z2)
+    terms = finite_terms(Fraction(1, 3), [(z1, z2)])[0]
     assert len(terms) <= 3
     total = F_hk(Fraction(1, 3), z1, z2)
     assert abs(total - sum(terms)) < 1e-18
@@ -228,8 +244,6 @@ def test_companion_sums_cancel_trivial_families(lbl):
 def test_companion_sum_outside_quantum_set_is_domain_error(lbl, x):
     assert not in_quantum_set(lbl, 1, x)
     with pytest.raises(ValueError, match="outside the quantum set"):
-        companion_terms(lbl, x)
-    with pytest.raises(ValueError, match="outside the quantum set"):
         companion_sum(lbl, x)
 
 
@@ -238,20 +252,20 @@ def test_companion_sum_defined_at_minus_one_over_ell(lbl):
     # -1/ell_m lies in the quantum set, so the sums are still evaluated there
     x = Fraction(-1, ELL[lbl])
     assert in_quantum_set(lbl, 1, x)
-    minus, plus = companion_terms(lbl, x)
+    assert mp.isfinite(companion_sum(lbl, x))
+    sums = finite_terms(x, companion_pairs(lbl, x))
+    minus, plus = sum(sums[0::2], []), sum(sums[1::2], [])
     assert len(minus) == len(plus) > 0
 
 
 def test_composite_rational_values_split():
     # family 4's value is the sum of its parts' values, bit for bit, and its
-    # companion terms are the parts' term lists one after the other
-    flip = RootOfUnity(1, 2)
+    # companion sum is the exact total of the parts' term lists, one pair at a time
     for x in (Fraction(1, 3), Fraction(1, 5), Fraction(-3, 7)):
         assert vm1_at_rational("4", x) == vm1_at_rational("4p", x) + vm1_at_rational("4pp", x)
-        (z1, z2), (y1, y2) = (rational_z_args(part, x) for part in ("4p", "4pp"))
-        assert companion_terms("4", x) == (
-            F_hk_terms(x, z1, z2) + F_hk_terms(x, y1, y2),
-            F_hk_terms(x, z1 * flip, z2 * flip) + F_hk_terms(x, y1 * flip, y2 * flip))
+        terms = [term for pair in companion_pairs("4", x)
+                 for term in quantum._finite_sums(x, [pair])[0]]
+        assert companion_sum("4", x) == from_fixed([sum(c) for c in zip(*terms)], fixed_prec())
 
 
 def test_composite_four_term_cancellation():
@@ -268,7 +282,7 @@ def test_root_arguments_are_exact():
 def test_finite_sum_needs_exact_arguments():
     z1, z2 = rational_z_args("1", Fraction(1, 3))
     with pytest.raises(TypeError):
-        F_hk_terms(Fraction(1, 3), z1.value(), z2.value())
+        F_hk(Fraction(1, 3), z1.value(), z2.value())
 
 
 @pytest.mark.parametrize("m, n", ROWS)
