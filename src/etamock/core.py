@@ -6,7 +6,8 @@ Python integers, scaled per side, and `fixed_sum` stops each side after
 QUIET_RUN small terms in a row; `lattice_sum` is the front of every
 theta-type series but mu's, and walks their phases with `fixed_walk`.
 Every infinite product stops by `fixed_product`, on the same walks, and
-`converging` counts the quiet run that ends each series and product.  One
+`converging` counts the quiet run that ends each series and product; mu's
+walk starts are powers of shared exponentials (`fixed_monomial`).  One
 special function runs on integers too: `fixed_erfcx`, the scaled erfc
 that R's erfc sum takes in place of mpmath's erfc.
 
@@ -82,11 +83,13 @@ def e2pi(x):
 
     Fractions are reduced mod 1 exactly first, so huge rational phases
     keep full precision.  Every value is memoized, keyed by the exponent (a
-    Fraction as reduced, any other number as given, each kind apart) and
-    mp.prec, for the KERNEL_MEMO most recently used keys: so q = e(tau) and
-    the phases of the series at one tau are computed once.
+    Fraction as reduced, an mpc or mpf by its raw tuple, quick to hash, any
+    other number as given, each kind apart) and mp.prec, for the KERNEL_MEMO
+    most recently used keys: so q = e(tau) and the phases of the series at
+    one tau are computed once.
     """
-    return _e2pi(x % 1 if isinstance(x, Fraction) else x, mp.prec)
+    x = x % 1 if isinstance(x, Fraction) else getattr(x, "_mpc_", None) or getattr(x, "_mpf_", x)
+    return _e2pi(x, mp.prec)
 
 
 @lru_cache(maxsize=KERNEL_MEMO, typed=True)
@@ -94,6 +97,8 @@ def _e2pi(x, prec):
     # prec only keys the memo: the caller's mp.prec is prec
     if isinstance(x, Fraction):
         x = mpf(x.numerator) / x.denominator
+    elif isinstance(x, tuple):
+        x = mp.make_mpc(x) if len(x) == 2 else mp.make_mpf(x)
     return mp.exp(2j * mp.pi * x)
 
 
@@ -119,7 +124,10 @@ def fixed_prec():
 
 
 def to_fixed(z, wp):
-    """The pair (re, im) of z 2^wp, each rounded down to an integer."""
+    """The pair (re, im) of z 2^wp, z a number or a (pair, shift), rounded down."""
+    if isinstance(z, tuple):
+        (re, im), k = z[0], z[1] - wp
+        return (re >> k, im >> k) if k >= 0 else (re << -k, im << -k)
     re, im = mpc(z)._mpc_
     return _mpf_to_fixed(re, wp), _mpf_to_fixed(im, wp)
 
@@ -151,6 +159,17 @@ def fixed_raise(x, shift, wp):
     """The pair x at 2^-shift as (pair, shift), raised to wp bits if below 1/2."""
     k = wp - max(map(abs, x)).bit_length()
     return ((x[0] << k, x[1] << k), shift + k) if k > 0 else (x, shift)
+
+
+def fixed_power(x, k, shift):
+    """The pair x at 2^-shift to the power k >= 0, at 2^-shift, by squaring."""
+    y = (1 << shift, 0)
+    while k:
+        if k & 1:
+            y = fixed_mul(y, x, shift)
+        x = fixed_mul(x, x, shift)
+        k >>= 1
+    return y
 
 
 def fixed_scale(c, x):
@@ -251,28 +270,48 @@ def fixed_erfcx(x, wp):
     return value >> ERFCX_GUARD
 
 
-def _ratio(z, wp, least=0):
-    # z as (pair, shift): z = pair 2^-shift with integers of at most wp bits,
-    # or wider where the shift would fall below `least`; an mpf
-    # (sign, man, exp, bc) is below 2^(exp + bc)
+def fixed_ratio(z, wp, least=0):
+    """The mpc z as a walk ratio (pair, shift), integers of at most wp bits or
+    wider where the shift would fall below `least`; a (pair, shift) as it
+    is.  An mpf (sign, man, exp, bc) is below 2^(exp + bc)."""
+    if isinstance(z, tuple):
+        return z
     shift = max(least, wp - max(exp + bc for _, man, exp, bc in z._mpc_ if man))
     return to_fixed(z, shift), shift
+
+
+def fixed_monomial(powers, wp):
+    """The product of x^k over the (x, k) of `powers`, x an mpc or a (pair,
+    shift) and k an integer, as fixed_ratio's (pair, shift): x^k, x = pair
+    2^-s, is (pair/2^b)^k 2^(k (b - s)) for 2^b the top of pair, its first
+    factor taken at wp + k + 8 bits, and 1/x at 2 wp bits."""
+    prod, shift = (1, 0), 0
+    for x, k in filter(lambda power: power[1], powers):
+        x, s = fixed_ratio(x, wp, -math.inf)
+        if k < 0:
+            x, s, k = fixed_div((1 << wp, 0), x, wp), 2 * wp - s, -k
+        b = max(map(abs, x)).bit_length()
+        g = max(0, wp + k + 8 - b)
+        prod = fixed_mul(prod, fixed_power((x[0] << g, x[1] << g), k, b + g), 0)
+        shift += b + g - k * (b - s)
+    drop = min(max(map(abs, prod)).bit_length() - wp, shift)
+    return to_fixed((prod, shift), shift - drop), shift - drop
 
 
 def fixed_walk(start, ratio, step, wp):
     """The pairs w_0 = start, w_1, ... at wp of the walk w_(k+1) = w_k r_k,
     r_0 = ratio, r_(k+1) = r_k step; step None keeps r_k = ratio.
 
-    start is a pair at wp; ratio and step are mpc, read when the walk is
-    made, and r_k is kept as a walk ratio with its own exponent.  A walk
-    should run the way its modulus shrinks: then each w_k is within a few
-    units of 2^-wp of its value, and its integers stop growing after the
-    first.  A ratio above 2^wp keeps the shift 0, and its integers widen
-    instead.  Each step rounds down, so a walk that has decayed below
-    2^-wp ends on pairs of -1 and 0, such as (-1, 0), not on (0, 0).
+    start is a pair at wp; ratio and step, mpc or (pair, shift), are read
+    when the walk is made, and r_k is kept as a walk ratio with its own
+    exponent.  A walk should run the way its modulus shrinks: then each w_k
+    is within a few units of 2^-wp of its value, and its integers stop
+    growing after the first.  A ratio above 2^wp keeps shift 0 and widens.
+    Each step rounds down, so a walk that has decayed below 2^-wp ends on
+    pairs of -1 and 0, such as (-1, 0), not on (0, 0).
     """
-    r, s = _ratio(ratio, wp)
-    step, t = (None, 0) if step is None else _ratio(step, wp)
+    r, s = fixed_ratio(ratio, wp)
+    step, t = (None, 0) if step is None else fixed_ratio(step, wp)
 
     def walk(w, r, s):
         while step is None:
@@ -292,7 +331,7 @@ def fixed_walk(start, ratio, step, wp):
 def fixed_sum(sides, wp, what):
     """The sum of a series given as its sides, each a pair (scale, terms):
     the terms are pairs at wp, or None, and a pair x stands for the term
-    scale (x_re + i x_im) 2^-wp.
+    scale (x_re + i x_im) 2^-wp, scale an mpc or (pair, shift).
 
     This is the one stopping rule of every series.  Each side stops after
     QUIET_RUN terms in a row at or below series_eps() * max(1, largest
@@ -312,7 +351,7 @@ def fixed_sum(sides, wp, what):
         # |scale|^2 = norm 2^(-2 shift), so a small pair x has |x|^2 at most
         # eps^2 top2 2^(2 (shift + wp))/norm, rounded down, to 0 under a scale
         # far above top2 (then (0, 0) is small), and capped at 2^(4 wp)
-        (a, b), shift = _ratio(scale, wp, -math.inf)
+        (a, b), shift = fixed_ratio(scale, wp, -math.inf)
         norm = a * a + b * b
         man, exp = top2.man_exp
         exp += 2 * (shift + wp)
@@ -340,7 +379,8 @@ def fixed_sum(sides, wp, what):
             re += x[0]
             im += x[1]
         with mp.workprec(wp):
-            total += scale * from_fixed((re, im), wp)
+            total += (from_fixed(fixed_mul((a, b), (re, im), 0), shift + wp)
+                      if isinstance(scale, tuple) else scale * from_fixed((re, im), wp))
         top2 = max(top2, mpf((norm * peak, -2 * (shift + wp))))
     return total
 
@@ -359,6 +399,7 @@ def fixed_product(starts, q, what):
     # (series_eps() (1 - |q|) 2^wp)^2, in floats
     eps2 = int(((1 << wp) / 10 ** (mp.dps + 1) * (1 - abs(complex(q)))) ** 2)
     with mp.workprec(wp):
+        q = fixed_ratio(q, wp)
         pairs = [to_fixed(c, wp) for c in starts]
         # every walk shrinks by |q|, so the largest start's is the envelope
         lead = max(range(len(pairs)), key=lambda i: pairs[i][0] ** 2 + pairs[i][1] ** 2)

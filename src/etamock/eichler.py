@@ -34,7 +34,8 @@ from functools import lru_cache
 
 from mpmath import mp, mpc, mpf
 
-from .core import KERNEL_MEMO, exp_sinh, fixed_prec, fixed_scale, fraction_mpf, to_fixed
+from .core import (KERNEL_MEMO, exp_sinh, fixed_power, fixed_prec, fixed_scale, fraction_mpf,
+                   to_fixed)
 # unused here: the benchmark's span tracer looks these up in this module
 from .core import _gl_cache, adaptive_panels, gauss_legendre_nodes  # noqa: F401
 from .qseries import e2pi
@@ -188,17 +189,6 @@ def _ray_table(a, b, x, prec):
     return q, phase, _gauss_side(a, b, x, q, wp), _gauss_side(a1, b1, X, q, wp)
 
 
-def _fixed_power(x, k, p):
-    """x^k at p bits, for x in [0, 1] given as the integer x 2^p."""
-    y = 1 << p
-    while k:
-        if k & 1:
-            y = y * x >> p
-        x = x * x >> p
-        k >>= 1
-    return y
-
-
 def _gauss_sum(side, s, wp):
     """The sum of a _gauss_side table at s >= 1/q: one real exponential
     E = e^{-pi s/d^2}, then the weights of each run relative to the scale
@@ -212,10 +202,10 @@ def _gauss_sum(side, s, wp):
         E = mp.exp(-mp.pi * s / (d * d))
         scale = E ** (m0 * m0)
     e = to_fixed(E, p)[0]
-    step = _fixed_power(e, 2 * d * d, p) >> p - wp
+    step = fixed_power((e, 0), 2 * d * d, p)[0] >> p - wp
     re = im = 0
     for lead, first, coefficients in runs:
-        w, r = (_fixed_power(e, k, p) >> p - wp for k in (lead, first))
+        w, r = (fixed_power((e, 0), k, p)[0] >> p - wp for k in (lead, first))
         for x, y in coefficients:
             if not w:
                 break

@@ -14,8 +14,9 @@ from itertools import islice
 from mpmath import mp, mpc, mpf
 
 from .core import (QUIET_RUN, SIDE_CAP, ConvergenceError, converging, fixed_div, fixed_erfcx,
-                   fixed_prec, fixed_sum, fixed_walk, fold_guard, fraction_mpf, from_fixed,
-                   lattice_sum, period_cell, reduce_tau, series_eps, to_fixed)
+                   fixed_monomial, fixed_prec, fixed_ratio, fixed_sum, fixed_walk, fold_guard,
+                   fraction_mpf, from_fixed, lattice_sum, period_cell, reduce_tau, series_eps,
+                   to_fixed)
 from .qseries import e2pi, eta
 from .theta import g_ab, jacobi_theta
 
@@ -52,14 +53,15 @@ def mu(u, v, tau):
     from Im tau = 0.3 down to 0.01 (about 9 to 19 ms against 2 ms, nine
     (u, v) per height at dps 25), so it runs only below 1/10.
 
-    The series sums on pairs of Python integers at mp.prec + 20 bits,
-    through core's fixed-point helpers, and stops by core.fixed_sum's rule.
-    Its sides meet where |e(u) q^n| crosses 1, so the walk of e(u) q^n
-    runs up and that of its inverse runs down, each the way its modulus
-    shrinks.  When u - v lies far outside the period cell, a side starts
-    at its first term within 2^-(wp + 40) of its largest, so its integers
-    stay below about 2 wp + 40 bits.  The sum, theta(v) and e(u/2) are
-    combined at wp = mp.prec + 20 bits and rounded once.
+    The series reads q = e(tau), e(u/2) and e(v) from core.e2pi at
+    wp = mp.prec + 20 bits, q and e(v) at the keys of an unfolded theta(v);
+    every walk start, ratio and side scale is a product of their powers on
+    integer pairs, and it stops by core.fixed_sum's rule.  Its sides meet
+    where |e(u) q^n| crosses 1, each walking the way its modulus shrinks.
+    When u - v lies far outside the period cell, a side starts at its first
+    term within 2^-(wp + 40) of its largest, so its integers stay below
+    about 2 wp + 40 bits.  The sum, theta(v) and e(u/2) are combined at wp
+    bits and rounded once.
     """
     u = mpc(u)
     v = mpc(v)
@@ -74,9 +76,9 @@ def mu(u, v, tau):
 def _mu_series(u, v, tau):
     # the defining series at tau, unreduced: about 1/sqrt(Im tau) terms,
     # summed on integer pairs.  The term is num_n/(1 - x_n), with
-    # num_n = (-1)^n e(n v) q^{n(n+1)/2} and x_n = e(u) q^n.  The sides meet
-    # at the first n = k with |x_n| <= 1: up from k, x_n shrinks; down from
-    # k - 1 the term is -e(-u) h_n/(1 - y_n), with h_n = num_n q^{-n} and
+    # num_n = (-1)^n q^{n(n+1)/2} z^n, z = e(v), and x_n = e(u) q^n.  The sides
+    # meet at the first n = k with |x_n| <= 1: up from k, x_n shrinks; down
+    # from k - 1 the term is -e(-u) h_n/(1 - y_n), with h_n = num_n q^{-n} and
     # y_n = 1/x_n, and y_n shrinks.  So every walk runs the way its modulus
     # shrinks, and each side is scaled by the phase of its first term.
     #
@@ -96,30 +98,30 @@ def _mu_series(u, v, tau):
     reach = math.sqrt((wp + 40) * math.log(2) / (math.pi * float(tau.imag)) + d * d)
     lo = max(k, n + math.ceil(d - reach))
     hi = min(k - 1, n + 1 + math.floor(d + reach))
+    with mp.workprec(wp):  # three exponentials, q and z at the keys theta(v) reads
+        half = e2pi(u / 2)
+        powers = [((-1, 0), 0)] + [fixed_ratio(x, wp, -math.inf)
+                                   for x in (e2pi(tau), half, e2pi(v))]
 
-    def side(scale, ratio, g):
-        # the terms over scale: a walk from 1 by ratio, stepping by q, over
-        # 1 - g_n, with g_n the walk from g by q
-        phases = fixed_walk((one, 0), ratio, q, wp)
-        gs = fixed_walk(to_fixed(g, wp), q, None, wp)
+    def side(*monomials):
+        # the terms over scale: a walk from 1 by ratio, stepping by q, over 1 - g_n,
+        # g_n the walk from g by q; each is (-1)^a q^b e(u/2)^c z^d of (a, b, c, d)
+        scale, ratio, g = (fixed_monomial(zip(powers, m), wp) for m in monomials)
+        phases = fixed_walk((one, 0), ratio, powers[1], wp)
+        gs = fixed_walk(to_fixed(g, wp), powers[1], None, wp)
         return scale, (fixed_div(w, (one - a, -b), wp) for w, (a, b) in zip(phases, gs))
 
-    with mp.workprec(wp):
-        q = e2pi(tau)
-        x = e2pi(u + lo * tau)
-        y = q / x if hi == lo - 1 else e2pi(-u - hi * tau)
-        # down from n = hi: -e(-u) h_hi, h_n = (-1)^n e(n (n - 1) tau/2 + n v),
-        # with h_{n-1}/h_n = -e(-(n - 1) tau - v)
-        down = side((-1) ** (hi + 1) * e2pi(hi * (hi - 1) * tau / 2 + hi * v - u),
-                    -e2pi(-(hi - 1) * tau - v), y)
-        # up from n = lo: num_lo, with num_{n+1}/num_n = -e((n + 1) tau + v)
-        up = side((-1) ** lo * e2pi(lo * (lo + 1) * tau / 2 + lo * v), -e2pi((lo + 1) * tau + v), x)
+    # down from n = hi: -e(-u) h_hi, h_n = (-1)^n q^(n (n - 1)/2) z^n, with
+    # h_{n-1}/h_n = -q^(1 - n)/z, over 1 - y_n, y_hi = e(-u) q^-hi
+    down = side(((hi + 1) % 2, hi * (hi - 1) // 2, -2, hi), (1, 1 - hi, 0, -1), (0, -hi, -2, 0))
+    # up from n = lo: num_lo, num_{n+1}/num_n = -q^(n + 1) z, over 1 - x_n
+    up = side((lo % 2, lo * (lo + 1) // 2, 0, lo), (1, lo + 1, 0, 1), (0, lo, 2, 0))
     # the sum stops at the caller's precision and comes back at wp bits; it
     # is combined with theta(v) and e(u/2) at wp bits and rounded once
     total = fixed_sum([down, up], wp, "mu series")
     theta = jacobi_theta(v, tau)
     with mp.workprec(wp):
-        value = mp.exp(1j * mp.pi * u) / theta * total
+        value = half / theta * total
     return +value
 
 

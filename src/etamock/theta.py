@@ -49,8 +49,9 @@ def jacobi_theta(v, tau, representation="product"):
     factors whatever Im tau was.  For Im tau >= sqrt(3)/2 (all of F) and
     v in the cell nothing moves, and the value is the bare product.
 
-    The product is core.fixed_product, its exponentials taken at its
-    wp bits.  Its leading factor 1 - e(v) is taken out as
+    The product is core.fixed_product, its exponentials q, e(v) and
+    e(tau/8) from core.e2pi at wp = mp.prec + 20 bits, q and e(v) at the
+    keys mu's series reads.  Its leading factor 1 - e(v) is taken out as
     -2i sin(pi v) e(v/2), so theta keeps its relative precision next to
     its zeros v in Z + tau Z, where nothing folds.
 

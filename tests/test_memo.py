@@ -22,6 +22,7 @@ so a change that perturbs the bits of s*tau or v_n, or the precision of a
 finite sum, fails here rather than silently losing the sharing.
 """
 
+import importlib
 from contextlib import contextmanager
 from fractions import Fraction as Fr
 
@@ -37,6 +38,8 @@ from etamock.theta import E_from_g, eta_theta_eval, jacobi_theta
 from etamock.verify import verify_thm12_iii
 from etamock.vmn import (FAMILIES, all_rows, family, transformation_root, vmn_eval_mu,
                          vmn_eval_series)
+
+mu_module = importlib.import_module("etamock.mu")
 
 DPS = 30
 
@@ -181,12 +184,32 @@ def test_the_catalogue_at_one_tau_shares_its_kernels():
     eta_info, theta_info = (memo.cache_info() for memo in KERNELS)
     assert (eta_info.misses, eta_info.hits) == (23, 195)
     assert (theta_info.misses, theta_info.hits) == (8, 43)
-    # 51 parts a route (next test), and 888 exponentials on 191 distinct
-    # keys: q, the steps and the phases of the walks at one tau, and those of
-    # the eta folds, which take their guard digits
+    # 51 parts a route (next test), and 735 exponentials on 140 distinct
+    # keys: q, the steps and the phases of the walks at one tau, e(u/2) and
+    # e(v) of each mu series, and those of the eta folds, which take their
+    # guard digits
     part_info = vmn._part_memo.cache_info()
     assert (part_info.misses, part_info.hits) == (2 * 51, 2 * 16)
-    assert core._e2pi.cache_info().misses == 191
+    assert core._e2pi.cache_info().misses == 140
+
+
+def test_one_row_reads_two_new_exponentials():
+    # at a tau whose q (and theta's e(tau/8)) are memoized, mu's series at a
+    # fresh (u, v) computes e(u/2) and e(v) and nothing else, and theta(v)
+    # reads q and zeta = e(v) at the keys the series left
+    tau = mpc(0.17, 1.03)
+    mu_module._mu_series(mpc(0.31, 0.4), mpc(-0.2, 0.1), tau)
+    u, v = mpc(0.23, 0.35), mpc(0.15, -0.2)
+    before = core._e2pi.cache_info().misses
+    mu_module._mu_series(u, v, tau)
+    assert core._e2pi.cache_info().misses == before + 2
+    with mp.workprec(core.fixed_prec()):
+        e2pi(u / 2)
+        e2pi(v)
+    assert core._e2pi.cache_info().misses == before + 2
+    theta._theta_folded.cache_clear()
+    jacobi_theta(v, tau)
+    assert core._e2pi.cache_info().misses == before + 2
 
 
 @pytest.mark.parametrize("route", [vmn_eval_mu, vmn_eval_series], ids=["mu", "series"])
@@ -222,6 +245,22 @@ def test_e2pi_keys_on_the_exponent_mod_one():
         assert same_bits(e2pi(x), e2pi(Fr(1, 3)))
     info = core._e2pi.cache_info()
     assert (info.misses, info.hits) == (1, 7)
+
+
+def test_e2pi_keys_on_the_value_of_an_mpmath_number():
+    # equal values held by distinct objects hit; an mpf and the mpc of the
+    # same value stay apart, and so does each precision
+    z, x = mpc(0.125, 0.75), mp.mpf(0.375)
+    first = e2pi(z), e2pi(x)
+    again = e2pi(mpc(z.real, z.imag)), e2pi(x + 0)
+    assert all(same_bits(a, b) for a, b in zip(first, again))
+    assert core._e2pi.cache_info()[:2] == (2, 2)
+    e2pi(mpc(x))
+    assert core._e2pi.cache_info()[:2] == (2, 3)
+    with mp.workdps(mp.dps + 10):
+        e2pi(mpc(z.real, z.imag))
+        e2pi(x + 0)
+    assert core._e2pi.cache_info()[:2] == (2, 5)
 
 
 @pytest.mark.parametrize("order", [(16, 40), (40, 16)], ids=["16-then-40", "40-then-16"])

@@ -412,8 +412,11 @@ def _mu_plain(u, v, tau):
     q, eu = e2pi(tau), e2pi(u)
     center = int(mp.nint(-v.imag / tau.imag - 0.5))
     k = int(mp.ceil(-u.imag / tau.imag))  # the first n with |e(u) q^n| <= 1
+    # 20 terms past both, or as many as the Gaussian e^{-pi Im tau n^2}
+    # needs to fall below 2^-prec, as at Im tau = 1/10
+    reach = max(20, int(mp.sqrt(mp.prec * mp.ln2 / (mp.pi * tau.imag))) + 2)
     total, size = mpc(0), mpf(0)
-    for n in range(min(center, k) - 20, max(center, k) + 21):
+    for n in range(min(center, k) - reach, max(center, k) + reach + 1):
         term = (-1) ** n * e2pi(n * v) * q ** (n * (n + 1) // 2) / (1 - eu * q ** n)
         total += term
         size += abs(term)
@@ -434,6 +437,58 @@ def test_mu_series_sweep_against_a_plain_loop(dps):
                 worst = max(worst, abs(value - exact) / size)
     assert worst <= MU_SWEEP_WORST[dps]
     assert worst <= MU_SWEEP_TIGHT[dps]
+
+
+# every start, ratio and scale of the series is a product of integer powers
+# of q, e(u/2) and e(v); far from the period cell the exponents pass 30 and
+# their triangular numbers 500.  (s_u, t_u, s_v, t_v) as in MU_CELL: u - v far
+# outside with v in the cell (one side starts 36 steps out), u and v far out
+# together (both sides start past 30), and u and v far out on either side
+MU_FAR = [("0.21", "35.5", "-0.35", "0"), ("-0.4", "-36", "0.15", "0.3"),
+          ("0.33", "31.3", "-0.12", "31"), ("-0.27", "-33.45", "0.44", "-32.6"),
+          ("0.5", "-30.2", "0.06", "30.35"), ("0.11", "32", "-0.5", "-31.5")]
+MU_FAR_TAUS = [mpc(mpf(re), mpf(im)) for im in ("0.1", "1", "20") for re in ("-0.5", "0.29")]
+# the points where fixed_sum stops a side early (test below), left out here
+MU_FAR_EARLY_STOP = {16: {(0.1, 0), (0.1, 1)}, 30: {(0.1, 1)}, 100: {(1.0, 1)}}
+# the worst error, relative to the sum of |terms|, of the series when its
+# exponentials were taken one by one, at these points
+MU_FAR_WORST = {16: 1.3e-16, 30: 4.9e-31, 100: 1.6e-100}
+
+
+def _mu_far_points(dps, early):
+    for tau in MU_FAR_TAUS:
+        for i, (su, tu, sv, tv) in enumerate(MU_FAR):
+            if ((float(tau.imag), i) in MU_FAR_EARLY_STOP[dps]) == early:
+                yield mpf(su) + mpf(tu) * tau, mpf(sv) + mpf(tv) * tau, tau
+
+
+@pytest.mark.parametrize("dps", sorted(MU_FAR_WORST))
+def test_mu_series_far_from_the_cell_against_a_plain_loop(dps):
+    worst = 0
+    with mp.workdps(dps):
+        points = list(_mu_far_points(dps, early=False))
+    for u, v, tau in points:
+        with mp.workdps(dps):
+            value = mu_module._mu_series(u, v, tau)
+        with mp.workdps(dps + 40):
+            exact, size = _mu_plain(u, v, tau)
+            worst = max(worst, abs(value - exact) / size)
+    assert worst <= MU_FAR_WORST[dps]
+
+
+@pytest.mark.xfail(strict=True, reason="fixed_sum's stopping rule is relative to max(1, the "
+                   "largest term so far): a side whose first QUIET_RUN terms lie below eps in "
+                   "absolute terms stops before its peak")
+@pytest.mark.parametrize("dps", sorted(MU_FAR_WORST))
+def test_mu_series_far_from_the_cell_where_a_side_stops_early(dps):
+    with mp.workdps(dps):
+        points = list(_mu_far_points(dps, early=True))
+    for u, v, tau in points:
+        with mp.workdps(dps):
+            value = mu_module._mu_series(u, v, tau)
+        with mp.workdps(dps + 40):
+            exact, size = _mu_plain(u, v, tau)
+            assert abs(value - exact) <= MU_FAR_WORST[dps] * size
 
 
 @pytest.mark.parametrize("u, v, tau, prec", [
