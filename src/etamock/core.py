@@ -281,10 +281,12 @@ def fixed_ratio(z, wp, least=0):
 
 
 def fixed_monomial(powers, wp):
-    """The product of x^k over the (x, k) of `powers`, x an mpc or a (pair,
-    shift) and k an integer, as fixed_ratio's (pair, shift): x^k, x = pair
-    2^-s, is (pair/2^b)^k 2^(k (b - s)) for 2^b the top of pair, its first
-    factor taken at wp + k + 8 bits, and 1/x at 2 wp bits."""
+    """The product of x^k over the (x, k) of `powers`, x an mpc or a
+    (pair, shift) and k an integer, as fixed_ratio's (pair, shift).  For
+    x = pair 2^-s and 2^b the top of the pair, x^k = (pair/2^b)^k 2^(k (b - s)),
+    and (pair/2^b)^k, of modulus at least 2^-k, is taken by fixed_power at
+    wp + k + 8 bits, so its integers grow by about k bits, not k wp.  1/x is
+    taken at 2 wp bits, and the exact product is rounded down once."""
     prod, shift = (1, 0), 0
     for x, k in filter(lambda power: power[1], powers):
         x, s = fixed_ratio(x, wp, -math.inf)
