@@ -3,8 +3,9 @@ the fundamental domain, and nested exp-sinh quadrature on the half-line.
 
 Every series has one walk and one stopping rule.  Its terms are pairs of
 Python integers, scaled per side, and `fixed_sum` stops each side after
-QUIET_RUN small terms in a row; `lattice_sum` is the front of every
-theta-type series but mu's, and walks their phases with `fixed_walk`.
+QUIET_RUN terms in a row at or below eps = 10^-(dps + 1) times that side's
+largest term so far; `lattice_sum` is the front of every theta-type series
+but mu's and g_2's, and walks their phases with `fixed_walk`.
 Every infinite product stops by `fixed_product`, on the same walks, and
 `converging` counts the quiet run that ends each series and product; mu's
 walk starts are powers of shared exponentials (`fixed_monomial`).  One
@@ -45,11 +46,6 @@ class ConvergenceError(RuntimeError):
     """A series, product, reduction or quadrature that did not settle."""
 
 
-def series_eps():
-    """Stop threshold for infinite sums: one digit below working precision."""
-    return mp.mpf(10) ** (-(mp.dps + 1))
-
-
 def fraction_mpf(x):
     """A rational (Fraction or int) as an mpf at the working precision."""
     x = Fraction(x)
@@ -66,7 +62,7 @@ def converging(pairs, cap, what):
 
     Every series and product stops here.  fixed_product marks a factor
     small when its envelope is below eps; fixed_sum marks a term small at
-    or below eps times the largest term so far.  ConvergenceError
+    or below eps times the largest term of its side so far.  ConvergenceError
     if `cap` pairs, or all of them, pass without such a run.
     """
     quiet = 0
@@ -336,35 +332,26 @@ def fixed_sum(sides, wp, what):
     scale (x_re + i x_im) 2^-wp, scale an mpc or (pair, shift).
 
     This is the one stopping rule of every series.  Each side stops after
-    QUIET_RUN terms in a row at or below series_eps() * max(1, largest
-    |term| so far), or with ConvergenceError after SIDE_CAP terms; None
-    adds nothing and does not count toward the run.  The test is relative
-    to the largest term, not to the running sum: a sum that cancels, such
-    as theta near a zero, cannot be more exact than eps times that term.
-    A side is summed exactly in integers, scaled and added at wp bits, and
-    the total is returned at wp bits for the caller to round.  A side's
-    scale should be about its first nonzero term, so that its integers
-    keep about wp bits however small or large the terms are.
+    QUIET_RUN terms in a row at or below eps = 10^-(dps + 1) times the
+    largest |term| of that side so far, or with ConvergenceError after
+    SIDE_CAP terms; None adds nothing and does not count toward the run.
+    Each side is judged on its own, so a side that rises to its peak from
+    terms far below eps, or below another side's peak, is never small
+    while it rises.  The test is relative to the largest term, not to the
+    running sum: a sum that cancels, such as theta near a zero, cannot be
+    more exact than eps times that term.  A side is summed exactly in
+    integers, scaled and added at wp bits, and the total is returned at wp
+    bits for the caller to round.  A side's scale should be about its first
+    nonzero term, so that its integers keep about wp bits however small or
+    large the terms are.
     """
-    tens = 10 ** (2 * mp.dps + 2)  # 1/eps^2, eps = series_eps()
-    top2 = mpf(1)  # max(1, largest |term| so far)^2
+    tens = 10 ** (2 * mp.dps + 2)  # 1/eps^2
     total = mpc(0)
     for scale, terms in sides:
-        # |scale|^2 = norm 2^(-2 shift), so a small pair x has |x|^2 at most
-        # eps^2 top2 2^(2 (shift + wp))/norm, rounded down, to 0 under a scale
-        # far above top2 (then (0, 0) is small), and capped at 2^(4 wp)
-        (a, b), shift = fixed_ratio(scale, wp, -math.inf)
-        norm = a * a + b * b
-        man, exp = top2.man_exp
-        exp += 2 * (shift + wp)
-        den = norm * tens
-        bits = man.bit_length() + exp - den.bit_length()
-        bound2 = (0 if bits < 0 else 1 << 4 * wp if bits > 4 * wp
-                  else (man << exp) // den if exp >= 0 else man // (den << -exp))
-        peak = 0
+        bound2 = 0  # eps^2 |largest pair of the side so far|^2, rounded down
 
         def marked(terms):
-            nonlocal bound2, peak
+            nonlocal bound2
             for x in terms:
                 if x is None:
                     continue
@@ -373,7 +360,6 @@ def fixed_sum(sides, wp, what):
                     yield x, True
                 else:
                     bound2 = max(bound2, size2 // tens)
-                    peak = max(peak, size2)
                     yield x, False
 
         re = im = 0
@@ -381,9 +367,8 @@ def fixed_sum(sides, wp, what):
             re += x[0]
             im += x[1]
         with mp.workprec(wp):
-            total += (from_fixed(fixed_mul((a, b), (re, im), 0), shift + wp)
+            total += (from_fixed(fixed_mul(scale[0], (re, im), 0), scale[1] + wp)
                       if isinstance(scale, tuple) else scale * from_fixed((re, im), wp))
-        top2 = max(top2, mpf((norm * peak, -2 * (shift + wp))))
     return total
 
 
@@ -394,11 +379,12 @@ def fixed_product(starts, q, what):
     Each start walks by q on fixed_walk and the factors multiply on integer
     pairs, the running product raised back to wp bits whenever it falls
     below 1/2.  It stops by `converging` after QUIET_RUN factors in a row
-    whose envelope over 1 - |q|, about the tail it drops, is below series_eps().
+    whose envelope over 1 - |q|, about the tail it drops, is below
+    eps = 10^-(dps + 1).
     """
     wp = fixed_prec()
     one = 1 << wp
-    # (series_eps() (1 - |q|) 2^wp)^2, in floats
+    # (eps (1 - |q|) 2^wp)^2, in floats
     eps2 = int(((1 << wp) / 10 ** (mp.dps + 1) * (1 - abs(complex(q)))) ** 2)
     with mp.workprec(wp):
         q = fixed_ratio(q, wp)
@@ -481,8 +467,9 @@ def period_cell(x, tau):
     """(x0, k, l) with x = x0 + k tau + l and x0 in the period cell
     |Im x0| <= Im tau/2, |Re x0| <= 1/2 (for tau in F)."""
     k = int(mp.nint(x.imag / tau.imag))
-    l = int(mp.nint((x - k * tau).real))
-    return x - k * tau - l, k, l
+    x = x - k * tau
+    l = int(mp.nint(x.real))
+    return x - l, k, l
 
 
 def reduce_tau(tau, state, shift, invert, what):

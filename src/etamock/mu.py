@@ -13,10 +13,9 @@ from itertools import islice
 
 from mpmath import mp, mpc, mpf
 
-from .core import (QUIET_RUN, SIDE_CAP, ConvergenceError, converging, fixed_div, fixed_erfcx,
-                   fixed_monomial, fixed_prec, fixed_ratio, fixed_sum, fixed_walk, fold_guard,
-                   fraction_mpf, from_fixed, lattice_sum, period_cell, reduce_tau, series_eps,
-                   to_fixed)
+from .core import (QUIET_RUN, SIDE_CAP, ConvergenceError, fixed_div, fixed_erfcx, fixed_monomial,
+                   fixed_mul, fixed_prec, fixed_ratio, fixed_sum, fixed_walk, fold_guard,
+                   fraction_mpf, from_fixed, lattice_sum, period_cell, reduce_tau, to_fixed)
 from .qseries import e2pi, eta
 from .theta import g_ab, jacobi_theta
 
@@ -336,40 +335,41 @@ def xi_shadow(spec, tau):
 
 
 def g2_universal(z, q):
-    """Kang's universal mock theta g_2(z; q) for |q| < 1.
+    """Kang's universal mock theta g_2(z; q), |q| < 1: the sum over n >= 0 of
+    (-q; q)_n q^{n(n+1)/2}/((z; q)_{n+1} (q/z; q)_{n+1}).
 
-    Terminating root-of-unity evaluation lives with the quantum-set
-    machinery, not here.
+    One side on core.fixed_sum, scaled at t_0 = 1/((1 - z)(1 - q/z)); term n + 1
+    is term n times (1 + q^{n+1}) q^{n+1}/((1 - z q^{n+1})(1 - q^{n+2}/z)), on
+    integer pairs at wp = fixed_prec() bits, with q^m, z q^m and q^{m+1}/z on
+    fixed_walk.  ValueError where a denominator factor is below 2^-FIXED_GUARD
+    in modulus: a pair at wp has fewer than mp.prec correct bits there.
+    Root-of-unity evaluation lives with the quantum-set machinery, not here.
     """
     z = mpc(z)
     q = mpc(q)
     if abs(q) >= 1:
         raise ValueError("need |q| < 1")
-    eps = series_eps()
-    # running products: (-q; q)_n, (z; q)_{n+1}, (z^{-1} q; q)_{n+1}
-    neg = mpc(1)
-    pz = 1 - z
-    pzi = 1 - q / z
-    if abs(pz) < 1e-12 or abs(pzi) < 1e-12:
-        raise ValueError("z sits on a pole of g_2")
+    wp = fixed_prec()
+    one, pole2 = 1 << wp, 1 << 2 * mp.prec  # |pair|^2 at modulus 2^-FIXED_GUARD
+    with mp.workprec(wp):
+        walks = zip(*(fixed_walk(to_fixed(x, wp), q, None, wp) for x in (1, z, q / z)))
 
-    def terms(neg, pz, pzi):
-        qn = mpc(1)  # q^n
-        qtri = mpc(1)  # q^{n(n+1)/2}
-        while True:
-            term = neg * qtri / (pz * pzi)
-            yield term, abs(term) < eps
-            qn *= q
-            qtri *= qn
-            neg *= 1 + qn
-            f1 = 1 - z * qn
-            f2 = 1 - qn * q / z
-            if abs(f1) < 1e-12 or abs(f2) < 1e-12:
+    def factors():
+        # q^m and (1 - z q^m)(1 - q^{m+1}/z) for m = 0, 1, ...
+        for w, (a, b), (c, d) in walks:
+            if min((one - a) ** 2 + b * b, (one - c) ** 2 + d * d) < pole2:
                 raise ValueError("z sits on a pole of g_2")
-            pz *= f1
-            pzi *= f2
+            yield w, fixed_mul((one - a, -b), (one - c, -d), wp)
 
-    return sum(converging(terms(neg, pz, pzi), 10 ** 5, "g_2 series"), mpc(0))
+    def terms(x, steps):
+        yield x
+        for w, den in steps:
+            x = fixed_div(fixed_mul(x, fixed_mul(w, (one + w[0], w[1]), wp), wp), den, wp)
+            yield x
+
+    steps = factors()
+    t0 = fixed_div((one, 0), next(steps)[1], wp), wp
+    return +fixed_sum([(t0, terms((one, 0), steps))], wp, "g_2 series")
 
 
 def kang_pair(alpha, tau):

@@ -6,9 +6,9 @@ name a module imports is used in it.  Only vmn names the parts of family 4,
 and only theta and vmn read the shadow pairs, the g_pairs of theta's odd
 eta-theta records.  Every infinite product stops by `core.fixed_product`
 (qpoch, and with it eta, theta's triple product and vmn's product form),
-and outside core only Kang's g_2 series, a sum of running products, calls
-`converging`; every infinite series stops by `core.fixed_sum`, and only
-mu's own series hands its sides to it: every theta-type series is a term
+and no module outside core calls `converging`; every infinite series stops
+by `core.fixed_sum`, and only mu's own series and Kang's g_2 series hand
+their sides to it: every theta-type series is a term
 on `core.lattice_sum`, which only R, the Lambert sums and theta's own
 sums call, and qseries sums none.  One theta-type sum is finite and has
 no stopping rule: the Gaussian sum at a node of a ray from a cusp
@@ -109,12 +109,6 @@ def test_every_imported_name_is_used(module):
     assert not unused, "%s imports names it does not use: %s" % (module, unused)
 
 
-# the g_2 series, whose terms are ratios of growing products, brings its
-# own test for "small".  Every product stops by core.fixed_product's rule
-# and every other series by core.fixed_sum's
-PRODUCTS = {"mu": {"g2_universal"}}
-
-
 def _callers(tree, name):
     """The names of the innermost functions that call `name`."""
     found = set()
@@ -134,20 +128,20 @@ def _callers(tree, name):
 
 @pytest.mark.parametrize("module", [m for m in _modules() if m != "core"])
 def test_series_walk_through_lattice_sum(module):
-    # outside core only the g_2 series calls converging: a series takes its
-    # walk and its stop from lattice_sum or fixed_sum, a product from
-    # fixed_product
-    extra = _callers(_tree(module), "converging") - PRODUCTS.get(module, set())
+    # outside core nothing calls converging: a series takes its walk and its
+    # stop from lattice_sum or fixed_sum, a product from fixed_product
+    extra = _callers(_tree(module), "converging")
     assert not extra, "%s calls converging in %s" % (module, sorted(map(str, extra)))
 
 
 def test_only_mu_series_builds_its_own_sides():
     # every theta-type series, g_{a,b} and the character sums among them, is
     # a term on core.lattice_sum; only mu's series, whose two sides are
-    # different formulas, gives fixed_sum sides of its own
+    # different formulas, and the g_2 series, a ratio of running products on
+    # one side, give fixed_sum sides of their own
     callers = {(module, function) for module in _modules() if module != "core"
                for function in _callers(_tree(module), "fixed_sum")}
-    assert callers == {("mu", "_mu_series")}
+    assert callers == {("mu", "_mu_series"), ("mu", "g2_universal")}
     callers = {(module, function) for module in _modules() if module != "core"
                for function in _callers(_tree(module), "lattice_sum")}
     assert callers == {("mu", "R_correction"), ("vmn", "_lambert_sum"), ("theta", "_theta_sum"),

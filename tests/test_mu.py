@@ -1,9 +1,11 @@
 """Appell-Lerch mu, its completion, the shadow operator, and Mordell h."""
 
 import importlib
+import math
 import random
 import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -133,19 +135,31 @@ def test_kang_factorization(alpha, tau):
     assert abs(lhs - rhs) < 1e-18
 
 
-def test_g2_universal_series_head():
+@pytest.mark.parametrize("dps", [16, 30, 100])
+def test_g2_universal_series_head(dps):
     """g_2(z; q) = sum q^{n(n+1)/2}(-q; q)_n / ((z; q)_{n+1} (q/z; q)_{n+1})."""
-    z, q = mpc(0.4, 0.1), mpc(0.12, 0.08)
-    total = mpc(0)
-    for n in range(60):
-        num = q ** (n * (n + 1) // 2)
-        for k in range(n):
-            num *= 1 + q ** (k + 1)
-        den = mpc(1)
-        for k in range(n + 1):
-            den *= (1 - z * q ** k) * (1 - q ** (k + 1) / z)
-        total += num / den
-    assert abs(g2_universal(z, q) - total) < 1e-20
+    with mp.workdps(dps):
+        z, q = mpc("0.4", "0.1"), mpc("0.12", "0.08")
+        value = g2_universal(z, q)
+    with mp.workdps(dps + 20):
+        total = mpc(0)
+        for n in range(60):
+            num = q ** (n * (n + 1) // 2)
+            for k in range(n):
+                num *= 1 + q ** (k + 1)
+            den = mpc(1)
+            for k in range(n + 1):
+                den *= (1 - z * q ** k) * (1 - q ** (k + 1) / z)
+            total += num / den
+        assert abs(value - total) <= mpf(10) ** -dps * abs(total)
+
+
+@pytest.mark.parametrize("z", [mpc(1), mpc(0.12, 0.08), (1 + mpf(1e-9)) / mpc(0.12, 0.08)])
+def test_g2_universal_on_a_pole_raises(z):
+    # z = 1 and z = q zero the first term's denominator, z = (1 + 1e-9)/q
+    # puts 1 - z q within 1e-9 of 0, below 2^-FIXED_GUARD
+    with pytest.raises(ValueError, match="pole of g_2"):
+        g2_universal(z, mpc(0.12, 0.08))
 
 
 SHADOW_PAIRS = [
@@ -448,25 +462,40 @@ MU_FAR = [("0.21", "35.5", "-0.35", "0"), ("-0.4", "-36", "0.15", "0.3"),
           ("0.33", "31.3", "-0.12", "31"), ("-0.27", "-33.45", "0.44", "-32.6"),
           ("0.5", "-30.2", "0.06", "30.35"), ("0.11", "32", "-0.5", "-31.5")]
 MU_FAR_TAUS = [mpc(mpf(re), mpf(im)) for im in ("0.1", "1", "20") for re in ("-0.5", "0.29")]
-# the points where fixed_sum stops a side early (test below), left out here
-MU_FAR_EARLY_STOP = {16: {(0.1, 0), (0.1, 1)}, 30: {(0.1, 1)}, 100: {(1.0, 1)}}
 # the worst error, relative to the sum of |terms|, of the series when its
 # exponentials were taken one by one, at these points
 MU_FAR_WORST = {16: 1.3e-16, 30: 4.9e-31, 100: 1.6e-100}
+# and at random points, 200 at dps 16 and 150 at each of 30 and 100: Im tau
+# log-uniform on [0.1, 20], Im u and Im v uniform on +-40 Im tau, so that a
+# side often starts far below its Gaussian peak, or below the other's
+MU_FAR_RANDOM = {16: (0, 200), 30: (200, 350), 100: (350, 500)}
 
 
-def _mu_far_points(dps, early):
+def _mu_far_random(dps):
+    rng = random.Random(36)
+    floats = []
+    for _ in range(MU_FAR_RANDOM[100][1]):
+        y = math.exp(rng.uniform(math.log(0.1), math.log(20)))
+        floats.append([rng.uniform(-0.5, 0.5), y] + [rng.uniform(-0.5, 0.5) for _ in "uv"]
+                      + [rng.uniform(-40 * y, 40 * y) for _ in "uv"])
+    for re, im, su, sv, tu, tv in islice(floats, *MU_FAR_RANDOM[dps]):
+        yield mpc(su, tu), mpc(sv, tv), mpc(re, im)
+
+
+def _mu_far_points(dps):
     for tau in MU_FAR_TAUS:
-        for i, (su, tu, sv, tv) in enumerate(MU_FAR):
-            if ((float(tau.imag), i) in MU_FAR_EARLY_STOP[dps]) == early:
-                yield mpf(su) + mpf(tu) * tau, mpf(sv) + mpf(tv) * tau, tau
+        for su, tu, sv, tv in MU_FAR:
+            yield mpf(su) + mpf(tu) * tau, mpf(sv) + mpf(tv) * tau, tau
+    yield from _mu_far_random(dps)
 
 
 @pytest.mark.parametrize("dps", sorted(MU_FAR_WORST))
 def test_mu_series_far_from_the_cell_against_a_plain_loop(dps):
+    # each side is judged against its own largest term, so one that rises to
+    # its peak from terms far below eps is summed in full
     worst = 0
     with mp.workdps(dps):
-        points = list(_mu_far_points(dps, early=False))
+        points = list(_mu_far_points(dps))
     for u, v, tau in points:
         with mp.workdps(dps):
             value = mu_module._mu_series(u, v, tau)
@@ -474,21 +503,6 @@ def test_mu_series_far_from_the_cell_against_a_plain_loop(dps):
             exact, size = _mu_plain(u, v, tau)
             worst = max(worst, abs(value - exact) / size)
     assert worst <= MU_FAR_WORST[dps]
-
-
-@pytest.mark.xfail(strict=True, reason="fixed_sum's stopping rule is relative to max(1, the "
-                   "largest term so far): a side whose first QUIET_RUN terms lie below eps in "
-                   "absolute terms stops before its peak")
-@pytest.mark.parametrize("dps", sorted(MU_FAR_WORST))
-def test_mu_series_far_from_the_cell_where_a_side_stops_early(dps):
-    with mp.workdps(dps):
-        points = list(_mu_far_points(dps, early=True))
-    for u, v, tau in points:
-        with mp.workdps(dps):
-            value = mu_module._mu_series(u, v, tau)
-        with mp.workdps(dps + 40):
-            exact, size = _mu_plain(u, v, tau)
-            assert abs(value - exact) <= MU_FAR_WORST[dps] * size
 
 
 @pytest.mark.parametrize("u, v, tau, prec", [

@@ -3,10 +3,10 @@
 Every theta-type kernel is a term on `core.lattice_sum`, a front on
 `core.fixed_walk` and `core.fixed_sum`: its phases step on pairs of Python
 integers, each side scaled at its first nonzero term, and `fixed_sum`
-holds the one stopping rule of every series.  Only mu's series gives
-`fixed_sum` sides of its own.  Here each kernel is compared with the plain
-sum of the same terms, every term computed by its own exponentials, at 30
-more digits, at dps 16, 30 and 40: g_{a,b}, the theta sum, the character
+holds the one stopping rule of every series.  Only mu's series and Kang's
+g_2 give `fixed_sum` sides of their own.  Here each kernel is compared with
+the plain sum of the same terms, every term computed by its own
+exponentials, at 30 more digits, at dps 16, 30 and 40: g_{a,b}, the theta sum, the character
 sums (eta's lacunary sum among them, as e_3 at tau/24), the partial theta,
 the Lambert sums, mu and R.  The error is measured against the sum of
 |terms|, the scale rounding works on, and must stay within 100 units of
@@ -376,8 +376,9 @@ def test_partial_theta_far_below_the_real_line(dps, y):
 
 
 def test_fixed_sum_side_of_zero_pairs_under_a_huge_scale_stops():
-    # the bound on |pair|^2 rounds down to 0 under a scale of 2^200; a
-    # (0, 0) pair at that bound still counts as small
+    # a side's bound on |pair|^2 starts at 0 and stays there while its pairs
+    # are (0, 0), whatever its scale; a (0, 0) pair at that bound counts as
+    # small, so the side stops after QUIET_RUN of them
     seen = []
 
     def zeros():
@@ -387,6 +388,33 @@ def test_fixed_sum_side_of_zero_pairs_under_a_huge_scale_stops():
 
     assert fixed_sum([(mpc(2) ** 200, zeros())], fixed_prec(), "test series") == 0
     assert len(seen) == QUIET_RUN
+
+
+def test_fixed_sum_judges_each_side_against_its_own_peak():
+    # the first side peaks at 1 and sums to 0; the second starts 10^-30 below
+    # that peak and rises by 3 a term for ten terms before it decays.  Judged
+    # against the first side's peak, every term of the second is small; judged
+    # against its own largest term, it is summed to eps of that term
+    wp = fixed_prec()
+    one = 1 << wp
+    rise = [one * 3 ** j for j in range(11)]
+    fall = [one * 3 ** 10 // 3 ** j for j in range(1, 60)]
+    scale = mpc(10) ** -30
+    sides = [(mpc(1), iter([(one, 0), (-one, 0)] + [(0, 0)] * QUIET_RUN)),
+             (scale, ((x, 0) for x in rise + fall))]
+    value = fixed_sum(sides, wp, "test series")
+    with mp.workdps(DPS + EXTRA):
+        exact = scale * mpf(sum(rise + fall)) / 2 ** wp
+        assert abs(value - exact) <= mpf(10) ** -(DPS + 1) * abs(scale) * 3 ** 10
+
+
+def test_fixed_sum_with_every_term_below_eps_keeps_relative_precision():
+    # 10^-40 2^-k over k >= 0: no term reaches eps, and the side is still
+    # summed to eps of its largest term, not stopped after QUIET_RUN terms
+    wp = fixed_prec()
+    value = fixed_sum([(mpc(10) ** -40, ((1 << wp - k, 0) for k in range(wp + 1)))], wp,
+                      "test series")
+    assert abs(value - 2 * mpf(10) ** -40) <= mpf(10) ** -DPS * 2 * mpf(10) ** -40
 
 
 def test_fixed_scale_takes_int_and_fraction():
