@@ -5,7 +5,6 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -465,9 +464,10 @@ MU_FAR_TAUS = [mpc(mpf(re), mpf(im)) for im in ("0.1", "1", "20") for re in ("-0
 # the worst error, relative to the sum of |terms|, of the series when its
 # exponentials were taken one by one, at these points
 MU_FAR_WORST = {16: 1.3e-16, 30: 4.9e-31, 100: 1.6e-100}
-# and at random points, 200 at dps 16 and 150 at each of 30 and 100: Im tau
-# log-uniform on [0.1, 20], Im u and Im v uniform on +-40 Im tau, so that a
-# side often starts far below its Gaussian peak, or below the other's
+# the sweep also takes its share of 500 seeded random points, whose bounds
+# are the same: Im tau log-uniform on [0.1, 20], Im u and Im v uniform on
+# +-40 Im tau and every real part on [-0.5, 0.5], so that a side often starts
+# far below its Gaussian peak, or below the other side's
 MU_FAR_RANDOM = {16: (0, 200), 30: (200, 350), 100: (350, 500)}
 
 
@@ -478,7 +478,8 @@ def _mu_far_random(dps):
         y = math.exp(rng.uniform(math.log(0.1), math.log(20)))
         floats.append([rng.uniform(-0.5, 0.5), y] + [rng.uniform(-0.5, 0.5) for _ in "uv"]
                       + [rng.uniform(-40 * y, 40 * y) for _ in "uv"])
-    for re, im, su, sv, tu, tv in islice(floats, *MU_FAR_RANDOM[dps]):
+    lo, hi = MU_FAR_RANDOM[dps]
+    for re, im, su, sv, tu, tv in floats[lo:hi]:
         yield mpc(su, tu), mpc(sv, tv), mpc(re, im)
 
 
