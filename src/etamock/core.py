@@ -10,7 +10,9 @@ Every infinite product stops by `fixed_product`, on the same walks, and
 `converging` counts the quiet run that ends each series and product; mu's
 walk starts are powers of shared exponentials (`fixed_monomial`).  One
 special function runs on integers too: `fixed_erfcx`, the scaled erfc
-that R's erfc sum takes in place of mpmath's erfc.
+that R's erfc sum takes on the real line, and a ray from a cusp on the
+sector |arg z| < pi/4 (Maclaurin series, trapezoid sum or continued
+fraction by |z|, within 2 units of 2^-wp there), in place of mpmath's erfc.
 
 Every other module of the package builds on these; this module imports
 nothing from the package.  Numeric evaluation runs on mpmath's global
@@ -181,10 +183,12 @@ ERFCX_FRACTION_START = 16
 
 
 @lru_cache(maxsize=KERNEL_MEMO)
-def _erfcx_tables(wp):
+def _erfcx_tables(wp, sector):
     # at p = wp + ERFCX_GUARD bits: the Maclaurin coefficients in t = x/2,
     # highest first; the pairs (e^{-k^2 h^2} 2^p, k^2 h^2) of the trapezoid
-    # sum; 2h/pi; 1/sqrt(pi); and the length of the continued fraction
+    # sum; 2h/pi; 1/sqrt(pi); and the length of the continued fraction.  On
+    # the sector |arg z| < pi/4 (sector true) h is smaller and the fraction
+    # longer than on the real line.
     p = wp + ERFCX_GUARD
     with mp.workprec(p + 20):
         root_pi = to_fixed(1 / mp.sqrt(mp.pi), p + 20)[0]
@@ -203,11 +207,15 @@ def _erfcx_tables(wp):
                 break
             series.append(d)
         # h keeps both of Chiarella and Reichel's error terms below 2^-(wp + 1)
-        # on [2, 16): e^{x^2 - pi^2/h^2}, largest at x = 16, and the pole term
-        # 2 e^{x^2}/(e^{2 pi x/h} - 1), largest at x = 2 while x < pi/h
+        # for 2 <= |z| < 16 and Re z >= c |z|, c = 1 on the real line and
+        # 1/sqrt(2) on the sector: e^{|z|^2 - pi^2/h^2}, largest at |z| = 16,
+        # and the pole term 2 e^{z^2}/(e^{2 pi z/h} - 1), at most
+        # 2 e^{r^2 - 2 pi c r/h} at r = |z|, convex in r; the h that holds it
+        # at r = 2 holds it at r = 16 too for every wp >= 45
         bits = (wp + 1) * mp.ln2
+        c = mp.sqrt(0.5) if sector else 1
         h = min(mp.pi / mp.sqrt(ERFCX_FRACTION_START ** 2 + bits),
-                2 * ERFCX_SERIES_END * mp.pi / (bits + ERFCX_SERIES_END ** 2 + mp.ln2))
+                2 * ERFCX_SERIES_END * mp.pi * c / (bits + ERFCX_SERIES_END ** 2 + mp.ln2))
         trapezoid = []
         for k in count(1):
             e = to_fixed(mp.exp(-(k * h) ** 2), p)[0]
@@ -216,10 +224,10 @@ def _erfcx_tables(wp):
             trapezoid.append((e << p, to_fixed((k * h) ** 2, p)[0]))
         width = to_fixed(2 * h / mp.pi, p)[0]
         # the fraction x + (1/2)/(x + 1/(x + ...)) has positive terms, so its
-        # convergents A_n/B_n alternate about its value: its length is the
-        # first n where two of them agree to 2^-(p + 4) at x = 16, where it
-        # converges slowest
-        x = mpf(ERFCX_FRACTION_START)
+        # convergents A_n/B_n alternate about its value on the real line: its
+        # length is the first n where two of them agree to 2^-(p + 4) at
+        # x = 16, where it converges slowest, or at 16 e^{i pi/4} on the sector
+        x = ERFCX_FRACTION_START * (mp.expjpi(0.25) if sector else 1)
         a, b = (mpf(1), x), (mpf(0), mpf(1))
         for terms in count(1):
             a, b = (a[1], x * a[1] + terms * a[0] / 2), (b[1], x * b[1] + terms * b[0] / 2)
@@ -230,25 +238,61 @@ def _erfcx_tables(wp):
 
 def fixed_erfcx(x, wp):
     """The integer erfcx(x) 2^wp = e^{x^2} erfc(x) 2^wp, rounded down, of
-    x >= 0 given as the integer x 2^wp.
+    x >= 0 given as the integer x 2^wp; of a complex x in the sector
+    |arg x| < pi/4 given as the pair (re, im) of x 2^wp, the pair of
+    erfcx(x) 2^wp, each part rounded down.
 
-    Three regimes, each at wp + ERFCX_GUARD bits on integers, with its
-    tables built on the first call at a wp and kept per wp:
-    - x < 2: the Maclaurin series sum of (-x)^k/Gamma(k/2 + 1), by Horner
-      in t = x/2 < 1, so no rounding error grows;
-    - 2 <= x < 16: the trapezoid sum of C. Chiarella and A. Reichel (Math.
+    Three regimes in |x|, each at wp + ERFCX_GUARD bits on integers, with
+    its tables built on the first call at a wp and kept per wp, one set
+    for the real line and one for the sector:
+    - |x| < 2: the Maclaurin series sum of (-x)^k/Gamma(k/2 + 1), by Horner
+      in t = x/2, |t| < 1, so no rounding error grows;
+    - 2 <= |x| < 16: the trapezoid sum of C. Chiarella and A. Reichel (Math.
       Comp. 22, 1968), erfcx(x) = (2 h x/pi) [1/(2 x^2) +
       sum over k >= 1 of e^{-k^2 h^2}/(x^2 + k^2 h^2)], with h small
-      enough that its two error terms stay below 2^-(wp + 1);
-    - x >= 16: Laplace's continued fraction
+      enough that its two error terms stay below 2^-(wp + 1) where
+      Re x >= |x|/sqrt(2) (the sector's h) or x is real (the real h);
+    - |x| >= 16: Laplace's continued fraction
       erfcx(x) = 1/(sqrt(pi) (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))),
-      evaluated backward.
+      evaluated backward, of a length fixed at 16 or 16 e^{i pi/4}.
     Against erfc(x) e^{x^2} at 30 more digits the result is within 1.02
     units of 2^-wp over [0, 40] at dps 16 to 200, as measured; the tests
-    hold it to 64 units.
+    hold it to 64 units.  On the sector, at |x| <= 40 and |arg x| <= 0.78,
+    it is within 1.41 units of 2^-wp in modulus at dps 16, 30 and 100, as
+    measured; the tests hold it to 2 units.  A pair (x, 0) gives the real
+    integers.
     """
-    series, trapezoid, width, root_pi, terms = _erfcx_tables(wp)
     p = wp + ERFCX_GUARD
+    if isinstance(x, tuple):
+        if not x[1]:
+            return fixed_erfcx(x[0], wp), 0
+        series, trapezoid, width, root_pi, terms = _erfcx_tables(wp, True)
+        xr, xi = x[0] << ERFCX_GUARD, x[1] << ERFCX_GUARD
+        r2 = xr * xr + xi * xi >> 2 * p
+        if r2 < ERFCX_SERIES_END ** 2:
+            tr, ti, vr, vi = xr >> 1, xi >> 1, 0, 0
+            for d in series:
+                vr, vi = d + (vr * tr - vi * ti >> p), vr * ti + vi * tr >> p
+        elif r2 < ERFCX_FRACTION_START ** 2:
+            ar, ai = xr * xr - xi * xi >> p, xr * xi >> p - 1
+            norm, ai2 = ar * ar + ai * ai, ai * ai
+            tr, ti = (ar << 2 * p - 1) // norm, -(ai << 2 * p - 1) // norm
+            for e, k2 in trapezoid:
+                w = ar + k2
+                norm = w * w + ai2
+                tr += e * w // norm
+                ti -= e * ai // norm
+            wr, wi = width * xr >> p, width * xi >> p
+            vr, vi = wr * tr - wi * ti >> p, wr * ti + wi * tr >> p
+        else:
+            vr, vi = xr, xi
+            for k in range(terms, 0, -1):
+                norm = vr * vr + vi * vi
+                vr, vi = xr + (k * vr << 2 * p - 1) // norm, xi - (k * vi << 2 * p - 1) // norm
+            norm = vr * vr + vi * vi
+            vr, vi = (root_pi * vr << p) // norm, -(root_pi * vi << p) // norm
+        return vr >> ERFCX_GUARD, vi >> ERFCX_GUARD
+    series, trapezoid, width, root_pi, terms = _erfcx_tables(wp, False)
     x <<= ERFCX_GUARD
     if x >> p < ERFCX_SERIES_END:
         t, value = x >> 1, 0
@@ -534,10 +578,10 @@ def exp_sinh_nodes(level):
     return _es_cache[key]
 
 
-def exp_sinh(f, cut, tol, what, low=0):
-    """int_low^cut f by the nested exp-sinh rule on [0, inf): nodes t > cut
-    and t < low are not evaluated, and the parts beyond the cuts are the
-    caller's to bound.  The centre t = 1 is always evaluated.
+def exp_sinh(f, cut, tol, what):
+    """int_0^cut f by the nested exp-sinh rule on [0, inf): nodes t > cut
+    are not evaluated, and the part beyond the cut is the caller's to
+    bound.  The centre t = 1 is always evaluated.
 
     Level k reuses every value of the levels before it and adds the
     values at its new nodes.  The estimate I_k is returned as soon as
@@ -551,7 +595,7 @@ def exp_sinh(f, cut, tol, what, low=0):
     last = None
     for level in range(1, MAX_LEVEL + 1):
         for t, w in exp_sinh_nodes(level):
-            if low <= t <= cut:
+            if t <= cut:
                 total += w * f(t)
         estimate = total / 2 ** level
         if last is not None and abs(estimate - last) < tol:

@@ -1,15 +1,5 @@
 """Period integrals: ray integrals against the 1/sqrt kernel.
 
-The workhorse is ray_integral, which integrates G(z)/sqrt(-i(z+tau))
-along the vertical path from a start point up to i*infinity.  The height
-runs over the half-line and gets core's nested exp-sinh rule in one call:
-its nodes crowd into the start of the ray, where the kernel may be steep.
-Two cuts spare G the nodes that cannot change the result.  Above an upper
-cut, set by G's exponential decay rate, G is not evaluated.  At a rational
-start p/q, a cusp of g_{a,b}, G vanishes like e^{-pi D/t} as t -> 0, and
-below a lower cut set by D it is not evaluated either.  Each cut is checked
-with one value of G there, which bounds the part it leaves out.
-
 The period integrals of E_m take one ray of g_{a,b} per shadow pair (a, b)
 of E_m, weighted by e(-ab) (shadow_ray_integral).  Every such ray starts
 at a rational x = p/q, and there g_{a,b} obeys the exact identity
@@ -17,12 +7,26 @@ at a rational x = p/q, and there g_{a,b} obeys the exact identity
     g_{a,b}(x + it) = e(r) (qt)^{-3/2} g_{a',b'}(X + i/(q^2 t)),   t > 0,
 
 whose (a', b'), X and r _cusp_pair finds by folding x to infinity once,
-in Fractions.  So a ray reads g_{a,b} from one table of exact coefficients
-per (a, b, x) and precision (_ray_table): above t = 1/q the direct sum of
-g_{a,b} at height t, below it the sum of g_{a',b'} at height 1/(q^2 t),
-each a Gaussian sum at a height of at least 1/q, taken on integers at a
-node with one real exponential (_ray_node).  The table does not depend on
-tau, so the rays of one (a, b) from one x share it.
+in Fractions.  Term by term, int_h^inf e^{-pi nu^2 t} (t + s)^{-1/2} dt =
+|nu|^{-1} e^{-pi nu^2 h} erfcx(|nu| sqrt(pi (h + s))), s = -i(x + tau), so the
+ray above t = 1/q is one sum of erfcx terms over nu in a + Z, and the fold
+takes the ray below t = 1/q to a ray of g_{a',b'} above U = 1/(q^2 t) = 1/q,
+another such sum (Zwegers, thesis, Thm 1.16 and its proof):
+
+    ray = i [ sum_nu sgn(nu) e(b nu + x nu^2/2) e^{-pi nu^2/q}
+                  erfcx(|nu| sqrt(pi (1/q + s)))
+              + e(r) q^{-1/2} s^{-1/2} sum_mu sgn(mu) e(b' mu + X mu^2/2)
+                  e^{-pi mu^2/q} erfcx(|mu| sqrt(pi (1/q + 1/(s q^2)))) ],
+
+every root principal.  Both radicands have positive real part, so every
+erfcx argument lies in the sector |arg| < pi/4 of core.fixed_erfcx.  The
+weights of both sums do not depend on tau and are one table per (a, b, x)
+and precision (_ray_table), so the rays of one (a, b) from one x share it.
+
+A start that is not rational, or a tau below the real line, takes
+ray_integral instead, which integrates G(z)/sqrt(-i(z+tau)) along the
+vertical path by core's nested exp-sinh rule, evaluating g_ab at each
+node; above a cut set by G's exponential decay rate, G is not evaluated.
 
 The checks that compare these integrals with the finite side of the
 period identities live in verify.
@@ -34,8 +38,7 @@ from functools import lru_cache
 
 from mpmath import mp, mpc, mpf
 
-from .core import (KERNEL_MEMO, exp_sinh, fixed_power, fixed_prec, fixed_scale, fraction_mpf,
-                   to_fixed)
+from .core import KERNEL_MEMO, exp_sinh, fixed_erfcx, fixed_prec, fraction_mpf, to_fixed
 # unused here: the benchmark's span tracer looks these up in this module
 from .core import _gl_cache, adaptive_panels, gauss_legendre_nodes  # noqa: F401
 from .qseries import e2pi
@@ -43,18 +46,16 @@ from .theta import g_ab
 from .vmn import _SHADOW, family, parts
 from .quantum import ELL
 
-def ray_integral(G, z0, tau, decay, tol=None, cusp_decay=None):
+SINGULAR = "the ray from %s meets the kernel's singularity -tau"
+
+
+def ray_integral(G, z0, tau, decay, tol=None):
     """int_{z0}^{i inf} G(z)/sqrt(-i(z+tau)) dz along the vertical path.
 
-    `decay`: G(z0 + it) = O(e^{-pi*decay*t}); it sets the upper cut, the
-    height above which G is not evaluated.  `cusp_decay`, if given:
-    G(z0 + it) = O(t^{-3/2} e^{-pi*cusp_decay/t}) as t -> 0, as at a cusp;
-    it sets the lower cut, the height below which G is not evaluated.  The
-    height gets one exp-sinh rule with tol; its nodes crowd into t = 0,
-    where the kernel is steepest.  The part beyond the upper cut is bounded
-    from |G| there and the decay rate, the part below the lower cut from |G|
-    there and cusp_decay.  A lower cut whose bound is above 10^-(dps+2)
-    is dropped, and the rule then runs down to t = 0.
+    `decay`: G(z0 + it) = O(e^{-pi*decay*t}); it sets the cut, the height
+    above which G is not evaluated.  The height gets one exp-sinh rule with
+    tol; its nodes crowd into t = 0, where the kernel is steepest.  The part
+    beyond the cut is bounded from |G| there and the decay rate.
     ValueError, before G is evaluated, if the kernel's singularity -tau lies
     on the ray; RuntimeError, after one value of G, if the bound beyond the
     cut is above tol (as when `decay` overstates G's decay), and
@@ -64,7 +65,7 @@ def ray_integral(G, z0, tau, decay, tol=None, cusp_decay=None):
     tau = mpc(tau)
     w = z0 + tau
     if w.real == 0 and w.imag <= 0:
-        raise ValueError("the ray from %s meets the kernel's singularity -tau" % mp.nstr(z0, 8))
+        raise ValueError(SINGULAR % mp.nstr(z0, 8))
     if tol is None:
         tol = mpf(10) ** (-(mp.dps - 3))
     S = mp.log(10) * (mp.dps + 4)
@@ -77,22 +78,11 @@ def ray_integral(G, z0, tau, decay, tol=None, cusp_decay=None):
         raise RuntimeError("ray integral: the part beyond height %s is bounded only by %s"
                            % (mp.nstr(cut, 6), mp.nstr(beyond, 3)))
 
-    low = 0
-    if cusp_decay:
-        # |G| <= C t^{-3/2} e^{-pi D/t} with C measured at t_low, D = cusp_decay,
-        # integrates to |G(t_low)| t_low^2/(pi D) over [0, t_low]; the kernel
-        # is largest at the t of the segment nearest -Im(z0 + tau)
-        t_low = mp.pi * cusp_decay / S
-        kernel = 1 / mp.sqrt(abs(w + 1j * min(max(-w.imag, 0), t_low)))
-        below = abs(G(z0 + 1j * t_low)) * kernel * t_low ** 2 / (mp.pi * cusp_decay)
-        if below < mpf(10) ** (-(mp.dps + 2)):
-            low = t_low
-
     def integrand(t):
         z = z0 + 1j * t
         return 1j * G(z) / mp.sqrt(-1j * (z + tau))
 
-    return exp_sinh(integrand, cut, tol, "ray integral", low=low)
+    return exp_sinh(integrand, cut, tol, "ray integral")
 
 
 def _cusp_pair(spec, x):
@@ -132,8 +122,10 @@ def _cusp_pair(spec, x):
 
 
 def _table_size(nu0, q, wp):
-    """The least N >= 1 at which the terms |nu| > N of a side, at s = 1/q,
-    sum below 2^-wp |nu0|, nu0 the least nonzero |nu|.
+    """The least N >= 1 at which |nu| e^{-pi s nu^2}, s = 1/q, summed over
+    |nu| > N, is below 2^-wp |nu0| e^{-pi s nu0^2}, nu0 the least nonzero
+    |nu|: so are the terms |nu| > N of a sum of the ray, whose erfcx factors
+    are at most 1.
 
     The terms past N of each run of nu are at most (N + k + 1)
     e^{-pi s((N + k)^2 - nu0^2)}, k >= 0, one per unit of |nu|; once
@@ -149,86 +141,51 @@ def _table_size(nu0, q, wp):
 
 
 def _gauss_side(a, b, x, q, wp):
-    """The table of sum nu e(b nu + x nu^2/2) e^{-pi s nu^2} over nu in a + Z,
-    for s >= 1/q: (d, m0, runs), nu = m/d with d the denominator of a mod 1
-    and m0/d the least nonzero |nu|.
-
-    The up run takes nu = m/d >= 0 (from m = d at an integer a, whose
-    nu = 0 term is zero), the down run nu < 0, each up to |nu| = N of
-    _table_size.  A run is (lead, first, coefficients): its first weight
-    relative to the scale e^{-pi s m0^2/d^2} is E^lead, E = e^{-pi s/d^2},
-    the ratio to its second weight is E^first, and each ratio is E^{2 d^2}
-    times the one before; the coefficients nu e(b nu + x nu^2/2) are pairs
-    at wp, exact but for the last bit.
-    """
+    """The weights of one erfcx sum of a ray: (d, pairs), with the pair
+    (m, w) for each |nu| = m/d of nu in a + Z, 0 < |nu| <= N of _table_size,
+    d the denominator of a mod 1, and w at wp the sum of
+    sgn(nu) e(b nu + x nu^2/2) e^{-pi nu^2/q} over the one or two nu of that
+    |nu|.  The loop runs over every |nu| <= N, wherever a lies."""
     a0 = a % 1
-    c, d = a0.numerator, a0.denominator
-    starts = (c or d, c - d)
-    m0 = min(map(abs, starts))
-    N = _table_size(Fraction(m0, d), q, wp)
-    runs = []
+    d = a0.denominator
+    N = _table_size(min(a0 or 1, 1 - a0), q, wp)
+    weights = {}
     with mp.workprec(wp):
-        for m, sign in zip(starts, (1, -1)):
-            nus = [Fraction(k, d) for k in range(m, sign * (N * d + 1), sign * d)]
-            coefficients = tuple(fixed_scale(nu, to_fixed(mp.expjpi(fraction_mpf(
-                2 * (b * nu + x * nu * nu / 2) % 2)), wp)) for nu in nus)
-            runs.append((m * m - m0 * m0, 2 * abs(m) * d + d * d, coefficients))
-    return d, m0, tuple(runs)
+        for nu in (a0 + n for n in range(-N - 1, N + 1)):
+            if nu and abs(nu) <= N:
+                w = mp.expjpi(fraction_mpf(2 * (b * nu + x * nu * nu / 2) % 2)) \
+                    * mp.exp(-mp.pi * fraction_mpf(nu * nu) / q)
+                m = abs(nu.numerator)
+                weights[m] = weights.get(m, 0) + (w if nu > 0 else -w)
+    return d, tuple((m, to_fixed(w, wp)) for m, w in weights.items())
 
 
 @lru_cache(maxsize=KERNEL_MEMO)
 def _ray_table(a, b, x, prec):
-    """(q, e(r), the direct side, the cusp side) of g_{a,b} on the ray from
-    x = p/q, each side a _gauss_side table at wp = fixed_prec()."""
+    """(e(r), the direct sum's weights, the cusp sum's weights) of g_{a,b} on
+    the ray from x = p/q, each a _gauss_side table at wp = fixed_prec()."""
     # prec only keys the memo: the caller's mp.prec is prec
     (a1, b1), X, r = _cusp_pair((a, b), x)
     q = x.denominator
     wp = fixed_prec()
     with mp.workprec(wp):
         phase = mp.expjpi(fraction_mpf(2 * r % 2))
-    return q, phase, _gauss_side(a, b, x, q, wp), _gauss_side(a1, b1, X, q, wp)
+    return phase, _gauss_side(a, b, x, q, wp), _gauss_side(a1, b1, X, q, wp)
 
 
-def _gauss_sum(side, s, wp):
-    """The sum of a _gauss_side table at s >= 1/q: one real exponential
-    E = e^{-pi s/d^2}, then the weights of each run relative to the scale
-    walk on integers at wp, and the walk stops at its first zero weight (all
-    later ones are zero too) or at the end of the table.  The powers of E
-    are taken on integers at 2 log2(d) + 4 guard bits, which cover their
-    exponents, at most 3 d^2."""
-    d, m0, runs = side
-    p = wp + 2 * d.bit_length() + 4
-    with mp.workprec(p):
-        E = mp.exp(-mp.pi * s / (d * d))
-        scale = E ** (m0 * m0)
-    e = to_fixed(E, p)[0]
-    step = fixed_power((e, 0), 2 * d * d, p)[0] >> p - wp
-    re = im = 0
-    for lead, first, coefficients in runs:
-        w, r = (fixed_power((e, 0), k, p)[0] >> p - wp for k in (lead, first))
-        for x, y in coefficients:
-            if not w:
-                break
-            re += x * w
-            im += y * w
-            w = w * r >> wp
-            r = r * step >> wp
-    return scale * mpc(mpf((re, -2 * wp)), mpf((im, -2 * wp)))
-
-
-def _ray_node(table, t):
-    """g_{a,b}(x + it) from the ray's table: the direct side at s = t if
-    qt >= 1, else e(r) (qt)^{-3/2} times the cusp side at s = 1/(q^2 t), so
-    that s >= 1/q on both."""
-    q, phase, direct, cusp = table
-    wp = fixed_prec()
+def _erfcx_sum(side, radicand, wp):
+    """The sum of w erfcx(m/d sqrt(pi radicand)) over the pairs (m, w) of a
+    _gauss_side table, Re radicand > 0, on integers at wp: one complex root,
+    then one fixed_erfcx a pair."""
+    d, pairs = side
     with mp.workprec(wp):
-        qt = q * t
-        if qt >= 1:
-            value = _gauss_sum(direct, t, wp)
-        else:
-            value = phase * _gauss_sum(cusp, 1 / (q * qt), wp) / (qt * mp.sqrt(qt))
-    return +value
+        cr, ci = to_fixed(mp.sqrt(mp.pi * radicand), wp)
+    re = im = 0
+    for m, (wr, wi) in pairs:
+        er, ei = fixed_erfcx((m * cr // d, m * ci // d), wp)
+        re += wr * er - wi * ei
+        im += wr * ei + wi * er
+    return mpc(mpf((re, -2 * wp)), mpf((im, -2 * wp)))
 
 
 def g_decay_rate(a):
@@ -243,25 +200,32 @@ def g_decay_rate(a):
 def unary_ray_integral(spec, z0, tau, tol=None):
     """int_{z0}^{i inf} g_{a,b}(z)/sqrt(-i(z+tau)) dz.
 
-    A start z0 = p/q given as a Fraction or an int is a cusp of g_{a,b}.
-    The ray reads g_{a,b}(z0 + it) from one table (_ray_table), memoized on
-    (a, b, z0, mp.prec) for the KERNEL_MEMO most recently used keys and
-    read at the mp.prec of each node: above t = 1/q the direct sum of
-    g_{a,b}, below it the cusp side of the exact identity
-    g_{a,b}(z0 + it) = e(r) (qt)^{-3/2} g_{a',b'}(X + i/(q^2 t)) of
-    _cusp_pair, so each node is a Gaussian sum at s >= 1/q.  The ray gets
-    the lower cut of ray_integral, with the decay rate of (a', b'):
-    cusp_decay = g_decay_rate(a')/q^2.  Any other z0 evaluates g_ab at each
-    node and gets no lower cut.
+    A start z0 = p/q given as a Fraction or an int is a cusp of g_{a,b}, and
+    at Im tau >= 0 the ray is the two erfcx sums of the module docstring, to
+    working precision and with no quadrature (tol is not read): the sum
+    above t = 1/q, and the ray below it folded by _cusp_pair to a sum above
+    U = 1/q.  Their weights come from one table (_ray_table), memoized on
+    (a, b, z0, mp.prec) for the KERNEL_MEMO most recently used keys, and
+    each ray then takes three complex roots and one fixed_erfcx per weight.
+    ValueError, before any erfcx, at s = -i(z0 + tau) = 0, where the ray
+    meets the kernel's singularity.  Any other z0 or tau takes ray_integral,
+    evaluating g_ab at each node.
     """
     a, b = map(Fraction, spec)
-    if not isinstance(z0, (Fraction, int)):
+    tau = mpc(tau)
+    if not isinstance(z0, (Fraction, int)) or tau.imag < 0:
         return ray_integral(lambda z: g_ab((a, b), z), z0, tau, g_decay_rate(a), tol=tol)
     x = Fraction(z0)
-    (a1, _), _, _ = _cusp_pair((a, b), x)
-    return ray_integral(lambda z: _ray_node(_ray_table(a, b, x, mp.prec), z.imag),
-                        fraction_mpf(x), tau, g_decay_rate(a), tol=tol,
-                        cusp_decay=g_decay_rate(a1) / x.denominator ** 2)
+    q = x.denominator
+    phase, direct, cusp = _ray_table(a, b, x, mp.prec)
+    wp = fixed_prec()
+    with mp.workprec(wp):
+        s = -1j * (fraction_mpf(x) + tau)
+        if s == 0:
+            raise ValueError(SINGULAR % x)
+        ray = 1j * (_erfcx_sum(direct, 1 / mpf(q) + s, wp)
+                    + phase * _erfcx_sum(cusp, 1 / mpf(q) + 1 / (s * q * q), wp) / mp.sqrt(q * s))
+    return +ray
 
 
 def shadow_ray_integral(m, z0, tau):

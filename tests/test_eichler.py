@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 import etamock.eichler as eichler
-from etamock.core import exp_sinh, fraction_mpf
+from etamock.core import exp_sinh, fixed_prec, fraction_mpf, from_fixed
 from etamock.qseries import e2pi
 from etamock.mu import R_correction, mordell_h
 from etamock.theta import (ETA_THETA, E_from_g, g_ab, partial_theta, radial_limit,
@@ -15,7 +15,7 @@ from etamock.theta import (ETA_THETA, E_from_g, g_ab, partial_theta, radial_limi
 from etamock.eichler import (_cusp_pair, g_decay_rate, integral_identity_lhs, ray_integral,
                              unary_ray_integral)
 from etamock.quantum import ELL, integral_identity_rhs
-from etamock.verify import (_table2_row, corollary_check, table2_terms, verify_table2,
+from etamock.verify import (_table2_row, corollary_check, verify_table2,
                             verify_thm12_i, verify_thm12_ii, verify_thm12_iii)
 
 # working precision of every test here; see conftest.py
@@ -318,53 +318,96 @@ SEED1_IDENTITIES = (
 )
 
 
-def test_ray_integral_stop_rule_against_higher_precision(monkeypatch):
-    """The level-difference stop leaves each ray within 10^(3 - dps) of its
-    value at dps 30 with at most 1,350 integrand values over the 8 rays,
-    and no call changes mp.dps."""
+@pytest.mark.parametrize("dps", [16, 30, 100])
+def test_seed1_rays_within_two_units_of_higher_precision(monkeypatch, dps):
+    """Each of the 8 rays, two erfcx sums, is within 2 units of 10^-dps |ray|
+    of the same ray at dps + 30, and no call changes mp.dps."""
     rays = []
-    evals = []
 
-    def record(G, z0, tau, decay, tol=None, **cuts):
-        def counted(z):
-            evals.append(z)
-            return G(z)
-
-        value = ray_integral(counted, z0, tau, decay, tol, **cuts)
-        assert mp.dps == DPS
-        rays.append((G, z0, tau, decay, cuts, value))
+    def record(spec, z0, tau, tol=None):
+        value = unary_ray_integral(spec, z0, tau, tol)
+        assert mp.dps == dps
+        rays.append((spec, z0, tau, value))
         return value
 
-    monkeypatch.setattr(eichler, "ray_integral", record)
+    monkeypatch.setattr(eichler, "unary_ray_integral", record)
     monkeypatch.setattr(eichler, "_lhs_cache", {})
-    for m, tau in SEED1_TABLE2:
-        table2_terms(m, tau)
-    for m, endpoint, x in SEED1_IDENTITIES:
-        integral_identity_lhs(m, x, endpoint)
+    with mp.workdps(dps):
+        for m, tau in SEED1_TABLE2:
+            for z0 in (Fraction(0), Fraction(1, ELL[m])):
+                eichler.shadow_ray_integral(m, z0, tau)
+        for m, endpoint, x in SEED1_IDENTITIES:
+            integral_identity_lhs(m, x, endpoint)
     assert len(rays) == 8
-    assert len(evals) <= 1350
-    for G, z0, tau, decay, cuts, value in rays:
-        with mp.workdps(30):
-            fine = ray_integral(G, z0, tau, decay, **cuts)
-            assert mp.dps == 30
-        assert mp.dps == DPS
-        assert abs(value - fine) < mpf(10) ** (3 - DPS)
+    for spec, z0, tau, value in rays:
+        with mp.workdps(dps + 30):
+            fine = unary_ray_integral(spec, z0, tau)
+            assert abs(value - fine) <= 2 * mpf(10) ** -dps * abs(fine), (spec, z0, tau)
+
+
+@pytest.mark.parametrize("dps", [16, 30])
+@pytest.mark.parametrize("spec, tau", [((Fraction(3, 4), Fraction(1, 2)), TAU),
+                                       ((Fraction(1, 12), Fraction(1, 2)), mpc(-0.3, 0.6)),
+                                       ((Fraction(1), Fraction(7, 10)), mpc(0.45, 1.2))])
+def test_a_ray_from_fraction_zero_is_the_quadrature_from_zero(dps, spec, tau):
+    """The two erfcx sums from Fraction(0) and the exp-sinh rule on g_ab from
+    mpf(0), two routes that share no code past g_{a,b}'s coefficients."""
+    with mp.workdps(dps):
+        sums = unary_ray_integral(spec, Fraction(0), tau)
+        quad = unary_ray_integral(spec, mpf(0), tau)
+        assert abs(sums - quad) < mpf(10) ** (3 - dps)
+
+
+def _two_sums(spec, x, tau):
+    """e(r), the direct sum and q^{-1/2} s^{-1/2} times the cusp sum of the
+    ray of spec from x, which unary_ray_integral adds as i (direct + e(r) cusp)."""
+    phase, direct, cusp = eichler._ray_table(spec[0], spec[1], x, mp.prec)
+    q, wp = x.denominator, fixed_prec()
+    with mp.workprec(wp):
+        s = -1j * (fraction_mpf(x) + tau)
+        upper = eichler._erfcx_sum(direct, 1 / mpf(q) + s, wp)
+        lower = eichler._erfcx_sum(cusp, 1 / mpf(q) + 1 / (s * q * q), wp) / mp.sqrt(q * s)
+    return phase, upper, lower
+
+
+@pytest.mark.parametrize("spec, x, tau", [((Fraction(1, 4), Fraction(1, 2)), Fraction(1, 2), TAU),
+                                          ((Fraction(1, 12), Fraction(1, 2)), Fraction(1),
+                                           mpc(-0.1, 0.9))])
+def test_the_cusp_sum_needs_its_i_and_its_phase(spec, x, tau):
+    """The cusp sum carries the i of dz = i dt and e(r) as it is: without
+    the i, or with e(r) conjugated, the ray misses the quadrature by far
+    more than its tolerance.  e(r) is not real at either start."""
+    phase, upper, lower = _two_sums(spec, x, tau)
+    quad = unary_ray_integral(spec, fraction_mpf(x), tau)
+    with mp.workprec(fixed_prec()):
+        ray = 1j * (upper + phase * lower)
+    assert _same_bits(+ray, unary_ray_integral(spec, x, tau))
+    assert abs(ray - quad) < mpf(10) ** (3 - DPS)
+    for mutant in (1j * upper + phase * lower, 1j * (upper + mp.conj(phase) * lower)):
+        assert abs(mutant - quad) > 1e-3 * abs(quad)
+
+
+@pytest.mark.parametrize("z0, tau", [(Fraction(1, 2), mpf(-0.5)), (0, mpf(0)),
+                                     (Fraction(-3, 4), mpc(0.75, 0))])
+def test_a_ray_from_a_cusp_through_the_singularity_is_domain_error(monkeypatch, z0, tau):
+    calls = []
+    monkeypatch.setattr(eichler, "fixed_erfcx", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="singularity"):
+        unary_ray_integral((Fraction(1, 4), Fraction(1, 2)), z0, tau)
+    assert calls == []
 
 
 @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1, 3),
                                Fraction(-2, 5)])
 @pytest.mark.parametrize("spec", [p for rec in ETA_THETA.values() for p in rec.g_pairs])
-def test_the_lower_cut_decays_as_g_does_at_the_cusp(monkeypatch, spec, x):
-    """The cusp_decay D that unary_ray_integral passes on is the rate of g_{a,b}
-    at x = p/q: |g_{a,b}(x + it)| t^{3/2} e^{pi D/t} is the same at
+def test_the_lower_cut_decays_as_g_does_at_the_cusp(spec, x):
+    """D = g_decay_rate(a')/q^2, for the a' of _cusp_pair, is the rate of
+    g_{a,b} at x = p/q: |g_{a,b}(x + it)| t^{3/2} e^{pi D/t} is the same at
     t = 1/(40 q^2) and 1/(80 q^2), where the terms of least |nu| of the
     folded g_{a',b'} outweigh the rest by e^{-20} or more."""
-    seen = []
-    monkeypatch.setattr(eichler, "ray_integral",
-                        lambda *args, cusp_decay=None, **kwargs: seen.append(cusp_decay))
-    unary_ray_integral(spec, x, TAU)
-    D, = seen
+    (a1, _), _, _ = _cusp_pair(spec, x)
     q = x.denominator
+    D = g_decay_rate(a1) / q ** 2
 
     def scaled(t):
         z = mpc(mpf(x.numerator) / q, t)
@@ -372,41 +415,6 @@ def test_the_lower_cut_decays_as_g_does_at_the_cusp(monkeypatch, spec, x):
 
     near, nearer = scaled(mpf(1) / (40 * q * q)), scaled(mpf(1) / (80 * q * q))
     assert abs(near / nearer - 1) < 1e-8
-
-
-def test_the_lower_cut_leaves_out_only_what_cannot_change_the_ray():
-    spec, z0 = (Fraction(1, 4), Fraction(1, 2)), Fraction(1, 2)
-    (a1, _), _, _ = _cusp_pair(spec, z0)
-    q = z0.denominator
-    values = {}
-    for cusp in (g_decay_rate(a1) / q ** 2, None):
-        calls = []
-
-        def G(z):
-            calls.append(z)
-            return g_ab(spec, z)
-
-        values[cusp] = ray_integral(G, mpf(0.5), TAU, g_decay_rate(spec[0]), cusp_decay=cusp), \
-            len(calls)
-    (cut, fewer), (whole, every) = values.values()
-    assert fewer < 0.7 * every
-    assert abs(cut - whole) < mpf(10) ** (-DPS)
-
-
-def test_a_lower_cut_that_its_bound_rejects_is_dropped():
-    """e(z) does not vanish as t -> 0, so the bound at t_low is far above
-    10^-(dps+2): the rule runs down to t = 0, after one more value of G."""
-    calls = []
-
-    def G(z):
-        calls.append(z)
-        return mp.exp(2j * mp.pi * z)
-
-    tau = mpc(0.3, 0.9)
-    whole = ray_integral(G, 0, tau, decay=2)
-    every = len(calls)
-    assert ray_integral(G, 0, tau, decay=2, cusp_decay=1) == whole
-    assert len(calls) == 2 * every + 1
 
 
 def _counting_g_ab(monkeypatch):
@@ -442,23 +450,15 @@ def test_a_second_ray_from_one_start_reads_the_memo(monkeypatch, spec, z0):
     assert calls == []
 
 
-def test_a_ray_at_higher_precision_recomputes_its_values(monkeypatch):
-    """The table is looked up at the mp.prec of each node, not of the call
-    that made G: a G made at dps 16 and called at dps 30 builds a dps-30
-    table and gives the bits of a ray made at dps 30."""
+def test_a_ray_at_higher_precision_recomputes_its_values():
+    """The table is looked up at the mp.prec of the call: a ray at dps 30
+    after one at dps 16 builds a dps-30 table and gives the bits of a ray
+    from a cold memo at dps 30."""
     spec, z0 = (Fraction(1, 4), Fraction(1, 2)), Fraction(1, 2)
-    made = []
-
-    def record(G, *args, **kwargs):
-        made.append((G, args, kwargs))
-        return ray_integral(G, *args, **kwargs)
-
-    monkeypatch.setattr(eichler, "ray_integral", record)
     eichler._ray_table.cache_clear()
     coarse = unary_ray_integral(spec, z0, TAU)
-    (G, args, kwargs), = made
     with mp.workdps(30):
-        fine = ray_integral(G, *args, **kwargs)
+        fine = unary_ray_integral(spec, z0, TAU)
         assert eichler._ray_table.cache_info().misses == 2
         eichler._ray_table.cache_clear()
         cold = unary_ray_integral(spec, z0, TAU)
@@ -492,15 +492,31 @@ def test_the_cusp_fold_is_exact(dps, x):
 
 
 def _abs_terms(spec, x, t):
-    """The sum of |terms| of the node sum at x + it: sum |nu| e^{-pi s nu^2}
-    over nu in a + Z on the side that _ray_node takes, times (qt)^{-3/2} on
-    the cusp side."""
+    """The sum of |terms| of g at x + it: sum |nu| e^{-pi s nu^2} over nu in
+    a + Z on the side that _table_node takes, times (qt)^{-3/2} on the cusp
+    side."""
     q = x.denominator
     (a1, _), _, _ = _cusp_pair(spec, x)
     a, s, factor = (spec[0], t, 1) if q * t >= 1 else (a1, 1 / (q * q * t), (q * t) ** -1.5)
     a0 = fraction_mpf(Fraction(a) % 1)
     return factor * mp.nsum(lambda n: abs(a0 + n) * mp.exp(-mp.pi * s * (a0 + n) ** 2),
                             [-mp.inf, mp.inf])
+
+
+def _table_node(table, x, t):
+    """g_{a,b}(x + it) from the weights w of a ray's table, each a sum of
+    sgn(nu) e(b nu + x nu^2/2) e^{-pi nu^2/q}: sum |nu| w e^{-pi nu^2 (s - 1/q)}
+    on the direct side at s = t if qt >= 1, else e(r) (qt)^{-3/2} times the
+    cusp side at s = 1/(q^2 t)."""
+    phase, direct, cusp = table
+    q = x.denominator
+    wp = fixed_prec()
+    with mp.workprec(wp):
+        (d, pairs), s, factor = (direct, t, 1) if q * t >= 1 \
+            else (cusp, 1 / (q * q * t), phase * (q * t) ** mpf(-1.5))
+        return +(factor * sum(mpf(m) / d * from_fixed(w, wp)
+                              * mp.exp(-mp.pi * (mpf(m) / d) ** 2 * (s - mpf(1) / q))
+                              for m, w in pairs))
 
 
 # (1, 7/10) has a direct side of integer a, and (1/4, 0) from 0 a cusp side of
@@ -511,10 +527,11 @@ TABLE_PAIRS = CUSP_PAIRS + [(Fraction(1), Fraction(7, 10))]
 @pytest.mark.parametrize("dps", [16, 30, 40])
 @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 2), Fraction(-2, 5), Fraction(5, 8)])
 def test_the_ray_table_gives_g_ab(dps, x):
-    """Each node value of the table is within 2 units of 10^-dps of its sum of
-    |terms| of g_ab at dps + 34, from t = 10^-4 to 10^3, at t = 1/q where the
-    direct side takes its fewest terms, just below it where the cusp side
-    does, and at t = 469."""
+    """g_{a,b}(x + it) read from the table's weights (_table_node) is within
+    2 units of 10^-dps of its sum of |terms| of g_ab at dps + 34, from
+    t = 10^-4 to 10^3, at t = 1/q where the direct side has its fewest
+    terms, just below it where the cusp side does, and at t = 469: so the
+    weights hold every term the ray's sums need."""
     q = x.denominator
     heights = [mpf(10) ** -4, mpf(1) / (7 * q), mpf(1) / q, mpf(1) / q * (1 - mpf(10) ** -dps),
                mpf(2) / q, mpf(469), mpf(10) ** 3]
@@ -522,7 +539,7 @@ def test_the_ray_table_gives_g_ab(dps, x):
         for spec in TABLE_PAIRS:
             table = eichler._ray_table(spec[0], spec[1], x, mp.prec)
             for t in heights:
-                value = eichler._ray_node(table, t)
+                value = _table_node(table, x, t)
                 with mp.workdps(dps + 34):
                     exact = g_ab(spec, mpc(fraction_mpf(x), t))
                     bound = 2 * mpf(10) ** -dps * _abs_terms(spec, x, t)

@@ -10,12 +10,12 @@ and no module outside core calls `converging`; every infinite series stops
 by `core.fixed_sum`, and only mu's own series and Kang's g_2 series hand
 their sides to it: every theta-type series is a term
 on `core.lattice_sum`, which only R, the Lambert sums and theta's own
-sums call, and qseries sums none.  One theta-type sum is finite and has
-no stopping rule: the Gaussian sum at a node of a ray from a cusp
-(`eichler._gauss_sum`), whose table's length N is fixed in advance for
-the lowest height the ray reaches; it calls none of the series fronts nor
-`g_ab`.  No module calls
-mpmath's erfc: R's erfc terms take `core.fixed_erfcx`.  Every public
+sums call, and qseries sums none.  Two theta-type sums are finite and
+have no stopping rule: the erfcx sums of a ray from a cusp
+(`eichler._erfcx_sum`), whose table's length N (`eichler._gauss_side`) is
+fixed in advance at the height 1/q where both sums start; they call none
+of the series fronts nor `g_ab`.  No module calls mpmath's erfc: R's erfc
+terms and the rays' erfcx terms take `core.fixed_erfcx`.  Every public
 function or class has a caller in the package or in the benchmark.
 """
 
@@ -168,11 +168,11 @@ def test_every_infinite_product_is_one_fixed_product(module, name):
 
 
 def test_the_ray_node_sum_is_a_finite_table_sum():
-    # a node of a ray from a cusp sums its fixed table on integers: no
-    # stopping rule, no series front and no fold of tau
+    # a ray from a cusp sums its fixed tables on integers: no stopping
+    # rule, no series front and no fold of tau
     functions = {stmt.name: stmt for stmt in _tree("eichler").body
                  if isinstance(stmt, ast.FunctionDef)}
-    for name in ("_ray_node", "_gauss_sum"):
+    for name in ("_gauss_side", "_erfcx_sum"):
         called = _calls(functions[name])
         assert called, name
         assert not called & {"converging", "fixed_sum", "lattice_sum", "g_ab", "reduce_tau",
@@ -181,7 +181,8 @@ def test_the_ray_node_sum_is_a_finite_table_sum():
 
 @pytest.mark.parametrize("module", _modules())
 def test_erfc_only_through_the_integer_kernel(module):
-    # R's erfc terms take core.fixed_erfcx; no module reads mpmath's erfc
+    # R's erfc terms and the rays' erfcx terms take core.fixed_erfcx; no
+    # module reads mpmath's erfc
     refs = [node.lineno for node in ast.walk(_tree(module))
             if isinstance(node, ast.Attribute) and node.attr == "erfc"
             or isinstance(node, ast.alias) and node.name == "erfc"]

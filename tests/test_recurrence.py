@@ -14,7 +14,9 @@ the working precision.  Points include Im tau = 1e-3, where the mu and R
 sums of the benchmark's cusp checks run longest, and R at |Im u/Im tau|
 up to 40, where its erfc sum and its finite gap sum both count.  Where the
 first nonzero term lies far below the phase at the centre, the sums are
-held to a few units of 10^-dps relative to their value.
+held to a few units of 10^-dps relative to their value.  The integer erfcx
+kernel is held to its stated bounds on the real line and on the sector
+|arg z| < pi/4, where the rays from a cusp read it.
 """
 
 import random
@@ -27,7 +29,7 @@ from mpmath import mp, mpc, mpf
 import etamock.core as core
 from etamock.core import (QUIET_RUN, ConvergenceError, e2pi, fixed_erfcx, fixed_mul, fixed_prec,
                           fixed_scale, fixed_sum, fixed_walk, fraction_mpf, from_fixed,
-                          lattice_sum)
+                          lattice_sum, to_fixed)
 from etamock.mu import R_correction, mu
 from etamock.qseries import kronecker
 from etamock.theta import (ETA_THETA, _g_direct, _theta_sum, eta_theta_eval,
@@ -231,6 +233,44 @@ def test_fixed_erfcx_within_64_units(dps):
             t = mpf((x, -wp))
             worst = max(worst, abs(value - mp.erfc(t) * mp.exp(t * t) * 2 ** wp))
     assert worst <= 64
+
+
+def _sector_points(rng):
+    """Points of the sector |arg z| < pi/4 that the rays' erfcx terms reach:
+    on both sides of |z| = 2 and |z| = 16 by 2^-60, at |z| up to 40, at
+    arg 0, +-0.5 and +-0.78, and 60 random points with |z| <= 40."""
+    radii = [mpf(r) for r in (2 ** -30, 0.25, 1, 3, 8, 24, 33, 40)]
+    radii += [edge + d * mpf(2) ** -60 for edge in (2, 16) for d in (-1, 1)]
+    polar = [(r, arg) for r in radii for arg in (-0.78, -0.5, 0, 0.5, 0.78)]
+    polar += [(rng.uniform(0, 40), rng.uniform(-0.78, 0.78)) for _ in range(60)]
+    return [mp.mpc(r * mp.cos(arg), r * mp.sin(arg)) for r, arg in polar]
+
+
+@pytest.mark.parametrize("dps", [16, 30, 100])
+def test_fixed_erfcx_on_the_sector_within_2_units(dps):
+    # against e^{z^2} erfc(z) at 30 more digits, at the pair's exact z: the
+    # bound fixed_erfcx states, 2 units of 2^-wp in modulus
+    with mp.workdps(dps):
+        wp = fixed_prec()
+    worst = 0
+    with mp.workdps(dps + EXTRA):
+        for z in _sector_points(random.Random(dps)):
+            x = to_fixed(z, wp)
+            exact = mpc(mpf((x[0], -wp)), mpf((x[1], -wp)))
+            value = mpc(*fixed_erfcx(x, wp))
+            worst = max(worst, abs(value - mp.erfc(exact) * mp.exp(exact ** 2) * 2 ** wp))
+    assert worst <= 2
+
+
+@pytest.mark.parametrize("dps", [16, 30, 100])
+def test_fixed_erfcx_of_a_real_pair_is_the_real_kernel(dps):
+    # (x, 0) gives (the real kernel's integer, 0), bit for bit, in every regime
+    rng = random.Random(dps)
+    with mp.workdps(dps):
+        wp = fixed_prec()
+    xs = [k << wp - 4 for k in range(641)] + [rng.getrandbits(wp + 5) for _ in range(100)]
+    xs += [(edge << wp) + d for edge in (2, 16) for d in (-1, 0, 1)]
+    assert all(fixed_erfcx((x, 0), wp) == (fixed_erfcx(x, wp), 0) for x in xs)
 
 
 def test_lambert_denominator_that_vanishes_raises():
