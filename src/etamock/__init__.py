@@ -5,7 +5,7 @@ built from Appell-Lerch specializations of odd eta-theta functions.  The
 modules are:
 
     core       working precision, series summation, the reduction to the
-               fundamental domain, nested exp-sinh quadrature
+               fundamental domain; its quadrature only for tests and benchmark
     qseries    Dedekind eta, exact multipliers, formal q-expansions
     theta      Jacobi theta, eta-theta lists, unary theta g_{a,b}
     mu         Appell-Lerch mu, Mordell integral, completions, shadows

@@ -21,7 +21,7 @@ from functools import partial
 
 from mpmath import mp, mpc, mpf
 
-from .core import DEFAULT_DPS, MIN_DPS, ConvergenceError
+from .core import DEFAULT_DPS, MIN_DPS, ConvergenceError, fraction_mpf
 from .qseries import RootOfUnity, eta, eta_quotient_qexp
 from .theta import eta_theta_eval, eta_theta_qexp, g_ab, jacobi_theta, partial_theta
 from .mu import mu
@@ -66,8 +66,7 @@ def parse_complex(text):
     """
     s = text.strip().replace(" ", "")
     if "/" in s and "i" not in s and "j" not in s:
-        fr = parse_rational(s)
-        return mpc(mpf(fr.numerator) / fr.denominator)
+        return mpc(fraction_mpf(parse_rational(s)))
     match = _COMPLEX.fullmatch(s)
     if match is None:
         raise UsageError("not a complex number: %r" % text)

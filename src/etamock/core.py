@@ -1,5 +1,5 @@
-"""The numeric core: working precision, series summation, the reduction to
-the fundamental domain, and nested exp-sinh quadrature on the half-line.
+"""The numeric core: working precision, series summation and the reduction
+to the fundamental domain.
 
 Every series has one walk and one stopping rule.  Its terms are pairs of
 Python integers, scaled per side, and `fixed_sum` stops each side after
@@ -13,6 +13,9 @@ special function runs on integers too: `fixed_erfcx`, the scaled erfc
 that R's erfc sum takes on the real line, and a ray from a cusp on the
 sector |arg z| < pi/4 (Maclaurin series, trapezoid sum or continued
 fraction by |z|, within 2 units of 2^-wp there), in place of mpmath's erfc.
+
+No package path integrates numerically: the exp-sinh and Gauss-Legendre
+blocks below stay only as the tests' reference and the benchmark's names.
 
 Every other module of the package builds on these; this module imports
 nothing from the package.  Numeric evaluation runs on mpmath's global
@@ -516,24 +519,23 @@ def period_cell(x, tau):
     return x - l, k, l
 
 
-def reduce_tau(tau, state, shift, invert, what):
-    """Move tau into the fundamental domain, folding a transformation law
-    over `state` at each step.
-
-    Each translation tau -> tau - n calls state = shift(state, n), and
-    each inversion tau -> -1/tau calls state = invert(state, -1/tau).
-    Returns the reduced tau and the final state.
+def reduce_tau(tau, what):
+    """Move tau into the fundamental domain: (tau', word), where the word
+    lists the steps (n, sigma) in order.  Each translates tau -> tau - n,
+    then, unless sigma is None, inverts to sigma = -1/tau; a fold walks the
+    word with its transformation laws.
     """
     edge = 1 - mpf(10) ** (-mp.dps)
+    word = []
     for _ in range(10 ** 4):
         n = int(mp.nint(tau.real))
         if n != 0:
             tau = tau - n
-            state = shift(state, n)
         if abs(tau) >= edge:
-            return tau, state
+            word.append((n, None))
+            return tau, word
         tau = -1 / tau
-        state = invert(state, tau)
+        word.append((n, tau))
     raise ConvergenceError("%s reduction failed to terminate" % what)
 
 
@@ -607,11 +609,10 @@ def exp_sinh(f, cut, tol, what):
 # ---------------------------------------------------------------------------
 # Gauss-Legendre panel quadrature
 #
-# No package code integrates with these any more; exp_sinh has replaced
-# them.  They stay because the benchmark's span tracer and its tests look
-# `adaptive_panels`, `gauss_legendre_nodes` and `_gl_cache` up through
-# `eichler` and pin their call counts.  They go once the benchmark's spans
-# move to the exp-sinh rule.
+# No package code integrates with these.  They stay because the
+# benchmark's span tracer and its tests look `adaptive_panels`,
+# `gauss_legendre_nodes` and `_gl_cache` up through `eichler` and pin their
+# call counts.  They go once the benchmark's spans stop naming them.
 
 _gl_cache = {}
 

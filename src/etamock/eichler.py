@@ -22,11 +22,7 @@ every root principal.  Both radicands have positive real part, so every
 erfcx argument lies in the sector |arg| < pi/4 of core.fixed_erfcx.  The
 weights of both sums do not depend on tau and are one table per (a, b, x)
 and precision (_ray_table), so the rays of one (a, b) from one x share it.
-
-A start that is not rational, or a tau below the real line, takes
-ray_integral instead, which integrates G(z)/sqrt(-i(z+tau)) along the
-vertical path by core's nested exp-sinh rule, evaluating g_ab at each
-node; above a cut set by G's exponential decay rate, G is not evaluated.
+No package path calls ray_integral, the tests' exp-sinh reference of a ray.
 
 The checks that compare these integrals with the finite side of the
 period identities live in verify.
@@ -42,7 +38,6 @@ from .core import KERNEL_MEMO, exp_sinh, fixed_erfcx, fixed_prec, fraction_mpf, 
 # unused here: the benchmark's span tracer looks these up in this module
 from .core import _gl_cache, adaptive_panels, gauss_legendre_nodes  # noqa: F401
 from .qseries import e2pi
-from .theta import g_ab
 from .vmn import _SHADOW, family, parts
 from .quantum import ELL
 
@@ -188,33 +183,27 @@ def _erfcx_sum(side, radicand, wp):
     return mpc(mpf((re, -2 * wp)), mpf((im, -2 * wp)))
 
 
-def g_decay_rate(a):
-    """Exponential decay rate of g_{a,b}(z) as Im(z) grows."""
-    af = float(a)
-    frac = af - math.floor(af)
-    alpha = min(frac, 1 - frac)
-    # at alpha = 0 the n = 0 term vanishes, and the next exponent is 1/2
-    return alpha * alpha if alpha else 1.0
-
-
-def unary_ray_integral(spec, z0, tau, tol=None):
+def unary_ray_integral(spec, z0, tau):
     """int_{z0}^{i inf} g_{a,b}(z)/sqrt(-i(z+tau)) dz.
 
-    A start z0 = p/q given as a Fraction or an int is a cusp of g_{a,b}, and
+    The start z0 = p/q, a Fraction or an int, is a cusp of g_{a,b}, and
     at Im tau >= 0 the ray is the two erfcx sums of the module docstring, to
-    working precision and with no quadrature (tol is not read): the sum
-    above t = 1/q, and the ray below it folded by _cusp_pair to a sum above
-    U = 1/q.  Their weights come from one table (_ray_table), memoized on
+    working precision and with no quadrature: the sum above t = 1/q, and
+    the ray below it folded by _cusp_pair to a sum above U = 1/q.  Their
+    weights come from one table (_ray_table), memoized on
     (a, b, z0, mp.prec) for the KERNEL_MEMO most recently used keys, and
     each ray then takes three complex roots and one fixed_erfcx per weight.
+    TypeError for any other z0, and ValueError at Im tau < 0, where the
+    radicands can leave the sector, both before any table or erfcx; and
     ValueError, before any erfcx, at s = -i(z0 + tau) = 0, where the ray
-    meets the kernel's singularity.  Any other z0 or tau takes ray_integral,
-    evaluating g_ab at each node.
+    meets the kernel's singularity.
     """
-    a, b = map(Fraction, spec)
+    if not isinstance(z0, (Fraction, int)):
+        raise TypeError("a ray starts at a rational cusp, a Fraction or an int, not %r" % (z0,))
     tau = mpc(tau)
-    if not isinstance(z0, (Fraction, int)) or tau.imag < 0:
-        return ray_integral(lambda z: g_ab((a, b), z), z0, tau, g_decay_rate(a), tol=tol)
+    if tau.imag < 0:
+        raise ValueError("a ray needs Im tau >= 0, not %s" % mp.nstr(tau, 8))
+    a, b = map(Fraction, spec)
     x = Fraction(z0)
     q = x.denominator
     phase, direct, cusp = _ray_table(a, b, x, mp.prec)
@@ -230,8 +219,7 @@ def unary_ray_integral(spec, z0, tau, tol=None):
 
 def shadow_ray_integral(m, z0, tau):
     """sum e(-ab) int_{z0}^{i inf} g_{a,b}(z)/sqrt(-i(z+tau)) dz over the
-    shadow pairs (a, b) of E_m, one ray per pair so each gets its own decay
-    rate.  Since E_m(2z/c_m^2) = (c_m/2) sum e(-ab) g_{a,b}(z), this is
+    shadow pairs (a, b) of E_m, one ray per pair.  Since E_m(2z/c_m^2) = (c_m/2) sum e(-ab) g_{a,b}(z), this is
     (2/c_m) int_{z0}^{i inf} E_m(2z/c_m^2)/sqrt(-i(z+tau)) dz."""
     return sum(e2pi(-a * b) * unary_ray_integral((a, b), z0, tau)
                for a, b in (_SHADOW[p] for p in parts(family(m))))

@@ -245,20 +245,18 @@ def mu_hat(u, v, tau):
     _check_off_lattice(u, tau, "u")
     _check_off_lattice(v, tau, "v")
 
-    def shift(state, n):
-        # mu-hat(u, v; sigma + n) = e(-n/8) mu-hat(u, v; sigma)
-        factor, u, v = state
-        return factor * e2pi(Fr(-n, 8)), u, v
-
-    def invert(state, sigma):
-        # mu-hat(u, v; -1/sigma) = -mu-hat(-u sigma, -v sigma; sigma)
-        #   / (sqrt(i/sigma) e^{pi i (u - v)^2 sigma})
-        factor, u, v = state
-        factor *= -mp.exp(-1j * mp.pi * (u - v) ** 2 * sigma) / mp.sqrt(1j / sigma)
-        return factor, -u * sigma, -v * sigma
-
     with mp.extradps(guard):
-        tau, (factor, u, v) = reduce_tau(tau, (mpc(1), u, v), shift, invert, "mu-hat")
+        tau, word = reduce_tau(tau, "mu-hat")
+        factor = mpc(1)
+        for n, sigma in word:
+            if n != 0:
+                # mu-hat(u, v; sigma + n) = e(-n/8) mu-hat(u, v; sigma)
+                factor *= e2pi(Fr(-n, 8))
+            if sigma is not None:
+                # mu-hat(u, v; -1/sigma) = -mu-hat(-u sigma, -v sigma; sigma)
+                #   / (sqrt(i/sigma) e^{pi i (u - v)^2 sigma})
+                factor *= -mp.exp(-1j * mp.pi * (u - v) ** 2 * sigma) / mp.sqrt(1j / sigma)
+                u, v = -u * sigma, -v * sigma
         # v = v0 + m tau + n and u - v = z0 + k tau + l, with v0 and z0 in
         # the cell; (u, v) -> (u0, v0) = (v0 + z0, v0)
         v0, _, _ = period_cell(v, tau)

@@ -180,17 +180,16 @@ def eta(tau):
 @lru_cache(maxsize=KERNEL_MEMO)
 def _eta_folded(tau, prec):
     # prec only keys the memo: the caller's mp.prec is prec
-    def shift(state, n):
-        factor, expo = state  # expo: accumulated 24th-root exponent
-        return factor, expo + Fraction(n, 24)
-
-    def invert(state, sigma):
-        # eta(tau) = eta(-1/sigma) = sqrt(-i sigma) eta(sigma)
-        factor, expo = state
-        return factor * mp.sqrt(-1j * sigma), expo
-
     with mp.extradps(fold_guard(tau)):
-        tau, (factor, expo) = reduce_tau(tau, (mpc(1), Fraction(0)), shift, invert, "eta")
+        tau, word = reduce_tau(tau, "eta")
+        factor, expo = mpc(1), Fraction(0)  # expo: accumulated 24th-root exponent
+        for n, sigma in word:
+            if n != 0:
+                # eta(sigma + n) = e(n/24) eta(sigma)
+                expo += Fraction(n, 24)
+            if sigma is not None:
+                # eta(-1/sigma) = sqrt(-i sigma) eta(sigma)
+                factor *= mp.sqrt(-1j * sigma)
         q = e2pi(tau)
         value = e2pi(expo) * factor * (e2pi(tau / 24) * qpoch(q, q))
     return +value

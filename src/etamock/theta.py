@@ -77,22 +77,19 @@ def jacobi_theta(v, tau, representation="product"):
 @lru_cache(maxsize=KERNEL_MEMO)
 def _theta_folded(v, tau, prec):
     # prec only keys the memo: the caller's mp.prec is prec
-    def shift(state, n):
-        # theta(v; sigma + n) = e(n/8) theta(v; sigma)
-        factor, v = state
-        return factor * e2pi(Fr(n, 8)), v
-
-    def invert(state, sigma):
-        # theta(v; -1/sigma) = -i sqrt(-i sigma) e^{pi i v^2 sigma} theta(v sigma; sigma)
-        factor, v = state
-        factor *= -1j * mp.sqrt(-1j * sigma) * mp.exp(1j * mp.pi * v * v * sigma)
-        return factor, v * sigma
-
     guard = fold_guard(tau)
     factor = mpc(1)
     with mp.extradps(guard):
         if guard:
-            tau, (factor, v) = reduce_tau(tau, (factor, v), shift, invert, "theta")
+            tau, word = reduce_tau(tau, "theta")
+            for n, sigma in word:
+                if n != 0:
+                    # theta(v; sigma + n) = e(n/8) theta(v; sigma)
+                    factor *= e2pi(Fr(n, 8))
+                if sigma is not None:
+                    # theta(v; -1/sigma) = -i sqrt(-i sigma) e^{pi i v^2 sigma} theta(v sigma; sigma)
+                    factor *= -1j * mp.sqrt(-1j * sigma) * mp.exp(1j * mp.pi * v * v * sigma)
+                    v = v * sigma
         # v0 = v - lam tau - m in the period cell, with about log2(lam^2 |tau v|) guard bits
         with mp.extraprec(max(0, 2 * mp.mag(v.imag / tau.imag) + mp.mag(tau) + mp.mag(v))):
             v, lam, m = period_cell(v, tau)
@@ -159,19 +156,18 @@ def g_ab(spec, tau):
     if tau.imag <= 0:
         raise ValueError("tau must have positive imaginary part")
 
-    def shift(state, n):
-        # g_{a,b}(sigma + n) = e^{-pi i n a(a+1)} g_{a, b + n(a+1/2)}(sigma)
-        factor, a, b = state
-        factor *= e2pi(Fr(-n) * a * (a + 1) / 2)
-        return factor, a, b + n * (a + Fr(1, 2))
-
-    def invert(state, t):
-        # g_{a,b}(-1/t) = i e^{2 pi i a b} (-i t)^{3/2} g_{b,-a}(t)
-        factor, a, b = state
-        return factor * (1j * e2pi(a * b) * (-1j * t) ** _THREE_HALVES), b, -a
-
     with mp.extradps(fold_guard(tau)):
-        tau, (factor, a, b) = reduce_tau(tau, (mpc(1), a, b), shift, invert, "unary theta")
+        tau, word = reduce_tau(tau, "unary theta")
+        factor = mpc(1)
+        for n, t in word:
+            if n != 0:
+                # g_{a,b}(t + n) = e^{-pi i n a(a+1)} g_{a, b + n(a+1/2)}(t)
+                factor *= e2pi(Fr(-n) * a * (a + 1) / 2)
+                b += n * (a + Fr(1, 2))
+            if t is not None:
+                # g_{a,b}(-1/t) = i e^{2 pi i a b} (-i t)^{3/2} g_{b,-a}(t)
+                factor *= 1j * e2pi(a * b) * (-1j * t) ** _THREE_HALVES
+                a, b = b, -a
         # normalize a mod 1 (free) and b mod 1 (costs the phase e(a*floor(b)))
         a = a - math.floor(a)
         kb = math.floor(b)

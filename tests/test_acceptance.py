@@ -30,8 +30,9 @@ from etamock.quantum import (ELL, _SET_PREDICATES, _finite_sums, companion_sum,
                              integral_identity_rhs, mobius_rational,
                              quantum_set_label, rational_formula_defined,
                              rational_z_args, vm1_at_rational)
-from etamock.eichler import integral_identity_lhs, unary_ray_integral
+from etamock.eichler import integral_identity_lhs
 from etamock.verify import verify_thm12_i, verify_thm12_ii, verify_thm12_iii
+from test_eichler import quadrature_ray
 
 # working precision of every test here; see conftest.py
 DPS = 16
@@ -145,28 +146,27 @@ def test_04_mu_factorization_and_ray_integral_closed_forms():
         spec = (a + Fr(1, 2), b + Fr(1, 2))
         prefactor = -e2pi(a * (b + Fr(1, 2))) * e2pi(-TAU4 * a * a / 2)
         if j % 2 == 0:
-            quad = unary_ray_integral(spec, -mp.conj(TAU4), TAU4, tol=qtol)
+            quad = quadrature_ray(spec, -mp.conj(TAU4), TAU4, tol=qtol)
             closed = prefactor * R_correction(a * TAU4 - b, TAU4)
         else:
-            quad = unary_ray_integral(spec, mpf(0), TAU4, tol=qtol)
+            quad = quadrature_ray(spec, mpf(0), TAU4, tol=qtol)
             closed = prefactor * mordell_h(a * TAU4 - b, TAU4)
         assert abs(quad - closed) < 1e-7, "ray closed form at (%s, %s)" % (a, b)
 
     for b in SINGLE_POINTS:
-        quad = unary_ray_integral((1, b + Fr(1, 2)), -mp.conj(TAU4), TAU4,
-                                  tol=qtol)
+        quad = quadrature_ray((1, b + Fr(1, 2)), -mp.conj(TAU4), TAU4, tol=qtol)
         closed = -1j * e2pi(-TAU4 / 8 + b / 2) \
             * R_correction(TAU4 / 2 - b, TAU4) + 1j
         assert abs(quad - closed) < 1e-7, "integer-index conjugate ray at %s" % b
 
     for b in SINGLE_POINTS:
-        quad = unary_ray_integral((1, b + Fr(1, 2)), mpf(0), TAU4, tol=qtol)
+        quad = quadrature_ray((1, b + Fr(1, 2)), mpf(0), TAU4, tol=qtol)
         closed = -1j * e2pi(-TAU4 / 8 + b / 2) \
             * mordell_h(TAU4 / 2 - b, TAU4) + 1j
         assert abs(quad - closed) < 1e-7, "integer-index zero ray at %s" % b
 
     for a in SINGLE_POINTS:
-        quad = unary_ray_integral((a + Fr(1, 2), 1), mpf(0), TAU4, tol=qtol)
+        quad = quadrature_ray((a + Fr(1, 2), 1), mpf(0), TAU4, tol=qtol)
         closed = -e2pi(-TAU4 * a * a / 2 + a) \
             * mordell_h(a * TAU4 - Fr(1, 2), TAU4) \
             + e2pi(a) / mp.sqrt(-1j * TAU4)

@@ -1,6 +1,9 @@
 """Ray integrals with the 1/sqrt kernel (eichler), and the checks of the
 period identities built on them (verify)."""
 
+import math
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,11 +12,10 @@ from mpmath import mp, mpc, mpf
 import etamock.eichler as eichler
 from etamock.core import exp_sinh, fixed_prec, fraction_mpf, from_fixed
 from etamock.qseries import e2pi
-from etamock.mu import R_correction, mordell_h
+from etamock.mu import R_correction, g_complement, mordell_h
 from etamock.theta import (ETA_THETA, E_from_g, g_ab, partial_theta, radial_limit,
                            unary_theta_combination)
-from etamock.eichler import (_cusp_pair, g_decay_rate, integral_identity_lhs, ray_integral,
-                             unary_ray_integral)
+from etamock.eichler import _cusp_pair, integral_identity_lhs, ray_integral, unary_ray_integral
 from etamock.quantum import ELL, integral_identity_rhs
 from etamock.verify import (_table2_row, corollary_check, verify_table2,
                             verify_thm12_i, verify_thm12_ii, verify_thm12_iii)
@@ -36,6 +38,24 @@ PAPER_TABLE2 = {
 }
 
 
+def g_decay_rate(a):
+    """Exponential decay rate of g_{a,b}(z) as Im(z) grows."""
+    af = float(a)
+    frac = af - math.floor(af)
+    alpha = min(frac, 1 - frac)
+    # at alpha = 0 the n = 0 term vanishes, and the next exponent is 1/2
+    return alpha * alpha if alpha else 1.0
+
+
+def quadrature_ray(spec, z0, tau, tol=None):
+    """int_{z0}^{i inf} g_{a,b}(z)/sqrt(-i(z+tau)) dz by ray_integral's
+    exp-sinh rule, evaluating g_ab at each node: the reference of the erfcx
+    sums of unary_ray_integral, from any start whose ray misses -tau."""
+    a, b = map(Fraction, spec)
+    tau = mpc(tau)
+    return ray_integral(lambda z: g_ab((a, b), z), z0, tau, g_decay_rate(a), tol=tol)
+
+
 def test_decay_rate_conventions():
     assert g_decay_rate(Fraction(1, 4)) == pytest.approx(1.0 / 16)
     assert g_decay_rate(Fraction(1, 3)) == pytest.approx(1.0 / 9)
@@ -46,8 +66,8 @@ def test_decay_rate_conventions():
 def test_quadrature_self_consistency():
     """Tightening the tolerance moves the value by far less than 10x tol."""
     spec = (Fraction(3, 4), Fraction(1, 2))
-    loose = unary_ray_integral(spec, mpf(0), TAU, tol=mpf("1e-8"))
-    tight = unary_ray_integral(spec, mpf(0), TAU, tol=mpf("1e-13"))
+    loose = quadrature_ray(spec, mpf(0), TAU, tol=mpf("1e-8"))
+    tight = quadrature_ray(spec, mpf(0), TAU, tol=mpf("1e-13"))
     assert abs(loose - tight) < 1e-7
 
 
@@ -57,7 +77,7 @@ def test_quadrature_self_consistency():
 ])
 def test_ray_from_conjugate_gives_R(a, b):
     spec = (a + Fraction(1, 2), b + Fraction(1, 2))
-    quad = unary_ray_integral(spec, -mp.conj(TAU), TAU)
+    quad = quadrature_ray(spec, -mp.conj(TAU), TAU)
     closed = -e2pi(a * (b + Fraction(1, 2))) * e2pi(-TAU * a * a / 2) \
         * R_correction(a * TAU - b, TAU)
     assert abs(quad - closed) < 1e-7
@@ -69,7 +89,7 @@ def test_ray_from_conjugate_gives_R(a, b):
 ])
 def test_ray_from_zero_gives_mordell(a, b):
     spec = (a + Fraction(1, 2), b + Fraction(1, 2))
-    quad = unary_ray_integral(spec, mpf(0), TAU)
+    quad = quadrature_ray(spec, mpf(0), TAU)
     closed = -e2pi(a * (b + Fraction(1, 2))) * e2pi(-TAU * a * a / 2) \
         * mordell_h(a * TAU - b, TAU)
     assert abs(quad - closed) < 1e-7
@@ -78,7 +98,7 @@ def test_ray_from_zero_gives_mordell(a, b):
 @pytest.mark.parametrize("b", [Fraction(1, 5), Fraction(1, 3), Fraction(-1, 4)])
 def test_integer_index_ray_from_conjugate(b):
     spec = (Fraction(1), b + Fraction(1, 2))
-    quad = unary_ray_integral(spec, -mp.conj(TAU), TAU)
+    quad = quadrature_ray(spec, -mp.conj(TAU), TAU)
     closed = -1j * e2pi(-TAU / 8 + b / 2) \
         * R_correction(TAU / 2 - b, TAU) + 1j
     assert abs(quad - closed) < 1e-7
@@ -87,7 +107,7 @@ def test_integer_index_ray_from_conjugate(b):
 @pytest.mark.parametrize("b", [Fraction(1, 5), Fraction(1, 3), Fraction(-1, 4)])
 def test_integer_index_ray_from_zero(b):
     spec = (Fraction(1), b + Fraction(1, 2))
-    quad = unary_ray_integral(spec, mpf(0), TAU)
+    quad = quadrature_ray(spec, mpf(0), TAU)
     closed = -1j * e2pi(-TAU / 8 + b / 2) * mordell_h(TAU / 2 - b, TAU) + 1j
     assert abs(quad - closed) < 1e-7
 
@@ -95,7 +115,7 @@ def test_integer_index_ray_from_zero(b):
 @pytest.mark.parametrize("a", [Fraction(1, 5), Fraction(-1, 3), Fraction(1, 4)])
 def test_integer_second_index_ray_from_zero(a):
     spec = (a + Fraction(1, 2), Fraction(1))
-    quad = unary_ray_integral(spec, mpf(0), TAU)
+    quad = quadrature_ray(spec, mpf(0), TAU)
     closed = -e2pi(-TAU * a * a / 2 + a) * mordell_h(a * TAU - Fraction(1, 2), TAU) \
         + e2pi(a) / mp.sqrt(-1j * TAU)
     assert abs(quad - closed) < 1e-7
@@ -240,7 +260,7 @@ SLOW_RAY = ("-0.19478002947580497532326813734454", "1.18474305755422979034798674
 def test_slowest_ray_from_a_non_cusp_start_keeps_the_bump():
     for dps in (16, 30):
         with mp.workdps(dps):
-            value = unary_ray_integral((Fraction(1, 12), Fraction(1, 2)), mpf("0.3"), mpc(0.2, 0.7))
+            value = quadrature_ray((Fraction(1, 12), Fraction(1, 2)), mpf("0.3"), mpc(0.2, 0.7))
             assert abs(value - mpc(*SLOW_RAY)) < mpf(10) ** (3 - dps)
 
 
@@ -324,8 +344,8 @@ def test_seed1_rays_within_two_units_of_higher_precision(monkeypatch, dps):
     of the same ray at dps + 30, and no call changes mp.dps."""
     rays = []
 
-    def record(spec, z0, tau, tol=None):
-        value = unary_ray_integral(spec, z0, tau, tol)
+    def record(spec, z0, tau):
+        value = unary_ray_integral(spec, z0, tau)
         assert mp.dps == dps
         rays.append((spec, z0, tau, value))
         return value
@@ -354,7 +374,7 @@ def test_a_ray_from_fraction_zero_is_the_quadrature_from_zero(dps, spec, tau):
     mpf(0), two routes that share no code past g_{a,b}'s coefficients."""
     with mp.workdps(dps):
         sums = unary_ray_integral(spec, Fraction(0), tau)
-        quad = unary_ray_integral(spec, mpf(0), tau)
+        quad = quadrature_ray(spec, mpf(0), tau)
         assert abs(sums - quad) < mpf(10) ** (3 - dps)
 
 
@@ -378,7 +398,7 @@ def test_the_cusp_sum_needs_its_i_and_its_phase(spec, x, tau):
     the i, or with e(r) conjugated, the ray misses the quadrature by far
     more than its tolerance.  e(r) is not real at either start."""
     phase, upper, lower = _two_sums(spec, x, tau)
-    quad = unary_ray_integral(spec, fraction_mpf(x), tau)
+    quad = quadrature_ray(spec, fraction_mpf(x), tau)
     with mp.workprec(fixed_prec()):
         ray = 1j * (upper + phase * lower)
     assert _same_bits(+ray, unary_ray_integral(spec, x, tau))
@@ -418,13 +438,16 @@ def test_the_lower_cut_decays_as_g_does_at_the_cusp(spec, x):
 
 
 def _counting_g_ab(monkeypatch):
+    """Count the calls of g_ab through every binding of it in the package."""
     calls = []
 
     def counted(spec, z):
         calls.append(z)
         return g_ab(spec, z)
 
-    monkeypatch.setattr(eichler, "g_ab", counted)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "etamock" and getattr(module, "g_ab", None) is g_ab:
+            monkeypatch.setattr(module, "g_ab", counted)
     return calls
 
 
@@ -552,8 +575,29 @@ def test_a_ray_from_a_rational_start_calls_no_g_ab(monkeypatch):
     for z0 in (Fraction(1, 2), 1):
         unary_ray_integral(spec, z0, TAU)
     assert calls == []
-    unary_ray_integral(spec, mpf(0.5), TAU)
-    assert len(calls) > 0
+    g_complement(spec, TAU)
+    assert len(calls) == 1
+
+
+def test_a_ray_off_a_cusp_or_below_the_line_fails_fast(monkeypatch):
+    """mpf(0.3), made from the binary float, lies 1.1e-17 off the cusp 3/10,
+    where the exp-sinh rule on g_ab ran for 20 s before it raised
+    ConvergenceError.  A start that is not a Fraction or an int raises
+    TypeError, and Im tau < 0 raises ValueError, before any table, g_ab or
+    erfcx."""
+    calls = _counting_g_ab(monkeypatch)
+    monkeypatch.setattr(eichler, "fixed_erfcx", lambda *args: calls.append(args))
+    spec, tau = (Fraction(1, 12), Fraction(1, 2)), mpc(0.2, 0.7)
+    tables = eichler._ray_table.cache_info()
+    with mp.workdps(30):
+        for z0, at, error in ((mpf(0.3), tau, TypeError), (mpc(0.3, 0.2), tau, TypeError),
+                              (Fraction(3, 10), mp.conj(tau), ValueError)):
+            start = time.perf_counter()
+            with pytest.raises(error):
+                unary_ray_integral(spec, z0, at)
+            assert time.perf_counter() - start < 0.5, z0
+    assert calls == []
+    assert eichler._ray_table.cache_info() == tables
 
 
 def test_lhs_cache_keys_on_exact_inputs_and_precision(monkeypatch):

@@ -14,9 +14,13 @@ sums call, and qseries sums none.  Two theta-type sums are finite and
 have no stopping rule: the erfcx sums of a ray from a cusp
 (`eichler._erfcx_sum`), whose table's length N (`eichler._gauss_side`) is
 fixed in advance at the height 1/q where both sums start; they call none
-of the series fronts nor `g_ab`.  No module calls mpmath's erfc: R's erfc
-terms and the rays' erfcx terms take `core.fixed_erfcx`.  Every public
-function or class has a caller in the package or in the benchmark.
+of the series fronts nor `g_ab`, which `eichler` does not import.  No
+module calls mpmath's erfc: R's erfc terms and the rays' erfcx terms take
+`core.fixed_erfcx`.  No package path integrates numerically: the generic
+ray (`eichler.ray_integral`), its exp-sinh rule and the Gauss-Legendre
+panels of `core` have no caller outside their own block, and stay only as
+the tests' reference and the benchmark's names.  Every public function or
+class has a caller in the package or in the benchmark.
 """
 
 import ast
@@ -110,14 +114,15 @@ def test_every_imported_name_is_used(module):
 
 
 def _callers(tree, name):
-    """The names of the innermost functions that call `name`."""
+    """The names of the innermost functions that call `name`, bare or as
+    an attribute."""
     found = set()
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id == name:
+        elif isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                     getattr(node.func, "attr", None)):
             found.add(function)
         for child in ast.iter_child_nodes(node):
             visit(child, function)
@@ -177,6 +182,27 @@ def test_the_ray_node_sum_is_a_finite_table_sum():
         assert called, name
         assert not called & {"converging", "fixed_sum", "lattice_sum", "g_ab", "reduce_tau",
                              "e2pi"}, (name, sorted(called))
+
+
+# each quadrature entry point, and the only (module, function) that may call it
+QUADRATURE = {"ray_integral": set(), "exp_sinh": {("eichler", "ray_integral")},
+              "adaptive_panels": set(), "gl_panel": {("core", "_panels")}}
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATURE))
+def test_no_package_path_integrates_numerically(name):
+    # the rays from a cusp are erfcx sums and mordell_h is erfc lattice sums:
+    # the quadrature blocks are called only from within themselves
+    callers = {(module, function) for module in _modules()
+               for function in _callers(_tree(module), name)}
+    assert callers == QUADRATURE[name], sorted(map(str, callers))
+
+
+def test_the_rays_import_no_g_ab():
+    imported = {alias.asname or alias.name for node in ast.walk(_tree("eichler"))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "g_ab" not in imported
+    assert "g_ab" not in _references(_tree("eichler"))
 
 
 @pytest.mark.parametrize("module", _modules())
