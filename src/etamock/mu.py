@@ -52,15 +52,16 @@ def mu(u, v, tau):
     from Im tau = 0.3 down to 0.01 (about 9 to 19 ms against 2 ms, nine
     (u, v) per height at dps 25), so it runs only below 1/10.
 
-    The series reads q = e(tau), e(u/2) and e(v) from core.e2pi at
-    wp = mp.prec + 20 bits, q and e(v) at the keys of an unfolded theta(v);
-    every walk start, ratio and side scale is a product of their powers on
-    integer pairs, and it stops by core.fixed_sum's rule.  Its sides meet
-    where |e(u) q^n| crosses 1, each walking the way its modulus shrinks.
-    When u - v lies far outside the period cell, a side starts at its first
-    term within 2^-(wp + 40) of its largest, so its integers stay below
-    about 2 wp + 40 bits.  The sum, theta(v) and e(u/2) are combined at wp
-    bits and rounded once.
+    The series reads q = e(tau), e(u/2) and e(v/2) from core.e2pi at
+    wp = mp.prec + 20 bits; every walk start, ratio and side scale is a
+    product of their powers on integer pairs, and it stops by
+    core.fixed_sum's rule.  Its sides meet where |e(u) q^n| crosses 1, each
+    walking the way its modulus shrinks.  When u - v lies far outside the
+    period cell, a side starts at its first term within 2^-(wp + 40) of its
+    largest, so its integers stay below about 2 wp + 40 bits.  Its
+    numerators are theta's terms, so theta(v) is summed on the same walks, or
+    is jacobi_theta's product where that sum cancels, next to a zero of
+    theta.  All is combined at wp bits and rounded once.
     """
     u = mpc(u)
     v = mpc(v)
@@ -94,33 +95,53 @@ def _mu_series(u, v, tau):
     c = -v.imag / tau.imag - 0.5
     n = int(mp.nint(c))
     d = float(c - n)  # c = n + d, |d| <= 1/2
-    reach = math.sqrt((wp + 40) * math.log(2) / (math.pi * float(tau.imag)) + d * d)
+    bits = math.pi * float(tau.imag) / math.log(2)  # the peak |num_n| is 2^(bits n (n + 2 d))
+    reach = math.sqrt((wp + 40) / bits + d * d)
     lo = max(k, n + math.ceil(d - reach))
     hi = min(k - 1, n + 1 + math.floor(d + reach))
-    with mp.workprec(wp):  # three exponentials, q and z at the keys theta(v) reads
+    with mp.workprec(wp):  # q, e(u/2), e(v/2) with z = e(v/2)^2, and e(tau/8), one per tau
         half = e2pi(u / 2)
         powers = [((-1, 0), 0)] + [fixed_ratio(x, wp, -math.inf)
-                                   for x in (e2pi(tau), half, e2pi(v))]
+                                   for x in (e2pi(tau), half, e2pi(v / 2), e2pi(tau / 8))]
 
     def side(*monomials):
         # the terms over scale: a walk from 1 by ratio, stepping by q, over 1 - g_n,
-        # g_n the walk from g by q; each is (-1)^a q^b e(u/2)^c z^d of (a, b, c, d)
+        # g_n the walk from g by q; each is (-1)^a q^b e(u/2)^c e(v/2)^d of (a, b, c, d).
+        # raw sums the walk's pairs as far as fixed_sum reads: theta's terms over scale
         scale, ratio, g = (fixed_monomial(zip(powers, m), wp) for m in monomials)
-        phases = fixed_walk((one, 0), ratio, powers[1], wp)
+        phases, raw = fixed_walk((one, 0), ratio, powers[1], wp), [0, 0]
         gs = fixed_walk(to_fixed(g, wp), powers[1], None, wp)
-        return scale, (fixed_div(w, (one - a, -b), wp) for w, (a, b) in zip(phases, gs))
+
+        def terms():
+            for w, (a, b) in zip(phases, gs):
+                raw[0], raw[1] = raw[0] + w[0], raw[1] + w[1]
+                yield fixed_div(w, (one - a, -b), wp)
+        return scale, terms(), raw, g
 
     # down from n = hi: -e(-u) h_hi, h_n = (-1)^n q^(n (n - 1)/2) z^n, with
     # h_{n-1}/h_n = -q^(1 - n)/z, over 1 - y_n, y_hi = e(-u) q^-hi
-    down = side(((hi + 1) % 2, hi * (hi - 1) // 2, -2, hi), (1, 1 - hi, 0, -1), (0, -hi, -2, 0))
+    sd, down, wd, y = side(((hi + 1) % 2, hi * (hi - 1) // 2, -2, 2 * hi), (1, 1 - hi, 0, -2),
+                           (0, -hi, -2, 0))
     # up from n = lo: num_lo, num_{n+1}/num_n = -q^(n + 1) z, over 1 - x_n
-    up = side((lo % 2, lo * (lo + 1) // 2, 0, lo), (1, lo + 1, 0, 1), (0, lo, 2, 0))
-    # the sum stops at the caller's precision and comes back at wp bits; it
-    # is combined with theta(v) and e(u/2) at wp bits and rounded once
-    total = fixed_sum([down, up], wp, "mu series")
-    theta = jacobi_theta(v, tau)
-    with mp.workprec(wp):
-        value = half / theta * total
+    su, up, wu, _ = side((lo % 2, lo * (lo + 1) // 2, 0, 2 * lo), (1, lo + 1, 0, 2), (0, lo, 2, 0))
+    # the sum stops at the caller's precision and comes back at wp bits
+    total = fixed_sum([(sd, down), (su, up)], wp, "mu series")
+    # theta(v) = i q^(1/8) e(v/2) S, S = sum num_n: up's raw is n >= lo, down's n < hi over
+    # e(u)/z (h_n = -z num_(n-1)), num_hi = -scale/y_hi; any n between is past reach
+    hr, t = fixed_div(powers[2][0], powers[3][0], wp), wp + powers[2][1] - powers[3][1]
+    m = 2 * wp - int(bits * n * (n + 2 * d))  # S at 2^-m: its largest term, num_n, has 2 wp bits
+    S = [a - b + c for a, b, c in zip(*(to_fixed(part, m) for part in (
+        (fixed_mul(su[0], wu, 0), su[1] + wp), (fixed_div(sd[0], y[0], wp), wp + sd[1] - y[1]),
+        (fixed_mul(fixed_mul(fixed_mul(hr, hr, 0), sd[0], 0), wd, 0), 2 * t + sd[1] + wp))))]
+    if max(map(abs, S)).bit_length() < wp + mp.prec + 4:  # cancelled by over FIXED_GUARD - 4 bits
+        theta = jacobi_theta(v, tau)
+        with mp.workprec(wp):
+            value = half / theta * total
+    else:  # e(u/2)/theta = hr/(i q^(1/8) S), hr = e(u/2)/e(v/2) at 2^-t; S has about 2 wp bits
+        q8, s8 = powers[4]
+        ratio = fixed_div(hr, fixed_mul(q8, (-S[1], S[0]), 0), 3 * wp)
+        with mp.workprec(wp):
+            value = from_fixed(ratio, 3 * wp + t - m - s8) * total
     return +value
 
 

@@ -50,14 +50,13 @@ def jacobi_theta(v, tau, representation="product"):
     v in the cell nothing moves, and the value is the bare product.
 
     The product is core.fixed_product, its exponentials q, e(v) and
-    e(tau/8) from core.e2pi at wp = mp.prec + 20 bits, q and e(v) at the
-    keys mu's series reads.  Its leading factor 1 - e(v) is taken out as
-    -2i sin(pi v) e(v/2), so theta keeps its relative precision next to
-    its zeros v in Z + tau Z, where nothing folds.
+    e(tau/8) from core.e2pi at wp = mp.prec + 20 bits.  Its leading
+    factor 1 - e(v) is taken out as -2i sin(pi v) e(v/2), so theta keeps
+    its relative precision next to its zeros v in Z + tau Z, where nothing folds.
 
     The folded value is memoized, keyed by (v, tau, mp.prec), for the
-    KERNEL_MEMO = 256 most recently used keys, as eta's is: the rows of
-    the catalogue at one tau share a few theta(v_n; tau).
+    KERNEL_MEMO = 256 most recently used keys, as eta's is: the theta
+    quotients of vmn at one tau share a few theta(v; tau).
 
     representation="sum" runs the defining series with no reduction and
     never reads or fills the memo; it is the independent cross-check of

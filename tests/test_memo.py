@@ -179,37 +179,37 @@ def test_the_catalogue_at_one_tau_shares_its_kernels():
     warm = _routes(tau)
     assert len(warm) == 2 * (59 + 13 + 6)
     assert all(same_bits(a, b) for a, b in zip(warm, cold, strict=True))
-    # 218 eta calls on 23 distinct s*tau, 51 theta calls on 8 distinct v_n:
-    # a row of family 4 reads its parts' values, so it calls neither
+    # 218 eta calls on 23 distinct s*tau, and no theta call: mu's series
+    # reads theta(v_n) off its own walk, and a row of family 4 reads its
+    # parts' values, so it calls neither
     eta_info, theta_info = (memo.cache_info() for memo in KERNELS)
     assert (eta_info.misses, eta_info.hits) == (23, 195)
-    assert (theta_info.misses, theta_info.hits) == (8, 43)
-    # 51 parts a route (next test), and 735 exponentials on 140 distinct
-    # keys: q, the steps and the phases of the walks at one tau, e(u/2) and
-    # e(v) of each mu series, and those of the eta folds, which take their
-    # guard digits
+    assert (theta_info.misses, theta_info.hits) == (0, 0)
+    # 51 parts a route (next test), and 762 exponentials on 136 distinct
+    # keys: q, e(tau/8), the steps and the phases of the walks at one tau,
+    # e(u/2) and e(v/2) of each mu series, and those of the eta folds, which
+    # take their guard digits
     part_info = vmn._part_memo.cache_info()
     assert (part_info.misses, part_info.hits) == (2 * 51, 2 * 16)
-    assert core._e2pi.cache_info().misses == 140
+    assert core._e2pi.cache_info().misses == 136
 
 
 def test_one_row_reads_two_new_exponentials():
-    # at a tau whose q (and theta's e(tau/8)) are memoized, mu's series at a
-    # fresh (u, v) computes e(u/2) and e(v) and nothing else, and theta(v)
-    # reads q and zeta = e(v) at the keys the series left
+    # at a tau whose q and e(tau/8) are memoized, mu's series at a fresh
+    # (u, v) computes e(u/2) and e(v/2) and nothing else, and it calls no
+    # theta: theta(v) is read off the series' own walk
     tau = mpc(0.17, 1.03)
     mu_module._mu_series(mpc(0.31, 0.4), mpc(-0.2, 0.1), tau)
     u, v = mpc(0.23, 0.35), mpc(0.15, -0.2)
     before = core._e2pi.cache_info().misses
+    theta._theta_folded.cache_clear()
     mu_module._mu_series(u, v, tau)
     assert core._e2pi.cache_info().misses == before + 2
     with mp.workprec(core.fixed_prec()):
         e2pi(u / 2)
-        e2pi(v)
+        e2pi(v / 2)
     assert core._e2pi.cache_info().misses == before + 2
-    theta._theta_folded.cache_clear()
-    jacobi_theta(v, tau)
-    assert core._e2pi.cache_info().misses == before + 2
+    assert theta._theta_folded.cache_info()[:2] == (0, 0)
 
 
 @pytest.mark.parametrize("route", [vmn_eval_mu, vmn_eval_series], ids=["mu", "series"])

@@ -453,7 +453,7 @@ def test_mu_series_sweep_against_a_plain_loop(dps):
 
 
 # every start, ratio and scale of the series is a product of integer powers
-# of q, e(u/2) and e(v); far from the period cell the exponents pass 30 and
+# of q, e(u/2) and e(v/2); far from the period cell the exponents pass 30 and
 # their triangular numbers 500.  (s_u, t_u, s_v, t_v) as in MU_CELL: u - v far
 # outside with v in the cell (one side starts 36 steps out), u and v far out
 # together (both sides start past 30), and u and v far out on either side
@@ -547,3 +547,58 @@ def test_mu_series_trap_points(monkeypatch, u, v, tau, prec):
     with mp.workdps(dps + 40):
         exact, size = _mu_plain(u, v, tau)
         assert abs(value - exact) <= mpf(10) ** (2 - dps) * size
+
+
+# mu's series reads theta(v) off its own numerator walk, a sum that cancels
+# next to a zero of theta; where it has cancelled by more than FIXED_GUARD - 4
+# bits against its largest term, the series takes theta's product instead.
+# v within 2e-9 to 2e-7 of 0, 1, tau and 1 + tau (a sum that cancels by 19
+# bits or more), at a tau where theta folds and at two where it does not; and
+# at generic v, u within 1e-8 of a pole of mu, where the sum is kept.  The
+# bounds on the error relative to |mu| are the worst of the parent route,
+# which always took theta's product, on the same points, rounded up: next to
+# a zero that product keeps its digits only where nothing folds, and next to
+# a pole 1 - e(u) q^n keeps the absolute error of its walk
+MU_NEAR_TAUS = [mpc(mpf("0.3"), mpf("0.9")), mpc(mpf("0.1"), mpf("2.5")),
+                mpc(mpf("-0.45"), mpf("0.2"))]
+MU_NEAR_OFFSETS = [mpc(mpf("2e-9"), mpf("1e-9")), mpc(mpf("-3e-8"), mpf("4e-8")),
+                   mpc(mpf("1.2e-7"), mpf("-1.6e-7"))]
+MU_NEAR_WORST = {"zero": {16: 1.7e-17, 30: 1.2e-31, 100: 8.2e-102},
+                 "folded zero": {16: 5.0e-12, 30: 2.6e-26, 100: 1.5e-96},
+                 "pole": {16: 1.4e-15, 30: 7.4e-30, 100: 4.1e-100}}
+
+
+def _mu_near_points():
+    # (u, v, tau, whether the series must take theta's product)
+    for tau in MU_NEAR_TAUS:
+        y = tau.imag
+        for zero in (0, 1, tau, 1 + tau):
+            for off in MU_NEAR_OFFSETS:
+                yield mpf("0.2") + mpc(mpf("0.31"), mpf("0.17")) * y, zero + off, tau, True
+        for pole, off in ((tau, MU_NEAR_OFFSETS[1]), (-1, mpc(mpf("5e-9"), mpf("-6e-9")))):
+            yield pole + off, mpf("0.1") + mpc(mpf("0.23"), mpf("0.3")) * y, tau, False
+
+
+@pytest.mark.parametrize("dps", [16, 30, 100])
+def test_mu_series_takes_the_product_next_to_a_zero_of_theta(monkeypatch, dps):
+    calls = []
+
+    def counting(v, tau):
+        calls.append(v)
+        return jacobi_theta(v, tau)
+
+    monkeypatch.setattr(mu_module, "jacobi_theta", counting)
+    worst = dict.fromkeys(MU_NEAR_WORST, 0)
+    with mp.workdps(dps):
+        points = [[mpc(x) for x in point[:3]] + [point[3]] for point in _mu_near_points()]
+    for u, v, tau, near in points:
+        calls.clear()
+        with mp.workdps(dps):
+            value = mu(u, v, tau)
+        assert len(calls) == near, (u, v, tau)
+        with mp.workdps(dps + 60):
+            exact, _ = _mu_plain(u, v, tau)
+            error = abs(value - exact) / abs(exact)
+        kind = "pole" if not near else "folded zero" if tau.imag < mp.sqrt(3) / 2 else "zero"
+        worst[kind] = max(worst[kind], error)
+    assert all(worst[kind] <= bound[dps] for kind, bound in MU_NEAR_WORST.items()), worst
